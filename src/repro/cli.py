@@ -55,14 +55,12 @@ import argparse
 import inspect
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from repro.backend import ARRAY_BACKEND_ENV, ARRAY_BACKENDS, resolve_backend
 from repro.conditions.operating_point import OperatingPoint
 from repro.core.balance import EnergyBalanceAnalysis
 from repro.core.emulator import NodeEmulator
@@ -181,16 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpms-energy",
         description="Energy analysis tools for self-powered tyre monitoring systems",
-    )
-    parser.add_argument(
-        "--array-backend",
-        default=None,
-        metavar="NAME",
-        help=(
-            "array backend for the hot kernels "
-            f"(one of: {', '.join(ARRAY_BACKENDS.names())}); "
-            f"overrides the {ARRAY_BACKEND_ENV} environment variable"
-        ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -558,10 +546,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(
             f"\n{result.metadata['evaluator_builds']} evaluator build(s), "
             f"{result.metadata['evaluator_cache_hits']} cache hit(s) "
-            f"across the grid in {result.metadata['wall_time_s']:.2f} s "
-            f"({result.metadata['workers']} worker(s), "
+            f"across the grid ({result.metadata['workers']} worker(s), "
             f"{result.metadata['backend']} backend)"
         )
+        # Timing goes to stderr so stdout stays a pure function of the inputs.
+        print(f"wall time {result.metadata['wall_time_s']:.2f} s", file=sys.stderr)
         if args.export:
             _export_rows(result.as_rows(), args.export)
         return 0
@@ -640,9 +629,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"\n{metadata['vehicles']} vehicle(s) in {metadata['cohorts']} cohort(s) "
         f"across {metadata['groups']} evaluator group(s); "
         f"{metadata['shared_energy_bins']} shared energy bin(s) swept once; "
-        f"{metadata['wall_time_s']:.2f} s on {metadata['workers']} worker(s) "
-        f"({metadata['backend']} backend)"
+        f"{metadata['workers']} worker(s) ({metadata['backend']} backend)"
     )
+    print(f"wall time {metadata['wall_time_s']:.2f} s", file=sys.stderr)
     fast = metadata.get("fast_path_vehicles", 0)
     fallback = metadata.get("fallback_vehicles", 0)
     path_line = f"fast path: {fast} vehicle(s); fallback: {fallback} vehicle(s)"
@@ -955,12 +944,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.array_backend is not None:
-            # Validate eagerly (unknown names fail with a one-line error
-            # before any work starts), then publish through the environment
-            # so process-pool workers inherit the same selection.
-            resolve_backend(args.array_backend)
-            os.environ[ARRAY_BACKEND_ENV] = args.array_backend
         return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -1057,15 +1057,13 @@ class NodeEmulator:
                 sleep_power[idle] * durations[idle]
             )
             # initial_charge_j=None replays the element's own (already
-            # validated) initial charge without the per-call range check;
-            # the scan runs on the evaluator's array backend.
+            # validated) initial charge without the per-call range check.
             traj = trajectory(
                 self.storage,
                 harvest,
                 load,
                 durations,
                 initially_active=not self.storage.is_depleted,
-                backend=self.evaluator.backend,
             )
         else:
             traj, sleep_power = self._integrate_stepwise(

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.blocks.node import SensorNode
 from repro.conditions.batch import BatchConditions
 from repro.conditions.operating_point import OperatingPoint
@@ -260,23 +259,12 @@ class EnergyEvaluator:
       results match the scalar path to floating-point round-off.
     """
 
-    def __init__(
-        self,
-        node: SensorNode,
-        database: PowerDatabase,
-        backend=None,
-    ) -> None:
+    def __init__(self, node: SensorNode, database: PowerDatabase) -> None:
         self.node = node
         #: The database as handed in, before re-targeting; lets callers that
         #: share evaluators check they were built from the same source.
         self.source_database = database
         self.database = node.adapt_database(database)
-        #: The array backend executing the batch kernel (an execution
-        #: policy: argument > REPRO_ARRAY_BACKEND > numpy; never part of
-        #: ``evaluator_group_key`` or any digest).  The default numpy
-        #: backend delegates to the compiled table verbatim, so results are
-        #: bit-identical to an unparameterized evaluator.
-        self.backend = resolve_backend(backend)
         self._compiled: CompiledPowerTable | None = None
         self._compiled_from: PowerDatabase | None = None
         self._compiled_version = -1
@@ -702,23 +690,19 @@ class EnergyEvaluator:
         count = len(batch)
         if len(schedules) != count:
             raise AnalysisError("one schedule per batch point is required")
-        energies = np.zeros(count, dtype=self.backend.dtype)
+        energies = np.zeros(count)
         phase_lists: list[tuple[tuple[str, float, float], ...]] | None = (
             [()] * count if include_phases else None
         )
         if count == 0:
             return energies, phase_lists
         table = self.compiled
-        # The dense (rows x points) power matrices come from the array
-        # backend seam; the numpy default delegates to the compiled table
-        # verbatim, so the accumulation below sees bit-identical inputs.
-        dyn_all, stat_all = self.backend.breakdown_components(
-            table,
+        dyn_all, stat_all = table.breakdown_components(
             np.arange(len(table)),
             batch.supply_v,
             batch.temperature_c,
-            batch.dynamic_factor,
-            batch.leakage_factor,
+            process_dynamic=batch.dynamic_factor,
+            process_leakage=batch.leakage_factor,
         )
         exponents = table.activity_exponent
         resting = self.node.resting_modes()
@@ -766,12 +750,10 @@ class EnergyEvaluator:
                 rest[position] = rest_s
             scale = batch.activity[idx]
             plain = bool(np.all(scale == 1.0))
-            # Accumulators follow the backend's precision policy; the
-            # default float64 allocation is unchanged from the pre-seam code.
-            total = np.zeros(width, dtype=self.backend.dtype)
+            total = np.zeros(width)
             accumulated: list[tuple[str, np.ndarray | None, np.ndarray]] = []
             for k, phase in enumerate(representative.phases):
-                power = np.zeros(width, dtype=self.backend.dtype)
+                power = np.zeros(width)
                 for block, resting_mode in resting.items():
                     mode = phase.mode_of(block, resting_mode)
                     row = table.row(block, mode)
@@ -789,7 +771,7 @@ class EnergyEvaluator:
                 if include_phases:
                     accumulated.append((phase.name, durations[k], power))
             if np.any(rest > 0.0) or include_phases:
-                power = np.zeros(width, dtype=self.backend.dtype)
+                power = np.zeros(width)
                 for block, resting_mode in resting.items():
                     row = table.row(block, resting_mode)
                     power += dyn_all[row, idx] + stat_all[row, idx]

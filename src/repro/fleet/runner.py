@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.core.emulator import EmulationResult, NodeEmulator
 from repro.core.evaluator import EnergyEvaluator
@@ -403,7 +402,6 @@ def _cohort_vehicle_outcome(
     bins: dict,
     standstill: dict,
     buckets: int,
-    array_backend=None,
 ) -> dict[str, object]:
     """One vehicle through the shared-cohort fast path (pure array work).
 
@@ -465,7 +463,6 @@ def _cohort_vehicle_outcome(
         load,
         table.durations,
         initially_active=not storage.is_depleted,
-        backend=array_backend,
     )
 
     result = EmulationResult(
@@ -563,16 +560,16 @@ _SHARED_TABLES: dict[str, _CohortTable] = {}
 _SHARED_BINS: dict[str, dict] = {}
 _SHARED_STANDSTILL: dict[str, dict[int, float]] = {}
 
-#: Per-worker-process component memo, keyed by (group key, array backend).
-_WORKER_COMPONENTS: dict[tuple[str, str], tuple] = {}
+#: Per-worker-process component memo, keyed like ``_group_key``.
+_WORKER_COMPONENTS: dict[str, tuple] = {}
 
 
-def _worker_components(spec: ScenarioSpec, array_backend: str):
+def _worker_components(spec: ScenarioSpec):
     """The (node, database, evaluator) triple of one worker-side vehicle."""
-    key = (_group_key(spec), array_backend)
+    key = _group_key(spec)
     cached = _WORKER_COMPONENTS.get(key)
     if cached is None:
-        cached = spec.build_components(backend=array_backend)
+        cached = spec.build_components()
         _WORKER_COMPONENTS[key] = cached
     return cached
 
@@ -589,7 +586,6 @@ def _process_vehicle(payload) -> dict[str, object]:
         buckets,
         record_interval_s,
         idle_step_s,
-        array_backend,
         thermal_document,
         force_fallback,
     ) = payload
@@ -597,7 +593,7 @@ def _process_vehicle(payload) -> dict[str, object]:
     thermal = (
         ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
     )
-    node, database, evaluator = _worker_components(spec, array_backend)
+    node, database, evaluator = _worker_components(spec)
     table = _SHARED_TABLES.get(cohort_key)
     bins = _SHARED_BINS.get(group_key, {})
     usable = table is not None and not table.fallback
@@ -614,7 +610,6 @@ def _process_vehicle(payload) -> dict[str, object]:
             bins,
             _SHARED_STANDSTILL.get(group_key, {}),
             buckets,
-            array_backend=evaluator.backend,
         )
         outcome["path"] = "cohort"
         return outcome
@@ -679,20 +674,12 @@ class FleetRunner:
             ``get(key, builder)`` (the serving layer's bounded LRU); groups
             then reuse evaluators/compiled tables across runs, observable
             through ``evaluator_builds``/``evaluator_cache_hits``.
-        array_backend: array-backend selection for the hot kernels (a name,
-            an :class:`~repro.backend.base.ArrayBackend`, or ``None`` for
-            argument > ``REPRO_ARRAY_BACKEND`` > numpy).  An execution
-            policy only: it never enters the fleet digest or
-            :meth:`checkpoint_key`, and the default numpy backend is
-            bit-identical to the pre-seam runner.  Callers sharing one
-            ``evaluator_cache`` across runs should use one backend per
-            process — the cache key is (rightly) backend-free.
         force_fallback: route EVERY vehicle through the per-vehicle
             ``emulate()`` fallback (reason ``"forced"``) even where the
             cohort fast path applies.  A benchmarking/debug knob — the
             results are bit-identical either way (that is the fast path's
-            contract), only slower; like ``array_backend`` it is an
-            execution policy and never enters :meth:`checkpoint_key`.
+            contract), only slower; it is an execution policy and never enters
+            :meth:`checkpoint_key`.
     """
 
     def __init__(
@@ -711,7 +698,6 @@ class FleetRunner:
         progress=None,
         should_stop=None,
         evaluator_cache=None,
-        array_backend=None,
         force_fallback: bool = False,
     ) -> None:
         if not isinstance(fleet, FleetSpec):
@@ -736,7 +722,6 @@ class FleetRunner:
         self.idle_step_s = idle_step_s
         self.checkpoint = checkpoint
         self.max_chunks = max_chunks
-        self.array_backend = resolve_backend(array_backend)
         self.force_fallback = bool(force_fallback)
         self.progress = progress
         self.should_stop = should_stop
@@ -760,12 +745,12 @@ class FleetRunner:
         """One group's (node, database, evaluator) — via the shared LRU if given."""
         if self._evaluator_cache is None:
             self.evaluator_builds += 1
-            return spec.build_components(backend=self.array_backend)
+            return spec.build_components()
         built: list[bool] = []
 
         def builder():
             built.append(True)
-            return spec.build_components(backend=self.array_backend)
+            return spec.build_components()
 
         components = self._evaluator_cache.get(spec.evaluator_group_key(), builder)
         if built:
@@ -954,7 +939,6 @@ class FleetRunner:
                     bins[gkey],
                     standstill[gkey],
                     buckets,
-                    array_backend=self.array_backend,
                 )
                 outcome["path"] = "cohort"
                 return outcome
@@ -989,7 +973,6 @@ class FleetRunner:
                 buckets,
                 self.record_interval_s,
                 self.idle_step_s,
-                self.array_backend.name,
                 thermal_document,
                 force_fallback,
             )
@@ -1077,7 +1060,6 @@ class FleetRunner:
             "survival_buckets": buckets,
             "workers": self.workers or 1,
             "backend": self.backend,
-            "array_backend": self.array_backend.name,
             "engine_backend": report.backend,
             "wall_time_s": report.wall_time_s,
             "vehicle_wall_times_s": report.item_wall_times_s,

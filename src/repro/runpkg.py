@@ -32,7 +32,6 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.backend import active_backend_info
 from repro.digest import canonical_digest
 from repro.errors import PackageError
 
@@ -58,10 +57,6 @@ def environment_stamp(
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
     }
-    array_info = active_backend_info()
-    stamp["array_backend"] = array_info["name"]
-    if "numba" in array_info:
-        stamp["numba"] = array_info["numba"]
     if workers is not None:
         stamp["workers"] = workers
     if backend is not None:

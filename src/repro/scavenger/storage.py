@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.errors import ConfigurationError, EmulationError
 
 # ---------------------------------------------------------------------------
@@ -287,7 +286,6 @@ def reference_scan(
     active: bool,
     capacity: float,
     restart: float,
-    dtype=np.float64,
 ):
     """The authoritative storage ledger recurrence (the ONE copy of the math).
 
@@ -295,19 +293,16 @@ def reference_scan(
     :func:`trajectory`; every step applies the shared module-level step
     primitives in the exact order of the mutating :class:`StorageElement`
     replay, so the scan is bitwise identical to stepping the element
-    (property-tested).  Array backends either delegate here (numpy — the
-    default), run it at reduced precision (``dtype=np.float32``), or mirror
-    it operation for operation in compiled code (numba, gated by the same
-    property suite) — the ledger math itself is never forked.
+    (property-tested).
 
     Returns ``(charge_out, active_out, banked_out, drawn_out, attempted,
     withdrew, brownout_events, final_charge)``.
     """
     count = len(stored)
-    charge_out = np.empty(count, dtype=dtype)
+    charge_out = np.empty(count)
     active_out = np.empty(count, dtype=bool)
-    banked_out = np.empty(count, dtype=dtype)
-    drawn_out = np.zeros(count, dtype=dtype)
+    banked_out = np.empty(count)
+    drawn_out = np.zeros(count)
     attempted = np.zeros(count, dtype=bool)
     withdrew = np.zeros(count, dtype=bool)
     brownouts = 0
@@ -346,7 +341,6 @@ def trajectory(
     leak_s,
     initial_charge_j: float | None = None,
     initially_active: bool | None = None,
-    backend=None,
 ) -> StorageTrajectory:
     """Pure, array-based replay of the storage ledger over N steps.
 
@@ -379,10 +373,6 @@ def trajectory(
             check by passing ``None``.
         initially_active: starting activity; defaults to the brown-out test
             on the starting charge (``charge >= minimum_operating_j``).
-        backend: optional array-backend selection for the scan (an
-            :class:`~repro.backend.base.ArrayBackend`, a registered name, or
-            ``None`` for argument > ``REPRO_ARRAY_BACKEND`` > numpy).  The
-            default numpy backend runs :func:`reference_scan` verbatim.
 
     Returns:
         A :class:`StorageTrajectory` with per-step charge/activity/flows.
@@ -432,9 +422,7 @@ def trajectory(
         withdrew,
         brownouts,
         final_charge,
-    ) = resolve_backend(backend).trajectory_scan(
-        stored, required, load, leak_amounts, charge, active, capacity, restart
-    )
+    ) = reference_scan(stored, required, load, leak_amounts, charge, active, capacity, restart)
     return StorageTrajectory(
         charge_j=charge_out,
         active=active_out,

@@ -454,22 +454,18 @@ class ScenarioSpec:
             )
         )
 
-    def build_components(self, backend=None) -> tuple:
+    def build_components(self) -> tuple:
         """Build the ``(node, database, evaluator)`` triple of this scenario.
 
         The shareable unit behind :meth:`evaluator_group_key`: callers memo
         the result under that key (study evaluator cache, process-worker
-        memos, fleet groups).  ``backend`` selects the evaluator's array
-        backend — an execution policy threaded to
-        :class:`~repro.core.evaluator.EnergyEvaluator`, deliberately NOT
-        part of :meth:`evaluator_group_key` (backends must never enter
-        digests or store keys).
+        memos, fleet groups).
         """
         from repro.core.evaluator import EnergyEvaluator
 
         node = self.build_node()
         database = self.build_database()
-        return node, database, EnergyEvaluator(node, database, backend=backend)
+        return node, database, EnergyEvaluator(node, database)
 
     def operating_point(self) -> OperatingPoint:
         """The :class:`OperatingPoint` described by the environment fields."""

@@ -59,7 +59,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.backend import resolve_backend
 from repro.core.balance import EnergyBalanceAnalysis
 from repro.core.emulator import NodeEmulator
 from repro.errors import ConfigError
@@ -73,11 +72,6 @@ from repro.scenario.spec import ComponentRef, ScenarioSpec
 
 #: Analysis kinds the runner understands.
 STUDY_KINDS = ("balance", "report", "optimize", "emulate", "explore", "montecarlo")
-
-#: Kinds whose rows ARE joule figures: their contract is float64
-#: bit-identity with the scalar reference, so reduced-precision array
-#: backends are refused for them (see :meth:`Study.run`).
-_PER_JOULE_KINDS = frozenset({"balance", "report"})
 
 #: Default speed grid of the balance/explore kinds (km/h), Fig. 2 range.
 DEFAULT_BREAK_EVEN_RANGE = (5.0, 250.0)
@@ -313,16 +307,6 @@ class Study:
         if backend not in ("thread", "process"):
             raise ConfigError(
                 f"unknown study backend {backend!r}; available: ['thread', 'process']"
-            )
-        # Per-joule kinds are a float64 bit-identity contract; a
-        # reduced-precision array backend (the float32 policy) is refused
-        # here rather than silently degrading the reported joule figures.
-        array_backend = resolve_backend(None)
-        if kind in _PER_JOULE_KINDS and array_backend.precision != "float64":
-            raise ConfigError(
-                f"array backend {array_backend.name!r} ({array_backend.precision}) "
-                f"cannot run the per-joule {kind!r} kind; per-joule figures "
-                "require a float64 backend (numpy)"
             )
         runner = getattr(self, f"_run_{kind}")
         builds_before = self.evaluator_builds

@@ -43,7 +43,6 @@ import time
 from pathlib import Path
 from typing import Mapping
 
-from repro.backend import active_backend_info
 from repro.errors import ConfigError, ReproError, ServeError
 from repro.fleet.aggregate import DEFAULT_SURVIVAL_BUCKETS
 from repro.fleet.runner import FleetRunner
@@ -94,7 +93,6 @@ _FLEET_METADATA_DROP = frozenset(
         "retries",
         "pool_rebuilds",
         "checkpoint",
-        "array_backend",
     }
 )
 
@@ -599,7 +597,6 @@ class JobManager:
             "jobs": counts,
             "pid": os.getpid(),
             "uptime_s": round(time.monotonic() - self._started, 3),
-            "array_backend": active_backend_info(),
             "evaluator_cache": self.evaluator_cache.stats(),
             "store": self.store.stats(),
         }

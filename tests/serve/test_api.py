@@ -125,7 +125,9 @@ class TestEndpoints:
         assert {"entries", "bytes", "evictions", "oversize_rejects"} <= set(
             health["store"]
         )
-        assert {"capacity", "size", "hits", "misses"} <= set(health["evaluator_cache"])
+        assert {"capacity", "size", "hits", "misses", "build_wall_time_s"} <= set(
+            health["evaluator_cache"]
+        )
 
     def test_long_poll_returns_immediately_on_a_stale_version(self, client):
         job = client.submit_study(STUDY_DOC)
