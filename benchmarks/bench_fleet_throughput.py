@@ -5,14 +5,14 @@ tables per (architecture, workload, database) group, shares materialized
 drive cycles per (cycle, speed-scale) cohort, and routes the union of
 quantized (speed, temperature, phase-pattern) energy bins through ONE
 cross-vehicle sweep before emulation — so each vehicle reduces to pure
-array work (harvest sweep + trajectory kernel) instead of a full cold
-``NodeEmulator.emulate()``.
+array work (harvest sweep, then one batched ledger scan per chunk) instead
+of a full cold ``NodeEmulator.emulate()``.
 
 This benchmark measures exactly that replacement on a 200-vehicle fleet
 (log-normal speed scales, correlated ambient temperatures, Gaussian
 scavenger/storage tolerances — the default population) and *asserts*:
 
-* >= 5x throughput of the bin-shared fleet runner over the naive loop that
+* >= 8x throughput of the bin-shared fleet runner over the naive loop that
   builds one emulator per vehicle and calls ``emulate()`` (what a user
   would write without the fleet subsystem);
 * bitwise-identical per-vehicle summary figures from both paths (the fleet
@@ -30,10 +30,11 @@ from repro.fleet import FleetSpec, FleetRunner
 from repro.scavenger.storage import scaled_storage
 from repro.scenario import ScenarioSpec
 
-#: Local headroom is comfortably above the 5x acceptance bar (~7x measured);
-#: shared CI runners are noisy, so workflows may lower the enforced floor via
-#: the environment while the measured number is still reported.
-REQUIRED_SPEEDUP = float(os.environ.get("FLEET_THROUGHPUT_FLOOR", "5.0"))
+#: Local acceptance bar (~12-14x measured with the chunk-batched ledger
+#: scan, ~8x before it, on a 2-CPU x86 box); shared CI runners are noisy, so
+#: workflows may lower the enforced floor via the environment while the
+#: measured number is still reported.
+REQUIRED_SPEEDUP = float(os.environ.get("FLEET_THROUGHPUT_FLOOR", "8.0"))
 
 VEHICLES = 200
 
@@ -47,7 +48,7 @@ def _bench_fleet() -> FleetSpec:
 
 
 def test_fleet_beats_naive_per_vehicle_loop():
-    """The shared-engine fleet run is >= 5x faster than per-vehicle emulate().
+    """The shared-engine fleet run is >= 8x faster than per-vehicle emulate().
 
     Both variants compute the same 200 vehicles (identical materialization —
     the population is a pure function of the fleet document).  The naive
@@ -75,7 +76,7 @@ def test_fleet_beats_naive_per_vehicle_loop():
     naive_s = time.perf_counter() - start
 
     # Fleet path: shared evaluator group, cohort cycle tables, one
-    # cross-vehicle bin sweep, per-vehicle trajectory kernels.  Sequential
+    # cross-vehicle bin sweep, one batched ledger scan per chunk.  Sequential
     # (workers=1) so the comparison is CPU-for-CPU, not parallelism.
     start = time.perf_counter()
     result = FleetRunner(fleet).run()

@@ -32,13 +32,26 @@ runner shares all of that across the population:
   vector for thermal cohorts, a per-(cohort, temperature-bin) energy
   gather for constant ones — instead of being rebuilt per vehicle.
 
-Each vehicle then reduces to pure array work — its own harvest sweep, load
-referral and :func:`~repro.scavenger.storage.trajectory` kernel — streamed
-through the shared :class:`~repro.scenario.engine.ChunkedEngine` into the
-fleet accumulators.  Per-vehicle figures are bit-identical to a naive
-``emulate()`` of the same vehicle scenario (the storage-ledger and batch
-contracts guarantee it; the throughput benchmark asserts it), which is what
-makes the aggregates independent of worker counts and backends.
+Each vehicle then reduces to pure array work in two phases:
+
+* **Inputs**, per vehicle, inside the engine's retried kernel
+  (:func:`_cohort_vehicle_outcome`): its harvest sweep, load gather and the
+  negative-energy checks — everything that can fail.
+* **Scan and finish**, once per chunk, after the chunk's vehicles settled
+  and before it is journaled or streamed: one time-major
+  :func:`~repro.scavenger.storage.batched_scan` replays every pending
+  vehicle's storage ledger at once (cohorts of different lengths end-padded
+  with no-op steps), then each vehicle's summary, survival and row are
+  built.  Chunks with fewer than :data:`BATCHED_SCAN_MIN_VEHICLES` pending
+  vehicles, and process-backend workers, scan per vehicle through
+  :func:`~repro.scavenger.storage.trajectory` instead.
+
+Results stream through the shared
+:class:`~repro.scenario.engine.ChunkedEngine` into the fleet accumulators.
+Per-vehicle figures are bit-identical to a naive ``emulate()`` of the same
+vehicle scenario whichever scan ran (the storage-ledger and batch contracts
+guarantee it; the throughput benchmark asserts it), which is what makes the
+aggregates independent of chunking, worker counts and backends.
 
 Cycles the shared path cannot cover — a speed bin whose schedule cannot be
 built (feasibility straddles), or a thermal trajectory that leaves the
@@ -47,11 +60,13 @@ modelled temperature range — fall back to the ordinary per-vehicle
 and results stay exactly those of the scalar path.  Every vehicle outcome
 is tagged with the path it took (and the fallback reason), surfaced as
 ``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons`` on the
-result metadata — a fast-path regression shows up as a counter, not as a
-silent slowdown.
+result metadata, next to ``batched_scan_vehicles`` — a fast-path or
+batching regression shows up as a counter, not as a silent slowdown.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +89,12 @@ from repro.fleet.aggregate import (
     FleetResult,
 )
 from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
-from repro.scavenger.storage import scaled_storage, trajectory
+from repro.scavenger.storage import (
+    StorageElement,
+    batched_scan,
+    scaled_storage,
+    trajectory,
+)
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine
 from repro.scenario.spec import ScenarioSpec
@@ -392,6 +412,37 @@ def _thermal_unit_load(
     return load
 
 
+#: Chunks with fewer pending fast-path vehicles than this scan each ledger
+#: on its own through :func:`~repro.scavenger.storage.trajectory`.  The
+#: batched scan costs ~20 us per time step whatever the vehicle count, the
+#: per-vehicle scan ~2.2 us per step and vehicle, so they cross near 8
+#: vehicles (900-step urban cycle, 2-CPU x86 box); both are bit-identical.
+BATCHED_SCAN_MIN_VEHICLES = 8
+
+
+@dataclass(slots=True)
+class _PendingScan:
+    """One fast-path vehicle between its inputs phase and its ledger scan.
+
+    Holds what :func:`_cohort_vehicle_outcome` built for the vehicle — its
+    storage element (parameters only), harvest and load vectors — plus what
+    its row needs once the scan is done.  Finished either alone
+    (:func:`_finish_vehicle`) or with its chunk's other pending vehicles in
+    one :func:`~repro.scavenger.storage.batched_scan` (:func:`_finish_batch`).
+    """
+
+    vehicle_index: int
+    spec: ScenarioSpec
+    speed_scale: float
+    storage_scale: float
+    node_name: str
+    table: _CohortTable
+    storage: StorageElement
+    harvest: np.ndarray
+    load: np.ndarray
+    buckets: int
+
+
 def _cohort_vehicle_outcome(
     vehicle_index: int,
     spec: ScenarioSpec,
@@ -402,15 +453,17 @@ def _cohort_vehicle_outcome(
     bins: dict,
     standstill: dict,
     buckets: int,
-) -> dict[str, object]:
-    """One vehicle through the shared-cohort fast path (pure array work).
+) -> _PendingScan:
+    """One vehicle's ledger inputs through the shared-cohort fast path.
 
     Mirrors the pure-kernel branch of ``NodeEmulator.emulate()`` operation
-    for operation — harvest sweep, bin gather, load referral, trajectory
-    kernel, summary — against the cohort's shared cycle table and the
-    group's shared bin store, so the figures are bit-identical to a naive
-    per-vehicle ``emulate()`` (with the fleet's thermal model, for thermal
-    cohorts).
+    for operation — harvest sweep, bin gather, load referral, the
+    negative-energy checks — against the cohort's shared cycle table and the
+    group's shared bin store.  The ledger scan and summary follow in
+    :func:`_finish_vehicle` or :func:`_finish_batch`, so the figures are
+    bit-identical to a naive per-vehicle ``emulate()`` (with the fleet's
+    thermal model, for thermal cohorts).  Everything that can fail runs
+    here, inside the engine's per-vehicle retry.
     """
     scavenger = spec.build_scavenger()
     storage = scaled_storage(spec.build_storage(), storage_scale)
@@ -453,41 +506,162 @@ def _cohort_vehicle_outcome(
         sleep_power_w = standstill[temp_bin]
         idle = ~table.is_round
         load[idle] = node.pmu.referred_to_storage(sleep_power_w * table.durations[idle])
-
-    # initial_charge_j=None replays the element's own (construction-time
-    # validated) initial charge — the per-call range check is skipped in
-    # this per-vehicle hot loop.
-    traj = trajectory(
+    if np.any(load < 0.0):
+        raise EmulationError("cannot withdraw negative energy")
+    return _PendingScan(
+        vehicle_index,
+        spec,
+        speed_scale,
+        storage_scale,
+        node.name,
+        table,
         storage,
         harvest,
         load,
-        table.durations,
-        initially_active=not storage.is_depleted,
+        buckets,
     )
 
+
+def _scanned_outcome(
+    pending: _PendingScan,
+    banked: np.ndarray,
+    drawn: np.ndarray,
+    withdrew: np.ndarray,
+    active: np.ndarray,
+    brownouts: int,
+) -> dict[str, object]:
+    """A pending vehicle's summary, survival and row from its scanned ledger.
+
+    ``banked`` and ``drawn`` must be contiguous 1-D rows: their sums are
+    the summary figures, and numpy's pairwise summation order — hence the
+    last bit — follows the memory layout.
+    """
+    table = pending.table
     result = EmulationResult(
-        node_name=node.name,
+        node_name=pending.node_name,
         cycle_name=table.cycle_name,
         duration_s=table.duration_s,
     )
     result.revolutions = int(table.is_round.sum())
     result.moving_time_s = float(table.durations[table.is_round].sum())
-    result.harvested_j = float(traj.banked_j.sum())
-    result.discarded_j = float(np.maximum(0.0, harvest - traj.banked_j).sum())
-    result.consumed_j = float(traj.drawn_j.sum())
-    result.active_revolutions = int((table.is_round & traj.withdrew).sum())
-    result.active_time_s = float(table.durations[traj.withdrew].sum())
-    result.brownout_events = traj.brownout_events
+    result.harvested_j = float(banked.sum())
+    result.discarded_j = float(np.maximum(0.0, pending.harvest - banked).sum())
+    result.consumed_j = float(drawn.sum())
+    result.active_revolutions = int((table.is_round & withdrew).sum())
+    result.active_time_s = float(table.durations[withdrew].sum())
+    result.brownout_events = int(brownouts)
 
-    sample_active = traj.active[table.sample_units]
-    survival = _survival_from_samples(table.sample_times, sample_active, table.duration_s, buckets)
+    sample_active = active[table.sample_units]
+    survival = _survival_from_samples(
+        table.sample_times, sample_active, table.duration_s, pending.buckets
+    )
     active_at_end = bool(sample_active[-1]) if sample_active.size else False
     return {
         "row": _vehicle_row(
-            vehicle_index, spec, speed_scale, storage_scale, result, active_at_end
+            pending.vehicle_index,
+            pending.spec,
+            pending.speed_scale,
+            pending.storage_scale,
+            result,
+            active_at_end,
         ),
         "survival": survival,
+        "path": "cohort",
     }
+
+
+def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
+    """Scan one pending vehicle's ledger on its own (``reference_scan``)."""
+    storage = pending.storage
+    # initial_charge_j=None replays the element's own (construction-time
+    # validated) initial charge — the per-call range check is skipped.
+    traj = trajectory(
+        storage,
+        pending.harvest,
+        pending.load,
+        pending.table.durations,
+        initially_active=not storage.is_depleted,
+    )
+    return _scanned_outcome(
+        pending, traj.banked_j, traj.drawn_j, traj.withdrew, traj.active, traj.brownout_events
+    )
+
+
+def _finish_batch(pendings: list[_PendingScan]) -> list[dict[str, object]]:
+    """Scan many pending vehicles' ledgers in ONE time-major ``batched_scan``.
+
+    Each vehicle is one column; cohorts of different lengths are end-padded
+    with zero harvest, load and leak steps, which change nothing in range.
+    The per-step inputs are hoisted with the exact expressions
+    :func:`~repro.scavenger.storage.trajectory` applies, elementwise, so each
+    column is bit-identical to that vehicle's own scan.
+    """
+    width = len(pendings)
+    lengths = [len(pending.harvest) for pending in pendings]
+    steps = max(lengths)
+    harvest = np.zeros((steps, width))
+    load = np.zeros((steps, width))
+    durations = np.zeros((steps, width))
+    for column, pending in enumerate(pendings):
+        count = lengths[column]
+        harvest[:count, column] = pending.harvest
+        load[:count, column] = pending.load
+        durations[:count, column] = pending.table.durations
+    storages = [pending.storage for pending in pendings]
+    charge_efficiency = np.array([storage.charge_efficiency for storage in storages])
+    discharge_efficiency = np.array([storage.discharge_efficiency for storage in storages])
+    self_discharge_w = np.array([storage.self_discharge_w for storage in storages])
+    (
+        _charge,
+        active,
+        banked,
+        drawn,
+        _attempted,
+        withdrew,
+        brownouts,
+        _final_charge,
+    ) = batched_scan(
+        harvest * charge_efficiency,
+        load / discharge_efficiency,
+        load,
+        self_discharge_w * durations,
+        np.array([storage.initial_charge_j for storage in storages]),
+        np.array([not storage.is_depleted for storage in storages]),
+        np.array([storage.capacity_j for storage in storages]),
+        np.array([storage.restart_level_j for storage in storages]),
+    )
+    # Vehicle-major copies, so every vehicle's flows are contiguous rows.
+    banked_rows = np.ascontiguousarray(banked.T)
+    drawn_rows = np.ascontiguousarray(drawn.T)
+    return [
+        _scanned_outcome(
+            pending,
+            banked_rows[column, : lengths[column]],
+            drawn_rows[column, : lengths[column]],
+            withdrew[: lengths[column], column],
+            active[: lengths[column], column],
+            brownouts[column],
+        )
+        for column, pending in enumerate(pendings)
+    ]
+
+
+def _finish_chunk(results: list) -> int:
+    """Finish a settled chunk's pending vehicles in place.
+
+    Returns how many went through the batched scan.  Failed items (``None``)
+    and finished outcomes (fallback vehicles, process workers) pass through
+    untouched.
+    """
+    slots = [slot for slot, value in enumerate(results) if isinstance(value, _PendingScan)]
+    if len(slots) < BATCHED_SCAN_MIN_VEHICLES:
+        for slot in slots:
+            results[slot] = _finish_vehicle(results[slot])
+        return 0
+    outcomes = _finish_batch([results[slot] for slot in slots])
+    for slot, outcome in zip(slots, outcomes):
+        results[slot] = outcome
+    return len(slots)
 
 
 def _emulate_vehicle_outcome(
@@ -600,19 +774,21 @@ def _process_vehicle(payload) -> dict[str, object]:
     if usable and table.thermal and table.unit_load is None:
         usable = False  # pragma: no cover - post-sweep tables always carry it
     if usable and not force_fallback:
-        outcome = _cohort_vehicle_outcome(
-            vehicle_index,
-            spec,
-            speed_scale,
-            storage_scale,
-            node,
-            table,
-            bins,
-            _SHARED_STANDSTILL.get(group_key, {}),
-            buckets,
+        # Workers return finished outcomes: the ledger is scanned here, per
+        # vehicle, rather than shipped back for the parent's batched scan.
+        return _finish_vehicle(
+            _cohort_vehicle_outcome(
+                vehicle_index,
+                spec,
+                speed_scale,
+                storage_scale,
+                node,
+                table,
+                bins,
+                _SHARED_STANDSTILL.get(group_key, {}),
+                buckets,
+            )
         )
-        outcome["path"] = "cohort"
-        return outcome
     if force_fallback:
         reason = "forced"
     elif table is None:
@@ -929,7 +1105,9 @@ class FleetRunner:
             node, database, evaluator = groups[gkey]
             table = tables[_cohort_key(vehicle, thermal)]
             if not table.fallback and not force_fallback:
-                outcome = _cohort_vehicle_outcome(
+                # The inputs phase only: the ledger scan runs per chunk, in
+                # finish() below, once every vehicle of the chunk settled.
+                return _cohort_vehicle_outcome(
                     vehicle.index,
                     spec,
                     vehicle.speed_scale,
@@ -940,8 +1118,6 @@ class FleetRunner:
                     standstill[gkey],
                     buckets,
                 )
-                outcome["path"] = "cohort"
-                return outcome
             outcome = _emulate_vehicle_outcome(
                 vehicle.index,
                 spec,
@@ -1009,6 +1185,12 @@ class FleetRunner:
                 path_counts["untagged"] += 1
             accumulator.add(outcome)
 
+        batched_vehicles = [0]
+
+        def finish(results: list) -> list:
+            batched_vehicles[0] += _finish_chunk(results)
+            return results
+
         try:
             report = self._engine.run_chunks(
                 fleet.iter_chunks(),
@@ -1020,6 +1202,7 @@ class FleetRunner:
                 process_payload=payload,
                 progress=self.progress,
                 should_stop=self.should_stop,
+                finish=finish,
             )
         finally:
             if self.backend == "process":
@@ -1049,6 +1232,7 @@ class FleetRunner:
                 reason: fallback_reasons[reason] for reason in sorted(fallback_reasons)
             },
             "force_fallback": force_fallback,
+            "batched_scan_vehicles": batched_vehicles[0],
             "thermal": thermal_document,
             "shared_energy_bins": shared_bin_count,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,

@@ -574,15 +574,17 @@ class FleetSpec:
             )
             if size_factor <= 0.0 or storage_scale <= 0.0:
                 raise ConfigError("fleet tolerance distributions must produce positive factors")
-            scenario = self.base.with_axes(
-                name=f"{self.name}-{index:0{digits}d}",
-                temperature=temperature,
-                speed=self.base.speed_kmh * scale,
-                size=self.base.scavenger_size * size_factor,
-            )
+            axes = {
+                "name": f"{self.name}-{index:0{digits}d}",
+                "temperature": temperature,
+                "speed": self.base.speed_kmh * scale,
+                "size": self.base.scavenger_size * size_factor,
+            }
             if "drive_cycle" in samples:
-                cycle_ref = ComponentRef.coerce(samples["drive_cycle"][offset], "drive_cycle")
-                scenario = scenario.with_axis("drive_cycle", cycle_ref)
+                axes["drive_cycle"] = ComponentRef.coerce(
+                    samples["drive_cycle"][offset], "drive_cycle"
+                )
+            scenario = self.base.with_axes(**axes)
             vehicles.append(
                 FleetVehicle(
                     index=index,

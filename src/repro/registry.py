@@ -31,6 +31,9 @@ class Registry:
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._factories: dict[str, Callable[..., object]] = {}
+        #: Per-name memo of the factory signature ``create`` binds against
+        #: (``None`` for callables without one); dropped on ``unregister``.
+        self._signatures: dict[str, inspect.Signature | None] = {}
 
     # -- registration -------------------------------------------------------
 
@@ -61,6 +64,7 @@ class Registry:
         if name not in self._factories:
             raise ConfigError(f"no {self.kind} named {name!r} to unregister")
         del self._factories[name]
+        self._signatures.pop(name, None)
 
     # -- lookup -------------------------------------------------------------
 
@@ -97,9 +101,13 @@ class Registry:
         """
         factory = self.factory(name)
         try:
-            signature = inspect.signature(factory)
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            signature = None
+            signature = self._signatures[name]
+        except KeyError:
+            try:
+                signature = inspect.signature(factory)
+            except (TypeError, ValueError):  # pragma: no cover - C callables
+                signature = None
+            self._signatures[name] = signature
         if signature is not None:
             try:
                 signature.bind(**params)

@@ -334,6 +334,100 @@ def reference_scan(
     )
 
 
+def batched_scan(
+    stored,
+    required,
+    load,
+    leak_amounts,
+    charge,
+    active,
+    capacity,
+    restart,
+):
+    """:func:`reference_scan` over V independent ledgers at once, time-major.
+
+    ``stored``, ``required``, ``load`` and ``leak_amounts`` are ``(steps, V)``
+    arrays (column ``v`` is ledger ``v``'s hoisted per-step inputs);
+    ``charge``, ``active``, ``capacity`` and ``restart`` are ``(V,)``.  One
+    loop over the steps applies the step primitives' exact comparisons and
+    arithmetic elementwise across the ledgers, so every column is bitwise
+    identical to :func:`reference_scan` of that column (property-tested).
+    ``min(a, b)`` is spelled ``where(b < a, b, a)``: Python's tie rule, which
+    keeps the sign of a zero exactly as the scalar step does.
+
+    Ledgers of different lengths are end-padded with zero ``stored``,
+    ``required``, ``load`` and ``leak_amounts`` steps: such a step leaves the
+    charge unchanged and cannot brown out, so a column's in-range outputs —
+    and its charge — are those of its unpadded scan.  Read a padded
+    ledger's final charge at its own last step.
+
+    Returns ``(charge_out, active_out, banked_out, drawn_out, attempted,
+    withdrew, brownout_events, final_charge)``: ``(steps, V)`` arrays, then
+    two ``(V,)`` arrays.
+    """
+    stored = np.asarray(stored, dtype=float)
+    if stored.ndim != 2:
+        raise EmulationError("batched_scan inputs must be (steps, ledgers) arrays")
+    steps, width = stored.shape
+    required = np.asarray(required, dtype=float)
+    load = np.asarray(load, dtype=float)
+    leak_amounts = np.asarray(leak_amounts, dtype=float)
+    charge = np.array(charge, dtype=float).reshape(width)
+    active = np.array(active, dtype=bool).reshape(width)
+    capacity = np.broadcast_to(np.asarray(capacity, dtype=float), (width,))
+    restart = np.broadcast_to(np.asarray(restart, dtype=float), (width,))
+    charge_out = np.empty((steps, width))
+    active_out = np.empty((steps, width), dtype=bool)
+    banked_out = np.empty((steps, width))
+    drawn_out = np.zeros((steps, width))
+    attempted = np.empty((steps, width), dtype=bool)
+    withdrew = np.empty((steps, width), dtype=bool)
+    brownouts = np.zeros(width, dtype=np.int64)
+    headroom = np.empty(width)
+    loss = np.empty(width)
+    mask = np.empty(width, dtype=bool)
+    failed = np.empty(width, dtype=bool)
+    for i in range(steps):
+        # Restart hysteresis: a browned-out ledger restarts at the threshold.
+        np.greater_equal(charge, restart, out=mask)
+        active |= mask
+        # deposit_step: banked = min(stored, capacity - charge).
+        banked = banked_out[i]
+        np.subtract(capacity, charge, out=headroom)
+        np.less(headroom, stored[i], out=mask)
+        np.copyto(banked, stored[i])
+        np.copyto(banked, headroom, where=mask)
+        charge += banked
+        # withdraw_step on the active ledgers: a shortfall drains to zero.
+        attempted[i] = active
+        np.greater(required[i], charge, out=failed)
+        failed &= active
+        ok = withdrew[i]
+        np.not_equal(active, failed, out=ok)
+        np.subtract(charge, required[i], out=charge, where=ok)
+        np.copyto(charge, 0.0, where=failed)
+        np.copyto(drawn_out[i], load[i], where=ok)
+        brownouts += failed
+        np.copyto(active, ok)
+        # leak_step: loss = min(charge, leak).
+        np.less(leak_amounts[i], charge, out=mask)
+        np.copyto(loss, charge)
+        np.copyto(loss, leak_amounts[i], where=mask)
+        charge -= loss
+        charge_out[i] = charge
+        active_out[i] = active
+    return (
+        charge_out,
+        active_out,
+        banked_out,
+        drawn_out,
+        attempted,
+        withdrew,
+        brownouts,
+        charge,
+    )
+
+
 def trajectory(
     storage: StorageElement,
     harvest_j,

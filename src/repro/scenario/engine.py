@@ -551,6 +551,7 @@ class ChunkedEngine:
         process_payload: Callable[[object], object] | None = None,
         progress: Callable[[dict], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
+        finish: Callable[[list], list] | None = None,
     ) -> EngineReport:
         """Execute pre-chunked work with optional checkpointed resume.
 
@@ -580,6 +581,12 @@ class ChunkedEngine:
                 chunk boundary with ``stopped_early`` set — completed chunks
                 are already journaled, so a checkpointed run resumes exactly
                 where the stop landed (graceful-shutdown semantics).
+            finish: optional chunk-completion step.  Called once per
+                executed chunk, after every item settled and before the
+                chunk is journaled or reaches the sink, with the chunk's
+                result list (``None`` in failed slots); returns the list to
+                journal and stream.  The fleet runner scans the ledgers of a
+                whole chunk here; it is an internal hook, not a user option.
 
         Returns:
             An :class:`EngineReport` aggregated over all chunks.
@@ -679,6 +686,8 @@ class ChunkedEngine:
                 )
             except EngineError as error:
                 raise EngineError(f"chunk {chunk_index}: {error}") from error
+            if finish is not None:
+                buffer = finish(buffer)
             if checkpoint is not None:
                 checkpoint.record_chunk(
                     chunk_index,

@@ -358,21 +358,29 @@ class ScenarioSpec:
         ``database``).  Component axes accept a bare name or a
         ``{name, params}`` mapping.
         """
-        if axis not in self._AXIS_ALIASES:
+        field_name, value = self._resolve_axis(axis, value)
+        return replace(self, **{field_name: value})
+
+    def with_axes(self, **axes: object) -> "ScenarioSpec":
+        """Apply several :meth:`with_axis` overrides at once.
+
+        Equal to chaining :meth:`with_axis` in argument order (a later alias
+        of the same field wins), but every axis is resolved and coerced
+        first and the copy is built and validated once.
+        """
+        changes = dict(self._resolve_axis(axis, value) for axis, value in axes.items())
+        return replace(self, **changes) if changes else self
+
+    def _resolve_axis(self, axis: str, value: object) -> tuple[str, object]:
+        """The field an axis name sets, and its value coerced for that field."""
+        field_name = self._AXIS_ALIASES.get(axis)
+        if field_name is None:
             raise ConfigError(f"unknown scenario axis {axis!r}; known axes: {self.axis_names()}")
-        field_name = self._AXIS_ALIASES[axis]
         if field_name in ("architecture", "power_database", "scavenger"):
             value = ComponentRef.coerce(value, field_name)
         elif field_name in ("storage", "drive_cycle") and value is not None:
             value = ComponentRef.coerce(value, field_name)
-        return replace(self, **{field_name: value})
-
-    def with_axes(self, **axes: object) -> "ScenarioSpec":
-        """Apply several :meth:`with_axis` overrides at once."""
-        spec = self
-        for axis, value in axes.items():
-            spec = spec.with_axis(axis, value)
-        return spec
+        return field_name, value
 
     # -- component construction ---------------------------------------------
 

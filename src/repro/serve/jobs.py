@@ -93,6 +93,7 @@ _FLEET_METADATA_DROP = frozenset(
         "retries",
         "pool_rebuilds",
         "checkpoint",
+        "batched_scan_vehicles",
     }
 )
 

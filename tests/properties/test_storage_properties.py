@@ -5,9 +5,10 @@ bookkeeping; the pure :func:`repro.scavenger.storage.trajectory` kernel must
 replay it bit for bit.  Properties covered: the charge never leaves
 ``[0, capacity]``, ``deposit`` reports exactly what fit (the overflow is the
 exact complement), ``withdraw`` is atomic (full success, or a drain-to-zero
-brown-out — never a partial withdrawal that reports success), and the
+brown-out — never a partial withdrawal that reports success), the
 trajectory kernel equals a step-by-step scalar replay including the restart
-hysteresis.
+hysteresis, and the time-major ``batched_scan`` equals ``reference_scan``
+column by column, end padding included.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.scavenger.storage import StorageElement, trajectory
+from repro.scavenger.storage import (
+    StorageElement,
+    batched_scan,
+    reference_scan,
+    trajectory,
+)
 
 energies = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 durations = st.floats(min_value=0.0, max_value=3600.0, allow_nan=False)
@@ -189,3 +195,169 @@ class TestTrajectoryEqualsScalarReplay:
         before = storage.charge_j
         trajectory(storage, [1e-4] * 5, [2e-4] * 5, 1.0)
         assert storage.charge_j == before
+
+
+# ---------------------------------------------------------------------------
+# batched_scan: V ledgers at once == reference_scan per ledger, bit for bit.
+# ---------------------------------------------------------------------------
+
+_step_amounts = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
+
+# One ledger: its own length, per-step inputs and (V,)-parameters.  Initial
+# fractions include 0 and 1 (empty, and full: zero headroom), thresholds and
+# requirements are sized so brown-outs and restarts both happen.
+_ledgers = st.integers(min_value=0, max_value=30).flatmap(
+    lambda count: st.fixed_dictionaries(
+        {
+            "stored": st.lists(_step_amounts, min_size=count, max_size=count),
+            "required": st.lists(_step_amounts, min_size=count, max_size=count),
+            "load": st.lists(_step_amounts, min_size=count, max_size=count),
+            "leak": st.lists(
+                st.floats(min_value=0.0, max_value=0.02, allow_nan=False),
+                min_size=count,
+                max_size=count,
+            ),
+            "capacity": st.sampled_from([0.05, 0.1, 0.25, 0.5]),
+            "initial": st.one_of(
+                st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
+            ),
+            "restart": st.floats(min_value=0.0, max_value=1.0),
+            "active": st.booleans(),
+        }
+    )
+)
+
+
+def _ledger(stored, required, load, leak, capacity=0.1, initial=0.5, restart=0.5, active=True):
+    """One hand-written ledger in the strategy's shape (fractions of capacity)."""
+    return {
+        "stored": stored,
+        "required": required,
+        "load": load,
+        "leak": leak,
+        "capacity": capacity,
+        "initial": initial,
+        "restart": restart,
+        "active": active,
+    }
+
+
+def _padded(ledgers, key):
+    steps = max((len(ledger[key]) for ledger in ledgers), default=0)
+    table = np.zeros((steps, len(ledgers)))
+    for column, ledger in enumerate(ledgers):
+        table[: len(ledger[key]), column] = ledger[key]
+    return table
+
+
+def _bits(value) -> bytes:
+    return np.ascontiguousarray(value).tobytes()
+
+
+def assert_batched_equals_reference(ledgers):
+    charge = np.array([ledger["capacity"] * ledger["initial"] for ledger in ledgers])
+    capacity = np.array([ledger["capacity"] for ledger in ledgers])
+    restart = np.array([ledger["capacity"] * ledger["restart"] for ledger in ledgers])
+    active = np.array([ledger["active"] for ledger in ledgers])
+    outputs = batched_scan(
+        _padded(ledgers, "stored"),
+        _padded(ledgers, "required"),
+        _padded(ledgers, "load"),
+        _padded(ledgers, "leak"),
+        charge,
+        active,
+        capacity,
+        restart,
+    )
+    brownouts, final_charge = outputs[6], outputs[7]
+    assert brownouts.shape == final_charge.shape == (len(ledgers),)
+    for column, ledger in enumerate(ledgers):
+        count = len(ledger["stored"])
+        reference = reference_scan(
+            np.array(ledger["stored"], dtype=float),
+            np.array(ledger["required"], dtype=float),
+            np.array(ledger["load"], dtype=float),
+            np.array(ledger["leak"], dtype=float),
+            float(charge[column]),
+            bool(active[column]),
+            float(capacity[column]),
+            float(restart[column]),
+        )
+        for batched, expected in zip(outputs[:6], reference[:6]):
+            assert _bits(batched[:count, column]) == _bits(expected)
+        assert int(brownouts[column]) == reference[6]
+        # The final charge read at the ledger's own last step, and — padding
+        # being a no-op on the charge — at the end of the padded window.
+        own_final = outputs[0][count - 1, column] if count else charge[column]
+        assert _bits(own_final) == _bits(reference[7])
+        assert _bits(final_charge[column]) == _bits(reference[7])
+
+
+class TestBatchedScanEqualsReference:
+    @given(ledgers=st.lists(_ledgers, min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_ragged_mixed_ledgers_match_reference_scan(self, ledgers):
+        assert_batched_equals_reference(ledgers)
+
+    @given(ledger=_ledgers)
+    @settings(max_examples=60, deadline=None)
+    def test_single_ledger(self, ledger):
+        assert_batched_equals_reference([ledger])
+
+    def test_zero_steps(self):
+        ledgers = [
+            _ledger([], [], [], [], initial=0.0, active=False),
+            _ledger([], [], [], [], initial=1.0, active=True),
+        ]
+        assert_batched_equals_reference(ledgers)
+        empty = np.zeros((0, 2))
+        outputs = batched_scan(
+            empty, empty, empty, empty, [0.0, 0.1], [False, True], [0.1, 0.1], [0.05, 0.05]
+        )
+        assert outputs[0].shape == (0, 2)
+        assert list(outputs[6]) == [0, 0]
+        assert list(outputs[7]) == [0.0, 0.1]
+
+    def test_full_storage_banks_nothing(self):
+        # Zero headroom: the whole deposit is shunted, the charge stays put.
+        full = _ledger([0.05, 0.05], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], initial=1.0)
+        assert_batched_equals_reference([full, dict(full, initial=0.5)])
+        zeros = np.zeros((2, 1))
+        outputs = batched_scan(
+            np.full((2, 1), 0.05), zeros, zeros, zeros, [0.1], [True], [0.1], [0.05]
+        )
+        assert list(outputs[2][:, 0]) == [0.0, 0.0]
+        assert list(outputs[0][:, 0]) == [0.1, 0.1]
+
+    def test_restart_hysteresis_and_padding(self):
+        # Ledger 0 browns out at step 1, recharges at step 2 and restarts at
+        # step 3 (the threshold is tested before the deposit); ledger 1 is two
+        # steps long and padded by three no-op steps.
+        hysteresis = _ledger(
+            stored=[0.0, 0.0, 0.06, 0.0, 0.0],
+            required=[0.01, 0.5, 0.01, 0.01, 0.01],
+            load=[0.009, 0.45, 0.009, 0.009, 0.009],
+            leak=[0.0] * 5,
+            initial=0.5,
+        )
+        short = _ledger(
+            stored=[0.02, 0.0],
+            required=[0.3, 0.0],
+            load=[0.2, 0.0],
+            leak=[0.001, 0.0],
+            capacity=0.25,
+            initial=0.1,
+            restart=0.3,
+        )
+        ledgers = [hysteresis, short]
+        assert_batched_equals_reference(ledgers)
+        outputs = batched_scan(
+            *(_padded(ledgers, key) for key in ("stored", "required", "load", "leak")),
+            [0.05, 0.025],
+            [True, True],
+            [0.1, 0.25],
+            [0.05, 0.075],
+        )
+        assert list(outputs[1][:, 0]) == [True, False, False, True, True]
+        assert list(outputs[4][:, 0]) == [True, True, False, True, True]
+        assert list(outputs[6]) == [1, 1]

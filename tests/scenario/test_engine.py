@@ -289,3 +289,44 @@ class TestRunChunks:
         )
         assert received == [(0, "a"), (1, "b"), (3, "c")]
         assert [failure.index for failure in report.failures] == [2]
+
+    def test_finish_sees_each_executed_chunk_before_journal_and_sink(self, tmp_path):
+        from repro.scenario.checkpoint import CheckpointStore
+
+        def kernel(item):
+            if item == "bad":
+                raise RuntimeError("nope")
+            return item
+
+        finished = []
+
+        def finish(results):
+            finished.append(list(results))
+            return [None if value is None else value.upper() for value in results]
+
+        received = []
+        store = CheckpointStore(tmp_path / "ckpt", {"kind": "finish-test"})
+        engine = ChunkedEngine(failure_mode="collect")
+        engine.run_chunks(
+            [["a", "bad"], ["c"]],
+            kernel,
+            lambda i, r: received.append((i, r)),
+            checkpoint=store,
+            max_new_chunks=1,
+            finish=finish,
+        )
+        assert finished == [["a", None]]
+        assert received == [(0, "A")]
+
+        # Replayed chunks stream their journaled (finished) results as they
+        # are; finish runs only for the newly executed chunk.
+        received.clear()
+        engine.run_chunks(
+            [["a", "bad"], ["c"]],
+            kernel,
+            lambda i, r: received.append((i, r)),
+            checkpoint=CheckpointStore(tmp_path / "ckpt", {"kind": "finish-test"}),
+            finish=finish,
+        )
+        assert finished == [["a", None], ["c"]]
+        assert received == [(0, "A"), (2, "C")]

@@ -98,3 +98,43 @@ class TestUserExtension:
         registry = Registry("thing")
         with pytest.raises(ConfigError, match="non-empty string"):
             registry.register("", baseline_node)
+
+
+class TestSignatureMemo:
+    def test_signature_is_inspected_once_per_factory(self, monkeypatch):
+        import repro.registry as registry_module
+
+        calls = []
+        real = registry_module.inspect.signature
+
+        def counting(target):
+            calls.append(target)
+            return real(target)
+
+        monkeypatch.setattr(registry_module.inspect, "signature", counting)
+        registry = Registry("thing")
+        registry.register("pair", lambda a, b=2: (a, b))
+        assert registry.create("pair", a=1) == (1, 2)
+        assert registry.create("pair", a=3, b=4) == (3, 4)
+        assert len(calls) == 1
+
+    def test_memoized_signature_still_rejects_bad_parameters(self):
+        registry = Registry("thing")
+        registry.register("pair", lambda a, b=2: (a, b))
+        registry.create("pair", a=1)
+        with pytest.raises(ConfigError) as excinfo:
+            registry.create("pair", c=1)
+        assert str(excinfo.value) == (
+            "invalid parameters ['c'] for thing 'pair': "
+            "missing a required argument: 'a'"
+        )
+
+    def test_unregister_drops_the_memo(self):
+        registry = Registry("thing")
+        registry.register("item", lambda a: ("old", a))
+        assert registry.create("item", a=1) == ("old", 1)
+        registry.unregister("item")
+        registry.register("item", lambda b: ("new", b))
+        assert registry.create("item", b=2) == ("new", 2)
+        with pytest.raises(ConfigError, match="invalid parameters"):
+            registry.create("item", a=1)

@@ -290,3 +290,58 @@ class TestRoundTripProperty:
     @given(spec=_specs)
     def test_json_round_trip_is_identity(self, spec):
         assert ScenarioSpec.from_dict(json.loads(spec.to_json())) == spec
+
+
+# ---------------------------------------------------------------------------
+# Property: with_axes(**a) equals the chained with_axis calls.
+# ---------------------------------------------------------------------------
+
+_axis_values = {
+    "architecture": _architectures,
+    "power_database": _databases,
+    "database": _databases,
+    "scavenger": _scavengers,
+    "scavenger_size": st.floats(min_value=0.1, max_value=8.0, allow_nan=False),
+    "size": st.floats(min_value=0.1, max_value=8.0, allow_nan=False),
+    "storage": _storages,
+    "drive_cycle": _cycles,
+    "cycle": _cycles,
+    "temperature": st.floats(min_value=-60.0, max_value=200.0, allow_nan=False),
+    "temperature_c": st.floats(min_value=-60.0, max_value=200.0, allow_nan=False),
+    "speed": st.floats(min_value=1.0, max_value=300.0, allow_nan=False),
+    "supply_corner": st.sampled_from(["min", "nom", "max"]),
+    "process_corner": st.sampled_from(["typical", "fast", "slow"]),
+    "tx_interval_revs": st.one_of(st.none(), st.integers(min_value=1, max_value=64)),
+    "payload_bits": st.one_of(st.none(), st.integers(min_value=8, max_value=512)),
+    "name": st.sampled_from(["a", "grid-point", "v-0007"]),
+}
+
+_axis_names = st.lists(st.sampled_from(sorted(_axis_values)), unique=True, max_size=8)
+_axes = _axis_names.flatmap(
+    lambda names: st.fixed_dictionaries({name: _axis_values[name] for name in names})
+)
+
+
+class TestWithAxesProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(spec=_specs, axes=_axes)
+    def test_with_axes_equals_chained_with_axis(self, spec, axes):
+        chained = spec
+        for axis, value in axes.items():
+            chained = chained.with_axis(axis, value)
+        assert spec.with_axes(**axes) == chained
+
+    def test_unknown_axis_among_valid_ones_rejected(self):
+        with pytest.raises(ConfigError) as excinfo:
+            ScenarioSpec().with_axes(temperature=10.0, humidity=0.5)
+        with pytest.raises(ConfigError) as single:
+            ScenarioSpec().with_axis("humidity", 0.5)
+        assert str(excinfo.value) == str(single.value)
+
+    def test_parameter_names_are_not_axes(self):
+        with pytest.raises(ConfigError, match="unknown scenario axis 'self'"):
+            ScenarioSpec().with_axis("self", 1)
+
+    def test_invalid_value_rejected_like_with_axis(self):
+        with pytest.raises(ConfigError, match="temperature_c must lie"):
+            ScenarioSpec().with_axes(name="hot", temperature=500.0)

@@ -111,6 +111,23 @@ class TestStoreKeys:
 class TestByteIdentity:
     """The store contract: served bytes == a fresh sequential run's bytes."""
 
+    def test_fleet_bytes_equal_across_thread_and_process_backends(self):
+        # Thread runs scan each chunk's ledgers in one batch, process workers
+        # scan per vehicle: the batched_scan_vehicles counter differs, the
+        # stored bytes must not.
+        request = {**FLEET_DOC, "vehicles": 16, "chunk_vehicles": 8, "keep_vehicle_rows": True}
+        served = []
+        for execution in ({"workers": 2}, {"workers": 2, "backend": "process"}):
+            manager = JobManager()
+            try:
+                job = manager.submit_fleet({**request, **execution})
+                assert _wait(job)["state"] == "done"
+                served.append(manager.result_bytes(job.id))
+            finally:
+                manager.shutdown()
+        assert served[0] == served[1]
+        assert b"batched_scan_vehicles" not in served[0]
+
     def test_study_result_matches_fresh_sequential_run(self, manager):
         job = manager.submit_study({**STUDY_DOC, "workers": 2})
         _wait(job)
