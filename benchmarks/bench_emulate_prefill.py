@@ -1,10 +1,10 @@
-"""Batch prefill of the emulator's revolution-energy cache vs scalar misses.
+"""The emulator's one-sweep cache fill vs scalar misses, and emulate() timings.
 
 The emulator's integration loop used to discover its quantized
 (speed, temperature, phase-pattern) bins one cache miss at a time, paying one
-scalar ``schedule_energy_compiled`` call per bin.  ``emulate()`` now
-pre-scans the drive cycle and fills every bin with ONE vectorized
-``_schedule_energy_batch`` call before the state-of-charge loop.
+scalar ``schedule_energy_compiled`` call per bin.  ``emulate()`` now builds
+one cycle plan and fills every missing bin with ONE vectorized
+``_schedule_energy_batch`` call before the state-of-charge integration.
 
 This benchmark measures exactly that replacement on a thermally varying,
 wide-speed-range cycle (hundreds of unique bins) and *asserts*:
@@ -13,12 +13,17 @@ wide-speed-range cycle (hundreds of unique bins) and *asserts*:
   fill of the same bins (the old miss path);
 * bitwise-identical cache contents from both fills (the emulator's
   byte-identical-log contract rests on this);
-* identical ``EmulationResult`` output of a full ``emulate()`` run with and
-  without prefill.
+* identical ``EmulationResult`` output of a cold, a warm and a fresh
+  ``emulate()`` run.
+
+It also records cold and warm ``emulate()`` wall times, with the plan builds
+per run, on the design loop's three cycles (urban, NEDC-like, 600 s
+highway) in its timing JSON.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 
@@ -28,6 +33,7 @@ from benchmarks.conftest import emit_result, emit_timing
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import NodeEmulator
 from repro.scavenger.storage import supercapacitor
+from repro.scenario.registry import DRIVE_CYCLES
 from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase
 
 #: Local headroom is comfortably above the 5x acceptance bar; shared CI
@@ -64,23 +70,34 @@ def _make_emulator(node, database, scavenger) -> NodeEmulator:
 def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     """One batch call fills the bins >= 5x faster than per-bin scalar misses.
 
-    Both variants receive the identical pre-scanned bin set (straight from
-    the production pre-scan, ``_pending_energy_bins`` — the walk is shared
-    bookkeeping the integration loop pays either way); what is timed is
-    exactly what the prefill replaced — the per-bin scalar
-    ``schedule_energy_compiled`` evaluations — against the single vectorized
-    ``_schedule_energy_batch`` call.
+    Both variants receive the identical bin set: the one a cold
+    ``emulate()`` hands its single ``evaluate_energy_bins`` sweep after
+    planning the cycle (the plan is shared bookkeeping the integration pays
+    either way).  What is timed is exactly what the sweep replaced — the
+    per-bin scalar ``schedule_energy_compiled`` evaluations — against the
+    single vectorized ``_schedule_energy_batch`` call.
     """
     from repro.conditions.batch import BatchConditions
 
-    cycle = _varied_cycle()
+    pending = {}
+    planner = _make_emulator(node, database, scavenger)
+    sweep = planner.evaluate_energy_bins
+
+    def capture(bins):
+        pending.update(bins)
+        return sweep(bins)
+
+    planner.evaluate_energy_bins = capture
+    planner.emulate(_varied_cycle())
+    keys = list(pending)
     emulator = _make_emulator(node, database, scavenger)
     emulator.evaluator.compiled  # build the table outside the timed regions
-    pending = emulator._pending_energy_bins(cycle, idle_step_s=1.0)
-    keys = list(pending)
     assert len(keys) >= 200, "the bench cycle should produce hundreds of bins"
 
     # Scalar baseline: the old miss path, one compiled-scalar call per bin.
+    # Each timed region starts from a collected heap, so neither pays for
+    # the garbage the planning run above left behind.
+    gc.collect()
     start = time.perf_counter()
     scalar_values = {}
     for key in keys:
@@ -92,6 +109,7 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     scalar_s = time.perf_counter() - start
 
     # Batch fill: the same bins through ONE _schedule_energy_batch call.
+    gc.collect()
     start = time.perf_counter()
     batch = BatchConditions.from_arrays(
         np.array([pending[key][0] for key in keys]),
@@ -120,11 +138,16 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
         ],
         title="Revolution-energy cache fill: one batch call vs scalar misses",
     )
+    design_times, plan_builds = _design_loop_emulate_times(node, database, scavenger)
     emit_timing(
         "emulate_prefill",
-        wall_times_s={"scalar_fill": scalar_s, "batch_fill": batch_s},
+        wall_times_s={"scalar_fill": scalar_s, "batch_fill": batch_s, **design_times},
         speedups={"batch_vs_scalar": speedup},
-        extra={"bins": len(keys), "required_speedup": REQUIRED_SPEEDUP},
+        extra={
+            "bins": len(keys),
+            "required_speedup": REQUIRED_SPEEDUP,
+            "plan_builds_per_run": plan_builds,
+        },
     )
 
     for key, value in scalar_values.items():
@@ -138,9 +161,48 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     )
 
 
-def test_emulate_output_identical_with_and_without_prefill(node, database, scavenger):
-    """Full emulate() runs agree sample-for-sample with prefill on and off."""
+def _design_loop_emulate_times(node, database, scavenger, repeats: int = 3):
+    """Best-of cold and warm ``emulate()`` seconds on the design loop's cycles.
+
+    Cold is a fresh emulator (shared evaluator, so the compiled table is
+    not rebuilt), warm its second run; ``plan_builds_per_run`` counts the
+    ``materialize_cycle`` calls of each.
+    """
+    cycles = {
+        "urban": DRIVE_CYCLES.create("urban"),
+        "nedc": DRIVE_CYCLES.create("nedc"),
+        "highway600": DRIVE_CYCLES.create("highway", duration_s=600.0),
+    }
+    evaluator = NodeEmulator(node, database, scavenger, supercapacitor()).evaluator
+    evaluator.compiled
+    times: dict[str, float] = {}
+    builds: dict[str, int] = {}
+    for name, cycle in cycles.items():
+        cold_s = warm_s = float("inf")
+        for _ in range(repeats):
+            emulator = NodeEmulator(
+                node, database, scavenger, supercapacitor(), evaluator=evaluator
+            )
+            calls = []
+            materialize = emulator.materialize_cycle
+            emulator.materialize_cycle = lambda *args: calls.append(1) or materialize(*args)
+            start = time.perf_counter()
+            emulator.emulate(cycle)
+            cold_s = min(cold_s, time.perf_counter() - start)
+            builds[f"{name}_cold"] = len(calls)
+            start = time.perf_counter()
+            emulator.emulate(cycle)
+            warm_s = min(warm_s, time.perf_counter() - start)
+            builds[f"{name}_warm"] = len(calls) - builds[f"{name}_cold"]
+        times[f"emulate_{name}_cold"] = cold_s
+        times[f"emulate_{name}_warm"] = warm_s
+    return times, builds
+
+
+def test_emulate_output_identical_cold_warm_and_fresh(node, database, scavenger):
+    """A warm re-emulate and a fresh emulator agree bitwise with the cold run."""
     cycle = _varied_cycle()
-    with_prefill = _make_emulator(node, database, scavenger).emulate(cycle, prefill=True)
-    without = _make_emulator(node, database, scavenger).emulate(cycle, prefill=False)
-    assert with_prefill == without
+    emulator = _make_emulator(node, database, scavenger)
+    cold = emulator.emulate(cycle)
+    assert emulator.emulate(cycle) == cold
+    assert _make_emulator(node, database, scavenger).emulate(cycle) == cold

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from repro.blocks.adc import AdcConfig
 from repro.blocks.base import FunctionalBlock
 from repro.blocks.mcu import McuConfig
@@ -251,6 +253,25 @@ class SensorNode:
             self.memory.writes_nvm(revolution_index),
         )
 
+    def phase_patterns(self, revolution_indices) -> np.ndarray:
+        """:meth:`phase_pattern` of many revolutions as an ``(N, 3)`` bool array.
+
+        Row ``i`` is ``phase_pattern(revolution_indices[i])``: the same
+        modulo tests as the radio, sensor and memory configurations apply per
+        revolution, evaluated elementwise.
+        """
+        indices = np.asarray(revolution_indices, dtype=np.int64)
+        if np.any(indices < 0):
+            raise ConfigurationError("revolution index must be non-negative")
+        patterns = np.zeros((indices.size, 3), dtype=bool)
+        patterns[:, 0] = indices % self.radio.tx_interval_revs == 0
+        patterns[:, 1] = indices % self.sensors.slow_refresh_interval_revs == 0
+        if self.memory.use_nvm:
+            patterns[:, 2] = (indices % self.memory.nvm_write_interval_revs == 0) & (
+                indices > 0
+            )
+        return patterns
+
     def schedule_for_pattern(
         self,
         speed_kmh: float,
@@ -263,7 +284,7 @@ class SensorNode:
         This is the pattern-addressed form of :meth:`schedule_for`: instead of
         deriving the conditional phases from a revolution index, the caller
         states them directly.  Batch sweeps (Monte-Carlo workload sampling,
-        the emulator's cache prefill) use it to build one schedule per unique
+        the fleet runner's cohort bins) use it to build one schedule per unique
         (speed, pattern) bin without inventing representative indices.
 
         Raises:

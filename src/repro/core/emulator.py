@@ -21,6 +21,7 @@ from repro.blocks.node import SensorNode
 from repro.conditions.batch import BatchConditions
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C, OperatingPoint
 from repro.conditions.temperature import TyreThermalModel
+from repro.core.cycle_plan import CyclePlan, build_cycle_plan, energy_keys, round_harvest, unit_load
 from repro.core.evaluator import EnergyEvaluator
 from repro.core.quantize import (
     speed_bin,
@@ -43,7 +44,7 @@ from repro.scavenger.storage import (
     withdraw_step,
 )
 from repro.timing.schedule import RevolutionSchedule
-from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
+from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import DriveCycle
 
 #: Quantization used by the revolution-energy cache: speeds within
@@ -63,11 +64,10 @@ from repro.core.quantize import (
 #: run-persistent cache from growing without bound over an emulator's life.
 _MAX_ENERGY_CACHE_ENTRIES = 65536
 
-#: Upper bound on the number of bins the pre-integration batch prefill
-#: collects from one drive cycle.  Cycles with more unique quantized bins
-#: (pathological continuously-varying boundary speeds) fill the remainder
-#: through the ordinary per-miss path inside the integration loop.
-_MAX_PREFILL_KEYS = 8192
+#: Upper bound on the cycle plans one emulator memoizes.  A design loop
+#: re-emulates a handful of cycles; the bound keeps a long-lived emulator fed
+#: ever-new cycles from holding every walk it ever made.
+_MAX_PLANS = 4
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,19 @@ class SampleLog:
             )
             for i in range(self._size)
         ]
+
+    @classmethod
+    def from_columns(cls, time_s, speed_kmh, temperature_c, state_of_charge, node_active):
+        """Build a log owning copies of five equal-length columns."""
+        log = cls(capacity=len(time_s))
+        if len(time_s):
+            log._time = np.array(time_s, dtype=float)
+            log._speed = np.array(speed_kmh, dtype=float)
+            log._temperature = np.array(temperature_c, dtype=float)
+            log._soc = np.array(state_of_charge, dtype=float)
+            log._active = np.array(node_active, dtype=bool)
+            log._size = len(time_s)
+        return log
 
     @classmethod
     def from_samples(cls, samples) -> "SampleLog":
@@ -271,6 +284,24 @@ class EmulationResult:
         if any(not np.array_equal(ours[key], theirs[key]) for key in ours):
             return False
         return self.trace == other.trace
+
+    def record_totals(
+        self, plan: CyclePlan, harvest, banked, drawn, withdrew, brownouts: int
+    ) -> None:
+        """Set the energy/time totals from one integrated ledger over ``plan``.
+
+        Per-unit arrays; ``banked`` and ``drawn`` must be contiguous: numpy's
+        pairwise summation order — hence the last bit — follows the layout.
+        """
+        is_round, durations = plan.is_round, plan.durations
+        self.revolutions = int(is_round.sum())
+        self.moving_time_s = float(durations[is_round].sum())
+        self.harvested_j = float(banked.sum())
+        self.discarded_j = float(np.maximum(0.0, harvest - banked).sum())
+        self.consumed_j = float(drawn.sum())
+        self.active_revolutions = int((is_round & withdrew).sum())
+        self.active_time_s = float(durations[withdrew].sum())
+        self.brownout_events = int(brownouts)
 
     # -- derived figures -----------------------------------------------------------
 
@@ -393,10 +424,10 @@ class NodeEmulator:
         #: evaluated and keyed on the exact speed — an unsustainable actual
         #: speed then raises naturally on its own schedule build.
         self._exact_speed_keys: set[tuple] = set()
-        #: (id(cycle), idle step) pairs whose prefill pre-scan completed
-        #: against the current caches; re-scanning them would walk the whole
-        #: cycle to find nothing pending (see ``_prefill_energy_cache``).
-        self._prefilled_cycles: set[tuple] = set()
+        #: Memoized cycle plans, keyed on the cycle's *content* (its phase
+        #: tuple — ``DriveCycle`` is mutable, so never its identity) plus
+        #: the idle step and record interval (see :meth:`_plan_for`).
+        self._plans: dict[tuple, CyclePlan] = {}
         self._cache_node = self.node
         self._cache_evaluator = self.evaluator
         self._cache_database = self.evaluator.database
@@ -424,7 +455,7 @@ class NodeEmulator:
             self._infeasible_center_keys.clear()
             self._trusted_speed_keys.clear()
             self._exact_speed_keys.clear()
-            self._prefilled_cycles.clear()
+            self._plans.clear()
             self._cache_node = self.node
             self._cache_evaluator = self.evaluator
             self._cache_database = self.evaluator.database
@@ -516,7 +547,6 @@ class NodeEmulator:
             # are the only unbounded population; dropping the whole cache is
             # cheap to rebuild and keeps memory flat over the emulator's life.
             self._energy_cache.clear()
-            self._prefilled_cycles.clear()
         self._energy_cache[key] = value
 
     def _revolution_energy(
@@ -567,119 +597,13 @@ class NodeEmulator:
         self._store_energy(key, value)
         return value
 
-    def _pending_energy_bins(
-        self, cycle: DriveCycle, idle_step_s: float
-    ) -> dict[tuple, tuple[float, float, RevolutionSchedule]]:
-        """Pre-scan the cycle for uncached quantized bins and their schedules.
-
-        Walks the drive cycle once (advancing — and afterwards resetting —
-        the thermal model exactly like the integration loop will) and
-        collects the unique quantized (speed, temperature, phase-pattern)
-        bins that are not cached yet, as ``key -> (evaluation speed,
-        evaluation temperature degC, schedule)``.  One schedule object is
-        shared per unique (speed, pattern): keys differing only in
-        temperature bin then group into one vectorized accumulation in the
-        batch kernel instead of N width-1 ones.
-
-        Bins whose schedule cannot be built (an unsustainable speed, an
-        out-of-range temperature) are deliberately skipped so the
-        integration loop raises at exactly the same simulated instant it
-        always did.
-        """
-        pending: dict[tuple, tuple[float, float, RevolutionSchedule]] = {}
-        built: dict[tuple, RevolutionSchedule] = {}
-        temperature_c = (
-            self.thermal_model.current_celsius
-            if self.thermal_model is not None
-            else self.base_point.temperature_c
-        )
-        for unit in iter_wheel_rounds(cycle, self.node.wheel, idle_step_s=idle_step_s):
-            duration = (
-                unit.period_s if isinstance(unit, WheelRound) else unit.duration_s
-            )
-            speed = unit.speed_kmh if isinstance(unit, WheelRound) else 0.0
-            if self.thermal_model is not None:
-                temperature_c = self.thermal_model.advance(duration, speed / 3.6)
-            if not isinstance(unit, WheelRound):
-                continue
-            if len(pending) >= _MAX_PREFILL_KEYS:
-                break
-            pattern = self.node.phase_pattern(unit.index)
-            try:
-                temp_bin = self._temperature_bin(temperature_c)
-            except ConfigurationError:
-                # Out-of-range temperature: the integration loop must raise
-                # on this round itself, not the prefill.
-                break
-            speed_key, eval_speed, _use_bin = self._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            key = (speed_key, temp_bin, *pattern)
-            if key in self._energy_cache or key in pending:
-                continue
-            schedule_key = (eval_speed, *pattern)
-            schedule = built.get(schedule_key)
-            if schedule is None:
-                try:
-                    schedule = self.node.schedule_for(eval_speed, unit.index)
-                except ScheduleError:
-                    # Bin-center infeasibility (or an unsustainable exact
-                    # speed): leave the round to the integration loop, which
-                    # handles the fallback — and the error timing — exactly
-                    # as before.
-                    continue
-                built[schedule_key] = schedule
-            pending[key] = (
-                eval_speed,
-                temperature_bin_center_c(temp_bin),
-                schedule,
-            )
-        if self.thermal_model is not None:
-            self.thermal_model.reset()
-        return pending
-
-    def _prefill_energy_cache(self, cycle: DriveCycle, idle_step_s: float) -> int:
-        """Fill the revolution-energy cache with ONE batch call before the loop.
-
-        The bins come from :meth:`_pending_energy_bins`; all of them are
-        evaluated through ``EnergyEvaluator._schedule_energy_batch`` in a
-        single vectorized pass.  Cached values are pure functions of their
-        keys, so prefilled entries are indistinguishable from per-miss
-        entries: the integration loop produces byte-identical results either
-        way, just without thousands of scalar cache-miss evaluations.
-
-        A cycle object whose scan already completed against the current
-        caches is remembered and not re-scanned: on a warm emulator the
-        pre-scan would walk every wheel round only to find nothing pending.
-        (Skipping a prefill can never change results — it is purely an
-        optimization — so the identity-keyed memo is safe even if a caller
-        mutates the cycle in place.)
-
-        Returns the number of prefilled cache entries.
-        """
-        memo_key = (id(cycle), idle_step_s)
-        if memo_key in self._prefilled_cycles:
-            return 0
-        pending = self._pending_energy_bins(cycle, idle_step_s)
-        if len(pending) < _MAX_PREFILL_KEYS:
-            # The scan covered the whole cycle: a later run with the same
-            # (unchanged) caches has nothing left to discover.
-            self._prefilled_cycles.add(memo_key)
-        if not pending:
-            return 0
-
-        for key, value in self.evaluate_energy_bins(pending).items():
-            self._store_energy(key, value)
-        return len(pending)
-
     def evaluate_energy_bins(
         self, pending: Mapping[tuple, tuple[float, float, RevolutionSchedule]]
     ) -> dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]]:
         """Evaluate quantized bins in ONE vectorized batch call.
 
         ``pending`` maps cache keys to ``(evaluation speed, evaluation
-        temperature degC, schedule)`` exactly as produced by
-        :meth:`_pending_energy_bins`; the return value maps each key to the
+        temperature degC, schedule)``; the return value maps each key to the
         ``(energy, per-phase list)`` entry the per-miss path would have
         cached.  The batch kernel accumulates in the scalar operation order,
         so the values are bitwise identical to per-miss evaluations — which
@@ -726,136 +650,173 @@ class NodeEmulator:
     def _record_trace_revolution(
         self,
         trace: PowerTrace,
-        unit: WheelRound,
+        start_s: float,
+        period_s: float,
         phases: tuple[tuple[str, float, float], ...],
         active: bool,
         sleep_power_w: float,
     ) -> None:
+        """Trace one revolution: its phases then sleep, or one "inactive" entry."""
         if not active:
-            trace.append(unit.start_s, unit.period_s, 0.0, "inactive")
+            trace.append(start_s, period_s, 0.0, "inactive")
             return
-        cursor = unit.start_s
+        end_s = start_s + period_s
+        cursor = start_s
         for label, duration, power in phases:
-            duration = min(duration, unit.end_s - cursor)
+            duration = min(duration, end_s - cursor)
             if duration <= 0.0:
                 break
             trace.append(cursor, duration, power, label)
             cursor += duration
-        if cursor < unit.end_s - 1e-12:
-            trace.append(cursor, unit.end_s - cursor, sleep_power_w, "sleep")
+        if cursor < end_s - 1e-12:
+            trace.append(cursor, end_s - cursor, sleep_power_w, "sleep")
 
-    # -- array-based integration core ------------------------------------------------
-
-    #: Sentinel for :meth:`_collect_cycle`: "walk with the emulator's own
-    #: thermal model" (``None`` must stay expressible — it means constant
-    #: temperature regardless of ``self.thermal_model``).
-    _OWN_THERMAL = object()
-
-    def _collect_cycle(
-        self, cycle: DriveCycle, idle_step_s: float, thermal_model=_OWN_THERMAL
-    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize the cycle as per-unit arrays (one walk, thermal replay).
-
-        Returns ``(units, is_round, durations, speeds, ends, temps)``.  The
-        thermal model is advanced through the whole cycle here — exactly the
-        trajectory the old per-revolution loop produced — and left at its
-        end-of-cycle state.  ``thermal_model`` overrides the emulator's own
-        model for this walk (the fleet runner replays one freshly-built model
-        per thermal cohort through a shared probe emulator); the default
-        keeps ``self.thermal_model``.
-        """
-        units = list(iter_wheel_rounds(cycle, self.node.wheel, idle_step_s=idle_step_s))
-        count = len(units)
-        is_round = np.empty(count, dtype=bool)
-        durations = np.empty(count)
-        speeds = np.zeros(count)
-        ends = np.empty(count)
-        temps = np.empty(count)
-        thermal = (
-            self.thermal_model if thermal_model is self._OWN_THERMAL else thermal_model
-        )
-        temperature_c = (
-            thermal.current_celsius if thermal is not None else self.base_point.temperature_c
-        )
-        for i, unit in enumerate(units):
-            if isinstance(unit, WheelRound):
-                is_round[i] = True
-                durations[i] = unit.period_s
-                speeds[i] = unit.speed_kmh
-            else:
-                is_round[i] = False
-                durations[i] = unit.duration_s
-            ends[i] = unit.end_s
-            if thermal is not None:
-                temperature_c = thermal.advance(float(durations[i]), speeds[i] / 3.6)
-            temps[i] = temperature_c
-        return units, is_round, durations, speeds, ends, temps
+    # -- the cycle plan ----------------------------------------------------------------
 
     def materialize_cycle(
         self,
         cycle: DriveCycle,
         idle_step_s: float = 1.0,
-        thermal_model: TyreThermalModel | None = None,
-    ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One cycle walk as per-unit arrays — the reusable cohort pass.
+        record_interval_s: float = 1.0,
+    ) -> CyclePlan:
+        """Walk ``cycle`` once into a :class:`~repro.core.cycle_plan.CyclePlan`.
 
-        Returns ``(units, is_round, durations, speeds, ends, temps)``,
-        exactly the arrays :meth:`emulate` integrates: the same wheel-round
-        walk, and — when ``thermal_model`` is given — the same thermal
-        trajectory a per-vehicle ``emulate()`` with that model would
-        produce, advance call for advance call.  The fleet runner replays
-        this once per (cycle, speed-scale, ambient-bin) cohort through a
-        shared probe emulator instead of once per vehicle; ``thermal_model``
-        should be freshly built (or reset) — the walk starts from its
-        current state and leaves it at the end-of-cycle state.
-
-        With ``thermal_model=None`` the walk is isothermal at the base
-        point's temperature even if the emulator owns a thermal model (an
-        explicit request for the constant-temperature arrays).
+        The plan is everything :meth:`emulate` needs from the walk that does
+        not depend on the emulator's state: the per-unit arrays, each
+        round's (speed bin, phase pattern) group and the state-log sampling
+        walk.  ``emulate()`` memoizes plans (:meth:`_plan_for`); the fleet
+        runner builds one per (cycle, speed-scale[, ambient-bin]) cohort
+        through a shared probe emulator and resolves it exactly like
+        ``emulate()`` does, so the two can never drift.
         """
-        return self._collect_cycle(cycle, idle_step_s, thermal_model=thermal_model)
+        return build_cycle_plan(cycle, self.node, idle_step_s, record_interval_s)
 
-    def _resolve_round_energies(
-        self,
-        units: list,
-        is_round: np.ndarray,
-        temps: np.ndarray,
-    ) -> tuple[np.ndarray, list, np.ndarray]:
-        """Gather each wheel round's cached revolution energy, where available.
+    def _plan_for(
+        self, cycle: DriveCycle, idle_step_s: float, record_interval_s: float
+    ) -> CyclePlan:
+        """The memoized plan of ``cycle`` — a warm re-``emulate()`` walks nothing.
 
-        Returns ``(energies, phase_lists, resolved)``: per-unit energy (NaN
-        where unknown), the per-phase tuples of resolved rounds, and the
-        resolution mask.  After a prefill every feasible bin is already
-        cached, so this is normally a pure dict-gather; rounds whose bin is
-        uncached (boundary speeds past the prefill cap, infeasible centers)
-        stay unresolved and are evaluated inside the integration loop only
-        when the node is actually active — preserving the scalar path's
-        error timing exactly.
+        Keyed on the cycle's content, so an in-place edit of
+        ``cycle.phases`` misses; the node the walk depends on is covered by
+        :meth:`_ensure_caches_fresh`, which clears the memo.
         """
-        count = len(units)
-        energies = np.full(count, np.nan)
-        phase_lists: list = [None] * count
-        resolved = np.zeros(count, dtype=bool)
-        low, high = TEMPERATURE_RANGE_C
-        cache = self._energy_cache
-        for i in np.flatnonzero(is_round):
-            temperature_c = float(temps[i])
-            if not low <= temperature_c <= high:
-                # The loop must raise on this round itself (via the
-                # standstill evaluation), not the pre-pass.
-                continue
-            unit = units[i]
-            pattern = self.node.phase_pattern(unit.index)
-            speed_key, _speed, _use_bin = self._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
+        key = (tuple(cycle.phases), idle_step_s, record_interval_s)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self.materialize_cycle(cycle, idle_step_s, record_interval_s)
+            if len(self._plans) >= _MAX_PLANS:
+                del self._plans[next(iter(self._plans))]
+            self._plans[key] = plan
+        return plan
+
+    def plan_temperatures(
+        self, plan: CyclePlan, thermal_model: TyreThermalModel | None
+    ) -> np.ndarray:
+        """Per-unit temperatures of one run over ``plan``.
+
+        With a thermal model, the model is advanced unit by unit from its
+        current state — the trajectory a per-revolution loop produces — and
+        left at its end-of-cycle state; without one the run is isothermal at
+        the base point's temperature.
+        """
+        if thermal_model is None:
+            return np.full(len(plan), self.base_point.temperature_c, dtype=float)
+        temps = np.empty(len(plan))
+        advance = thermal_model.advance
+        for i, (duration, speed) in enumerate(zip(plan.durations.tolist(), plan.speeds)):
+            temps[i] = advance(duration, speed / 3.6)
+        return temps
+
+    def speed_slots(self, plan: CyclePlan) -> tuple[list, np.ndarray]:
+        """Resolve the cache speed key of every wheel round of ``plan``.
+
+        :meth:`_speed_key_for` runs once per (speed bin, pattern) group.
+        Groups sharing their bin entry become one slot; groups keyed on the
+        exact speed (straddling bins, infeasible centers) get one slot per
+        distinct exact speed.  Returns ``(slots, round_slot)``: the
+        ``(speed key, pattern, evaluation speed, unit)`` entries and each
+        round's index into them.  The classification sets change between
+        runs, so this is resolved per run, never memoized with the plan.
+        """
+        rounds = plan.round_indices
+        slots: list[tuple] = []
+        group_slot = np.empty(len(plan.groups), dtype=np.intp)
+        for group, (pattern, position) in enumerate(plan.groups):
+            unit = int(rounds[position])
+            speed_key, eval_speed, use_bin = self._speed_key_for(
+                float(plan.speeds[unit]), int(plan.indices[unit]), pattern
             )
-            key = (speed_key, temperature_bin(temperature_c), *pattern)
-            cached = cache.get(key)
-            if cached is not None:
-                energies[i] = cached[0]
-                phase_lists[i] = cached[1]
-                resolved[i] = True
-        return energies, phase_lists, resolved
+            group_slot[group] = len(slots) if use_bin else -1
+            if use_bin:
+                slots.append((speed_key, pattern, eval_speed, unit))
+        round_slot = group_slot[plan.round_groups]
+        exact_slots: dict[tuple, int] = {}
+        for position in np.flatnonzero(round_slot < 0).tolist():
+            unit = int(rounds[position])
+            speed = float(plan.speeds[unit])
+            pattern = plan.groups[plan.round_groups[position]][0]
+            slot = exact_slots.setdefault((speed, pattern), len(slots))
+            if slot == len(slots):
+                slots.append((("exact", speed), pattern, speed, unit))
+            round_slot[position] = slot
+        return slots, round_slot
+
+    def _round_values(
+        self, plan: CyclePlan, temps: np.ndarray
+    ) -> tuple[list, np.ndarray]:
+        """Every wheel round's cached revolution energy, missing bins in ONE sweep.
+
+        Returns ``(values, value_index)``: the distinct ``(energy, per-phase
+        list)`` entries and each unit's index into them (``-1`` on idle and
+        unresolved units).  Keys not cached yet are evaluated by one
+        :meth:`evaluate_energy_bins` call, one schedule shared per slot.
+        Rounds stay unresolved — for the stepwise loop, which evaluates them
+        only while the node is active — when their schedule cannot be built
+        (an unsustainable speed, an infeasible bin center) or from the first
+        round outside the modelled temperature range on, which keeps the
+        scalar path's error timing.
+        """
+        rounds = plan.round_indices
+        round_temps = temps[rounds]
+        low, high = TEMPERATURE_RANGE_C
+        outside = np.flatnonzero(~((round_temps >= low) & (round_temps <= high)))
+        limit = int(outside[0]) if outside.size else len(rounds)
+        slots, round_slot = self.speed_slots(plan)
+        keys, inverse = energy_keys(
+            slots, round_slot[:limit], temperature_bins(round_temps[:limit])
+        )
+        cache = self._energy_cache
+        values = [cache.get(key) for key, _slot, _temp_bin in keys]
+        pending: dict[tuple, tuple[float, float, RevolutionSchedule]] = {}
+        schedules: dict[int, RevolutionSchedule | None] = {}
+        for (key, slot, temp_bin), value in zip(keys, values):
+            if value is not None:
+                continue
+            _speed_key, _pattern, eval_speed, unit = slots[slot]
+            if slot not in schedules:
+                try:
+                    schedules[slot] = self.node.schedule_for(
+                        eval_speed, int(plan.indices[unit])
+                    )
+                except ScheduleError:
+                    schedules[slot] = None
+            if schedules[slot] is not None:
+                pending[key] = (
+                    eval_speed,
+                    temperature_bin_center_c(temp_bin),
+                    schedules[slot],
+                )
+        if pending:
+            swept = self.evaluate_energy_bins(pending)
+            for j, (key, _slot, _temp_bin) in enumerate(keys):
+                value = swept.get(key)
+                if value is not None:
+                    values[j] = value
+                    self._store_energy(key, value)
+        resolved = np.array([value is not None for value in values], dtype=bool)
+        value_index = np.full(len(plan), -1, dtype=np.intp)
+        value_index[rounds[:limit]] = np.where(resolved[inverse], inverse, -1)
+        return values, value_index
 
     def _standstill_power_sweep(self, temps: np.ndarray) -> np.ndarray:
         """Per-unit resting-mode power via the quantized standstill memo."""
@@ -867,14 +828,11 @@ class NodeEmulator:
 
     def _integrate_stepwise(
         self,
-        units: list,
-        is_round: np.ndarray,
-        durations: np.ndarray,
+        plan: CyclePlan,
         temps: np.ndarray,
         harvest: np.ndarray,
-        energies: np.ndarray,
-        phase_lists: list,
-        resolved: np.ndarray,
+        values: list,
+        value_index: np.ndarray,
     ) -> tuple[StorageTrajectory, np.ndarray]:
         """Reference integration loop for cycles the pure kernel cannot cover.
 
@@ -882,15 +840,16 @@ class NodeEmulator:
         here only while the node is active, so infeasible speeds keep raising
         at exactly the simulated instant the scalar path raised) or when a
         temperature leaves the modelled range (the standstill evaluation
-        raises on the offending unit).  The ledger arithmetic goes through
-        the same storage step primitives as :func:`repro.scavenger.storage.trajectory`,
-        so both integration paths produce byte-identical trajectories.
+        raises on the offending unit).  Lazily evaluated entries are appended
+        to ``values`` and indexed in ``value_index``.  The ledger arithmetic
+        goes through the same storage step primitives as
+        :func:`repro.scavenger.storage.trajectory`, so both integration paths
+        produce byte-identical trajectories.
 
-        Returns the trajectory plus the (possibly lazily filled) per-unit
-        sleep-power array.
+        Returns the trajectory plus the per-unit sleep-power array.
         """
         storage = self.storage
-        count = len(units)
+        count = len(plan)
         charge = storage.initial_charge_j
         active = not storage.is_depleted
         capacity = storage.capacity_j
@@ -899,6 +858,7 @@ class NodeEmulator:
         discharge_eff = storage.discharge_efficiency
         self_discharge_w = storage.self_discharge_w
         pmu = self.node.pmu
+        durations = plan.durations
 
         sleep_power = np.empty(count)
         charge_out = np.empty(count)
@@ -916,41 +876,34 @@ class NodeEmulator:
             duration = float(durations[i])
             if not active and charge >= restart:
                 active = True
-            if is_round[i]:
+            moving = plan.is_round[i]
+            banked_out[i] = 0.0
+            if moving:
                 charge, banked_out[i] = deposit_step(
                     charge, harvest[i] * charge_eff, capacity
                 )
-                if active:
-                    attempted[i] = True
-                    if resolved[i]:
-                        energy = float(energies[i])
-                    else:
-                        energy, phases = self._revolution_energy(
-                            units[i], temperature_c
-                        )
-                        energies[i] = energy
-                        phase_lists[i] = phases
-                        resolved[i] = True
-                    load = pmu.referred_to_storage(energy)
-                    charge, success = withdraw_step(charge, load / discharge_eff)
-                    if success:
-                        withdrew[i] = True
-                        drawn_out[i] = load
-                    else:
-                        active = False
-                        brownouts += 1
-            else:
-                banked_out[i] = 0.0
-                if active:
-                    attempted[i] = True
+            if active:
+                attempted[i] = True
+                if not moving:
                     load = pmu.referred_to_storage(float(sleep_power[i]) * duration)
-                    charge, success = withdraw_step(charge, load / discharge_eff)
-                    if success:
-                        withdrew[i] = True
-                        drawn_out[i] = load
-                    else:
-                        active = False
-                        brownouts += 1
+                else:
+                    if value_index[i] < 0:
+                        unit = WheelRound(
+                            index=int(plan.indices[i]),
+                            start_s=float(plan.starts[i]),
+                            period_s=duration,
+                            speed_kmh=float(plan.speeds[i]),
+                        )
+                        values.append(self._revolution_energy(unit, temperature_c))
+                        value_index[i] = len(values) - 1
+                    load = pmu.referred_to_storage(float(values[value_index[i]][0]))
+                charge, success = withdraw_step(charge, load / discharge_eff)
+                if success:
+                    withdrew[i] = True
+                    drawn_out[i] = load
+                else:
+                    active = False
+                    brownouts += 1
             charge, _loss = leak_step(charge, self_discharge_w * duration)
             charge_out[i] = charge
             active_out[i] = active
@@ -974,21 +927,22 @@ class NodeEmulator:
         record_interval_s: float = 1.0,
         trace_window: tuple[float, float] | None = None,
         idle_step_s: float = 1.0,
-        prefill: bool = True,
     ) -> EmulationResult:
         """Run the emulation over ``cycle``.
 
-        The integration consumes precomputed per-round arrays end to end: the
-        cycle is materialized once (:meth:`_collect_cycle`), the scavenger
-        output of every wheel round comes from ONE vectorized
-        ``energy_sweep_j`` call, the revolution energies are gathered from
-        the (batch-prefilled) cache, and the state of charge is integrated by
-        the pure :func:`repro.scavenger.storage.trajectory` kernel.  Cycles
-        the kernel cannot cover — uncached bins whose evaluation must stay
-        lazy, out-of-range temperatures — fall back to a stepwise loop built
-        on the same storage step primitives; both paths are byte-identical
-        (asserted by the prefill/cache-cap regression tests, since
-        ``prefill=False`` on a cold emulator exercises the stepwise path).
+        One cycle plan drives the whole run: the walk comes from the plan
+        memo (:meth:`_plan_for`; a cold run builds it once through
+        :meth:`materialize_cycle`, a warm one walks nothing), the thermal
+        trajectory is replayed over the plan's arrays, the revolution
+        energies of the missing quantized bins come from ONE
+        :meth:`evaluate_energy_bins` sweep and are gathered per round, the
+        harvest of every wheel round from one ``energy_sweep_j`` call, and
+        the state of charge is integrated by the pure
+        :func:`repro.scavenger.storage.trajectory` kernel.  Cycles the
+        kernel cannot cover — unresolved bins whose evaluation must stay
+        lazy, out-of-range temperatures — fall back to a stepwise loop
+        built on the same storage step primitives; both paths are
+        byte-identical.
 
         Args:
             cycle: the cruising-speed profile.
@@ -997,11 +951,6 @@ class NodeEmulator:
             trace_window: optional ``(start_s, end_s)`` window over which the
                 instant-power trace (Fig. 3) is recorded.
             idle_step_s: time step used while the vehicle is stationary.
-            prefill: pre-scan the cycle and fill the revolution-energy cache
-                with one vectorized batch call before the state-of-charge
-                integration (see :meth:`_prefill_energy_cache`).  The result
-                is byte-identical with or without prefill — the flag exists
-                for benchmarking and regression tests.
 
         Returns:
             An :class:`EmulationResult` with totals, the sampled state log and
@@ -1024,37 +973,20 @@ class NodeEmulator:
         # invalidating event — an in-place mutation of the database — is
         # detected via its version counter.
         self._ensure_caches_fresh()
-        if prefill:
-            self._prefill_energy_cache(cycle, idle_step_s)
-
-        units, is_round, durations, speeds, ends, temps = self._collect_cycle(
-            cycle, idle_step_s
-        )
-        round_indices = np.flatnonzero(is_round)
-
-        # Supply side: every wheel round's harvest in one vectorized sweep.
-        harvest = np.zeros(len(units))
-        harvest[round_indices] = self.scavenger.energy_sweep_j(speeds[round_indices])
-        if np.any(harvest < 0.0):
-            raise EmulationError("cannot deposit negative energy")
-
-        energies, phase_lists, resolved = self._resolve_round_energies(
-            units, is_round, temps
-        )
+        plan = self._plan_for(cycle, idle_step_s, record_interval_s)
+        temps = self.plan_temperatures(plan, self.thermal_model)
+        values, value_index = self._round_values(plan, temps)
+        harvest = round_harvest(self.scavenger, plan)
+        round_indices = plan.round_indices
 
         low_t, high_t = TEMPERATURE_RANGE_C
         temps_in_range = bool(np.all((temps >= low_t) & (temps <= high_t)))
-        all_resolved = bool(np.all(resolved[round_indices]))
-        if temps_in_range and all_resolved:
+        if temps_in_range and bool(np.all(value_index[round_indices] >= 0)):
             # Pure-kernel path: every per-unit quantity is known up front.
             sleep_power = self._standstill_power_sweep(temps)
-            load = np.zeros(len(units))
-            load[round_indices] = self.node.pmu.referred_to_storage(
-                energies[round_indices]
-            )
-            idle = ~is_round
-            load[idle] = self.node.pmu.referred_to_storage(
-                sleep_power[idle] * durations[idle]
+            energies = np.array([value[0] for value in values], dtype=float)
+            load = unit_load(
+                self.node.pmu, plan, energies[value_index[round_indices]], sleep_power
             )
             # initial_charge_j=None replays the element's own (already
             # validated) initial charge without the per-call range check.
@@ -1062,19 +994,12 @@ class NodeEmulator:
                 self.storage,
                 harvest,
                 load,
-                durations,
+                plan.durations,
                 initially_active=not self.storage.is_depleted,
             )
         else:
             traj, sleep_power = self._integrate_stepwise(
-                units,
-                is_round,
-                durations,
-                temps,
-                harvest,
-                energies,
-                phase_lists,
-                resolved,
+                plan, temps, harvest, values, value_index
             )
         # The mutating element is the scalar reference, not the integrator:
         # leave it holding the trajectory's final charge, exactly as the old
@@ -1087,43 +1012,23 @@ class NodeEmulator:
             duration_s=cycle.duration_s,
             trace=PowerTrace() if trace_window is not None else None,
         )
-        result.revolutions = int(is_round.sum())
-        result.moving_time_s = float(durations[is_round].sum())
-        result.harvested_j = float(traj.banked_j.sum())
-        result.discarded_j = float(np.maximum(0.0, harvest - traj.banked_j).sum())
-        result.consumed_j = float(traj.drawn_j.sum())
-        result.active_revolutions = int((is_round & traj.withdrew).sum())
-        result.active_time_s = float(durations[traj.withdrew].sum())
-        result.brownout_events = traj.brownout_events
+        result.record_totals(
+            plan, harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
+        )
 
-        # State log: same per-unit sampling walk, reading the trajectory.
-        capacity = self.storage.capacity_j
-        next_record_s = 0.0
-        log = result.log
-        charge_out = traj.charge_j
-        active_out = traj.active
-        for i in range(len(units)):
-            end_time = ends[i]
-            while next_record_s <= end_time:
-                log.append(
-                    next_record_s,
-                    speeds[i],
-                    temps[i],
-                    charge_out[i] / capacity,
-                    bool(active_out[i]),
-                )
-                next_record_s += record_interval_s
+        # State log: the plan's sampling walk, reading the trajectory.
+        units = plan.sample_units
+        result.log = SampleLog.from_columns(
+            plan.sample_times,
+            plan.speeds[units],
+            temps[units],
+            traj.charge_j[units] / self.storage.capacity_j,
+            traj.active[units],
+        )
 
         if result.trace is not None and trace_window is not None:
             self._record_trace(
-                result.trace,
-                trace_window,
-                units,
-                is_round,
-                durations,
-                traj,
-                phase_lists,
-                sleep_power,
+                result.trace, trace_window, plan, traj, values, value_index, sleep_power
             )
             if not result.trace.is_empty:
                 result.trace = result.trace.windowed(*trace_window)
@@ -1133,11 +1038,10 @@ class NodeEmulator:
         self,
         trace: PowerTrace,
         trace_window: tuple[float, float],
-        units: list,
-        is_round: np.ndarray,
-        durations: np.ndarray,
+        plan: CyclePlan,
         traj: StorageTrajectory,
-        phase_lists: list,
+        values: list,
+        value_index: np.ndarray,
         sleep_power: np.ndarray,
     ) -> None:
         """Reconstruct the instant-power trace from the integration arrays.
@@ -1148,23 +1052,22 @@ class NodeEmulator:
         record the standstill floor (or "inactive" once the node is down).
         """
         window_start, window_end = trace_window
-        for i, unit in enumerate(units):
-            if not (unit.start_s < window_end and unit.end_s > window_start):
-                continue
-            if is_round[i]:
-                if traj.withdrew[i]:
+        in_window = (plan.starts < window_end) & (plan.ends > window_start)
+        for i in np.flatnonzero(in_window).tolist():
+            start_s = float(plan.starts[i])
+            duration = float(plan.durations[i])
+            if plan.is_round[i]:
+                withdrew = bool(traj.withdrew[i])
+                if withdrew or not traj.attempted[i]:
+                    phases = values[value_index[i]][1] if withdrew else ()
                     self._record_trace_revolution(
-                        trace, unit, phase_lists[i], True, float(sleep_power[i])
-                    )
-                elif not traj.attempted[i]:
-                    self._record_trace_revolution(
-                        trace, unit, (), False, float(sleep_power[i])
+                        trace, start_s, duration, phases, withdrew, float(sleep_power[i])
                     )
             else:
                 active = bool(traj.active[i])
                 trace.append(
-                    unit.start_s,
-                    float(durations[i]),
+                    start_s,
+                    duration,
                     float(sleep_power[i]) if active else 0.0,
                     "standstill" if active else "inactive",
                 )
@@ -1203,14 +1106,7 @@ class NodeEmulator:
         time_s = 0.0
         revolution = start_revolution
         while time_s < window_s:
-            unit = WheelRound(
-                index=revolution, start_s=time_s, period_s=period, speed_kmh=speed_kmh
-            )
-            pattern = (
-                self.node.radio.transmits(revolution),
-                self.node.sensors.refreshes_slow_sensors(revolution),
-                self.node.memory.writes_nvm(revolution),
-            )
+            pattern = self.node.phase_pattern(revolution)
             cached = pattern_cache.get(pattern)
             if cached is None:
                 cached = self.evaluator.schedule_energy_compiled(
@@ -1218,7 +1114,7 @@ class NodeEmulator:
                 )
                 pattern_cache[pattern] = cached
             _, phases = cached
-            self._record_trace_revolution(trace, unit, phases, True, sleep_power)
+            self._record_trace_revolution(trace, time_s, period, phases, True, sleep_power)
             time_s += period
             revolution += 1
         return trace.windowed(0.0, window_s)

@@ -813,7 +813,7 @@ class EnergyEvaluator:
         the emulator's cache-miss path needs: the revolution energy plus the
         phase list used to reconstruct the instant-power trace.  This is the
         width-1 case of :meth:`_schedule_energy_batch` — sharing the kernel
-        with the batch prefill and Monte-Carlo sweeps keeps the two paths
+        with the emulator's bin sweep and Monte-Carlo sweeps keeps the two paths
         bit-identical, which the emulator's byte-identical-log contract
         relies on.
         """
@@ -845,7 +845,7 @@ class EnergyEvaluator:
         per unique (speed, pattern) bin — schedule feasibility raises exactly
         like the scalar path — and every power figure is evaluated in a
         single vectorized pass over the compiled table, which is what makes
-        Monte-Carlo workload sweeps and the emulator's cache prefill O(array
+        Monte-Carlo workload sweeps and the emulator's bin sweep O(array
         ops) instead of O(points x blocks x phases) Python dispatch.
 
         Returns the ``(N,)`` energy array, or ``(energies, phase_lists)``

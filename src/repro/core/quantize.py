@@ -40,6 +40,15 @@ def speed_bin(speed_kmh: float) -> int:
     return round(speed_kmh / SPEED_QUANTUM_KMH)
 
 
+def speed_bins(speeds_kmh):
+    """Vectorized twin of :func:`speed_bin` for a numpy array (int64 bins).
+
+    ``np.rint`` rounds half to even exactly like Python's :func:`round`, and
+    the division is the same, so both forms always land in the same bin.
+    """
+    return np.rint(speeds_kmh / SPEED_QUANTUM_KMH).astype(np.int64)
+
+
 def speed_bin_center_kmh(bin_index: int) -> float:
     """The representative (evaluation) speed of one quantized bin."""
     return bin_index * SPEED_QUANTUM_KMH

@@ -1,67 +1,51 @@
 """The fleet runner: cohort-shared emulation of a whole vehicle population.
 
 Running ``NodeEmulator.emulate()`` once per vehicle is correct but wasteful
-at fleet scale: every vehicle would rebuild the evaluator (and compiled
-power table), re-walk its drive cycle round by round, re-classify the same
-quantized speed bins and re-evaluate the same revolution energies.  The
-runner shares all of that across the population:
+at fleet scale: every vehicle would rebuild the evaluator, re-walk its drive
+cycle and re-evaluate the same revolution energies.  The runner shares all
+of that across the population:
 
 * **Groups** — vehicles with the same (architecture, workload, power
   database) share one :class:`~repro.core.evaluator.EnergyEvaluator` and
   therefore one compiled power table, exactly like study grid points.
-* **Cohorts** — vehicles with the same (group, drive cycle, quantized
-  speed scale) share one materialized cycle: the per-unit arrays, the
-  quantized speed-bin classification, the per-round bin indices and the
-  state-log sampling walk are computed once per cohort, not per vehicle.
-  Thermal fleets (``FleetSpec.thermal``) add the quantized ambient as a
-  third cohort axis: the in-tyre
-  :class:`~repro.conditions.temperature.TyreThermalModel` is replayed once
-  per (cycle, speed-scale, ambient-bin) cohort — ambients are snapped to
-  the shared :func:`~repro.core.quantize.ambient_bin` centers at
-  materialization — producing a per-unit temperature trajectory next to
-  the speed/duration arrays, so the fast path survives thermally
-  realistic populations instead of demoting every vehicle to ``emulate()``.
-* **One cross-vehicle sweep** — the union of quantized
-  (speed, temperature, phase-pattern) energy bins over all vehicles of a
-  group — per-unit trajectory temperatures included — is evaluated in ONE
-  vectorized batch call
-  (:meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins`) before
-  any emulation starts; the batch kernel is bitwise-identical to the
-  per-miss path, so shared bins cannot change results.  After the sweep
-  the per-cohort demand side is gathered ONCE — a full per-unit load
-  vector for thermal cohorts, a per-(cohort, temperature-bin) energy
-  gather for constant ones — instead of being rebuilt per vehicle.
+* **Cohorts** — vehicles with the same (group, drive cycle, quantized speed
+  scale) share one cycle plan: the emulator's own
+  :class:`~repro.core.cycle_plan.CyclePlan` (per-unit arrays, per-round
+  speed-bin groups, state-log sampling walk), built and resolved through a
+  probe emulator exactly as ``emulate()`` resolves it.  Thermal fleets
+  (``FleetSpec.thermal``) add the quantized ambient as a third cohort axis:
+  the in-tyre :class:`~repro.conditions.temperature.TyreThermalModel` is
+  replayed once per (cycle, speed-scale, ambient-bin) cohort — ambients are
+  snapped to the shared :func:`~repro.core.quantize.ambient_bin` centers at
+  materialization — so the fast path survives thermally realistic
+  populations.
+* **One cross-vehicle sweep** — the union of quantized (speed, temperature,
+  phase-pattern) energy bins over all vehicles of a group is evaluated in
+  ONE :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` call
+  before any emulation starts; the batch kernel is bitwise-identical to the
+  per-miss path, so shared bins cannot change results.  The per-cohort
+  demand side is then gathered once: a full per-unit load vector for
+  thermal cohorts, a per-(cohort, temperature-bin) energy array for
+  constant ones.
 
-Each vehicle then reduces to pure array work in two phases:
+Each vehicle then reduces to its harvest sweep and load gather inside the
+engine's retried kernel (:func:`_cohort_vehicle_outcome`: everything that
+can fail), and each settled chunk's ledgers are replayed by one time-major
+:func:`~repro.scavenger.storage.batched_scan` before it is journaled or
+streamed (fewer than :data:`BATCHED_SCAN_MIN_VEHICLES` pending vehicles, and
+process-backend workers, scan per vehicle).  Per-vehicle figures are
+bit-identical to a naive ``emulate()`` of the same vehicle scenario (the
+throughput benchmark asserts it), so the aggregates are independent of
+chunking, worker counts and backends.
 
-* **Inputs**, per vehicle, inside the engine's retried kernel
-  (:func:`_cohort_vehicle_outcome`): its harvest sweep, load gather and the
-  negative-energy checks — everything that can fail.
-* **Scan and finish**, once per chunk, after the chunk's vehicles settled
-  and before it is journaled or streamed: one time-major
-  :func:`~repro.scavenger.storage.batched_scan` replays every pending
-  vehicle's storage ledger at once (cohorts of different lengths end-padded
-  with no-op steps), then each vehicle's summary, survival and row are
-  built.  Chunks with fewer than :data:`BATCHED_SCAN_MIN_VEHICLES` pending
-  vehicles, and process-backend workers, scan per vehicle through
-  :func:`~repro.scavenger.storage.trajectory` instead.
-
-Results stream through the shared
-:class:`~repro.scenario.engine.ChunkedEngine` into the fleet accumulators.
-Per-vehicle figures are bit-identical to a naive ``emulate()`` of the same
-vehicle scenario whichever scan ran (the storage-ledger and batch contracts
-guarantee it; the throughput benchmark asserts it), which is what makes the
-aggregates independent of chunking, worker counts and backends.
-
-Cycles the shared path cannot cover — a speed bin whose schedule cannot be
-built (feasibility straddles), or a thermal trajectory that leaves the
-modelled temperature range — fall back to the ordinary per-vehicle
-``emulate()`` with the shared bins seeded into its cache, so error timing
-and results stay exactly those of the scalar path.  Every vehicle outcome
-is tagged with the path it took (and the fallback reason), surfaced as
-``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons`` on the
-result metadata, next to ``batched_scan_vehicles`` — a fast-path or
-batching regression shows up as a counter, not as a silent slowdown.
+Cohorts the shared path cannot cover — a speed bin whose schedule cannot be
+built, or a thermal trajectory that leaves the modelled temperature range —
+fall back to the per-vehicle ``emulate()`` with the shared bins seeded into
+its cache, so error timing and results stay exactly the scalar path's.  The
+path every vehicle took is counted on the result metadata
+(``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons``, next
+to ``batched_scan_vehicles``), so a fast-path regression shows up as a
+counter, not as a silent slowdown.
 """
 
 from __future__ import annotations
@@ -71,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
+from repro.core.cycle_plan import energy_keys, round_harvest, unit_load
 from repro.core.emulator import EmulationResult, NodeEmulator
 from repro.core.evaluator import EnergyEvaluator
 from repro.core.quantize import (
@@ -120,84 +105,58 @@ def _cohort_key(vehicle: FleetVehicle, thermal: ThermalSpec | None = None) -> st
     ambient bin (whose ambients were snapped to the *same* bin-center float
     at materialization) can share one trajectory bitwise.
     """
-    if thermal is None:
-        return repr(
-            (
-                _group_key(vehicle.scenario),
-                vehicle.scenario.drive_cycle,
-                vehicle.speed_scale,
-            )
-        )
-    return repr(
-        (
-            _group_key(vehicle.scenario),
-            vehicle.scenario.drive_cycle,
-            vehicle.speed_scale,
-            ambient_bin(vehicle.scenario.temperature_c),
-        )
-    )
+    key = (_group_key(vehicle.scenario), vehicle.scenario.drive_cycle, vehicle.speed_scale)
+    if thermal is not None:
+        key += (ambient_bin(vehicle.scenario.temperature_c),)
+    return repr(key)
 
 
 class _CohortTable:
     """Shared per-cohort cycle materialization (read-only after build).
 
     Holds everything about one (cycle, speed scale[, ambient bin]) pairing
-    that does not depend on the individual vehicle: the per-unit arrays of
-    the walked cycle, the per-round quantized bin structure, the replayed
-    temperature trajectory (thermal cohorts), and the state-log sampling
-    walk.  ``fallback`` marks cohorts the fast path cannot cover —
-    ``fallback_reason`` says why (``"schedule"``: a bin straddles the node's
-    feasibility limit; ``"temperature-range"``: the thermal trajectory
-    leaves the modelled range) — their vehicles run the ordinary
-    per-vehicle ``emulate()`` so errors surface at exactly the simulated
-    instant the scalar path raises them.
+    that does not depend on the individual vehicle: the cycle ``plan`` (the
+    per-unit arrays and the state-log sampling walk), the resolved speed
+    ``slots`` with each round's index into them, and — for thermal cohorts —
+    the rounds' (speed, temperature, pattern) ``triples`` and the per-unit
+    sleep power along the replayed temperature trajectory.  ``fallback``
+    marks cohorts the fast path cannot cover — ``fallback_reason`` says why
+    (``"schedule"``: a bin straddles the node's feasibility limit;
+    ``"temperature-range"``: the thermal trajectory leaves the modelled
+    range) — their vehicles run the ordinary per-vehicle ``emulate()`` so
+    errors surface at exactly the simulated instant the scalar path raises
+    them.
 
     After the cross-vehicle sweep the runner attaches the precomputed
     demand side: ``unit_load`` (thermal cohorts — the full per-unit load
     vector, identical for every member vehicle) or ``energies_by_temp_bin``
-    (constant cohorts — one gathered energy array per temperature bin seen
-    in the population, replacing the per-vehicle list comprehension).
+    (constant cohorts — one per-slot energy array per temperature bin seen
+    in the population).
     """
 
     __slots__ = (
         "group_key",
         "cycle_name",
         "duration_s",
-        "is_round",
-        "durations",
-        "speeds",
-        "ends",
-        "round_indices",
-        "unique_bins",
-        "inverse",
-        "sample_times",
-        "sample_units",
+        "plan",
         "fallback",
         "fallback_reason",
         "thermal",
-        "temps",
-        "unit_temp_bins",
-        "unit_bin_inverse",
+        "slots",
+        "round_slot",
+        "sleep_power",
         "triples",
         "round_triple",
         "unit_load",
         "energies_by_temp_bin",
-        "seen_temp_bins",
     )
 
     def __init__(self) -> None:
         self.fallback = False
         self.fallback_reason = None
-        self.thermal = False
-        self.unique_bins = []
-        self.temps = None
-        self.unit_temp_bins = None
-        self.unit_bin_inverse = None
         self.triples = []
-        self.round_triple = None
         self.unit_load = None
         self.energies_by_temp_bin = {}
-        self.seen_temp_bins = set()
 
 
 def _build_cohort_table(
@@ -205,34 +164,28 @@ def _build_cohort_table(
     cycle,
     record_interval_s: float,
     idle_step_s: float,
+    schedules: dict,
     thermal_model=None,
 ) -> _CohortTable:
-    """Materialize one cohort's cycle through the probe emulator.
+    """Plan one cohort's cycle through the probe emulator.
 
-    The probe supplies the exact walk (`materialize_cycle`) and speed-bin
-    classification (`_speed_key_for`) the per-vehicle emulator would run, so
-    the table can never drift from what ``emulate()`` does.  ``thermal_model``
-    — a freshly built model at the cohort's bin-center ambient — switches the
-    walk to the thermal replay: the per-unit temperature trajectory is kept
-    on the table and the bin structure spans full
-    (speed, temperature, phase-pattern) triples instead of pinning one
-    temperature bin per vehicle.
+    The probe supplies the exact walk (``materialize_cycle``), thermal
+    replay (``plan_temperatures``) and speed-key classification
+    (``speed_slots``) the per-vehicle ``emulate()`` runs, so the table can
+    never drift from it.  ``thermal_model`` — a freshly built model at the
+    cohort's bin-center ambient — keeps the per-unit temperature trajectory
+    and keys the rounds on full (speed, temperature, phase-pattern) triples
+    instead of pinning one temperature bin per vehicle.  ``schedules``
+    memoizes the group's slot schedules across its cohorts (a schedule is a
+    pure function of the speed key and pattern under one node).
     """
     table = _CohortTable()
     table.cycle_name = cycle.name
     table.duration_s = cycle.duration_s
-    units, is_round, durations, speeds, ends, temps = probe.materialize_cycle(
-        cycle, idle_step_s, thermal_model=thermal_model
-    )
-    table.is_round = is_round
-    table.durations = durations
-    table.speeds = speeds
-    table.ends = ends
-    table.round_indices = np.flatnonzero(is_round)
+    table.plan = plan = probe.materialize_cycle(cycle, idle_step_s, record_interval_s)
     table.thermal = thermal_model is not None
-
-    node = probe.node
     if table.thermal:
+        temps = probe.plan_temperatures(plan, thermal_model)
         low_t, high_t = TEMPERATURE_RANGE_C
         if not bool(np.all((temps >= low_t) & (temps <= high_t))):
             # Self-heating pushed the trajectory out of the modelled range:
@@ -242,98 +195,36 @@ def _build_cohort_table(
             table.fallback = True
             table.fallback_reason = "temperature-range"
             return table
-        table.temps = temps
-        # Per-unit temperature bins for the standstill sweep — the same
-        # np.unique(temperature_bins(...)) walk emulate()'s pure kernel runs.
-        table.unit_temp_bins, table.unit_bin_inverse = np.unique(
-            temperature_bins(temps), return_inverse=True
+        table.sleep_power = probe._standstill_power_sweep(temps)
+    slots, table.round_slot = probe.speed_slots(plan)
+    table.slots = []
+    for speed_key, pattern, eval_speed, _unit in slots:
+        schedule = schedules.get((speed_key, pattern))
+        if schedule is None:
+            try:
+                schedule = probe.node.schedule_for_pattern(eval_speed, *pattern)
+            except ScheduleError:
+                # The bin straddles the node's feasibility limit (or the
+                # speed is unsustainable): this cohort's vehicles take the
+                # per-vehicle emulate() path, which raises — or recovers —
+                # with the scalar path's exact timing.
+                table.fallback = True
+                table.fallback_reason = "schedule"
+                return table
+            schedules[(speed_key, pattern)] = schedule
+        table.slots.append((speed_key, pattern, eval_speed, schedule))
+    if table.thermal:
+        # One entry per distinct (speed, temperature, pattern) triple plus
+        # each round's index into them; triples differing only in
+        # temperature share their slot's schedule object, which groups them
+        # into one vectorized accumulation in the sweep.
+        keys, table.round_triple = energy_keys(
+            slots, table.round_slot, temperature_bins(temps[plan.round_indices])
         )
-
-        # Per-round (speed, temperature, pattern) triple structure: one
-        # entry per distinct triple, plus the per-round index into that
-        # list.  Schedules are shared per (speed key, pattern) — triples
-        # differing only in temperature reuse one schedule object, which
-        # groups them into one vectorized accumulation in the sweep.
-        positions: dict[tuple, int] = {}
-        built: dict[tuple, object] = {}
-        triples: list[tuple[tuple, float, float, object]] = []
-        round_triple = np.empty(len(table.round_indices), dtype=np.intp)
-        for position, i in enumerate(table.round_indices):
-            unit = units[i]
-            pattern = node.phase_pattern(unit.index)
-            speed_key, eval_speed, _use_bin = probe._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            temp_bin = temperature_bin(float(temps[i]))
-            key = (speed_key, temp_bin, *pattern)
-            slot = positions.get(key)
-            if slot is None:
-                schedule_key = (speed_key, pattern)
-                schedule = built.get(schedule_key)
-                if schedule is None:
-                    try:
-                        schedule = node.schedule_for_pattern(eval_speed, *pattern)
-                    except ScheduleError:
-                        table.fallback = True
-                        table.fallback_reason = "schedule"
-                        return table
-                    built[schedule_key] = schedule
-                slot = len(triples)
-                positions[key] = slot
-                triples.append(
-                    (key, eval_speed, temperature_bin_center_c(temp_bin), schedule)
-                )
-            round_triple[position] = slot
-        table.triples = triples
-        table.round_triple = round_triple
-    else:
-        # Per-round quantized bin structure: one (speed key, pattern) entry
-        # per distinct bin, plus the per-round index into that list.
-        # Schedules are built once per entry (pattern-addressed), for the
-        # cross-vehicle sweep.
-        positions = {}
-        unique: list[tuple[tuple, tuple, float, object]] = []
-        inverse = np.empty(len(table.round_indices), dtype=np.intp)
-        for position, i in enumerate(table.round_indices):
-            unit = units[i]
-            pattern = node.phase_pattern(unit.index)
-            speed_key, eval_speed, _use_bin = probe._speed_key_for(
-                unit.speed_kmh, unit.index, pattern
-            )
-            ukey = (speed_key, pattern)
-            slot = positions.get(ukey)
-            if slot is None:
-                try:
-                    schedule = node.schedule_for_pattern(eval_speed, *pattern)
-                except ScheduleError:
-                    # The bin straddles the node's feasibility limit (or the
-                    # speed is unsustainable): this cohort's vehicles take
-                    # the per-vehicle emulate() path, which raises — or
-                    # recovers — with the scalar path's exact timing.
-                    table.fallback = True
-                    table.fallback_reason = "schedule"
-                    return table
-                slot = len(unique)
-                positions[ukey] = slot
-                unique.append((speed_key, pattern, eval_speed, schedule))
-            inverse[position] = slot
-        table.unique_bins = unique
-        table.inverse = inverse
-
-    # State-log sampling walk: the exact accumulation emulate() performs
-    # when recording the log, shared by every vehicle of the cohort (sample
-    # times — and their unit assignment — depend only on the cycle).
-    sample_times: list[float] = []
-    sample_units: list[int] = []
-    next_record_s = 0.0
-    for i in range(len(units)):
-        end_time = ends[i]
-        while next_record_s <= end_time:
-            sample_times.append(next_record_s)
-            sample_units.append(i)
-            next_record_s += record_interval_s
-    table.sample_times = np.array(sample_times)
-    table.sample_units = np.array(sample_units, dtype=np.intp)
+        table.triples = [
+            (key, table.slots[slot][2], temperature_bin_center_c(temp_bin), table.slots[slot][3])
+            for key, slot, temp_bin in keys
+        ]
     return table
 
 
@@ -380,36 +271,6 @@ def _vehicle_row(
     row["brownout_per_hour"] = summary["brownout_events"] / hours if hours > 0.0 else float("nan")
     row["active_at_end"] = bool(active_at_end)
     return row
-
-
-def _thermal_unit_load(
-    table: _CohortTable, node, bins: dict, standstill: dict
-) -> np.ndarray:
-    """The per-unit load vector of one thermal cohort (vehicle-independent).
-
-    Element for element what ``emulate()``'s pure kernel computes: referred
-    revolution energies gathered from the shared bins at each round's
-    trajectory temperature, and referred sleep energy at each idle unit's
-    temperature bin (the same ``np.unique`` gather as
-    ``_standstill_power_sweep``).  Nothing here depends on the vehicle —
-    scavenger size and storage scale enter elsewhere — so the vector is
-    computed once per cohort and shared read-only.
-    """
-    count = len(table.is_round)
-    load = np.zeros(count)
-    if table.round_indices.size:
-        energies_unique = np.array(
-            [bins[key][0] for key, _speed, _temp, _schedule in table.triples]
-        )
-        load[table.round_indices] = node.pmu.referred_to_storage(
-            energies_unique[table.round_triple]
-        )
-    per_bin = np.array([standstill[int(b)] for b in table.unit_temp_bins])
-    sleep_power = per_bin[table.unit_bin_inverse]
-    idle = ~table.is_round
-    load[idle] = node.pmu.referred_to_storage(sleep_power[idle] * table.durations[idle])
-    load.setflags(write=False)
-    return load
 
 
 #: Chunks with fewer pending fast-path vehicles than this scan each ledger
@@ -468,44 +329,24 @@ def _cohort_vehicle_outcome(
     scavenger = spec.build_scavenger()
     storage = scaled_storage(spec.build_storage(), storage_scale)
 
-    # Supply side: every wheel round's harvest in one vectorized sweep.
-    count = len(table.is_round)
-    harvest = np.zeros(count)
-    round_indices = table.round_indices
-    harvest[round_indices] = scavenger.energy_sweep_j(table.speeds[round_indices])
-    if np.any(harvest < 0.0):
-        raise EmulationError("cannot deposit negative energy")
+    plan = table.plan
+    harvest = round_harvest(scavenger, plan)
 
     # Demand side.  Thermal cohorts: the whole load vector is a function of
     # the cohort (trajectory temperatures, shared bins, group node), not of
     # the vehicle — precomputed once after the sweep and reused read-only.
+    # Constant-temperature cohorts gather the per-slot energies swept for
+    # this vehicle's temperature bin.
     if table.thermal:
         load = table.unit_load
-        if load is None:  # pragma: no cover - post-sweep tables always carry it
-            load = _thermal_unit_load(table, node, bins, standstill)
     else:
-        # Constant-temperature cohorts: gather the shared bins at this
-        # vehicle's temperature.  The per-bin energy gather is precomputed
-        # per (cohort, temperature bin) after the sweep; the inline
-        # comprehension remains as the defensive path for bins the
-        # discovery pass never saw.
         temp_bin = temperature_bin(spec.temperature_c)
-        energies_unique = table.energies_by_temp_bin.get(temp_bin)
-        if energies_unique is None:
-            energies_unique = np.array(
-                [
-                    bins[(speed_key, temp_bin, *pattern)][0]
-                    for speed_key, pattern, _eval_speed, _schedule in table.unique_bins
-                ]
-            )
-        load = np.zeros(count)
-        if round_indices.size:
-            load[round_indices] = node.pmu.referred_to_storage(
-                energies_unique[table.inverse]
-            )
-        sleep_power_w = standstill[temp_bin]
-        idle = ~table.is_round
-        load[idle] = node.pmu.referred_to_storage(sleep_power_w * table.durations[idle])
+        load = unit_load(
+            node.pmu,
+            plan,
+            table.energies_by_temp_bin[temp_bin][table.round_slot],
+            standstill[temp_bin],
+        )
     if np.any(load < 0.0):
         raise EmulationError("cannot withdraw negative energy")
     return _PendingScan(
@@ -532,28 +373,21 @@ def _scanned_outcome(
 ) -> dict[str, object]:
     """A pending vehicle's summary, survival and row from its scanned ledger.
 
-    ``banked`` and ``drawn`` must be contiguous 1-D rows: their sums are
-    the summary figures, and numpy's pairwise summation order — hence the
-    last bit — follows the memory layout.
+    ``banked`` and ``drawn`` must be contiguous 1-D rows (see
+    :meth:`~repro.core.emulator.EmulationResult.record_totals`).
     """
     table = pending.table
+    plan = table.plan
     result = EmulationResult(
         node_name=pending.node_name,
         cycle_name=table.cycle_name,
         duration_s=table.duration_s,
     )
-    result.revolutions = int(table.is_round.sum())
-    result.moving_time_s = float(table.durations[table.is_round].sum())
-    result.harvested_j = float(banked.sum())
-    result.discarded_j = float(np.maximum(0.0, pending.harvest - banked).sum())
-    result.consumed_j = float(drawn.sum())
-    result.active_revolutions = int((table.is_round & withdrew).sum())
-    result.active_time_s = float(table.durations[withdrew].sum())
-    result.brownout_events = int(brownouts)
+    result.record_totals(plan, pending.harvest, banked, drawn, withdrew, brownouts)
 
-    sample_active = active[table.sample_units]
+    sample_active = active[plan.sample_units]
     survival = _survival_from_samples(
-        table.sample_times, sample_active, table.duration_s, pending.buckets
+        plan.sample_times, sample_active, table.duration_s, pending.buckets
     )
     active_at_end = bool(sample_active[-1]) if sample_active.size else False
     return {
@@ -579,7 +413,7 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
         storage,
         pending.harvest,
         pending.load,
-        pending.table.durations,
+        pending.table.plan.durations,
         initially_active=not storage.is_depleted,
     )
     return _scanned_outcome(
@@ -606,7 +440,7 @@ def _finish_batch(pendings: list[_PendingScan]) -> list[dict[str, object]]:
         count = lengths[column]
         harvest[:count, column] = pending.harvest
         load[:count, column] = pending.load
-        durations[:count, column] = pending.table.durations
+        durations[:count, column] = pending.table.plan.durations
     storages = [pending.storage for pending in pendings]
     charge_efficiency = np.array([storage.charge_efficiency for storage in storages])
     discharge_efficiency = np.array([storage.discharge_efficiency for storage in storages])
@@ -770,10 +604,7 @@ def _process_vehicle(payload) -> dict[str, object]:
     node, database, evaluator = _worker_components(spec)
     table = _SHARED_TABLES.get(cohort_key)
     bins = _SHARED_BINS.get(group_key, {})
-    usable = table is not None and not table.fallback
-    if usable and table.thermal and table.unit_load is None:
-        usable = False  # pragma: no cover - post-sweep tables always carry it
-    if usable and not force_fallback:
+    if table is not None and not table.fallback and not force_fallback:
         # Workers return finished outcomes: the ledger is scanned here, per
         # vehicle, rather than shipped back for the parent's batched scan.
         return _finish_vehicle(
@@ -951,6 +782,7 @@ class FleetRunner:
         probes: dict[str, NodeEmulator] = {}
         tables: dict[str, _CohortTable] = {}
         standstill: dict[str, dict[int, float]] = {}
+        schedules: dict[str, dict] = {}
         pending: dict[str, dict] = {}
         for chunk in chunks:
             for vehicle in chunk:
@@ -960,6 +792,7 @@ class FleetRunner:
                     groups[gkey] = self._components_for(spec)
                     standstill[gkey] = {}
                     pending[gkey] = {}
+                    schedules[gkey] = {}
                 ckey = _cohort_key(vehicle, thermal)
                 table = tables.get(ckey)
                 if table is None:
@@ -985,6 +818,7 @@ class FleetRunner:
                         cycle,
                         self.record_interval_s,
                         self.idle_step_s,
+                        schedules[gkey],
                         thermal_model=(
                             thermal.build(spec.temperature_c)
                             if thermal is not None
@@ -993,22 +827,10 @@ class FleetRunner:
                     )
                     table.group_key = gkey
                     tables[ckey] = table
-                    if table.thermal and not table.fallback:
-                        # Trajectory-driven demand: the bin union spans the
-                        # cohort's (speed, temperature, pattern) triples, and
-                        # the standstill memo must cover every unit's
-                        # trajectory temperature, not one ambient pin.
-                        group_pending = pending[gkey]
-                        for key, eval_speed, temp_center, schedule in table.triples:
-                            if key not in group_pending:
-                                group_pending[key] = (eval_speed, temp_center, schedule)
-                        group_standstill = standstill[gkey]
-                        for raw_bin in table.unit_temp_bins:
-                            unit_bin = int(raw_bin)
-                            if unit_bin not in group_standstill:
-                                group_standstill[unit_bin] = probe._standstill_power(
-                                    temperature_bin_center_c(unit_bin)
-                                )
+                    # Trajectory-driven demand: a thermal cohort's bins span
+                    # its (speed, temperature, pattern) triples.
+                    for key, eval_speed, temp_center, schedule in table.triples:
+                        pending[gkey].setdefault(key, (eval_speed, temp_center, schedule))
                 if table.thermal:
                     continue
                 temp_bin = temperature_bin(spec.temperature_c)
@@ -1016,18 +838,14 @@ class FleetRunner:
                     standstill[gkey][temp_bin] = probes[gkey]._standstill_power(
                         temperature_bin_center_c(temp_bin)
                     )
-                if table.fallback:
+                if table.fallback or temp_bin in table.energies_by_temp_bin:
                     continue
-                table.seen_temp_bins.add(temp_bin)
-                group_pending = pending[gkey]
-                for speed_key, pattern, eval_speed, schedule in table.unique_bins:
-                    key = (speed_key, temp_bin, *pattern)
-                    if key not in group_pending:
-                        group_pending[key] = (
-                            eval_speed,
-                            temperature_bin_center_c(temp_bin),
-                            schedule,
-                        )
+                table.energies_by_temp_bin[temp_bin] = None
+                temp_center = temperature_bin_center_c(temp_bin)
+                for speed_key, pattern, eval_speed, schedule in table.slots:
+                    pending[gkey].setdefault(
+                        (speed_key, temp_bin, *pattern), (eval_speed, temp_center, schedule)
+                    )
 
         # ONE cross-vehicle sweep per group: the union of quantized bins over
         # every vehicle of the group, evaluated in a single batch call.
@@ -1038,23 +856,27 @@ class FleetRunner:
         # Post-sweep gather precompute: the per-vehicle demand side is a
         # pure gather over the swept bins, so hoist it out of the per-vehicle
         # kernel — the full per-unit load vector for thermal cohorts (it is
-        # vehicle-independent), one energy array per (cohort, temperature
-        # bin) for constant ones.
+        # vehicle-independent), one per-slot energy array per (cohort,
+        # temperature bin) for constant ones.
         for table in tables.values():
             if table.fallback:
                 continue
             node = groups[table.group_key][0]
             group_bins = bins[table.group_key]
             if table.thermal:
-                table.unit_load = _thermal_unit_load(
-                    table, node, group_bins, standstill[table.group_key]
+                # Element for element emulate()'s pure-kernel load, and
+                # vehicle-independent: computed once, shared read-only.
+                energies = np.array([group_bins[key][0] for key, *_rest in table.triples])
+                table.unit_load = unit_load(
+                    node.pmu, table.plan, energies[table.round_triple], table.sleep_power
                 )
+                table.unit_load.setflags(write=False)
             else:
-                for temp_bin in sorted(table.seen_temp_bins):
+                for temp_bin in table.energies_by_temp_bin:
                     table.energies_by_temp_bin[temp_bin] = np.array(
                         [
                             group_bins[(speed_key, temp_bin, *pattern)][0]
-                            for speed_key, pattern, _eval_speed, _schedule in table.unique_bins
+                            for speed_key, pattern, _eval_speed, _schedule in table.slots
                         ]
                     )
         return groups, tables, bins, standstill

@@ -11,6 +11,7 @@ from repro.timing.wheel_round import (
     IdleInterval,
     WheelRound,
     iter_wheel_rounds,
+    wheel_round_arrays,
 )
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "WheelRound",
     "IdleInterval",
     "iter_wheel_rounds",
+    "wheel_round_arrays",
     "BlockDutyCycle",
     "DutyCycleReport",
     "duty_cycle_report",

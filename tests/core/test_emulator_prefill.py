@@ -1,29 +1,147 @@
-"""Tests for the emulator's batch prefill of the revolution-energy cache.
+"""Byte identity of the emulator's planned, one-sweep cache fill.
 
-The contract is strict: ``emulate(prefill=True)`` must produce *byte
-identical* output to ``emulate(prefill=False)`` — same totals, same
-``SampleLog`` bytes, same trace — because prefilled cache entries are pure
-functions of the same quantized keys the per-miss path uses, evaluated
-through the same batch kernel.
+``emulate()`` builds one cycle plan, fills every missing quantized
+(speed, temperature, phase-pattern) bin of the revolution-energy cache with
+ONE batch sweep before the state-of-charge integration, and integrates
+through the pure ledger kernel (or a stepwise loop when a bin stays
+unresolved).  The contract is strict: the output must be *byte identical*
+to the naive per-revolution reference below — one ``WheelRound`` at a time
+from ``iter_wheel_rounds``, per-miss ``_revolution_energy`` evaluations and
+a mutating ``StorageElement`` with restart hysteresis — same totals, same
+``SampleLog`` bytes, same trace.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import repro.core.emulator as emulator_module
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.emulator import NodeEmulator
+from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.trace import PowerTrace
+from repro.errors import ConfigurationError, ScheduleError
 from repro.scavenger.storage import supercapacitor
-from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase, urban_cycle
+from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
+from repro.vehicle.drive_cycle import (
+    DriveCycle,
+    DriveCyclePhase,
+    constant_cruise,
+    highway_cycle,
+    urban_cycle,
+)
 
 
-def _thermal_emulator(node, database, scavenger) -> NodeEmulator:
+def naive_emulate(
+    emulator: NodeEmulator,
+    cycle: DriveCycle,
+    record_interval_s: float = 1.0,
+    trace_window: tuple[float, float] | None = None,
+    idle_step_s: float = 1.0,
+) -> EmulationResult:
+    """The per-revolution reference of ``emulator.emulate(cycle)``.
+
+    Walks ``iter_wheel_rounds`` one unit at a time: advances the thermal
+    model, evaluates each active round's energy on a cache miss
+    (``_revolution_energy``), and steps the emulator's own storage element
+    through deposit / withdraw / leak with the restart hysteresis.  The
+    totals use the same numpy reductions as ``emulate()``.
+    """
+    storage = emulator.storage
+    storage.reset()
+    thermal = emulator.thermal_model
+    if thermal is not None:
+        thermal.reset()
+    emulator._ensure_caches_fresh()
+    pmu = emulator.node.pmu
+    units = list(iter_wheel_rounds(cycle, emulator.node.wheel, idle_step_s=idle_step_s))
+    round_speeds = [unit.speed_kmh for unit in units if isinstance(unit, WheelRound)]
+    round_harvest = iter(emulator.scavenger.energy_sweep_j(np.array(round_speeds, dtype=float)))
+    temperature = (
+        thermal.current_celsius if thermal is not None else emulator.base_point.temperature_c
+    )
+    active = not storage.is_depleted
+    result = EmulationResult(
+        node_name=emulator.node.name,
+        cycle_name=cycle.name,
+        duration_s=cycle.duration_s,
+    )
+    trace = PowerTrace() if trace_window is not None else None
+    is_round, durations, harvest, banked, drawn, withdrew = [], [], [], [], [], []
+    brownouts = 0
+    next_record_s = 0.0
+    for unit in units:
+        moving = isinstance(unit, WheelRound)
+        duration = unit.period_s if moving else unit.duration_s
+        speed = unit.speed_kmh if moving else 0.0
+        if thermal is not None:
+            temperature = thermal.advance(duration, speed / 3.6)
+        sleep_power = emulator._standstill_power(temperature)
+        if not active and storage.can_restart:
+            active = True
+        attempted = success = False
+        load = 0.0
+        phases = ()
+        energy_in = float(next(round_harvest)) if moving else 0.0
+        stored = storage.deposit(energy_in) if moving else 0.0
+        if active:
+            attempted = True
+            if moving:
+                energy, phases = emulator._revolution_energy(unit, temperature)
+                load = pmu.referred_to_storage(energy)
+            else:
+                load = pmu.referred_to_storage(sleep_power * duration)
+            success = storage.withdraw(load)
+            if not success:
+                active = False
+                brownouts += 1
+        storage.leak(duration)
+        is_round.append(moving)
+        durations.append(duration)
+        harvest.append(energy_in)
+        banked.append(stored)
+        drawn.append(load if success else 0.0)
+        withdrew.append(success)
+        if trace is not None and unit.start_s < trace_window[1] and unit.end_s > trace_window[0]:
+            if moving and (success or not attempted):
+                emulator._record_trace_revolution(
+                    trace, unit.start_s, unit.period_s, phases, success, sleep_power
+                )
+            elif not moving:
+                trace.append(
+                    unit.start_s,
+                    duration,
+                    sleep_power if active else 0.0,
+                    "standstill" if active else "inactive",
+                )
+        while next_record_s <= unit.end_s:
+            result.log.append(next_record_s, speed, temperature, storage.state_of_charge, active)
+            next_record_s += record_interval_s
+
+    is_round = np.array(is_round, dtype=bool)
+    durations = np.array(durations)
+    banked = np.array(banked)
+    withdrew = np.array(withdrew, dtype=bool)
+    result.revolutions = int(is_round.sum())
+    result.moving_time_s = float(durations[is_round].sum())
+    result.harvested_j = float(banked.sum())
+    result.discarded_j = float(np.maximum(0.0, np.array(harvest) - banked).sum())
+    result.consumed_j = float(np.array(drawn).sum())
+    result.active_revolutions = int((is_round & withdrew).sum())
+    result.active_time_s = float(durations[withdrew].sum())
+    result.brownout_events = brownouts
+    if trace is not None:
+        result.trace = trace.windowed(*trace_window) if not trace.is_empty else trace
+    return result
+
+
+def _thermal_emulator(node, database, scavenger, **thermal) -> NodeEmulator:
     return NodeEmulator(
         node,
         database,
         scavenger,
         supercapacitor(initial_fraction=0.3),
-        thermal_model=TyreThermalModel(time_constant_s=120.0),
+        thermal_model=TyreThermalModel(**{"time_constant_s": 120.0, **thermal}),
     )
 
 
@@ -40,149 +158,244 @@ def _hour_cycle() -> DriveCycle:
     return DriveCycle(phases=phases, name="hour")
 
 
+def _assert_byte_identical(ours: EmulationResult, theirs: EmulationResult) -> None:
+    columns, reference = ours.sample_arrays(), theirs.sample_arrays()
+    for key in columns:
+        assert columns[key].tobytes() == reference[key].tobytes(), key
+    assert ours == theirs
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of ``NodeEmulator.<name>`` (arguments after self)."""
+    calls = []
+    original = getattr(NodeEmulator, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(NodeEmulator, name, counting)
+    return calls
+
+
+def _limit_schedules(monkeypatch, limit_kmh: float) -> None:
+    """Make every schedule at or above ``limit_kmh`` infeasible."""
+    from repro.blocks.node import SensorNode
+
+    original = SensorNode.schedule_for
+
+    def limited(self, speed_kmh, revolution_index=0):
+        if speed_kmh >= limit_kmh:
+            raise ScheduleError("busy phases exceed the wheel-round period")
+        return original(self, speed_kmh, revolution_index)
+
+    monkeypatch.setattr(SensorNode, "schedule_for", limited)
+
+
+def _unresolve_every_bin(monkeypatch) -> None:
+    """An empty sweep leaves every round unresolved: the stepwise loop runs."""
+    monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", lambda self, pending: {})
+
+
 class TestPrefillByteIdentity:
-    def test_hour_long_cycle_samplelog_is_byte_identical(
-        self, node, database, scavenger
-    ):
+    def test_hour_long_cycle_samplelog_is_byte_identical(self, node, database, scavenger):
         cycle = _hour_cycle()
-        with_prefill = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, prefill=True
-        )
-        without = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, prefill=False
-        )
-        ours, theirs = with_prefill.sample_arrays(), without.sample_arrays()
-        for key in ours:
-            assert ours[key].tobytes() == theirs[key].tobytes(), key
-        assert with_prefill == without
+        planned = _thermal_emulator(node, database, scavenger).emulate(cycle)
+        reference = naive_emulate(_thermal_emulator(node, database, scavenger), cycle)
+        _assert_byte_identical(planned, reference)
 
     def test_trace_window_is_identical(self, node, database, scavenger):
         cycle = urban_cycle(repetitions=1)
         window = (10.0, 12.0)
-        with_prefill = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window, prefill=True
+        planned = _thermal_emulator(node, database, scavenger).emulate(
+            cycle, trace_window=window
         )
-        without = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window, prefill=False
+        reference = naive_emulate(
+            _thermal_emulator(node, database, scavenger), cycle, trace_window=window
         )
-        assert with_prefill.trace == without.trace
+        assert planned.trace is not None and not planned.trace.is_empty
+        assert planned.trace == reference.trace
+        _assert_byte_identical(planned, reference)
 
     def test_constant_temperature_run_is_identical(self, node, database, scavenger):
         cycle = urban_cycle(repetitions=2)
-        with_prefill = NodeEmulator(
-            node, database, scavenger, supercapacitor()
-        ).emulate(cycle, prefill=True)
-        without = NodeEmulator(
-            node, database, scavenger, supercapacitor()
-        ).emulate(cycle, prefill=False)
-        assert with_prefill == without
+        planned = NodeEmulator(node, database, scavenger, supercapacitor()).emulate(cycle)
+        reference = naive_emulate(
+            NodeEmulator(node, database, scavenger, supercapacitor()), cycle
+        )
+        _assert_byte_identical(planned, reference)
+
+    def test_record_interval_and_idle_step_are_identical(self, node, database, scavenger):
+        cycle = urban_cycle(repetitions=1)
+        options = {"record_interval_s": 0.7, "idle_step_s": 0.45}
+        planned = _thermal_emulator(node, database, scavenger).emulate(cycle, **options)
+        reference = naive_emulate(_thermal_emulator(node, database, scavenger), cycle, **options)
+        _assert_byte_identical(planned, reference)
+
+    def test_warm_cold_and_fresh_runs_are_identical(self, node, database, scavenger):
+        cycle = _hour_cycle()
+        emulator = _thermal_emulator(node, database, scavenger)
+        cold = emulator.emulate(cycle)
+        warm = emulator.emulate(cycle)
+        fresh = _thermal_emulator(node, database, scavenger).emulate(cycle)
+        _assert_byte_identical(warm, cold)
+        _assert_byte_identical(fresh, cold)
 
 
 class TestPrefillMechanics:
-    def test_prefill_fills_the_cache_before_the_loop(self, node, database, scavenger):
-        emulator = _thermal_emulator(node, database, scavenger)
-        filled = emulator._prefill_energy_cache(_hour_cycle(), idle_step_s=1.0)
-        assert filled > 0
-        assert len(emulator._energy_cache) == filled
+    def test_prefill_fills_the_cache_before_the_loop(self, node, database, scavenger, monkeypatch):
+        """The one sweep's bins are all cached when the ledger scan starts."""
+        swept = []
+        sweep = NodeEmulator.evaluate_energy_bins
 
-    def test_second_prefill_is_a_no_op(self, node, database, scavenger):
-        emulator = _thermal_emulator(node, database, scavenger)
-        cycle = _hour_cycle()
-        first = emulator._prefill_energy_cache(cycle, idle_step_s=1.0)
-        assert first > 0
-        assert emulator._prefill_energy_cache(cycle, idle_step_s=1.0) == 0
+        def counting(self, pending):
+            swept.append(len(pending))
+            return sweep(self, pending)
 
-    def test_warm_cycle_skips_the_rescan(self, node, database, scavenger, monkeypatch):
-        """A completed scan is memoized: warm emulate() runs do not re-walk."""
+        monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", counting)
+        emulator = _thermal_emulator(node, database, scavenger)
+        cached_at_scan = []
+        scan = emulator_module.trajectory
+
+        def scanning(*args, **kwargs):
+            cached_at_scan.append(len(emulator._energy_cache))
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(emulator_module, "trajectory", scanning)
+        emulator.emulate(_hour_cycle())
+        assert len(swept) == 1 and swept[0] > 0
+        assert cached_at_scan == [swept[0]]
+
+    def test_second_prefill_is_a_no_op(self, node, database, scavenger, monkeypatch):
+        """A warm run finds every bin cached and sweeps nothing."""
         emulator = _thermal_emulator(node, database, scavenger)
         cycle = _hour_cycle()
         emulator.emulate(cycle)
-        scans = []
-        original = NodeEmulator._pending_energy_bins
+        entries = len(emulator._energy_cache)
+        sweeps = _count_calls(monkeypatch, "evaluate_energy_bins")
+        emulator.emulate(cycle)
+        assert sweeps == []
+        assert len(emulator._energy_cache) == entries
 
-        def counting(self, *args, **kwargs):
-            scans.append(args)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(NodeEmulator, "_pending_energy_bins", counting)
+    def test_warm_cycle_skips_the_rescan(self, node, database, scavenger, monkeypatch):
+        """A cold run builds the plan once; a warm run walks nothing."""
+        builds = _count_calls(monkeypatch, "materialize_cycle")
+        emulator = _thermal_emulator(node, database, scavenger)
+        cycle = _hour_cycle()
+        cold = emulator.emulate(cycle)
+        assert len(builds) == 1
         warm = emulator.emulate(cycle)
-        assert scans == [], "warm run re-scanned the cycle"
+        assert len(builds) == 1, "warm run re-walked the cycle"
         fresh = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        assert warm == fresh
+        assert warm == fresh == cold
 
     def test_base_point_change_invalidates_the_scan_memo(
-        self, node, database, scavenger
+        self, node, database, scavenger, monkeypatch
     ):
         from repro.conditions.operating_point import OperatingPoint
 
-        emulator = _thermal_emulator(node, database, scavenger)
+        builds = _count_calls(monkeypatch, "materialize_cycle")
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         cycle = _hour_cycle()
         emulator.emulate(cycle)
-        assert emulator._prefilled_cycles
         emulator.base_point = OperatingPoint(temperature_c=40.0)
-        emulator.emulate(cycle)  # _ensure_caches_fresh clears the memo
-        assert emulator._prefilled_cycles  # re-scanned and re-memoized
+        moved = emulator.emulate(cycle)  # _ensure_caches_fresh clears the memo
+        assert len(builds) == 2
+        warmer = OperatingPoint(temperature_c=40.0)
+        fresh = NodeEmulator(node, database, scavenger, supercapacitor(), base_point=warmer)
+        assert moved == naive_emulate(fresh, cycle)
 
     def test_prefill_resets_the_thermal_model(self, node, database, scavenger):
+        """Planning leaves the thermal model alone; a run ends where the reference ends."""
         emulator = _thermal_emulator(node, database, scavenger)
         ambient = emulator.thermal_model.current_celsius
-        emulator._prefill_energy_cache(_hour_cycle(), idle_step_s=1.0)
+        emulator.materialize_cycle(_hour_cycle())
         assert emulator.thermal_model.current_celsius == ambient
+        emulator.emulate(_hour_cycle())
+        reference = _thermal_emulator(node, database, scavenger)
+        naive_emulate(reference, _hour_cycle())
+        assert emulator.thermal_model.current_celsius == reference.thermal_model.current_celsius
+        assert emulator.thermal_model.current_celsius != ambient
 
     def test_prefill_skips_infeasible_bins(self, node, database, scavenger, monkeypatch):
-        """Rounds whose schedule cannot be built are left to the main loop."""
-        from repro.blocks.node import SensorNode
-        from repro.errors import ScheduleError
+        """Rounds whose schedule cannot be built are left to the stepwise loop."""
+        _limit_schedules(monkeypatch, 100.0)
+        swept = []
+        sweep = NodeEmulator.evaluate_energy_bins
 
-        original = SensorNode.schedule_for
+        def recording(self, pending):
+            swept.extend(pending)
+            return sweep(self, pending)
 
-        def limited(self, speed_kmh, revolution_index=0):
-            if speed_kmh >= 100.0:
-                raise ScheduleError("limited test node")
-            return original(self, speed_kmh, revolution_index)
-
-        monkeypatch.setattr(SensorNode, "schedule_for", limited)
+        monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", recording)
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         cycle = DriveCycle(
             phases=[DriveCyclePhase(duration_s=60.0, start_kmh=80.0, end_kmh=130.0)],
             name="ramp-past-limit",
         )
-        emulator._prefill_energy_cache(cycle, idle_step_s=1.0)
-        assert all(
-            not (isinstance(key[0], int) and key[0] >= 200)
-            for key in emulator._energy_cache
-        ), "a bin past the feasibility limit was prefilled"
-        # The integration loop then raises at the first unsustainable round,
-        # exactly as without prefill.
+        # The stepwise loop raises at the first unsustainable round, exactly
+        # as the per-revolution reference does.
         with pytest.raises(ScheduleError):
-            emulator.emulate(cycle, prefill=True)
+            emulator.emulate(cycle)
+        assert swept
+        assert all(
+            not (isinstance(key[0], int) and key[0] >= 200) for key in swept
+        ), "a bin past the feasibility limit was swept"
+        with pytest.raises(ScheduleError):
+            naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
 
     def test_prefill_entries_match_miss_entries(self, node, database, scavenger):
-        """Prefilled values must be bitwise what the miss path computes."""
+        """Swept values must be bitwise what the miss path computes."""
         cycle = _hour_cycle()
-        prefilled = _thermal_emulator(node, database, scavenger)
-        prefilled._prefill_energy_cache(cycle, idle_step_s=1.0)
+        planned = _thermal_emulator(node, database, scavenger)
+        planned.emulate(cycle)
         scalar = _thermal_emulator(node, database, scavenger)
-        scalar.emulate(cycle, prefill=False)
-        shared = set(prefilled._energy_cache) & set(scalar._energy_cache)
-        assert shared, "no common cache keys between prefill and miss paths"
+        naive_emulate(scalar, cycle)
+        shared = set(planned._energy_cache) & set(scalar._energy_cache)
+        assert shared, "no common cache keys between the sweep and miss paths"
         for key in shared:
-            assert prefilled._energy_cache[key] == scalar._energy_cache[key], key
+            assert planned._energy_cache[key] == scalar._energy_cache[key], key
+
+    def test_infeasible_bin_center_matches_reference(
+        self, node, database, scavenger, monkeypatch
+    ):
+        """A bin whose center is infeasible falls back to exact keys, cold and warm."""
+        _limit_schedules(monkeypatch, 180.0)
+        cycle = constant_cruise(179.9, duration_s=20.0)  # bin center 180.0 fails
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        cold = emulator.emulate(cycle)
+        assert any(key[0] == ("exact", 179.9) for key in emulator._energy_cache)
+        warm = emulator.emulate(cycle)
+        reference = naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
+        _assert_byte_identical(cold, reference)
+        _assert_byte_identical(warm, reference)
+
+    def test_self_heating_out_of_range_raises_on_the_same_unit(
+        self, node, database, scavenger, monkeypatch
+    ):
+        standstill = _count_calls(monkeypatch, "_standstill_power")
+        hot = {"ambient_celsius": 150.0, "max_rise_c": 120.0, "time_constant_s": 30.0}
+        cycle = highway_cycle(duration_s=600.0)
+        with pytest.raises(ConfigurationError, match="outside the modelled range"):
+            _thermal_emulator(node, database, scavenger, **hot).emulate(cycle)
+        planned_calls = list(standstill)
+        standstill.clear()
+        with pytest.raises(ConfigurationError, match="outside the modelled range"):
+            naive_emulate(_thermal_emulator(node, database, scavenger, **hot), cycle)
+        assert len(planned_calls) > 1
+        assert planned_calls == standstill
 
 
 class TestArrayCoreByteIdentity:
-    """The array-based integration core: kernel path ≡ stepwise reference.
+    """The array-based integration core: kernel path ≡ stepwise loop ≡ reference.
 
     ``emulate()`` integrates through the pure ``storage.trajectory`` kernel
     whenever every per-round quantity is known up front, and falls back to
     the stepwise loop (same storage step primitives) otherwise.  Both paths
-    must produce byte-identical ``SampleLog`` output — the same contract the
-    prefill flag has always carried, extended to the integration core.
+    must produce the reference's ``SampleLog`` bytes.
     """
 
     def test_kernel_path_is_actually_taken(self, node, database, scavenger, monkeypatch):
-        import repro.core.emulator as emulator_module
-
         calls = []
         original = emulator_module.trajectory
 
@@ -192,75 +405,54 @@ class TestArrayCoreByteIdentity:
 
         monkeypatch.setattr(emulator_module, "trajectory", counting)
         _thermal_emulator(node, database, scavenger).emulate(_hour_cycle())
-        assert calls, "a fully prefilled cycle should integrate through the kernel"
+        assert calls, "a fully swept cycle should integrate through the kernel"
 
-    def test_forced_stepwise_loop_is_byte_identical(
-        self, node, database, scavenger, monkeypatch
-    ):
-        """Marking every round unresolved forces the stepwise reference loop."""
+    def test_forced_stepwise_loop_is_byte_identical(self, node, database, scavenger, monkeypatch):
+        """An empty sweep leaves every round unresolved: the stepwise loop runs."""
         cycle = _hour_cycle()
         kernel = _thermal_emulator(node, database, scavenger).emulate(cycle)
-
-        original = NodeEmulator._resolve_round_energies
-
-        def unresolved(self, units, is_round, temps):
-            energies, phase_lists, resolved = original(self, units, is_round, temps)
-            resolved[:] = False
-            return energies, [None] * len(phase_lists), resolved
-
-        monkeypatch.setattr(NodeEmulator, "_resolve_round_energies", unresolved)
+        reference = naive_emulate(_thermal_emulator(node, database, scavenger), cycle)
+        _unresolve_every_bin(monkeypatch)
+        scans = []
+        original = emulator_module.trajectory
+        monkeypatch.setattr(
+            emulator_module, "trajectory", lambda *a, **k: scans.append(1) or original(*a, **k)
+        )
         stepwise = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        ours, theirs = kernel.sample_arrays(), stepwise.sample_arrays()
-        for key in ours:
-            assert ours[key].tobytes() == theirs[key].tobytes(), key
-        assert kernel == stepwise
+        assert scans == [], "the stepwise loop should have run"
+        _assert_byte_identical(stepwise, kernel)
+        _assert_byte_identical(stepwise, reference)
 
-    def test_stepwise_trace_matches_kernel_trace(
-        self, node, database, scavenger, monkeypatch
-    ):
+    def test_stepwise_trace_matches_kernel_trace(self, node, database, scavenger, monkeypatch):
         cycle = urban_cycle(repetitions=1)
         window = (20.0, 24.0)
-        kernel = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window
+        kernel = _thermal_emulator(node, database, scavenger).emulate(cycle, trace_window=window)
+        reference = naive_emulate(
+            _thermal_emulator(node, database, scavenger), cycle, trace_window=window
         )
-        original = NodeEmulator._resolve_round_energies
-
-        def unresolved(self, units, is_round, temps):
-            energies, phase_lists, resolved = original(self, units, is_round, temps)
-            resolved[:] = False
-            return energies, [None] * len(phase_lists), resolved
-
-        monkeypatch.setattr(NodeEmulator, "_resolve_round_energies", unresolved)
+        _unresolve_every_bin(monkeypatch)
         stepwise = _thermal_emulator(node, database, scavenger).emulate(
             cycle, trace_window=window
         )
-        assert kernel.trace == stepwise.trace
+        assert kernel.trace == stepwise.trace == reference.trace
 
-    def test_storage_holds_the_final_charge(
-        self, node, database, scavenger, monkeypatch
-    ):
-        """Both integration paths leave the element at the same final charge."""
+    def test_storage_holds_the_final_charge(self, node, database, scavenger, monkeypatch):
+        """Both integration paths leave the element where the reference leaves it."""
         cycle = _hour_cycle()
         kernel_emulator = _thermal_emulator(node, database, scavenger)
         kernel_emulator.emulate(cycle)
         kernel_charge = kernel_emulator.storage.charge_j
         assert 0.0 <= kernel_charge <= kernel_emulator.storage.capacity_j
+        reference = _thermal_emulator(node, database, scavenger)
+        naive_emulate(reference, cycle)
+        assert reference.storage.charge_j == kernel_charge
 
-        original = NodeEmulator._resolve_round_energies
-
-        def unresolved(self, units, is_round, temps):
-            energies, phase_lists, resolved = original(self, units, is_round, temps)
-            resolved[:] = False
-            return energies, [None] * len(phase_lists), resolved
-
-        monkeypatch.setattr(NodeEmulator, "_resolve_round_energies", unresolved)
+        _unresolve_every_bin(monkeypatch)
         stepwise_emulator = _thermal_emulator(node, database, scavenger)
         stepwise_emulator.emulate(cycle)
         assert stepwise_emulator.storage.charge_j == kernel_charge
 
-    def test_harvest_rides_the_vectorized_sweep(
-        self, node, database, scavenger, monkeypatch
-    ):
+    def test_harvest_rides_the_vectorized_sweep(self, node, database, scavenger, monkeypatch):
         """emulate() calls energy_sweep_j once instead of N scalar calls."""
         from repro.scavenger.piezoelectric import PiezoelectricScavenger
 
@@ -278,49 +470,36 @@ class TestArrayCoreByteIdentity:
             return original_scalar(self, speed)
 
         monkeypatch.setattr(PiezoelectricScavenger, "energy_sweep_j", counting_sweep)
-        monkeypatch.setattr(
-            PiezoelectricScavenger, "energy_per_revolution_j", counting_scalar
+        monkeypatch.setattr(PiezoelectricScavenger, "energy_per_revolution_j", counting_scalar)
+        result = NodeEmulator(node, database, PiezoelectricScavenger(), supercapacitor()).emulate(
+            urban_cycle(repetitions=1)
         )
-        result = NodeEmulator(
-            node, database, PiezoelectricScavenger(), supercapacitor()
-        ).emulate(urban_cycle(repetitions=1))
         assert sweeps == [result.revolutions]
         assert scalars == []
 
 
 class TestEnergyCacheCap:
-    def test_cache_cap_eviction_clears_and_refills(
-        self, node, database, scavenger, monkeypatch
-    ):
+    def test_cache_cap_eviction_clears_and_refills(self, node, database, scavenger, monkeypatch):
         """Hitting the entry cap drops the cache, and emulation still works."""
-        import repro.core.emulator as emulator_module
-
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
+        _unresolve_every_bin(monkeypatch)  # every entry arrives as a miss
         emulator = _thermal_emulator(node, database, scavenger)
-        result = emulator.emulate(_hour_cycle(), prefill=False)
+        result = emulator.emulate(_hour_cycle())
         assert result.revolutions > 0
         assert len(emulator._energy_cache) <= 8
-        fresh = _thermal_emulator(node, database, scavenger).emulate(
-            _hour_cycle(), prefill=False
-        )
-        assert result == fresh
+        reference = naive_emulate(_thermal_emulator(node, database, scavenger), _hour_cycle())
+        _assert_byte_identical(result, reference)
 
-    def test_cap_applies_to_prefill_inserts(
-        self, node, database, scavenger, monkeypatch
-    ):
-        import repro.core.emulator as emulator_module
-
+    def test_cap_applies_to_prefill_inserts(self, node, database, scavenger, monkeypatch):
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
         emulator = _thermal_emulator(node, database, scavenger)
-        emulator._prefill_energy_cache(_hour_cycle(), idle_step_s=1.0)
+        capped = emulator.emulate(_hour_cycle())
         assert len(emulator._energy_cache) <= 8
+        # The sweep's gather does not depend on what the cap kept.
+        assert capped == emulator.emulate(_hour_cycle())
 
-    def test_capped_run_matches_uncapped_run(
-        self, node, database, scavenger, monkeypatch
-    ):
+    def test_capped_run_matches_uncapped_run(self, node, database, scavenger, monkeypatch):
         """Eviction is a perf knob only: results must not change."""
-        import repro.core.emulator as emulator_module
-
         cycle = _hour_cycle()
         uncapped = _thermal_emulator(node, database, scavenger).emulate(cycle)
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 4)

@@ -10,6 +10,7 @@ from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.core import emulator as emulator_module
 from repro.core import quantize
 from repro.core.emulator import NodeEmulator
+from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
 from repro.vehicle.drive_cycle import urban_cycle
 
 
@@ -99,12 +100,23 @@ class TestEmulatorBinSharing:
         """evaluate_energy_bins + seed_energy_cache == what a cold run caches."""
         donor, receiver = emulators
         cycle = urban_cycle(repetitions=1)
-        pending = donor._pending_energy_bins(cycle, idle_step_s=1.0)
+        # The bin set of the donor's cold run: what its one sweep evaluates.
+        pending = {}
+        sweep = donor.evaluate_energy_bins
+
+        def capture(bins):
+            pending.update(bins)
+            return sweep(bins)
+
+        donor.evaluate_energy_bins = capture
+        donor.emulate(cycle)
         assert pending
-        entries = donor.evaluate_energy_bins(pending)
+        entries = sweep(pending)
         accepted = receiver.seed_energy_cache(entries)
         assert accepted == len(entries)
 
+        # Per-miss reference: every wheel round through _revolution_energy,
+        # one cache miss at a time, on an emulator that never swept.
         cold = NodeEmulator(
             donor.node,
             donor.evaluator.source_database,
@@ -112,15 +124,23 @@ class TestEmulatorBinSharing:
             donor.storage,
             evaluator=donor.evaluator,
         )
-        cold_result = cold.emulate(cycle)
+        temperature = cold.base_point.temperature_c
+        rounds = [
+            unit
+            for unit in iter_wheel_rounds(cycle, cold.node.wheel)
+            if isinstance(unit, WheelRound)
+        ]
+        for unit in rounds:
+            cold._revolution_energy(unit, temperature)
         warm_result = receiver.emulate(cycle)
         # Different storage elements, same node/database: the cached demand
         # side is shared, the per-vehicle supply/storage integration is not —
-        # but every cached entry the cold run produced must equal the seeded
+        # but every entry the per-miss path produced must equal the seeded
         # one bit for bit.
+        assert set(cold._energy_cache) == set(entries)
         for key, value in entries.items():
             assert cold._energy_cache[key] == value
-        assert warm_result.revolutions == cold_result.revolutions
+        assert warm_result.revolutions == len(rounds)
 
     def test_evaluate_empty_pending(self, emulators):
         donor, _receiver = emulators
