@@ -5,7 +5,7 @@ tables per (architecture, workload, database) group, shares materialized
 drive cycles per (cycle, speed-scale) cohort, and routes the union of
 quantized (speed, temperature, phase-pattern) energy bins through ONE
 cross-vehicle sweep before emulation — so each vehicle reduces to pure
-array work (harvest sweep, then one batched ledger scan per chunk) instead
+array work (harvest sweep, load gather, run-length ledger scan) instead
 of a full cold ``NodeEmulator.emulate()``.
 
 This benchmark measures exactly that replacement on a 200-vehicle fleet
@@ -30,8 +30,10 @@ from repro.fleet import FleetSpec, FleetRunner
 from repro.scavenger.storage import scaled_storage
 from repro.scenario import ScenarioSpec
 
-#: Local acceptance bar (~12-14x measured with the chunk-batched ledger
-#: scan, ~8x before it, on a 2-CPU x86 box); shared CI runners are noisy, so
+#: Local acceptance bar (~12x measured with the run-length ledger scan,
+#: whose gain the naive emulate() loop shares; ~10x with the chunk-batched
+#: scan before it, ~8x before that, on a 2-CPU x86 box); shared CI runners
+#: are noisy, so
 #: workflows may lower the enforced floor via the environment while the
 #: measured number is still reported.
 REQUIRED_SPEEDUP = float(os.environ.get("FLEET_THROUGHPUT_FLOOR", "8.0"))
@@ -76,7 +78,7 @@ def test_fleet_beats_naive_per_vehicle_loop():
     naive_s = time.perf_counter() - start
 
     # Fleet path: shared evaluator group, cohort cycle tables, one
-    # cross-vehicle bin sweep, one batched ledger scan per chunk.  Sequential
+    # cross-vehicle bin sweep, then per vehicle its ledger scan.  Sequential
     # (workers=1) so the comparison is CPU-for-CPU, not parallelism.
     start = time.perf_counter()
     result = FleetRunner(fleet).run()

@@ -30,22 +30,22 @@ of that across the population:
 
 Each vehicle then reduces to its harvest sweep and load gather inside the
 engine's retried kernel (:func:`_cohort_vehicle_outcome`: everything that
-can fail), and each settled chunk's ledgers are replayed by one time-major
-:func:`~repro.scavenger.storage.batched_scan` before it is journaled or
-streamed (fewer than :data:`BATCHED_SCAN_MIN_VEHICLES` pending vehicles, and
-process-backend workers, scan per vehicle).  Per-vehicle figures are
-bit-identical to a naive ``emulate()`` of the same vehicle scenario (the
-throughput benchmark asserts it), so the aggregates are independent of
-chunking, worker counts and backends.
+can fail).  Once a chunk has settled, each of its vehicles' ledgers is
+replayed by :func:`~repro.scavenger.storage.trajectory` — the run-length
+scan ``emulate()`` uses, which advances event-free stretches with one numpy
+accumulate — before the chunk is journaled or streamed; process-backend
+workers scan in the worker and return finished outcomes.  Per-vehicle
+figures are bit-identical to a naive ``emulate()`` of the same vehicle
+scenario (the throughput benchmark asserts it), so the aggregates are
+independent of chunking, worker counts and backends.
 
 Cohorts the shared path cannot cover — a speed bin whose schedule cannot be
 built, or a thermal trajectory that leaves the modelled temperature range —
 fall back to the per-vehicle ``emulate()`` with the shared bins seeded into
 its cache, so error timing and results stay exactly the scalar path's.  The
 path every vehicle took is counted on the result metadata
-(``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons``, next
-to ``batched_scan_vehicles``), so a fast-path regression shows up as a
-counter, not as a silent slowdown.
+(``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons``), so
+a fast-path regression shows up as a counter, not as a silent slowdown.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ from repro.fleet.aggregate import (
 from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
 from repro.scavenger.storage import (
     StorageElement,
-    batched_scan,
     scaled_storage,
     trajectory,
 )
@@ -273,23 +272,13 @@ def _vehicle_row(
     return row
 
 
-#: Chunks with fewer pending fast-path vehicles than this scan each ledger
-#: on its own through :func:`~repro.scavenger.storage.trajectory`.  The
-#: batched scan costs ~20 us per time step whatever the vehicle count, the
-#: per-vehicle scan ~2.2 us per step and vehicle, so they cross near 8
-#: vehicles (900-step urban cycle, 2-CPU x86 box); both are bit-identical.
-BATCHED_SCAN_MIN_VEHICLES = 8
-
-
 @dataclass(slots=True)
 class _PendingScan:
     """One fast-path vehicle between its inputs phase and its ledger scan.
 
     Holds what :func:`_cohort_vehicle_outcome` built for the vehicle — its
     storage element (parameters only), harvest and load vectors — plus what
-    its row needs once the scan is done.  Finished either alone
-    (:func:`_finish_vehicle`) or with its chunk's other pending vehicles in
-    one :func:`~repro.scavenger.storage.batched_scan` (:func:`_finish_batch`).
+    its row needs once :func:`_finish_vehicle` has scanned the ledger.
     """
 
     vehicle_index: int
@@ -321,10 +310,10 @@ def _cohort_vehicle_outcome(
     for operation — harvest sweep, bin gather, load referral, the
     negative-energy checks — against the cohort's shared cycle table and the
     group's shared bin store.  The ledger scan and summary follow in
-    :func:`_finish_vehicle` or :func:`_finish_batch`, so the figures are
-    bit-identical to a naive per-vehicle ``emulate()`` (with the fleet's
-    thermal model, for thermal cohorts).  Everything that can fail runs
-    here, inside the engine's per-vehicle retry.
+    :func:`_finish_vehicle`, so the figures are bit-identical to a naive
+    per-vehicle ``emulate()`` (with the fleet's thermal model, for thermal
+    cohorts).  Everything that can fail runs here, inside the engine's
+    per-vehicle retry.
     """
     scavenger = spec.build_scavenger()
     storage = scaled_storage(spec.build_storage(), storage_scale)
@@ -363,32 +352,29 @@ def _cohort_vehicle_outcome(
     )
 
 
-def _scanned_outcome(
-    pending: _PendingScan,
-    banked: np.ndarray,
-    drawn: np.ndarray,
-    withdrew: np.ndarray,
-    active: np.ndarray,
-    brownouts: int,
-) -> dict[str, object]:
-    """A pending vehicle's summary, survival and row from its scanned ledger.
-
-    ``banked`` and ``drawn`` must be contiguous 1-D rows (see
-    :meth:`~repro.core.emulator.EmulationResult.record_totals`).
-    """
+def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
+    """Scan a pending vehicle's ledger; its summary, survival and row."""
     table = pending.table
     plan = table.plan
+    storage = pending.storage
+    # initial_charge_j=None replays the element's own (construction-time
+    # validated) initial charge — the per-call range check is skipped.
+    traj = trajectory(
+        storage,
+        pending.harvest,
+        pending.load,
+        plan.durations,
+        initially_active=not storage.is_depleted,
+    )
     result = EmulationResult(
         node_name=pending.node_name,
         cycle_name=table.cycle_name,
         duration_s=table.duration_s,
     )
-    result.record_totals(plan, pending.harvest, banked, drawn, withdrew, brownouts)
-
-    sample_active = active[plan.sample_units]
-    survival = _survival_from_samples(
-        plan.sample_times, sample_active, table.duration_s, pending.buckets
+    result.record_totals(
+        plan, pending.harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
     )
+    sample_active = traj.active[plan.sample_units]
     active_at_end = bool(sample_active[-1]) if sample_active.size else False
     return {
         "row": _vehicle_row(
@@ -399,103 +385,23 @@ def _scanned_outcome(
             result,
             active_at_end,
         ),
-        "survival": survival,
+        "survival": _survival_from_samples(
+            plan.sample_times, sample_active, table.duration_s, pending.buckets
+        ),
         "path": "cohort",
     }
 
 
-def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
-    """Scan one pending vehicle's ledger on its own (``reference_scan``)."""
-    storage = pending.storage
-    # initial_charge_j=None replays the element's own (construction-time
-    # validated) initial charge — the per-call range check is skipped.
-    traj = trajectory(
-        storage,
-        pending.harvest,
-        pending.load,
-        pending.table.plan.durations,
-        initially_active=not storage.is_depleted,
-    )
-    return _scanned_outcome(
-        pending, traj.banked_j, traj.drawn_j, traj.withdrew, traj.active, traj.brownout_events
-    )
+def _finish_chunk(results: list) -> list:
+    """Scan a settled chunk's pending vehicles, in place and in order.
 
-
-def _finish_batch(pendings: list[_PendingScan]) -> list[dict[str, object]]:
-    """Scan many pending vehicles' ledgers in ONE time-major ``batched_scan``.
-
-    Each vehicle is one column; cohorts of different lengths are end-padded
-    with zero harvest, load and leak steps, which change nothing in range.
-    The per-step inputs are hoisted with the exact expressions
-    :func:`~repro.scavenger.storage.trajectory` applies, elementwise, so each
-    column is bit-identical to that vehicle's own scan.
+    Failed items (``None``) and finished outcomes (fallback vehicles,
+    process workers) pass through untouched.
     """
-    width = len(pendings)
-    lengths = [len(pending.harvest) for pending in pendings]
-    steps = max(lengths)
-    harvest = np.zeros((steps, width))
-    load = np.zeros((steps, width))
-    durations = np.zeros((steps, width))
-    for column, pending in enumerate(pendings):
-        count = lengths[column]
-        harvest[:count, column] = pending.harvest
-        load[:count, column] = pending.load
-        durations[:count, column] = pending.table.plan.durations
-    storages = [pending.storage for pending in pendings]
-    charge_efficiency = np.array([storage.charge_efficiency for storage in storages])
-    discharge_efficiency = np.array([storage.discharge_efficiency for storage in storages])
-    self_discharge_w = np.array([storage.self_discharge_w for storage in storages])
-    (
-        _charge,
-        active,
-        banked,
-        drawn,
-        _attempted,
-        withdrew,
-        brownouts,
-        _final_charge,
-    ) = batched_scan(
-        harvest * charge_efficiency,
-        load / discharge_efficiency,
-        load,
-        self_discharge_w * durations,
-        np.array([storage.initial_charge_j for storage in storages]),
-        np.array([not storage.is_depleted for storage in storages]),
-        np.array([storage.capacity_j for storage in storages]),
-        np.array([storage.restart_level_j for storage in storages]),
-    )
-    # Vehicle-major copies, so every vehicle's flows are contiguous rows.
-    banked_rows = np.ascontiguousarray(banked.T)
-    drawn_rows = np.ascontiguousarray(drawn.T)
-    return [
-        _scanned_outcome(
-            pending,
-            banked_rows[column, : lengths[column]],
-            drawn_rows[column, : lengths[column]],
-            withdrew[: lengths[column], column],
-            active[: lengths[column], column],
-            brownouts[column],
-        )
-        for column, pending in enumerate(pendings)
-    ]
-
-
-def _finish_chunk(results: list) -> int:
-    """Finish a settled chunk's pending vehicles in place.
-
-    Returns how many went through the batched scan.  Failed items (``None``)
-    and finished outcomes (fallback vehicles, process workers) pass through
-    untouched.
-    """
-    slots = [slot for slot, value in enumerate(results) if isinstance(value, _PendingScan)]
-    if len(slots) < BATCHED_SCAN_MIN_VEHICLES:
-        for slot in slots:
-            results[slot] = _finish_vehicle(results[slot])
-        return 0
-    outcomes = _finish_batch([results[slot] for slot in slots])
-    for slot, outcome in zip(slots, outcomes):
-        results[slot] = outcome
-    return len(slots)
+    for slot, value in enumerate(results):
+        if isinstance(value, _PendingScan):
+            results[slot] = _finish_vehicle(value)
+    return results
 
 
 def _emulate_vehicle_outcome(
@@ -605,8 +511,8 @@ def _process_vehicle(payload) -> dict[str, object]:
     table = _SHARED_TABLES.get(cohort_key)
     bins = _SHARED_BINS.get(group_key, {})
     if table is not None and not table.fallback and not force_fallback:
-        # Workers return finished outcomes: the ledger is scanned here, per
-        # vehicle, rather than shipped back for the parent's batched scan.
+        # Workers return finished outcomes: the ledger is scanned here rather
+        # than shipped back to the parent with the vehicle's inputs.
         return _finish_vehicle(
             _cohort_vehicle_outcome(
                 vehicle_index,
@@ -927,8 +833,8 @@ class FleetRunner:
             node, database, evaluator = groups[gkey]
             table = tables[_cohort_key(vehicle, thermal)]
             if not table.fallback and not force_fallback:
-                # The inputs phase only: the ledger scan runs per chunk, in
-                # finish() below, once every vehicle of the chunk settled.
+                # The inputs phase only: the ledger scans run once the chunk
+                # has settled, in _finish_chunk (the engine's finish step).
                 return _cohort_vehicle_outcome(
                     vehicle.index,
                     spec,
@@ -1007,12 +913,6 @@ class FleetRunner:
                 path_counts["untagged"] += 1
             accumulator.add(outcome)
 
-        batched_vehicles = [0]
-
-        def finish(results: list) -> list:
-            batched_vehicles[0] += _finish_chunk(results)
-            return results
-
         try:
             report = self._engine.run_chunks(
                 fleet.iter_chunks(),
@@ -1024,7 +924,7 @@ class FleetRunner:
                 process_payload=payload,
                 progress=self.progress,
                 should_stop=self.should_stop,
-                finish=finish,
+                finish=_finish_chunk,
             )
         finally:
             if self.backend == "process":
@@ -1054,7 +954,6 @@ class FleetRunner:
                 reason: fallback_reasons[reason] for reason in sorted(fallback_reasons)
             },
             "force_fallback": force_fallback,
-            "batched_scan_vehicles": batched_vehicles[0],
             "thermal": thermal_document,
             "shared_energy_bins": shared_bin_count,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,

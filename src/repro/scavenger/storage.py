@@ -6,6 +6,14 @@ a supercapacitor or a thin-film rechargeable cell — sits between them.  The
 long-window emulation charges and discharges this element and declares the
 node inactive whenever the state of charge falls below the operating
 threshold, which is exactly how the paper identifies operating windows.
+
+The ledger replay over a whole drive cycle is :func:`trajectory`.  It runs
+:func:`run_length_scan`, which advances event-free stretches of the ledger
+(free, pinned at the capacity, browned out) with one numpy accumulate each
+and steps the rare events through :func:`reference_scan`, the per-step
+recurrence; both are bitwise identical to stepping a
+:class:`StorageElement`.  ``emulate()`` and every fleet vehicle, on any
+execution backend, go through this one scan.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ from repro.errors import ConfigurationError, EmulationError
 #
 # The charge/discharge/leak arithmetic is defined ONCE here and shared by
 # three consumers: the mutating :class:`StorageElement` methods (the scalar,
-# authoritative reference), the pure :func:`trajectory` kernel, and the
-# emulator's array-based integration loop.  Keeping them single-sourced is
+# authoritative reference), :func:`reference_scan` behind the pure
+# :func:`trajectory` kernel, and the emulator's stepwise integration loop;
+# :func:`run_length_scan` applies the same comparisons and operations
+# elementwise over whole stretches.  Keeping them single-sourced is
 # what makes the emulator's byte-identity contract cheap to maintain — a
 # change to the ledger semantics cannot desynchronize the paths.
 # ---------------------------------------------------------------------------
@@ -334,98 +344,166 @@ def reference_scan(
     )
 
 
-def batched_scan(
+#: First speculative window of a run, in steps; it doubles (up to four
+#: times this, which keeps a window's arrays in cache) while whole windows
+#: commit, and starts over after a break.
+_WINDOW = 1024
+#: A window committing fewer steps than this did more numpy work than
+#: stepping them would have; two in a row mark an event-dense stretch.
+_SHORT_RUN = 16
+#: Steps an event-dense stretch hands to :func:`reference_scan` at once.
+_DENSE_STEPS = 256
+
+
+def _first_failure(ok) -> int:
+    """Length of the valid prefix of a window's ``ok`` mask."""
+    index = int(np.argmin(ok))
+    return len(ok) if ok[index] else index
+
+
+def run_length_scan(
     stored,
     required,
     load,
     leak_amounts,
     charge,
-    active,
-    capacity,
-    restart,
+    active: bool,
+    capacity: float,
+    restart: float,
 ):
-    """:func:`reference_scan` over V independent ledgers at once, time-major.
+    """:func:`reference_scan`'s recurrence, advanced by stretches.
 
-    ``stored``, ``required``, ``load`` and ``leak_amounts`` are ``(steps, V)``
-    arrays (column ``v`` is ledger ``v``'s hoisted per-step inputs);
-    ``charge``, ``active``, ``capacity`` and ``restart`` are ``(V,)``.  One
-    loop over the steps applies the step primitives' exact comparisons and
-    arithmetic elementwise across the ledgers, so every column is bitwise
-    identical to :func:`reference_scan` of that column (property-tested).
-    ``min(a, b)`` is spelled ``where(b < a, b, a)``: Python's tie rule, which
-    keeps the sign of a zero exactly as the scalar step does.
+    Ledger *events* — a deposit clipped at the capacity that does not land
+    on it exactly, a failed withdrawal, a leak clipped at the charge, a
+    restart — are rare or clustered, and between them the recurrence has a
+    closed form per regime:
 
-    Ledgers of different lengths are end-padded with zero ``stored``,
-    ``required``, ``load`` and ``leak_amounts`` steps: such a step leaves the
-    charge unchanged and cannot brown out, so a column's in-range outputs —
-    and its charge — are those of its unpadded scan.  Read a padded
-    ledger's final charge at its own last step.
+    * **free** (active, nothing clipped): the charge is a running sum, ONE
+      ``np.add.accumulate`` over the interleaved ``[c, s0, -r0, -l0, s1,
+      ...]``.  ``accumulate`` adds in sequence and ``x - y`` is ``x + (-y)``
+      in IEEE 754, so every partial sum is bitwise the scalar step's;
+    * **pinned** (active, every deposit clipped at the capacity): once
+      ``pre + (cap - pre) == cap`` is checked the deposit lands exactly on
+      the capacity, so each step's charge is ``(cap - r) - l`` on its own;
+    * **browned out** (inactive below the restart level): an accumulate of
+      ``[c, s, -l]``, until the charge reaches the restart level.
 
-    Returns ``(charge_out, active_out, banked_out, drawn_out, attempted,
-    withdrew, brownout_events, final_charge)``: ``(steps, V)`` arrays, then
-    two ``(V,)`` arrays.
+    Each stretch is computed speculatively over a window, checked
+    elementwise against the exact comparisons of the step primitives, and
+    only its valid prefix is committed.  An event steps through
+    :func:`reference_scan` on a one-step slice; after two short windows in
+    a row the next :data:`_DENSE_STEPS` steps go to :func:`reference_scan`
+    whole, so event-dense ledgers cost about what the plain loop costs.
+    The outputs are bitwise those of :func:`reference_scan`
+    (property-tested) for a positive capacity, as every
+    :class:`StorageElement` has, with the same signature and return tuple.
     """
-    stored = np.asarray(stored, dtype=float)
-    if stored.ndim != 2:
-        raise EmulationError("batched_scan inputs must be (steps, ledgers) arrays")
-    steps, width = stored.shape
-    required = np.asarray(required, dtype=float)
-    load = np.asarray(load, dtype=float)
-    leak_amounts = np.asarray(leak_amounts, dtype=float)
-    charge = np.array(charge, dtype=float).reshape(width)
-    active = np.array(active, dtype=bool).reshape(width)
-    capacity = np.broadcast_to(np.asarray(capacity, dtype=float), (width,))
-    restart = np.broadcast_to(np.asarray(restart, dtype=float), (width,))
-    charge_out = np.empty((steps, width))
-    active_out = np.empty((steps, width), dtype=bool)
-    banked_out = np.empty((steps, width))
-    drawn_out = np.zeros((steps, width))
-    attempted = np.empty((steps, width), dtype=bool)
-    withdrew = np.empty((steps, width), dtype=bool)
-    brownouts = np.zeros(width, dtype=np.int64)
-    headroom = np.empty(width)
-    loss = np.empty(width)
-    mask = np.empty(width, dtype=bool)
-    failed = np.empty(width, dtype=bool)
-    for i in range(steps):
-        # Restart hysteresis: a browned-out ledger restarts at the threshold.
-        np.greater_equal(charge, restart, out=mask)
-        active |= mask
-        # deposit_step: banked = min(stored, capacity - charge).
-        banked = banked_out[i]
-        np.subtract(capacity, charge, out=headroom)
-        np.less(headroom, stored[i], out=mask)
-        np.copyto(banked, stored[i])
-        np.copyto(banked, headroom, where=mask)
-        charge += banked
-        # withdraw_step on the active ledgers: a shortfall drains to zero.
-        attempted[i] = active
-        np.greater(required[i], charge, out=failed)
-        failed &= active
-        ok = withdrew[i]
-        np.not_equal(active, failed, out=ok)
-        np.subtract(charge, required[i], out=charge, where=ok)
-        np.copyto(charge, 0.0, where=failed)
-        np.copyto(drawn_out[i], load[i], where=ok)
-        brownouts += failed
-        np.copyto(active, ok)
-        # leak_step: loss = min(charge, leak).
-        np.less(leak_amounts[i], charge, out=mask)
-        np.copyto(loss, charge)
-        np.copyto(loss, leak_amounts[i], where=mask)
-        charge -= loss
-        charge_out[i] = charge
-        active_out[i] = active
-    return (
-        charge_out,
-        active_out,
-        banked_out,
-        drawn_out,
-        attempted,
-        withdrew,
-        brownouts,
-        charge,
+    # Contiguous copies first: numpy 2.4.6's AVX-512 loops misread a
+    # strided input written into a strided output -- np.negative(col,
+    # out=buf[::2]) on a column of an (n, 8) float array (64-byte stride)
+    # reads the column as if it were contiguous -- and the interleaving
+    # below writes into strided outputs.
+    stored, required, load, leak_amounts = (
+        np.ascontiguousarray(values, dtype=float)
+        for values in (stored, required, load, leak_amounts)
     )
+    count = len(stored)
+    charge_out, banked_out, drawn_out = np.empty(count), np.empty(count), np.zeros(count)
+    active_out, attempted, withdrew = (np.zeros(count, dtype=bool) for _ in range(3))
+    outputs = (charge_out, active_out, banked_out, drawn_out, attempted, withdrew)
+    brownouts = 0
+    window = _WINDOW
+    short_before = False
+    i = 0
+    while i < count:
+        if not active and charge >= restart:
+            active = True
+        stop = min(i + window, count)
+        s = stored[i:stop]
+        leak = leak_amounts[i:stop]
+        if not active:
+            # Browned out: accumulate [c, s0, -l0, s1, ...] below the restart level.
+            x = np.empty(2 * len(s) + 1)
+            x[0] = charge
+            x[1::2] = s
+            np.negative(leak, out=x[2::2])
+            np.add.accumulate(x, out=x)
+            before = x[0:-1:2]
+            ok = before < restart
+            ok &= capacity - before >= s
+            ok &= leak < x[1::2]
+            run = _first_failure(ok)
+            after = x[2::2]
+            banked_out[i : i + run] = s[:run]
+        elif capacity - charge < s[0]:
+            # Pinned: every deposit clipped onto the capacity exactly.
+            r = required[i:stop]
+            drained = capacity - r
+            after = drained - leak
+            before = np.empty(len(s))
+            before[0] = charge
+            before[1:] = after[:-1]
+            headroom = capacity - before
+            ok = headroom < s
+            ok &= before + headroom == capacity
+            ok &= r <= capacity
+            ok &= leak < drained
+            run = _first_failure(ok)
+            banked_out[i : i + run] = headroom[:run]
+        else:
+            # Free: accumulate [c, s0, -r0, -l0, s1, ...], nothing clipped.
+            r = required[i:stop]
+            x = np.empty(3 * len(s) + 1)
+            x[0] = charge
+            x[1::3] = s
+            np.negative(r, out=x[2::3])
+            np.negative(leak, out=x[3::3])
+            np.add.accumulate(x, out=x)
+            ok = capacity - x[0:-1:3] >= s
+            ok &= r <= x[1::3]
+            ok &= leak < x[2::3]
+            run = _first_failure(ok)
+            after = x[3::3]
+            banked_out[i : i + run] = s[:run]
+        if run:
+            end = i + run
+            charge_out[i:end] = after[:run]
+            charge = after[run - 1]
+            if active:
+                active_out[i:end] = True
+                attempted[i:end] = True
+                withdrew[i:end] = True
+                drawn_out[i:end] = load[i:end]
+            i = end
+        if run == len(s):
+            window = min(2 * window, 4 * _WINDOW)
+            continue
+        window = _WINDOW
+        short = run < _SHORT_RUN
+        if short and short_before:
+            span = _DENSE_STEPS
+            # Probe for the end of the dense stretch with a small window.
+            window = _SHORT_RUN
+        elif run == 0:
+            span = 1
+        else:
+            span = 0
+        short_before = short
+        if span:
+            end = min(i + span, count)
+            *stepped, events, charge = reference_scan(
+                *(values[i:end] for values in (stored, required, load, leak_amounts)),
+                charge,
+                active,
+                capacity,
+                restart,
+            )
+            for output, values in zip(outputs, stepped):
+                output[i:end] = values
+            brownouts += events
+            active = bool(active_out[end - 1])
+            i = end
+    return (*outputs, brownouts, charge)
 
 
 def trajectory(
@@ -447,9 +525,10 @@ def trajectory(
     nothing.  ``storage`` provides the parameters only — its state is
     neither read (beyond defaults) nor mutated.
 
-    The per-step efficiencies, leakage and clipping are applied through the
-    same module-level step primitives the mutating methods use, in the same
-    operation order, so the trajectory is bitwise identical to the scalar
+    The per-step efficiencies are hoisted with the exact expressions the
+    mutating methods apply, and the ledger is replayed by
+    :func:`run_length_scan`, whose outputs are those of the step primitives
+    applied in order, so the trajectory is bitwise identical to the scalar
     replay (property-tested).
 
     Args:
@@ -477,11 +556,11 @@ def trajectory(
     leak = np.broadcast_to(np.asarray(leak_s, dtype=float), (count,))
     if len(load) != count:
         raise EmulationError("harvest and load arrays must have the same length")
-    if np.any(harvest < 0.0):
+    if (harvest < 0.0).any():
         raise EmulationError("cannot deposit negative energy")
-    if np.any(load < 0.0):
+    if (load < 0.0).any():
         raise EmulationError("cannot withdraw negative energy")
-    if np.any(leak < 0.0):
+    if (leak < 0.0).any():
         raise EmulationError("duration must be non-negative")
 
     if initial_charge_j is None:
@@ -516,7 +595,9 @@ def trajectory(
         withdrew,
         brownouts,
         final_charge,
-    ) = reference_scan(stored, required, load, leak_amounts, charge, active, capacity, restart)
+    ) = run_length_scan(
+        stored, required, load, leak_amounts, charge, active, capacity, restart
+    )
     return StorageTrajectory(
         charge_j=charge_out,
         active=active_out,

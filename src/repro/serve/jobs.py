@@ -93,7 +93,6 @@ _FLEET_METADATA_DROP = frozenset(
         "retries",
         "pool_rebuilds",
         "checkpoint",
-        "batched_scan_vehicles",
     }
 )
 

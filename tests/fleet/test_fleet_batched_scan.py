@@ -1,11 +1,11 @@
-"""The chunk-batched ledger scan: fleet rows stay bit-identical to emulate().
+"""Chunk-finished ledger scans: fleet rows stay bit-identical to emulate().
 
 Fast-path vehicles build their ledger inputs inside the engine's per-vehicle
-kernel; once a chunk's vehicles have settled, their ledgers are scanned
-together by one ``batched_scan`` (or one by one, below
-``BATCHED_SCAN_MIN_VEHICLES``).  Whichever way a chunk goes, on whatever
-chunking, worker count or resume history, every row must equal a naive
-per-vehicle ``emulate()`` bit for bit.
+kernel; once a chunk's vehicles have settled, each ledger is scanned by the
+run-length scan behind ``trajectory()`` (process workers scan in the
+worker).  On whatever chunking, worker count or drive-cycle mix (cohorts
+of different lengths), and with a failed vehicle in the chunk, every row
+must equal a naive per-vehicle ``emulate()`` bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ VEHICLES = 20
 
 
 def _constant_fleet(chunk: int) -> FleetSpec:
-    """Urban and cruise vehicles (cohorts of different lengths: ragged padding)."""
+    """Urban and cruise vehicles: cohorts of different ledger lengths."""
     base = ScenarioSpec(
         name="batched",
         drive_cycle={"name": "urban", "params": {"repetitions": 1}},
@@ -116,13 +116,6 @@ def naive():
     }
 
 
-def _expected_batched(chunk: int) -> int:
-    """Vehicles in chunks at or above the crossover (all fast-path here)."""
-    full, rest = divmod(VEHICLES, chunk)
-    sizes = [chunk] * full + ([rest] if rest else [])
-    return sum(size for size in sizes if size >= fleet_runner.BATCHED_SCAN_MIN_VEHICLES)
-
-
 class TestRowsEqualNaiveEmulate:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", CHUNKS)
@@ -131,7 +124,6 @@ class TestRowsEqualNaiveEmulate:
         result = FleetRunner(FLEETS[kind](chunk), workers=workers).run()
         metadata = result.metadata
         assert metadata["fast_path_vehicles"] == VEHICLES
-        assert metadata["batched_scan_vehicles"] == _expected_batched(chunk)
         rows = result.vehicle_rows
         assert len(rows) == len(naive[(kind, chunk)])
         for row, summary in zip(rows, naive[(kind, chunk)]):
@@ -141,41 +133,6 @@ class TestRowsEqualNaiveEmulate:
     def test_the_constant_fleet_is_ragged(self):
         cycles = {vehicle.scenario.drive_cycle.name for vehicle in _constant_fleet(8).materialize()}
         assert cycles == {"urban", "constant"}
-
-    def test_batched_and_per_vehicle_scans_agree(self, monkeypatch):
-        batched = FleetRunner(_constant_fleet(64)).run()
-        monkeypatch.setattr(fleet_runner, "BATCHED_SCAN_MIN_VEHICLES", VEHICLES + 1)
-        single = FleetRunner(_constant_fleet(64)).run()
-        assert batched.metadata["batched_scan_vehicles"] == VEHICLES
-        assert single.metadata["batched_scan_vehicles"] == 0
-        assert batched.vehicle_rows == single.vehicle_rows
-        assert batched.survival == single.survival
-        assert batched.summary == single.summary
-
-
-class TestResumeAcrossTheCrossover:
-    def test_unbatched_journal_resumes_under_batching(self, tmp_path, monkeypatch):
-        fresh = FleetRunner(_constant_fleet(8)).run()
-        assert fresh.metadata["batched_scan_vehicles"] == 16
-
-        ckpt = str(tmp_path / "ckpt")
-        with monkeypatch.context() as patch:
-            # Batching off: the first chunk is journaled from per-vehicle scans.
-            patch.setattr(fleet_runner, "BATCHED_SCAN_MIN_VEHICLES", VEHICLES + 1)
-            partial = FleetRunner(_constant_fleet(8), checkpoint=ckpt, max_chunks=1).run()
-        assert partial.metadata["partial"] is True
-        assert partial.metadata["batched_scan_vehicles"] == 0
-
-        resumed = FleetRunner(_constant_fleet(8), checkpoint=ckpt).run()
-        assert resumed.metadata["resumed_chunks"] == 1
-        assert resumed.metadata["batched_scan_vehicles"] == 8
-        for result, stem in ((fresh, "fresh"), (resumed, "resumed")):
-            result.to_json(tmp_path / f"{stem}.json")
-            result.survival_to_csv(tmp_path / f"{stem}-survival.csv")
-            result.vehicles_to_csv(tmp_path / f"{stem}-vehicles.csv")
-        for suffix in (".json", "-survival.csv", "-vehicles.csv"):
-            fresh_bytes = (tmp_path / f"fresh{suffix}").read_bytes()
-            assert (tmp_path / f"resumed{suffix}").read_bytes() == fresh_bytes
 
 
 class TestFailuresInsideBatchedChunks:
@@ -191,8 +148,5 @@ class TestFailuresInsideBatchedChunks:
         monkeypatch.setattr(fleet_runner, "_cohort_vehicle_outcome", flaky)
         result = FleetRunner(_constant_fleet(8), retries=1, retry_backoff_s=0.0).run()
         assert [failure["index"] for failure in result.metadata["failures"]] == [2]
-        # Seven pending vehicles are left in the first chunk: below the
-        # crossover, so they scan one by one; the second chunk batches.
-        assert result.metadata["batched_scan_vehicles"] == 8
         expected = [row for row in reference.vehicle_rows if row["vehicle"] != 2]
         assert result.vehicle_rows == expected

@@ -7,21 +7,26 @@ replay it bit for bit.  Properties covered: the charge never leaves
 exact complement), ``withdraw`` is atomic (full success, or a drain-to-zero
 brown-out — never a partial withdrawal that reports success), the
 trajectory kernel equals a step-by-step scalar replay including the restart
-hysteresis, and the time-major ``batched_scan`` equals ``reference_scan``
-column by column, end padding included.
+hysteresis, and the run-length scan behind the kernel equals
+``reference_scan`` and the stepped element on long, regime-rich ledgers.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.scavenger.storage as storage_module
 from repro.scavenger.storage import (
     StorageElement,
-    batched_scan,
+    deposit_step,
+    leak_step,
     reference_scan,
+    run_length_scan,
     trajectory,
+    withdraw_step,
 )
 
 energies = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -198,166 +203,305 @@ class TestTrajectoryEqualsScalarReplay:
 
 
 # ---------------------------------------------------------------------------
-# batched_scan: V ledgers at once == reference_scan per ledger, bit for bit.
+# run_length_scan == reference_scan == the stepped element, bit for bit, on
+# ledgers built from runs of the regimes the scan advances by stretches.
 # ---------------------------------------------------------------------------
 
-_step_amounts = st.floats(min_value=0.0, max_value=0.2, allow_nan=False)
+STRETCHES = ("free", "pinned", "browned-out", "drained", "restart")
 
-# One ledger: its own length, per-step inputs and (V,)-parameters.  Initial
-# fractions include 0 and 1 (empty, and full: zero headroom), thresholds and
-# requirements are sized so brown-outs and restarts both happen.
-_ledgers = st.integers(min_value=0, max_value=30).flatmap(
-    lambda count: st.fixed_dictionaries(
-        {
-            "stored": st.lists(_step_amounts, min_size=count, max_size=count),
-            "required": st.lists(_step_amounts, min_size=count, max_size=count),
-            "load": st.lists(_step_amounts, min_size=count, max_size=count),
-            "leak": st.lists(
-                st.floats(min_value=0.0, max_value=0.02, allow_nan=False),
-                min_size=count,
-                max_size=count,
-            ),
-            "capacity": st.sampled_from([0.05, 0.1, 0.25, 0.5]),
-            "initial": st.one_of(
-                st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0)
-            ),
-            "restart": st.floats(min_value=0.0, max_value=1.0),
-            "active": st.booleans(),
-        }
+
+def _build_ledger(storage, stretches, rng, negative_zero):
+    """Per-step harvest, load and leak durations realizing ``stretches``.
+
+    Each step's amounts are chosen against the ledger state a scalar model
+    (the step primitives) tracks while building, so every stretch lands in
+    its regime: free steps, deposits clipped at the capacity, brown-outs
+    and recovery below the restart level, a drained element whose leak is
+    clipped on every step, and a deposit of exactly the restart level onto
+    an empty element.  Ties are planted on purpose: ``headroom == stored``,
+    ``leak == charge`` and ``-0.0`` harvest (exact when the efficiencies
+    and the self-discharge power are 1).
+    """
+    cap = storage.capacity_j
+    restart = storage.restart_level_j
+    charge_eff = storage.charge_efficiency
+    discharge_eff = storage.discharge_efficiency
+    leak_w = storage.self_discharge_w
+    charge = storage.initial_charge_j
+    active = charge >= storage.minimum_operating_j
+    harvest, load, durations = [], [], []
+    for kind, length in stretches:
+        for step in range(length):
+            headroom = cap - charge
+            leak = 1e-6 * cap * rng.random()
+            if kind == "free":
+                stored = min(0.002 * cap * rng.random(), headroom)
+                if rng.random() < 0.05:
+                    stored = headroom
+                required = (charge + stored) * rng.random() * 0.01
+                if rng.random() < 0.02:  # drained exactly, or short
+                    required = (charge + stored) * rng.choice([1.0, 1.5])
+            elif kind == "pinned":
+                stored = headroom + 0.05 * cap * rng.random()
+                required = 0.01 * cap * rng.random()
+                if rng.random() < 0.02:  # drained to zero from the capacity
+                    required = cap
+            elif kind == "browned-out":
+                stored = 1e-4 * cap * rng.random()
+                required = 2.0 * cap if step == 0 else 0.01 * cap * rng.random()
+            elif kind == "drained":
+                stored = 1e-6 * cap * rng.random()
+                required = 2.0 * cap
+                leak = stored + 1e-6 * cap * rng.random()
+                if rng.random() < 0.3:
+                    leak = charge + stored
+            else:  # restart: drain to exactly zero, deposit the restart level
+                stored = (0.0, restart)[step] if step < 2 else 0.001 * cap * rng.random()
+                required = 2.0 * cap if step == 0 else 0.001 * cap * rng.random()
+                leak = 0.0 if step == 1 else leak
+            if step == 0 and kind == "restart":
+                leak = cap  # clipped at the charge: the element empties
+            if negative_zero and stored == 0.0:
+                stored = -0.0
+            harvest_j = stored / charge_eff if charge_eff != 1.0 else stored
+            load_j = required * discharge_eff if discharge_eff != 1.0 else required
+            duration = leak / leak_w if leak_w != 1.0 else leak
+            harvest.append(harvest_j)
+            load.append(load_j)
+            durations.append(duration)
+            # Advance the model on the hoisted amounts the kernel will see.
+            if not active and charge >= restart:
+                active = True
+            charge, _banked = deposit_step(charge, harvest_j * charge_eff, cap)
+            if active:
+                charge, active = withdraw_step(charge, load_j / discharge_eff)
+            charge, _loss = leak_step(charge, leak_w * duration)
+    return np.array(harvest), np.array(load), np.array(durations)
+
+
+@st.composite
+def regime_ledgers(draw, max_length=400):
+    # Arbitrary capacities too: a clip from a low charge then misses the
+    # capacity by an ulp now and again (pre + (cap - pre) != cap).
+    capacity = draw(st.sampled_from([0.05, 0.25, 1.0]) | st.floats(0.01, 3.0))
+    restart = capacity * draw(st.sampled_from([0.0, 0.1, 0.4]) | st.floats(0.0, 1.0))
+    unit = draw(st.booleans())
+    storage = StorageElement(
+        capacity_j=capacity,
+        initial_charge_j=capacity
+        * draw(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)),
+        charge_efficiency=1.0 if unit else 0.95,
+        discharge_efficiency=1.0 if unit else 0.9,
+        self_discharge_w=1.0 if unit else 0.8e-6,
+        minimum_operating_j=restart * draw(st.sampled_from([0.0, 0.5, 1.0])),
+        restart_level_j=restart,
     )
-)
-
-
-def _ledger(stored, required, load, leak, capacity=0.1, initial=0.5, restart=0.5, active=True):
-    """One hand-written ledger in the strategy's shape (fractions of capacity)."""
-    return {
-        "stored": stored,
-        "required": required,
-        "load": load,
-        "leak": leak,
-        "capacity": capacity,
-        "initial": initial,
-        "restart": restart,
-        "active": active,
-    }
-
-
-def _padded(ledgers, key):
-    steps = max((len(ledger[key]) for ledger in ledgers), default=0)
-    table = np.zeros((steps, len(ledgers)))
-    for column, ledger in enumerate(ledgers):
-        table[: len(ledger[key]), column] = ledger[key]
-    return table
+    stretches = draw(
+        st.lists(
+            st.tuples(st.sampled_from(STRETCHES), st.integers(1, max_length)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    harvest, load, durations = _build_ledger(storage, stretches, rng, draw(st.booleans()))
+    return storage, harvest, load, durations, draw(st.none() | st.booleans())
 
 
 def _bits(value) -> bytes:
     return np.ascontiguousarray(value).tobytes()
 
 
-def assert_batched_equals_reference(ledgers):
-    charge = np.array([ledger["capacity"] * ledger["initial"] for ledger in ledgers])
-    capacity = np.array([ledger["capacity"] for ledger in ledgers])
-    restart = np.array([ledger["capacity"] * ledger["restart"] for ledger in ledgers])
-    active = np.array([ledger["active"] for ledger in ledgers])
-    outputs = batched_scan(
-        _padded(ledgers, "stored"),
-        _padded(ledgers, "required"),
-        _padded(ledgers, "load"),
-        _padded(ledgers, "leak"),
-        charge,
-        active,
-        capacity,
-        restart,
+def _element_replay(storage, harvest, load, durations, initially_active):
+    """The 8 scan outputs from stepping a fresh copy of the element."""
+    element = StorageElement(
+        capacity_j=storage.capacity_j,
+        initial_charge_j=storage.initial_charge_j,
+        charge_efficiency=storage.charge_efficiency,
+        discharge_efficiency=storage.discharge_efficiency,
+        self_discharge_w=storage.self_discharge_w,
+        minimum_operating_j=storage.minimum_operating_j,
+        restart_level_j=storage.restart_level_j,
     )
-    brownouts, final_charge = outputs[6], outputs[7]
-    assert brownouts.shape == final_charge.shape == (len(ledgers),)
-    for column, ledger in enumerate(ledgers):
-        count = len(ledger["stored"])
-        reference = reference_scan(
-            np.array(ledger["stored"], dtype=float),
-            np.array(ledger["required"], dtype=float),
-            np.array(ledger["load"], dtype=float),
-            np.array(ledger["leak"], dtype=float),
-            float(charge[column]),
-            bool(active[column]),
-            float(capacity[column]),
-            float(restart[column]),
-        )
-        for batched, expected in zip(outputs[:6], reference[:6]):
-            assert _bits(batched[:count, column]) == _bits(expected)
-        assert int(brownouts[column]) == reference[6]
-        # The final charge read at the ledger's own last step, and — padding
-        # being a no-op on the charge — at the end of the padded window.
-        own_final = outputs[0][count - 1, column] if count else charge[column]
-        assert _bits(own_final) == _bits(reference[7])
-        assert _bits(final_charge[column]) == _bits(reference[7])
+    count = len(harvest)
+    outputs = (
+        np.empty(count),
+        np.empty(count, dtype=bool),
+        np.empty(count),
+        np.zeros(count),
+        np.zeros(count, dtype=bool),
+        np.zeros(count, dtype=bool),
+    )
+    charge_out, active_out, banked_out, drawn_out, attempted, withdrew = outputs
+    active = not element.is_depleted if initially_active is None else initially_active
+    brownouts = 0
+    for i in range(count):
+        if not active and element.can_restart:
+            active = True
+        banked_out[i] = element.deposit(harvest[i])
+        if active:
+            attempted[i] = True
+            if element.withdraw(load[i]):
+                withdrew[i] = True
+                drawn_out[i] = load[i]
+            else:
+                active = False
+                brownouts += 1
+        element.leak(durations[i])
+        charge_out[i] = element.charge_j
+        active_out[i] = active
+    return (*outputs, brownouts, element.charge_j)
 
 
-class TestBatchedScanEqualsReference:
-    @given(ledgers=st.lists(_ledgers, min_size=1, max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_ragged_mixed_ledgers_match_reference_scan(self, ledgers):
-        assert_batched_equals_reference(ledgers)
+def assert_scans_agree(storage, harvest, load, durations, initially_active):
+    hoisted = (
+        harvest * storage.charge_efficiency,
+        load / storage.discharge_efficiency,
+        load,
+        storage.self_discharge_w * durations,
+        storage.initial_charge_j,
+        storage.initial_charge_j >= storage.minimum_operating_j
+        if initially_active is None
+        else initially_active,
+        storage.capacity_j,
+        storage.restart_level_j,
+    )
+    expected = reference_scan(*hoisted)
+    traj = trajectory(storage, harvest, load, durations, initially_active=initially_active)
+    kernel = (
+        traj.charge_j,
+        traj.active,
+        traj.banked_j,
+        traj.drawn_j,
+        traj.attempted,
+        traj.withdrew,
+        traj.brownout_events,
+        traj.final_charge_j,
+    )
+    replay = _element_replay(storage, harvest, load, durations, initially_active)
+    for outputs in (run_length_scan(*hoisted), kernel, replay):
+        for got, want in zip(outputs[:6], expected[:6]):
+            assert _bits(got) == _bits(want)
+        assert outputs[6] == expected[6]
+        assert _bits(np.float64(outputs[7])) == _bits(np.float64(expected[7]))
 
-    @given(ledger=_ledgers)
-    @settings(max_examples=60, deadline=None)
-    def test_single_ledger(self, ledger):
-        assert_batched_equals_reference([ledger])
+
+class TestRunLengthScanEqualsReference:
+    @given(ledger=regime_ledgers())
+    @settings(max_examples=120, deadline=None)
+    def test_regime_rich_ledgers(self, ledger):
+        assert_scans_agree(*ledger)
+
+    @given(ledger=regime_ledgers(max_length=40))
+    @settings(max_examples=120, deadline=None)
+    def test_every_transition_with_small_windows(self, ledger):
+        # Windows, short runs and dense stretches of a few steps, so every
+        # regime change, window break and hand-over happens many times.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage_module, "_WINDOW", 2)
+            patch.setattr(storage_module, "_SHORT_RUN", 2)
+            patch.setattr(storage_module, "_DENSE_STEPS", 3)
+            assert_scans_agree(*ledger)
 
     def test_zero_steps(self):
-        ledgers = [
-            _ledger([], [], [], [], initial=0.0, active=False),
-            _ledger([], [], [], [], initial=1.0, active=True),
-        ]
-        assert_batched_equals_reference(ledgers)
-        empty = np.zeros((0, 2))
-        outputs = batched_scan(
-            empty, empty, empty, empty, [0.0, 0.1], [False, True], [0.1, 0.1], [0.05, 0.05]
+        outputs = run_length_scan(
+            np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0), 0.1, True, 0.25, 0.05
         )
-        assert outputs[0].shape == (0, 2)
-        assert list(outputs[6]) == [0, 0]
-        assert list(outputs[7]) == [0.0, 0.1]
+        assert [len(output) for output in outputs[:6]] == [0] * 6
+        assert outputs[6] == 0
+        assert outputs[7] == 0.1
 
-    def test_full_storage_banks_nothing(self):
-        # Zero headroom: the whole deposit is shunted, the charge stays put.
-        full = _ledger([0.05, 0.05], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], initial=1.0)
-        assert_batched_equals_reference([full, dict(full, initial=0.5)])
-        zeros = np.zeros((2, 1))
-        outputs = batched_scan(
-            np.full((2, 1), 0.05), zeros, zeros, zeros, [0.1], [True], [0.1], [0.05]
+    def test_planted_ties(self):
+        # headroom == stored, leak == charge, -0.0 harvest and a zero restart
+        # level, one after the other on a unit-efficiency element.
+        storage = StorageElement(
+            capacity_j=0.25,
+            initial_charge_j=0.2,
+            charge_efficiency=1.0,
+            discharge_efficiency=1.0,
+            self_discharge_w=1.0,
+            minimum_operating_j=0.0,
+            restart_level_j=0.0,
         )
-        assert list(outputs[2][:, 0]) == [0.0, 0.0]
-        assert list(outputs[0][:, 0]) == [0.1, 0.1]
+        headroom = 0.25 - 0.2
+        harvest = np.array([headroom, 0.0, -0.0, -0.0, 0.01, 0.0])
+        load = np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        after_first = 0.2 + headroom
+        durations = np.array([0.0, after_first, 0.0, 0.0, 0.01, 0.0])
+        assert_scans_agree(storage, harvest, load, durations, None)
+        traj = trajectory(storage, harvest, load, durations)
+        assert traj.banked_j[0] == headroom
+        assert traj.charge_j[1] == 0.0
+        assert traj.brownout_events == 1
+        assert traj.active[3]
 
-    def test_restart_hysteresis_and_padding(self):
-        # Ledger 0 browns out at step 1, recharges at step 2 and restarts at
-        # step 3 (the threshold is tested before the deposit); ledger 1 is two
-        # steps long and padded by three no-op steps.
-        hysteresis = _ledger(
-            stored=[0.0, 0.0, 0.06, 0.0, 0.0],
-            required=[0.01, 0.5, 0.01, 0.01, 0.01],
-            load=[0.009, 0.45, 0.009, 0.009, 0.009],
-            leak=[0.0] * 5,
-            initial=0.5,
+    def test_leak_equal_to_a_negative_zero_charge(self):
+        # -0.0 + -0.0 - 0.0 leaves -0.0; the leak then equals the charge and
+        # the clipped step yields +0.0, where -0.0 - 0.0 would keep -0.0.
+        storage = StorageElement(
+            capacity_j=0.25,
+            initial_charge_j=-0.0,
+            charge_efficiency=1.0,
+            discharge_efficiency=1.0,
+            self_discharge_w=1.0,
+            minimum_operating_j=0.0,
+            restart_level_j=0.0,
         )
-        short = _ledger(
-            stored=[0.02, 0.0],
-            required=[0.3, 0.0],
-            load=[0.2, 0.0],
-            leak=[0.001, 0.0],
-            capacity=0.25,
-            initial=0.1,
-            restart=0.3,
+        zeros = np.zeros(3)
+        assert_scans_agree(storage, -zeros, zeros, zeros, True)
+        assert not np.signbit(trajectory(storage, -zeros, zeros, zeros).charge_j).any()
+
+    def test_clip_that_misses_the_capacity_by_an_ulp(self):
+        # From this charge, pre + (cap - pre) rounds one ulp below the
+        # capacity: the deposit is an event, not a pinned step.
+        capacity, charge = 1.5403466578537677, 0.4186433186567379
+        assert charge + (capacity - charge) != capacity
+        storage = StorageElement(
+            capacity_j=capacity,
+            initial_charge_j=charge,
+            charge_efficiency=1.0,
+            discharge_efficiency=1.0,
+            self_discharge_w=1.0,
+            minimum_operating_j=0.0,
+            restart_level_j=0.0,
         )
-        ledgers = [hysteresis, short]
-        assert_batched_equals_reference(ledgers)
-        outputs = batched_scan(
-            *(_padded(ledgers, key) for key in ("stored", "required", "load", "leak")),
-            [0.05, 0.025],
-            [True, True],
-            [0.1, 0.25],
-            [0.05, 0.075],
+        harvest = np.full(4, 2.0)
+        small = np.full(4, 1e-3)
+        assert_scans_agree(storage, harvest, small, small, True)
+        traj = trajectory(storage, harvest, small, small)
+        assert traj.charge_j[0] == ((charge + (capacity - charge)) - 1e-3) - 1e-3
+
+
+class TestStridedColumnInputs:
+    """numpy 2.4's AVX-512 loops misread strided columns written into strided
+    outputs (a column of an ``(n, 8)`` array); the scan copies its inputs."""
+
+    @pytest.mark.parametrize("width", [2, 8, 16, 64])
+    def test_column_views_match_reference_scan(self, width):
+        rng = np.random.default_rng(width)
+        steps = 600
+        stored = rng.uniform(0.0, 4e-4, (steps, width)) * (rng.random((steps, width)) < 0.6)
+        load = rng.uniform(0.0, 3e-4, (steps, width))
+        required = load / 0.92
+        leak = 0.8e-6 * rng.uniform(0.05, 1.0, (steps, width))
+        for column in range(width):
+            views = (stored[:, column], required[:, column], load[:, column], leak[:, column])
+            expected = reference_scan(
+                *(np.array(view) for view in views), 0.1, column % 2 == 0, 0.25, 0.02
+            )
+            outputs = run_length_scan(*views, 0.1, column % 2 == 0, 0.25, 0.02)
+            for got, want in zip(outputs[:6], expected[:6]):
+                assert _bits(got) == _bits(want)
+            assert outputs[6] == expected[6]
+            assert _bits(np.float64(outputs[7])) == _bits(np.float64(expected[7]))
+
+    def test_trajectory_accepts_column_views(self):
+        storage = make_storage()
+        rng = np.random.default_rng(3)
+        table = rng.uniform(0.0, 1e-4, (300, 8))
+        traj = trajectory(storage, table[:, 1], table[:, 2], table[:, 3] * 10.0)
+        copy = trajectory(
+            storage, np.array(table[:, 1]), np.array(table[:, 2]), np.array(table[:, 3]) * 10.0
         )
-        assert list(outputs[1][:, 0]) == [True, False, False, True, True]
-        assert list(outputs[4][:, 0]) == [True, True, False, True, True]
-        assert list(outputs[6]) == [1, 1]
+        assert _bits(traj.charge_j) == _bits(copy.charge_j)
+        assert _bits(traj.drawn_j) == _bits(copy.drawn_j)

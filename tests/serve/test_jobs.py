@@ -112,9 +112,8 @@ class TestByteIdentity:
     """The store contract: served bytes == a fresh sequential run's bytes."""
 
     def test_fleet_bytes_equal_across_thread_and_process_backends(self):
-        # Thread runs scan each chunk's ledgers in one batch, process workers
-        # scan per vehicle: the batched_scan_vehicles counter differs, the
-        # stored bytes must not.
+        # Thread runs scan each ledger once its chunk has settled, process
+        # workers scan in the worker: the stored bytes must not differ.
         request = {**FLEET_DOC, "vehicles": 16, "chunk_vehicles": 8, "keep_vehicle_rows": True}
         served = []
         for execution in ({"workers": 2}, {"workers": 2, "backend": "process"}):
