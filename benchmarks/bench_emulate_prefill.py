@@ -2,9 +2,10 @@
 
 The emulator's integration loop used to discover its quantized
 (speed, temperature, phase-pattern) bins one cache miss at a time, paying one
-scalar ``schedule_energy_compiled`` call per bin.  ``emulate()`` now builds
-one cycle plan and fills every missing bin with ONE vectorized
-``_schedule_energy_batch`` call before the state-of-charge integration.
+schedule build and one scalar ``schedule_energy_compiled`` call per bin.
+``emulate()`` now builds one cycle plan and fills every missing bin with ONE
+``schedule_table`` call and ONE vectorized ``_schedule_energy_batch`` call
+before the state-of-charge integration.
 
 This benchmark measures exactly that replacement on a thermally varying,
 wide-speed-range cycle (hundreds of unique bins) and *asserts*:
@@ -73,9 +74,11 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     Both variants receive the identical bin set: the one a cold
     ``emulate()`` hands its single ``evaluate_energy_bins`` sweep after
     planning the cycle (the plan is shared bookkeeping the integration pays
-    either way).  What is timed is exactly what the sweep replaced — the
-    per-bin scalar ``schedule_energy_compiled`` evaluations — against the
-    single vectorized ``_schedule_energy_batch`` call.
+    either way).  What is timed is exactly what the sweep replaced — one
+    ``schedule_for_pattern`` build and one scalar
+    ``schedule_energy_compiled`` evaluation per bin — against one
+    ``schedule_table`` call plus the single vectorized
+    ``_schedule_energy_batch`` call.
     """
     from repro.conditions.batch import BatchConditions
 
@@ -94,21 +97,23 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     emulator.evaluator.compiled  # build the table outside the timed regions
     assert len(keys) >= 200, "the bench cycle should produce hundreds of bins"
 
-    # Scalar baseline: the old miss path, one compiled-scalar call per bin.
-    # Each timed region starts from a collected heap, so neither pays for
-    # the garbage the planning run above left behind.
+    # Scalar baseline: the old miss path, one schedule build and one
+    # compiled-scalar call per bin.  Each timed region starts from a
+    # collected heap, so neither pays for the garbage the planning run above
+    # left behind.
     gc.collect()
     start = time.perf_counter()
     scalar_values = {}
     for key in keys:
-        speed, temperature_c, schedule = pending[key]
+        speed, temperature_c, pattern = pending[key]
         point = emulator._operating_point(speed, temperature_c)
         scalar_values[key] = emulator.evaluator.schedule_energy_compiled(
-            schedule, point
+            node.schedule_for_pattern(speed, *pattern), point
         )
     scalar_s = time.perf_counter() - start
 
-    # Batch fill: the same bins through ONE _schedule_energy_batch call.
+    # Batch fill: the same bins through ONE schedule table and ONE
+    # _schedule_energy_batch call.
     gc.collect()
     start = time.perf_counter()
     batch = BatchConditions.from_arrays(
@@ -116,8 +121,9 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
         np.array([pending[key][1] for key in keys]),
         base_point=emulator.base_point,
     )
+    table = node.schedule_table(batch.speed_kmh, [pending[key][2] for key in keys])
     energies, phase_lists = emulator.evaluator._schedule_energy_batch(
-        batch, [pending[key][2] for key in keys], include_phases=True
+        batch, table, include_phases=True
     )
     batch_values = {
         key: (float(energies[i]), phase_lists[i]) for i, key in enumerate(keys)

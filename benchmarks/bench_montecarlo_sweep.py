@@ -10,6 +10,11 @@ path.  This benchmark quantifies that choice against the scalar reference
 * >= 5x speedup of the sweep over the per-sample scalar loop;
 * sweep energies matching the scalar reference within 1e-9 relative
   tolerance.
+
+A second row times the timing side alone on the 512 points of one
+``montecarlo`` item: one ``SensorNode.schedule_table`` call against one
+``schedule_for_pattern`` build per point, asserting >= 10x and bitwise
+equal periods, phase durations and resting remainders.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ SAMPLES = 4000
 #: the measured number is still reported.
 REQUIRED_SPEEDUP = float(os.environ.get("MONTECARLO_SPEEDUP_FLOOR", "5.0"))
 RTOL = 1e-9
+#: Points of the schedule-timing row: one ``montecarlo`` item's samples.
+TABLE_SAMPLES = 512
+#: The table row's bar is twice the sweep's: 10x locally, and lowered with
+#: it (``MONTECARLO_SPEEDUP_FLOOR``) on shared runners.
+REQUIRED_TABLE_SPEEDUP = 2.0 * REQUIRED_SPEEDUP
 
 
 def test_montecarlo_sweep_speedup(node, database):
@@ -64,6 +74,8 @@ def test_montecarlo_sweep_speedup(node, database):
         ).total_energy_j
     scalar_s = time.perf_counter() - start
     speedup = scalar_s / sweep_s
+    table_s, builds_s = _schedule_table_timings(node, draws)
+    table_speedup = builds_s / table_s
 
     emit_result(
         "montecarlo_sweep",
@@ -74,15 +86,32 @@ def test_montecarlo_sweep_speedup(node, database):
                 "scalar_ms": scalar_s * 1e3,
                 "vectorized_ms": sweep_s * 1e3,
                 "speedup_x": speedup,
-            }
+            },
+            {
+                "workload": "schedule timing: schedule_table vs per-point builds",
+                "samples": TABLE_SAMPLES,
+                "scalar_ms": builds_s * 1e3,
+                "vectorized_ms": table_s * 1e3,
+                "speedup_x": table_speedup,
+            },
         ],
         title="Monte-Carlo workload sweep: schedule_energy_sweep vs scalar reference",
     )
     emit_timing(
         "montecarlo_sweep",
-        wall_times_s={"scalar": scalar_s, "vectorized": sweep_s},
-        speedups={"vectorized_vs_scalar": speedup},
-        extra={"samples": SAMPLES, "required_speedup": REQUIRED_SPEEDUP},
+        wall_times_s={
+            "scalar": scalar_s,
+            "vectorized": sweep_s,
+            "schedule_builds": builds_s,
+            "schedule_table": table_s,
+        },
+        speedups={"vectorized_vs_scalar": speedup, "table_vs_builds": table_speedup},
+        extra={
+            "samples": SAMPLES,
+            "table_samples": TABLE_SAMPLES,
+            "required_speedup": REQUIRED_SPEEDUP,
+            "required_table_speedup": REQUIRED_TABLE_SPEEDUP,
+        },
     )
 
     assert np.allclose(energies, scalar, rtol=RTOL, atol=0.0), (
@@ -93,3 +122,36 @@ def test_montecarlo_sweep_speedup(node, database):
         f"(scalar {scalar_s * 1e3:.1f} ms vs vectorized {sweep_s * 1e3:.1f} ms); "
         f"the acceptance bar is {REQUIRED_SPEEDUP:.0f}x"
     )
+    assert table_speedup >= REQUIRED_TABLE_SPEEDUP, (
+        f"schedule_table is only {table_speedup:.1f}x faster than per-point builds "
+        f"(builds {builds_s * 1e3:.2f} ms vs table {table_s * 1e3:.2f} ms); "
+        f"the bar is {REQUIRED_TABLE_SPEEDUP:.0f}x"
+    )
+
+
+def _schedule_table_timings(node, draws, repeats: int = 5) -> tuple[float, float]:
+    """Best-of seconds of one table call and of per-point builds, checked bitwise."""
+    speeds = draws.conditions.speed_kmh[:TABLE_SAMPLES]
+    patterns = draws.patterns[:TABLE_SAMPLES]
+    table_s = builds_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        table = node.schedule_table(speeds, patterns)
+        table_s = min(table_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        schedules = [
+            node.schedule_for_pattern(speed, *pattern)
+            for speed, pattern in zip(speeds.tolist(), patterns.tolist())
+        ]
+        builds_s = min(builds_s, time.perf_counter() - start)
+
+    assert table.feasible.all()
+    assert table.period_s.tobytes() == np.array([s.period_s for s in schedules]).tobytes()
+    assert table.rest_s.tobytes() == np.array(
+        [s.resting_duration_s for s in schedules]
+    ).tobytes()
+    for _structure, indices, durations in table.groups:
+        for column, index in enumerate(indices.tolist()):
+            expected = np.array([phase.duration_s for phase in schedules[index].phases])
+            assert durations[:, column].tobytes() == expected.tobytes()
+    return table_s, builds_s

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.blocks.base import BlockCategory, FunctionalBlock
 from repro.errors import ConfigurationError
 
@@ -70,6 +72,19 @@ class McuConfig:
     def compute_time_s(self, samples: int, raw_bits: int = 0) -> float:
         """Time needed to process one revolution's worth of samples, in seconds."""
         return self.compute_cycles(samples, raw_bits) / self.clock_hz
+
+    def compute_times_s(self, samples: np.ndarray, raw_bits: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`compute_time_s` over int64 sample and bit counts.
+
+        The same integer cycle count, then the same division, so the result
+        is bitwise the scalar one while every count stays below ``2**53``
+        (the caller's bound; beyond it int64 and float64 stop being exact).
+        """
+        cycles = self.base_cycles_per_revolution + self.cycles_per_sample * samples
+        if self.compression_ratio < 1.0:
+            extra = np.trunc(self.compression_cycles_per_bit * raw_bits).astype(np.int64)
+            cycles = cycles + extra
+        return cycles / self.clock_hz
 
     def with_clock(self, clock_hz: float) -> "McuConfig":
         """Return a copy running at a different clock frequency."""

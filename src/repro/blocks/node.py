@@ -24,9 +24,25 @@ from repro.blocks.radio import RadioConfig
 from repro.blocks.sensors import SensorSuiteConfig
 from repro.errors import ConfigurationError, UnknownBlockError
 from repro.power.database import PowerDatabase
-from repro.timing.schedule import Phase, RevolutionSchedule
+from repro.timing.schedule import (
+    FEASIBILITY_SLACK,
+    Phase,
+    PhaseStructure,
+    RevolutionSchedule,
+    ScheduleTable,
+    resting_durations,
+)
 from repro.vehicle.contact_patch import ContactPatchModel
 from repro.vehicle.wheel import Wheel
+
+
+#: Bit weights folding a ``(transmits, refreshes_slow, writes_nvm)`` phase
+#: pattern into one code in ``0..7``.
+PATTERN_WEIGHTS = np.array([4, 2, 1], dtype=np.int64)
+
+#: Sample and cycle counts below this bound are exact in both int64 and
+#: float64, so the vectorized compute-time arithmetic equals Python's.
+_EXACT_COUNT = 2.0**53
 
 
 def _instance_memo(node: "SensorNode", slot: str, build):
@@ -174,8 +190,8 @@ class SensorNode:
         """Raw acquired data volume per revolution, in bits."""
         return self.adc.bits_for(self.samples_per_revolution(speed_kmh))
 
-    def _acquire_phase(self, speed_kmh: float, refresh_slow: bool) -> Phase:
-        """The acquisition phase: sensors + ADC on, MCU idle buffering."""
+    def _acquire_modes(self, refresh_slow: bool) -> dict[str, str]:
+        """Mode overrides of the acquisition phase."""
         modes: dict[str, str] = {"adc": "active", "mcu": "idle", "sram": "active",
                                  "pmu": "active"}
         if self.sensors.use_accelerometer:
@@ -184,19 +200,28 @@ class SensorNode:
             modes["pressure_sensor"] = "active"
         if refresh_slow and self.sensors.use_temperature:
             modes["temperature_sensor"] = "active"
+        return modes
+
+    @staticmethod
+    def _compute_modes() -> dict[str, str]:
+        """Mode overrides of the computation phase."""
+        return {"mcu": "active", "sram": "active", "pmu": "active", "adc": "idle"}
+
+    def _acquire_phase(self, speed_kmh: float, refresh_slow: bool) -> Phase:
+        """The acquisition phase: sensors + ADC on, MCU idle buffering."""
         if self.sensors.use_accelerometer:
             duration = self.patch_model.acquisition_window_s(speed_kmh)
         else:
             duration = self.sensors.slow_sensor_on_time_s
-        return Phase(name="acquire", duration_s=duration, block_modes=modes)
+        return Phase(name="acquire", duration_s=duration,
+                     block_modes=self._acquire_modes(refresh_slow))
 
     def _compute_phase(self, speed_kmh: float) -> Phase:
         """The computation phase: MCU + SRAM active."""
         samples = self.samples_per_revolution(speed_kmh)
         raw_bits = self.raw_bits_per_revolution(speed_kmh)
         duration = self.mcu.compute_time_s(samples, raw_bits)
-        modes = {"mcu": "active", "sram": "active", "pmu": "active", "adc": "idle"}
-        return Phase(name="compute", duration_s=duration, block_modes=modes)
+        return Phase(name="compute", duration_s=duration, block_modes=self._compute_modes())
 
     def _transmit_phases(self) -> list[Phase]:
         """Synthesizer start-up followed by the transmission burst.
@@ -283,9 +308,10 @@ class SensorNode:
 
         This is the pattern-addressed form of :meth:`schedule_for`: instead of
         deriving the conditional phases from a revolution index, the caller
-        states them directly.  Batch sweeps (Monte-Carlo workload sampling,
-        the fleet runner's cohort bins) use it to build one schedule per unique
-        (speed, pattern) bin without inventing representative indices.
+        states them directly.  It is the scalar reference of
+        :meth:`schedule_table`, which batch consumers (Monte-Carlo sweeps,
+        the emulator's bins, the fleet's cohort slots) use instead: the
+        table equals this schedule bit for bit at every point.
 
         Raises:
             ScheduleError: if the busy phases do not fit into the wheel-round
@@ -306,6 +332,130 @@ class SensorNode:
             period_s=period,
             phases=tuple(phases),
             blocks=self.resting_modes(),
+        )
+
+    def _pattern_layouts(self) -> tuple[tuple, np.ndarray]:
+        """Per pattern code, its phase structure and constant tail durations.
+
+        Every schedule starts with the speed-dependent acquire and compute
+        phases; the transmit and NVM phases that follow them are
+        speed-independent, so their durations belong to the layout.  Returns
+        the eight ``(structure, tail durations)`` pairs and the tails as an
+        ``(8, longest tail)`` array padded with trailing zeros.  Built once
+        per node instance (see :func:`_instance_memo`); codes with equal
+        structures share one structure object, so a table groups their
+        points exactly like a grouping on the structure's value would.
+        """
+
+        def build():
+            layouts = []
+            by_signature: dict[tuple, PhaseStructure] = {}
+            for code in range(8):
+                tail: list[Phase] = []
+                if code & 4:
+                    tail.extend(self._transmit_phases())
+                if code & 1:
+                    tail.append(self._nvm_phase())
+                head = [
+                    Phase(name="acquire", duration_s=0.0,
+                          block_modes=self._acquire_modes(bool(code & 2))),
+                    Phase(name="compute", duration_s=0.0, block_modes=self._compute_modes()),
+                ]
+                structure = PhaseStructure.of(head + tail)
+                structure = by_signature.setdefault(structure.signature, structure)
+                layouts.append((structure, tuple(phase.duration_s for phase in tail)))
+            tails = np.zeros((8, max(len(tail) for _structure, tail in layouts)))
+            for code, (_structure, tail) in enumerate(layouts):
+                tails[code, : len(tail)] = tail
+            return tuple(layouts), tails
+
+        return _instance_memo(self, "_pattern_layouts_memo", build)
+
+    def schedule_table(self, speeds_kmh, patterns) -> ScheduleTable:
+        """The schedules of N (speed, phase pattern) points as arrays.
+
+        Point ``i`` is ``schedule_for_pattern(speeds_kmh[i], *patterns[i])``
+        bit for bit: the period, every phase duration, the busy sum and the
+        resting remainder are computed elementwise in the scalar operation
+        order, and ``feasible[i]`` is false exactly where that call raises
+        (``ScheduleTable.raise_for`` raises the same error).  ``patterns``
+        is ``(N, 3)``: per point ``(transmits, refreshes_slow, writes_nvm)``.
+        Phase structures come from the node's memo, one per pattern, so no
+        per-point object is built.
+        """
+        speeds = np.asarray(speeds_kmh, dtype=np.float64).reshape(-1)
+        flags = np.asarray(patterns, dtype=bool)
+        count = len(speeds)
+        if count == 0 and flags.size == 0:
+            # An empty pattern list (a cycle with no wheel rounds) is (0,).
+            flags = flags.reshape(0, 3)
+        if flags.shape != (count, 3):
+            raise ConfigurationError(
+                "one (transmits, refreshes_slow, writes_nvm) pattern per speed is required"
+            )
+        # Written as not-non-positive so NaN goes through like the scalar path.
+        positive = ~(speeds <= 0.0)
+        safe = speeds if positive.all() else np.where(positive, speeds, 1.0)
+        period = self.wheel.revolution_periods_s(safe)
+        if self.sensors.use_accelerometer:
+            acquire = self.patch_model.acquisition_windows_s(safe)
+            counts = acquire * self.adc.sample_rate_hz
+        else:
+            acquire = np.full(count, self.sensors.slow_sensor_on_time_s)
+            counts = np.zeros(count)
+        mcu = self.mcu
+        per_sample = (
+            1 + mcu.cycles_per_sample
+            + (1 + mcu.compression_cycles_per_bit) * self.adc.resolution_bits
+        )
+        exact = (counts + 1.0) * per_sample + mcu.base_cycles_per_revolution < _EXACT_COUNT
+        if not exact.all():
+            counts = np.where(exact, counts, 0.0)
+        samples = np.maximum(counts.astype(np.int64), 1)
+        compute = mcu.compute_times_s(samples, samples * self.adc.resolution_bits)
+        for i in np.flatnonzero(~exact).tolist():
+            # Counts past the exact range (or NaN): the scalar arithmetic.
+            compute[i] = self._compute_phase(float(safe[i])).duration_s
+
+        codes = flags @ PATTERN_WEIGHTS
+        layouts, tails = self._pattern_layouts()
+        # ``0 + d0 + d1 + ...`` in phase order, like ``sum``; a padded tail
+        # adds +0.0 to a non-negative total, which changes no bit.
+        busy = np.zeros(count)
+        busy += acquire
+        busy += compute
+        for column in tails[codes].T:
+            busy += column
+        # Group number per pattern code: codes with one structure share it.
+        group_of_code = np.zeros(8, dtype=np.int64)
+        members: dict[int, int] = {}
+        for code in np.flatnonzero(np.bincount(codes, minlength=8)).tolist():
+            group_of_code[code] = members.setdefault(id(layouts[code][0]), code)
+        point_groups = group_of_code[codes]
+        groups = []
+        for first_code in members.values():
+            structure, tail = layouts[first_code]
+            if len(members) == 1:
+                indices = np.arange(count)
+            else:
+                indices = np.flatnonzero(point_groups == first_code)
+            durations = np.empty((2 + len(tail), len(indices)))
+            durations[0] = acquire[indices]
+            durations[1] = compute[indices]
+            durations[2:] = np.array(tail).reshape(-1, 1)
+            groups.append((structure, indices, durations))
+        feasible = (
+            positive
+            & ~(period <= 0.0)
+            & ~(busy > period * (1.0 + FEASIBILITY_SLACK))
+        )
+        return ScheduleTable(
+            speeds_kmh=speeds,
+            period_s=period,
+            busy_s=busy,
+            rest_s=resting_durations(period, busy),
+            feasible=feasible,
+            groups=tuple(groups),
         )
 
     def schedule_for(

@@ -24,13 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.blocks.node import PATTERN_WEIGHTS
 from repro.core.quantize import speed_bins
 from repro.errors import EmulationError
 from repro.timing.wheel_round import wheel_round_arrays
-
-#: Bit weights folding a ``(transmits, refreshes_slow, writes_nvm)`` pattern
-#: into the low three bits of a round's group code.
-_PATTERN_WEIGHTS = np.array([4, 2, 1], dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,8 +40,9 @@ class CyclePlan:
             idle units).
         round_indices: positions of the wheel rounds among the units.
         groups: per unique (speed bin, pattern) key of the rounds, in
-            first-appearance order, its ``(pattern, first round)``; ``first
-            round`` is a position in ``round_indices``.
+            first-appearance order, ``(key, speed, unit)``: the ``(bin,
+            transmits, refreshes_slow, writes_nvm)`` key, and the speed and
+            unit index of its first round, as Python values.
         round_groups: per wheel round, its index into ``groups``.
         sample_times: the state-log record times.
         sample_units: per record time, the unit it falls in.
@@ -108,9 +106,18 @@ def build_cycle_plan(cycle, node, idle_step_s: float, record_interval_s: float) 
     walk = wheel_round_arrays(cycle, node.wheel, idle_step_s=idle_step_s)
     round_indices = np.flatnonzero(walk.is_round)
     patterns = node.phase_patterns(walk.indices[round_indices])
-    codes = speed_bins(walk.speeds[round_indices]) * 8 + patterns @ _PATTERN_WEIGHTS
-    _unique, first, round_groups = first_appearance_unique(codes)
-    groups = tuple((tuple(patterns[position].tolist()), int(position)) for position in first)
+    bins = speed_bins(walk.speeds[round_indices])
+    _unique, first, round_groups = first_appearance_unique(bins * 8 + patterns @ PATTERN_WEIGHTS)
+    units = round_indices[first]
+    groups = tuple(
+        ((bin_index, *pattern), speed, unit)
+        for bin_index, pattern, speed, unit in zip(
+            bins[first].tolist(),
+            patterns[first].tolist(),
+            walk.speeds[units].tolist(),
+            units.tolist(),
+        )
+    )
     sample_times, sample_units = sample_walk(walk.ends, record_interval_s)
     arrays = (*walk, round_indices, round_groups, sample_times, sample_units)
     for array in arrays:

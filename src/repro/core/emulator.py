@@ -32,7 +32,7 @@ from repro.core.quantize import (
     temperature_bins,
 )
 from repro.core.trace import PowerTrace
-from repro.errors import ConfigurationError, EmulationError, ScheduleError
+from repro.errors import ConfigurationError, EmulationError
 from repro.power.database import PowerDatabase
 from repro.scavenger.base import EnergyScavenger
 from repro.scavenger.storage import (
@@ -43,7 +43,7 @@ from repro.scavenger.storage import (
     trajectory,
     withdraw_step,
 )
-from repro.timing.schedule import RevolutionSchedule
+from repro.timing.schedule import ScheduleTable
 from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import DriveCycle
 
@@ -501,39 +501,48 @@ class NodeEmulator:
             self._standstill_cache[key] = cached
         return cached
 
+    def _classify_speed_keys(self, keys: list[tuple]) -> None:
+        """Classify (speed bin, pattern) keys with ONE schedule-table call.
+
+        A key whose schedule is feasible at the bin's *upper edge* is
+        trusted: every speed that rounds into the bin may share the bin
+        entry.  An infeasible upper edge means the bin straddles the node's
+        feasibility limit, so its rounds are handled on their exact speed.
+        The classification depends only on the key, so warm and fresh
+        emulators always agree.
+        """
+        table = self.node.schedule_table(
+            [speed_bin_upper_edge_kmh(key[0]) for key in keys],
+            [key[1:] for key in keys],
+        )
+        for key, feasible in zip(keys, table.feasible.tolist()):
+            (self._trusted_speed_keys if feasible else self._exact_speed_keys).add(key)
+
     def _speed_key_for(
-        self, speed_kmh: float, revolution_index: int, pattern: tuple[bool, bool, bool]
-    ) -> tuple[object, float, bool]:
-        """Resolve the cache speed key of one revolution.
+        self, pattern_key: tuple, speed_kmh: float, unclassified: list | None = None
+    ) -> tuple[object, float, bool] | None:
+        """Resolve the cache speed key of a round in (bin, *pattern) group ``pattern_key``.
 
         Returns ``(speed_key, evaluation_speed, use_bin)``.  Bin 0 has no
         positive representative speed, and bins whose center proved
         infeasible are memoized; both are keyed on the exact speed instead —
         the cached value stays a pure function of the key either way.  Exact
         keys are tagged so they can never collide with an int bin key
-        (Python dicts treat 999 and 999.0 as the same key).
+        (Python dicts treat 999 and 999.0 as the same key).  A (bin,
+        pattern) key seen for the first time is classified on the spot
+        (:meth:`_classify_speed_keys`), or, when the caller passes an
+        ``unclassified`` list, appended to it and ``None`` returned, so the
+        caller can classify every new key in one call.
         """
-        bin_index = speed_bin(speed_kmh)
-        pattern_key = (bin_index, *pattern)
+        bin_index = pattern_key[0]
         use_bin = bin_index > 0 and pattern_key not in self._infeasible_center_keys
         if use_bin and pattern_key not in self._trusted_speed_keys:
-            if pattern_key in self._exact_speed_keys:
-                use_bin = False
-            else:
-                # Classify the (bin, pattern) once, with one schedule build
-                # at the bin's upper edge: feasible there means every speed
-                # that rounds into the bin is safe to share the bin entry;
-                # infeasible means the bin straddles the node's feasibility
-                # limit and its rounds must be handled exactly.  The
-                # classification depends only on the key, so warm and fresh
-                # emulators always agree.
-                upper_edge = speed_bin_upper_edge_kmh(bin_index)
-                try:
-                    self.node.schedule_for(upper_edge, revolution_index)
-                    self._trusted_speed_keys.add(pattern_key)
-                except ScheduleError:
-                    self._exact_speed_keys.add(pattern_key)
-                    use_bin = False
+            if pattern_key not in self._exact_speed_keys:
+                if unclassified is not None:
+                    unclassified.append(pattern_key)
+                    return None
+                self._classify_speed_keys([pattern_key])
+            use_bin = pattern_key in self._trusted_speed_keys
         if use_bin:
             return bin_index, speed_bin_center_kmh(bin_index), True
         return ("exact", speed_kmh), speed_kmh, False
@@ -561,7 +570,7 @@ class NodeEmulator:
         pattern = self.node.phase_pattern(unit.index)
         temp_bin = self._temperature_bin(temperature_c)
         speed_key, speed, use_bin = self._speed_key_for(
-            unit.speed_kmh, unit.index, pattern
+            (speed_bin(unit.speed_kmh), *pattern), unit.speed_kmh
         )
         key = (speed_key, temp_bin, *pattern)
         cached = self._energy_cache.get(key)
@@ -572,61 +581,85 @@ class NodeEmulator:
         # the cached value is a pure function of the key — results cannot
         # depend on which conditions inside the bin an earlier run saw first,
         # even though the cache persists across emulate() runs.
-        if use_bin:
-            try:
-                schedule = self.node.schedule_for(speed, unit.index)
-            except ScheduleError:
-                # The bin center rounded just past the node's feasibility
-                # limit for this phase pattern (the upper edge was validated
-                # above): memoize the (bin, pattern) so later rounds skip
-                # the doomed attempt, and key this round on its exact speed.
-                schedule = self.node.schedule_for(unit.speed_kmh, unit.index)
-                self._infeasible_center_keys.add((speed_key, *pattern))
-                speed = unit.speed_kmh
-                key = (("exact", speed), temp_bin, *pattern)
-                cached = self._energy_cache.get(key)
-                if cached is not None:
-                    return cached
-        else:
-            schedule = self.node.schedule_for(speed, unit.index)
-        point = self._operating_point(speed, temperature_bin_center_c(temp_bin))
-        # The evaluation runs through the compiled power table (one vectorized
-        # pass over all (block, mode) rows) instead of the scalar
-        # per-phase-per-block dataclass path.
-        value = self.evaluator.schedule_energy_compiled(schedule, point)
+        table = self.node.schedule_table([speed], [pattern])
+        if use_bin and not table.feasible[0]:
+            # The bin center rounded just past the node's feasibility limit
+            # for this phase pattern (the upper edge was validated above):
+            # memoize the (bin, pattern) so later rounds skip the doomed
+            # attempt, and key this round on its exact speed.
+            speed = unit.speed_kmh
+            table = self.node.schedule_table([speed], [pattern])
+            table.require_feasible()
+            self._infeasible_center_keys.add((speed_key, *pattern))
+            key = (("exact", speed), temp_bin, *pattern)
+            cached = self._energy_cache.get(key)
+            if cached is not None:
+                return cached
+        value = self._evaluate_table(
+            table, np.array([temperature_bin_center_c(temp_bin)]), [key]
+        )[key]
         self._store_energy(key, value)
         return value
 
+    def _evaluate_table(
+        self, table: ScheduleTable, temperatures_c: np.ndarray, keys: list
+    ) -> dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]]:
+        """``key -> (energy, per-phase list)`` of the points of ``table``.
+
+        One :meth:`EnergyEvaluator._schedule_energy_batch` call at the
+        table's speeds and ``temperatures_c`` under the base point's supply
+        and process conditions; raises the first infeasible point's error.
+        """
+        batch = BatchConditions.from_arrays(
+            table.speeds_kmh, temperatures_c, base_point=self.base_point
+        )
+        energies, phase_lists = self.evaluator._schedule_energy_batch(
+            batch, table, include_phases=True
+        )
+        return {
+            key: (energy, phase_lists[position])
+            for position, (key, energy) in enumerate(zip(keys, energies.tolist()))
+        }
+
     def evaluate_energy_bins(
-        self, pending: Mapping[tuple, tuple[float, float, RevolutionSchedule]]
+        self, pending: Mapping[tuple, tuple[float, float, tuple[bool, bool, bool]]]
     ) -> dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]]:
         """Evaluate quantized bins in ONE vectorized batch call.
 
         ``pending`` maps cache keys to ``(evaluation speed, evaluation
-        temperature degC, schedule)``; the return value maps each key to the
-        ``(energy, per-phase list)`` entry the per-miss path would have
-        cached.  The batch kernel accumulates in the scalar operation order,
-        so the values are bitwise identical to per-miss evaluations — which
-        is what lets the fleet runner evaluate the *union* of bins across a
-        whole vehicle population once and hand the entries to every
-        vehicle's emulator (:meth:`seed_energy_cache`).
+        temperature degC, phase pattern)``; the return value maps each key
+        to the ``(energy, per-phase list)`` entry the per-miss path would
+        have cached.  The timing of every bin comes from one
+        :meth:`SensorNode.schedule_table` call, which also decides
+        feasibility: keys whose schedule cannot be built (an unsustainable
+        speed, a bin center just past the limit) are left out of the result
+        for the per-round path, which raises with the scalar timing or
+        re-keys the round on its exact speed.  The batch kernel
+        accumulates in the scalar operation order, so the values are
+        bitwise identical to per-miss evaluations — which is what lets the
+        fleet runner evaluate the *union* of bins across a whole vehicle
+        population once and hand the entries to every vehicle's emulator
+        (:meth:`seed_energy_cache`).
         """
         if not pending:
             return {}
         keys = list(pending)
-        speeds = np.array([pending[key][0] for key in keys])
-        temperatures = np.array([pending[key][1] for key in keys])
-        schedules = [pending[key][2] for key in keys]
-        batch = BatchConditions.from_arrays(
-            speeds, temperatures, base_point=self.base_point
+        values = list(pending.values())
+        table = self._table_of(values)
+        if not table.feasible.all():
+            # Rare (a key at the node's feasibility limit): leave out the
+            # keys whose schedule cannot be built and sweep the others.
+            keep = table.feasible.tolist()
+            keys = [key for key, ok in zip(keys, keep) if ok]
+            values = [value for value, ok in zip(values, keep) if ok]
+            table = self._table_of(values)
+        return self._evaluate_table(table, np.array([value[1] for value in values]), keys)
+
+    def _table_of(self, values: list) -> ScheduleTable:
+        """The schedule table of ``(speed, temperature, pattern)`` pending values."""
+        return self.node.schedule_table(
+            [value[0] for value in values], [value[2] for value in values]
         )
-        energies, phase_lists = self.evaluator._schedule_energy_batch(
-            batch, schedules, include_phases=True
-        )
-        return {
-            key: (float(energies[position]), phase_lists[position])
-            for position, key in enumerate(keys)
-        }
 
     def seed_energy_cache(
         self,
@@ -730,31 +763,47 @@ class NodeEmulator:
     def speed_slots(self, plan: CyclePlan) -> tuple[list, np.ndarray]:
         """Resolve the cache speed key of every wheel round of ``plan``.
 
-        :meth:`_speed_key_for` runs once per (speed bin, pattern) group.
-        Groups sharing their bin entry become one slot; groups keyed on the
-        exact speed (straddling bins, infeasible centers) get one slot per
-        distinct exact speed.  Returns ``(slots, round_slot)``: the
-        ``(speed key, pattern, evaluation speed, unit)`` entries and each
-        round's index into them.  The classification sets change between
-        runs, so this is resolved per run, never memoized with the plan.
+        :meth:`_speed_key_for` runs once per (speed bin, pattern) group, on
+        the key the plan precomputed.  The groups whose key is new to this
+        emulator are classified together by ONE schedule-table call at their
+        bins' upper edges; a warm run (every key classified) makes no table
+        call at all.  Groups sharing
+        their bin entry become one slot; groups keyed on the exact speed
+        (straddling bins, infeasible centers) get one slot per distinct
+        exact speed.  Returns ``(slots, round_slot)``: the ``(speed key,
+        pattern, evaluation speed, unit)`` entries and each round's index
+        into them.  The classification sets change between runs, so this is
+        resolved per run, never memoized with the plan.
         """
-        rounds = plan.round_indices
+        groups = plan.groups
         slots: list[tuple] = []
-        group_slot = np.empty(len(plan.groups), dtype=np.intp)
-        for group, (pattern, position) in enumerate(plan.groups):
-            unit = int(rounds[position])
-            speed_key, eval_speed, use_bin = self._speed_key_for(
-                float(plan.speeds[unit]), int(plan.indices[unit]), pattern
-            )
-            group_slot[group] = len(slots) if use_bin else -1
-            if use_bin:
-                slots.append((speed_key, pattern, eval_speed, unit))
+        group_slot = np.empty(len(groups), dtype=np.intp)
+        unclassified: list[tuple] = []
+        deferred: list[int] = []
+        resolve = self._speed_key_for
+        for group, (key, speed, unit) in enumerate(groups):
+            resolved = resolve(key, speed, unclassified)
+            if resolved is None:
+                deferred.append(group)
+            elif resolved[2]:
+                group_slot[group] = len(slots)
+                slots.append((resolved[0], key[1:], resolved[1], unit))
+            else:
+                group_slot[group] = -1
+        if unclassified:
+            self._classify_speed_keys(unclassified)
+            for group in deferred:
+                key, speed, unit = groups[group]
+                speed_key, eval_speed, use_bin = resolve(key, speed)
+                group_slot[group] = len(slots) if use_bin else -1
+                if use_bin:
+                    slots.append((speed_key, key[1:], eval_speed, unit))
         round_slot = group_slot[plan.round_groups]
         exact_slots: dict[tuple, int] = {}
         for position in np.flatnonzero(round_slot < 0).tolist():
-            unit = int(rounds[position])
+            unit = int(plan.round_indices[position])
             speed = float(plan.speeds[unit])
-            pattern = plan.groups[plan.round_groups[position]][0]
+            pattern = groups[plan.round_groups[position]][0][1:]
             slot = exact_slots.setdefault((speed, pattern), len(slots))
             if slot == len(slots):
                 slots.append((("exact", speed), pattern, speed, unit))
@@ -769,7 +818,8 @@ class NodeEmulator:
         Returns ``(values, value_index)``: the distinct ``(energy, per-phase
         list)`` entries and each unit's index into them (``-1`` on idle and
         unresolved units).  Keys not cached yet are evaluated by one
-        :meth:`evaluate_energy_bins` call, one schedule shared per slot.
+        :meth:`evaluate_energy_bins` call, which leaves out the keys whose
+        schedule cannot be built.
         Rounds stay unresolved — for the stepwise loop, which evaluates them
         only while the node is active — when their schedule cannot be built
         (an unsustainable speed, an infeasible bin center) or from the first
@@ -787,26 +837,12 @@ class NodeEmulator:
         )
         cache = self._energy_cache
         values = [cache.get(key) for key, _slot, _temp_bin in keys]
-        pending: dict[tuple, tuple[float, float, RevolutionSchedule]] = {}
-        schedules: dict[int, RevolutionSchedule | None] = {}
-        for (key, slot, temp_bin), value in zip(keys, values):
-            if value is not None:
-                continue
-            _speed_key, _pattern, eval_speed, unit = slots[slot]
-            if slot not in schedules:
-                try:
-                    schedules[slot] = self.node.schedule_for(
-                        eval_speed, int(plan.indices[unit])
-                    )
-                except ScheduleError:
-                    schedules[slot] = None
-            if schedules[slot] is not None:
-                pending[key] = (
-                    eval_speed,
-                    temperature_bin_center_c(temp_bin),
-                    schedules[slot],
-                )
-        if pending:
+        missing = [entry for entry, value in zip(keys, values) if value is None]
+        if missing:
+            pending = {
+                key: (slots[slot][2], temperature_bin_center_c(temp_bin), slots[slot][1])
+                for key, slot, temp_bin in missing
+            }
             swept = self.evaluate_energy_bins(pending)
             for j, (key, _slot, _temp_bin) in enumerate(keys):
                 value = swept.get(key)

@@ -31,17 +31,17 @@ from repro.errors import AnalysisError
 from repro.power.compiled import CompiledPowerTable
 from repro.power.database import PowerDatabase
 from repro.timing.duty_cycle import DutyCycleReport, duty_cycle_report
-from repro.timing.schedule import RevolutionSchedule
+from repro.timing.schedule import RevolutionSchedule, ScheduleTable
 
 #: Cross-instance census-timing cache: node -> {speed -> (period_s, census,
 #: signature)}.  Schedule feasibility, phase durations and the wheel period
 #: are pure functions of the (immutable, frozen) node and the speed, so
 #: repeated exploration/study runs — which build a fresh ``EnergyEvaluator``
 #: per (architecture, workload, database) triple — share the timing work
-#: instead of re-validating the same speeds per instance.  Keys are held
-#: weakly: entries die with the node object they describe.  Only successful
-#: (feasible) timings are cached; infeasible speeds keep raising through a
-#: fresh ``schedule_for`` so error behaviour is unchanged.
+#: instead of re-deriving the same census per instance.  Keys are held
+#: weakly: entries die with the node object they describe.  Feasibility is
+#: not cached: every sweep checks its unique speeds with one schedule table
+#: first, so infeasible speeds keep raising the scalar path's error.
 _CENSUS_TIMING_CACHE: "weakref.WeakKeyDictionary[SensorNode, dict[float, tuple]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -70,11 +70,9 @@ def _census_signature(census) -> tuple:
 def _census_timing(node: SensorNode, speed_kmh: float) -> tuple:
     """Cached ``(period_s, census, signature)`` of ``node`` at one speed.
 
-    On a cache miss this validates schedule feasibility exactly like the
-    scalar path (the worst-case revolution-0 build raises ``ScheduleError``
-    for unsustainable speeds — such speeds are never cached) and walks the
-    phase census once; every later evaluator instance for an equal node
-    reuses the result.
+    On a cache miss this walks the phase census once; every later evaluator
+    instance for an equal node reuses the result.  The caller has checked
+    that the speed is feasible.
     """
     with _CENSUS_TIMING_LOCK:
         per_node = _CENSUS_TIMING_CACHE.get(node)
@@ -82,9 +80,6 @@ def _census_timing(node: SensorNode, speed_kmh: float) -> tuple:
             cached = per_node.get(speed_kmh)
             if cached is not None:
                 return cached
-    # Like the scalar path, the worst-case revolution validates that the busy
-    # phases fit in the wheel round at this speed.
-    node.schedule_for(speed_kmh, revolution_index=0)
     census = tuple(node.phase_census(speed_kmh))
     entry = (
         node.wheel.revolution_period_s(speed_kmh),
@@ -499,10 +494,11 @@ class EnergyEvaluator:
         The computation mirrors :meth:`average_report` exactly — resting
         energy over the full period plus the occurrence-weighted incremental
         energy of every conditional phase, clamped at zero per block — but
-        evaluates every operating point in the batch simultaneously.  Timing
-        quantities (schedule feasibility, phase durations, wheel period) are
-        computed once per *unique speed* and shared across evaluator
-        instances through the module-level census-timing cache; power
+        evaluates every operating point in the batch simultaneously.  Schedule
+        feasibility is checked by one schedule table over the unique speeds;
+        phase durations and the wheel period are computed once per *unique
+        speed* and shared across evaluator instances through the
+        module-level census-timing cache; power
         quantities are evaluated in single vectorized expressions over all
         points.  A per-point ``batch.activity`` factor scales the activity of
         every block a phase overrides out of its resting mode, mirroring
@@ -515,6 +511,10 @@ class EnergyEvaluator:
             raise AnalysisError("the average report requires a moving vehicle")
 
         unique_speeds, inverse = np.unique(batch.speed_kmh, return_inverse=True)
+        # Like the scalar path, the worst-case revolution (index 0) must fit
+        # in the wheel round at every speed; one table checks them all.
+        worst = np.tile(self.node.phase_pattern(0), (len(unique_speeds), 1))
+        self.node.schedule_table(unique_speeds, worst).require_feasible()
         periods_u = np.empty(len(unique_speeds))
         census0 = None
         signature = None
@@ -669,136 +669,106 @@ class EnergyEvaluator:
     def _schedule_energy_batch(
         self,
         batch: BatchConditions,
-        schedules: Sequence[RevolutionSchedule],
+        table: ScheduleTable,
         include_phases: bool = False,
     ) -> tuple[np.ndarray, list[tuple[tuple[str, float, float], ...]] | None]:
-        """Shared kernel: energies of N (condition, schedule) pairs.
+        """Shared kernel: energies of N (condition, schedule-table point) pairs.
 
         Every (block, mode) row of the compiled table is evaluated against
         all N condition points in ONE vectorized ``breakdown_components``
-        call; the per-phase accumulation then runs once per distinct *phase
-        structure* (phase names, mode overrides, activities — durations may
-        differ per point, so schedules at different speeds share a group)
-        with elementwise array arithmetic in exactly the operation order of
-        the scalar loop.  A batch of one point is therefore bit-identical to
-        the scalar path; the only structural difference — points whose
-        implicit resting remainder is empty still accumulate ``power * 0.0``
-        — adds an exact IEEE ``+0.0`` and cannot change any bit either.
+        call; the per-phase accumulation then runs once per
+        :class:`~repro.timing.schedule.PhaseStructure` group of ``table``
+        (durations differ per point, the structure does not) with
+        elementwise array arithmetic in exactly the operation order of the
+        scalar loop.  A batch of one point is therefore bit-identical to the
+        scalar path; the only structural difference — points whose implicit
+        resting remainder is empty still accumulate ``power * 0.0`` — adds
+        an exact IEEE ``+0.0`` and cannot change any bit either.
         ``batch.activity`` scales the activity factor of every block a phase
         overrides out of its resting mode (see :meth:`schedule_report`).
+        Raises the first infeasible point's schedule error.
         """
         count = len(batch)
-        if len(schedules) != count:
-            raise AnalysisError("one schedule per batch point is required")
+        if len(table) != count:
+            raise AnalysisError("one schedule-table point per batch point is required")
+        table.require_feasible()
         energies = np.zeros(count)
         phase_lists: list[tuple[tuple[str, float, float], ...]] | None = (
             [()] * count if include_phases else None
         )
         if count == 0:
             return energies, phase_lists
-        table = self.compiled
-        dyn_all, stat_all = table.breakdown_components(
-            np.arange(len(table)),
+        compiled = self.compiled
+        dyn_all, stat_all = compiled.breakdown_components(
+            np.arange(len(compiled)),
             batch.supply_v,
             batch.temperature_c,
             process_dynamic=batch.dynamic_factor,
             process_leakage=batch.leakage_factor,
         )
-        exponents = table.activity_exponent
+        exponents = compiled.activity_exponent
         resting = self.node.resting_modes()
 
-        # Group points by the phase *structure* of their schedule.  Signature
-        # and durations are computed once per distinct schedule object, so
-        # callers that reuse schedule objects across points pay the Python
-        # walk once.
-        info_by_id: dict[int, tuple] = {}
-        group_points: dict[tuple, list[int]] = {}
-        for index, schedule in enumerate(schedules):
-            info = info_by_id.get(id(schedule))
-            if info is None:
-                signature = (
-                    schedule.resting_phase_name,
-                    tuple(
-                        (
-                            phase.name,
-                            tuple(sorted(phase.block_modes.items())),
-                            tuple(sorted(phase.activities.items())),
-                        )
-                        for phase in schedule.phases
-                    ),
-                )
-                info = (
-                    signature,
-                    tuple(phase.duration_s for phase in schedule.phases),
-                    schedule.resting_duration_s,
-                    schedule,
-                )
-                info_by_id[id(schedule)] = info
-            group_points.setdefault(info[0], []).append(index)
-
-        for indices in group_points.values():
-            idx = np.asarray(indices, dtype=np.intp)
+        for structure, idx, durations in table.groups:
             width = len(idx)
-            representative: RevolutionSchedule = info_by_id[id(schedules[indices[0]])][3]
-            durations = np.empty((len(representative.phases), width))
-            rest = np.empty(width)
-            for position, index in enumerate(indices):
-                _signature, phase_durations, rest_s, _schedule = info_by_id[
-                    id(schedules[index])
-                ]
-                durations[:, position] = phase_durations
-                rest[position] = rest_s
+            rest = table.rest_s[idx]
             scale = batch.activity[idx]
+            # One gather per group; the per-(phase, block) rows are views.
+            dyn_group = dyn_all[:, idx] if width < count else dyn_all
+            stat_group = stat_all[:, idx] if width < count else stat_all
             plain = bool(np.all(scale == 1.0))
             total = np.zeros(width)
-            accumulated: list[tuple[str, np.ndarray | None, np.ndarray]] = []
-            for k, phase in enumerate(representative.phases):
+            accumulated: list[tuple[str, np.ndarray, np.ndarray]] = []
+            for k, (name, modes, activities) in enumerate(
+                zip(structure.names, structure.block_modes, structure.activities)
+            ):
                 power = np.zeros(width)
                 for block, resting_mode in resting.items():
-                    mode = phase.mode_of(block, resting_mode)
-                    row = table.row(block, mode)
-                    dynamic_w = dyn_all[row, idx]
-                    activity = phase.activity_of(block)
-                    if block in phase.block_modes:
+                    row = compiled.row(block, modes.get(block, resting_mode))
+                    dynamic_w = dyn_group[row]
+                    activity = activities.get(block, 1.0)
+                    if block in modes:
                         if not plain or activity != 1.0:
                             dynamic_w = dynamic_w * (
                                 (activity * scale) ** exponents[row]
                             )
                     elif activity != 1.0:
                         dynamic_w = dynamic_w * (activity ** exponents[row])
-                    power += dynamic_w + stat_all[row, idx]
+                    power += dynamic_w + stat_group[row]
                 total += power * durations[k]
                 if include_phases:
-                    accumulated.append((phase.name, durations[k], power))
+                    accumulated.append((name, durations[k], power))
             if np.any(rest > 0.0) or include_phases:
                 power = np.zeros(width)
                 for block, resting_mode in resting.items():
-                    row = table.row(block, resting_mode)
-                    power += dyn_all[row, idx] + stat_all[row, idx]
+                    row = compiled.row(block, resting_mode)
+                    power += dyn_group[row] + stat_group[row]
                 total += power * rest
                 if include_phases:
-                    accumulated.append((representative.resting_phase_name, None, power))
+                    accumulated.append((structure.resting_phase_name, rest, power))
             energies[idx] = total
             if phase_lists is not None:
-                for position, index in enumerate(indices):
-                    tuples: list[tuple[str, float, float]] = []
-                    for name, duration_column, power in accumulated:
-                        if duration_column is None:
-                            # The implicit resting remainder: the scalar path
-                            # only yields it when it is non-empty.
-                            duration = float(rest[position])
-                            if duration <= 0.0:
-                                continue
-                        else:
-                            duration = float(duration_column[position])
-                        tuples.append(
-                            (
-                                name,
-                                duration,
-                                float(power[position]) if duration > 0.0 else 0.0,
-                            )
-                        )
-                    phase_lists[index] = tuple(tuples)
+                # Per point, (name, duration, power) in phase order, with the
+                # power zeroed where the duration is not positive; the last
+                # column is the resting remainder, which the scalar path
+                # only yields when it is non-empty (``zip`` stops before it).
+                names = [name for name, _duration, _power in accumulated]
+                durations_all = np.array([duration for _n, duration, _p in accumulated])
+                powers_all = np.where(
+                    durations_all > 0.0,
+                    np.array([power for _n, _d, power in accumulated]),
+                    0.0,
+                )
+                busy_names = names[:-1]
+                for index, duration_row, power_row, keep in zip(
+                    idx.tolist(),
+                    durations_all.T.tolist(),
+                    powers_all.T.tolist(),
+                    (rest > 0.0).tolist(),
+                ):
+                    phase_lists[index] = tuple(
+                        zip(names if keep else busy_names, duration_row, power_row)
+                    )
         return energies, phase_lists
 
     def schedule_energy_compiled(
@@ -809,13 +779,12 @@ class EnergyEvaluator:
     ) -> tuple[float, tuple[tuple[str, float, float], ...]]:
         """Total energy and per-phase (name, duration, power) of one schedule.
 
-        Compiled-table equivalent of :meth:`schedule_report` reduced to what
-        the emulator's cache-miss path needs: the revolution energy plus the
-        phase list used to reconstruct the instant-power trace.  This is the
-        width-1 case of :meth:`_schedule_energy_batch` — sharing the kernel
-        with the emulator's bin sweep and Monte-Carlo sweeps keeps the two paths
-        bit-identical, which the emulator's byte-identical-log contract
-        relies on.
+        Compiled-table equivalent of :meth:`schedule_report` reduced to the
+        revolution energy plus the phase list used to reconstruct the
+        instant-power trace.  This is the width-1 case of
+        :meth:`_schedule_energy_batch` (through
+        ``ScheduleTable.from_schedule``), so it shares the kernel with the
+        emulator's bin sweep and the Monte-Carlo sweeps bit for bit.
         """
         batch = BatchConditions.from_arrays(
             [point.speed_kmh],
@@ -824,7 +793,7 @@ class EnergyEvaluator:
             activity=[activity_scale],
         )
         energies, phases = self._schedule_energy_batch(
-            batch, [schedule], include_phases=True
+            batch, ScheduleTable.from_schedule(schedule), include_phases=True
         )
         assert phases is not None
         return float(energies[0]), phases[0]
@@ -841,12 +810,13 @@ class EnergyEvaluator:
         the per-point operating conditions (including the
         ``BatchConditions.activity`` workload factor) and ``patterns`` is an
         ``(N, 3)`` boolean array of per-point conditional-phase flags
-        ``(transmits, refreshes_slow, writes_nvm)``.  One schedule is built
-        per unique (speed, pattern) bin — schedule feasibility raises exactly
-        like the scalar path — and every power figure is evaluated in a
-        single vectorized pass over the compiled table, which is what makes
-        Monte-Carlo workload sweeps and the emulator's bin sweep O(array
-        ops) instead of O(points x blocks x phases) Python dispatch.
+        ``(transmits, refreshes_slow, writes_nvm)``.  The timing of every
+        point comes from ONE :meth:`SensorNode.schedule_table` call — the
+        first point whose schedule cannot be built raises exactly the scalar
+        path's error — and every power figure is evaluated in a single
+        vectorized pass over the compiled table, which is what makes
+        Monte-Carlo workload sweeps O(array ops) instead of O(points x
+        blocks x phases) Python dispatch.
 
         Returns the ``(N,)`` energy array, or ``(energies, phase_lists)``
         when ``include_phases`` is true (one per-phase
@@ -864,27 +834,9 @@ class EnergyEvaluator:
             raise AnalysisError("patterns must be an (N, 3) boolean array")
         if pattern_arr.shape[0] != len(batch):
             raise AnalysisError("one phase pattern per batch point is required")
-        schedules: list[RevolutionSchedule] = []
-        built: dict[tuple[float, bool, bool, bool], RevolutionSchedule] = {}
-        for index in range(len(batch)):
-            key = (
-                float(batch.speed_kmh[index]),
-                bool(pattern_arr[index, 0]),
-                bool(pattern_arr[index, 1]),
-                bool(pattern_arr[index, 2]),
-            )
-            schedule = built.get(key)
-            if schedule is None:
-                schedule = self.node.schedule_for_pattern(
-                    key[0],
-                    transmits=key[1],
-                    refreshes_slow=key[2],
-                    writes_nvm=key[3],
-                )
-                built[key] = schedule
-            schedules.append(schedule)
+        table = self.node.schedule_table(batch.speed_kmh, pattern_arr)
         energies, phase_lists = self._schedule_energy_batch(
-            batch, schedules, include_phases=include_phases
+            batch, table, include_phases=include_phases
         )
         if include_phases:
             return energies, phase_lists

@@ -67,7 +67,7 @@ from repro.core.quantize import (
     temperature_bin_center_c,
     temperature_bins,
 )
-from repro.errors import ConfigError, EmulationError, ScheduleError
+from repro.errors import ConfigError, EmulationError
 from repro.fleet.aggregate import (
     DEFAULT_SURVIVAL_BUCKETS,
     FleetAccumulator,
@@ -116,7 +116,8 @@ class _CohortTable:
     Holds everything about one (cycle, speed scale[, ambient bin]) pairing
     that does not depend on the individual vehicle: the cycle ``plan`` (the
     per-unit arrays and the state-log sampling walk), the resolved speed
-    ``slots`` with each round's index into them, and — for thermal cohorts —
+    ``slots`` (``(speed key, pattern, evaluation speed)`` each) with each
+    round's index into them, and — for thermal cohorts —
     the rounds' (speed, temperature, pattern) ``triples`` and the per-unit
     sleep power along the replayed temperature trajectory.  ``fallback``
     marks cohorts the fast path cannot cover — ``fallback_reason`` says why
@@ -163,7 +164,6 @@ def _build_cohort_table(
     cycle,
     record_interval_s: float,
     idle_step_s: float,
-    schedules: dict,
     thermal_model=None,
 ) -> _CohortTable:
     """Plan one cohort's cycle through the probe emulator.
@@ -171,12 +171,13 @@ def _build_cohort_table(
     The probe supplies the exact walk (``materialize_cycle``), thermal
     replay (``plan_temperatures``) and speed-key classification
     (``speed_slots``) the per-vehicle ``emulate()`` runs, so the table can
-    never drift from it.  ``thermal_model`` — a freshly built model at the
-    cohort's bin-center ambient — keeps the per-unit temperature trajectory
-    and keys the rounds on full (speed, temperature, phase-pattern) triples
-    instead of pinning one temperature bin per vehicle.  ``schedules``
-    memoizes the group's slot schedules across its cohorts (a schedule is a
-    pure function of the speed key and pattern under one node).
+    never drift from it.  One ``schedule_table`` call over the resolved
+    slots checks that every slot's schedule can be built; if one cannot,
+    the cohort falls back (reason ``"schedule"``).  ``thermal_model`` — a
+    freshly built model at the cohort's bin-center ambient — keeps the
+    per-unit temperature trajectory and keys the rounds on full (speed,
+    temperature, phase-pattern) triples instead of pinning one temperature
+    bin per vehicle.
     """
     table = _CohortTable()
     table.cycle_name = cycle.name
@@ -196,32 +197,26 @@ def _build_cohort_table(
             return table
         table.sleep_power = probe._standstill_power_sweep(temps)
     slots, table.round_slot = probe.speed_slots(plan)
-    table.slots = []
-    for speed_key, pattern, eval_speed, _unit in slots:
-        schedule = schedules.get((speed_key, pattern))
-        if schedule is None:
-            try:
-                schedule = probe.node.schedule_for_pattern(eval_speed, *pattern)
-            except ScheduleError:
-                # The bin straddles the node's feasibility limit (or the
-                # speed is unsustainable): this cohort's vehicles take the
-                # per-vehicle emulate() path, which raises — or recovers —
-                # with the scalar path's exact timing.
-                table.fallback = True
-                table.fallback_reason = "schedule"
-                return table
-            schedules[(speed_key, pattern)] = schedule
-        table.slots.append((speed_key, pattern, eval_speed, schedule))
+    timing = probe.node.schedule_table(
+        [slot[2] for slot in slots], [slot[1] for slot in slots]
+    )
+    if not timing.feasible.all():
+        # A bin straddles the node's feasibility limit (or a speed is
+        # unsustainable): this cohort's vehicles take the per-vehicle
+        # emulate() path, which raises — or recovers — with the scalar
+        # path's exact timing.
+        table.fallback = True
+        table.fallback_reason = "schedule"
+        return table
+    table.slots = [slot[:3] for slot in slots]
     if table.thermal:
         # One entry per distinct (speed, temperature, pattern) triple plus
-        # each round's index into them; triples differing only in
-        # temperature share their slot's schedule object, which groups them
-        # into one vectorized accumulation in the sweep.
+        # each round's index into them.
         keys, table.round_triple = energy_keys(
             slots, table.round_slot, temperature_bins(temps[plan.round_indices])
         )
         table.triples = [
-            (key, table.slots[slot][2], temperature_bin_center_c(temp_bin), table.slots[slot][3])
+            (key, slots[slot][2], temperature_bin_center_c(temp_bin), slots[slot][1])
             for key, slot, temp_bin in keys
         ]
     return table
@@ -688,7 +683,6 @@ class FleetRunner:
         probes: dict[str, NodeEmulator] = {}
         tables: dict[str, _CohortTable] = {}
         standstill: dict[str, dict[int, float]] = {}
-        schedules: dict[str, dict] = {}
         pending: dict[str, dict] = {}
         for chunk in chunks:
             for vehicle in chunk:
@@ -698,7 +692,6 @@ class FleetRunner:
                     groups[gkey] = self._components_for(spec)
                     standstill[gkey] = {}
                     pending[gkey] = {}
-                    schedules[gkey] = {}
                 ckey = _cohort_key(vehicle, thermal)
                 table = tables.get(ckey)
                 if table is None:
@@ -724,7 +717,6 @@ class FleetRunner:
                         cycle,
                         self.record_interval_s,
                         self.idle_step_s,
-                        schedules[gkey],
                         thermal_model=(
                             thermal.build(spec.temperature_c)
                             if thermal is not None
@@ -735,8 +727,8 @@ class FleetRunner:
                     tables[ckey] = table
                     # Trajectory-driven demand: a thermal cohort's bins span
                     # its (speed, temperature, pattern) triples.
-                    for key, eval_speed, temp_center, schedule in table.triples:
-                        pending[gkey].setdefault(key, (eval_speed, temp_center, schedule))
+                    for key, eval_speed, temp_center, pattern in table.triples:
+                        pending[gkey].setdefault(key, (eval_speed, temp_center, pattern))
                 if table.thermal:
                     continue
                 temp_bin = temperature_bin(spec.temperature_c)
@@ -748,9 +740,9 @@ class FleetRunner:
                     continue
                 table.energies_by_temp_bin[temp_bin] = None
                 temp_center = temperature_bin_center_c(temp_bin)
-                for speed_key, pattern, eval_speed, schedule in table.slots:
+                for speed_key, pattern, eval_speed in table.slots:
                     pending[gkey].setdefault(
-                        (speed_key, temp_bin, *pattern), (eval_speed, temp_center, schedule)
+                        (speed_key, temp_bin, *pattern), (eval_speed, temp_center, pattern)
                     )
 
         # ONE cross-vehicle sweep per group: the union of quantized bins over
@@ -782,7 +774,7 @@ class FleetRunner:
                     table.energies_by_temp_bin[temp_bin] = np.array(
                         [
                             group_bins[(speed_key, temp_bin, *pattern)][0]
-                            for speed_key, pattern, _eval_speed, _schedule in table.slots
+                            for speed_key, pattern, _eval_speed in table.slots
                         ]
                     )
         return groups, tables, bins, standstill

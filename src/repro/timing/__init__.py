@@ -6,7 +6,7 @@ duty cycle), and the energy evaluation integrates power over that unit.
 """
 
 from repro.timing.duty_cycle import BlockDutyCycle, DutyCycleReport, duty_cycle_report
-from repro.timing.schedule import Phase, RevolutionSchedule
+from repro.timing.schedule import Phase, PhaseStructure, RevolutionSchedule, ScheduleTable
 from repro.timing.wheel_round import (
     IdleInterval,
     WheelRound,
@@ -17,6 +17,8 @@ from repro.timing.wheel_round import (
 __all__ = [
     "Phase",
     "RevolutionSchedule",
+    "PhaseStructure",
+    "ScheduleTable",
     "WheelRound",
     "IdleInterval",
     "iter_wheel_rounds",

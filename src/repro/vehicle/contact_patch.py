@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.units import kmh_to_ms
 from repro.vehicle.wheel import Wheel
 
 
@@ -62,6 +65,16 @@ class ContactPatchModel:
     def acquisition_window_s(self, speed_kmh: float) -> float:
         """Duration of the acquisition window per revolution, in seconds."""
         return self.wheel.contact_patch_duration_s(speed_kmh) * self.guard_factor
+
+    def acquisition_windows_s(self, speeds_kmh) -> np.ndarray:
+        """Vectorized :meth:`acquisition_window_s` over positive speeds.
+
+        The same operations in the same order (patch length over the speed
+        in m/s, times the guard factor), so every element is bitwise the
+        scalar value; the caller guarantees the speeds are positive.
+        """
+        speeds = np.asarray(speeds_kmh, dtype=np.float64)
+        return self.wheel.tyre.contact_patch_length_m / kmh_to_ms(speeds) * self.guard_factor
 
     def acquisition_duty_cycle(self, speed_kmh: float) -> float:
         """Fraction of the wheel round spent acquiring around the patch.

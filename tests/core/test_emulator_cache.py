@@ -91,24 +91,17 @@ class TestCacheReuse:
         assert warm.consumed_j == pytest.approx(fresh.consumed_j)
 
     def test_feasibility_boundary_round_falls_back_to_exact_speed(
-        self, node, database, scavenger, monkeypatch
+        self, limited_node, database, scavenger
     ):
-        """A round feasible at its exact speed but not at the bin-center speed
-        must still emulate, keyed on the exact speed."""
-        from repro.blocks.node import SensorNode
-        from repro.errors import ScheduleError
+        """A round feasible at its exact speed but not at its bin's upper
+        edge must still emulate, keyed on the exact speed."""
         from repro.timing.wheel_round import WheelRound
 
+        node = limited_node
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
-        original = SensorNode.schedule_for
-
-        def limited(self, speed_kmh, revolution_index=0):
-            if speed_kmh >= 180.0:
-                raise ScheduleError("busy phases exceed the wheel-round period")
-            return original(self, speed_kmh, revolution_index)
-
-        monkeypatch.setattr(SensorNode, "schedule_for", limited)
-        speed = 179.9  # feasible, but its bin center (180.0) is not
+        speed = 128.7  # feasible, but its bin's upper edge (128.75) is not
+        node.schedule_for(speed, 0)
+        assert not node.schedule_table([128.75], [node.phase_pattern(0)]).feasible[0]
         unit = WheelRound(
             index=0,
             start_s=0.0,
@@ -125,23 +118,15 @@ class TestCacheReuse:
         assert again == energy
 
     def test_cached_bin_does_not_mask_faster_infeasible_speed(
-        self, node, database, scavenger, monkeypatch
+        self, limited_node, database, scavenger
     ):
         """A bin entry seeded by a feasible speed must not suppress the
         ScheduleError for a later, faster, infeasible speed in the same bin."""
-        from repro.blocks.node import SensorNode
         from repro.errors import ScheduleError
         from repro.timing.wheel_round import WheelRound
 
+        node = limited_node
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
-        original = SensorNode.schedule_for
-
-        def limited(self, speed_kmh, revolution_index=0):
-            if speed_kmh >= 180.1:
-                raise ScheduleError("busy phases exceed the wheel-round period")
-            return original(self, speed_kmh, revolution_index)
-
-        monkeypatch.setattr(SensorNode, "schedule_for", limited)
 
         def round_at(speed):
             return WheelRound(
@@ -151,37 +136,50 @@ class TestCacheReuse:
                 speed_kmh=speed,
             )
 
-        # 179.9 and 180.2 share bin 360 (center 180.0, feasible).
-        emulator._revolution_energy(round_at(179.9), 25.0)  # seeds the bin
+        # 128.7 and 128.74 share bin 257 (center 128.5, feasible).
+        node.schedule_for(128.5, 0)
+        emulator._revolution_energy(round_at(128.7), 25.0)  # seeds the bin
         with pytest.raises(ScheduleError):
-            emulator._revolution_energy(round_at(180.2), 25.0)
+            emulator._revolution_energy(round_at(128.74), 25.0)
 
     def test_infeasible_exact_speed_still_raises(
-        self, node, database, scavenger, monkeypatch
+        self, limited_node, database, scavenger
     ):
         """A feasible bin center must not mask an infeasible actual speed."""
-        from repro.blocks.node import SensorNode
         from repro.errors import ScheduleError
         from repro.timing.wheel_round import WheelRound
 
+        node = limited_node
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
-        original = SensorNode.schedule_for
-
-        def limited(self, speed_kmh, revolution_index=0):
-            if speed_kmh > 180.0:
-                raise ScheduleError("busy phases exceed the wheel-round period")
-            return original(self, speed_kmh, revolution_index)
-
-        monkeypatch.setattr(SensorNode, "schedule_for", limited)
-        speed = 180.1  # infeasible, but its bin center (180.0) is feasible
+        speed = 128.74  # infeasible, but its bin center (128.5) is feasible
+        node.schedule_for(128.5, 0)
         unit = WheelRound(
             index=0,
             start_s=0.0,
             period_s=node.wheel.revolution_period_s(speed),
             speed_kmh=speed,
         )
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError) as raised:
             emulator._revolution_energy(unit, 25.0)
+        with pytest.raises(ScheduleError) as reference:
+            node.schedule_for(speed, 0)
+        assert str(raised.value) == str(reference.value)
+
+    def test_bin_sweep_leaves_out_unbuildable_keys(
+        self, limited_node, database, scavenger
+    ):
+        """One sweep decides feasibility: unbuildable keys are left out."""
+        node = limited_node
+        pattern = node.phase_pattern(0)
+        fits = (("exact", 128.7), 25, *pattern)
+        fails = (("exact", 128.74), 25, *pattern)
+        pending = {fails: (128.74, 25.0, pattern), fits: (128.7, 25.0, pattern)}
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        swept = emulator.evaluate_energy_bins(pending)
+        assert list(swept) == [fits]
+        alone = NodeEmulator(node, database, scavenger, supercapacitor())
+        assert swept[fits] == alone.evaluate_energy_bins({fits: pending[fits]})[fits]
+        assert emulator.evaluate_energy_bins({fails: pending[fails]}) == {}
 
     def test_bin_sharing_speeds_do_not_leak_history(self, node, database, scavenger):
         """Two speeds in the same 0.5 km/h bin must not cross-contaminate runs.

@@ -19,6 +19,7 @@ import pytest
 import repro.core.emulator as emulator_module
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.quantize import speed_bin_upper_edge_kmh
 from repro.core.trace import PowerTrace
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scavenger.storage import supercapacitor
@@ -178,18 +179,13 @@ def _count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-def _limit_schedules(monkeypatch, limit_kmh: float) -> None:
-    """Make every schedule at or above ``limit_kmh`` infeasible."""
-    from repro.blocks.node import SensorNode
-
-    original = SensorNode.schedule_for
-
-    def limited(self, speed_kmh, revolution_index=0):
-        if speed_kmh >= limit_kmh:
-            raise ScheduleError("busy phases exceed the wheel-round period")
-        return original(self, speed_kmh, revolution_index)
-
-    monkeypatch.setattr(SensorNode, "schedule_for", limited)
+def _fits(node, speed_kmh: float, pattern) -> bool:
+    """Whether the scalar reference can build this schedule."""
+    try:
+        node.schedule_for_pattern(speed_kmh, *pattern)
+    except ScheduleError:
+        return False
+    return True
 
 
 def _unresolve_every_bin(monkeypatch) -> None:
@@ -317,9 +313,11 @@ class TestPrefillMechanics:
         assert emulator.thermal_model.current_celsius == reference.thermal_model.current_celsius
         assert emulator.thermal_model.current_celsius != ambient
 
-    def test_prefill_skips_infeasible_bins(self, node, database, scavenger, monkeypatch):
+    def test_prefill_skips_infeasible_bins(
+        self, limited_node, database, scavenger, monkeypatch
+    ):
         """Rounds whose schedule cannot be built are left to the stepwise loop."""
-        _limit_schedules(monkeypatch, 100.0)
+        node = limited_node
         swept = []
         sweep = NodeEmulator.evaluate_energy_bins
 
@@ -333,16 +331,21 @@ class TestPrefillMechanics:
             phases=[DriveCyclePhase(duration_s=60.0, start_kmh=80.0, end_kmh=130.0)],
             name="ramp-past-limit",
         )
+        assert _fits(node, 80.0, node.phase_pattern(0))
+        assert not _fits(node, 130.0, node.phase_pattern(0))
         # The stepwise loop raises at the first unsustainable round, exactly
         # as the per-revolution reference does.
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError) as planned:
             emulator.emulate(cycle)
         assert swept
         assert all(
-            not (isinstance(key[0], int) and key[0] >= 200) for key in swept
+            _fits(node, speed_bin_upper_edge_kmh(key[0]), key[2:])
+            for key in swept
+            if isinstance(key[0], int)
         ), "a bin past the feasibility limit was swept"
-        with pytest.raises(ScheduleError):
+        with pytest.raises(ScheduleError) as reference:
             naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
+        assert str(planned.value) == str(reference.value)
 
     def test_prefill_entries_match_miss_entries(self, node, database, scavenger):
         """Swept values must be bitwise what the miss path computes."""
@@ -356,15 +359,19 @@ class TestPrefillMechanics:
         for key in shared:
             assert planned._energy_cache[key] == scalar._energy_cache[key], key
 
-    def test_infeasible_bin_center_matches_reference(
-        self, node, database, scavenger, monkeypatch
-    ):
+    def test_infeasible_bin_center_matches_reference(self, pocket_node, database, scavenger):
         """A bin whose center is infeasible falls back to exact keys, cold and warm."""
-        _limit_schedules(monkeypatch, 180.0)
-        cycle = constant_cruise(179.9, duration_s=20.0)  # bin center 180.0 fails
+        node = pocket_node
+        pattern = node.phase_pattern(0)
+        # 102.4 km/h fits and so does its bin's upper edge, but the bin
+        # center (102.5 km/h) does not.
+        assert _fits(node, 102.4, pattern) and _fits(node, 102.75, pattern)
+        assert not _fits(node, 102.5, pattern)
+        cycle = constant_cruise(102.4, duration_s=20.0)
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         cold = emulator.emulate(cycle)
-        assert any(key[0] == ("exact", 179.9) for key in emulator._energy_cache)
+        assert any(key[0] == ("exact", 102.4) for key in emulator._energy_cache)
+        assert (205, *pattern) in emulator._infeasible_center_keys
         warm = emulator.emulate(cycle)
         reference = naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
         _assert_byte_identical(cold, reference)

@@ -119,28 +119,70 @@ class TestScheduleEnergySweep:
             assert float(energies[i]) == total
             assert phase_lists[i] == phases
 
-    def test_shared_speed_pattern_bins_share_one_schedule(self, evaluator, monkeypatch):
-        """One schedule build per unique (speed, pattern), not per point."""
+    def test_no_per_point_schedule_objects(self, evaluator, monkeypatch):
+        """The sweep builds no schedule object: one table, one structure per pattern."""
         from repro.blocks.node import SensorNode
+        from repro.timing.schedule import RevolutionSchedule
 
         builds = []
-        original = SensorNode.schedule_for_pattern
+        original_init = RevolutionSchedule.__init__
 
-        def counting(self, speed_kmh, **kwargs):
-            builds.append(speed_kmh)
-            return original(self, speed_kmh, **kwargs)
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original_init(self, *args, **kwargs)
 
-        monkeypatch.setattr(SensorNode, "schedule_for_pattern", counting)
+        monkeypatch.setattr(RevolutionSchedule, "__init__", counting_init)
+        tables = []
+        original_table = SensorNode.schedule_table
+
+        def recording(self, speeds, patterns):
+            tables.append(original_table(self, speeds, patterns))
+            return tables[-1]
+
+        monkeypatch.setattr(SensorNode, "schedule_table", recording)
         speeds = np.array([60.0, 60.0, 90.0, 90.0, 60.0])
         batch = BatchConditions.from_arrays(speeds, 25.0)
-        patterns = np.array([ALL_PATTERNS[0]] * 5)
+        patterns = np.array([ALL_PATTERNS[i % 2] for i in range(5)])
         evaluator.schedule_energy_sweep(batch, patterns)
-        assert len(builds) == 2
+        evaluator.schedule_energy_sweep(batch, patterns)
+        assert builds == []
+        assert len(tables) == 2
+        first, second = tables
+        assert [indices.tolist() for _s, indices, _d in first.groups] == [[0, 2, 4], [1, 3]]
+        # Structures are memoized on the node: the same objects every call.
+        assert [structure for structure, *_ in first.groups] == [
+            structure for structure, *_ in second.groups
+        ]
 
     def test_empty_batch(self, evaluator):
         batch = BatchConditions.from_arrays(np.empty(0), np.empty(0))
         energies = evaluator.schedule_energy_sweep(batch, np.empty((0, 3), dtype=bool))
         assert energies.shape == (0,)
+        energies, phases = evaluator.schedule_energy_sweep(
+            batch, np.empty((0, 3), dtype=bool), include_phases=True
+        )
+        assert energies.shape == (0,) and phases == []
+
+    def test_first_infeasible_point_raises_the_scalar_error(self, node, evaluator):
+        """In a mixed batch the first infeasible point raises, with the scalar text."""
+        speeds = np.array([60.0, 1500.0, 90.0, 2500.0])
+        batch = BatchConditions.from_arrays(speeds, 25.0)
+        patterns = np.array([[True, True, False]] * 4)
+        with pytest.raises(ScheduleError) as expected:
+            node.schedule_for_pattern(1500.0, True, True, False)
+        with pytest.raises(ScheduleError) as raised:
+            evaluator.schedule_energy_sweep(batch, patterns)
+        assert str(raised.value) == str(expected.value)
+
+    def test_non_positive_speed_raises_configuration_error(self, evaluator):
+        patterns = np.array([[True, False, False]] * 3)
+        zero_first = BatchConditions.from_arrays(np.array([60.0, 0.0, 1500.0]), 25.0)
+        with pytest.raises(ConfigurationError, match="positive speed"):
+            evaluator.schedule_energy_sweep(zero_first, patterns)
+        # Errors keep point order: an earlier infeasible point wins.
+        infeasible_first = BatchConditions.from_arrays(np.array([60.0, 1500.0, 0.0]), 25.0)
+        with pytest.raises(ScheduleError):
+            evaluator.schedule_energy_sweep(infeasible_first, patterns)
 
     def test_infeasible_speed_raises_schedule_error(self, evaluator):
         batch = BatchConditions.from_arrays(np.array([1500.0]), 25.0)
@@ -304,3 +346,11 @@ class TestCensusTimingCache:
         # And keeps raising: infeasible speeds are never cached.
         with pytest.raises(ScheduleError):
             evaluator.average_energy_sweep([OperatingPoint(speed_kmh=1500.0)])
+
+    def test_slowest_infeasible_speed_raises_the_scalar_error(self, node, database):
+        points = [OperatingPoint(speed_kmh=s) for s in (2500.0, 60.0, 1500.0)]
+        with pytest.raises(ScheduleError) as expected:
+            EnergyEvaluator(node, database).average_report(points[2])
+        with pytest.raises(ScheduleError) as raised:
+            EnergyEvaluator(node, database).average_energy_sweep(points)
+        assert str(raised.value) == str(expected.value)

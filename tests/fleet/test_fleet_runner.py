@@ -233,3 +233,69 @@ class TestCycleMixAndTolerances:
             assert storage.restart_level_j / reference.restart_level_j == pytest.approx(
                 vehicle.storage_scale
             )
+
+
+def _constant_fleet_rows_match_emulate(speed_kmh, duration_s, **base_overrides):
+    """Run a 3-vehicle constant-cruise fleet; every row must equal emulate()."""
+    base = ScenarioSpec(
+        name="constant",
+        drive_cycle={
+            "name": "constant",
+            "params": {"speed_kmh": speed_kmh, "duration_s": duration_s},
+        },
+        **base_overrides,
+    )
+    fleet = FleetSpec(name="constant", base=base, vehicles=3, seed=1)
+    result = FleetRunner(fleet).run()
+    for vehicle, row in zip(fleet.materialize(), result.vehicle_rows):
+        spec = vehicle.scenario
+        emulator = NodeEmulator(
+            spec.build_node(),
+            spec.build_database(),
+            spec.build_scavenger(),
+            scaled_storage(spec.build_storage(), vehicle.storage_scale),
+            base_point=spec.operating_point(),
+        )
+        summary = emulator.emulate(spec.build_drive_cycle()).summary()
+        for key, value in summary.items():
+            assert row[key] == value, key
+    return result.metadata
+
+
+class TestZeroRoundCycles:
+    """Cycles below the standstill threshold plan no wheel rounds at all."""
+
+    @pytest.mark.parametrize("speed_kmh", [0.0, 0.5])
+    def test_rows_equal_emulate(self, speed_kmh):
+        metadata = _constant_fleet_rows_match_emulate(speed_kmh, 20.0)
+        assert metadata["fallback_reasons"] == {}
+        assert metadata["fast_path_vehicles"] == 3
+
+
+class TestScheduleFallback:
+    """Cohorts whose speed bins straddle the node's feasibility limit."""
+
+    @staticmethod
+    def _run(architecture, node, speed_kmh, duration_s):
+        from repro.scenario.registry import ARCHITECTURES
+
+        ARCHITECTURES.register(architecture, lambda: node)
+        try:
+            return _constant_fleet_rows_match_emulate(
+                speed_kmh, duration_s, architecture=architecture
+            )
+        finally:
+            ARCHITECTURES.unregister(architecture)
+
+    def test_infeasible_bin_center_falls_back_on_schedule(self, pocket_node):
+        # 102.4 km/h fits, but its bin center (102.5 km/h) does not.
+        metadata = self._run("test-pocket", pocket_node, 102.4, 20.0)
+        assert metadata["fallback_reasons"] == {"schedule": 3}
+        assert metadata["fast_path_vehicles"] == 0
+
+    def test_feasible_exact_slots_stay_on_the_fast_path(self, limited_node):
+        # 128.7 km/h fits; its bin's upper edge does not, so the rounds are
+        # keyed on their exact speed and still share the cohort sweep.
+        metadata = self._run("test-limited", limited_node, 128.7, 10.0)
+        assert metadata["fallback_reasons"] == {}
+        assert metadata["fast_path_vehicles"] == 3
