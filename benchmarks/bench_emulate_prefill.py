@@ -19,7 +19,10 @@ wide-speed-range cycle (hundreds of unique bins) and *asserts*:
 
 It also records cold and warm ``emulate()`` wall times, with the plan builds
 per run, on the design loop's three cycles (urban, NEDC-like, 600 s
-highway) in its timing JSON.
+highway) in its timing JSON, plus those of a 600 s cruise at 102.4 km/h on
+a node whose bin center there (102.5 km/h) is infeasible: the cold run
+re-keys that bin on the exact speed inside its sweep, and the cold, warm
+and fresh runs must agree in ``SampleLog`` bytes.
 """
 
 from __future__ import annotations
@@ -27,15 +30,19 @@ from __future__ import annotations
 import gc
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from benchmarks.conftest import emit_result, emit_timing
+from repro.blocks import baseline_node
+from repro.blocks.mcu import McuConfig
+from repro.blocks.memory import MemoryConfig
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import NodeEmulator
 from repro.scavenger.storage import supercapacitor
 from repro.scenario.registry import DRIVE_CYCLES
-from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase
+from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase, constant_cruise
 
 #: Local headroom is comfortably above the 5x acceptance bar; shared CI
 #: runners are noisy, so workflows may lower the enforced floor via the
@@ -145,9 +152,15 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
         title="Revolution-energy cache fill: one batch call vs scalar misses",
     )
     design_times, plan_builds = _design_loop_emulate_times(node, database, scavenger)
+    pocket_times = _pocket_cruise_emulate_times(database, scavenger)
     emit_timing(
         "emulate_prefill",
-        wall_times_s={"scalar_fill": scalar_s, "batch_fill": batch_s, **design_times},
+        wall_times_s={
+            "scalar_fill": scalar_s,
+            "batch_fill": batch_s,
+            **design_times,
+            **pocket_times,
+        },
         speedups={"batch_vs_scalar": speedup},
         extra={
             "bins": len(keys),
@@ -203,6 +216,38 @@ def _design_loop_emulate_times(node, database, scavenger, repeats: int = 3):
         times[f"emulate_{name}_cold"] = cold_s
         times[f"emulate_{name}_warm"] = warm_s
     return times, builds
+
+
+def _pocket_cruise_emulate_times(database, scavenger, repeats: int = 3):
+    """Best-of cold and warm ``emulate()`` seconds of a 600 s cruise at 102.4 km/h.
+
+    The node's compute time is a sawtooth of the speed, so its transmitting
+    rounds fit at 102.4 km/h but not at the bin center, 102.5 km/h.
+    Asserts that the cold, warm and fresh runs agree in ``SampleLog`` bytes.
+    """
+    node = replace(
+        baseline_node(),
+        mcu=McuConfig(clock_hz=11.5e6, cycles_per_sample=1000),
+        memory=MemoryConfig(use_nvm=False),
+    )
+    cycle = constant_cruise(102.4, duration_s=600.0)
+    evaluator = NodeEmulator(node, database, scavenger, supercapacitor()).evaluator
+    evaluator.compiled
+    cold_s = warm_s = float("inf")
+    for _ in range(repeats):
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor(), evaluator=evaluator)
+        start = time.perf_counter()
+        cold = emulator.emulate(cycle)
+        cold_s = min(cold_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        warm = emulator.emulate(cycle)
+        warm_s = min(warm_s, time.perf_counter() - start)
+    fresh = NodeEmulator(node, database, scavenger, supercapacitor()).emulate(cycle)
+    for run in (warm, fresh):
+        for key, column in cold.sample_arrays().items():
+            assert run.sample_arrays()[key].tobytes() == column.tobytes(), key
+        assert run == cold
+    return {"emulate_pocket_cruise_cold": cold_s, "emulate_pocket_cruise_warm": warm_s}
 
 
 def test_emulate_output_identical_cold_warm_and_fresh(node, database, scavenger):

@@ -35,28 +35,10 @@ from repro.core.trace import PowerTrace
 from repro.errors import ConfigurationError, EmulationError
 from repro.power.database import PowerDatabase
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import (
-    StorageElement,
-    StorageTrajectory,
-    deposit_step,
-    leak_step,
-    trajectory,
-    withdraw_step,
-)
+from repro.scavenger.storage import StorageElement, StorageTrajectory, trajectory
 from repro.timing.schedule import ScheduleTable
 from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import DriveCycle
-
-#: Quantization used by the revolution-energy cache: speeds within
-#: ``SPEED_QUANTUM_KMH`` and temperatures within ``TEMPERATURE_QUANTUM_C``
-#: share a cache entry.  The quanta (and the bin arithmetic) are
-#: single-sourced in :mod:`repro.core.quantize` so consumers that share bins
-#: across emulators — the fleet runner's cross-vehicle sweep — can never
-#: drift from the cache keys used here.
-from repro.core.quantize import (
-    SPEED_QUANTUM_KMH as _SPEED_QUANTUM_KMH,  # noqa: F401  (compatibility re-export)
-    TEMPERATURE_QUANTUM_C as _TEMPERATURE_QUANTUM_C,
-)
 
 #: Upper bound on revolution-energy cache entries.  Ordinary cycles produce a
 #: few dozen (binned) entries; only exact-keyed boundary/sub-quantum rounds
@@ -632,9 +614,10 @@ class NodeEmulator:
         have cached.  The timing of every bin comes from one
         :meth:`SensorNode.schedule_table` call, which also decides
         feasibility: keys whose schedule cannot be built (an unsustainable
-        speed, a bin center just past the limit) are left out of the result
-        for the per-round path, which raises with the scalar timing or
-        re-keys the round on its exact speed.  The batch kernel
+        speed, a bin center just past the limit) are left out of the result;
+        :meth:`emulate` re-keys such a bin's rounds on their exact speed, and
+        raises an unsustainable speed's error when the node reaches it while
+        active.  The batch kernel
         accumulates in the scalar operation order, so the values are
         bitwise identical to per-miss evaluations — which is what lets the
         fleet runner evaluate the *union* of bins across a whole vehicle
@@ -811,29 +794,26 @@ class NodeEmulator:
         return slots, round_slot
 
     def _round_values(
-        self, plan: CyclePlan, temps: np.ndarray
+        self, plan: CyclePlan, temps: np.ndarray, end: int
     ) -> tuple[list, np.ndarray]:
-        """Every wheel round's cached revolution energy, missing bins in ONE sweep.
+        """The cached revolution energy of every wheel round before unit ``end``.
 
         Returns ``(values, value_index)``: the distinct ``(energy, per-phase
         list)`` entries and each unit's index into them (``-1`` on idle and
         unresolved units).  Keys not cached yet are evaluated by one
         :meth:`evaluate_energy_bins` call, which leaves out the keys whose
-        schedule cannot be built.
-        Rounds stay unresolved — for the stepwise loop, which evaluates them
-        only while the node is active — when their schedule cannot be built
-        (an unsustainable speed, an infeasible bin center) or from the first
-        round outside the modelled temperature range on, which keeps the
-        scalar path's error timing.
+        schedule cannot be built.  A bin key left out has an infeasible
+        center (its upper edge was validated): its ``(bin, *pattern)`` is
+        memoized in ``_infeasible_center_keys`` and the rounds are resolved
+        and swept once more on their exact speeds, as
+        :meth:`_revolution_energy` keys them.  A round stays unresolved only
+        when its schedule at its exact speed cannot be built.
         """
         rounds = plan.round_indices
-        round_temps = temps[rounds]
-        low, high = TEMPERATURE_RANGE_C
-        outside = np.flatnonzero(~((round_temps >= low) & (round_temps <= high)))
-        limit = int(outside[0]) if outside.size else len(rounds)
+        limit = int(np.searchsorted(rounds, end))
         slots, round_slot = self.speed_slots(plan)
         keys, inverse = energy_keys(
-            slots, round_slot[:limit], temperature_bins(round_temps[:limit])
+            slots, round_slot[:limit], temperature_bins(temps[rounds[:limit]])
         )
         cache = self._energy_cache
         values = [cache.get(key) for key, _slot, _temp_bin in keys]
@@ -849,6 +829,14 @@ class NodeEmulator:
                 if value is not None:
                     values[j] = value
                     self._store_energy(key, value)
+            centers = {
+                (key[0], *key[2:])
+                for key in pending
+                if key not in swept and isinstance(key[0], int)
+            }
+            if centers:
+                self._infeasible_center_keys.update(centers)
+                return self._round_values(plan, temps, end)
         resolved = np.array([value is not None for value in values], dtype=bool)
         value_index = np.full(len(plan), -1, dtype=np.intp)
         value_index[rounds[:limit]] = np.where(resolved[inverse], inverse, -1)
@@ -861,99 +849,6 @@ class NodeEmulator:
             [self._standstill_power(temperature_bin_center_c(int(b))) for b in bins]
         )
         return per_bin[inverse]
-
-    def _integrate_stepwise(
-        self,
-        plan: CyclePlan,
-        temps: np.ndarray,
-        harvest: np.ndarray,
-        values: list,
-        value_index: np.ndarray,
-    ) -> tuple[StorageTrajectory, np.ndarray]:
-        """Reference integration loop for cycles the pure kernel cannot cover.
-
-        Used when some rounds have unresolved revolution energies (evaluated
-        here only while the node is active, so infeasible speeds keep raising
-        at exactly the simulated instant the scalar path raised) or when a
-        temperature leaves the modelled range (the standstill evaluation
-        raises on the offending unit).  Lazily evaluated entries are appended
-        to ``values`` and indexed in ``value_index``.  The ledger arithmetic
-        goes through the same storage step primitives as
-        :func:`repro.scavenger.storage.trajectory`, so both integration paths
-        produce byte-identical trajectories.
-
-        Returns the trajectory plus the per-unit sleep-power array.
-        """
-        storage = self.storage
-        count = len(plan)
-        charge = storage.initial_charge_j
-        active = not storage.is_depleted
-        capacity = storage.capacity_j
-        restart = storage.restart_level_j
-        charge_eff = storage.charge_efficiency
-        discharge_eff = storage.discharge_efficiency
-        self_discharge_w = storage.self_discharge_w
-        pmu = self.node.pmu
-        durations = plan.durations
-
-        sleep_power = np.empty(count)
-        charge_out = np.empty(count)
-        active_out = np.empty(count, dtype=bool)
-        banked_out = np.empty(count)
-        drawn_out = np.zeros(count)
-        attempted = np.zeros(count, dtype=bool)
-        withdrew = np.zeros(count, dtype=bool)
-        brownouts = 0
-        for i in range(count):
-            temperature_c = float(temps[i])
-            # May raise for an out-of-range temperature — on the same unit,
-            # in the same loop position, as the scalar path did.
-            sleep_power[i] = self._standstill_power(temperature_c)
-            duration = float(durations[i])
-            if not active and charge >= restart:
-                active = True
-            moving = plan.is_round[i]
-            banked_out[i] = 0.0
-            if moving:
-                charge, banked_out[i] = deposit_step(
-                    charge, harvest[i] * charge_eff, capacity
-                )
-            if active:
-                attempted[i] = True
-                if not moving:
-                    load = pmu.referred_to_storage(float(sleep_power[i]) * duration)
-                else:
-                    if value_index[i] < 0:
-                        unit = WheelRound(
-                            index=int(plan.indices[i]),
-                            start_s=float(plan.starts[i]),
-                            period_s=duration,
-                            speed_kmh=float(plan.speeds[i]),
-                        )
-                        values.append(self._revolution_energy(unit, temperature_c))
-                        value_index[i] = len(values) - 1
-                    load = pmu.referred_to_storage(float(values[value_index[i]][0]))
-                charge, success = withdraw_step(charge, load / discharge_eff)
-                if success:
-                    withdrew[i] = True
-                    drawn_out[i] = load
-                else:
-                    active = False
-                    brownouts += 1
-            charge, _loss = leak_step(charge, self_discharge_w * duration)
-            charge_out[i] = charge
-            active_out[i] = active
-        traj = StorageTrajectory(
-            charge_j=charge_out,
-            active=active_out,
-            banked_j=banked_out,
-            drawn_j=drawn_out,
-            attempted=attempted,
-            withdrew=withdrew,
-            brownout_events=brownouts,
-            final_charge_j=float(charge),
-        )
-        return traj, sleep_power
 
     # -- main entry point ----------------------------------------------------------------
 
@@ -973,12 +868,12 @@ class NodeEmulator:
         energies of the missing quantized bins come from ONE
         :meth:`evaluate_energy_bins` sweep and are gathered per round, the
         harvest of every wheel round from one ``energy_sweep_j`` call, and
-        the state of charge is integrated by the pure
-        :func:`repro.scavenger.storage.trajectory` kernel.  Cycles the
-        kernel cannot cover — unresolved bins whose evaluation must stay
-        lazy, out-of-range temperatures — fall back to a stepwise loop
-        built on the same storage step primitives; both paths are
-        byte-identical.
+        the state of charge is integrated by ONE call of the pure
+        :func:`repro.scavenger.storage.trajectory` kernel.  Errors keep the
+        scalar path's timing: the kernel runs up to the first unit outside
+        the modelled temperature range, and a round whose schedule cannot
+        be built raises only if the node reaches it while active; the first
+        such event raises.
 
         Args:
             cycle: the cruising-speed profile.
@@ -1011,32 +906,48 @@ class NodeEmulator:
         self._ensure_caches_fresh()
         plan = self._plan_for(cycle, idle_step_s, record_interval_s)
         temps = self.plan_temperatures(plan, self.thermal_model)
-        values, value_index = self._round_values(plan, temps)
-        harvest = round_harvest(self.scavenger, plan)
-        round_indices = plan.round_indices
-
+        # The ledger is integrated over units [0, end): ``end`` is the first
+        # unit outside the modelled temperature range, where the scalar path
+        # raises (or len(plan)).
         low_t, high_t = TEMPERATURE_RANGE_C
-        temps_in_range = bool(np.all((temps >= low_t) & (temps <= high_t)))
-        if temps_in_range and bool(np.all(value_index[round_indices] >= 0)):
-            # Pure-kernel path: every per-unit quantity is known up front.
-            sleep_power = self._standstill_power_sweep(temps)
-            energies = np.array([value[0] for value in values], dtype=float)
-            load = unit_load(
-                self.node.pmu, plan, energies[value_index[round_indices]], sleep_power
+        in_range = (temps >= low_t) & (temps <= high_t)
+        end = len(plan) if in_range.all() else int(np.argmin(in_range))
+        values, value_index = self._round_values(plan, temps, end)
+        harvest = round_harvest(self.scavenger, plan)
+        sleep_power = np.zeros(len(plan))
+        sleep_power[:end] = self._standstill_power_sweep(temps[:end])
+        # Unresolved rounds (no value, index -1) read the trailing 0.0: the
+        # first one the node reaches while active raises below, so that load
+        # is never drawn.
+        energies = np.array([value[0] if value else 0.0 for value in values] + [0.0])
+        load = unit_load(
+            self.node.pmu, plan, energies[value_index[plan.round_indices]], sleep_power
+        )
+        # initial_charge_j=None replays the element's own (already
+        # validated) initial charge without the per-call range check.
+        traj = trajectory(
+            self.storage,
+            harvest[:end],
+            load[:end],
+            plan.durations[:end],
+            initially_active=not self.storage.is_depleted,
+        )
+        unbuilt = traj.attempted & plan.is_round[:end] & (value_index[:end] < 0)
+        if unbuilt.any():
+            # Every earlier unresolved round was passed browned out, so the
+            # ledger up to this one is exact: its exact-speed schedule cannot
+            # be built, and the per-round path raises the scalar error.
+            i = int(np.argmax(unbuilt))
+            unit = WheelRound(
+                index=int(plan.indices[i]),
+                start_s=float(plan.starts[i]),
+                period_s=float(plan.durations[i]),
+                speed_kmh=float(plan.speeds[i]),
             )
-            # initial_charge_j=None replays the element's own (already
-            # validated) initial charge without the per-call range check.
-            traj = trajectory(
-                self.storage,
-                harvest,
-                load,
-                plan.durations,
-                initially_active=not self.storage.is_depleted,
-            )
-        else:
-            traj, sleep_power = self._integrate_stepwise(
-                plan, temps, harvest, values, value_index
-            )
+            self._revolution_energy(unit, float(temps[i]))
+            raise EmulationError(f"round {unit.index} builds but was left out of the sweep")
+        if end < len(plan):
+            self._standstill_power(float(temps[end]))  # raises: out of range
         # The mutating element is the scalar reference, not the integrator:
         # leave it holding the trajectory's final charge, exactly as the old
         # per-revolution deposit/withdraw/leak calls did.

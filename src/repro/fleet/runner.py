@@ -189,9 +189,9 @@ def _build_cohort_table(
         low_t, high_t = TEMPERATURE_RANGE_C
         if not bool(np.all((temps >= low_t) & (temps <= high_t))):
             # Self-heating pushed the trajectory out of the modelled range:
-            # the per-vehicle emulate() path raises on the exact offending
-            # unit (stepwise-loop timing), which the fast path cannot
-            # reproduce — every member vehicle falls back.
+            # the per-vehicle emulate() path scans the ledger up to the
+            # first offending unit and raises there, which the fast path
+            # does not reproduce — every member vehicle falls back.
             table.fallback = True
             table.fallback_reason = "temperature-range"
             return table
@@ -301,7 +301,7 @@ def _cohort_vehicle_outcome(
 ) -> _PendingScan:
     """One vehicle's ledger inputs through the shared-cohort fast path.
 
-    Mirrors the pure-kernel branch of ``NodeEmulator.emulate()`` operation
+    Mirrors ``NodeEmulator.emulate()``'s ledger inputs operation
     for operation — harvest sweep, bin gather, load referral, the
     negative-energy checks — against the cohort's shared cycle table and the
     group's shared bin store.  The ledger scan and summary follow in
@@ -762,7 +762,7 @@ class FleetRunner:
             node = groups[table.group_key][0]
             group_bins = bins[table.group_key]
             if table.thermal:
-                # Element for element emulate()'s pure-kernel load, and
+                # Element for element emulate()'s ledger load, and
                 # vehicle-independent: computed once, shared read-only.
                 energies = np.array([group_bins[key][0] for key, *_rest in table.triples])
                 table.unit_load = unit_load(

@@ -28,12 +28,12 @@ from repro.errors import ConfigurationError, EmulationError
 # Ledger step primitives
 #
 # The charge/discharge/leak arithmetic is defined ONCE here and shared by
-# three consumers: the mutating :class:`StorageElement` methods (the scalar,
-# authoritative reference), :func:`reference_scan` behind the pure
-# :func:`trajectory` kernel, and the emulator's stepwise integration loop;
-# :func:`run_length_scan` applies the same comparisons and operations
-# elementwise over whole stretches.  Keeping them single-sourced is
-# what makes the emulator's byte-identity contract cheap to maintain — a
+# two consumers: the mutating :class:`StorageElement` methods (the scalar,
+# authoritative reference) and :func:`reference_scan` behind the pure
+# :func:`trajectory` kernel, the one integrator of ``emulate()`` and the
+# fleet; :func:`run_length_scan` applies the same comparisons and
+# operations elementwise over whole stretches.  Keeping them single-sourced
+# is what makes the emulator's byte-identity contract cheap to maintain — a
 # change to the ledger semantics cannot desynchronize the paths.
 # ---------------------------------------------------------------------------
 

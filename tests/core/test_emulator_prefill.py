@@ -3,18 +3,22 @@
 ``emulate()`` builds one cycle plan, fills every missing quantized
 (speed, temperature, phase-pattern) bin of the revolution-energy cache with
 ONE batch sweep before the state-of-charge integration, and integrates
-through the pure ledger kernel (or a stepwise loop when a bin stays
-unresolved).  The contract is strict: the output must be *byte identical*
-to the naive per-revolution reference below — one ``WheelRound`` at a time
-from ``iter_wheel_rounds``, per-miss ``_revolution_energy`` evaluations and
-a mutating ``StorageElement`` with restart hysteresis — same totals, same
-``SampleLog`` bytes, same trace.
+through one call of the pure ledger kernel, ``trajectory()``.  Rounds whose
+schedule cannot be built draw nothing in that scan; the first one the node
+reaches while active raises, as does the first unit outside the modelled
+temperature range.  The contract is strict: the output must be *byte
+identical* to the naive per-revolution reference below — one ``WheelRound``
+at a time from ``iter_wheel_rounds``, per-miss ``_revolution_energy``
+evaluations and a mutating ``StorageElement`` with restart hysteresis —
+same totals, same ``SampleLog`` bytes, same trace, or the same error.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.emulator as emulator_module
 from repro.conditions.temperature import TyreThermalModel
@@ -188,11 +192,6 @@ def _fits(node, speed_kmh: float, pattern) -> bool:
     return True
 
 
-def _unresolve_every_bin(monkeypatch) -> None:
-    """An empty sweep leaves every round unresolved: the stepwise loop runs."""
-    monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", lambda self, pending: {})
-
-
 class TestPrefillByteIdentity:
     def test_hour_long_cycle_samplelog_is_byte_identical(self, node, database, scavenger):
         cycle = _hour_cycle()
@@ -316,7 +315,7 @@ class TestPrefillMechanics:
     def test_prefill_skips_infeasible_bins(
         self, limited_node, database, scavenger, monkeypatch
     ):
-        """Rounds whose schedule cannot be built are left to the stepwise loop."""
+        """Rounds whose schedule cannot be built are left out of the sweep."""
         node = limited_node
         swept = []
         sweep = NodeEmulator.evaluate_energy_bins
@@ -333,8 +332,8 @@ class TestPrefillMechanics:
         )
         assert _fits(node, 80.0, node.phase_pattern(0))
         assert not _fits(node, 130.0, node.phase_pattern(0))
-        # The stepwise loop raises at the first unsustainable round, exactly
-        # as the per-revolution reference does.
+        # emulate() raises at the first unsustainable round the node reaches
+        # while active, exactly as the per-revolution reference does.
         with pytest.raises(ScheduleError) as planned:
             emulator.emulate(cycle)
         assert swept
@@ -359,8 +358,15 @@ class TestPrefillMechanics:
         for key in shared:
             assert planned._energy_cache[key] == scalar._energy_cache[key], key
 
-    def test_infeasible_bin_center_matches_reference(self, pocket_node, database, scavenger):
-        """A bin whose center is infeasible falls back to exact keys, cold and warm."""
+    def test_infeasible_bin_center_matches_reference(
+        self, pocket_node, database, scavenger, monkeypatch
+    ):
+        """A bin whose center is infeasible falls back to exact keys, cold and warm.
+
+        The cold run finds the infeasible center in its sweep and resolves
+        those rounds on their exact speed before the one ledger scan: no
+        round energy is evaluated one by one.
+        """
         node = pocket_node
         pattern = node.phase_pattern(0)
         # 102.4 km/h fits and so does its bin's upper edge, but the bin
@@ -369,7 +375,15 @@ class TestPrefillMechanics:
         assert not _fits(node, 102.5, pattern)
         cycle = constant_cruise(102.4, duration_s=20.0)
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        scans = []
+        scan = emulator_module.trajectory
+        monkeypatch.setattr(
+            emulator_module, "trajectory", lambda *a, **k: scans.append(1) or scan(*a, **k)
+        )
+        per_round = _count_calls(monkeypatch, "_revolution_energy")
         cold = emulator.emulate(cycle)
+        assert scans == [1]
+        assert per_round == []
         assert any(key[0] == ("exact", 102.4) for key in emulator._energy_cache)
         assert (205, *pattern) in emulator._infeasible_center_keys
         warm = emulator.emulate(cycle)
@@ -377,30 +391,66 @@ class TestPrefillMechanics:
         _assert_byte_identical(cold, reference)
         _assert_byte_identical(warm, reference)
 
-    def test_self_heating_out_of_range_raises_on_the_same_unit(
-        self, node, database, scavenger, monkeypatch
-    ):
-        standstill = _count_calls(monkeypatch, "_standstill_power")
+    def test_self_heating_out_of_range_raises_on_the_same_unit(self, node, database, scavenger):
+        """Equal error texts mean the same unit raised: the text carries its temperature."""
         hot = {"ambient_celsius": 150.0, "max_rise_c": 120.0, "time_constant_s": 30.0}
         cycle = highway_cycle(duration_s=600.0)
-        with pytest.raises(ConfigurationError, match="outside the modelled range"):
+        with pytest.raises(ConfigurationError, match="outside the modelled range") as planned:
             _thermal_emulator(node, database, scavenger, **hot).emulate(cycle)
-        planned_calls = list(standstill)
-        standstill.clear()
-        with pytest.raises(ConfigurationError, match="outside the modelled range"):
+        with pytest.raises(ConfigurationError, match="outside the modelled range") as reference:
             naive_emulate(_thermal_emulator(node, database, scavenger, **hot), cycle)
-        assert len(planned_calls) > 1
-        assert planned_calls == standstill
+        assert str(planned.value) == str(reference.value)
+
+
+_RAMP = st.builds(
+    DriveCyclePhase,
+    duration_s=st.floats(1.0, 12.0),
+    start_kmh=st.floats(110.0, 140.0),
+    end_kmh=st.floats(110.0, 140.0),
+)
+_IDLE = st.builds(
+    DriveCyclePhase, duration_s=st.floats(0.5, 5.0), start_kmh=st.just(0.0), end_kmh=st.just(0.0)
+)
+
+
+class TestUnsustainableRounds:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        fraction=st.one_of(st.floats(0.0, 0.12), st.floats(0.0, 1.0)),
+        phases=st.lists(st.one_of(_RAMP, _IDLE), min_size=1, max_size=4),
+    )
+    def test_emulate_matches_reference_or_raises_alike(
+        self, limited_node, database, scavenger, fraction, phases
+    ):
+        """Ramps across the speed limit: same bytes, or the same error.
+
+        A node that starts below the restart level passes unsustainable
+        rounds browned out, which must not raise; the first one it reaches
+        while active raises the reference's error.
+        """
+        cycle = DriveCycle(phases=phases, name="limit-crossing")
+
+        def emulator() -> NodeEmulator:
+            storage = supercapacitor(initial_fraction=fraction)
+            return NodeEmulator(limited_node, database, scavenger, storage)
+
+        try:
+            reference = naive_emulate(emulator(), cycle)
+        except ScheduleError as error:
+            with pytest.raises(ScheduleError) as planned:
+                emulator().emulate(cycle)
+            assert type(planned.value) is type(error)
+            assert str(planned.value) == str(error)
+            return
+        _assert_byte_identical(emulator().emulate(cycle), reference)
 
 
 class TestArrayCoreByteIdentity:
-    """The array-based integration core: kernel path ≡ stepwise loop ≡ reference.
-
-    ``emulate()`` integrates through the pure ``storage.trajectory`` kernel
-    whenever every per-round quantity is known up front, and falls back to
-    the stepwise loop (same storage step primitives) otherwise.  Both paths
-    must produce the reference's ``SampleLog`` bytes.
-    """
+    """The array-based integration core: one ``trajectory()`` call ≡ reference."""
 
     def test_kernel_path_is_actually_taken(self, node, database, scavenger, monkeypatch):
         calls = []
@@ -414,37 +464,8 @@ class TestArrayCoreByteIdentity:
         _thermal_emulator(node, database, scavenger).emulate(_hour_cycle())
         assert calls, "a fully swept cycle should integrate through the kernel"
 
-    def test_forced_stepwise_loop_is_byte_identical(self, node, database, scavenger, monkeypatch):
-        """An empty sweep leaves every round unresolved: the stepwise loop runs."""
-        cycle = _hour_cycle()
-        kernel = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        reference = naive_emulate(_thermal_emulator(node, database, scavenger), cycle)
-        _unresolve_every_bin(monkeypatch)
-        scans = []
-        original = emulator_module.trajectory
-        monkeypatch.setattr(
-            emulator_module, "trajectory", lambda *a, **k: scans.append(1) or original(*a, **k)
-        )
-        stepwise = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        assert scans == [], "the stepwise loop should have run"
-        _assert_byte_identical(stepwise, kernel)
-        _assert_byte_identical(stepwise, reference)
-
-    def test_stepwise_trace_matches_kernel_trace(self, node, database, scavenger, monkeypatch):
-        cycle = urban_cycle(repetitions=1)
-        window = (20.0, 24.0)
-        kernel = _thermal_emulator(node, database, scavenger).emulate(cycle, trace_window=window)
-        reference = naive_emulate(
-            _thermal_emulator(node, database, scavenger), cycle, trace_window=window
-        )
-        _unresolve_every_bin(monkeypatch)
-        stepwise = _thermal_emulator(node, database, scavenger).emulate(
-            cycle, trace_window=window
-        )
-        assert kernel.trace == stepwise.trace == reference.trace
-
-    def test_storage_holds_the_final_charge(self, node, database, scavenger, monkeypatch):
-        """Both integration paths leave the element where the reference leaves it."""
+    def test_storage_holds_the_final_charge(self, node, database, scavenger):
+        """The integration leaves the element where the reference leaves it."""
         cycle = _hour_cycle()
         kernel_emulator = _thermal_emulator(node, database, scavenger)
         kernel_emulator.emulate(cycle)
@@ -453,11 +474,6 @@ class TestArrayCoreByteIdentity:
         reference = _thermal_emulator(node, database, scavenger)
         naive_emulate(reference, cycle)
         assert reference.storage.charge_j == kernel_charge
-
-        _unresolve_every_bin(monkeypatch)
-        stepwise_emulator = _thermal_emulator(node, database, scavenger)
-        stepwise_emulator.emulate(cycle)
-        assert stepwise_emulator.storage.charge_j == kernel_charge
 
     def test_harvest_rides_the_vectorized_sweep(self, node, database, scavenger, monkeypatch):
         """emulate() calls energy_sweep_j once instead of N scalar calls."""
@@ -489,7 +505,6 @@ class TestEnergyCacheCap:
     def test_cache_cap_eviction_clears_and_refills(self, node, database, scavenger, monkeypatch):
         """Hitting the entry cap drops the cache, and emulation still works."""
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
-        _unresolve_every_bin(monkeypatch)  # every entry arrives as a miss
         emulator = _thermal_emulator(node, database, scavenger)
         result = emulator.emulate(_hour_cycle())
         assert result.revolutions > 0

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
-from repro.core import emulator as emulator_module
 from repro.core import quantize
 from repro.core.emulator import NodeEmulator
 from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
@@ -15,14 +14,6 @@ from repro.vehicle.drive_cycle import urban_cycle
 
 
 class TestQuantize:
-    def test_emulator_rides_the_shared_constants(self):
-        # The compatibility aliases must BE the shared constants: a drifted
-        # copy would silently desynchronize fleet bin sharing from the cache.
-        assert emulator_module._SPEED_QUANTUM_KMH is quantize.SPEED_QUANTUM_KMH
-        assert (
-            emulator_module._TEMPERATURE_QUANTUM_C is quantize.TEMPERATURE_QUANTUM_C
-        )
-
     def test_bin_round_trips(self):
         for speed in (0.2, 0.25, 17.3, 249.99):
             bin_index = quantize.speed_bin(speed)
