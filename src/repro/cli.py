@@ -632,13 +632,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"{metadata['workers']} worker(s) ({metadata['backend']} backend)"
     )
     print(f"wall time {metadata['wall_time_s']:.2f} s", file=sys.stderr)
-    fast = metadata.get("fast_path_vehicles", 0)
-    fallback = metadata.get("fallback_vehicles", 0)
-    path_line = f"fast path: {fast} vehicle(s); fallback: {fallback} vehicle(s)"
-    reasons = metadata.get("fallback_reasons") or {}
-    if reasons:
-        path_line += " (" + ", ".join(f"{k}: {v}" for k, v in sorted(reasons.items())) + ")"
-    print(path_line)
     if metadata["resumed_chunks"]:
         print(
             f"resumed {metadata['resumed_chunks']} chunk(s) "

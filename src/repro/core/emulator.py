@@ -850,6 +850,40 @@ class NodeEmulator:
         )
         return per_bin[inverse]
 
+    def check_trajectory(
+        self,
+        plan: CyclePlan,
+        temps: np.ndarray,
+        traj: StorageTrajectory,
+        unbuilt: np.ndarray,
+    ) -> None:
+        """Raise the scalar path's error for a scan over ``plan``, if it has one.
+
+        ``traj`` integrates units ``[0, end)``, ``end`` being the first unit
+        outside the modelled temperature range (or ``len(plan)``), and
+        ``unbuilt`` marks the wheel rounds whose exact-speed schedule cannot
+        be built (they drew 0).  The first such round the node reaches while
+        active raises through :meth:`_revolution_energy`: every earlier one
+        was passed browned out, so the ledger up to it is exact.  Otherwise
+        a scan cut short raises through :meth:`_standstill_power` on unit
+        ``end``.  :meth:`emulate` and the fleet runner both call this after
+        their scan, so the two raise the same errors at the same units.
+        """
+        end = len(traj)
+        reached = traj.attempted & unbuilt[:end]
+        if reached.any():
+            i = int(np.argmax(reached))
+            unit = WheelRound(
+                index=int(plan.indices[i]),
+                start_s=float(plan.starts[i]),
+                period_s=float(plan.durations[i]),
+                speed_kmh=float(plan.speeds[i]),
+            )
+            self._revolution_energy(unit, float(temps[i]))
+            raise EmulationError(f"round {unit.index} builds but was left out of the sweep")
+        if end < len(plan):
+            self._standstill_power(float(temps[end]))  # raises: out of range
+
     # -- main entry point ----------------------------------------------------------------
 
     def emulate(
@@ -873,7 +907,7 @@ class NodeEmulator:
         scalar path's timing: the kernel runs up to the first unit outside
         the modelled temperature range, and a round whose schedule cannot
         be built raises only if the node reaches it while active; the first
-        such event raises.
+        such event raises (:meth:`check_trajectory`).
 
         Args:
             cycle: the cruising-speed profile.
@@ -932,22 +966,7 @@ class NodeEmulator:
             plan.durations[:end],
             initially_active=not self.storage.is_depleted,
         )
-        unbuilt = traj.attempted & plan.is_round[:end] & (value_index[:end] < 0)
-        if unbuilt.any():
-            # Every earlier unresolved round was passed browned out, so the
-            # ledger up to this one is exact: its exact-speed schedule cannot
-            # be built, and the per-round path raises the scalar error.
-            i = int(np.argmax(unbuilt))
-            unit = WheelRound(
-                index=int(plan.indices[i]),
-                start_s=float(plan.starts[i]),
-                period_s=float(plan.durations[i]),
-                speed_kmh=float(plan.speeds[i]),
-            )
-            self._revolution_energy(unit, float(temps[i]))
-            raise EmulationError(f"round {unit.index} builds but was left out of the sweep")
-        if end < len(plan):
-            self._standstill_power(float(temps[end]))  # raises: out of range
+        self.check_trajectory(plan, temps, traj, plan.is_round & (value_index < 0))
         # The mutating element is the scalar reference, not the integrator:
         # leave it holding the trajectory's final charge, exactly as the old
         # per-revolution deposit/withdraw/leak calls did.

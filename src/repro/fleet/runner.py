@@ -29,27 +29,28 @@ of that across the population:
   constant ones.
 
 Each vehicle then reduces to its harvest sweep and load gather inside the
-engine's retried kernel (:func:`_cohort_vehicle_outcome`: everything that
-can fail).  Once a chunk has settled, each of its vehicles' ledgers is
-replayed by :func:`~repro.scavenger.storage.trajectory` — the run-length
-scan ``emulate()`` uses, which advances event-free stretches with one numpy
+engine's retried kernel (:func:`_cohort_vehicle_outcome`).  Once a chunk has
+settled, each of its vehicles' ledgers is replayed by
+:func:`~repro.scavenger.storage.trajectory` — the run-length scan
+``emulate()`` uses, which advances event-free stretches with one numpy
 accumulate — before the chunk is journaled or streamed; process-backend
 workers scan in the worker and return finished outcomes.  Per-vehicle
 figures are bit-identical to a naive ``emulate()`` of the same vehicle
 scenario (the throughput benchmark asserts it), so the aggregates are
 independent of chunking, worker counts and backends.
 
-Cohorts the shared path cannot cover — a speed bin whose schedule cannot be
+Every vehicle takes this one path, and errors keep ``emulate()``'s timing.
+A cohort whose scan can raise — a round whose exact-speed schedule cannot be
 built, or a thermal trajectory that leaves the modelled temperature range —
-fall back to the per-vehicle ``emulate()`` with the shared bins seeded into
-its cache, so error timing and results stay exactly the scalar path's.  The
-path every vehicle took is counted on the result metadata
-(``fast_path_vehicles`` / ``fallback_vehicles`` / ``fallback_reasons``), so
-a fast-path regression shows up as a counter, not as a silent slowdown.
+scans inside the retried kernel and hands the trajectory to the emulator's
+own :meth:`~repro.core.emulator.NodeEmulator.check_trajectory`, so each of
+its vehicles raises exactly what a naive ``emulate()`` raises, at the same
+simulated instant, and is retried or collected on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,6 @@ import numpy as np
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.core.cycle_plan import energy_keys, round_harvest, unit_load
 from repro.core.emulator import EmulationResult, NodeEmulator
-from repro.core.evaluator import EnergyEvaluator
 from repro.core.quantize import (
     AMBIENT_QUANTUM_C,
     SPEED_QUANTUM_KMH,
@@ -80,7 +80,7 @@ from repro.scavenger.storage import (
     trajectory,
 )
 from repro.scenario.checkpoint import CheckpointStore
-from repro.scenario.engine import ChunkedEngine
+from repro.scenario.engine import ChunkedEngine, process_pool_context
 from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["FleetRunner", "run_fleet"]
@@ -114,18 +114,17 @@ class _CohortTable:
     """Shared per-cohort cycle materialization (read-only after build).
 
     Holds everything about one (cycle, speed scale[, ambient bin]) pairing
-    that does not depend on the individual vehicle: the cycle ``plan`` (the
-    per-unit arrays and the state-log sampling walk), the resolved speed
-    ``slots`` (``(speed key, pattern, evaluation speed)`` each) with each
-    round's index into them, and — for thermal cohorts —
-    the rounds' (speed, temperature, pattern) ``triples`` and the per-unit
-    sleep power along the replayed temperature trajectory.  ``fallback``
-    marks cohorts the fast path cannot cover — ``fallback_reason`` says why
-    (``"schedule"``: a bin straddles the node's feasibility limit;
-    ``"temperature-range"``: the thermal trajectory leaves the modelled
-    range) — their vehicles run the ordinary per-vehicle ``emulate()`` so
-    errors surface at exactly the simulated instant the scalar path raises
-    them.
+    that does not depend on the individual vehicle: the group's ``probe``
+    emulator, the cycle ``plan`` (the per-unit arrays and the state-log
+    sampling walk), the resolved speed ``slots`` (``(speed key, pattern,
+    evaluation speed)`` each, ``None`` where the schedule cannot be built)
+    with each round's index into them, and — for thermal cohorts — the
+    replayed ``temps``, the rounds' (speed, temperature, pattern)
+    ``triples`` and the per-unit sleep power.  The scan covers units
+    ``[0, end)`` (``end`` is the first unit outside the modelled
+    temperature range, or ``len(plan)``); ``unbuilt`` marks the rounds whose
+    schedule cannot be built, and ``checked`` the cohorts whose scan can
+    raise (``end < len(plan)`` or any ``unbuilt`` round).
 
     After the cross-vehicle sweep the runner attaches the precomputed
     demand side: ``unit_load`` (thermal cohorts — the full per-unit load
@@ -136,12 +135,15 @@ class _CohortTable:
 
     __slots__ = (
         "group_key",
+        "probe",
         "cycle_name",
         "duration_s",
         "plan",
-        "fallback",
-        "fallback_reason",
+        "end",
+        "unbuilt",
+        "checked",
         "thermal",
+        "temps",
         "slots",
         "round_slot",
         "sleep_power",
@@ -152,8 +154,7 @@ class _CohortTable:
     )
 
     def __init__(self) -> None:
-        self.fallback = False
-        self.fallback_reason = None
+        self.temps = None
         self.triples = []
         self.unit_load = None
         self.energies_by_temp_bin = {}
@@ -170,55 +171,67 @@ def _build_cohort_table(
 
     The probe supplies the exact walk (``materialize_cycle``), thermal
     replay (``plan_temperatures``) and speed-key classification
-    (``speed_slots``) the per-vehicle ``emulate()`` runs, so the table can
-    never drift from it.  One ``schedule_table`` call over the resolved
-    slots checks that every slot's schedule can be built; if one cannot,
-    the cohort falls back (reason ``"schedule"``).  ``thermal_model`` — a
-    freshly built model at the cohort's bin-center ambient — keeps the
-    per-unit temperature trajectory and keys the rounds on full (speed,
-    temperature, phase-pattern) triples instead of pinning one temperature
-    bin per vehicle.
+    (``speed_slots``) the per-vehicle ``emulate()`` runs, and the rounds
+    are resolved the way ``emulate()`` resolves them: a slot whose bin
+    center cannot be built joins the probe's ``_infeasible_center_keys`` and
+    the slots are resolved again on exact speeds; a slot whose exact-speed
+    schedule cannot be built stays unbuilt, and its rounds draw 0.
+    ``thermal_model`` — a freshly built model at the cohort's bin-center
+    ambient — keeps the per-unit temperature trajectory and keys the rounds
+    before ``end`` on full (speed, temperature, phase-pattern) triples
+    instead of pinning one temperature bin per vehicle.
     """
     table = _CohortTable()
+    table.probe = probe
     table.cycle_name = cycle.name
     table.duration_s = cycle.duration_s
     table.plan = plan = probe.materialize_cycle(cycle, idle_step_s, record_interval_s)
     table.thermal = thermal_model is not None
+    table.end = end = len(plan)
     if table.thermal:
-        temps = probe.plan_temperatures(plan, thermal_model)
+        table.temps = temps = probe.plan_temperatures(plan, thermal_model)
         low_t, high_t = TEMPERATURE_RANGE_C
-        if not bool(np.all((temps >= low_t) & (temps <= high_t))):
+        in_range = (temps >= low_t) & (temps <= high_t)
+        if not in_range.all():
             # Self-heating pushed the trajectory out of the modelled range:
-            # the per-vehicle emulate() path scans the ledger up to the
-            # first offending unit and raises there, which the fast path
-            # does not reproduce — every member vehicle falls back.
-            table.fallback = True
-            table.fallback_reason = "temperature-range"
-            return table
-        table.sleep_power = probe._standstill_power_sweep(temps)
-    slots, table.round_slot = probe.speed_slots(plan)
-    timing = probe.node.schedule_table(
-        [slot[2] for slot in slots], [slot[1] for slot in slots]
-    )
-    if not timing.feasible.all():
-        # A bin straddles the node's feasibility limit (or a speed is
-        # unsustainable): this cohort's vehicles take the per-vehicle
-        # emulate() path, which raises — or recovers — with the scalar
-        # path's exact timing.
-        table.fallback = True
-        table.fallback_reason = "schedule"
-        return table
-    table.slots = [slot[:3] for slot in slots]
+            # the scan stops at the first offending unit, as emulate()'s does.
+            table.end = end = int(np.argmin(in_range))
+        table.sleep_power = np.zeros(len(plan))
+        table.sleep_power[:end] = probe._standstill_power_sweep(temps[:end])
+    while True:
+        slots, table.round_slot = probe.speed_slots(plan)
+        built = probe.node.schedule_table(
+            [slot[2] for slot in slots], [slot[1] for slot in slots]
+        ).feasible
+        centers = {
+            (slot[0], *slot[1])
+            for slot, ok in zip(slots, built.tolist())
+            if not ok and isinstance(slot[0], int)
+        }
+        if not centers:
+            break
+        probe._infeasible_center_keys.update(centers)
+    table.slots = [slot[:3] if ok else None for slot, ok in zip(slots, built.tolist())]
+    table.unbuilt = np.zeros(len(plan), dtype=bool)
+    table.unbuilt[plan.round_indices] = ~built[table.round_slot]
+    table.checked = end < len(plan) or bool(table.unbuilt.any())
     if table.thermal:
-        # One entry per distinct (speed, temperature, pattern) triple plus
-        # each round's index into them.
-        keys, table.round_triple = energy_keys(
-            slots, table.round_slot, temperature_bins(temps[plan.round_indices])
+        # One entry per distinct (speed, temperature, pattern) triple of the
+        # rounds before ``end`` (``None`` where unbuilt) plus each round's
+        # index into them; later rounds index the trailing 0.0 energy.
+        rounds = plan.round_indices
+        limit = int(np.searchsorted(rounds, end))
+        keys, inverse = energy_keys(
+            slots, table.round_slot[:limit], temperature_bins(temps[rounds[:limit]])
         )
         table.triples = [
             (key, slots[slot][2], temperature_bin_center_c(temp_bin), slots[slot][1])
+            if built[slot]
+            else None
             for key, slot, temp_bin in keys
         ]
+        table.round_triple = np.full(len(rounds), -1, dtype=np.intp)
+        table.round_triple[:limit] = inverse
     return table
 
 
@@ -227,9 +240,8 @@ def _survival_from_samples(
 ) -> tuple:
     """Per-bucket active fraction of one vehicle's sampled state log.
 
-    Used identically by the cohort fast path (samples reconstructed from the
-    trajectory) and the per-vehicle fallback (samples from the recorded
-    log), so both paths bucket the same values the same way.
+    ``times`` and ``active`` are the plan's sampling walk read off the
+    vehicle's trajectory — the values ``emulate()`` records in its log.
     """
     if times.size == 0 or duration_s <= 0.0:
         return tuple([float("nan")] * buckets)
@@ -269,7 +281,7 @@ def _vehicle_row(
 
 @dataclass(slots=True)
 class _PendingScan:
-    """One fast-path vehicle between its inputs phase and its ledger scan.
+    """One vehicle between its inputs phase and its ledger scan.
 
     Holds what :func:`_cohort_vehicle_outcome` built for the vehicle — its
     storage element (parameters only), harvest and load vectors — plus what
@@ -280,7 +292,6 @@ class _PendingScan:
     spec: ScenarioSpec
     speed_scale: float
     storage_scale: float
-    node_name: str
     table: _CohortTable
     storage: StorageElement
     harvest: np.ndarray
@@ -293,13 +304,11 @@ def _cohort_vehicle_outcome(
     spec: ScenarioSpec,
     speed_scale: float,
     storage_scale: float,
-    node,
     table: _CohortTable,
-    bins: dict,
     standstill: dict,
     buckets: int,
 ) -> _PendingScan:
-    """One vehicle's ledger inputs through the shared-cohort fast path.
+    """One vehicle's ledger inputs through the shared cohort plan.
 
     Mirrors ``NodeEmulator.emulate()``'s ledger inputs operation
     for operation — harvest sweep, bin gather, load referral, the
@@ -307,8 +316,7 @@ def _cohort_vehicle_outcome(
     group's shared bin store.  The ledger scan and summary follow in
     :func:`_finish_vehicle`, so the figures are bit-identical to a naive
     per-vehicle ``emulate()`` (with the fleet's thermal model, for thermal
-    cohorts).  Everything that can fail runs here, inside the engine's
-    per-vehicle retry.
+    cohorts).
     """
     scavenger = spec.build_scavenger()
     storage = scaled_storage(spec.build_storage(), storage_scale)
@@ -326,7 +334,7 @@ def _cohort_vehicle_outcome(
     else:
         temp_bin = temperature_bin(spec.temperature_c)
         load = unit_load(
-            node.pmu,
+            table.probe.node.pmu,
             plan,
             table.energies_by_temp_bin[temp_bin][table.round_slot],
             standstill[temp_bin],
@@ -338,7 +346,6 @@ def _cohort_vehicle_outcome(
         spec,
         speed_scale,
         storage_scale,
-        node.name,
         table,
         storage,
         harvest,
@@ -348,21 +355,32 @@ def _cohort_vehicle_outcome(
 
 
 def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
-    """Scan a pending vehicle's ledger; its summary, survival and row."""
+    """Scan a pending vehicle's ledger; its summary, survival and row.
+
+    A ``checked`` cohort's trajectory goes through ``emulate()``'s own
+    :meth:`~repro.core.emulator.NodeEmulator.check_trajectory`, which
+    raises the naive run's error, if it has one.
+    """
     table = pending.table
     plan = table.plan
     storage = pending.storage
+    end = table.end
     # initial_charge_j=None replays the element's own (construction-time
     # validated) initial charge — the per-call range check is skipped.
     traj = trajectory(
         storage,
-        pending.harvest,
-        pending.load,
-        plan.durations,
+        pending.harvest[:end],
+        pending.load[:end],
+        plan.durations[:end],
         initially_active=not storage.is_depleted,
     )
+    if table.checked:
+        temps = table.temps
+        if temps is None:
+            temps = np.full(len(plan), float(pending.spec.temperature_c))
+        table.probe.check_trajectory(plan, temps, traj, table.unbuilt)
     result = EmulationResult(
-        node_name=pending.node_name,
+        node_name=table.probe.node.name,
         cycle_name=table.cycle_name,
         duration_s=table.duration_s,
     )
@@ -383,15 +401,14 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
         "survival": _survival_from_samples(
             plan.sample_times, sample_active, table.duration_s, pending.buckets
         ),
-        "path": "cohort",
     }
 
 
 def _finish_chunk(results: list) -> list:
     """Scan a settled chunk's pending vehicles, in place and in order.
 
-    Failed items (``None``) and finished outcomes (fallback vehicles,
-    process workers) pass through untouched.
+    Failed items (``None``) and finished outcomes (``checked`` cohorts)
+    pass through untouched.
     """
     for slot, value in enumerate(results):
         if isinstance(value, _PendingScan):
@@ -399,151 +416,40 @@ def _finish_chunk(results: list) -> list:
     return results
 
 
-def _emulate_vehicle_outcome(
-    vehicle_index: int,
-    spec: ScenarioSpec,
-    speed_scale: float,
-    storage_scale: float,
-    node,
-    database,
-    evaluator: EnergyEvaluator,
-    bins: dict,
-    buckets: int,
-    record_interval_s: float,
-    idle_step_s: float,
-    thermal: ThermalSpec | None = None,
-) -> dict[str, object]:
-    """One vehicle through the ordinary per-vehicle ``emulate()`` path.
-
-    The fallback for cohorts the fast path cannot cover (and for worker
-    processes without the fork-inherited shared tables); shared bins — when
-    available — still seed the emulator's cache, and the outcome is
-    bit-identical to the fast path by the emulator's byte-identity contract.
-    Thermal fleets hand their :class:`~repro.fleet.spec.ThermalSpec` down so
-    the fallback drives the same in-tyre model — built at the vehicle's
-    (bin-centered) ambient — that the cohort replay used.
-    """
-    cycle = spec.build_drive_cycle()
-    if cycle is None:  # pragma: no cover - FleetSpec validation prevents it
-        raise ConfigError("fleet vehicles need a drive cycle")
-    cycle = cycle.scaled(speed_scale)
-    storage = scaled_storage(spec.build_storage(), storage_scale)
-    emulator = NodeEmulator(
-        node,
-        database,
-        spec.build_scavenger(),
-        storage,
-        base_point=spec.operating_point(),
-        thermal_model=thermal.build(spec.temperature_c) if thermal is not None else None,
-        evaluator=evaluator,
-    )
-    if bins:
-        emulator.seed_energy_cache(bins)
-    result = emulator.emulate(cycle, record_interval_s=record_interval_s, idle_step_s=idle_step_s)
-    arrays = result.sample_arrays()
-    survival = _survival_from_samples(
-        arrays["time_s"], arrays["node_active"], result.duration_s, buckets
-    )
-    active = arrays["node_active"]
-    active_at_end = bool(active[-1]) if active.size else False
-    return {
-        "row": _vehicle_row(
-            vehicle_index, spec, speed_scale, storage_scale, result, active_at_end
-        ),
-        "survival": survival,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Process-backend sharing
 #
-# The shared cohort tables, bin stores and standstill memos are stashed in
-# module globals *before* the engine creates its process pool: the fork
-# context snapshots them into every worker for free (the same mechanism that
-# carries user registry registrations).  On platforms without fork the
-# workers simply find the globals empty and take the per-vehicle emulate()
-# path — slower, bit-identical.
+# Each process-backend run stashes its cohort tables and standstill memos in
+# ``_SHARED_RUNS`` under its own run token *before* the engine creates its
+# process pools: the fork context snapshots them into every worker for free
+# (the same mechanism that carries user registry registrations).  A run
+# removes only its own entry, so concurrent runs in one parent process never
+# see each other's state.  Without fork the runner uses the thread engine.
 # ---------------------------------------------------------------------------
 
-_SHARED_TABLES: dict[str, _CohortTable] = {}
-_SHARED_BINS: dict[str, dict] = {}
-_SHARED_STANDSTILL: dict[str, dict[int, float]] = {}
-
-#: Per-worker-process component memo, keyed like ``_group_key``.
-_WORKER_COMPONENTS: dict[str, tuple] = {}
-
-
-def _worker_components(spec: ScenarioSpec):
-    """The (node, database, evaluator) triple of one worker-side vehicle."""
-    key = _group_key(spec)
-    cached = _WORKER_COMPONENTS.get(key)
-    if cached is None:
-        cached = spec.build_components()
-        _WORKER_COMPONENTS[key] = cached
-    return cached
+_SHARED_RUNS: dict[int, tuple[dict, dict]] = {}
+_RUN_TOKENS = itertools.count()
 
 
 def _process_vehicle(payload) -> dict[str, object]:
-    """Worker entry of the process backend: one vehicle, self-contained."""
-    (
-        document,
-        vehicle_index,
-        speed_scale,
-        storage_scale,
-        cohort_key,
-        group_key,
-        buckets,
-        record_interval_s,
-        idle_step_s,
-        thermal_document,
-        force_fallback,
-    ) = payload
-    spec = ScenarioSpec.from_dict(document)
-    thermal = (
-        ThermalSpec.coerce(thermal_document) if thermal_document is not None else None
+    """Worker entry of the process backend: one vehicle, scanned in the worker."""
+    run, document, vehicle_index, speed_scale, storage_scale, cohort_key, group_key, buckets = (
+        payload
     )
-    node, database, evaluator = _worker_components(spec)
-    table = _SHARED_TABLES.get(cohort_key)
-    bins = _SHARED_BINS.get(group_key, {})
-    if table is not None and not table.fallback and not force_fallback:
-        # Workers return finished outcomes: the ledger is scanned here rather
-        # than shipped back to the parent with the vehicle's inputs.
-        return _finish_vehicle(
-            _cohort_vehicle_outcome(
-                vehicle_index,
-                spec,
-                speed_scale,
-                storage_scale,
-                node,
-                table,
-                bins,
-                _SHARED_STANDSTILL.get(group_key, {}),
-                buckets,
-            )
+    tables, standstill = _SHARED_RUNS[run]
+    # Workers return finished outcomes: the ledger is scanned here rather
+    # than shipped back to the parent with the vehicle's inputs.
+    return _finish_vehicle(
+        _cohort_vehicle_outcome(
+            vehicle_index,
+            ScenarioSpec.from_dict(document),
+            speed_scale,
+            storage_scale,
+            tables[cohort_key],
+            standstill[group_key],
+            buckets,
         )
-    if force_fallback:
-        reason = "forced"
-    elif table is None:
-        reason = "no-shared-table"
-    else:
-        reason = table.fallback_reason or "schedule"
-    outcome = _emulate_vehicle_outcome(
-        vehicle_index,
-        spec,
-        speed_scale,
-        storage_scale,
-        node,
-        database,
-        evaluator,
-        bins,
-        buckets,
-        record_interval_s,
-        idle_step_s,
-        thermal=thermal,
     )
-    outcome["path"] = "fallback"
-    outcome["fallback_reason"] = reason
-    return outcome
 
 
 class FleetRunner:
@@ -554,7 +460,8 @@ class FleetRunner:
         workers: engine pool width (``None``/1 = sequential).
         backend: ``"thread"`` (default) or ``"process"`` — the same
             semantics as ``Study.run``; aggregate rows are identical across
-            all settings.
+            all settings.  Where the platform cannot fork, a process run
+            executes on threads (``engine_backend`` says so).
         survival_buckets: normalized-time resolution of the survival curve.
         keep_vehicle_rows: keep per-vehicle rows on the result (``False``
             aggregates streaming-only).
@@ -582,12 +489,6 @@ class FleetRunner:
             ``get(key, builder)`` (the serving layer's bounded LRU); groups
             then reuse evaluators/compiled tables across runs, observable
             through ``evaluator_builds``/``evaluator_cache_hits``.
-        force_fallback: route EVERY vehicle through the per-vehicle
-            ``emulate()`` fallback (reason ``"forced"``) even where the
-            cohort fast path applies.  A benchmarking/debug knob — the
-            results are bit-identical either way (that is the fast path's
-            contract), only slower; it is an execution policy and never enters
-            :meth:`checkpoint_key`.
     """
 
     def __init__(
@@ -606,7 +507,6 @@ class FleetRunner:
         progress=None,
         should_stop=None,
         evaluator_cache=None,
-        force_fallback: bool = False,
     ) -> None:
         if not isinstance(fleet, FleetSpec):
             raise ConfigError(f"a fleet runner needs a FleetSpec, got {type(fleet).__name__}")
@@ -630,10 +530,13 @@ class FleetRunner:
         self.idle_step_s = idle_step_s
         self.checkpoint = checkpoint
         self.max_chunks = max_chunks
-        self.force_fallback = bool(force_fallback)
         self.progress = progress
         self.should_stop = should_stop
         self._evaluator_cache = evaluator_cache
+        if backend == "process" and process_pool_context() is None:
+            # Process workers inherit the shared cohort tables by fork only:
+            # without fork the chunks run on threads (rows are identical).
+            backend = "thread"
         # Validates workers/backend/retries eagerly (same rules as studies).
         # Failed vehicles are collected (not raised) whenever a retry budget
         # is given: a caller asking for degradation wants the partial fleet.
@@ -727,7 +630,7 @@ class FleetRunner:
                     tables[ckey] = table
                     # Trajectory-driven demand: a thermal cohort's bins span
                     # its (speed, temperature, pattern) triples.
-                    for key, eval_speed, temp_center, pattern in table.triples:
+                    for key, eval_speed, temp_center, pattern in filter(None, table.triples):
                         pending[gkey].setdefault(key, (eval_speed, temp_center, pattern))
                 if table.thermal:
                     continue
@@ -736,11 +639,11 @@ class FleetRunner:
                     standstill[gkey][temp_bin] = probes[gkey]._standstill_power(
                         temperature_bin_center_c(temp_bin)
                     )
-                if table.fallback or temp_bin in table.energies_by_temp_bin:
+                if temp_bin in table.energies_by_temp_bin:
                     continue
                 table.energies_by_temp_bin[temp_bin] = None
                 temp_center = temperature_bin_center_c(temp_bin)
-                for speed_key, pattern, eval_speed in table.slots:
+                for speed_key, pattern, eval_speed in filter(None, table.slots):
                     pending[gkey].setdefault(
                         (speed_key, temp_bin, *pattern), (eval_speed, temp_center, pattern)
                     )
@@ -755,26 +658,30 @@ class FleetRunner:
         # pure gather over the swept bins, so hoist it out of the per-vehicle
         # kernel — the full per-unit load vector for thermal cohorts (it is
         # vehicle-independent), one per-slot energy array per (cohort,
-        # temperature bin) for constant ones.
+        # temperature bin) for constant ones.  Unbuilt slots draw 0, as in
+        # emulate().
         for table in tables.values():
-            if table.fallback:
-                continue
-            node = groups[table.group_key][0]
             group_bins = bins[table.group_key]
             if table.thermal:
                 # Element for element emulate()'s ledger load, and
                 # vehicle-independent: computed once, shared read-only.
-                energies = np.array([group_bins[key][0] for key, *_rest in table.triples])
+                energies = np.array(
+                    [group_bins[triple[0]][0] if triple else 0.0 for triple in table.triples]
+                    + [0.0]
+                )
                 table.unit_load = unit_load(
-                    node.pmu, table.plan, energies[table.round_triple], table.sleep_power
+                    table.probe.node.pmu,
+                    table.plan,
+                    energies[table.round_triple],
+                    table.sleep_power,
                 )
                 table.unit_load.setflags(write=False)
             else:
                 for temp_bin in table.energies_by_temp_bin:
                     table.energies_by_temp_bin[temp_bin] = np.array(
                         [
-                            group_bins[(speed_key, temp_bin, *pattern)][0]
-                            for speed_key, pattern, _eval_speed in table.slots
+                            group_bins[(slot[0], temp_bin, *slot[1])][0] if slot else 0.0
+                            for slot in table.slots
                         ]
                     )
         return groups, tables, bins, standstill
@@ -816,50 +723,27 @@ class FleetRunner:
         )
         buckets = self.survival_buckets
         thermal = fleet.thermal
-        thermal_document = thermal.to_dict() if thermal is not None else None
-        force_fallback = self.force_fallback
+        run_token = next(_RUN_TOKENS)
 
-        def kernel(vehicle: FleetVehicle) -> dict[str, object]:
-            spec = vehicle.scenario
-            gkey = _group_key(spec)
-            node, database, evaluator = groups[gkey]
-            table = tables[_cohort_key(vehicle, thermal)]
-            if not table.fallback and not force_fallback:
-                # The inputs phase only: the ledger scans run once the chunk
-                # has settled, in _finish_chunk (the engine's finish step).
-                return _cohort_vehicle_outcome(
-                    vehicle.index,
-                    spec,
-                    vehicle.speed_scale,
-                    vehicle.storage_scale,
-                    node,
-                    table,
-                    bins[gkey],
-                    standstill[gkey],
-                    buckets,
-                )
-            outcome = _emulate_vehicle_outcome(
+        def kernel(vehicle: FleetVehicle):
+            gkey = _group_key(vehicle.scenario)
+            pending = _cohort_vehicle_outcome(
                 vehicle.index,
-                spec,
+                vehicle.scenario,
                 vehicle.speed_scale,
                 vehicle.storage_scale,
-                node,
-                database,
-                evaluator,
-                bins[gkey],
+                tables[_cohort_key(vehicle, thermal)],
+                standstill[gkey],
                 buckets,
-                self.record_interval_s,
-                self.idle_step_s,
-                thermal=thermal,
             )
-            outcome["path"] = "fallback"
-            outcome["fallback_reason"] = (
-                "forced" if force_fallback else (table.fallback_reason or "schedule")
-            )
-            return outcome
+            # A cohort whose scan can raise scans here, inside the retried
+            # kernel, so each vehicle's error is retried or collected on its
+            # own; the others scan once the chunk has settled (_finish_chunk).
+            return _finish_vehicle(pending) if pending.table.checked else pending
 
         def payload(vehicle: FleetVehicle):
             return (
+                run_token,
                 vehicle.scenario.to_dict(),
                 vehicle.index,
                 vehicle.speed_scale,
@@ -867,49 +751,17 @@ class FleetRunner:
                 _cohort_key(vehicle, thermal),
                 _group_key(vehicle.scenario),
                 buckets,
-                self.record_interval_s,
-                self.idle_step_s,
-                thermal_document,
-                force_fallback,
             )
 
-        if self.backend == "process":
-            # Fork-inherited sharing: stash the shared state where worker
-            # processes (created by the engine below) will find it.  One
-            # process-backend fleet run at a time per parent process — a
-            # concurrent run would clobber these and silently demote the
-            # first run's workers to the per-vehicle fallback.
-            _SHARED_TABLES.clear()
-            _SHARED_TABLES.update(tables)
-            _SHARED_BINS.clear()
-            _SHARED_BINS.update(bins)
-            _SHARED_STANDSTILL.clear()
-            _SHARED_STANDSTILL.update(standstill)
-        # Path observability: every outcome is tagged with the path it took,
-        # so a fast-path regression (new fallback reason, demoted cohort)
-        # shows up as a counter instead of a silent slowdown.  Outcomes
-        # replayed from a pre-tagging checkpoint journal carry no tag and
-        # are counted as untagged.
-        path_counts = {"cohort": 0, "fallback": 0, "untagged": 0}
-        fallback_reasons: dict[str, int] = {}
-
-        def sink(_index, outcome) -> None:
-            path = outcome.get("path")
-            if path == "cohort":
-                path_counts["cohort"] += 1
-            elif path == "fallback":
-                path_counts["fallback"] += 1
-                reason = outcome.get("fallback_reason") or "unspecified"
-                fallback_reasons[reason] = fallback_reasons.get(reason, 0) + 1
-            else:
-                path_counts["untagged"] += 1
-            accumulator.add(outcome)
-
+        if self._engine.backend == "process":
+            # Fork-inherited sharing: stash the shared state where the worker
+            # processes the engine creates below will find it.
+            _SHARED_RUNS[run_token] = (tables, standstill)
         try:
             report = self._engine.run_chunks(
                 fleet.iter_chunks(),
                 kernel,
-                sink,
+                lambda _index, outcome: accumulator.add(outcome),
                 checkpoint=store,
                 max_new_chunks=self.max_chunks,
                 process_worker=_process_vehicle,
@@ -919,13 +771,9 @@ class FleetRunner:
                 finish=_finish_chunk,
             )
         finally:
-            if self.backend == "process":
-                # The forked pool snapshotted the globals at creation; the
-                # parent must not keep the cohort tables/bin stores alive
-                # (or visible to a later run) once the run is over.
-                _SHARED_TABLES.clear()
-                _SHARED_BINS.clear()
-                _SHARED_STANDSTILL.clear()
+            # The forked pools snapshotted the stash at creation; the parent
+            # must not keep this run's tables alive once the run is over.
+            _SHARED_RUNS.pop(run_token, None)
 
         shared_bin_count = sum(len(group_bins) for group_bins in bins.values())
         partial = report.stopped_early or bool(report.failures)
@@ -938,15 +786,8 @@ class FleetRunner:
             "fleet_document": fleet.to_dict(),
             "groups": len(groups),
             "cohorts": len(tables),
-            "fallback_cohorts": sum(1 for table in tables.values() if table.fallback),
-            "fast_path_vehicles": path_counts["cohort"],
-            "fallback_vehicles": path_counts["fallback"],
-            "untagged_vehicles": path_counts["untagged"],
-            "fallback_reasons": {
-                reason: fallback_reasons[reason] for reason in sorted(fallback_reasons)
-            },
-            "force_fallback": force_fallback,
-            "thermal": thermal_document,
+            "fast_path_vehicles": accumulator.vehicles,
+            "thermal": thermal.to_dict() if thermal is not None else None,
             "shared_energy_bins": shared_bin_count,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,
             "temperature_quantum_c": TEMPERATURE_QUANTUM_C,

@@ -4,21 +4,30 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.emulator import NodeEmulator
 from repro.errors import ConfigError
 from repro.fleet import FleetResult, FleetRunner, FleetSpec, run_fleet
+from repro.fleet import runner as fleet_runner
 from repro.scavenger.storage import scaled_storage
+from repro.scenario.registry import ARCHITECTURES
 from repro.scenario.spec import ScenarioSpec
+from repro.serve.jobs import encode_document, fleet_result_document
 
 
-def _fleet(vehicles: int = 10, seed: int = 7, **base_overrides) -> FleetSpec:
+def _fleet(
+    vehicles: int = 10, seed: int = 7, chunk_vehicles: int = 64, **base_overrides
+) -> FleetSpec:
     kwargs = {
         "name": "base",
         "drive_cycle": {"name": "urban", "params": {"repetitions": 1}},
     }
     kwargs.update(base_overrides)
-    return FleetSpec.from_base(ScenarioSpec(**kwargs), vehicles=vehicles, seed=seed)
+    return FleetSpec.from_base(
+        ScenarioSpec(**kwargs), vehicles=vehicles, seed=seed, chunk_vehicles=chunk_vehicles
+    )
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +67,7 @@ class TestSharing:
     def test_cohorts_far_fewer_than_vehicles(self, sequential_result):
         metadata = sequential_result.metadata
         assert 1 <= metadata["cohorts"] < metadata["vehicles"]
-        assert metadata["fallback_cohorts"] == 0
+        assert metadata["fast_path_vehicles"] == metadata["vehicles"]
 
     def test_bins_swept_once_cover_the_population(self, sequential_result):
         assert sequential_result.metadata["shared_energy_bins"] > 0
@@ -140,6 +149,36 @@ class TestDeterminism:
         assert process.summary == sequential_result.summary
         assert process.survival == sequential_result.survival
         assert process.vehicle_rows == sequential_result.vehicle_rows
+
+    def test_process_fleet_inside_another_keeps_both_tables(self):
+        # A second process-backend fleet runs to completion between the
+        # first one's chunks (as two serve job workers can): neither may see
+        # the other's shared tables, and both match their sequential bytes.
+        inner_fleet = _fleet(vehicles=4, seed=8)
+        inner: list[FleetResult] = []
+
+        def run_inner(event):
+            if event["event"] == "chunk" and not inner:
+                inner.append(FleetRunner(inner_fleet, workers=2, backend="process").run())
+
+        outer_fleet = _fleet(chunk_vehicles=4)
+        outer = FleetRunner(outer_fleet, workers=2, backend="process", progress=run_inner).run()
+        assert outer.metadata["chunks_completed"] == 3
+        assert outer.metadata["engine_backend"] == "process"
+        for result, fleet in ((outer, outer_fleet), (inner[0], inner_fleet)):
+            sequential = FleetRunner(fleet).run()
+            assert encode_document(fleet_result_document(result)) == encode_document(
+                fleet_result_document(sequential)
+            )
+
+    def test_process_backend_without_fork_runs_on_threads(self, sequential_result, monkeypatch):
+        monkeypatch.setattr(fleet_runner, "process_pool_context", lambda: None)
+        result = FleetRunner(_fleet(), workers=2, backend="process").run()
+        assert result.metadata["backend"] == "process"
+        assert result.metadata["engine_backend"] == "thread"
+        assert encode_document(fleet_result_document(result)) == encode_document(
+            fleet_result_document(sequential_result)
+        )
 
     def test_same_seed_reproduces_the_run(self, sequential_result):
         again = FleetRunner(_fleet()).run()
@@ -268,11 +307,10 @@ class TestZeroRoundCycles:
     @pytest.mark.parametrize("speed_kmh", [0.0, 0.5])
     def test_rows_equal_emulate(self, speed_kmh):
         metadata = _constant_fleet_rows_match_emulate(speed_kmh, 20.0)
-        assert metadata["fallback_reasons"] == {}
         assert metadata["fast_path_vehicles"] == 3
 
 
-class TestScheduleFallback:
+class TestScheduleLimit:
     """Cohorts whose speed bins straddle the node's feasibility limit."""
 
     @staticmethod
@@ -287,15 +325,124 @@ class TestScheduleFallback:
         finally:
             ARCHITECTURES.unregister(architecture)
 
-    def test_infeasible_bin_center_falls_back_on_schedule(self, pocket_node):
-        # 102.4 km/h fits, but its bin center (102.5 km/h) does not.
+    def test_infeasible_bin_center_resolves_on_exact_speed(self, pocket_node):
+        # 102.4 km/h fits, but its bin center (102.5 km/h) does not: the
+        # cohort re-keys the rounds on their exact speed, as emulate() does.
         metadata = self._run("test-pocket", pocket_node, 102.4, 20.0)
-        assert metadata["fallback_reasons"] == {"schedule": 3}
-        assert metadata["fast_path_vehicles"] == 0
+        assert metadata["fast_path_vehicles"] == 3
 
     def test_feasible_exact_slots_stay_on_the_fast_path(self, limited_node):
         # 128.7 km/h fits; its bin's upper edge does not, so the rounds are
         # keyed on their exact speed and still share the cohort sweep.
         metadata = self._run("test-limited", limited_node, 128.7, 10.0)
-        assert metadata["fallback_reasons"] == {}
         assert metadata["fast_path_vehicles"] == 3
+
+
+def _naive_outcomes(fleet: FleetSpec) -> list:
+    """Per vehicle: its naive ``emulate()`` summary, or the error it raises."""
+    outcomes = []
+    for vehicle in fleet.materialize():
+        spec = vehicle.scenario
+        emulator = NodeEmulator(
+            spec.build_node(),
+            spec.build_database(),
+            spec.build_scavenger(),
+            scaled_storage(spec.build_storage(), vehicle.storage_scale),
+            base_point=spec.operating_point(),
+        )
+        try:
+            cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
+            outcomes.append(emulator.emulate(cycle).summary())
+        except Exception as error:  # the contract compares the error itself
+            outcomes.append(error)
+    return outcomes
+
+
+#: (node, base cruise speed) pairs straddling each node's feasibility limit:
+#: ``limited_node`` stops fitting near 119 and 128.7 km/h, ``pocket_node``
+#: flips around 102.5 km/h.  Speed scales spread each fleet by ~10%.
+_CRUISES = st.one_of(
+    st.tuples(st.just("limited"), st.floats(100.0, 140.0)),
+    st.tuples(st.just("pocket"), st.floats(98.0, 108.0)),
+)
+
+
+class TestErrorContract:
+    """Fleets across a node's feasibility limit: rows or errors match naive."""
+
+    @staticmethod
+    def _check(node, speed_kmh, rel_std, seed, **options):
+        ARCHITECTURES.register("test-contract", lambda: node)
+        try:
+            base = ScenarioSpec(
+                name="contract",
+                architecture="test-contract",
+                drive_cycle={
+                    "name": "constant",
+                    "params": {"speed_kmh": speed_kmh, "duration_s": 10.0},
+                },
+            )
+            fleet = FleetSpec(
+                name="contract",
+                base=base,
+                vehicles=6,
+                seed=seed,
+                chunk_vehicles=3,
+                distributions={
+                    "speed_scale": {
+                        "kind": "lognormal",
+                        "params": {"sigma": 0.1, "low": 0.6, "high": 1.4},
+                    },
+                    "storage_capacity": {
+                        "kind": "gaussian-tolerance",
+                        "params": {"rel_std": rel_std},
+                    },
+                },
+            )
+            naive = _naive_outcomes(fleet)
+            errors = [(i, o) for i, o in enumerate(naive) if isinstance(o, Exception)]
+            if not errors:
+                result = FleetRunner(fleet, **options).run()
+                assert result.metadata["fast_path_vehicles"] == fleet.vehicles
+                for row, summary in zip(result.vehicle_rows, naive):
+                    for key, value in summary.items():
+                        assert row[key] == value, key
+                return
+            first = errors[0][1]
+            with pytest.raises(Exception) as raised:
+                FleetRunner(fleet, **options).run()
+            assert type(raised.value) is type(first)
+            assert str(raised.value) == str(first)
+            if len(errors) == fleet.vehicles:
+                return  # nothing left to aggregate when every vehicle fails
+            result = FleetRunner(fleet, retries=1, retry_backoff_s=0.0, **options).run()
+            assert [(f["index"], f["error"]) for f in result.metadata["failures"]] == [
+                (i, f"{type(error).__name__}: {error}") for i, error in errors
+            ]
+            survivors = [summary for summary in naive if isinstance(summary, dict)]
+            assert len(result.vehicle_rows) == len(survivors)
+            for row, summary in zip(result.vehicle_rows, survivors):
+                for key, value in summary.items():
+                    assert row[key] == value, key
+        finally:
+            ARCHITECTURES.unregister("test-contract")
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cruise=_CRUISES, rel_std=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
+    def test_sequential(self, limited_node, pocket_node, cruise, rel_std, seed):
+        nodes = {"limited": limited_node, "pocket": pocket_node}
+        self._check(nodes[cruise[0]], cruise[1], rel_std, seed)
+
+    @settings(
+        max_examples=4,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cruise=_CRUISES, rel_std=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
+    def test_process_backend(self, limited_node, pocket_node, cruise, rel_std, seed):
+        nodes = {"limited": limited_node, "pocket": pocket_node}
+        self._check(nodes[cruise[0]], cruise[1], rel_std, seed, workers=2, backend="process")

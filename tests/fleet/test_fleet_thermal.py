@@ -1,12 +1,11 @@
-"""Thermal fleet fast path: bit-identity, fallback contract, observability.
+"""Thermal fleet fast path: bit-identity, error contract, observability.
 
 The tentpole claim under test: with a :class:`ThermalSpec` on the fleet,
 cycle materialization replays the tyre thermal model once per
 (cycle, speed-scale, ambient-bin) cohort and the cross-vehicle bin-union
 sweep spans (speed, temperature, phase-pattern) triples — yet every
 per-vehicle figure is bitwise identical to a naive ``emulate()`` with the
-same thermal model, across worker counts, backends, and the forced
-per-vehicle fallback.
+same thermal model, across worker counts and backends.
 """
 
 from __future__ import annotations
@@ -177,23 +176,11 @@ class TestBitIdentity:
         processed = FleetRunner(thermal_fleet, workers=2, backend="process").run()
         assert processed.vehicle_rows == sequential_result.vehicle_rows
 
-    def test_forced_fallback_rows_identical(self, thermal_fleet, sequential_result):
-        forced = FleetRunner(thermal_fleet, force_fallback=True).run()
-        assert forced.vehicle_rows == sequential_result.vehicle_rows
-        metadata = forced.metadata
-        assert metadata["fast_path_vehicles"] == 0
-        assert metadata["fallback_vehicles"] == thermal_fleet.vehicles
-        assert metadata["fallback_reasons"] == {"forced": thermal_fleet.vehicles}
-
 
 class TestObservability:
     def test_clean_run_counts_every_vehicle_fast(self, thermal_fleet, sequential_result):
         metadata = sequential_result.metadata
         assert metadata["fast_path_vehicles"] == thermal_fleet.vehicles
-        assert metadata["fallback_vehicles"] == 0
-        assert metadata["fallback_reasons"] == {}
-        assert metadata["untagged_vehicles"] == 0
-        assert metadata["force_fallback"] is False
 
     def test_thermal_document_and_quantum_reported(self, sequential_result):
         metadata = sequential_result.metadata
@@ -205,7 +192,7 @@ class TestObservability:
         metadata = result.metadata
         assert metadata["thermal"] is None
         assert metadata["ambient_quantum_c"] is None
-        assert metadata["fast_path_vehicles"] + metadata["fallback_vehicles"] == 4
+        assert metadata["fast_path_vehicles"] == 4
 
 
 class TestFallbackContract:
