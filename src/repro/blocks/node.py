@@ -555,6 +555,31 @@ class SensorNode:
             census.append((self._nvm_phase(), weights["nvm_write"]))
         return census
 
+    def census_durations(
+        self, table: ScheduleTable
+    ) -> tuple[list[tuple[Phase, float]], np.ndarray]:
+        """:meth:`phase_census` at every point of a one-pattern schedule table.
+
+        ``table`` is non-empty and all its points share one phase pattern
+        (one group), like the worst-case table of the average sweeps.
+        Returns the census layout (names, weights, modes and activities do
+        not depend on the speed, so they come from the census at the first
+        point) and its ``(phases, len(table))`` durations: ``acquire`` and
+        ``slow_refresh`` read the table's acquire row, ``compute`` its
+        compute row, and the speed-independent phases keep their layout
+        duration.  Column ``i`` equals the durations of
+        ``phase_census(table.speeds_kmh[i])`` bit for bit, because the
+        table equals :meth:`schedule_for_pattern`, which builds those
+        phases with the same calls.
+        """
+        census = self.phase_census(float(table.speeds_kmh[0]))
+        ((_structure, _indices, timing),) = table.groups
+        rows = {"acquire": timing[0], "slow_refresh": timing[0], "compute": timing[1]}
+        durations = np.empty((len(census), len(table)))
+        for k, (phase, _weight) in enumerate(census):
+            durations[k] = rows.get(phase.name, phase.duration_s)
+        return census, durations
+
     def max_sustainable_speed_kmh(
         self, upper_bound_kmh: float = 400.0, tolerance_kmh: float = 0.5
     ) -> float:

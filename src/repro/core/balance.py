@@ -222,7 +222,6 @@ class EnergyBalanceAnalysis:
         self,
         speeds_kmh: Sequence[float] | np.ndarray,
         point_factory: Callable[[float], OperatingPoint] | None = None,
-        use_batch: bool = True,
     ) -> EnergyBalanceCurve:
         """Sample the two Fig. 2 curves over ``speeds_kmh``.
 
@@ -232,9 +231,6 @@ class EnergyBalanceAnalysis:
                 to the nominal working condition at that speed.  Passing a
                 factory is how the condition-sweep bench evaluates the curve
                 hot, cold or at a different supply.
-            use_batch: evaluate the node requirement through the vectorized
-                compiled-table path (the default); ``False`` keeps the scalar
-                reference path, used by the equivalence tests.
         """
         if point_factory is None:
             point_factory = _nominal_point_at
@@ -248,25 +244,22 @@ class EnergyBalanceAnalysis:
             if speed <= 0.0:
                 raise AnalysisError("balance-curve speeds must be positive")
             operating_points.append(point_factory(speed))
-        if use_batch:
-            # Mirror balance_at exactly: the factory's point defines the
-            # speed, including factories that remap the sweep speed.  Both
-            # curves evaluate as one batch each — the requirement through the
-            # compiled power table, the harvest through the scavenger sweep.
-            required = self.required_energy_sweep(operating_points)
-            generated = self.generated_energy_sweep(
-                np.array([point.speed_kmh for point in operating_points])
+        # Mirror balance_at exactly: the factory's point defines the speed,
+        # including factories that remap the sweep speed.  Both curves
+        # evaluate as one batch each — the requirement through the compiled
+        # power table, the harvest through the scavenger sweep.
+        required = self.required_energy_sweep(operating_points)
+        generated = self.generated_energy_sweep(
+            np.array([point.speed_kmh for point in operating_points])
+        )
+        points = [
+            BalancePoint(
+                speed_kmh=point.speed_kmh,
+                required_j=float(required[i]),
+                generated_j=float(generated[i]),
             )
-            points = [
-                BalancePoint(
-                    speed_kmh=point.speed_kmh,
-                    required_j=float(required[i]),
-                    generated_j=float(generated[i]),
-                )
-                for i, point in enumerate(operating_points)
-            ]
-        else:
-            points = [self.balance_at(point) for point in operating_points]
+            for i, point in enumerate(operating_points)
+        ]
         return EnergyBalanceCurve(
             node_name=self.node.name,
             scavenger_label=self.scavenger.describe(),

@@ -18,7 +18,6 @@ Two evaluation paths are provided and cross-checked by the tests:
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,63 +31,6 @@ from repro.power.compiled import CompiledPowerTable
 from repro.power.database import PowerDatabase
 from repro.timing.duty_cycle import DutyCycleReport, duty_cycle_report
 from repro.timing.schedule import RevolutionSchedule, ScheduleTable
-
-#: Cross-instance census-timing cache: node -> {speed -> (period_s, census,
-#: signature)}.  Schedule feasibility, phase durations and the wheel period
-#: are pure functions of the (immutable, frozen) node and the speed, so
-#: repeated exploration/study runs — which build a fresh ``EnergyEvaluator``
-#: per (architecture, workload, database) triple — share the timing work
-#: instead of re-deriving the same census per instance.  Keys are held
-#: weakly: entries die with the node object they describe.  Feasibility is
-#: not cached: every sweep checks its unique speeds with one schedule table
-#: first, so infeasible speeds keep raising the scalar path's error.
-_CENSUS_TIMING_CACHE: "weakref.WeakKeyDictionary[SensorNode, dict[float, tuple]]" = (
-    weakref.WeakKeyDictionary()
-)
-_CENSUS_TIMING_LOCK = threading.Lock()
-
-
-def clear_census_timing_cache() -> None:
-    """Drop every cached census timing (test isolation hook)."""
-    with _CENSUS_TIMING_LOCK:
-        _CENSUS_TIMING_CACHE.clear()
-
-
-def _census_signature(census) -> tuple:
-    """Speed-independent structure of a phase census (names, weights, modes)."""
-    return tuple(
-        (
-            phase.name,
-            weight,
-            tuple(sorted(phase.block_modes.items())),
-            tuple(sorted(phase.activities.items())),
-        )
-        for phase, weight in census
-    )
-
-
-def _census_timing(node: SensorNode, speed_kmh: float) -> tuple:
-    """Cached ``(period_s, census, signature)`` of ``node`` at one speed.
-
-    On a cache miss this walks the phase census once; every later evaluator
-    instance for an equal node reuses the result.  The caller has checked
-    that the speed is feasible.
-    """
-    with _CENSUS_TIMING_LOCK:
-        per_node = _CENSUS_TIMING_CACHE.get(node)
-        if per_node is not None:
-            cached = per_node.get(speed_kmh)
-            if cached is not None:
-                return cached
-    census = tuple(node.phase_census(speed_kmh))
-    entry = (
-        node.wheel.revolution_period_s(speed_kmh),
-        census,
-        _census_signature(census),
-    )
-    with _CENSUS_TIMING_LOCK:
-        _CENSUS_TIMING_CACHE.setdefault(node, {})[speed_kmh] = entry
-    return entry
 
 
 @dataclass(frozen=True)
@@ -249,9 +191,11 @@ class EnergyEvaluator:
     * the batch path (:meth:`average_energy_sweep`,
       :meth:`standstill_power_sweep`, :meth:`energy_grid`) evaluates arrays
       of conditions through the lazily-built :class:`CompiledPowerTable` in a
-      handful of vectorized expressions.  Sweep consumers (balance curves,
-      spreadsheet sweeps, design-space exploration) use this path; its
-      results match the scalar path to floating-point round-off.
+      handful of vectorized expressions, and takes every point's timing
+      from one :meth:`SensorNode.schedule_table` call per sweep.  Sweep
+      consumers (balance curves, spreadsheet sweeps, design-space
+      exploration) use this path; its results match the scalar path to
+      floating-point round-off.
     """
 
     def __init__(self, node: SensorNode, database: PowerDatabase) -> None:
@@ -463,29 +407,6 @@ class EnergyEvaluator:
             return points
         return BatchConditions.from_points(points)
 
-    def _scalar_components_fallback(
-        self, batch: BatchConditions
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Reference fallback: one scalar ``average_report`` per point."""
-        if np.any(batch.activity != 1.0):
-            # ``point_at`` cannot carry a workload activity factor, so the
-            # scalar fallback has no reference semantics for it.
-            raise AnalysisError(
-                "per-point activity factors require a speed-independent phase "
-                "structure (the node's census changes with speed)"
-            )
-        count = len(batch)
-        dynamic = np.empty(count)
-        static = np.empty(count)
-        period = np.empty(count)
-        for i in range(count):
-            point = batch.point_at(i)
-            report = self.average_report(point)
-            dynamic[i] = report.dynamic_energy_j
-            static[i] = report.static_energy_j
-            period[i] = report.period_s
-        return dynamic, static, period
-
     def _batch_average_components(
         self, batch: BatchConditions
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -494,44 +415,30 @@ class EnergyEvaluator:
         The computation mirrors :meth:`average_report` exactly — resting
         energy over the full period plus the occurrence-weighted incremental
         energy of every conditional phase, clamped at zero per block — but
-        evaluates every operating point in the batch simultaneously.  Schedule
-        feasibility is checked by one schedule table over the unique speeds;
-        phase durations and the wheel period are computed once per *unique
-        speed* and shared across evaluator instances through the
-        module-level census-timing cache; power
-        quantities are evaluated in single vectorized expressions over all
-        points.  A per-point ``batch.activity`` factor scales the activity of
-        every block a phase overrides out of its resting mode, mirroring
+        evaluates every operating point in the batch simultaneously.  The
+        timing comes from one schedule table of the worst-case revolution
+        over the unique speeds: it checks feasibility, gives the wheel
+        period, and :meth:`SensorNode.census_durations` reads the census
+        durations off it.  Power quantities are evaluated in single
+        vectorized expressions over all points.  A per-point
+        ``batch.activity`` factor scales the activity of every block a phase
+        overrides out of its resting mode, mirroring
         :meth:`schedule_report`'s ``activity_scale``.
         """
         if len(batch) == 0:
             empty = np.empty(0)
             return empty, empty.copy(), empty.copy()
-        if np.any(batch.speed_kmh <= 0.0):
+        # Written as not-all-positive so NaN raises like ``is_moving``.
+        if not np.all(batch.speed_kmh > 0.0):
             raise AnalysisError("the average report requires a moving vehicle")
 
         unique_speeds, inverse = np.unique(batch.speed_kmh, return_inverse=True)
         # Like the scalar path, the worst-case revolution (index 0) must fit
         # in the wheel round at every speed; one table checks them all.
         worst = np.tile(self.node.phase_pattern(0), (len(unique_speeds), 1))
-        self.node.schedule_table(unique_speeds, worst).require_feasible()
-        periods_u = np.empty(len(unique_speeds))
-        census0 = None
-        signature = None
-        durations_u: np.ndarray | None = None
-        for j, speed in enumerate(unique_speeds):
-            period, census, census_sig = _census_timing(self.node, float(speed))
-            if census0 is None:
-                census0 = census
-                signature = census_sig
-                durations_u = np.empty((len(census), len(unique_speeds)))
-            elif census_sig != signature:
-                # The phase structure changed with speed (a custom node);
-                # vectorizing over speeds would be wrong, so defer to the
-                # scalar reference path.
-                return self._scalar_components_fallback(batch)
-            durations_u[:, j] = [phase.duration_s for phase, _ in census]
-            periods_u[j] = period
+        schedules = self.node.schedule_table(unique_speeds, worst)
+        schedules.require_feasible()
+        census, durations_u = self.node.census_durations(schedules)
 
         table = self.compiled
         resting = self.node.resting_modes()
@@ -541,7 +448,7 @@ class EnergyEvaluator:
 
         override_keys: list[tuple[str, str]] = []
         override_pos: dict[tuple[str, str], int] = {}
-        for phase, _weight in census0:
+        for phase, _weight in census:
             for block, mode in phase.block_modes.items():
                 key = (block, mode)
                 if key not in override_pos:
@@ -569,11 +476,11 @@ class EnergyEvaluator:
             dyn_over = np.empty((0, len(batch)))
             stat_over = np.empty((0, len(batch)))
 
-        period = periods_u[inverse]
+        period = schedules.period_s[inverse]
         block_dynamic = dyn_rest * period[None, :]
         block_static = stat_rest * period[None, :]
         has_activity = bool(np.any(batch.activity != 1.0))
-        for k, (phase, weight) in enumerate(census0):
+        for k, (phase, weight) in enumerate(census):
             duration = durations_u[k][inverse]
             for block, mode in phase.block_modes.items():
                 b = block_pos[block]

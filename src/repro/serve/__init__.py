@@ -1,8 +1,8 @@
 """The serving layer: persistent state around the scenario/fleet engines.
 
 One-shot CLI runs rebuild everything per invocation — evaluator, compiled
-power table, census-timing walks — and throw it all away on exit.  The
-serving layer keeps the expensive state alive across requests:
+power table — and throw it all away on exit.  The serving layer keeps the
+expensive state alive across requests:
 
 :mod:`repro.serve.cache`
     A bounded, lock-protected LRU of built ``(node, database, evaluator)``

@@ -10,21 +10,6 @@ from repro.power import reference_power_database
 from repro.scavenger import PiezoelectricScavenger, supercapacitor
 
 
-@pytest.fixture(autouse=True)
-def _fresh_census_timing_cache():
-    """Isolate the cross-instance census-timing cache between tests.
-
-    The cache is keyed by node *value*, so a test that monkeypatches
-    ``SensorNode`` scheduling methods must not see timings computed by an
-    earlier test with the unpatched behaviour (and vice versa).
-    """
-    from repro.core.evaluator import clear_census_timing_cache
-
-    clear_census_timing_cache()
-    yield
-    clear_census_timing_cache()
-
-
 @pytest.fixture
 def database():
     """A fresh reference power database."""

@@ -182,9 +182,10 @@ class TestBalanceBatchEquivalence:
 
     def test_curve_matches_scalar_curve(self, analysis):
         speeds = list(range(10, 200, 10))
-        batched = analysis.curve(speeds, use_batch=True)
-        scalar = analysis.curve(speeds, use_batch=False)
-        for a, b in zip(batched.points, scalar.points):
+        batched = analysis.curve(speeds)
+        scalar = [analysis.balance_at(OperatingPoint(speed_kmh=float(s))) for s in speeds]
+        assert len(batched.points) == len(scalar)
+        for a, b in zip(batched.points, scalar):
             assert a.speed_kmh == b.speed_kmh
             assert a.required_j == pytest.approx(b.required_j, rel=RTOL)
             assert a.generated_j == pytest.approx(b.generated_j, rel=RTOL)
@@ -250,9 +251,10 @@ class TestStalenessAndRemapping:
         def factory(speed):
             return OperatingPoint(speed_kmh=1.05 * speed)
         speeds = [20.0, 60.0, 120.0]
-        batched = analysis.curve(speeds, point_factory=factory, use_batch=True)
-        scalar = analysis.curve(speeds, point_factory=factory, use_batch=False)
-        for a, b in zip(batched.points, scalar.points):
+        batched = analysis.curve(speeds, point_factory=factory)
+        scalar = [analysis.balance_at(factory(s)) for s in speeds]
+        assert len(batched.points) == len(scalar)
+        for a, b in zip(batched.points, scalar):
             assert a.speed_kmh == b.speed_kmh
             assert a.generated_j == pytest.approx(b.generated_j, rel=RTOL)
             assert a.required_j == pytest.approx(b.required_j, rel=RTOL)

@@ -1,5 +1,6 @@
 """Tests for the workload-vectorized sweep: ``schedule_energy_sweep``,
-per-point activity factors, and the cross-instance census-timing cache."""
+per-point activity factors, and the average sweeps' timing, which comes
+from one schedule table per sweep."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import pytest
 
 from repro.conditions.batch import BatchConditions
 from repro.conditions.operating_point import OperatingPoint
-from repro.core.evaluator import EnergyEvaluator, clear_census_timing_cache
+from repro.core.evaluator import EnergyEvaluator
 from repro.errors import AnalysisError, ConfigurationError, ScheduleError
 
 RTOL = 1e-9
@@ -281,38 +282,12 @@ class TestAverageSweepActivity:
             evaluator.average_energy_sweep(low) < evaluator.average_energy_sweep(high)
         )
 
-    def test_speed_dependent_census_with_activity_rejected(
-        self, node, database, monkeypatch
-    ):
-        """The scalar fallback cannot represent per-point activity."""
-        from repro.blocks.node import SensorNode
-        from repro.timing.schedule import Phase
 
-        original = SensorNode.phase_census
-
-        def speed_dependent(self, speed_kmh):
-            census = list(original(self, speed_kmh))
-            if speed_kmh > 50.0:
-                census.append(
-                    (Phase(name="extra", duration_s=1e-4, block_modes={}), 0.5)
-                )
-            return census
-
-        monkeypatch.setattr(SensorNode, "phase_census", speed_dependent)
-        evaluator = EnergyEvaluator(node, database)
-        batch = BatchConditions.from_arrays(
-            np.array([40.0, 90.0]), 25.0, activity=np.array([0.7, 0.7])
-        )
-        with pytest.raises(AnalysisError, match="activity"):
-            evaluator.average_energy_sweep(batch)
-
-
-class TestCensusTimingCache:
-    def test_shared_across_evaluator_instances(self, node, database, monkeypatch):
-        """A second evaluator for an equal node reuses the census timing."""
+class TestAverageSweepTiming:
+    def test_cold_sweep_builds_one_census(self, node, database, monkeypatch):
+        """The durations of every unique speed come from the schedule table."""
         from repro.blocks.node import SensorNode
 
-        clear_census_timing_cache()
         calls = []
         original = SensorNode.phase_census
 
@@ -321,29 +296,27 @@ class TestCensusTimingCache:
             return original(self, speed_kmh)
 
         monkeypatch.setattr(SensorNode, "phase_census", counting)
-        points = [OperatingPoint(speed_kmh=s) for s in (50.0, 75.0)]
+        points = [OperatingPoint(speed_kmh=s) for s in (50.0, 75.0, 110.0, 50.0)]
+        EnergyEvaluator(node, database).average_energy_sweep(points)
+        assert len(calls) <= 1
 
-        first = EnergyEvaluator(node, database)
-        first.average_energy_sweep(points)
-        assert sorted(calls) == [50.0, 75.0]
-
-        second = EnergyEvaluator(node, database)
-        second.average_energy_sweep(points)
-        assert sorted(calls) == [50.0, 75.0], "census timing was recomputed"
-
-    def test_results_identical_with_cold_and_warm_cache(self, node, database):
-        points = [OperatingPoint(speed_kmh=s) for s in (35.0, 120.0)]
-        clear_census_timing_cache()
-        cold = EnergyEvaluator(node, database).average_energy_sweep(points)
-        warm = EnergyEvaluator(node, database).average_energy_sweep(points)
-        assert np.array_equal(cold, warm)
+    def test_nan_speed_raises_the_scalar_error(self, node, database):
+        evaluator = EnergyEvaluator(node, database)
+        nan = float("nan")
+        with pytest.raises(AnalysisError) as expected:
+            evaluator.energy_per_revolution_j(OperatingPoint(speed_kmh=nan))
+        with pytest.raises(AnalysisError) as swept:
+            evaluator.average_energy_sweep([OperatingPoint(speed_kmh=nan)])
+        with pytest.raises(AnalysisError) as grid:
+            evaluator.energy_grid([60.0, nan], [25.0])
+        assert str(swept.value) == str(expected.value)
+        assert str(grid.value) == str(expected.value)
 
     def test_infeasible_speed_still_raises(self, node, database):
-        clear_census_timing_cache()
         evaluator = EnergyEvaluator(node, database)
         with pytest.raises(ScheduleError):
             evaluator.average_energy_sweep([OperatingPoint(speed_kmh=1500.0)])
-        # And keeps raising: infeasible speeds are never cached.
+        # And keeps raising on a second sweep of the same evaluator.
         with pytest.raises(ScheduleError):
             evaluator.average_energy_sweep([OperatingPoint(speed_kmh=1500.0)])
 

@@ -8,6 +8,10 @@ architecture, slower MCU clocks (so the feasibility limit falls inside the
 speed range), on-node compression, a node without an accelerometer and a
 custom contact-patch guard factor; the speeds cover the range and the
 ``np.nextafter`` neighbours of each pattern's feasibility boundary.
+
+``census_durations`` reads the phase census off such a table, so at every
+feasible point its durations equal ``phase_census`` bit for bit, and the
+census layout is the same at every speed.
 """
 
 from __future__ import annotations
@@ -139,6 +143,45 @@ def test_table_equals_scalar_schedules(node, speeds, data):
                 speeds.append(float(speed))
                 patterns.append(pattern)
     assert_table_matches_scalar(node, np.array(speeds), np.array(patterns, dtype=bool))
+
+
+@st.composite
+def census_nodes(draw):
+    node = draw(nodes())
+    if draw(st.booleans()):
+        node = replace(node, sensors=replace(node.sensors, slow_refresh_interval_revs=1))
+    if draw(st.booleans()):
+        node = replace(node, memory=replace(node.memory, use_nvm=False))
+    return node
+
+
+def _layout(census):
+    return [
+        (phase.name, _bits(weight), dict(phase.block_modes), dict(phase.activities))
+        for phase, weight in census
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    node=census_nodes(),
+    speeds=st.lists(
+        st.floats(min_value=0.05, max_value=2000.0, allow_nan=False), min_size=1, max_size=12
+    ),
+    pattern=st.sampled_from(PATTERNS),
+)
+def test_census_durations_equal_the_scalar_census(node, speeds, pattern):
+    """The census layout is speed-independent; its durations are the table's."""
+    table = node.schedule_table(speeds, [pattern] * len(speeds))
+    census, durations = node.census_durations(table)
+    assert durations.shape == (len(census), len(speeds))
+    for i, speed in enumerate(speeds):
+        scalar = node.phase_census(speed)
+        assert _layout(scalar) == _layout(census)
+        if table.feasible[i]:
+            assert [_bits(d) for d in durations[:, i].tolist()] == [
+                _bits(phase.duration_s) for phase, _weight in scalar
+            ]
 
 
 def test_every_pattern_at_every_architecture_on_a_grid():

@@ -1,12 +1,12 @@
-"""Concurrent studies sharing one evaluator LRU and the census-timing cache.
+"""Concurrent studies sharing one evaluator LRU.
 
 The serving layer runs many ``Study.run`` calls at once — from the job
 manager's worker threads and, transitively, from each study's own engine
 pool.  These tests hammer exactly that sharing surface: N threads, one
-:class:`~repro.serve.EvaluatorLRU`, the module-level census-timing cache
-in :mod:`repro.core.evaluator` — asserting the rows stay identical to a
-sequential run (values, order, key order) and that nothing deadlocks
-(every join carries a timeout and is checked).
+:class:`~repro.serve.EvaluatorLRU`, the evaluators it hands out with their
+lazily compiled power tables, and the nodes' memos — asserting the rows
+stay identical to a sequential run (values, order, key order) and that
+nothing deadlocks (every join carries a timeout and is checked).
 """
 
 from __future__ import annotations
