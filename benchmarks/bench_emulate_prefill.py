@@ -23,6 +23,11 @@ highway) in its timing JSON, plus those of a 600 s cruise at 102.4 km/h on
 a node whose bin center there (102.5 km/h) is infeasible: the cold run
 re-keys that bin on the exact speed inside its sweep, and the cold, warm
 and fresh runs must agree in ``SampleLog`` bytes.
+
+Finally it times the cold cycle walk, ``wheel_round_arrays``, on the same
+three cycles against a per-unit stepping loop over the public
+``DriveCycle.speed_at`` and ``Wheel.revolution_period_s``, asserts the arrays
+are bitwise equal, and asserts the NEDC-like walk is >= 2x faster.
 """
 
 from __future__ import annotations
@@ -42,12 +47,17 @@ from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import NodeEmulator
 from repro.scavenger.storage import supercapacitor
 from repro.scenario.registry import DRIVE_CYCLES
+from repro.timing.wheel_round import STANDSTILL_THRESHOLD_KMH, wheel_round_arrays
 from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase, constant_cruise
+from repro.vehicle.wheel import Wheel
 
 #: Local headroom is comfortably above the 5x acceptance bar; shared CI
 #: runners are noisy, so workflows may lower the enforced floor via the
 #: environment while the measured number is still reported.
 REQUIRED_SPEEDUP = float(os.environ.get("PREFILL_SPEEDUP_FLOOR", "5.0"))
+#: The NEDC-like walk measures about 10x the stepping loop; the gate leaves
+#: room for noisy machines.
+REQUIRED_WALK_SPEEDUP = 2.0
 
 
 def _varied_cycle() -> DriveCycle:
@@ -153,6 +163,7 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     )
     design_times, plan_builds = _design_loop_emulate_times(node, database, scavenger)
     pocket_times = _pocket_cruise_emulate_times(database, scavenger)
+    walk_times, walk_speedups = _cold_walk_times()
     emit_timing(
         "emulate_prefill",
         wall_times_s={
@@ -160,11 +171,13 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
             "batch_fill": batch_s,
             **design_times,
             **pocket_times,
+            **walk_times,
         },
-        speedups={"batch_vs_scalar": speedup},
+        speedups={"batch_vs_scalar": speedup, **walk_speedups},
         extra={
             "bins": len(keys),
             "required_speedup": REQUIRED_SPEEDUP,
+            "required_walk_speedup": REQUIRED_WALK_SPEEDUP,
             "plan_builds_per_run": plan_builds,
         },
     )
@@ -177,6 +190,11 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
         f"batch prefill is only {speedup:.1f}x faster "
         f"(scalar {scalar_s * 1e3:.1f} ms vs batch {batch_s * 1e3:.1f} ms); "
         f"the acceptance bar is {REQUIRED_SPEEDUP:.0f}x"
+    )
+    walk_speedup = walk_speedups["nedc_walk_vs_stepping"]
+    assert walk_speedup >= REQUIRED_WALK_SPEEDUP, (
+        f"the NEDC-like walk is only {walk_speedup:.1f}x faster than the "
+        f"stepping loop; the bar is {REQUIRED_WALK_SPEEDUP:.0f}x"
     )
 
 
@@ -248,6 +266,72 @@ def _pocket_cruise_emulate_times(database, scavenger, repeats: int = 3):
             assert run.sample_arrays()[key].tobytes() == column.tobytes(), key
         assert run == cold
     return {"emulate_pocket_cruise_cold": cold_s, "emulate_pocket_cruise_warm": warm_s}
+
+
+def _stepping_walk(cycle, wheel, idle_step_s=1.0):
+    """The walk one unit at a time over ``speed_at`` and ``revolution_period_s``.
+
+    Returns the ``(starts, durations, speeds, indices)`` arrays of
+    ``wheel_round_arrays``.
+    """
+    units = []
+    duration = cycle.duration_s
+    time_s = 0.0
+    revolution_index = 0
+    while time_s < duration:
+        speed = cycle.speed_at(time_s)
+        if speed < STANDSTILL_THRESHOLD_KMH:
+            units.append((time_s, min(idle_step_s, duration - time_s), 0.0, -1))
+        else:
+            period = wheel.revolution_period_s(speed)
+            if time_s + period > duration:
+                # The final partial revolution, dropped below 1 ns.
+                if duration - time_s > 1e-9:
+                    units.append((time_s, duration - time_s, speed, revolution_index))
+                break
+            units.append((time_s, period, speed, revolution_index))
+            revolution_index += 1
+        time_s += units[-1][1]
+    starts, durations, speeds, indices = zip(*units)
+    return (
+        np.array(starts, dtype=float),
+        np.array(durations, dtype=float),
+        np.array(speeds, dtype=float),
+        np.array(indices, dtype=np.int64),
+    )
+
+
+def _cold_walk_times(repeats: int = 5):
+    """Best-of seconds of ``wheel_round_arrays`` and the stepping loop per cycle.
+
+    Asserts the two walks are bitwise equal on each of the design loop's
+    cycles.
+    """
+    cycles = {
+        "urban": DRIVE_CYCLES.create("urban"),
+        "nedc": DRIVE_CYCLES.create("nedc"),
+        "highway600": DRIVE_CYCLES.create("highway", duration_s=600.0),
+    }
+    wheel = Wheel()
+    times: dict[str, float] = {}
+    speedups: dict[str, float] = {}
+    for name, cycle in cycles.items():
+        walk_s = stepping_s = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            walk = wheel_round_arrays(cycle, wheel)
+            walk_s = min(walk_s, time.perf_counter() - start)
+            start = time.perf_counter()
+            stepped = _stepping_walk(cycle, wheel)
+            stepping_s = min(stepping_s, time.perf_counter() - start)
+        for column, expected in zip(
+            (walk.starts, walk.durations, walk.speeds, walk.indices), stepped
+        ):
+            assert column.tobytes() == expected.tobytes(), f"{name} walk diverged bitwise"
+        times[f"walk_{name}"] = walk_s
+        times[f"stepping_walk_{name}"] = stepping_s
+        speedups[f"{name}_walk_vs_stepping"] = stepping_s / walk_s
+    return times, speedups
 
 
 def test_emulate_output_identical_cold_warm_and_fresh(node, database, scavenger):

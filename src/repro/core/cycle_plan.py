@@ -5,7 +5,9 @@ per-unit arrays.  A :class:`CyclePlan` holds everything about that walk that
 depends only on the cycle, the node (its wheel and phase patterns) and the
 two step sizes:
 
-* the per-unit arrays of :func:`~repro.timing.wheel_round.wheel_round_arrays`;
+* the per-unit arrays of :func:`~repro.timing.wheel_round.wheel_round_arrays`,
+  which walks each constant-speed or idle stretch as one validated
+  ``np.add.accumulate`` window and only the ramps one unit at a time;
 * each wheel round's quantized speed bin and conditional-phase pattern,
   grouped into unique (speed bin, pattern) keys plus the per-round index
   into them — so the emulator classifies a few hundred keys, not every

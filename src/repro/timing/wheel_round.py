@@ -9,6 +9,8 @@ per-unit arrays (:func:`wheel_round_arrays`).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -22,6 +24,13 @@ from repro.vehicle.wheel import Wheel
 #: Below this speed the wheel is considered stationary: a revolution would
 #: take longer than ~10 s and the harvester produces nothing useful.
 STANDSTILL_THRESHOLD_KMH = 1.0
+
+#: Most units one constant-speed window of :func:`wheel_round_arrays` spans;
+#: a longer phase takes several windows.
+_MAX_WINDOW = 1 << 14
+#: Units a window adds past its estimate of the units left in the phase, so
+#: an estimate rounded short does not split the phase into two windows.
+_WINDOW_SLACK = 2
 
 
 @dataclass(frozen=True)
@@ -103,9 +112,26 @@ def wheel_round_arrays(
     storage self-discharge.  A final partial revolution is truncated to the
     remaining time, or dropped when that remainder is below 1 ns.
 
-    The loop inlines :meth:`DriveCycle.speed_at` (the same per-phase
-    subtraction chain) and :meth:`Wheel.revolution_period_s`, so the arrays
-    are bitwise what stepping those methods one unit at a time yields.
+    The arrays are bitwise what stepping :meth:`DriveCycle.speed_at` and
+    :meth:`Wheel.revolution_period_s` one unit at a time yields, walked
+    phase by phase:
+
+    * a **constant-speed phase** (or the time past the last phase) repeats
+      one step, the period or ``idle_step_s``, so its start times are one
+      ``np.add.accumulate`` over ``[t, step, step, ...]`` -- bitwise
+      ``t += step``.  The window is sized from the phase's remaining time,
+      checked elementwise (still in the phase, no truncation, under
+      ``max_units``) and only its valid prefix committed;
+    * a **ramp** steps its units in a scalar loop local to the phase.
+
+    ``DriveCycle.speed_at`` finds the phase of ``t`` with a subtraction chain
+    ``t - L0 - L1 - ...`` over the phase lengths.  The chain is monotone in
+    ``t``, so once a unit lies in phase ``k`` the tests of the earlier phases
+    stay passed and only the chain value up to phase ``k`` is recomputed.
+    When every phase length is a multiple of ``ulp(cycle.duration_s)``
+    (integer and dyadic lengths, as in the registered cycles) each
+    subtraction is exact, and that value is the single subtraction
+    ``t - (L0 + ... + L(k-1))``.
 
     Args:
         cycle: the cruising-speed profile.
@@ -117,73 +143,139 @@ def wheel_round_arrays(
     """
     if idle_step_s <= 0.0:
         raise ConfigurationError("idle step must be positive")
+    if not math.isfinite(idle_step_s):
+        raise ConfigurationError("idle step must be finite")
     if standstill_threshold_kmh <= 0.0:
         raise ConfigurationError("standstill threshold must be positive")
+    if not math.isfinite(standstill_threshold_kmh):
+        raise ConfigurationError("standstill threshold must be finite")
 
+    lengths = [phase.duration_s for phase in cycle.phases]
+    duration = cycle.duration_s
+    ulp = math.ulp(duration)
+    offsets = (
+        list(itertools.accumulate(lengths, initial=0.0))
+        if all(math.fmod(length, ulp) == 0.0 for length in lengths)
+        else None
+    )
+    # Past the last phase the speed stays at its end speed: a sentinel phase.
+    last_kmh = cycle.phases[-1].end_kmh
     phases = [(phase.duration_s, phase.start_kmh, phase.end_kmh) for phase in cycle.phases]
-    first_kmh = phases[0][1]
-    last_kmh = phases[-1][2]
+    phases.append((math.inf, last_kmh, last_kmh))
     circumference = wheel.tyre.rolling_circumference_m
+
+    def chain(time_s, k):
+        """``DriveCycle.speed_at``'s remaining time in phase ``k`` (scalar or array)."""
+        if offsets is not None:
+            return time_s - offsets[k]
+        for length in lengths[:k]:
+            time_s = time_s - length
+        return time_s
+
+    cap = math.inf if max_units is None else max_units
+    chunks: list[tuple] = []
     starts: list[float] = []
     durations: list[float] = []
     speeds: list[float] = []
     indices: list[int] = []
     time_s = 0.0
     revolution_index = 0
-    duration = cycle.duration_s
-    while time_s < duration:
-        if max_units is not None and len(starts) >= max_units:
-            break
-        speed = last_kmh
-        if time_s <= 0.0:
-            speed = first_kmh
-        else:
-            remaining = time_s
-            for length, start_kmh, end_kmh in phases:
-                if remaining <= length:
-                    if remaining <= 0.0:
-                        speed = start_kmh
-                    elif remaining >= length:
-                        speed = end_kmh
-                    else:
-                        speed = start_kmh + remaining / length * (end_kmh - start_kmh)
-                    break
-                remaining -= length
-        if speed < standstill_threshold_kmh:
-            step = min(idle_step_s, duration - time_s)
-            if step <= 0.0:
-                break
-            starts.append(time_s)
-            durations.append(step)
-            speeds.append(0.0)
-            indices.append(-1)
-            time_s += step
-            continue
-        period = circumference / kmh_to_ms(speed)
-        if time_s + period > duration:
-            # Truncate the final partial revolution into an idle-style
-            # remainder so the accounted time exactly matches the cycle.
-            remainder = duration - time_s
-            if remainder > 1e-9:
+    count = 0
+    k = 0
+    done = False
+    while time_s < duration and count < cap and not done:
+        remaining = chain(time_s, k)
+        while remaining > phases[k][0]:
+            remaining -= phases[k][0]
+            k += 1
+        length, start_kmh, end_kmh = phases[k]
+        if start_kmh == end_kmh:
+            moving = start_kmh >= standstill_threshold_kmh
+            step = circumference / kmh_to_ms(start_kmh) if moving else idle_step_s
+            left = min(length - remaining, duration - time_s)
+            size = int(min(left / step, _MAX_WINDOW)) + _WINDOW_SLACK
+            size = max(1, min(size, _MAX_WINDOW, cap - count))
+            times = np.full(size + 1, step)
+            times[0] = time_s
+            np.add.accumulate(times, out=times)
+            window = times[:-1]
+            if moving:
+                ok = times[1:] <= duration
+                ok &= window < duration
+            else:
+                ok = duration - window >= idle_step_s
+            ok &= chain(window, k) <= length
+            run = len(ok) if ok.all() else int(np.argmin(ok))
+            if run:
+                if starts:
+                    chunks.append((starts, durations, speeds, indices))
+                    starts, durations, speeds, indices = [], [], [], []
+                chunks.append(
+                    (
+                        window[:run],
+                        np.full(run, step),
+                        np.full(run, start_kmh if moving else 0.0),
+                        np.arange(revolution_index, revolution_index + run)
+                        if moving
+                        else np.full(run, -1),
+                    )
+                )
+                time_s = float(times[run])
+                count += run
+                if moving:
+                    revolution_index += run
+                continue
+        # A ramp, or a window that committed nothing: step the units of
+        # phase k one at a time, as DriveCycle.speed_at would.
+        while True:
+            if remaining <= 0.0:
+                speed = start_kmh
+            elif remaining >= length:
+                speed = end_kmh
+            else:
+                speed = start_kmh + remaining / length * (end_kmh - start_kmh)
+            if speed < standstill_threshold_kmh:
+                step = min(idle_step_s, duration - time_s)
                 starts.append(time_s)
-                durations.append(remainder)
+                durations.append(step)
+                speeds.append(0.0)
+                indices.append(-1)
+                time_s += step
+            else:
+                period = circumference / kmh_to_ms(speed)
+                if time_s + period > duration:
+                    # Truncate the final partial revolution into an idle-style
+                    # remainder so the accounted time exactly matches the cycle.
+                    remainder = duration - time_s
+                    if remainder > 1e-9:
+                        starts.append(time_s)
+                        durations.append(remainder)
+                        speeds.append(speed)
+                        indices.append(revolution_index)
+                    done = True
+                    break
+                starts.append(time_s)
+                durations.append(period)
                 speeds.append(speed)
                 indices.append(revolution_index)
-            break
-        starts.append(time_s)
-        durations.append(period)
-        speeds.append(speed)
-        indices.append(revolution_index)
-        revolution_index += 1
-        time_s += period
-    index_array = np.array(indices, dtype=np.int64)
-    start_array = np.array(starts, dtype=float)
-    duration_array = np.array(durations, dtype=float)
+                revolution_index += 1
+                time_s += period
+            count += 1
+            if time_s >= duration or count >= cap:
+                break
+            remaining = chain(time_s, k)
+            if remaining > length:
+                break
+    chunks.append((starts, durations, speeds, indices))
+    start_array, duration_array, speed_array, index_array = (
+        np.concatenate([np.asarray(chunk[field], dtype=dtype) for chunk in chunks])
+        for field, dtype in enumerate((float, float, float, np.int64))
+    )
     return WheelRoundArrays(
         is_round=index_array >= 0,
         starts=start_array,
         durations=duration_array,
-        speeds=np.array(speeds, dtype=float),
+        speeds=speed_array,
         ends=start_array + duration_array,
         indices=index_array,
     )

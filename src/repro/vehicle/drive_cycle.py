@@ -9,6 +9,7 @@ highway, a NEDC-like composite and configurable ramps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -34,8 +35,12 @@ class DriveCyclePhase:
     def __post_init__(self) -> None:
         if self.duration_s <= 0.0:
             raise ConfigurationError("phase duration must be positive")
+        if not math.isfinite(self.duration_s):
+            raise ConfigurationError("phase duration must be finite")
         if self.start_kmh < 0.0 or self.end_kmh < 0.0:
             raise ConfigurationError("phase speeds must be non-negative")
+        if not (math.isfinite(self.start_kmh) and math.isfinite(self.end_kmh)):
+            raise ConfigurationError("phase speeds must be finite")
 
     def speed_at(self, t_in_phase_s: float) -> float:
         """Speed (km/h) at ``t_in_phase_s`` seconds into the phase."""

@@ -8,15 +8,21 @@ patterns and speed bins must equal their scalar forms elementwise.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.blocks import baseline_node
 from repro.core import quantize
 from repro.errors import ConfigurationError
+from repro.scenario.registry import DRIVE_CYCLES
+from repro.timing import wheel_round
 from repro.timing.wheel_round import (
     STANDSTILL_THRESHOLD_KMH,
     IdleInterval,
@@ -202,6 +208,172 @@ class TestWheelRoundArrays:
     def test_count_revolutions_counts_the_arrays(self, cycle, wheel):
         expected = sum(isinstance(u, WheelRound) for u in oracle_wheel_rounds(cycle, wheel))
         assert count_revolutions(cycle, wheel) == expected
+
+
+def _exact_chain(cycle):
+    """Whether the walk takes the exact ``t - S_k`` route on ``cycle``."""
+    unit = math.ulp(cycle.duration_s)
+    return all(math.fmod(phase.duration_s, unit) == 0.0 for phase in cycle.phases)
+
+
+@contextmanager
+def _small_windows(size, slack):
+    """Constant-speed windows of at most ``size`` units, ``slack`` past the estimate."""
+    with (
+        mock.patch.object(wheel_round, "_MAX_WINDOW", size),
+        mock.patch.object(wheel_round, "_WINDOW_SLACK", slack),
+    ):
+        yield
+
+
+class _ExactWheel:
+    """A 5 m circumference: 0.5 s rounds at 36 km/h, 0.25 s at 72 km/h."""
+
+    class tyre:
+        rolling_circumference_m = 5.0
+
+    def revolution_period_s(self, speed_kmh):
+        return 5.0 / (speed_kmh / 3.6)
+
+
+# Integer and dyadic phase lengths: multiples of ulp(duration), so the walk
+# takes the exact ``t - S_k`` route instead of the subtraction chain.
+exact_lengths = st.one_of(
+    st.integers(min_value=1, max_value=40).map(float),
+    st.integers(min_value=1, max_value=40 * 64).map(lambda n: n / 64),
+)
+exact_phases = st.builds(
+    lambda duration_s, start, end, constant: DriveCyclePhase(
+        duration_s, start, start if constant else end
+    ),
+    exact_lengths,
+    speed_values,
+    speed_values,
+    st.booleans(),
+)
+exact_cycles = st.lists(exact_phases, min_size=1, max_size=8).map(
+    lambda p: DriveCycle(phases=p)
+)
+window_sizes = st.integers(min_value=1, max_value=4)
+window_slacks = st.integers(min_value=0, max_value=4)
+
+
+class TestWalkRoutes:
+    @given(cycle=exact_cycles, wheel=wheels, idle_step_s=idle_steps, cap=max_units)
+    @settings(max_examples=150, deadline=None)
+    def test_exact_chain_route_equals_the_oracle(self, cycle, wheel, idle_step_s, cap):
+        assert _exact_chain(cycle)
+        _assert_walks_equal(cycle, wheel, idle_step_s=idle_step_s, max_units=cap)
+
+    @given(
+        lengths=st.lists(st.integers(min_value=1, max_value=40), min_size=2, max_size=6),
+        speeds=st.lists(speed_values, min_size=6, max_size=6),
+        bumped=st.integers(min_value=0, max_value=5),
+        idle_step_s=idle_steps,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lengths_one_ulp_off_the_exact_route(self, lengths, speeds, bumped, idle_step_s):
+        lengths = [float(length) for length in lengths]
+        index = bumped % len(lengths)
+        lengths[index] = math.nextafter(lengths[index], math.inf)
+        cycle = DriveCycle(
+            phases=[
+                DriveCyclePhase(length, speed, speeds[(i + 1) % 6] if i % 2 else speed)
+                for i, (length, speed) in enumerate(zip(lengths, speeds))
+            ]
+        )
+        assume(not _exact_chain(cycle))
+        _assert_walks_equal(cycle, Wheel(), idle_step_s=idle_step_s)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("urban", {}),
+            ("nedc", {}),
+            ("highway", {}),
+            ("highway", {"duration_s": 600.0}),
+            ("constant", {"speed_kmh": 60.0}),
+            ("ramp", {"start_kmh": 20.0, "end_kmh": 120.0}),
+        ],
+    )
+    def test_registered_cycles_take_the_exact_route(self, name, params):
+        cycle = DRIVE_CYCLES.create(name, **params)
+        assert _exact_chain(cycle)
+        _assert_walks_equal(cycle, Wheel())
+
+
+class TestSmallWindows:
+    """The walk with its window constants patched down to a few units."""
+
+    @given(
+        cycle=st.one_of(cycles, exact_cycles),
+        wheel=wheels,
+        idle_step_s=idle_steps,
+        cap=max_units,
+        size=window_sizes,
+        slack=window_slacks,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arrays_equal_the_oracle_bitwise(self, cycle, wheel, idle_step_s, cap, size, slack):
+        with _small_windows(size, slack):
+            _assert_walks_equal(cycle, wheel, idle_step_s=idle_step_s, max_units=cap)
+
+    @given(
+        cruise=st.floats(min_value=5.0, max_value=250.0),
+        ramp_to=st.floats(min_value=0.0, max_value=0.999),
+        stop_s=st.floats(min_value=0.1, max_value=5.0),
+        idle_step_s=idle_steps,
+        size=window_sizes,
+        slack=window_slacks,
+    )
+    @settings(max_examples=75, deadline=None)
+    def test_stops_and_sub_threshold_ramps(self, cruise, ramp_to, stop_s, idle_step_s, size, slack):
+        cycle = DriveCycle(
+            phases=[
+                DriveCyclePhase(10.0, cruise, ramp_to),
+                DriveCyclePhase(stop_s, 0.0, 0.0),
+                DriveCyclePhase(3.0, ramp_to, 0.9),
+                DriveCyclePhase(2.0, cruise, cruise),
+                DriveCyclePhase(8.0, 0.0, cruise),
+            ]
+        )
+        with _small_windows(size, slack):
+            _assert_walks_equal(cycle, Wheel(), idle_step_s=idle_step_s)
+
+    @given(
+        speed=st.floats(min_value=5.0, max_value=250.0),
+        revolutions=st.integers(min_value=1, max_value=50),
+        offset=st.floats(min_value=-3e-9, max_value=3e-9),
+        size=window_sizes,
+        slack=window_slacks,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_final_remainder_near_the_one_nanosecond_rule(
+        self, speed, revolutions, offset, size, slack
+    ):
+        wheel = Wheel()
+        duration = revolutions * wheel.revolution_period_s(speed) + offset
+        assume(duration > 0.0)
+        cycle = DriveCycle(phases=[DriveCyclePhase(duration, speed, speed)])
+        with _small_windows(size, slack):
+            _assert_walks_equal(cycle, wheel)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("slack", [0, 2])
+    def test_rounds_landing_exactly_on_phase_boundaries(self, size, slack):
+        cycle = DriveCycle(
+            phases=[
+                DriveCyclePhase(2.0, 36.0, 36.0),
+                DriveCyclePhase(1.0, 72.0, 72.0),
+                DriveCyclePhase(1.5, 36.0, 36.0),
+                DriveCyclePhase(1.0, 0.0, 0.0),
+                DriveCyclePhase(1.0, 72.0, 72.0),
+            ]
+        )
+        assert _exact_chain(cycle)
+        with _small_windows(size, slack):
+            for cap in (None, 3, 4, 7):
+                _assert_walks_equal(cycle, _ExactWheel(), max_units=cap)
 
 
 class TestVectorizedKeys:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blocks.node import SensorNode
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ConfigurationError
 from repro.power.database import PowerDatabase
 from repro.scavenger.base import EnergyScavenger
 from repro.scavenger.storage import StorageElement
@@ -203,6 +203,19 @@ class TestBuilders:
         assert isinstance(cycle, DriveCycle)
         assert ScenarioSpec(storage=None).build_storage() is None
         assert ScenarioSpec().build_drive_cycle() is None
+
+    @pytest.mark.parametrize(
+        "params, fragment",
+        [
+            ('{"speed_kmh": NaN}', "speeds must be finite"),
+            ('{"speed_kmh": 60, "duration_s": Infinity}', "duration must be finite"),
+        ],
+    )
+    def test_non_finite_cycle_parameters_rejected(self, params, fragment):
+        document = json.loads('{"drive_cycle": {"name": "constant", "params": %s}}' % params)
+        spec = ScenarioSpec.from_dict(document)
+        with pytest.raises(ConfigurationError, match=fragment):
+            spec.build_drive_cycle()
 
     def test_operating_point_reflects_environment(self):
         point = ScenarioSpec(

@@ -174,6 +174,13 @@ class TestErrorMapping:
         assert status == 400
         assert "unknown fields" in json.loads(payload)["error"]
 
+    @pytest.mark.parametrize("path", ["/studies", "/fleet"])
+    def test_non_finite_drive_cycle_is_a_400(self, server, path):
+        body = b'{"scenario": {"drive_cycle": {"name": "constant", "params": {"speed_kmh": NaN}}}}'
+        status, payload = _raw(server, "POST", path, body)
+        assert status == 400
+        assert "not canonical JSON" in json.loads(payload)["error"]
+
     def test_unknown_job_is_a_404(self, server):
         status, payload = _raw(server, "GET", "/jobs/job-000042-deadbeef")
         assert status == 404

@@ -10,6 +10,7 @@ from repro.timing.wheel_round import (
     WheelRound,
     count_revolutions,
     iter_wheel_rounds,
+    wheel_round_arrays,
 )
 from repro.vehicle.drive_cycle import constant_cruise, urban_cycle
 from repro.vehicle.wheel import Wheel
@@ -129,3 +130,16 @@ class TestSafetyLimits:
                     constant_cruise(10.0), wheel, standstill_threshold_kmh=0.0
                 )
             )
+
+    @pytest.mark.parametrize(
+        "options, fragment",
+        [
+            ({"idle_step_s": float("inf")}, "idle step must be finite"),
+            ({"idle_step_s": float("nan")}, "idle step must be finite"),
+            ({"standstill_threshold_kmh": float("inf")}, "threshold must be finite"),
+            ({"standstill_threshold_kmh": float("nan")}, "threshold must be finite"),
+        ],
+    )
+    def test_non_finite_step_and_threshold_rejected(self, wheel, options, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            wheel_round_arrays(constant_cruise(10.0), wheel, **options)

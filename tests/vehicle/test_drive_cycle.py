@@ -34,6 +34,19 @@ class TestDriveCyclePhase:
         with pytest.raises(ConfigurationError):
             DriveCyclePhase(duration_s=1.0, start_kmh=-5.0, end_kmh=10.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            ({"duration_s": float("inf")}, "duration must be finite"),
+            ({"duration_s": float("nan")}, "duration must be finite"),
+            ({"start_kmh": float("nan")}, "speeds must be finite"),
+            ({"end_kmh": float("inf")}, "speeds must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, kwargs, fragment):
+        with pytest.raises(ConfigurationError, match=fragment):
+            DriveCyclePhase(**{"duration_s": 10.0, "start_kmh": 20.0, "end_kmh": 20.0, **kwargs})
+
 
 class TestDriveCycle:
     def test_duration_is_sum_of_phases(self):
@@ -118,6 +131,13 @@ class TestCycleBuilders:
     def test_constant_cruise_rejects_negative_speed(self):
         with pytest.raises(ConfigurationError):
             constant_cruise(-10.0)
+
+    @pytest.mark.parametrize(
+        "speed_kmh, duration_s", [(float("nan"), 600.0), (60.0, float("inf"))]
+    )
+    def test_constant_cruise_rejects_non_finite_inputs(self, speed_kmh, duration_s):
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            constant_cruise(speed_kmh, duration_s=duration_s)
 
     def test_urban_cycle_starts_and_ends_stopped(self):
         cycle = urban_cycle()
