@@ -5,8 +5,8 @@ node"; this package scales the question to a *population*: a frozen,
 JSON-round-trippable :class:`FleetSpec` (base scenario plus named
 per-vehicle distributions — drive-style speed scales, correlated ambient
 temperature, drive-cycle mix, manufacturing tolerances), a
-:class:`FleetRunner` that materializes N vehicles, shares compiled tables
-and quantized energy bins across them (one cross-vehicle sweep before
+:class:`FleetRunner` that streams N vehicles as column chunks, shares compiled
+tables and quantized energy bins across them (one cross-vehicle sweep before
 emulation) and fans the per-vehicle trajectories out through the chunked
 execution engine, and an aggregation layer (survival fraction vs time,
 brown-out-rate percentiles, energy-margin distribution) exposed through

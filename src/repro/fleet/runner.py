@@ -5,10 +5,11 @@ at fleet scale: every vehicle would rebuild the evaluator, re-walk its drive
 cycle and re-evaluate the same revolution energies.  The runner shares all
 of that across the population:
 
-* **Groups** — vehicles with the same (architecture, workload, power
-  database) share one :class:`~repro.core.evaluator.EnergyEvaluator` and
-  therefore one compiled power table, exactly like study grid points.
-* **Cohorts** — vehicles with the same (group, drive cycle, quantized speed
+* **One evaluator** — every vehicle shares the base scenario's
+  architecture, workload and power database (no fleet axis touches them),
+  so the run builds one :class:`~repro.core.evaluator.EnergyEvaluator` and
+  therefore one compiled power table, exactly like a study grid point.
+* **Cohorts** — vehicles with the same (drive cycle, quantized speed
   scale) share one cycle plan: the emulator's own
   :class:`~repro.core.cycle_plan.CyclePlan` (per-unit arrays, per-round
   speed-bin groups, state-log sampling walk), built and resolved through a
@@ -20,15 +21,19 @@ of that across the population:
   materialization — so the fast path survives thermally realistic
   populations.
 * **One cross-vehicle sweep** — the union of quantized (speed, temperature,
-  phase-pattern) energy bins over all vehicles of a group is evaluated in
-  ONE :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` call
+  phase-pattern) energy bins over all vehicles is evaluated in ONE
+  :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` call
   before any emulation starts; the batch kernel is bitwise-identical to the
-  per-miss path, so shared bins cannot change results.  The per-cohort
-  demand side is then gathered once: a full per-unit load vector for
-  thermal cohorts, a per-(cohort, temperature-bin) energy array for
-  constant ones.
+  per-miss path, so shared bins cannot change results.
 
-Each vehicle then reduces to its harvest sweep and load gather inside the
+No vehicle carries a :class:`~repro.scenario.spec.ScenarioSpec`: the
+population arrives as column chunks (:class:`~repro.fleet.spec.FleetChunk`),
+and the run's components, scavenger and storage element are built once.
+A vehicle's load is its (cohort, temperature bin)'s, or its thermal
+cohort's; its harvest is its size factor times its cohort's unit-size sweep,
+exactly as ``build_scavenger`` + ``scaled()`` scale it.
+
+Each vehicle then reduces to its harvest scale and load lookup inside the
 engine's retried kernel (:func:`_cohort_vehicle_outcome`).  Once a chunk has
 settled, each of its vehicles' ledgers is replayed by
 :func:`~repro.scavenger.storage.trajectory` — the run-length scan
@@ -51,7 +56,8 @@ simulated instant, and is retried or collected on its own.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,8 +68,6 @@ from repro.core.quantize import (
     AMBIENT_QUANTUM_C,
     SPEED_QUANTUM_KMH,
     TEMPERATURE_QUANTUM_C,
-    ambient_bin,
-    temperature_bin,
     temperature_bin_center_c,
     temperature_bins,
 )
@@ -73,7 +77,8 @@ from repro.fleet.aggregate import (
     FleetAccumulator,
     FleetResult,
 )
-from repro.fleet.spec import FleetSpec, FleetVehicle, ThermalSpec
+from repro.fleet.spec import FleetChunk, FleetSpec
+from repro.scavenger.base import EnergyScavenger
 from repro.scavenger.storage import (
     StorageElement,
     scaled_storage,
@@ -81,40 +86,15 @@ from repro.scavenger.storage import (
 )
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine, process_pool_context
-from repro.scenario.spec import ScenarioSpec
 
 __all__ = ["FleetRunner", "run_fleet"]
-
-
-def _group_key(spec: ScenarioSpec) -> str:
-    """The evaluator-sharing key of one vehicle scenario.
-
-    Single-sourced on the spec (``ScenarioSpec.evaluator_group_key``) so
-    fleet groups can never drift from the study evaluator cache keyed the
-    same way.
-    """
-    return spec.evaluator_group_key()
-
-
-def _cohort_key(vehicle: FleetVehicle, thermal: ThermalSpec | None = None) -> str:
-    """The cycle-materialization key: (group, cycle reference, speed scale).
-
-    Thermal fleets add the quantized ambient bin: the replayed temperature
-    trajectory is a function of the ambient, so only vehicles in one
-    ambient bin (whose ambients were snapped to the *same* bin-center float
-    at materialization) can share one trajectory bitwise.
-    """
-    key = (_group_key(vehicle.scenario), vehicle.scenario.drive_cycle, vehicle.speed_scale)
-    if thermal is not None:
-        key += (ambient_bin(vehicle.scenario.temperature_c),)
-    return repr(key)
 
 
 class _CohortTable:
     """Shared per-cohort cycle materialization (read-only after build).
 
     Holds everything about one (cycle, speed scale[, ambient bin]) pairing
-    that does not depend on the individual vehicle: the group's ``probe``
+    that does not depend on the individual vehicle: the run's ``probe``
     emulator, the cycle ``plan`` (the per-unit arrays and the state-log
     sampling walk), the resolved speed ``slots`` (``(speed key, pattern,
     evaluation speed)`` each, ``None`` where the schedule cannot be built)
@@ -126,15 +106,14 @@ class _CohortTable:
     schedule cannot be built, and ``checked`` the cohorts whose scan can
     raise (``end < len(plan)`` or any ``unbuilt`` round).
 
-    After the cross-vehicle sweep the runner attaches the precomputed
-    demand side: ``unit_load`` (thermal cohorts — the full per-unit load
-    vector, identical for every member vehicle) or ``energies_by_temp_bin``
-    (constant cohorts — one per-slot energy array per temperature bin seen
-    in the population).
+    After the cross-vehicle sweep the runner attaches the demand side:
+    ``loads`` maps a vehicle's load key — its temperature bin, or ``None``
+    in a thermal cohort — to ``(per-unit load, any negative entry)``.  The
+    first vehicle to need it fills ``harvest``: the cohort's per-unit
+    harvest at unit size and whether any entry is negative.
     """
 
     __slots__ = (
-        "group_key",
         "probe",
         "cycle_name",
         "duration_s",
@@ -149,15 +128,15 @@ class _CohortTable:
         "sleep_power",
         "triples",
         "round_triple",
-        "unit_load",
-        "energies_by_temp_bin",
+        "loads",
+        "harvest",
     )
 
     def __init__(self) -> None:
         self.temps = None
         self.triples = []
-        self.unit_load = None
-        self.energies_by_temp_bin = {}
+        self.loads = {}
+        self.harvest = None
 
 
 def _build_cohort_table(
@@ -250,112 +229,98 @@ def _survival_from_samples(
     active_counts = np.bincount(index, weights=active.astype(float), minlength=buckets)
     with np.errstate(invalid="ignore"):
         fractions = np.where(counts > 0, active_counts / np.maximum(counts, 1), np.nan)
-    return tuple(float(value) for value in fractions)
+    return tuple(fractions.tolist())
 
 
-def _vehicle_row(
-    vehicle_index: int,
-    spec: ScenarioSpec,
-    speed_scale: float,
-    storage_scale: float,
-    result: EmulationResult,
-    active_at_end: bool,
-) -> dict[str, object]:
-    """The per-vehicle result row (identical key order on every path)."""
-    summary = result.summary()
-    hours = result.duration_s / 3600.0
-    row: dict[str, object] = {
-        "vehicle": vehicle_index,
-        "scenario": spec.name,
-        "cycle": result.cycle_name,
-        "speed_scale": speed_scale,
-        "temperature_c": spec.temperature_c,
-        "scavenger_size": spec.scavenger_size,
-        "storage_scale": storage_scale,
-    }
-    row.update(summary)
-    row["brownout_per_hour"] = summary["brownout_events"] / hours if hours > 0.0 else float("nan")
-    row["active_at_end"] = bool(active_at_end)
-    return row
+@dataclass(slots=True)
+class _Run:
+    """What every vehicle of one run shares (read-only during execution).
+
+    ``scavenger`` is the base scenario's scavenger at its registry size
+    (``scavenger_size`` 1).  ``unit`` is that scavenger at size factor 1 when
+    it scales through the base class's ``scaled`` and ``energy_sweep_j`` —
+    a vehicle's harvest is then its size factor times the cohort's sweep of
+    ``unit`` — and ``None`` otherwise.  ``storage`` is the base storage
+    element, scaled per vehicle.
+    """
+
+    fleet: FleetSpec
+    tables: list
+    scavenger: EnergyScavenger
+    unit: EnergyScavenger | None
+    storage: StorageElement
+    buckets: int
+
+
+def _vehicle_harvest(run: _Run, table: _CohortTable, size: float) -> np.ndarray:
+    """One vehicle's per-unit harvest, as ``build_scavenger`` + ``round_harvest`` give it.
+
+    ``build_scavenger`` scales the registry scavenger by ``size`` unless it
+    is 1, which sets ``size_factor`` to their product, and the sweep
+    multiplies that factor into the raw energies; so the product times the
+    cohort's unit-size harvest is bitwise the vehicle's own sweep.  A factor
+    that is not positive and finite takes the per-vehicle path, which
+    raises or computes exactly as the vehicle's own scavenger does.
+    """
+    scavenger = run.scavenger
+    factor = scavenger.size_factor * size if size != 1.0 else scavenger.size_factor
+    if run.unit is None or not 0.0 < factor < math.inf:
+        return round_harvest(scavenger.scaled(size) if size != 1.0 else scavenger, table.plan)
+    if table.harvest is None:
+        plan = table.plan
+        unit_harvest = np.zeros(len(plan))
+        unit_harvest[plan.round_indices] = run.unit.energy_sweep_j(plan.speeds[plan.round_indices])
+        table.harvest = (unit_harvest, bool(np.any(unit_harvest < 0.0)))
+    unit_harvest, negative = table.harvest
+    harvest = factor * unit_harvest
+    if negative and np.any(harvest < 0.0):
+        raise EmulationError("cannot deposit negative energy")
+    return harvest
 
 
 @dataclass(slots=True)
 class _PendingScan:
     """One vehicle between its inputs phase and its ledger scan.
 
-    Holds what :func:`_cohort_vehicle_outcome` built for the vehicle — its
-    storage element (parameters only), harvest and load vectors — plus what
-    its row needs once :func:`_finish_vehicle` has scanned the ledger.
+    Holds the vehicle's record, its storage element (parameters only),
+    harvest and load vectors — what :func:`_finish_vehicle` scans.
     """
 
-    vehicle_index: int
-    spec: ScenarioSpec
-    speed_scale: float
-    storage_scale: float
+    vehicle: tuple
+    run: _Run
     table: _CohortTable
     storage: StorageElement
     harvest: np.ndarray
     load: np.ndarray
-    buckets: int
 
 
-def _cohort_vehicle_outcome(
-    vehicle_index: int,
-    spec: ScenarioSpec,
-    speed_scale: float,
-    storage_scale: float,
-    table: _CohortTable,
-    standstill: dict,
-    buckets: int,
-) -> _PendingScan:
+def _cohort_vehicle_outcome(vehicle_index: int, vehicle: tuple, run: _Run) -> _PendingScan:
     """One vehicle's ledger inputs through the shared cohort plan.
 
-    Mirrors ``NodeEmulator.emulate()``'s ledger inputs operation
-    for operation — harvest sweep, bin gather, load referral, the
-    negative-energy checks — against the cohort's shared cycle table and the
-    group's shared bin store.  The ledger scan and summary follow in
+    ``vehicle`` is the record ``(index, speed scale, temperature, scavenger
+    size, storage scale, cohort, load key)``; its index also leads the
+    arguments, where fault-injection wrappers select a vehicle.  Mirrors
+    ``NodeEmulator.emulate()``'s ledger inputs — harvest sweep, load
+    gather, the negative-energy checks — against the cohort's shared
+    harvest and load vectors.  The ledger scan and summary follow in
     :func:`_finish_vehicle`, so the figures are bit-identical to a naive
     per-vehicle ``emulate()`` (with the fleet's thermal model, for thermal
     cohorts).
     """
-    scavenger = spec.build_scavenger()
-    storage = scaled_storage(spec.build_storage(), storage_scale)
-
-    plan = table.plan
-    harvest = round_harvest(scavenger, plan)
-
-    # Demand side.  Thermal cohorts: the whole load vector is a function of
-    # the cohort (trajectory temperatures, shared bins, group node), not of
-    # the vehicle — precomputed once after the sweep and reused read-only.
-    # Constant-temperature cohorts gather the per-slot energies swept for
-    # this vehicle's temperature bin.
-    if table.thermal:
-        load = table.unit_load
-    else:
-        temp_bin = temperature_bin(spec.temperature_c)
-        load = unit_load(
-            table.probe.node.pmu,
-            plan,
-            table.energies_by_temp_bin[temp_bin][table.round_slot],
-            standstill[temp_bin],
-        )
-    if np.any(load < 0.0):
+    _index, _scale, _temperature, size, storage_scale, cohort, load_key = vehicle
+    table = run.tables[cohort]
+    harvest = _vehicle_harvest(run, table, size)
+    storage = scaled_storage(run.storage, storage_scale)
+    load, negative = table.loads[load_key]
+    if negative:
         raise EmulationError("cannot withdraw negative energy")
-    return _PendingScan(
-        vehicle_index,
-        spec,
-        speed_scale,
-        storage_scale,
-        table,
-        storage,
-        harvest,
-        load,
-        buckets,
-    )
+    return _PendingScan(vehicle, run, table, storage, harvest, load)
 
 
 def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
     """Scan a pending vehicle's ledger; its summary, survival and row.
+
+    The row's key order is the one every stored and exported fleet has.
 
     A ``checked`` cohort's trajectory goes through ``emulate()``'s own
     :meth:`~repro.core.emulator.NodeEmulator.check_trajectory`, which
@@ -377,7 +342,7 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
     if table.checked:
         temps = table.temps
         if temps is None:
-            temps = np.full(len(plan), float(pending.spec.temperature_c))
+            temps = np.full(len(plan), float(pending.vehicle[2]))
         table.probe.check_trajectory(plan, temps, traj, table.unbuilt)
     result = EmulationResult(
         node_name=table.probe.node.name,
@@ -388,18 +353,26 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
         plan, pending.harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
     )
     sample_active = traj.active[plan.sample_units]
-    active_at_end = bool(sample_active[-1]) if sample_active.size else False
+    run = pending.run
+    index, speed_scale, temperature, size, storage_scale = pending.vehicle[:5]
+    summary = result.summary()
+    hours = result.duration_s / 3600.0
+    row: dict[str, object] = {
+        "vehicle": index,
+        "scenario": run.fleet.vehicle_name(index),
+        "cycle": result.cycle_name,
+        "speed_scale": speed_scale,
+        "temperature_c": temperature,
+        "scavenger_size": size,
+        "storage_scale": storage_scale,
+    }
+    row.update(summary)
+    row["brownout_per_hour"] = summary["brownout_events"] / hours if hours > 0.0 else float("nan")
+    row["active_at_end"] = bool(sample_active[-1]) if sample_active.size else False
     return {
-        "row": _vehicle_row(
-            pending.vehicle_index,
-            pending.spec,
-            pending.speed_scale,
-            pending.storage_scale,
-            result,
-            active_at_end,
-        ),
+        "row": row,
         "survival": _survival_from_samples(
-            plan.sample_times, sample_active, table.duration_s, pending.buckets
+            plan.sample_times, sample_active, table.duration_s, run.buckets
         ),
     }
 
@@ -419,37 +392,42 @@ def _finish_chunk(results: list) -> list:
 # ---------------------------------------------------------------------------
 # Process-backend sharing
 #
-# Each process-backend run stashes its cohort tables and standstill memos in
-# ``_SHARED_RUNS`` under its own run token *before* the engine creates its
-# process pools: the fork context snapshots them into every worker for free
-# (the same mechanism that carries user registry registrations).  A run
-# removes only its own entry, so concurrent runs in one parent process never
-# see each other's state.  Without fork the runner uses the thread engine.
+# Each process-backend run stashes its shared state in ``_SHARED_RUNS`` under
+# its own run token *before* the engine creates its process pools: the fork
+# context snapshots it into every worker for free (the same mechanism that
+# carries user registry registrations).  A run removes only its own entry,
+# so concurrent runs in one parent process never see each other's state.
+# Without fork the runner uses the thread engine.
 # ---------------------------------------------------------------------------
 
-_SHARED_RUNS: dict[int, tuple[dict, dict]] = {}
+_SHARED_RUNS: dict[int, _Run] = {}
 _RUN_TOKENS = itertools.count()
 
 
 def _process_vehicle(payload) -> dict[str, object]:
     """Worker entry of the process backend: one vehicle, scanned in the worker."""
-    run, document, vehicle_index, speed_scale, storage_scale, cohort_key, group_key, buckets = (
-        payload
-    )
-    tables, standstill = _SHARED_RUNS[run]
+    run_token, vehicle = payload
     # Workers return finished outcomes: the ledger is scanned here rather
     # than shipped back to the parent with the vehicle's inputs.
-    return _finish_vehicle(
-        _cohort_vehicle_outcome(
-            vehicle_index,
-            ScenarioSpec.from_dict(document),
-            speed_scale,
-            storage_scale,
-            tables[cohort_key],
-            standstill[group_key],
-            buckets,
-        )
-    )
+    return _finish_vehicle(_cohort_vehicle_outcome(vehicle[0], vehicle, _SHARED_RUNS[run_token]))
+
+
+def _keyed_vehicles(chunk: FleetChunk, thermal: bool):
+    """One column chunk's ``(cohort key, load key, record)`` per vehicle.
+
+    A cohort key is ``(cycle reference repr, speed scale)``, plus the ambient
+    (a bin center) on thermal fleets; a load key is the vehicle's
+    temperature bin, or ``None`` on thermal fleets.
+    """
+    cycles = [repr(ref) for ref in chunk.cycles]
+    if thermal:
+        load_keys = itertools.repeat(None)
+    else:
+        load_keys = temperature_bins(chunk.temperature_c).astype(np.int64).tolist()
+    for record, load_key in zip(chunk.records(), load_keys):
+        _index, scale, temperature, _size, _storage, code = record
+        key = (cycles[code], scale, temperature) if thermal else (cycles[code], scale)
+        yield key, load_key, record
 
 
 class FleetRunner:
@@ -552,8 +530,9 @@ class FleetRunner:
 
     # -- shared-state construction ------------------------------------------
 
-    def _components_for(self, spec: ScenarioSpec) -> tuple:
-        """One group's (node, database, evaluator) — via the shared LRU if given."""
+    def _components(self) -> tuple:
+        """The run's (node, database, evaluator) — via the shared LRU if given."""
+        spec = self.fleet.base
         if self._evaluator_cache is None:
             self.evaluator_builds += 1
             return spec.build_components()
@@ -570,121 +549,113 @@ class FleetRunner:
             self.evaluator_cache_hits += 1
         return components
 
-    def _build_shared_state(self, chunks):
-        """Groups, cohort tables, standstill memos and the cross-vehicle sweep.
+    def _build_shared_state(self, chunks, cohorts: dict) -> tuple[_Run, dict]:
+        """The run's components, cohort tables and the cross-vehicle sweep.
 
-        One streaming discovery pass: vehicles arrive chunk by chunk and are
-        *discarded* after inspection — the parent only retains the per-group
-        and per-cohort structures (whose cardinality is bounded by the
-        distinct (architecture, cycle, scale, temperature) combinations, not
-        by the population size).  Group/cohort/bin insertion order matches
-        the vehicle order exactly, so the cross-vehicle sweep sees the same
-        bin sequence an eagerly materialized population would produce.
+        One streaming discovery pass: column chunks arrive one at a time and
+        are *discarded* after inspection — the parent only retains the
+        per-cohort structures (whose cardinality is bounded by the distinct
+        (cycle, scale, temperature) combinations, not by the population
+        size).  ``cohorts`` (cohort key -> number) is filled in vehicle
+        order, so the cross-vehicle sweep sees the same bin sequence an
+        eagerly materialized population would produce.  Returns the shared
+        :class:`_Run` and the swept bins.
         """
-        thermal = self.fleet.thermal
-        groups: dict[str, tuple] = {}
-        probes: dict[str, NodeEmulator] = {}
-        tables: dict[str, _CohortTable] = {}
-        standstill: dict[str, dict[int, float]] = {}
-        pending: dict[str, dict] = {}
+        fleet = self.fleet
+        base = fleet.base
+        thermal = fleet.thermal
+        node, database, evaluator = self._components()
+        scavenger = base.with_axes(size=1.0).build_scavenger()
+        linear = (
+            type(scavenger).energy_sweep_j is EnergyScavenger.energy_sweep_j
+            and type(scavenger).scaled is EnergyScavenger.scaled
+        )
+        run = _Run(
+            fleet=fleet,
+            tables=[],
+            scavenger=scavenger,
+            unit=replace(scavenger, size_factor=1.0) if linear else None,
+            storage=base.build_storage(),
+            buckets=self.survival_buckets,
+        )
+        probe = NodeEmulator(
+            node,
+            database,
+            scavenger,
+            run.storage,
+            base_point=base.operating_point(),
+            evaluator=evaluator,
+        )
+        drive_cycles: dict[str, object] = {}
+        standstill: dict[int, float] = {}
+        pending: dict = {}
         for chunk in chunks:
-            for vehicle in chunk:
-                spec = vehicle.scenario
-                gkey = _group_key(spec)
-                if gkey not in groups:
-                    groups[gkey] = self._components_for(spec)
-                    standstill[gkey] = {}
-                    pending[gkey] = {}
-                ckey = _cohort_key(vehicle, thermal)
-                table = tables.get(ckey)
-                if table is None:
-                    node, database, evaluator = groups[gkey]
-                    probe = probes.get(gkey)
-                    if probe is None:
-                        probe = NodeEmulator(
-                            node,
-                            database,
-                            spec.build_scavenger(),
-                            spec.build_storage(),
-                            base_point=spec.operating_point(),
-                            evaluator=evaluator,
-                        )
-                        probes[gkey] = probe
-                    cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
+            for key, temp_bin, record in _keyed_vehicles(chunk, thermal is not None):
+                cohort = cohorts.get(key)
+                if cohort is None:
+                    cohort = cohorts[key] = len(run.tables)
+                    if key[0] not in drive_cycles:
+                        ref = chunk.cycles[record[5]]
+                        drive_cycles[key[0]] = base.with_axes(drive_cycle=ref).build_drive_cycle()
                     # Thermal cohorts replay a freshly built model at the
-                    # cohort's bin-center ambient — which IS the vehicle's
-                    # (materialization-snapped) ambient, so the replayed
-                    # trajectory equals each member vehicle's own.
+                    # cohort's bin-center ambient — which IS every member
+                    # vehicle's (materialization-snapped) ambient, so the
+                    # replayed trajectory equals each vehicle's own.
                     table = _build_cohort_table(
                         probe,
-                        cycle,
+                        drive_cycles[key[0]].scaled(key[1]),
                         self.record_interval_s,
                         self.idle_step_s,
-                        thermal_model=(
-                            thermal.build(spec.temperature_c)
-                            if thermal is not None
-                            else None
-                        ),
+                        thermal_model=thermal.build(key[2]) if thermal is not None else None,
                     )
-                    table.group_key = gkey
-                    tables[ckey] = table
+                    run.tables.append(table)
                     # Trajectory-driven demand: a thermal cohort's bins span
                     # its (speed, temperature, pattern) triples.
-                    for key, eval_speed, temp_center, pattern in filter(None, table.triples):
-                        pending[gkey].setdefault(key, (eval_speed, temp_center, pattern))
-                if table.thermal:
+                    for bin_key, eval_speed, temp_center, pattern in filter(None, table.triples):
+                        pending.setdefault(bin_key, (eval_speed, temp_center, pattern))
+                if thermal is not None:
                     continue
-                temp_bin = temperature_bin(spec.temperature_c)
-                if temp_bin not in standstill[gkey]:
-                    standstill[gkey][temp_bin] = probes[gkey]._standstill_power(
+                if temp_bin not in standstill:
+                    standstill[temp_bin] = probe._standstill_power(
                         temperature_bin_center_c(temp_bin)
                     )
-                if temp_bin in table.energies_by_temp_bin:
+                table = run.tables[cohort]
+                if temp_bin in table.loads:
                     continue
-                table.energies_by_temp_bin[temp_bin] = None
+                table.loads[temp_bin] = None
                 temp_center = temperature_bin_center_c(temp_bin)
                 for speed_key, pattern, eval_speed in filter(None, table.slots):
-                    pending[gkey].setdefault(
+                    pending.setdefault(
                         (speed_key, temp_bin, *pattern), (eval_speed, temp_center, pattern)
                     )
 
-        # ONE cross-vehicle sweep per group: the union of quantized bins over
-        # every vehicle of the group, evaluated in a single batch call.
-        bins: dict[str, dict] = {}
-        for gkey, group_pending in pending.items():
-            bins[gkey] = probes[gkey].evaluate_energy_bins(group_pending)
+        # ONE cross-vehicle sweep: the union of quantized bins over every
+        # vehicle, evaluated in a single batch call.
+        bins = probe.evaluate_energy_bins(pending)
 
-        # Post-sweep gather precompute: the per-vehicle demand side is a
-        # pure gather over the swept bins, so hoist it out of the per-vehicle
-        # kernel — the full per-unit load vector for thermal cohorts (it is
-        # vehicle-independent), one per-slot energy array per (cohort,
-        # temperature bin) for constant ones.  Unbuilt slots draw 0, as in
+        # Post-sweep demand precompute: a vehicle's load is a pure gather
+        # over the swept bins, a function of its cohort and temperature bin
+        # (its cohort alone when thermal).  Unbuilt slots draw 0, as in
         # emulate().
-        for table in tables.values():
-            group_bins = bins[table.group_key]
+        pmu = probe.node.pmu
+        for table in run.tables:
             if table.thermal:
-                # Element for element emulate()'s ledger load, and
-                # vehicle-independent: computed once, shared read-only.
-                energies = np.array(
-                    [group_bins[triple[0]][0] if triple else 0.0 for triple in table.triples]
-                    + [0.0]
-                )
-                table.unit_load = unit_load(
-                    table.probe.node.pmu,
-                    table.plan,
-                    energies[table.round_triple],
-                    table.sleep_power,
-                )
-                table.unit_load.setflags(write=False)
+                energies = [bins[triple[0]][0] if triple else 0.0 for triple in table.triples]
+                rounds = np.array(energies + [0.0])[table.round_triple]
+                loads = {None: unit_load(pmu, table.plan, rounds, table.sleep_power)}
             else:
-                for temp_bin in table.energies_by_temp_bin:
-                    table.energies_by_temp_bin[temp_bin] = np.array(
-                        [
-                            group_bins[(slot[0], temp_bin, *slot[1])][0] if slot else 0.0
-                            for slot in table.slots
-                        ]
-                    )
-        return groups, tables, bins, standstill
+                loads = {}
+                for temp_bin in table.loads:
+                    energies = [
+                        bins[(slot[0], temp_bin, *slot[1])][0] if slot else 0.0
+                        for slot in table.slots
+                    ]
+                    rounds = np.array(energies)[table.round_slot]
+                    loads[temp_bin] = unit_load(pmu, table.plan, rounds, standstill[temp_bin])
+            for load_key, load in loads.items():
+                load.setflags(write=False)
+                table.loads[load_key] = (load, bool(np.any(load < 0.0)))
+        return run, bins
 
     # -- execution ----------------------------------------------------------
 
@@ -707,10 +678,12 @@ class FleetRunner:
     def run(self) -> FleetResult:
         """Discover (streaming), share, fan out chunk by chunk, aggregate."""
         fleet = self.fleet
-        # Discovery pass: stream the population once to find the groups,
-        # cohorts and energy bins; individual vehicles are discarded, so the
-        # parent never holds more than one chunk of them.
-        groups, tables, bins, standstill = self._build_shared_state(fleet.iter_chunks())
+        thermal = fleet.thermal
+        cohorts: dict = {}
+        # Discovery pass: stream the population once to find the cohorts
+        # and energy bins; chunks are discarded, so the parent never holds
+        # more than one chunk of columns.
+        run, bins = self._build_shared_state(fleet.iter_chunks(), cohorts)
         store = (
             CheckpointStore(self.checkpoint, self.checkpoint_key())
             if self.checkpoint is not None
@@ -722,50 +695,38 @@ class FleetRunner:
             keep_vehicle_rows=self.keep_vehicle_rows,
         )
         buckets = self.survival_buckets
-        thermal = fleet.thermal
         run_token = next(_RUN_TOKENS)
 
-        def kernel(vehicle: FleetVehicle):
-            gkey = _group_key(vehicle.scenario)
-            pending = _cohort_vehicle_outcome(
-                vehicle.index,
-                vehicle.scenario,
-                vehicle.speed_scale,
-                vehicle.storage_scale,
-                tables[_cohort_key(vehicle, thermal)],
-                standstill[gkey],
-                buckets,
-            )
+        def vehicle_chunks():
+            # Execution pass: each chunk's vehicles as plain records
+            # ``(index, scale, temperature, size, storage scale, cohort,
+            # load key)`` — the kernel's items and the process payload.
+            for chunk in fleet.iter_chunks():
+                yield [
+                    record[:5] + (cohorts[key], load_key)
+                    for key, load_key, record in _keyed_vehicles(chunk, thermal is not None)
+                ]
+
+        def kernel(vehicle: tuple):
+            pending = _cohort_vehicle_outcome(vehicle[0], vehicle, run)
             # A cohort whose scan can raise scans here, inside the retried
             # kernel, so each vehicle's error is retried or collected on its
             # own; the others scan once the chunk has settled (_finish_chunk).
             return _finish_vehicle(pending) if pending.table.checked else pending
 
-        def payload(vehicle: FleetVehicle):
-            return (
-                run_token,
-                vehicle.scenario.to_dict(),
-                vehicle.index,
-                vehicle.speed_scale,
-                vehicle.storage_scale,
-                _cohort_key(vehicle, thermal),
-                _group_key(vehicle.scenario),
-                buckets,
-            )
-
         if self._engine.backend == "process":
             # Fork-inherited sharing: stash the shared state where the worker
             # processes the engine creates below will find it.
-            _SHARED_RUNS[run_token] = (tables, standstill)
+            _SHARED_RUNS[run_token] = run
         try:
             report = self._engine.run_chunks(
-                fleet.iter_chunks(),
+                vehicle_chunks(),
                 kernel,
                 lambda _index, outcome: accumulator.add(outcome),
                 checkpoint=store,
                 max_new_chunks=self.max_chunks,
                 process_worker=_process_vehicle,
-                process_payload=payload,
+                process_payload=lambda vehicle: (run_token, vehicle),
                 progress=self.progress,
                 should_stop=self.should_stop,
                 finish=_finish_chunk,
@@ -775,7 +736,6 @@ class FleetRunner:
             # must not keep this run's tables alive once the run is over.
             _SHARED_RUNS.pop(run_token, None)
 
-        shared_bin_count = sum(len(group_bins) for group_bins in bins.values())
         partial = report.stopped_early or bool(report.failures)
         metadata = {
             "kind": "fleet",
@@ -784,11 +744,11 @@ class FleetRunner:
             "seed": fleet.seed,
             "base_scenario": fleet.base.to_dict(),
             "fleet_document": fleet.to_dict(),
-            "groups": len(groups),
-            "cohorts": len(tables),
+            "groups": 1,
+            "cohorts": len(run.tables),
             "fast_path_vehicles": accumulator.vehicles,
             "thermal": thermal.to_dict() if thermal is not None else None,
-            "shared_energy_bins": shared_bin_count,
+            "shared_energy_bins": len(bins),
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,
             "temperature_quantum_c": TEMPERATURE_QUANTUM_C,
             "ambient_quantum_c": AMBIENT_QUANTUM_C if thermal is not None else None,

@@ -30,10 +30,12 @@ A minimal JSON document::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -41,9 +43,10 @@ import numpy as np
 
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.quantize import ambient_bin, ambient_bin_center_c
+from repro.core.quantize import AMBIENT_QUANTUM_C, ambient_bin_center_c
 from repro.errors import ConfigError
 from repro.fleet.distributions import DistributionSpec
+from repro.scenario.registry import DRIVE_CYCLES
 from repro.scenario.spec import ComponentRef, ScenarioSpec
 
 #: The per-vehicle axes a fleet may distribute.  ``speed_scale`` multiplies
@@ -194,6 +197,119 @@ class FleetVehicle:
     temperature_c: float
     storage_scale: float
     scenario: ScenarioSpec
+
+
+@dataclass(frozen=True, eq=False)
+class FleetChunk:
+    """One chunk of the population as per-vehicle columns.
+
+    What :meth:`FleetSpec.iter_chunks` yields and the fleet runner runs.
+    ``FleetSpec._columns`` computes and validates every column, and the
+    reference view (iterating a chunk, :meth:`vehicles`) is built from these
+    same columns, so the two cannot drift.  ``temperature_c`` is clipped to
+    the modelled range (snapped to ambient-bin centers on thermal fleets),
+    ``scavenger_size`` is the base size times the sampled factor, and
+    ``cycle_code`` indexes ``cycles``.
+    """
+
+    fleet: FleetSpec
+    index: np.ndarray
+    speed_scale: np.ndarray
+    temperature_c: np.ndarray
+    scavenger_size: np.ndarray
+    storage_scale: np.ndarray
+    cycle_code: np.ndarray
+    cycles: tuple[ComponentRef, ...]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        return iter(self.vehicles())
+
+    def records(self) -> list[tuple]:
+        """Per-vehicle tuples of Python values, one field per column.
+
+        ``(index, speed_scale, temperature_c, scavenger_size, storage_scale,
+        cycle_code)``, typed as the scalar arithmetic types them: an integer
+        ``scale_quantum`` gives integer scales, and a fleet that neither
+        distributes nor heats the ambient keeps the base scenario's
+        temperature value.
+        """
+        fleet = self.fleet
+        scales = self.speed_scale.tolist()
+        if isinstance(fleet.scale_quantum, int) and fleet.scale_quantum > 0:
+            scales = [int(scale) for scale in scales]
+        temperatures = self.temperature_c.tolist()
+        ambients = {"temperature_c", "ambient_offset_c"} & set(dict(fleet.distributions))
+        if fleet.thermal is None and not ambients:
+            temperatures = [fleet.base.temperature_c] * len(self)
+        columns = (self.scavenger_size, self.storage_scale, self.cycle_code)
+        return list(zip(self.index.tolist(), scales, temperatures, *(c.tolist() for c in columns)))
+
+    def vehicles(self) -> list[FleetVehicle]:
+        """The reference view: one :class:`FleetVehicle` per vehicle."""
+        vehicles = []
+        for index, scale, temperature, size, storage, code in self.records():
+            spec = self.fleet._scenario(index, scale, temperature, size, self.cycles[code])
+            vehicles.append(FleetVehicle(index, scale, temperature, storage, spec))
+        return vehicles
+
+
+#: Messages of the column checks, formatted ``(target, value, scale_quantum)``.
+_NOT_A_NUMBER = "fleet {0} distribution produced {1!r}, which is not a number"
+_NOT_POSITIVE_SCALE = "fleet {0} distribution produced {1!r}; scales must be positive"
+_UNQUANTIZABLE = "fleet {0} distribution produced {1!r}, which scale_quantum {2!r} cannot quantize"
+_NOT_POSITIVE_FACTOR = "fleet tolerance distributions must produce positive factors"
+_NOT_FINITE_FACTOR = "fleet {0} distribution produced {1!r}; factors must be finite"
+
+
+def _sample_array(target: str, values, count: int) -> np.ndarray:
+    """One sampled target as an array of exactly one value per vehicle."""
+    array = np.asarray(values)
+    if array.shape != (count,):
+        raise ConfigError(
+            f"fleet {target} distribution produced an array of shape "
+            f"{array.shape} for {count} vehicles"
+        )
+    return array
+
+
+def _number_column(target: str, values, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """One sampled target as float64, and the mask of its non-numbers.
+
+    Ints and floats (not bools) convert as ``float()`` converts them; any
+    other entry reads NaN and is flagged.
+    """
+    array = _sample_array(target, values, count)
+    if array.dtype.kind in "iuf":
+        return array.astype(np.float64), np.zeros(count, dtype=bool)
+    floats, invalid = np.full(count, np.nan), np.ones(count, dtype=bool)
+    for offset, value in enumerate(array.tolist()):
+        if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+            with contextlib.suppress(OverflowError):
+                floats[offset], invalid[offset] = value, False
+    return floats, invalid
+
+
+def _cycle_codes(values: np.ndarray) -> tuple[tuple[ComponentRef, ...], np.ndarray]:
+    """The distinct drive-cycle references of a sampled column, and codes.
+
+    References are told apart by ``repr`` (params may hold unhashable JSON
+    values); a vehicle's code is its index into them, or -1 where its value
+    names no registered drive cycle.
+    """
+    refs: dict[str, tuple[int, ComponentRef]] = {}
+    codes = []
+    for value in values.tolist():
+        try:
+            ref = ComponentRef.coerce(value, "drive_cycle")
+            DRIVE_CYCLES.validate(ref.name)
+        except ConfigError:
+            codes.append(-1)
+        else:
+            codes.append(refs.setdefault(repr(ref), (len(refs), ref))[0])
+    return tuple(ref for _code, ref in refs.values()), np.array(codes, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -446,6 +562,12 @@ class FleetSpec:
 
     def document_digest(self) -> int:
         """CRC digest of the fleet document, the seed-stream discriminator."""
+        return self._document_digest
+
+    @cached_property
+    def _document_digest(self) -> int:
+        # Every chunk generator is seeded with it: encode the (frozen)
+        # document once, not once per chunk.
         return zlib.crc32(self.to_json().encode("utf-8"))
 
     def rng(self) -> np.random.Generator:
@@ -521,38 +643,54 @@ class FleetSpec:
                 samples[target] = sampler.sample_with_shared(rng, count, shared.get(target))
         return samples
 
-    def _vehicles_from_samples(
-        self, start: int, count: int, samples: Mapping[str, np.ndarray]
-    ) -> list[FleetVehicle]:
-        """Build the vehicles of one chunk from its sampled target arrays."""
+    def vehicle_name(self, index: int) -> str:
+        """The scenario name of vehicle ``index``, zero-padded to the population."""
+        return f"{self.name}-{index:0{len(str(self.vehicles - 1))}d}"
+
+    def _scenario(self, index, scale, temperature, size, cycle) -> ScenarioSpec:
+        """The derived scenario of one vehicle from its column values."""
+        return self.base.with_axes(
+            name=self.vehicle_name(index),
+            temperature=temperature,
+            speed=self.base.speed_kmh * scale,
+            size=size,
+            drive_cycle=cycle,
+        )
+
+    def _columns(self, start: int, count: int, samples: Mapping[str, np.ndarray]) -> FleetChunk:
+        """One chunk's columns from its sampled target arrays, validated.
+
+        The one place the per-vehicle arithmetic lives, elementwise in the
+        scalar operation order (``np.rint`` rounds half to even like
+        ``round``).  An invalid chunk raises the first failing check of its
+        first failing vehicle, in this order: speed scale (a number,
+        positive, quantizable), ambient (a number), tolerance factors
+        (numbers, positive, a finite storage factor), then the vehicle's
+        :class:`ScenarioSpec` checks (drive cycle, size, speed, temperature
+        range), which that scenario raises itself.
+        """
+        base, quantum = self.base, self.scale_quantum
         low_t, high_t = TEMPERATURE_RANGE_C
-        vehicles: list[FleetVehicle] = []
-        digits = len(str(self.vehicles - 1)) if self.vehicles > 1 else 1
-        for offset in range(count):
-            index = start + offset
-            scale = float(samples["speed_scale"][offset]) if "speed_scale" in samples else 1.0
-            if scale <= 0.0:
-                raise ConfigError(
-                    f"fleet speed_scale distribution produced {scale!r}; "
-                    "scales must be positive"
-                )
-            if self.scale_quantum > 0.0:
-                scale = max(
-                    round(scale / self.scale_quantum) * self.scale_quantum,
-                    self.scale_quantum,
-                )
-            if "temperature_c" in samples:
-                temperature = float(np.clip(samples["temperature_c"][offset], low_t, high_t))
-            elif "ambient_offset_c" in samples:
-                temperature = float(
-                    np.clip(
-                        self.base.temperature_c + float(samples["ambient_offset_c"][offset]),
-                        low_t,
-                        high_t,
-                    )
-                )
+        numbers = {
+            target: _number_column(target, values, count)
+            for target, values in samples.items()
+            if target != "drive_cycle"
+        }
+        ones = np.ones(count)
+        raw_scale = numbers.get("speed_scale", (ones,))[0]
+        size_factor = numbers.get("scavenger_size", (ones,))[0]
+        storage_scale = numbers.get("storage_capacity", (ones,))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = raw_scale
+            if quantum > 0.0:
+                scale = np.maximum(np.rint(raw_scale / quantum) * quantum, quantum)
+            if "temperature_c" in numbers:
+                temperature = np.clip(numbers["temperature_c"][0], low_t, high_t)
+            elif "ambient_offset_c" in numbers:
+                offset_c = numbers["ambient_offset_c"][0]
+                temperature = np.clip(base.temperature_c + offset_c, low_t, high_t)
             else:
-                temperature = self.base.temperature_c
+                temperature = np.full(count, float(base.temperature_c))
             if self.thermal is not None:
                 # Thermal fleets snap the ambient to its bin center: a
                 # replayed trajectory is a function of its exact float
@@ -560,41 +698,54 @@ class FleetSpec:
                 # per-(cohort, ambient-bin) replay be bitwise identical to
                 # every member vehicle's own emulate().  The bounds of the
                 # modelled range are themselves bin centers, so the snap
-                # never leaves the range.
-                temperature = ambient_bin_center_c(ambient_bin(temperature))
-            size_factor = (
-                float(samples["scavenger_size"][offset])
-                if "scavenger_size" in samples
-                else 1.0
-            )
-            storage_scale = (
-                float(samples["storage_capacity"][offset])
-                if "storage_capacity" in samples
-                else 1.0
-            )
-            if size_factor <= 0.0 or storage_scale <= 0.0:
-                raise ConfigError("fleet tolerance distributions must produce positive factors")
-            axes = {
-                "name": f"{self.name}-{index:0{digits}d}",
-                "temperature": temperature,
-                "speed": self.base.speed_kmh * scale,
-                "size": self.base.scavenger_size * size_factor,
-            }
-            if "drive_cycle" in samples:
-                axes["drive_cycle"] = ComponentRef.coerce(
-                    samples["drive_cycle"][offset], "drive_cycle"
-                )
-            scenario = self.base.with_axes(**axes)
-            vehicles.append(
-                FleetVehicle(
-                    index=index,
-                    speed_scale=scale,
-                    temperature_c=temperature,
-                    storage_scale=storage_scale,
-                    scenario=scenario,
-                )
-            )
-        return vehicles
+                # never leaves the range.  ``+ 0.0`` turns the -0.0 that
+                # ``np.rint`` keeps into the 0 that ``round`` returns.
+                temperature = ambient_bin_center_c(np.rint(temperature / AMBIENT_QUANTUM_C) + 0.0)
+            size = base.scavenger_size * size_factor
+            speed = base.speed_kmh * scale
+        if "drive_cycle" in samples:
+            cycles, code = _cycle_codes(_sample_array("drive_cycle", samples["drive_cycle"], count))
+        else:
+            cycles, code = (base.drive_cycle,), np.zeros(count, dtype=np.intp)
+        nan = {target: invalid for target, (_values, invalid) in numbers.items()}
+        no = np.zeros(count, dtype=bool)
+        checks = [  # (failing vehicles, target, message, values shown), in check order
+            (nan.get("speed_scale", no), "speed_scale", _NOT_A_NUMBER, None),
+            (raw_scale <= 0.0, "speed_scale", _NOT_POSITIVE_SCALE, raw_scale),
+            ((quantum > 0.0) & ~np.isfinite(scale), "speed_scale", _UNQUANTIZABLE, raw_scale),
+            (nan.get("temperature_c", no), "temperature_c", _NOT_A_NUMBER, None),
+            (nan.get("ambient_offset_c", no), "ambient_offset_c", _NOT_A_NUMBER, None),
+            (nan.get("scavenger_size", no), "scavenger_size", _NOT_A_NUMBER, None),
+            (nan.get("storage_capacity", no), "storage_capacity", _NOT_A_NUMBER, None),
+            ((size_factor <= 0.0) | (storage_scale <= 0.0), "", _NOT_POSITIVE_FACTOR, ones),
+            (~np.isfinite(storage_scale), "storage_capacity", _NOT_FINITE_FACTOR, storage_scale),
+        ]
+        bad = (
+            (code < 0)
+            | ~((size > 0.0) & (size < np.inf))
+            | ~((speed > 0.0) & (speed < np.inf))
+            | ~((temperature >= low_t) & (temperature <= high_t))
+        )
+        for failing, _target, _message, _shown in checks:
+            bad |= failing
+        if bad.any():
+            i = int(np.argmax(bad))
+            for failing, target, message, shown in checks:
+                if failing[i]:
+                    value = samples[target][i] if shown is None else shown[i]
+                    value = value.item() if isinstance(value, np.generic) else value
+                    raise ConfigError(message.format(target, value, quantum))
+            cycle = samples["drive_cycle"][i] if "drive_cycle" in samples else base.drive_cycle
+            # What is left is the vehicle's scenario's own check: it raises.
+            self._scenario(start + i, scale[i].item(), temperature[i].item(), size[i].item(), cycle)
+        index = np.arange(start, start + count)
+        return FleetChunk(self, index, scale, temperature, size, storage_scale, code, cycles)
+
+    def _chunk(self, samplers, shared, chunk_index: int) -> FleetChunk:
+        """Draw and compute the columns of one chunk."""
+        start, count = self.chunk_bounds(chunk_index)
+        samples = self._sample_chunk(samplers, shared, chunk_index, count)
+        return self._columns(start, count, samples)
 
     def materialize_chunk(self, chunk_index: int) -> list[FleetVehicle]:
         """Draw ONE chunk of the population, reproducible in isolation.
@@ -602,34 +753,30 @@ class FleetSpec:
         A pure function of ``(seed, fleet document, chunk_index)``: a resumed
         run (or a remote worker handed only the document and a chunk index)
         rebuilds exactly the vehicles an uninterrupted run would have drawn
-        for that chunk, without sampling any other chunk.
+        for that chunk, without sampling any other chunk.  The vehicles are
+        the reference view of the chunk's columns (:meth:`FleetChunk.vehicles`).
         """
         samplers = self._samplers()
-        shared = self._shared_states(samplers)
-        start, count = self.chunk_bounds(chunk_index)
-        samples = self._sample_chunk(samplers, shared, chunk_index, count)
-        return self._vehicles_from_samples(start, count, samples)
+        return self._chunk(samplers, self._shared_states(samplers), chunk_index).vehicles()
 
     def iter_chunks(self):
-        """Stream the population as chunk lists of ≤ ``chunk_vehicles`` vehicles.
+        """Stream the population as :class:`FleetChunk` columns of ≤ ``chunk_vehicles``.
 
-        The generator the fleet runner consumes: at most one chunk of
-        vehicles is resident at a time, and the concatenation of the yielded
-        chunks equals :meth:`materialize` vehicle for vehicle (samplers and
-        shared states are built once and reused, which cannot change the
-        draws — each chunk still samples from its own generator).
+        The generator the fleet runner consumes: at most one chunk is
+        resident at a time, and iterating the yielded chunks gives
+        :meth:`materialize` vehicle for vehicle (samplers and shared states
+        are built once and reused, which cannot change the draws — each
+        chunk still samples from its own generator).
         """
         samplers = self._samplers()
         shared = self._shared_states(samplers)
         for chunk_index in range(self.chunk_count()):
-            start, count = self.chunk_bounds(chunk_index)
-            samples = self._sample_chunk(samplers, shared, chunk_index, count)
-            yield self._vehicles_from_samples(start, count, samples)
+            yield self._chunk(samplers, shared, chunk_index)
 
     def materialize(self) -> list[FleetVehicle]:
         """Draw the whole population: one :class:`FleetVehicle` per vehicle.
 
-        The eager reference path: every chunk is drawn independently through
+        The eager reference view: every chunk is drawn independently through
         :meth:`materialize_chunk` and concatenated, so this is by
         construction what the streaming/chunked paths must reproduce
         (property-tested).  Prefer :meth:`iter_chunks` at fleet scale — this

@@ -119,6 +119,27 @@ class TestStreamingMaterialization:
         # garbage: the parent never accumulates the population.
         assert peak["alive"] <= fleet.chunk_vehicles
 
+    def test_parent_holds_at_most_one_chunk_of_columns(self, monkeypatch):
+        """Each pass streams column chunks: at most one is alive per pass."""
+        import gc
+
+        from repro.fleet.spec import FleetChunk
+
+        fleet = _fleet(vehicles=12, chunk=4)
+        peak = {"alive": 0}
+        original_sample = FleetSpec._sample_chunk
+
+        def counting_sample(self, samplers, shared, chunk_index, count):
+            gc.collect()
+            alive = sum(1 for obj in gc.get_objects() if isinstance(obj, FleetChunk))
+            peak["alive"] = max(peak["alive"], alive)
+            return original_sample(self, samplers, shared, chunk_index, count)
+
+        monkeypatch.setattr(FleetSpec, "_sample_chunk", counting_sample)
+        FleetRunner(fleet).run()
+        # Drawing chunk c, the pass still holds chunk c - 1 and nothing older.
+        assert peak["alive"] <= 1
+
     def test_discovery_and_execution_chunk_twice(self):
         # Two streaming passes (discovery + execution), not one eager build.
         fleet = _fleet(vehicles=8, chunk=4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -71,6 +73,35 @@ class TestSharing:
 
     def test_bins_swept_once_cover_the_population(self, sequential_result):
         assert sequential_result.metadata["shared_energy_bins"] > 0
+
+    def test_no_per_vehicle_specs_or_components(self, monkeypatch):
+        # Specs, scavengers, storage elements and registry components are
+        # built per run and per cohort, never per vehicle.
+        from repro.registry import Registry
+
+        calls = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for name in ("with_axes", "build_scavenger", "build_storage"):
+            count(ScenarioSpec, name)
+        count(Registry, "create")
+        fleet = _fleet(vehicles=200, seed=3)
+        mix = {"kind": "categorical", "params": {"choices": ["urban", "nedc"]}}
+        fleet = replace(fleet, distributions={**dict(fleet.distributions), "drive_cycle": mix})
+        result = FleetRunner(fleet).run()
+        cohorts = result.metadata["cohorts"]
+        assert result.metadata["vehicles"] == 200 and cohorts < 50
+        assert calls["build_scavenger"] == calls["build_storage"] == 1
+        assert set(calls) == {"with_axes", "build_scavenger", "build_storage", "create"}
+        assert all(value <= cohorts for value in calls.values()), calls
 
     def test_quantization_constants_are_single_sourced(self, sequential_result):
         from repro.core import quantize

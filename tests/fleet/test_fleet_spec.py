@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from repro.fleet import (
     FLEET_TARGETS,
     DistributionSpec,
     FleetSpec,
+    ThermalSpec,
     default_fleet_distributions,
     load_fleet,
 )
@@ -269,3 +271,119 @@ class TestMaterialization:
             distributions=default_fleet_distributions(base),
         )
         assert with_all.materialize() == with_all.materialize()
+
+
+def _constant_fleet(target, value, thermal=None, scale_quantum=0.05, **base) -> FleetSpec:
+    return FleetSpec(
+        name="typed",
+        base=_base(**base),
+        vehicles=4,
+        seed=3,
+        scale_quantum=scale_quantum,
+        thermal=thermal,
+        distributions={target: {"kind": "constant", "params": {"value": value}}},
+    )
+
+
+def _raised(fleet: FleetSpec) -> list[str]:
+    """The error of each path: the reference view and the run path."""
+    from repro.fleet import FleetRunner
+
+    messages = []
+    for path in (fleet.materialize, lambda: list(fleet.iter_chunks()), FleetRunner(fleet).run):
+        with pytest.raises(ConfigError) as raised:
+            path()
+        assert "\n" not in str(raised.value)
+        messages.append(str(raised.value))
+    assert len(set(messages)) == 1, messages
+    return messages[0]
+
+
+class TestTypedSampleErrors:
+    """Sampled columns that are not finite numbers raise one-line ConfigErrors."""
+
+    @pytest.mark.parametrize(
+        "value, shown", [("fast", "'fast'"), (None, "None"), (True, "True"), ([1.0], "(1.0,)")]
+    )
+    def test_speed_scale_that_is_not_a_number(self, value, shown):
+        message = _raised(_constant_fleet("speed_scale", value))
+        assert message == f"fleet speed_scale distribution produced {shown}, which is not a number"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_speed_scale_that_cannot_be_quantized(self, value):
+        message = _raised(_constant_fleet("speed_scale", value))
+        assert message == (
+            f"fleet speed_scale distribution produced {value!r}, "
+            "which scale_quantum 0.05 cannot quantize"
+        )
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_unquantized_non_finite_speed_keeps_the_scenario_check(self, value):
+        message = _raised(_constant_fleet("speed_scale", value, scale_quantum=0.0))
+        assert message == "scenario speed_kmh must be a positive finite number"
+
+    def test_non_positive_speed_scale(self):
+        message = _raised(_constant_fleet("speed_scale", -1.0))
+        assert message == "fleet speed_scale distribution produced -1.0; scales must be positive"
+
+    @pytest.mark.parametrize("thermal", [None, ThermalSpec()])
+    @pytest.mark.parametrize("target", ["temperature_c", "ambient_offset_c"])
+    def test_nan_ambient_keeps_the_scenario_range_check(self, target, thermal):
+        message = _raised(_constant_fleet(target, float("nan"), thermal=thermal))
+        low, high = TEMPERATURE_RANGE_C
+        assert message == f"scenario temperature_c must lie in [{low}, {high}] degC, got nan"
+
+    def test_ambient_that_is_not_a_number(self):
+        message = _raised(_constant_fleet("temperature_c", "warm", thermal=ThermalSpec()))
+        assert message == "fleet temperature_c distribution produced 'warm', which is not a number"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308])
+    def test_non_finite_scavenger_size_keeps_the_scenario_check(self, value):
+        message = _raised(_constant_fleet("scavenger_size", value, scavenger_size=2.0))
+        assert message == "scenario scavenger_size must be a positive finite number"
+
+    @pytest.mark.parametrize("target", ["scavenger_size", "storage_capacity"])
+    def test_non_positive_tolerance_factor(self, target):
+        message = _raised(_constant_fleet(target, 0.0))
+        assert message == "fleet tolerance distributions must produce positive factors"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_storage_capacity(self, value):
+        message = _raised(_constant_fleet("storage_capacity", value))
+        assert message == (
+            f"fleet storage_capacity distribution produced {value!r}; factors must be finite"
+        )
+
+    def test_storage_capacity_that_is_not_a_number(self):
+        message = _raised(_constant_fleet("storage_capacity", "large"))
+        assert message == (
+            "fleet storage_capacity distribution produced 'large', which is not a number"
+        )
+
+    def test_unknown_sampled_drive_cycle_keeps_the_registry_error(self):
+        message = _raised(_constant_fleet("drive_cycle", "bogus"))
+        assert message.startswith("unknown drive cycle 'bogus'; available: ")
+
+    def test_distribution_returning_the_wrong_count(self):
+        from repro.fleet import Distribution, register_distribution
+
+        class Short(Distribution):
+            def sample(self, rng, count):
+                return np.ones(count - 1)
+
+        register_distribution("test-short", Short)
+        try:
+            fleet = FleetSpec(
+                name="short",
+                base=_base(),
+                vehicles=4,
+                distributions={"scavenger_size": "test-short"},
+            )
+            message = _raised(fleet)
+        finally:
+            from repro.fleet import DISTRIBUTIONS
+
+            DISTRIBUTIONS.unregister("test-short")
+        assert message == (
+            "fleet scavenger_size distribution produced an array of shape (3,) for 4 vehicles"
+        )

@@ -185,6 +185,21 @@ class TestLifecycle:
         with pytest.raises(ServeError, match="failed"):
             manager.result_bytes(job.id)
 
+    def test_failed_fleet_reports_the_typed_sample_error(self, manager):
+        # A sampled column that is not a number fails the job with the
+        # one-line ConfigError, not a bare conversion error.
+        fleet = {
+            "name": "typed",
+            "vehicles": 4,
+            "base": FLEET_DOC["scenario"],
+            "distributions": {"speed_scale": {"kind": "constant", "params": {"value": "fast"}}},
+        }
+        document = _wait(manager.submit_fleet({"fleet": fleet}))
+        assert document["state"] == "failed"
+        assert document["error"] == (
+            "fleet speed_scale distribution produced 'fast', which is not a number"
+        )
+
     def test_unknown_job_lookup(self, manager):
         with pytest.raises(ServeError, match="unknown job"):
             manager.get("job-999999-deadbeef")
