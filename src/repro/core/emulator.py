@@ -339,6 +339,34 @@ class EmulationResult:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class RoundResolution:
+    """One run's demand side over a cycle plan (read-only arrays).
+
+    What :meth:`NodeEmulator._resolve_rounds` returns per request and
+    :meth:`NodeEmulator._scan_ledger` scans: the run's ``plan``, its
+    per-unit ``temps``, ``end`` (the first unit outside the modelled
+    temperature range, where the scalar path raises, or ``len(plan)``), the
+    distinct ``(energy, per-phase list)`` ``values`` of its rounds (``None``
+    where the schedule cannot be built) with each unit's
+    ``value_index`` into them (``-1`` on idle units, unresolved rounds and
+    every unit from ``end`` on), the per-unit ``sleep_power`` and ``load``
+    at the storage element, and whether the scan over it can raise
+    (``checked``: ``end < len(plan)`` or any unresolved round).  An
+    isothermal run's ``temps`` and ``sleep_power`` are one float each,
+    which stands for every unit.
+    """
+
+    plan: CyclePlan
+    temps: np.ndarray | float
+    end: int
+    values: list
+    value_index: np.ndarray
+    sleep_power: np.ndarray | float
+    load: np.ndarray
+    checked: bool
+
+
 class NodeEmulator:
     """Plays a drive cycle against a node, a scavenger and a storage element.
 
@@ -388,23 +416,21 @@ class NodeEmulator:
         # per instance, so the caches persist across emulate() runs.
         self._energy_cache: dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]] = {}
         self._standstill_cache: dict[int, float] = {}
-        #: (speed bin, phase pattern) keys whose bin-*center* schedule proved
-        #: infeasible (feasibility is a step function of speed, so the center
-        #: can fail while the upper edge passes); keyed per pattern so one
+        #: (speed bin, phase pattern) keys whose schedule was validated at
+        #: the bin's *upper edge* and center: every speed that rounds into
+        #: the bin is then covered by one schedule build (up to sub-quantum
+        #: feasibility pockets, the same approximation class as the energy
+        #: quantization itself — and a deterministic one, so warm and fresh
+        #: emulators always agree).
+        self._trusted_speed_keys: set[tuple] = set()
+        #: (speed bin, phase pattern) keys whose upper edge is infeasible —
+        #: these straddle the node's feasibility limit — or whose center is
+        #: (feasibility is a step function of speed, so the center can fail
+        #: while the upper edge passes): their rounds are evaluated and keyed
+        #: on the exact speed, and an unsustainable actual speed then raises
+        #: naturally on its own schedule build.  Keyed per pattern so one
         #: pattern's infeasible center never forces other patterns in the
         #: same bin off their valid bin entries.
-        self._infeasible_center_keys: set[tuple] = set()
-        #: (speed bin, phase pattern) keys whose schedule was validated at
-        #: the bin's *upper edge*: every speed that rounds into the bin is
-        #: then covered by one schedule build (up to sub-quantum feasibility
-        #: pockets, the same approximation class as the energy quantization
-        #: itself — and a deterministic one, so warm and fresh emulators
-        #: always agree).
-        self._trusted_speed_keys: set[tuple] = set()
-        #: (speed bin, phase pattern) keys whose upper edge is infeasible:
-        #: these straddle the node's feasibility limit, so their rounds are
-        #: evaluated and keyed on the exact speed — an unsustainable actual
-        #: speed then raises naturally on its own schedule build.
         self._exact_speed_keys: set[tuple] = set()
         #: Memoized cycle plans, keyed on the cycle's *content* (its phase
         #: tuple — ``DriveCycle`` is mutable, so never its identity) plus
@@ -434,7 +460,6 @@ class NodeEmulator:
         ):
             self._energy_cache.clear()
             self._standstill_cache.clear()
-            self._infeasible_center_keys.clear()
             self._trusted_speed_keys.clear()
             self._exact_speed_keys.clear()
             self._plans.clear()
@@ -484,48 +509,44 @@ class NodeEmulator:
         return cached
 
     def _classify_speed_keys(self, keys: list[tuple]) -> None:
-        """Classify (speed bin, pattern) keys with ONE schedule-table call.
+        """Classify the (speed bin, pattern) keys new to this emulator, in ONE call.
 
-        A key whose schedule is feasible at the bin's *upper edge* is
+        One schedule-table call builds every new key's schedule at its
+        bin's upper edge and at its center.  A key feasible at both is
         trusted: every speed that rounds into the bin may share the bin
-        entry.  An infeasible upper edge means the bin straddles the node's
-        feasibility limit, so its rounds are handled on their exact speed.
-        The classification depends only on the key, so warm and fresh
-        emulators always agree.
+        entry, evaluated at the center.  Any other key is keyed on its
+        rounds' exact speeds (``_exact_speed_keys``): this is the one place
+        a bin center that cannot be built is re-keyed.  The classification
+        depends only on the key, so warm and fresh emulators always agree;
+        a warm run makes no table call.
         """
+        trusted, exact = self._trusted_speed_keys, self._exact_speed_keys
+        keys = [key for key in keys if key[0] > 0 and key not in trusted and key not in exact]
+        if not keys:
+            return
+        patterns = [key[1:] for key in keys]
         table = self.node.schedule_table(
-            [speed_bin_upper_edge_kmh(key[0]) for key in keys],
-            [key[1:] for key in keys],
+            [speed_bin_upper_edge_kmh(key[0]) for key in keys]
+            + [speed_bin_center_kmh(key[0]) for key in keys],
+            patterns + patterns,
         )
-        for key, feasible in zip(keys, table.feasible.tolist()):
-            (self._trusted_speed_keys if feasible else self._exact_speed_keys).add(key)
+        builds = table.feasible[: len(keys)] & table.feasible[len(keys) :]
+        for key, ok in zip(keys, builds.tolist()):
+            (trusted if ok else exact).add(key)
 
-    def _speed_key_for(
-        self, pattern_key: tuple, speed_kmh: float, unclassified: list | None = None
-    ) -> tuple[object, float, bool] | None:
-        """Resolve the cache speed key of a round in (bin, *pattern) group ``pattern_key``.
+    def _speed_key_for(self, pattern_key: tuple, speed_kmh: float) -> tuple[object, float, bool]:
+        """The cache speed key of a round in classified (bin, *pattern) group ``pattern_key``.
 
-        Returns ``(speed_key, evaluation_speed, use_bin)``.  Bin 0 has no
-        positive representative speed, and bins whose center proved
-        infeasible are memoized; both are keyed on the exact speed instead —
-        the cached value stays a pure function of the key either way.  Exact
-        keys are tagged so they can never collide with an int bin key
-        (Python dicts treat 999 and 999.0 as the same key).  A (bin,
-        pattern) key seen for the first time is classified on the spot
-        (:meth:`_classify_speed_keys`), or, when the caller passes an
-        ``unclassified`` list, appended to it and ``None`` returned, so the
-        caller can classify every new key in one call.
+        Returns ``(speed_key, evaluation_speed, use_bin)``.  A trusted key
+        shares its bin entry, evaluated at the bin center.  Every other
+        round — bin 0, which has no positive representative speed, and the
+        keys whose bin edge or center cannot be built — is keyed on its
+        exact speed, so the cached value stays a pure function of the key
+        either way.  Exact keys are tagged so they can never collide with an
+        int bin key (Python dicts treat 999 and 999.0 as the same key).
         """
         bin_index = pattern_key[0]
-        use_bin = bin_index > 0 and pattern_key not in self._infeasible_center_keys
-        if use_bin and pattern_key not in self._trusted_speed_keys:
-            if pattern_key not in self._exact_speed_keys:
-                if unclassified is not None:
-                    unclassified.append(pattern_key)
-                    return None
-                self._classify_speed_keys([pattern_key])
-            use_bin = pattern_key in self._trusted_speed_keys
-        if use_bin:
+        if pattern_key in self._trusted_speed_keys:
             return bin_index, speed_bin_center_kmh(bin_index), True
         return ("exact", speed_kmh), speed_kmh, False
 
@@ -551,9 +572,9 @@ class NodeEmulator:
         """
         pattern = self.node.phase_pattern(unit.index)
         temp_bin = self._temperature_bin(temperature_c)
-        speed_key, speed, use_bin = self._speed_key_for(
-            (speed_bin(unit.speed_kmh), *pattern), unit.speed_kmh
-        )
+        pattern_key = (speed_bin(unit.speed_kmh), *pattern)
+        self._classify_speed_keys([pattern_key])
+        speed_key, speed, _use_bin = self._speed_key_for(pattern_key, unit.speed_kmh)
         key = (speed_key, temp_bin, *pattern)
         cached = self._energy_cache.get(key)
         if cached is not None:
@@ -562,21 +583,9 @@ class NodeEmulator:
         # Cache miss: evaluate at the bin-representative speed/temperature so
         # the cached value is a pure function of the key — results cannot
         # depend on which conditions inside the bin an earlier run saw first,
-        # even though the cache persists across emulate() runs.
+        # even though the cache persists across emulate() runs.  A speed
+        # whose schedule cannot be built raises here.
         table = self.node.schedule_table([speed], [pattern])
-        if use_bin and not table.feasible[0]:
-            # The bin center rounded just past the node's feasibility limit
-            # for this phase pattern (the upper edge was validated above):
-            # memoize the (bin, pattern) so later rounds skip the doomed
-            # attempt, and key this round on its exact speed.
-            speed = unit.speed_kmh
-            table = self.node.schedule_table([speed], [pattern])
-            table.require_feasible()
-            self._infeasible_center_keys.add((speed_key, *pattern))
-            key = (("exact", speed), temp_bin, *pattern)
-            cached = self._energy_cache.get(key)
-            if cached is not None:
-                return cached
         value = self._evaluate_table(
             table, np.array([temperature_bin_center_c(temp_bin)]), [key]
         )[key]
@@ -614,15 +623,13 @@ class NodeEmulator:
         have cached.  The timing of every bin comes from one
         :meth:`SensorNode.schedule_table` call, which also decides
         feasibility: keys whose schedule cannot be built (an unsustainable
-        speed, a bin center just past the limit) are left out of the result;
-        :meth:`emulate` re-keys such a bin's rounds on their exact speed, and
-        raises an unsustainable speed's error when the node reaches it while
-        active.  The batch kernel
-        accumulates in the scalar operation order, so the values are
-        bitwise identical to per-miss evaluations — which is what lets the
-        fleet runner evaluate the *union* of bins across a whole vehicle
-        population once and hand the entries to every vehicle's emulator
-        (:meth:`seed_energy_cache`).
+        exact speed) are left out of the result, and :meth:`_scan_ledger`
+        raises such a round's error when the node reaches it while active.
+        The batch kernel accumulates in the scalar operation order, so the
+        values are bitwise identical to per-miss evaluations — which is what
+        lets :meth:`_resolve_rounds` evaluate the *union* of bins over every
+        run it resolves, one emulation or a whole fleet population, in one
+        call.
         """
         if not pending:
             return {}
@@ -643,25 +650,6 @@ class NodeEmulator:
         return self.node.schedule_table(
             [value[0] for value in values], [value[2] for value in values]
         )
-
-    def seed_energy_cache(
-        self,
-        entries: Mapping[tuple, tuple[float, tuple[tuple[str, float, float], ...]]],
-    ) -> int:
-        """Pre-load revolution-energy cache entries computed elsewhere.
-
-        Entries must come from an emulator with the same node, database
-        coefficients and supply/process conditions (cached values are pure
-        functions of their quantized keys under those inputs); the fleet
-        runner uses this to share one cross-vehicle bin sweep between all
-        vehicles of a group.  Returns the number of entries accepted.  The
-        cache-size cap is honoured entry by entry, exactly like per-miss
-        inserts.
-        """
-        self._ensure_caches_fresh()
-        for key, value in entries.items():
-            self._store_energy(key, value)
-        return len(entries)
 
     def _record_trace_revolution(
         self,
@@ -701,9 +689,8 @@ class NodeEmulator:
         not depend on the emulator's state: the per-unit arrays, each
         round's (speed bin, phase pattern) group and the state-log sampling
         walk.  ``emulate()`` memoizes plans (:meth:`_plan_for`); the fleet
-        runner builds one per (cycle, speed-scale[, ambient-bin]) cohort
-        through a shared probe emulator and resolves it exactly like
-        ``emulate()`` does, so the two can never drift.
+        runner walks each distinct (cycle, speed scale) of a run once here
+        and resolves every run on it through :meth:`_resolve_rounds`.
         """
         return build_cycle_plan(cycle, self.node, idle_step_s, record_interval_s)
 
@@ -725,18 +712,13 @@ class NodeEmulator:
             self._plans[key] = plan
         return plan
 
-    def plan_temperatures(
-        self, plan: CyclePlan, thermal_model: TyreThermalModel | None
-    ) -> np.ndarray:
-        """Per-unit temperatures of one run over ``plan``.
+    def plan_temperatures(self, plan: CyclePlan, thermal_model: TyreThermalModel) -> np.ndarray:
+        """Per-unit temperatures of one thermal run over ``plan``.
 
-        With a thermal model, the model is advanced unit by unit from its
-        current state — the trajectory a per-revolution loop produces — and
-        left at its end-of-cycle state; without one the run is isothermal at
-        the base point's temperature.
+        The model is advanced unit by unit from its current state — the
+        trajectory a per-revolution loop produces — and left at its
+        end-of-cycle state.
         """
-        if thermal_model is None:
-            return np.full(len(plan), self.base_point.temperature_c, dtype=float)
         temps = np.empty(len(plan))
         advance = thermal_model.advance
         for i, (duration, speed) in enumerate(zip(plan.durations.tolist(), plan.speeds)):
@@ -746,12 +728,10 @@ class NodeEmulator:
     def speed_slots(self, plan: CyclePlan) -> tuple[list, np.ndarray]:
         """Resolve the cache speed key of every wheel round of ``plan``.
 
-        :meth:`_speed_key_for` runs once per (speed bin, pattern) group, on
-        the key the plan precomputed.  The groups whose key is new to this
-        emulator are classified together by ONE schedule-table call at their
-        bins' upper edges; a warm run (every key classified) makes no table
-        call at all.  Groups sharing
-        their bin entry become one slot; groups keyed on the exact speed
+        The (speed bin, pattern) groups the plan precomputed are classified
+        by one :meth:`_classify_speed_keys` call (none on a warm run), then
+        :meth:`_speed_key_for` runs once per group.  Groups sharing their
+        bin entry become one slot; groups keyed on the exact speed
         (straddling bins, infeasible centers) get one slot per distinct
         exact speed.  Returns ``(slots, round_slot)``: the ``(speed key,
         pattern, evaluation speed, unit)`` entries and each round's index
@@ -759,28 +739,14 @@ class NodeEmulator:
         resolved per run, never memoized with the plan.
         """
         groups = plan.groups
+        self._classify_speed_keys([key for key, _speed, _unit in groups])
         slots: list[tuple] = []
         group_slot = np.empty(len(groups), dtype=np.intp)
-        unclassified: list[tuple] = []
-        deferred: list[int] = []
-        resolve = self._speed_key_for
         for group, (key, speed, unit) in enumerate(groups):
-            resolved = resolve(key, speed, unclassified)
-            if resolved is None:
-                deferred.append(group)
-            elif resolved[2]:
-                group_slot[group] = len(slots)
-                slots.append((resolved[0], key[1:], resolved[1], unit))
-            else:
-                group_slot[group] = -1
-        if unclassified:
-            self._classify_speed_keys(unclassified)
-            for group in deferred:
-                key, speed, unit = groups[group]
-                speed_key, eval_speed, use_bin = resolve(key, speed)
-                group_slot[group] = len(slots) if use_bin else -1
-                if use_bin:
-                    slots.append((speed_key, key[1:], eval_speed, unit))
+            speed_key, eval_speed, use_bin = self._speed_key_for(key, speed)
+            group_slot[group] = len(slots) if use_bin else -1
+            if use_bin:
+                slots.append((speed_key, key[1:], eval_speed, unit))
         round_slot = group_slot[plan.round_groups]
         exact_slots: dict[tuple, int] = {}
         for position in np.flatnonzero(round_slot < 0).tolist():
@@ -793,84 +759,136 @@ class NodeEmulator:
             round_slot[position] = slot
         return slots, round_slot
 
-    def _round_values(
-        self, plan: CyclePlan, temps: np.ndarray, end: int
-    ) -> tuple[list, np.ndarray]:
-        """The cached revolution energy of every wheel round before unit ``end``.
+    def _resolve_rounds(self, requests: list[tuple], bins: dict, store) -> list[RoundResolution]:
+        """Resolve the demand side of ``(plan, temperature, thermal model)`` runs.
 
-        Returns ``(values, value_index)``: the distinct ``(energy, per-phase
-        list)`` entries and each unit's index into them (``-1`` on idle and
-        unresolved units).  Keys not cached yet are evaluated by one
-        :meth:`evaluate_energy_bins` call, which leaves out the keys whose
-        schedule cannot be built.  A bin key left out has an infeasible
-        center (its upper edge was validated): its ``(bin, *pattern)`` is
-        memoized in ``_infeasible_center_keys`` and the rounds are resolved
-        and swept once more on their exact speeds, as
-        :meth:`_revolution_energy` keys them.  A round stays unresolved only
-        when its schedule at its exact speed cannot be built.
+        One :class:`RoundResolution` per request: a thermal model is advanced
+        from its current state over the plan, and without one the run is
+        isothermal at ``temperature``.  :meth:`speed_slots` runs once per
+        distinct plan; an isothermal request keys every slot on its one
+        temperature bin, a thermal one keys its rounds through
+        :func:`~repro.core.cycle_plan.energy_keys`.  The distinct keys of all
+        requests missing from ``bins`` are evaluated by ONE
+        :meth:`evaluate_energy_bins` call, and each swept entry is handed to
+        ``store``.  Bin keys always build (bin centers that cannot were
+        re-keyed when classified), so a key left out of the sweep is an
+        exact speed whose schedule cannot be built: its rounds stay
+        unresolved and draw 0, and :meth:`_scan_ledger` raises if the node
+        reaches one while active.
         """
-        rounds = plan.round_indices
-        limit = int(np.searchsorted(rounds, end))
-        slots, round_slot = self.speed_slots(plan)
-        keys, inverse = energy_keys(
-            slots, round_slot[:limit], temperature_bins(temps[rounds[:limit]])
-        )
-        cache = self._energy_cache
-        values = [cache.get(key) for key, _slot, _temp_bin in keys]
-        missing = [entry for entry, value in zip(keys, values) if value is None]
-        if missing:
-            pending = {
-                key: (slots[slot][2], temperature_bin_center_c(temp_bin), slots[slot][1])
-                for key, slot, temp_bin in missing
-            }
-            swept = self.evaluate_energy_bins(pending)
-            for j, (key, _slot, _temp_bin) in enumerate(keys):
-                value = swept.get(key)
-                if value is not None:
-                    values[j] = value
-                    self._store_energy(key, value)
-            centers = {
-                (key[0], *key[2:])
-                for key in pending
-                if key not in swept and isinstance(key[0], int)
-            }
-            if centers:
-                self._infeasible_center_keys.update(centers)
-                return self._round_values(plan, temps, end)
+        low, high = TEMPERATURE_RANGE_C
+        slots_of: dict[int, tuple] = {}
+        numbers: dict = {}  # every distinct key of the requests -> its position
+        values: list = []  # per position: the cached entry, or None
+        pending: dict = {}  # the keys to sweep -> their evaluation points
+        staged = []
+        for plan, temperature, thermal_model in requests:
+            if id(plan) not in slots_of:
+                slots_of[id(plan)] = self.speed_slots(plan)
+            slots, round_slot = slots_of[id(plan)]
+            if thermal_model is None:
+                temps = float(temperature)
+                end = len(plan) if low <= temps <= high else 0
+                sleep = self._standstill_power(temps) if end else 0.0
+                # Every round keys on the one temperature bin (none does when
+                # ``end`` is 0), so the keys are the slots'.
+                temp_bin = temperature_bin(temps) if end else 0
+                keys = [(slot[0], temp_bin, *slot[1]) for slot in slots] if end else []
+                key_slots = range(len(keys))
+                inverse = round_slot if end else round_slot[:0]
+            else:
+                temps = self.plan_temperatures(plan, thermal_model)
+                in_range = (temps >= low) & (temps <= high)
+                end = len(plan) if in_range.all() else int(np.argmin(in_range))
+                # Resting power through the standstill memo, per temperature bin.
+                temp_bins, unit_bin = np.unique(temperature_bins(temps[:end]), return_inverse=True)
+                sleep = np.zeros(len(plan))
+                sleep[:end] = np.array(
+                    [self._standstill_power(temperature_bin_center_c(int(b))) for b in temp_bins]
+                )[unit_bin]
+                rounds = plan.round_indices[: np.searchsorted(plan.round_indices, end)]
+                keys, key_slots, inverse = energy_keys(
+                    slots, round_slot[: len(rounds)], temperature_bins(temps[rounds])
+                )
+            # Number the keys in first-appearance order; each round indexes
+            # its key's number through ``inverse``.
+            first = len(numbers)
+            key_numbers = np.array([numbers.setdefault(k, len(numbers)) for k in keys], np.intp)
+            # A key new to this call is looked up now, before ``store`` can
+            # clear a capped cache; a miss is swept at its slot's evaluation
+            # speed and pattern and its temperature bin's center.
+            for position in np.flatnonzero(key_numbers >= first).tolist():
+                key = keys[position]
+                values.append(bins.get(key))
+                if values[-1] is None:
+                    _speed_key, pattern, speed = slots[key_slots[position]][:3]
+                    pending[key] = (speed, temperature_bin_center_c(key[1]), pattern)
+            staged.append((plan, temps, end, sleep, key_numbers, inverse))
+
+        if pending:  # a warm run sweeps nothing
+            for key, value in self.evaluate_energy_bins(pending).items():
+                values[numbers[key]] = value
+                store(key, value)
+        energies = np.array([value[0] if value else 0.0 for value in values])
         resolved = np.array([value is not None for value in values], dtype=bool)
-        value_index = np.full(len(plan), -1, dtype=np.intp)
-        value_index[rounds[:limit]] = np.where(resolved[inverse], inverse, -1)
-        return values, value_index
+        resolutions = []
+        # A value index counts in its request's own keys, so the isothermal
+        # requests of one plan (sharing ``inverse``, the plan's round slots)
+        # share one value index when every key resolved.
+        shared: dict[int, np.ndarray] = {}
+        for plan, temps, end, sleep, key_numbers, inverse in staged:
+            rounds = plan.round_indices
+            key_resolved = resolved[key_numbers]
+            checked = end < len(plan) or not key_resolved.all()
+            value_index = None if checked else shared.get(id(inverse))
+            if value_index is None:
+                value_index = np.full(len(plan), -1, dtype=np.intp)
+                value_index[rounds[: len(inverse)]] = np.where(key_resolved[inverse], inverse, -1)
+                value_index.setflags(write=False)
+                if not checked:
+                    shared[id(inverse)] = value_index
+            # Unresolved rounds (index -1) read the trailing 0.0: the first
+            # one the node reaches while active raises in the scan, so that
+            # load is never drawn.
+            round_energies = np.append(energies[key_numbers], 0.0)[value_index[rounds]]
+            load = unit_load(self.node.pmu, plan, round_energies, sleep)
+            load.setflags(write=False)
+            request_values = list(map(values.__getitem__, key_numbers.tolist()))
+            resolutions.append(
+                RoundResolution(plan, temps, end, request_values, value_index, sleep, load, checked)
+            )
+        return resolutions
 
-    def _standstill_power_sweep(self, temps: np.ndarray) -> np.ndarray:
-        """Per-unit resting-mode power via the quantized standstill memo."""
-        bins, inverse = np.unique(temperature_bins(temps), return_inverse=True)
-        per_bin = np.array(
-            [self._standstill_power(temperature_bin_center_c(int(b))) for b in bins]
-        )
-        return per_bin[inverse]
+    def _scan_ledger(
+        self, resolution: RoundResolution, storage: StorageElement, harvest: np.ndarray
+    ) -> StorageTrajectory:
+        """Integrate the ledger over units ``[0, end)``; raise the scalar path's error.
 
-    def check_trajectory(
-        self,
-        plan: CyclePlan,
-        temps: np.ndarray,
-        traj: StorageTrajectory,
-        unbuilt: np.ndarray,
-    ) -> None:
-        """Raise the scalar path's error for a scan over ``plan``, if it has one.
-
-        ``traj`` integrates units ``[0, end)``, ``end`` being the first unit
-        outside the modelled temperature range (or ``len(plan)``), and
-        ``unbuilt`` marks the wheel rounds whose exact-speed schedule cannot
-        be built (they drew 0).  The first such round the node reaches while
-        active raises through :meth:`_revolution_energy`: every earlier one
-        was passed browned out, so the ledger up to it is exact.  Otherwise
-        a scan cut short raises through :meth:`_standstill_power` on unit
-        ``end``.  :meth:`emulate` and the fleet runner both call this after
-        their scan, so the two raise the same errors at the same units.
+        ONE :func:`repro.scavenger.storage.trajectory` call over the
+        per-unit ``harvest`` and the resolution's load, from ``storage``'s
+        own (construction-validated) initial charge; ``storage`` is not
+        mutated.  When the scan can raise (``resolution.checked``), the
+        first unresolved round the node reaches while active raises through
+        :meth:`_revolution_energy`: every earlier one was passed browned
+        out, so the ledger up to it is exact.  Otherwise a scan cut short
+        raises through :meth:`_standstill_power` on unit ``end``.
+        :meth:`emulate` and the fleet runner both scan here, so the two raise
+        the same errors at the same units.
         """
-        end = len(traj)
-        reached = traj.attempted & unbuilt[:end]
+        plan, end = resolution.plan, resolution.end
+        # initial_charge_j=None replays the element's own (already
+        # validated) initial charge without the per-call range check.
+        traj = trajectory(
+            storage,
+            harvest[:end],
+            resolution.load[:end],
+            plan.durations[:end],
+            initially_active=not storage.is_depleted,
+        )
+        if not resolution.checked:
+            return traj
+        temps = np.broadcast_to(resolution.temps, plan.durations.shape)
+        reached = traj.attempted & plan.is_round[:end] & (resolution.value_index[:end] < 0)
         if reached.any():
             i = int(np.argmax(reached))
             unit = WheelRound(
@@ -883,6 +901,7 @@ class NodeEmulator:
             raise EmulationError(f"round {unit.index} builds but was left out of the sweep")
         if end < len(plan):
             self._standstill_power(float(temps[end]))  # raises: out of range
+        return traj
 
     # -- main entry point ----------------------------------------------------------------
 
@@ -898,16 +917,17 @@ class NodeEmulator:
         One cycle plan drives the whole run: the walk comes from the plan
         memo (:meth:`_plan_for`; a cold run builds it once through
         :meth:`materialize_cycle`, a warm one walks nothing), the thermal
-        trajectory is replayed over the plan's arrays, the revolution
+        trajectory is replayed over the plan's arrays and the revolution
         energies of the missing quantized bins come from ONE
-        :meth:`evaluate_energy_bins` sweep and are gathered per round, the
-        harvest of every wheel round from one ``energy_sweep_j`` call, and
-        the state of charge is integrated by ONE call of the pure
+        :meth:`evaluate_energy_bins` sweep (:meth:`_resolve_rounds`, the
+        resolution the fleet runner uses too), the harvest of every wheel
+        round from one ``energy_sweep_j`` call, and the state of charge is
+        integrated by ONE call of the pure
         :func:`repro.scavenger.storage.trajectory` kernel.  Errors keep the
         scalar path's timing: the kernel runs up to the first unit outside
         the modelled temperature range, and a round whose schedule cannot
         be built raises only if the node reaches it while active; the first
-        such event raises (:meth:`check_trajectory`).
+        such event raises (:meth:`_scan_ledger`).
 
         Args:
             cycle: the cruising-speed profile.
@@ -939,34 +959,13 @@ class NodeEmulator:
         # detected via its version counter.
         self._ensure_caches_fresh()
         plan = self._plan_for(cycle, idle_step_s, record_interval_s)
-        temps = self.plan_temperatures(plan, self.thermal_model)
-        # The ledger is integrated over units [0, end): ``end`` is the first
-        # unit outside the modelled temperature range, where the scalar path
-        # raises (or len(plan)).
-        low_t, high_t = TEMPERATURE_RANGE_C
-        in_range = (temps >= low_t) & (temps <= high_t)
-        end = len(plan) if in_range.all() else int(np.argmin(in_range))
-        values, value_index = self._round_values(plan, temps, end)
+        (resolution,) = self._resolve_rounds(
+            [(plan, self.base_point.temperature_c, self.thermal_model)],
+            self._energy_cache,
+            self._store_energy,
+        )
         harvest = round_harvest(self.scavenger, plan)
-        sleep_power = np.zeros(len(plan))
-        sleep_power[:end] = self._standstill_power_sweep(temps[:end])
-        # Unresolved rounds (no value, index -1) read the trailing 0.0: the
-        # first one the node reaches while active raises below, so that load
-        # is never drawn.
-        energies = np.array([value[0] if value else 0.0 for value in values] + [0.0])
-        load = unit_load(
-            self.node.pmu, plan, energies[value_index[plan.round_indices]], sleep_power
-        )
-        # initial_charge_j=None replays the element's own (already
-        # validated) initial charge without the per-call range check.
-        traj = trajectory(
-            self.storage,
-            harvest[:end],
-            load[:end],
-            plan.durations[:end],
-            initially_active=not self.storage.is_depleted,
-        )
-        self.check_trajectory(plan, temps, traj, plan.is_round & (value_index < 0))
+        traj = self._scan_ledger(resolution, self.storage, harvest)
         # The mutating element is the scalar reference, not the integrator:
         # leave it holding the trajectory's final charge, exactly as the old
         # per-revolution deposit/withdraw/leak calls did.
@@ -987,15 +986,13 @@ class NodeEmulator:
         result.log = SampleLog.from_columns(
             plan.sample_times,
             plan.speeds[units],
-            temps[units],
+            np.broadcast_to(resolution.temps, plan.durations.shape)[units],
             traj.charge_j[units] / self.storage.capacity_j,
             traj.active[units],
         )
 
         if result.trace is not None and trace_window is not None:
-            self._record_trace(
-                result.trace, trace_window, plan, traj, values, value_index, sleep_power
-            )
+            self._record_trace(result.trace, trace_window, resolution, traj)
             if not result.trace.is_empty:
                 result.trace = result.trace.windowed(*trace_window)
         return result
@@ -1004,11 +1001,8 @@ class NodeEmulator:
         self,
         trace: PowerTrace,
         trace_window: tuple[float, float],
-        plan: CyclePlan,
+        resolution: RoundResolution,
         traj: StorageTrajectory,
-        values: list,
-        value_index: np.ndarray,
-        sleep_power: np.ndarray,
     ) -> None:
         """Reconstruct the instant-power trace from the integration arrays.
 
@@ -1018,6 +1012,8 @@ class NodeEmulator:
         record the standstill floor (or "inactive" once the node is down).
         """
         window_start, window_end = trace_window
+        plan, values, value_index = resolution.plan, resolution.values, resolution.value_index
+        sleep_power = np.broadcast_to(resolution.sleep_power, plan.durations.shape)
         in_window = (plan.starts < window_end) & (plan.ends > window_start)
         for i in np.flatnonzero(in_window).tolist():
             start_s = float(plan.starts[i])

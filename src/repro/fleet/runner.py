@@ -2,68 +2,67 @@
 
 Running ``NodeEmulator.emulate()`` once per vehicle is correct but wasteful
 at fleet scale: every vehicle would rebuild the evaluator, re-walk its drive
-cycle and re-evaluate the same revolution energies.  The runner shares all
-of that across the population:
+cycle and re-evaluate the same revolution energies.  The runner asks the
+emulator's own question once per cohort instead:
 
 * **One evaluator** — every vehicle shares the base scenario's
   architecture, workload and power database (no fleet axis touches them),
   so the run builds one :class:`~repro.core.evaluator.EnergyEvaluator` and
   therefore one compiled power table, exactly like a study grid point.
 * **Cohorts** — vehicles with the same (drive cycle, quantized speed
-  scale) share one cycle plan: the emulator's own
-  :class:`~repro.core.cycle_plan.CyclePlan` (per-unit arrays, per-round
-  speed-bin groups, state-log sampling walk), built and resolved through a
-  probe emulator exactly as ``emulate()`` resolves it.  Thermal fleets
-  (``FleetSpec.thermal``) add the quantized ambient as a third cohort axis:
-  the in-tyre :class:`~repro.conditions.temperature.TyreThermalModel` is
-  replayed once per (cycle, speed-scale, ambient-bin) cohort — ambients are
+  scale) share one walk: the run's probe emulator walks each distinct
+  pairing once into a :class:`~repro.core.cycle_plan.CyclePlan`.  Thermal
+  fleets (``FleetSpec.thermal``) add the quantized ambient as a third
+  cohort axis: the in-tyre
+  :class:`~repro.conditions.temperature.TyreThermalModel` is replayed once
+  per (cycle, speed-scale, ambient-bin) cohort over its walk — ambients are
   snapped to the shared :func:`~repro.core.quantize.ambient_bin` centers at
-  materialization — so the fast path survives thermally realistic
+  materialization — so the shared path survives thermally realistic
   populations.
-* **One cross-vehicle sweep** — the union of quantized (speed, temperature,
-  phase-pattern) energy bins over all vehicles is evaluated in ONE
-  :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` call
-  before any emulation starts; the batch kernel is bitwise-identical to the
-  per-miss path, so shared bins cannot change results.
+* **One resolution** — each isothermal (cohort, temperature bin) and each
+  thermal cohort is one request to the emulator's own
+  :meth:`~repro.core.emulator.NodeEmulator._resolve_rounds`, the step
+  ``emulate()`` takes, and all of them are resolved in ONE call: its single
+  :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` sweep
+  covers the union of the population's (speed, temperature, phase-pattern)
+  bins, and the batch kernel is bitwise-identical to the per-miss path, so
+  shared bins cannot change results.
 
 No vehicle carries a :class:`~repro.scenario.spec.ScenarioSpec`: the
 population arrives as column chunks (:class:`~repro.fleet.spec.FleetChunk`),
 and the run's components, scavenger and storage element are built once.
 A vehicle's load is its (cohort, temperature bin)'s, or its thermal
-cohort's; its harvest is its size factor times its cohort's unit-size sweep,
+cohort's; its harvest is its size factor times its walk's unit-size sweep,
 exactly as ``build_scavenger`` + ``scaled()`` scale it.
 
 Each vehicle then reduces to its harvest scale and load lookup inside the
 engine's retried kernel (:func:`_cohort_vehicle_outcome`).  Once a chunk has
-settled, each of its vehicles' ledgers is replayed by
-:func:`~repro.scavenger.storage.trajectory` — the run-length scan
-``emulate()`` uses, which advances event-free stretches with one numpy
-accumulate — before the chunk is journaled or streamed; process-backend
-workers scan in the worker and return finished outcomes.  Per-vehicle
-figures are bit-identical to a naive ``emulate()`` of the same vehicle
-scenario (the throughput benchmark asserts it), so the aggregates are
-independent of chunking, worker counts and backends.
+settled, each of its vehicles' ledgers is scanned by the emulator's
+:meth:`~repro.core.emulator.NodeEmulator._scan_ledger` — the run-length
+scan ``emulate()`` uses — before the chunk is journaled or streamed;
+process-backend workers scan in the worker and return finished outcomes.
+Per-vehicle figures are bit-identical to a naive ``emulate()`` of the same
+vehicle scenario (the throughput benchmark asserts it), so the aggregates
+are independent of chunking, worker counts and backends.
 
 Every vehicle takes this one path, and errors keep ``emulate()``'s timing.
 A cohort whose scan can raise — a round whose exact-speed schedule cannot be
 built, or a thermal trajectory that leaves the modelled temperature range —
-scans inside the retried kernel and hands the trajectory to the emulator's
-own :meth:`~repro.core.emulator.NodeEmulator.check_trajectory`, so each of
-its vehicles raises exactly what a naive ``emulate()`` raises, at the same
-simulated instant, and is retried or collected on its own.
+scans inside the retried kernel, where ``_scan_ledger`` raises exactly what
+a naive ``emulate()`` raises, at the same simulated instant, so each of its
+vehicles is retried or collected on its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.conditions.operating_point import TEMPERATURE_RANGE_C
-from repro.core.cycle_plan import energy_keys, round_harvest, unit_load
-from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.cycle_plan import CyclePlan, round_harvest
+from repro.core.emulator import EmulationResult, NodeEmulator, RoundResolution
 from repro.core.quantize import (
     AMBIENT_QUANTUM_C,
     SPEED_QUANTUM_KMH,
@@ -79,139 +78,31 @@ from repro.fleet.aggregate import (
 )
 from repro.fleet.spec import FleetChunk, FleetSpec
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import (
-    StorageElement,
-    scaled_storage,
-    trajectory,
-)
+from repro.scavenger.storage import StorageElement, scaled_storage
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine, process_pool_context
 
 __all__ = ["FleetRunner", "run_fleet"]
 
 
-class _CohortTable:
-    """Shared per-cohort cycle materialization (read-only after build).
+@dataclass(slots=True)
+class _Walk:
+    """One (drive cycle, speed scale) pairing of a run.
 
-    Holds everything about one (cycle, speed scale[, ambient bin]) pairing
-    that does not depend on the individual vehicle: the run's ``probe``
-    emulator, the cycle ``plan`` (the per-unit arrays and the state-log
-    sampling walk), the resolved speed ``slots`` (``(speed key, pattern,
-    evaluation speed)`` each, ``None`` where the schedule cannot be built)
-    with each round's index into them, and — for thermal cohorts — the
-    replayed ``temps``, the rounds' (speed, temperature, pattern)
-    ``triples`` and the per-unit sleep power.  The scan covers units
-    ``[0, end)`` (``end`` is the first unit outside the modelled
-    temperature range, or ``len(plan)``); ``unbuilt`` marks the rounds whose
-    schedule cannot be built, and ``checked`` the cohorts whose scan can
-    raise (``end < len(plan)`` or any ``unbuilt`` round).
-
-    After the cross-vehicle sweep the runner attaches the demand side:
-    ``loads`` maps a vehicle's load key — its temperature bin, or ``None``
-    in a thermal cohort — to ``(per-unit load, any negative entry)``.  The
-    first vehicle to need it fills ``harvest``: the cohort's per-unit
-    harvest at unit size and whether any entry is negative.
+    ``plan`` is the probe emulator's walk of the scaled cycle, shared by
+    every vehicle on it.  ``resolutions`` maps a vehicle's load key — its
+    temperature bin, or its ambient (a bin center) on thermal fleets — to
+    the probe's :class:`~repro.core.emulator.RoundResolution` of that run;
+    both are read-only after discovery.  The first vehicle to need it fills
+    ``harvest``: the walk's per-unit harvest at unit size and whether any
+    entry is negative.
     """
 
-    __slots__ = (
-        "probe",
-        "cycle_name",
-        "duration_s",
-        "plan",
-        "end",
-        "unbuilt",
-        "checked",
-        "thermal",
-        "temps",
-        "slots",
-        "round_slot",
-        "sleep_power",
-        "triples",
-        "round_triple",
-        "loads",
-        "harvest",
-    )
-
-    def __init__(self) -> None:
-        self.temps = None
-        self.triples = []
-        self.loads = {}
-        self.harvest = None
-
-
-def _build_cohort_table(
-    probe: NodeEmulator,
-    cycle,
-    record_interval_s: float,
-    idle_step_s: float,
-    thermal_model=None,
-) -> _CohortTable:
-    """Plan one cohort's cycle through the probe emulator.
-
-    The probe supplies the exact walk (``materialize_cycle``), thermal
-    replay (``plan_temperatures``) and speed-key classification
-    (``speed_slots``) the per-vehicle ``emulate()`` runs, and the rounds
-    are resolved the way ``emulate()`` resolves them: a slot whose bin
-    center cannot be built joins the probe's ``_infeasible_center_keys`` and
-    the slots are resolved again on exact speeds; a slot whose exact-speed
-    schedule cannot be built stays unbuilt, and its rounds draw 0.
-    ``thermal_model`` — a freshly built model at the cohort's bin-center
-    ambient — keeps the per-unit temperature trajectory and keys the rounds
-    before ``end`` on full (speed, temperature, phase-pattern) triples
-    instead of pinning one temperature bin per vehicle.
-    """
-    table = _CohortTable()
-    table.probe = probe
-    table.cycle_name = cycle.name
-    table.duration_s = cycle.duration_s
-    table.plan = plan = probe.materialize_cycle(cycle, idle_step_s, record_interval_s)
-    table.thermal = thermal_model is not None
-    table.end = end = len(plan)
-    if table.thermal:
-        table.temps = temps = probe.plan_temperatures(plan, thermal_model)
-        low_t, high_t = TEMPERATURE_RANGE_C
-        in_range = (temps >= low_t) & (temps <= high_t)
-        if not in_range.all():
-            # Self-heating pushed the trajectory out of the modelled range:
-            # the scan stops at the first offending unit, as emulate()'s does.
-            table.end = end = int(np.argmin(in_range))
-        table.sleep_power = np.zeros(len(plan))
-        table.sleep_power[:end] = probe._standstill_power_sweep(temps[:end])
-    while True:
-        slots, table.round_slot = probe.speed_slots(plan)
-        built = probe.node.schedule_table(
-            [slot[2] for slot in slots], [slot[1] for slot in slots]
-        ).feasible
-        centers = {
-            (slot[0], *slot[1])
-            for slot, ok in zip(slots, built.tolist())
-            if not ok and isinstance(slot[0], int)
-        }
-        if not centers:
-            break
-        probe._infeasible_center_keys.update(centers)
-    table.slots = [slot[:3] if ok else None for slot, ok in zip(slots, built.tolist())]
-    table.unbuilt = np.zeros(len(plan), dtype=bool)
-    table.unbuilt[plan.round_indices] = ~built[table.round_slot]
-    table.checked = end < len(plan) or bool(table.unbuilt.any())
-    if table.thermal:
-        # One entry per distinct (speed, temperature, pattern) triple of the
-        # rounds before ``end`` (``None`` where unbuilt) plus each round's
-        # index into them; later rounds index the trailing 0.0 energy.
-        rounds = plan.round_indices
-        limit = int(np.searchsorted(rounds, end))
-        keys, inverse = energy_keys(
-            slots, table.round_slot[:limit], temperature_bins(temps[rounds[:limit]])
-        )
-        table.triples = [
-            (key, slots[slot][2], temperature_bin_center_c(temp_bin), slots[slot][1])
-            if built[slot]
-            else None
-            for key, slot, temp_bin in keys
-        ]
-        table.round_triple = np.full(len(rounds), -1, dtype=np.intp)
-        table.round_triple[:limit] = inverse
-    return table
+    plan: CyclePlan
+    cycle_name: str
+    duration_s: float
+    resolutions: dict = field(default_factory=dict)
+    harvest: tuple | None = None
 
 
 def _survival_from_samples(
@@ -236,42 +127,44 @@ def _survival_from_samples(
 class _Run:
     """What every vehicle of one run shares (read-only during execution).
 
-    ``scavenger`` is the base scenario's scavenger at its registry size
+    ``probe`` is the emulator that resolved the run's cohorts and scans
+    their ledgers.  ``scavenger`` is the base scenario's scavenger at its registry size
     (``scavenger_size`` 1).  ``unit`` is that scavenger at size factor 1 when
     it scales through the base class's ``scaled`` and ``energy_sweep_j`` —
-    a vehicle's harvest is then its size factor times the cohort's sweep of
+    a vehicle's harvest is then its size factor times the walk's sweep of
     ``unit`` — and ``None`` otherwise.  ``storage`` is the base storage
     element, scaled per vehicle.
     """
 
     fleet: FleetSpec
-    tables: list
+    probe: NodeEmulator
+    walks: list
     scavenger: EnergyScavenger
     unit: EnergyScavenger | None
     storage: StorageElement
     buckets: int
 
 
-def _vehicle_harvest(run: _Run, table: _CohortTable, size: float) -> np.ndarray:
+def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> np.ndarray:
     """One vehicle's per-unit harvest, as ``build_scavenger`` + ``round_harvest`` give it.
 
     ``build_scavenger`` scales the registry scavenger by ``size`` unless it
     is 1, which sets ``size_factor`` to their product, and the sweep
     multiplies that factor into the raw energies; so the product times the
-    cohort's unit-size harvest is bitwise the vehicle's own sweep.  A factor
+    walk's unit-size harvest is bitwise the vehicle's own sweep.  A factor
     that is not positive and finite takes the per-vehicle path, which
     raises or computes exactly as the vehicle's own scavenger does.
     """
     scavenger = run.scavenger
     factor = scavenger.size_factor * size if size != 1.0 else scavenger.size_factor
     if run.unit is None or not 0.0 < factor < math.inf:
-        return round_harvest(scavenger.scaled(size) if size != 1.0 else scavenger, table.plan)
-    if table.harvest is None:
-        plan = table.plan
+        return round_harvest(scavenger.scaled(size) if size != 1.0 else scavenger, walk.plan)
+    if walk.harvest is None:
+        plan = walk.plan
         unit_harvest = np.zeros(len(plan))
         unit_harvest[plan.round_indices] = run.unit.energy_sweep_j(plan.speeds[plan.round_indices])
-        table.harvest = (unit_harvest, bool(np.any(unit_harvest < 0.0)))
-    unit_harvest, negative = table.harvest
+        walk.harvest = (unit_harvest, bool(np.any(unit_harvest < 0.0)))
+    unit_harvest, negative = walk.harvest
     harvest = factor * unit_harvest
     if negative and np.any(harvest < 0.0):
         raise EmulationError("cannot deposit negative energy")
@@ -282,78 +175,59 @@ def _vehicle_harvest(run: _Run, table: _CohortTable, size: float) -> np.ndarray:
 class _PendingScan:
     """One vehicle between its inputs phase and its ledger scan.
 
-    Holds the vehicle's record, its storage element (parameters only),
-    harvest and load vectors — what :func:`_finish_vehicle` scans.
+    Holds the vehicle's record, its walk, its cohort's resolution, its
+    storage element (parameters only) and harvest — what
+    :func:`_finish_vehicle` scans.
     """
 
     vehicle: tuple
     run: _Run
-    table: _CohortTable
+    walk: _Walk
+    resolution: RoundResolution
     storage: StorageElement
     harvest: np.ndarray
-    load: np.ndarray
 
 
 def _cohort_vehicle_outcome(vehicle_index: int, vehicle: tuple, run: _Run) -> _PendingScan:
-    """One vehicle's ledger inputs through the shared cohort plan.
+    """One vehicle's ledger inputs: its walk's harvest scaled, its resolved load.
 
     ``vehicle`` is the record ``(index, speed scale, temperature, scavenger
-    size, storage scale, cohort, load key)``; its index also leads the
-    arguments, where fault-injection wrappers select a vehicle.  Mirrors
-    ``NodeEmulator.emulate()``'s ledger inputs — harvest sweep, load
-    gather, the negative-energy checks — against the cohort's shared
-    harvest and load vectors.  The ledger scan and summary follow in
-    :func:`_finish_vehicle`, so the figures are bit-identical to a naive
-    per-vehicle ``emulate()`` (with the fleet's thermal model, for thermal
-    cohorts).
+    size, storage scale, walk, load key)``; its index also leads the
+    arguments, where fault-injection wrappers select a vehicle.  The harvest
+    is ``emulate()``'s harvest sweep (see :func:`_vehicle_harvest`) and the
+    load the probe's ``_resolve_rounds`` gave the vehicle's load key.  The
+    ledger scan and summary follow in :func:`_finish_vehicle`, so the
+    figures are bit-identical to a naive per-vehicle ``emulate()`` (with the
+    fleet's thermal model, for thermal cohorts).
     """
-    _index, _scale, _temperature, size, storage_scale, cohort, load_key = vehicle
-    table = run.tables[cohort]
-    harvest = _vehicle_harvest(run, table, size)
+    _index, _scale, _temperature, size, storage_scale, walk, load_key = vehicle
+    walk = run.walks[walk]
+    harvest = _vehicle_harvest(run, walk, size)
     storage = scaled_storage(run.storage, storage_scale)
-    load, negative = table.loads[load_key]
-    if negative:
-        raise EmulationError("cannot withdraw negative energy")
-    return _PendingScan(vehicle, run, table, storage, harvest, load)
+    return _PendingScan(vehicle, run, walk, walk.resolutions[load_key], storage, harvest)
 
 
 def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
     """Scan a pending vehicle's ledger; its summary, survival and row.
 
     The row's key order is the one every stored and exported fleet has.
-
-    A ``checked`` cohort's trajectory goes through ``emulate()``'s own
-    :meth:`~repro.core.emulator.NodeEmulator.check_trajectory`, which
-    raises the naive run's error, if it has one.
+    The scan is ``emulate()``'s own
+    :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, which raises
+    the naive run's error, if it has one.
     """
-    table = pending.table
-    plan = table.plan
-    storage = pending.storage
-    end = table.end
-    # initial_charge_j=None replays the element's own (construction-time
-    # validated) initial charge — the per-call range check is skipped.
-    traj = trajectory(
-        storage,
-        pending.harvest[:end],
-        pending.load[:end],
-        plan.durations[:end],
-        initially_active=not storage.is_depleted,
-    )
-    if table.checked:
-        temps = table.temps
-        if temps is None:
-            temps = np.full(len(plan), float(pending.vehicle[2]))
-        table.probe.check_trajectory(plan, temps, traj, table.unbuilt)
+    walk = pending.walk
+    plan = walk.plan
+    run = pending.run
+    traj = run.probe._scan_ledger(pending.resolution, pending.storage, pending.harvest)
     result = EmulationResult(
-        node_name=table.probe.node.name,
-        cycle_name=table.cycle_name,
-        duration_s=table.duration_s,
+        node_name=run.probe.node.name,
+        cycle_name=walk.cycle_name,
+        duration_s=walk.duration_s,
     )
     result.record_totals(
         plan, pending.harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
     )
     sample_active = traj.active[plan.sample_units]
-    run = pending.run
     index, speed_scale, temperature, size, storage_scale = pending.vehicle[:5]
     summary = result.summary()
     hours = result.duration_s / 3600.0
@@ -372,7 +246,7 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
     return {
         "row": row,
         "survival": _survival_from_samples(
-            plan.sample_times, sample_active, table.duration_s, run.buckets
+            plan.sample_times, sample_active, walk.duration_s, run.buckets
         ),
     }
 
@@ -380,8 +254,8 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
 def _finish_chunk(results: list) -> list:
     """Scan a settled chunk's pending vehicles, in place and in order.
 
-    Failed items (``None``) and finished outcomes (``checked`` cohorts)
-    pass through untouched.
+    Failed items (``None``) and finished outcomes (cohorts whose scan can
+    raise) pass through untouched.
     """
     for slot, value in enumerate(results):
         if isinstance(value, _PendingScan):
@@ -413,21 +287,21 @@ def _process_vehicle(payload) -> dict[str, object]:
 
 
 def _keyed_vehicles(chunk: FleetChunk, thermal: bool):
-    """One column chunk's ``(cohort key, load key, record)`` per vehicle.
+    """One column chunk's ``(walk key, load key, record)`` per vehicle.
 
-    A cohort key is ``(cycle reference repr, speed scale)``, plus the ambient
-    (a bin center) on thermal fleets; a load key is the vehicle's
-    temperature bin, or ``None`` on thermal fleets.
+    A walk key is ``(cycle reference repr, speed scale)``; a load key is the
+    vehicle's temperature bin, or its ambient (a bin center) on thermal
+    fleets, whose cohorts are (walk key, load key) pairs.
     """
     cycles = [repr(ref) for ref in chunk.cycles]
+    records = chunk.records()
     if thermal:
-        load_keys = itertools.repeat(None)
+        load_keys = [record[2] for record in records]
     else:
         load_keys = temperature_bins(chunk.temperature_c).astype(np.int64).tolist()
-    for record, load_key in zip(chunk.records(), load_keys):
-        _index, scale, temperature, _size, _storage, code = record
-        key = (cycles[code], scale, temperature) if thermal else (cycles[code], scale)
-        yield key, load_key, record
+    for record, load_key in zip(records, load_keys):
+        _index, scale, _temperature, _size, _storage, code = record
+        yield (cycles[code], scale), load_key, record
 
 
 class FleetRunner:
@@ -512,7 +386,7 @@ class FleetRunner:
         self.should_stop = should_stop
         self._evaluator_cache = evaluator_cache
         if backend == "process" and process_pool_context() is None:
-            # Process workers inherit the shared cohort tables by fork only:
+            # Process workers inherit the shared walks by fork only:
             # without fork the chunks run on threads (rows are identical).
             backend = "thread"
         # Validates workers/backend/retries eagerly (same rules as studies).
@@ -549,17 +423,19 @@ class FleetRunner:
             self.evaluator_cache_hits += 1
         return components
 
-    def _build_shared_state(self, chunks, cohorts: dict) -> tuple[_Run, dict]:
-        """The run's components, cohort tables and the cross-vehicle sweep.
+    def _build_shared_state(self, chunks, walks: dict) -> tuple[_Run, int, int]:
+        """The run's components, walks and resolved cohorts.
 
         One streaming discovery pass: column chunks arrive one at a time and
-        are *discarded* after inspection — the parent only retains the
-        per-cohort structures (whose cardinality is bounded by the distinct
-        (cycle, scale, temperature) combinations, not by the population
-        size).  ``cohorts`` (cohort key -> number) is filled in vehicle
-        order, so the cross-vehicle sweep sees the same bin sequence an
-        eagerly materialized population would produce.  Returns the shared
-        :class:`_Run` and the swept bins.
+        are *discarded* after inspection — the parent only retains one walk
+        per distinct (cycle, scale) and one request per load key on it (bounded
+        by the distinct (cycle, scale, temperature) combinations, not by the
+        population size).  ``walks`` (walk key -> number) is filled in
+        vehicle order.  The probe then resolves every request in ONE
+        ``_resolve_rounds`` call into a run-local bin dict — never its own
+        capped cache, which a large population would overflow — so the one
+        cross-vehicle sweep covers the union of bins.  Returns the shared
+        :class:`_Run`, the cohort count and the swept-bin count.
         """
         fleet = self.fleet
         base = fleet.base
@@ -570,92 +446,57 @@ class FleetRunner:
             type(scavenger).energy_sweep_j is EnergyScavenger.energy_sweep_j
             and type(scavenger).scaled is EnergyScavenger.scaled
         )
-        run = _Run(
-            fleet=fleet,
-            tables=[],
-            scavenger=scavenger,
-            unit=replace(scavenger, size_factor=1.0) if linear else None,
-            storage=base.build_storage(),
-            buckets=self.survival_buckets,
-        )
+        storage = base.build_storage()
         probe = NodeEmulator(
             node,
             database,
             scavenger,
-            run.storage,
+            storage,
             base_point=base.operating_point(),
             evaluator=evaluator,
         )
+        run = _Run(
+            fleet=fleet,
+            probe=probe,
+            walks=[],
+            scavenger=scavenger,
+            unit=replace(scavenger, size_factor=1.0) if linear else None,
+            storage=storage,
+            buckets=self.survival_buckets,
+        )
         drive_cycles: dict[str, object] = {}
-        standstill: dict[int, float] = {}
-        pending: dict = {}
+        requests: list[tuple] = []
         for chunk in chunks:
-            for key, temp_bin, record in _keyed_vehicles(chunk, thermal is not None):
-                cohort = cohorts.get(key)
-                if cohort is None:
-                    cohort = cohorts[key] = len(run.tables)
+            for key, load_key, record in _keyed_vehicles(chunk, thermal is not None):
+                number = walks.get(key)
+                if number is None:
+                    number = walks[key] = len(run.walks)
                     if key[0] not in drive_cycles:
                         ref = chunk.cycles[record[5]]
                         drive_cycles[key[0]] = base.with_axes(drive_cycle=ref).build_drive_cycle()
-                    # Thermal cohorts replay a freshly built model at the
-                    # cohort's bin-center ambient — which IS every member
-                    # vehicle's (materialization-snapped) ambient, so the
-                    # replayed trajectory equals each vehicle's own.
-                    table = _build_cohort_table(
-                        probe,
-                        drive_cycles[key[0]].scaled(key[1]),
-                        self.record_interval_s,
-                        self.idle_step_s,
-                        thermal_model=thermal.build(key[2]) if thermal is not None else None,
-                    )
-                    run.tables.append(table)
-                    # Trajectory-driven demand: a thermal cohort's bins span
-                    # its (speed, temperature, pattern) triples.
-                    for bin_key, eval_speed, temp_center, pattern in filter(None, table.triples):
-                        pending.setdefault(bin_key, (eval_speed, temp_center, pattern))
-                if thermal is not None:
+                    cycle = drive_cycles[key[0]].scaled(key[1])
+                    plan = probe.materialize_cycle(cycle, self.idle_step_s, self.record_interval_s)
+                    run.walks.append(_Walk(plan, cycle.name, cycle.duration_s))
+                walk = run.walks[number]
+                if load_key in walk.resolutions:
                     continue
-                if temp_bin not in standstill:
-                    standstill[temp_bin] = probe._standstill_power(
-                        temperature_bin_center_c(temp_bin)
-                    )
-                table = run.tables[cohort]
-                if temp_bin in table.loads:
-                    continue
-                table.loads[temp_bin] = None
-                temp_center = temperature_bin_center_c(temp_bin)
-                for speed_key, pattern, eval_speed in filter(None, table.slots):
-                    pending.setdefault(
-                        (speed_key, temp_bin, *pattern), (eval_speed, temp_center, pattern)
-                    )
+                walk.resolutions[load_key] = len(requests)
+                if thermal is None:
+                    requests.append((walk.plan, temperature_bin_center_c(load_key), None))
+                else:
+                    # A thermal cohort replays a freshly built model at its
+                    # bin-center ambient — which IS every member vehicle's
+                    # (materialization-snapped) ambient, so the replayed
+                    # trajectory equals each vehicle's own.
+                    requests.append((walk.plan, load_key, thermal.build(load_key)))
 
-        # ONE cross-vehicle sweep: the union of quantized bins over every
-        # vehicle, evaluated in a single batch call.
-        bins = probe.evaluate_energy_bins(pending)
-
-        # Post-sweep demand precompute: a vehicle's load is a pure gather
-        # over the swept bins, a function of its cohort and temperature bin
-        # (its cohort alone when thermal).  Unbuilt slots draw 0, as in
-        # emulate().
-        pmu = probe.node.pmu
-        for table in run.tables:
-            if table.thermal:
-                energies = [bins[triple[0]][0] if triple else 0.0 for triple in table.triples]
-                rounds = np.array(energies + [0.0])[table.round_triple]
-                loads = {None: unit_load(pmu, table.plan, rounds, table.sleep_power)}
-            else:
-                loads = {}
-                for temp_bin in table.loads:
-                    energies = [
-                        bins[(slot[0], temp_bin, *slot[1])][0] if slot else 0.0
-                        for slot in table.slots
-                    ]
-                    rounds = np.array(energies)[table.round_slot]
-                    loads[temp_bin] = unit_load(pmu, table.plan, rounds, standstill[temp_bin])
-            for load_key, load in loads.items():
-                load.setflags(write=False)
-                table.loads[load_key] = (load, bool(np.any(load < 0.0)))
-        return run, bins
+        bins: dict = {}
+        resolutions = probe._resolve_rounds(requests, bins, bins.__setitem__)
+        for walk in run.walks:
+            for load_key, position in walk.resolutions.items():
+                walk.resolutions[load_key] = resolutions[position]
+        cohorts = len(requests) if thermal is not None else len(run.walks)
+        return run, cohorts, len(bins)
 
     # -- execution ----------------------------------------------------------
 
@@ -679,11 +520,11 @@ class FleetRunner:
         """Discover (streaming), share, fan out chunk by chunk, aggregate."""
         fleet = self.fleet
         thermal = fleet.thermal
-        cohorts: dict = {}
-        # Discovery pass: stream the population once to find the cohorts
-        # and energy bins; chunks are discarded, so the parent never holds
-        # more than one chunk of columns.
-        run, bins = self._build_shared_state(fleet.iter_chunks(), cohorts)
+        walks: dict = {}
+        # Discovery pass: stream the population once to find the walks,
+        # cohorts and energy bins; chunks are discarded, so the parent never
+        # holds more than one chunk of columns.
+        run, cohorts, shared_bins = self._build_shared_state(fleet.iter_chunks(), walks)
         store = (
             CheckpointStore(self.checkpoint, self.checkpoint_key())
             if self.checkpoint is not None
@@ -699,11 +540,11 @@ class FleetRunner:
 
         def vehicle_chunks():
             # Execution pass: each chunk's vehicles as plain records
-            # ``(index, scale, temperature, size, storage scale, cohort,
-            # load key)`` — the kernel's items and the process payload.
+            # ``(index, scale, temperature, size, storage scale, walk, load
+            # key)`` — the kernel's items and the process payload.
             for chunk in fleet.iter_chunks():
                 yield [
-                    record[:5] + (cohorts[key], load_key)
+                    record[:5] + (walks[key], load_key)
                     for key, load_key, record in _keyed_vehicles(chunk, thermal is not None)
                 ]
 
@@ -712,7 +553,7 @@ class FleetRunner:
             # A cohort whose scan can raise scans here, inside the retried
             # kernel, so each vehicle's error is retried or collected on its
             # own; the others scan once the chunk has settled (_finish_chunk).
-            return _finish_vehicle(pending) if pending.table.checked else pending
+            return _finish_vehicle(pending) if pending.resolution.checked else pending
 
         if self._engine.backend == "process":
             # Fork-inherited sharing: stash the shared state where the worker
@@ -733,7 +574,7 @@ class FleetRunner:
             )
         finally:
             # The forked pools snapshotted the stash at creation; the parent
-            # must not keep this run's tables alive once the run is over.
+            # must not keep this run's walks alive once the run is over.
             _SHARED_RUNS.pop(run_token, None)
 
         partial = report.stopped_early or bool(report.failures)
@@ -745,10 +586,10 @@ class FleetRunner:
             "base_scenario": fleet.base.to_dict(),
             "fleet_document": fleet.to_dict(),
             "groups": 1,
-            "cohorts": len(run.tables),
+            "cohorts": cohorts,
             "fast_path_vehicles": accumulator.vehicles,
             "thermal": thermal.to_dict() if thermal is not None else None,
-            "shared_energy_bins": len(bins),
+            "shared_energy_bins": shared_bins,
             "speed_quantum_kmh": SPEED_QUANTUM_KMH,
             "temperature_quantum_c": TEMPERATURE_QUANTUM_C,
             "ambient_quantum_c": AMBIENT_QUANTUM_C if thermal is not None else None,

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.emulator as emulator_module
+from repro.blocks.node import SensorNode
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import EmulationResult, NodeEmulator
 from repro.core.quantize import speed_bin_upper_edge_kmh
@@ -268,8 +269,16 @@ class TestPrefillMechanics:
         emulator.emulate(cycle)
         entries = len(emulator._energy_cache)
         sweeps = _count_calls(monkeypatch, "evaluate_energy_bins")
+        tables = []
+        schedule_table = SensorNode.schedule_table
+        monkeypatch.setattr(
+            SensorNode,
+            "schedule_table",
+            lambda self, *args: tables.append(1) or schedule_table(self, *args),
+        )
         emulator.emulate(cycle)
         assert sweeps == []
+        assert tables == [], "a warm run built schedule tables"
         assert len(emulator._energy_cache) == entries
 
     def test_warm_cycle_skips_the_rescan(self, node, database, scavenger, monkeypatch):
@@ -385,7 +394,7 @@ class TestPrefillMechanics:
         assert scans == [1]
         assert per_round == []
         assert any(key[0] == ("exact", 102.4) for key in emulator._energy_cache)
-        assert (205, *pattern) in emulator._infeasible_center_keys
+        assert (205, *pattern) in emulator._exact_speed_keys
         warm = emulator.emulate(cycle)
         reference = naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
         _assert_byte_identical(cold, reference)

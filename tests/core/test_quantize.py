@@ -88,8 +88,8 @@ class TestEmulatorBinSharing:
         return first, second
 
     def test_seeded_entries_match_per_miss_evaluation(self, emulators):
-        """evaluate_energy_bins + seed_energy_cache == what a cold run caches."""
-        donor, receiver = emulators
+        """The entries evaluate_energy_bins sweeps == what the per-miss path caches."""
+        donor, _receiver = emulators
         cycle = urban_cycle(repetitions=1)
         # The bin set of the donor's cold run: what its one sweep evaluates.
         pending = {}
@@ -100,11 +100,9 @@ class TestEmulatorBinSharing:
             return sweep(bins)
 
         donor.evaluate_energy_bins = capture
-        donor.emulate(cycle)
+        result = donor.emulate(cycle)
         assert pending
         entries = sweep(pending)
-        accepted = receiver.seed_energy_cache(entries)
-        assert accepted == len(entries)
 
         # Per-miss reference: every wheel round through _revolution_energy,
         # one cache miss at a time, on an emulator that never swept.
@@ -123,15 +121,12 @@ class TestEmulatorBinSharing:
         ]
         for unit in rounds:
             cold._revolution_energy(unit, temperature)
-        warm_result = receiver.emulate(cycle)
-        # Different storage elements, same node/database: the cached demand
-        # side is shared, the per-vehicle supply/storage integration is not —
-        # but every entry the per-miss path produced must equal the seeded
-        # one bit for bit.
+        # Every entry the per-miss path produced must equal the swept one
+        # bit for bit, and the sweep must cover exactly those keys.
         assert set(cold._energy_cache) == set(entries)
         for key, value in entries.items():
             assert cold._energy_cache[key] == value
-        assert warm_result.revolutions == len(rounds)
+        assert result.revolutions == len(rounds)
 
     def test_evaluate_empty_pending(self, emulators):
         donor, _receiver = emulators

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.emulator import NodeEmulator
 from repro.errors import ConfigError
-from repro.fleet import FleetResult, FleetRunner, FleetSpec, run_fleet
+from repro.fleet import FleetResult, FleetRunner, FleetSpec, ThermalSpec, run_fleet
 from repro.fleet import runner as fleet_runner
 from repro.scavenger.storage import scaled_storage
 from repro.scenario.registry import ARCHITECTURES
@@ -380,6 +380,7 @@ def _naive_outcomes(fleet: FleetSpec) -> list:
             spec.build_scavenger(),
             scaled_storage(spec.build_storage(), vehicle.storage_scale),
             base_point=spec.operating_point(),
+            thermal_model=fleet.thermal.build(spec.temperature_c) if fleet.thermal else None,
         )
         try:
             cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
@@ -397,12 +398,18 @@ _CRUISES = st.one_of(
     st.tuples(st.just("pocket"), st.floats(98.0, 108.0)),
 )
 
+#: (base ambient, thermal time constant) pairs near the model's 200 degC
+#: ceiling: with time constants this short, self-heating at these cruise
+#: speeds (a 35-55 degC steady rise) can leave the modelled range within the
+#: 10 s cruise, before or after the node reaches an unbuildable round.
+_HOT = st.tuples(st.floats(160.0, 200.0), st.floats(1.0, 100.0))
+
 
 class TestErrorContract:
     """Fleets across a node's feasibility limit: rows or errors match naive."""
 
     @staticmethod
-    def _check(node, speed_kmh, rel_std, seed, **options):
+    def _check(node, speed_kmh, rel_std, seed, hot=None, **options):
         ARCHITECTURES.register("test-contract", lambda: node)
         try:
             base = ScenarioSpec(
@@ -412,23 +419,31 @@ class TestErrorContract:
                     "name": "constant",
                     "params": {"speed_kmh": speed_kmh, "duration_s": 10.0},
                 },
+                **({"temperature_c": hot[0]} if hot else {}),
             )
+            distributions = {
+                "speed_scale": {
+                    "kind": "lognormal",
+                    "params": {"sigma": 0.1, "low": 0.6, "high": 1.4},
+                },
+                "storage_capacity": {
+                    "kind": "gaussian-tolerance",
+                    "params": {"rel_std": rel_std},
+                },
+            }
+            if hot:
+                distributions["ambient_offset_c"] = {
+                    "kind": "correlated-normal",
+                    "params": {"std": 4.0, "correlation": 0.5},
+                }
             fleet = FleetSpec(
                 name="contract",
                 base=base,
                 vehicles=6,
                 seed=seed,
                 chunk_vehicles=3,
-                distributions={
-                    "speed_scale": {
-                        "kind": "lognormal",
-                        "params": {"sigma": 0.1, "low": 0.6, "high": 1.4},
-                    },
-                    "storage_capacity": {
-                        "kind": "gaussian-tolerance",
-                        "params": {"rel_std": rel_std},
-                    },
-                },
+                distributions=distributions,
+                thermal=ThermalSpec(time_constant_s=hot[1]) if hot else None,
             )
             naive = _naive_outcomes(fleet)
             errors = [(i, o) for i, o in enumerate(naive) if isinstance(o, Exception)]
@@ -477,3 +492,13 @@ class TestErrorContract:
     def test_process_backend(self, limited_node, pocket_node, cruise, rel_std, seed):
         nodes = {"limited": limited_node, "pocket": pocket_node}
         self._check(nodes[cruise[0]], cruise[1], rel_std, seed, workers=2, backend="process")
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cruise=_CRUISES, hot=_HOT, rel_std=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
+    def test_thermal(self, limited_node, pocket_node, cruise, hot, rel_std, seed):
+        nodes = {"limited": limited_node, "pocket": pocket_node}
+        self._check(nodes[cruise[0]], cruise[1], rel_std, seed, hot=hot)

@@ -10,6 +10,9 @@ same thermal model, across worker counts and backends.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.emulator import NodeEmulator
@@ -23,6 +26,8 @@ from repro.fleet import (
 )
 from repro.scavenger.storage import scaled_storage
 from repro.scenario.spec import ScenarioSpec
+
+SCENARIOS = Path(__file__).resolve().parent.parent.parent / "examples" / "scenarios"
 
 
 def _thermal_fleet(vehicles: int = 16, seed: int = 13, **fleet_overrides) -> FleetSpec:
@@ -195,11 +200,37 @@ class TestObservability:
         assert metadata["fast_path_vehicles"] == 4
 
 
+class TestSharedWalks:
+    def test_one_walk_per_cycle_and_scale(self, monkeypatch):
+        # Thermal cohorts split by ambient bin, but cohorts on the same
+        # (cycle, speed scale) share one walk of it.
+        document = json.loads((SCENARIOS / "fleet.json").read_text())
+        document["thermal"] = {}
+        fleet = FleetSpec.from_dict(document).with_population(vehicles=24, seed=3, chunk_vehicles=6)
+        walks = []
+        materialize = NodeEmulator.materialize_cycle
+        monkeypatch.setattr(
+            NodeEmulator,
+            "materialize_cycle",
+            lambda self, *args: walks.append(1) or materialize(self, *args),
+        )
+        result = FleetRunner(fleet).run()
+        pairs = {
+            (
+                json.dumps(vehicle.scenario.to_dict()["drive_cycle"], sort_keys=True),
+                vehicle.speed_scale,
+            )
+            for vehicle in fleet.materialize()
+        }
+        assert len(walks) == len(pairs) == 10
+        assert result.metadata["cohorts"] > len(walks)
+
+
 class TestFallbackContract:
     def test_out_of_range_trajectory_errors_like_naive(self):
         # Self-heating from a near-ceiling ambient leaves the modelled
-        # range: the cohort falls back per vehicle, and the error surfaces
-        # with exactly the message (offending unit) the naive loop raises.
+        # range: the cohort's scan stops at the offending unit, and the
+        # error surfaces with exactly the message the naive loop raises.
         base = ScenarioSpec(
             name="hot",
             temperature_c=199.0,
