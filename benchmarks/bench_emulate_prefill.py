@@ -17,9 +17,12 @@ wide-speed-range cycle (hundreds of unique bins) and *asserts*:
 * identical ``EmulationResult`` output of a cold, a warm and a fresh
   ``emulate()`` run.
 
-It also records cold and warm ``emulate()`` wall times, with the plan builds
-per run, on the design loop's three cycles (urban, NEDC-like, 600 s
-highway) in its timing JSON, plus those of a 600 s cruise at 102.4 km/h on
+It also records cold and warm ``emulate()`` wall times and their
+``*_warm_vs_cold`` speedups, with the plan builds and round resolutions per
+run (a warm isothermal run gathers its memoized resolution: zero of each),
+on the design loop's three cycles (urban, NEDC-like, 600 s highway) in its
+timing JSON, and asserts each warm run's ``SampleLog`` bytes and summary
+equal the cold run's.  It does the same for a 600 s cruise at 102.4 km/h on
 a node whose bin center there (102.5 km/h) is infeasible: the cold run
 re-keys that bin on the exact speed inside its sweep, and the cold, warm
 and fresh runs must agree in ``SampleLog`` bytes.
@@ -161,8 +164,10 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
         ],
         title="Revolution-energy cache fill: one batch call vs scalar misses",
     )
-    design_times, plan_builds = _design_loop_emulate_times(node, database, scavenger)
-    pocket_times = _pocket_cruise_emulate_times(database, scavenger)
+    design_times, plan_builds, resolutions, warm_speedups = _design_loop_emulate_times(
+        node, database, scavenger
+    )
+    pocket_times, pocket_speedups = _pocket_cruise_emulate_times(database, scavenger)
     walk_times, walk_speedups = _cold_walk_times()
     emit_timing(
         "emulate_prefill",
@@ -173,12 +178,18 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
             **pocket_times,
             **walk_times,
         },
-        speedups={"batch_vs_scalar": speedup, **walk_speedups},
+        speedups={
+            "batch_vs_scalar": speedup,
+            **walk_speedups,
+            **warm_speedups,
+            **pocket_speedups,
+        },
         extra={
             "bins": len(keys),
             "required_speedup": REQUIRED_SPEEDUP,
             "required_walk_speedup": REQUIRED_WALK_SPEEDUP,
             "plan_builds_per_run": plan_builds,
+            "resolutions_per_run": resolutions,
         },
     )
 
@@ -198,12 +209,30 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     )
 
 
+def _counting(emulator: NodeEmulator, name: str) -> list:
+    """Count the calls of ``emulator.<name>`` (an instance-level wrapper)."""
+    calls = []
+    method = getattr(emulator, name)
+    setattr(emulator, name, lambda *args: calls.append(1) or method(*args))
+    return calls
+
+
+def _assert_same_bytes(warm, cold) -> None:
+    for key, column in cold.sample_arrays().items():
+        assert warm.sample_arrays()[key].tobytes() == column.tobytes(), key
+    assert np.array(list(warm.summary().values())).tobytes() == (
+        np.array(list(cold.summary().values())).tobytes()
+    )
+
+
 def _design_loop_emulate_times(node, database, scavenger, repeats: int = 3):
     """Best-of cold and warm ``emulate()`` seconds on the design loop's cycles.
 
     Cold is a fresh emulator (shared evaluator, so the compiled table is
     not rebuilt), warm its second run; ``plan_builds_per_run`` counts the
-    ``materialize_cycle`` calls of each.
+    ``materialize_cycle`` calls of each and ``resolutions_per_run`` the
+    ``_resolve_rounds`` calls.  Asserts each warm run's bytes equal its
+    cold run's.
     """
     cycles = {
         "urban": DRIVE_CYCLES.create("urban"),
@@ -214,34 +243,40 @@ def _design_loop_emulate_times(node, database, scavenger, repeats: int = 3):
     evaluator.compiled
     times: dict[str, float] = {}
     builds: dict[str, int] = {}
+    resolutions: dict[str, int] = {}
+    speedups: dict[str, float] = {}
     for name, cycle in cycles.items():
         cold_s = warm_s = float("inf")
         for _ in range(repeats):
             emulator = NodeEmulator(
                 node, database, scavenger, supercapacitor(), evaluator=evaluator
             )
-            calls = []
-            materialize = emulator.materialize_cycle
-            emulator.materialize_cycle = lambda *args: calls.append(1) or materialize(*args)
+            walks = _counting(emulator, "materialize_cycle")
+            resolves = _counting(emulator, "_resolve_rounds")
             start = time.perf_counter()
-            emulator.emulate(cycle)
+            cold = emulator.emulate(cycle)
             cold_s = min(cold_s, time.perf_counter() - start)
-            builds[f"{name}_cold"] = len(calls)
+            builds[f"{name}_cold"] = len(walks)
+            resolutions[f"{name}_cold"] = len(resolves)
             start = time.perf_counter()
-            emulator.emulate(cycle)
+            warm = emulator.emulate(cycle)
             warm_s = min(warm_s, time.perf_counter() - start)
-            builds[f"{name}_warm"] = len(calls) - builds[f"{name}_cold"]
+            builds[f"{name}_warm"] = len(walks) - builds[f"{name}_cold"]
+            resolutions[f"{name}_warm"] = len(resolves) - resolutions[f"{name}_cold"]
+            _assert_same_bytes(warm, cold)
         times[f"emulate_{name}_cold"] = cold_s
         times[f"emulate_{name}_warm"] = warm_s
-    return times, builds
+        speedups[f"{name}_warm_vs_cold"] = cold_s / warm_s
+    return times, builds, resolutions, speedups
 
 
 def _pocket_cruise_emulate_times(database, scavenger, repeats: int = 3):
     """Best-of cold and warm ``emulate()`` seconds of a 600 s cruise at 102.4 km/h.
 
-    The node's compute time is a sawtooth of the speed, so its transmitting
-    rounds fit at 102.4 km/h but not at the bin center, 102.5 km/h.
-    Asserts that the cold, warm and fresh runs agree in ``SampleLog`` bytes.
+    Also returns their ratio, ``pocket_cruise_warm_vs_cold``.  The node's
+    compute time is a sawtooth of the speed, so its transmitting rounds fit
+    at 102.4 km/h but not at the bin center, 102.5 km/h.  Asserts that the
+    cold, warm and fresh runs agree in ``SampleLog`` bytes.
     """
     node = replace(
         baseline_node(),
@@ -262,10 +297,10 @@ def _pocket_cruise_emulate_times(database, scavenger, repeats: int = 3):
         warm_s = min(warm_s, time.perf_counter() - start)
     fresh = NodeEmulator(node, database, scavenger, supercapacitor()).emulate(cycle)
     for run in (warm, fresh):
-        for key, column in cold.sample_arrays().items():
-            assert run.sample_arrays()[key].tobytes() == column.tobytes(), key
+        _assert_same_bytes(run, cold)
         assert run == cold
-    return {"emulate_pocket_cruise_cold": cold_s, "emulate_pocket_cruise_warm": warm_s}
+    times = {"emulate_pocket_cruise_cold": cold_s, "emulate_pocket_cruise_warm": warm_s}
+    return times, {"pocket_cruise_warm_vs_cold": cold_s / warm_s}
 
 
 def _stepping_walk(cycle, wheel, idle_step_s=1.0):

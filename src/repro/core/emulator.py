@@ -12,6 +12,7 @@ power of Fig. 3.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -46,9 +47,10 @@ from repro.vehicle.drive_cycle import DriveCycle
 #: run-persistent cache from growing without bound over an emulator's life.
 _MAX_ENERGY_CACHE_ENTRIES = 65536
 
-#: Upper bound on the cycle plans one emulator memoizes.  A design loop
-#: re-emulates a handful of cycles; the bound keeps a long-lived emulator fed
-#: ever-new cycles from holding every walk it ever made.
+#: Upper bound on the cycle plans one emulator memoizes (least recently
+#: used first out), each with its isothermal round resolutions.  A design
+#: loop re-emulates a handful of cycles; the bound keeps a long-lived
+#: emulator fed ever-new cycles from holding every walk it ever made.
 _MAX_PLANS = 4
 
 
@@ -348,19 +350,20 @@ class RoundResolution:
     per-unit ``temps``, ``end`` (the first unit outside the modelled
     temperature range, where the scalar path raises, or ``len(plan)``), the
     distinct ``(energy, per-phase list)`` ``values`` of its rounds (``None``
-    where the schedule cannot be built) with each unit's
+    where the schedule cannot be built), a tuple, with each unit's
     ``value_index`` into them (``-1`` on idle units, unresolved rounds and
     every unit from ``end`` on), the per-unit ``sleep_power`` and ``load``
     at the storage element, and whether the scan over it can raise
     (``checked``: ``end < len(plan)`` or any unresolved round).  An
     isothermal run's ``temps`` and ``sleep_power`` are one float each,
-    which stands for every unit.
+    which stands for every unit.  :meth:`NodeEmulator.emulate` memoizes
+    isothermal resolutions with their plan and shares them across runs.
     """
 
     plan: CyclePlan
     temps: np.ndarray | float
     end: int
-    values: list
+    values: tuple
     value_index: np.ndarray
     sleep_power: np.ndarray | float
     load: np.ndarray
@@ -434,8 +437,9 @@ class NodeEmulator:
         self._exact_speed_keys: set[tuple] = set()
         #: Memoized cycle plans, keyed on the cycle's *content* (its phase
         #: tuple — ``DriveCycle`` is mutable, so never its identity) plus
-        #: the idle step and record interval (see :meth:`_plan_for`).
-        self._plans: dict[tuple, CyclePlan] = {}
+        #: the idle step and record interval, each with its isothermal
+        #: resolutions by temperature bit pattern (see :meth:`_plan_for`).
+        self._plans: dict[tuple, tuple[CyclePlan, dict[bytes, RoundResolution]]] = {}
         self._cache_node = self.node
         self._cache_evaluator = self.evaluator
         self._cache_database = self.evaluator.database
@@ -448,7 +452,10 @@ class NodeEmulator:
         Cache keys quantize speed/temperature/phase pattern, but the cached
         values also depend on the node, the evaluator and its database
         coefficients, and the supply/process conditions of ``base_point`` —
-        all publicly reachable between runs, so all are checked here.
+        all publicly reachable between runs, so all are checked here.  The
+        plan memo goes too, and with it the isothermal round resolutions
+        memoized in it: these are the only inputs a resolution bakes in
+        besides its plan and temperature.
         """
         version = self.evaluator.database._version
         if (
@@ -696,21 +703,26 @@ class NodeEmulator:
 
     def _plan_for(
         self, cycle: DriveCycle, idle_step_s: float, record_interval_s: float
-    ) -> CyclePlan:
-        """The memoized plan of ``cycle`` — a warm re-``emulate()`` walks nothing.
+    ) -> tuple[CyclePlan, dict[bytes, RoundResolution]]:
+        """The memoized plan of ``cycle`` and its isothermal resolutions.
 
-        Keyed on the cycle's content, so an in-place edit of
-        ``cycle.phases`` misses; the node the walk depends on is covered by
-        :meth:`_ensure_caches_fresh`, which clears the memo.
+        A warm re-``emulate()`` walks nothing, and an isothermal one
+        resolves nothing either: :meth:`emulate` keeps each isothermal
+        :class:`RoundResolution` in the returned dict, keyed on the bit
+        pattern of the run temperature.  Keyed on the cycle's content, so an
+        in-place edit of ``cycle.phases`` misses; the node the walk depends
+        on is covered by :meth:`_ensure_caches_fresh`, which clears the memo
+        and the resolutions with it.  The least recently used plan is
+        evicted first, and its resolutions go with it.
         """
         key = (tuple(cycle.phases), idle_step_s, record_interval_s)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self.materialize_cycle(cycle, idle_step_s, record_interval_s)
+        entry = self._plans.pop(key, None)
+        if entry is None:
+            entry = (self.materialize_cycle(cycle, idle_step_s, record_interval_s), {})
             if len(self._plans) >= _MAX_PLANS:
                 del self._plans[next(iter(self._plans))]
-            self._plans[key] = plan
-        return plan
+        self._plans[key] = entry
+        return entry
 
     def plan_temperatures(self, plan: CyclePlan, thermal_model: TyreThermalModel) -> np.ndarray:
         """Per-unit temperatures of one thermal run over ``plan``.
@@ -735,8 +747,10 @@ class NodeEmulator:
         (straddling bins, infeasible centers) get one slot per distinct
         exact speed.  Returns ``(slots, round_slot)``: the ``(speed key,
         pattern, evaluation speed, unit)`` entries and each round's index
-        into them.  The classification sets change between runs, so this is
-        resolved per run, never memoized with the plan.
+        into them.  A key's class depends only on the key and the sets only
+        grow, so a plan's slots never change once its groups are classified;
+        :meth:`emulate` memoizes them inside its isothermal resolutions, and
+        thermal runs and the fleet resolve them per run.
         """
         groups = plan.groups
         self._classify_speed_keys([key for key, _speed, _unit in groups])
@@ -853,7 +867,7 @@ class NodeEmulator:
             round_energies = np.append(energies[key_numbers], 0.0)[value_index[rounds]]
             load = unit_load(self.node.pmu, plan, round_energies, sleep)
             load.setflags(write=False)
-            request_values = list(map(values.__getitem__, key_numbers.tolist()))
+            request_values = tuple(map(values.__getitem__, key_numbers.tolist()))
             resolutions.append(
                 RoundResolution(plan, temps, end, request_values, value_index, sleep, load, checked)
             )
@@ -923,11 +937,15 @@ class NodeEmulator:
         resolution the fleet runner uses too), the harvest of every wheel
         round from one ``energy_sweep_j`` call, and the state of charge is
         integrated by ONE call of the pure
-        :func:`repro.scavenger.storage.trajectory` kernel.  Errors keep the
-        scalar path's timing: the kernel runs up to the first unit outside
-        the modelled temperature range, and a round whose schedule cannot
-        be built raises only if the node reaches it while active; the first
-        such event raises (:meth:`_scan_ledger`).
+        :func:`repro.scavenger.storage.trajectory` kernel.  An isothermal
+        resolution is memoized with its plan, so a warm isothermal run
+        resolves nothing: it is the harvest sweep, the scan and the totals.
+        A thermal run resolves on every run, because it advances the public
+        thermal model in place.  Errors keep the scalar path's timing: the
+        kernel runs up to the first unit outside the modelled temperature
+        range, and a round whose schedule cannot be built raises only if
+        the node reaches it while active; the first such event raises
+        (:meth:`_scan_ledger`).
 
         Args:
             cycle: the cruising-speed profile.
@@ -958,12 +976,24 @@ class NodeEmulator:
         # invalidating event — an in-place mutation of the database — is
         # detected via its version counter.
         self._ensure_caches_fresh()
-        plan = self._plan_for(cycle, idle_step_s, record_interval_s)
-        (resolution,) = self._resolve_rounds(
-            [(plan, self.base_point.temperature_c, self.thermal_model)],
-            self._energy_cache,
-            self._store_energy,
-        )
+        plan, resolutions = self._plan_for(cycle, idle_step_s, record_interval_s)
+        temperature = self.base_point.temperature_c
+        # An isothermal resolution is a pure function of the plan, the run
+        # temperature and the inputs _ensure_caches_fresh guards (a key's
+        # class depends only on the key; cached values only on theirs), so
+        # a warm run reuses the cold run's.  It is keyed on the temperature's
+        # bits: 0.0 == -0.0, but the log's temperature column keeps the sign.
+        # A thermal run (no key) resolves every time.
+        memo_key = struct.pack("<d", temperature) if self.thermal_model is None else None
+        resolution = resolutions.get(memo_key)
+        if resolution is None:
+            (resolution,) = self._resolve_rounds(
+                [(plan, temperature, self.thermal_model)],
+                self._energy_cache,
+                self._store_energy,
+            )
+            if memo_key is not None:
+                resolutions[memo_key] = resolution
         harvest = round_harvest(self.scavenger, plan)
         traj = self._scan_ledger(resolution, self.storage, harvest)
         # The mutating element is the scalar reference, not the integrator:

@@ -133,6 +133,22 @@ class TestPlanMemo:
         emulator.emulate(constant_cruise(speeds[0], duration_s=5.0))
         assert len(plan_builds) == len(speeds) + 1
 
+    def test_memo_evicts_the_least_recently_used_plan(
+        self, node, database, scavenger, plan_builds, monkeypatch
+    ):
+        monkeypatch.setattr(emulator_module, "_MAX_PLANS", 4)
+        emulator = _emulator(node, database, scavenger)
+        cycles = [constant_cruise(40.0 + 5.0 * k, duration_s=5.0) for k in range(5)]
+        for cycle in cycles[:4]:
+            emulator.emulate(cycle)
+        emulator.emulate(cycles[0])  # a hit makes the oldest plan the newest
+        emulator.emulate(cycles[4])  # evicts cycles[1], the least recently used
+        assert len(plan_builds) == 5
+        emulator.emulate(cycles[0])
+        assert len(plan_builds) == 5, "the re-used plan was evicted"
+        emulator.emulate(cycles[1])
+        assert len(plan_builds) == 6
+
 
 class TestSampleWalk:
     @pytest.mark.parametrize("interval", [0.1, 0.3, 0.7, 1.0, 2.5, 1e3])

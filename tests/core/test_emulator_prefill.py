@@ -7,10 +7,13 @@ through one call of the pure ledger kernel, ``trajectory()``.  Rounds whose
 schedule cannot be built draw nothing in that scan; the first one the node
 reaches while active raises, as does the first unit outside the modelled
 temperature range.  The contract is strict: the output must be *byte
-identical* to the naive per-revolution reference below — one ``WheelRound``
-at a time from ``iter_wheel_rounds``, per-miss ``_revolution_energy``
-evaluations and a mutating ``StorageElement`` with restart hysteresis —
-same totals, same ``SampleLog`` bytes, same trace, or the same error.
+identical* to the naive per-revolution reference (``naive_reference.py``)
+— one ``WheelRound`` at a time from ``iter_wheel_rounds``, per-miss
+``_revolution_energy`` evaluations and a mutating ``StorageElement`` with
+restart hysteresis — same totals, same ``SampleLog`` bytes, same trace, or
+the same error.  A warm isothermal run reuses the cold run's memoized round
+resolution, and must still give a fresh emulator's bytes whatever changed
+between the runs.
 """
 
 from __future__ import annotations
@@ -25,10 +28,8 @@ from repro.blocks.node import SensorNode
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import EmulationResult, NodeEmulator
 from repro.core.quantize import speed_bin_upper_edge_kmh
-from repro.core.trace import PowerTrace
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scavenger.storage import supercapacitor
-from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
 from repro.vehicle.drive_cycle import (
     DriveCycle,
     DriveCyclePhase,
@@ -37,108 +38,7 @@ from repro.vehicle.drive_cycle import (
     urban_cycle,
 )
 
-
-def naive_emulate(
-    emulator: NodeEmulator,
-    cycle: DriveCycle,
-    record_interval_s: float = 1.0,
-    trace_window: tuple[float, float] | None = None,
-    idle_step_s: float = 1.0,
-) -> EmulationResult:
-    """The per-revolution reference of ``emulator.emulate(cycle)``.
-
-    Walks ``iter_wheel_rounds`` one unit at a time: advances the thermal
-    model, evaluates each active round's energy on a cache miss
-    (``_revolution_energy``), and steps the emulator's own storage element
-    through deposit / withdraw / leak with the restart hysteresis.  The
-    totals use the same numpy reductions as ``emulate()``.
-    """
-    storage = emulator.storage
-    storage.reset()
-    thermal = emulator.thermal_model
-    if thermal is not None:
-        thermal.reset()
-    emulator._ensure_caches_fresh()
-    pmu = emulator.node.pmu
-    units = list(iter_wheel_rounds(cycle, emulator.node.wheel, idle_step_s=idle_step_s))
-    round_speeds = [unit.speed_kmh for unit in units if isinstance(unit, WheelRound)]
-    round_harvest = iter(emulator.scavenger.energy_sweep_j(np.array(round_speeds, dtype=float)))
-    temperature = (
-        thermal.current_celsius if thermal is not None else emulator.base_point.temperature_c
-    )
-    active = not storage.is_depleted
-    result = EmulationResult(
-        node_name=emulator.node.name,
-        cycle_name=cycle.name,
-        duration_s=cycle.duration_s,
-    )
-    trace = PowerTrace() if trace_window is not None else None
-    is_round, durations, harvest, banked, drawn, withdrew = [], [], [], [], [], []
-    brownouts = 0
-    next_record_s = 0.0
-    for unit in units:
-        moving = isinstance(unit, WheelRound)
-        duration = unit.period_s if moving else unit.duration_s
-        speed = unit.speed_kmh if moving else 0.0
-        if thermal is not None:
-            temperature = thermal.advance(duration, speed / 3.6)
-        sleep_power = emulator._standstill_power(temperature)
-        if not active and storage.can_restart:
-            active = True
-        attempted = success = False
-        load = 0.0
-        phases = ()
-        energy_in = float(next(round_harvest)) if moving else 0.0
-        stored = storage.deposit(energy_in) if moving else 0.0
-        if active:
-            attempted = True
-            if moving:
-                energy, phases = emulator._revolution_energy(unit, temperature)
-                load = pmu.referred_to_storage(energy)
-            else:
-                load = pmu.referred_to_storage(sleep_power * duration)
-            success = storage.withdraw(load)
-            if not success:
-                active = False
-                brownouts += 1
-        storage.leak(duration)
-        is_round.append(moving)
-        durations.append(duration)
-        harvest.append(energy_in)
-        banked.append(stored)
-        drawn.append(load if success else 0.0)
-        withdrew.append(success)
-        if trace is not None and unit.start_s < trace_window[1] and unit.end_s > trace_window[0]:
-            if moving and (success or not attempted):
-                emulator._record_trace_revolution(
-                    trace, unit.start_s, unit.period_s, phases, success, sleep_power
-                )
-            elif not moving:
-                trace.append(
-                    unit.start_s,
-                    duration,
-                    sleep_power if active else 0.0,
-                    "standstill" if active else "inactive",
-                )
-        while next_record_s <= unit.end_s:
-            result.log.append(next_record_s, speed, temperature, storage.state_of_charge, active)
-            next_record_s += record_interval_s
-
-    is_round = np.array(is_round, dtype=bool)
-    durations = np.array(durations)
-    banked = np.array(banked)
-    withdrew = np.array(withdrew, dtype=bool)
-    result.revolutions = int(is_round.sum())
-    result.moving_time_s = float(durations[is_round].sum())
-    result.harvested_j = float(banked.sum())
-    result.discarded_j = float(np.maximum(0.0, np.array(harvest) - banked).sum())
-    result.consumed_j = float(np.array(drawn).sum())
-    result.active_revolutions = int((is_round & withdrew).sum())
-    result.active_time_s = float(durations[withdrew].sum())
-    result.brownout_events = brownouts
-    if trace is not None:
-        result.trace = trace.windowed(*trace_window) if not trace.is_empty else trace
-    return result
+from naive_reference import naive_emulate
 
 
 def _thermal_emulator(node, database, scavenger, **thermal) -> NodeEmulator:
@@ -536,3 +436,169 @@ class TestEnergyCacheCap:
         monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 4)
         capped = _thermal_emulator(node, database, scavenger).emulate(cycle)
         assert capped == uncapped
+
+
+def _assert_summary_bits(ours: EmulationResult, theirs: EmulationResult) -> None:
+    assert list(ours.summary()) == list(theirs.summary())
+    packed = [np.array(list(run.summary().values())).tobytes() for run in (ours, theirs)]
+    assert packed[0] == packed[1]
+
+
+def _assert_warm_equals_fresh(emulator: NodeEmulator, cycle, fresh: NodeEmulator):
+    """The warm run's log and summary equal a fresh emulator's, bit for bit."""
+    warm = emulator.emulate(cycle)
+    expected = fresh.emulate(cycle)
+    _assert_byte_identical(warm, expected)
+    _assert_summary_bits(warm, expected)
+    return warm
+
+
+class TestResolutionMemo:
+    """A warm isothermal run gathers the cold run's memoized resolution.
+
+    Nothing that changes between runs may leak into it: every case below
+    changes one input between a cold and a warm run and still gets the
+    bytes of a fresh emulator.
+    """
+
+    def test_warm_isothermal_run_is_a_pure_gather(self, node, database, scavenger, monkeypatch):
+        cycle = urban_cycle(repetitions=2)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        cold = emulator.emulate(cycle)
+        slots = _count_calls(monkeypatch, "speed_slots")
+        sweeps = _count_calls(monkeypatch, "evaluate_energy_bins")
+        resolves = _count_calls(monkeypatch, "_resolve_rounds")
+        warm = emulator.emulate(cycle)
+        assert slots == [] and sweeps == [] and resolves == []
+        _assert_byte_identical(warm, cold)
+        reference = naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
+        _assert_byte_identical(warm, reference)
+
+    def test_shared_resolution_is_immutable(self, node, database, scavenger, monkeypatch):
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        scans = _count_calls(monkeypatch, "_scan_ledger")
+        emulator.emulate(urban_cycle(repetitions=1))
+        emulator.emulate(urban_cycle(repetitions=1))
+        (cold, *_), (resolution, *_) = scans
+        assert resolution is cold
+        assert isinstance(resolution.values, tuple)
+        for array in (resolution.load, resolution.value_index):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = array[0]
+
+    def test_warm_thermal_run_resolves_again(self, node, database, scavenger, monkeypatch):
+        cycle = urban_cycle(repetitions=1)
+        emulator = _thermal_emulator(node, database, scavenger)
+        emulator.emulate(cycle)
+        resolves = _count_calls(monkeypatch, "_resolve_rounds")
+        warm = emulator.emulate(cycle)
+        assert len(resolves) == 1
+        reference = _thermal_emulator(node, database, scavenger)
+        _assert_byte_identical(warm, naive_emulate(reference, cycle))
+        model, expected = emulator.thermal_model, reference.thermal_model
+        assert model.current_celsius == expected.current_celsius
+        assert model._current_time_s == expected._current_time_s
+
+    def test_in_place_database_edit(self, node, database, scavenger):
+        cycle = constant_cruise(70.0, duration_s=60.0)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        before = emulator.emulate(cycle)
+        edited = emulator.evaluator.database
+        entry = edited.entry("rf_tx", "active")
+        edited.remove("rf_tx", "active")
+        edited.add(entry.scaled(dynamic_factor=100.0))
+        fresh = NodeEmulator(node, edited, scavenger, supercapacitor())
+        assert _assert_warm_equals_fresh(emulator, cycle, fresh) != before
+
+    def test_new_base_point(self, node, database, scavenger):
+        from repro.conditions.operating_point import OperatingPoint
+        from repro.conditions.supply import CORE_RAIL, SupplyCondition
+
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        before = emulator.emulate(cycle)
+        low = OperatingPoint(supply=SupplyCondition(rail=CORE_RAIL, corner="min"))
+        emulator.base_point = low
+        fresh = NodeEmulator(node, database, scavenger, supercapacitor(), base_point=low)
+        assert _assert_warm_equals_fresh(emulator, cycle, fresh) != before
+
+    def test_new_node(self, node, optimized, database, scavenger):
+        from repro.core.evaluator import EnergyEvaluator
+
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        before = emulator.emulate(cycle)
+        emulator.node = optimized
+        emulator.evaluator = EnergyEvaluator(optimized, database)
+        fresh = NodeEmulator(optimized, database, scavenger, supercapacitor())
+        assert _assert_warm_equals_fresh(emulator, cycle, fresh) != before
+
+    def test_energy_cache_overflow(self, node, database, scavenger, monkeypatch):
+        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        emulator.emulate(cycle)
+        cached = dict(emulator._energy_cache)
+        emulator.emulate(_hour_cycle())  # overflows, clearing the cache
+        assert len(emulator._energy_cache) <= 8
+        assert not cached.items() <= emulator._energy_cache.items()
+        fresh = NodeEmulator(node, database, scavenger, supercapacitor())
+        _assert_warm_equals_fresh(emulator, cycle, fresh)
+
+    @pytest.mark.parametrize(
+        "fixture, ramp, cruise",
+        [
+            ("limited_node", (100.0, 118.0), 128.7),  # the bin edge cannot be built
+            ("pocket_node", (96.0, 102.0), 102.4),  # the bin center cannot be built
+        ],
+    )
+    def test_infeasible_key_found_by_another_cycle(
+        self, request, database, scavenger, fixture, ramp, cruise
+    ):
+        node = request.getfixturevalue(fixture)
+        cycle = DriveCycle(
+            phases=[DriveCyclePhase(duration_s=30.0, start_kmh=ramp[0], end_kmh=ramp[1])],
+            name="ramp-below-limit",
+        )
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        emulator.emulate(cycle)
+        exact = set(emulator._exact_speed_keys)
+        emulator.emulate(constant_cruise(cruise, duration_s=10.0))
+        assert emulator._exact_speed_keys > exact
+        fresh = NodeEmulator(node, database, scavenger, supercapacitor())
+        _assert_warm_equals_fresh(emulator, cycle, fresh)
+
+    def test_signed_zero_base_temperature(self, node, database, scavenger):
+        from repro.conditions.operating_point import OperatingPoint
+
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(
+            node, database, scavenger, supercapacitor(), base_point=OperatingPoint(0.0)
+        )
+        walks = []
+        materialize = emulator.materialize_cycle
+        emulator.materialize_cycle = lambda *args: walks.append(1) or materialize(*args)
+        emulator.emulate(cycle)
+        for temperature in (-0.0, 0.0, -0.0):
+            emulator.base_point = OperatingPoint(temperature)
+            fresh = NodeEmulator(
+                node, database, scavenger, supercapacitor(), base_point=OperatingPoint(temperature)
+            )
+            warm = _assert_warm_equals_fresh(emulator, cycle, fresh)
+            signs = np.signbit(warm.sample_arrays()["temperature_c"])
+            assert signs.all() if np.signbit(temperature) else not signs.any()
+        # 0.0 == -0.0, so the base points compare equal and the memo stayed warm.
+        assert walks == [1]
+
+    def test_swapped_scavenger_and_storage(self, node, database, scavenger):
+        from repro.scavenger import ElectromagneticScavenger
+        from repro.scavenger.storage import thin_film_battery
+
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        before = emulator.emulate(cycle)
+        emulator.scavenger = ElectromagneticScavenger()
+        emulator.storage = thin_film_battery()
+        fresh = NodeEmulator(node, database, ElectromagneticScavenger(), thin_film_battery())
+        assert _assert_warm_equals_fresh(emulator, cycle, fresh) != before

@@ -18,6 +18,8 @@ from repro.scenario.registry import ARCHITECTURES
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.jobs import encode_document, fleet_result_document
 
+from naive_reference import naive_emulate
+
 
 def _fleet(
     vehicles: int = 10, seed: int = 7, chunk_vehicles: int = 64, **base_overrides
@@ -124,7 +126,7 @@ class TestCorrectness:
                 base_point=spec.operating_point(),
             )
             cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
-            summary = emulator.emulate(cycle).summary()
+            summary = naive_emulate(emulator, cycle).summary()
             for key, value in summary.items():
                 assert row[key] == value
 
@@ -306,7 +308,7 @@ class TestCycleMixAndTolerances:
 
 
 def _constant_fleet_rows_match_emulate(speed_kmh, duration_s, **base_overrides):
-    """Run a 3-vehicle constant-cruise fleet; every row must equal emulate()."""
+    """Run a 3-vehicle constant-cruise fleet; every row must equal the naive reference."""
     base = ScenarioSpec(
         name="constant",
         drive_cycle={
@@ -326,7 +328,7 @@ def _constant_fleet_rows_match_emulate(speed_kmh, duration_s, **base_overrides):
             scaled_storage(spec.build_storage(), vehicle.storage_scale),
             base_point=spec.operating_point(),
         )
-        summary = emulator.emulate(spec.build_drive_cycle()).summary()
+        summary = naive_emulate(emulator, spec.build_drive_cycle()).summary()
         for key, value in summary.items():
             assert row[key] == value, key
     return result.metadata
@@ -370,7 +372,12 @@ class TestScheduleLimit:
 
 
 def _naive_outcomes(fleet: FleetSpec) -> list:
-    """Per vehicle: its naive ``emulate()`` summary, or the error it raises."""
+    """Per vehicle: its per-revolution reference summary, or the error it raises.
+
+    The reference is ``naive_emulate``, not ``emulate()``: the fleet shares
+    ``emulate()``'s resolution and ledger steps, so only an independent
+    reference catches a fault in them.
+    """
     outcomes = []
     for vehicle in fleet.materialize():
         spec = vehicle.scenario
@@ -384,7 +391,7 @@ def _naive_outcomes(fleet: FleetSpec) -> list:
         )
         try:
             cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
-            outcomes.append(emulator.emulate(cycle).summary())
+            outcomes.append(naive_emulate(emulator, cycle).summary())
         except Exception as error:  # the contract compares the error itself
             outcomes.append(error)
     return outcomes

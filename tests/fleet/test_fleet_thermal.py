@@ -4,8 +4,10 @@ The tentpole claim under test: with a :class:`ThermalSpec` on the fleet,
 cycle materialization replays the tyre thermal model once per
 (cycle, speed-scale, ambient-bin) cohort and the cross-vehicle bin-union
 sweep spans (speed, temperature, phase-pattern) triples — yet every
-per-vehicle figure is bitwise identical to a naive ``emulate()`` with the
-same thermal model, across worker counts and backends.
+per-vehicle figure is bitwise identical to the per-revolution reference of
+``emulate()`` with the same thermal model (``naive_emulate``, not
+``emulate()`` itself, whose resolution and ledger steps the fleet shares),
+across worker counts and backends.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from repro.fleet import (
 )
 from repro.scavenger.storage import scaled_storage
 from repro.scenario.spec import ScenarioSpec
+
+from naive_reference import naive_emulate
 
 SCENARIOS = Path(__file__).resolve().parent.parent.parent / "examples" / "scenarios"
 
@@ -57,7 +61,9 @@ def _thermal_fleet(vehicles: int = 16, seed: int = 13, **fleet_overrides) -> Fle
 
 
 def _naive_summaries(fleet: FleetSpec) -> list[dict]:
-    """The reference loop: one fresh thermal emulator per vehicle."""
+    """The reference loop: per vehicle, the per-revolution reference of a fresh
+    thermal emulator (``naive_emulate``, which shares no resolution or ledger
+    code with the fleet)."""
     thermal = fleet.thermal
     summaries = []
     for vehicle in fleet.materialize():
@@ -71,7 +77,7 @@ def _naive_summaries(fleet: FleetSpec) -> list[dict]:
             thermal_model=thermal.build(spec.temperature_c) if thermal else None,
         )
         cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
-        summaries.append(emulator.emulate(cycle).summary())
+        summaries.append(naive_emulate(emulator, cycle).summary())
     return summaries
 
 

@@ -1,0 +1,121 @@
+"""The per-revolution reference every emulation contract is checked against.
+
+``naive_emulate`` shares no resolution or ledger code with
+``NodeEmulator.emulate()`` or the fleet runner: it walks
+``iter_wheel_rounds`` one unit at a time, evaluates each active round on a
+cache miss and steps a mutating ``StorageElement``.  A fault in the shared
+resolution or scan step therefore shows as a difference from it, in the
+emulator tests and in the fleet's row and error contracts alike.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.trace import PowerTrace
+from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
+from repro.vehicle.drive_cycle import DriveCycle
+
+
+def naive_emulate(
+    emulator: NodeEmulator,
+    cycle: DriveCycle,
+    record_interval_s: float = 1.0,
+    trace_window: tuple[float, float] | None = None,
+    idle_step_s: float = 1.0,
+) -> EmulationResult:
+    """The per-revolution reference of ``emulator.emulate(cycle)``.
+
+    Walks ``iter_wheel_rounds`` one unit at a time: advances the thermal
+    model, evaluates each active round's energy on a cache miss
+    (``_revolution_energy``), and steps the emulator's own storage element
+    through deposit / withdraw / leak with the restart hysteresis.  The
+    totals use the same numpy reductions as ``emulate()``.
+    """
+    storage = emulator.storage
+    storage.reset()
+    thermal = emulator.thermal_model
+    if thermal is not None:
+        thermal.reset()
+    emulator._ensure_caches_fresh()
+    pmu = emulator.node.pmu
+    units = list(iter_wheel_rounds(cycle, emulator.node.wheel, idle_step_s=idle_step_s))
+    round_speeds = [unit.speed_kmh for unit in units if isinstance(unit, WheelRound)]
+    round_harvest = iter(emulator.scavenger.energy_sweep_j(np.array(round_speeds, dtype=float)))
+    temperature = (
+        thermal.current_celsius if thermal is not None else emulator.base_point.temperature_c
+    )
+    active = not storage.is_depleted
+    result = EmulationResult(
+        node_name=emulator.node.name,
+        cycle_name=cycle.name,
+        duration_s=cycle.duration_s,
+    )
+    trace = PowerTrace() if trace_window is not None else None
+    is_round, durations, harvest, banked, drawn, withdrew = [], [], [], [], [], []
+    brownouts = 0
+    next_record_s = 0.0
+    for unit in units:
+        moving = isinstance(unit, WheelRound)
+        duration = unit.period_s if moving else unit.duration_s
+        speed = unit.speed_kmh if moving else 0.0
+        if thermal is not None:
+            temperature = thermal.advance(duration, speed / 3.6)
+        sleep_power = emulator._standstill_power(temperature)
+        if not active and storage.can_restart:
+            active = True
+        attempted = success = False
+        load = 0.0
+        phases = ()
+        energy_in = float(next(round_harvest)) if moving else 0.0
+        stored = storage.deposit(energy_in) if moving else 0.0
+        if active:
+            attempted = True
+            if moving:
+                energy, phases = emulator._revolution_energy(unit, temperature)
+                load = pmu.referred_to_storage(energy)
+            else:
+                load = pmu.referred_to_storage(sleep_power * duration)
+            success = storage.withdraw(load)
+            if not success:
+                active = False
+                brownouts += 1
+        storage.leak(duration)
+        is_round.append(moving)
+        durations.append(duration)
+        harvest.append(energy_in)
+        banked.append(stored)
+        drawn.append(load if success else 0.0)
+        withdrew.append(success)
+        if trace is not None and unit.start_s < trace_window[1] and unit.end_s > trace_window[0]:
+            if moving and (success or not attempted):
+                emulator._record_trace_revolution(
+                    trace, unit.start_s, unit.period_s, phases, success, sleep_power
+                )
+            elif not moving:
+                trace.append(
+                    unit.start_s,
+                    duration,
+                    sleep_power if active else 0.0,
+                    "standstill" if active else "inactive",
+                )
+        while next_record_s <= unit.end_s:
+            result.log.append(next_record_s, speed, temperature, storage.state_of_charge, active)
+            next_record_s += record_interval_s
+
+    is_round = np.array(is_round, dtype=bool)
+    durations = np.array(durations)
+    banked = np.array(banked)
+    withdrew = np.array(withdrew, dtype=bool)
+    result.revolutions = int(is_round.sum())
+    result.moving_time_s = float(durations[is_round].sum())
+    result.harvested_j = float(banked.sum())
+    result.discarded_j = float(np.maximum(0.0, np.array(harvest) - banked).sum())
+    result.consumed_j = float(np.array(drawn).sum())
+    result.active_revolutions = int((is_round & withdrew).sum())
+    result.active_time_s = float(durations[withdrew].sum())
+    result.brownout_events = brownouts
+    if trace is not None:
+        result.trace = trace.windowed(*trace_window) if not trace.is_empty else trace
+    return result
