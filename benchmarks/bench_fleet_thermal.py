@@ -13,7 +13,10 @@ centers, Gaussian tolerances) and *asserts*:
 * >= 3x throughput of the thermal fast path over the naive per-vehicle
   loop (fresh emulator + fresh thermal model per vehicle);
 * bitwise-identical per-vehicle figures against that naive loop, across
-  worker counts and backends.
+  worker counts and backends;
+* the thermal replay of every cohort (``TyreThermalModel.advance_many``
+  over the cohort's walk) bitwise equal to stepping ``advance`` unit by
+  unit, and reports its speedup over that loop (``replay_vs_stepping``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,10 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
+
 from benchmarks.conftest import emit_result, emit_timing
+from repro.core.cycle_plan import build_cycle_plan
 from repro.core.emulator import NodeEmulator
 from repro.fleet import FleetRunner, FleetSpec, ThermalSpec, default_fleet_distributions
 from repro.scavenger.storage import scaled_storage
@@ -33,6 +39,7 @@ from repro.scenario import ScenarioSpec
 REQUIRED_SPEEDUP = float(os.environ.get("FLEET_THERMAL_FLOOR", "3.0"))
 
 VEHICLES = 200
+REPLAY_REPEATS = 7
 
 
 def _bench_fleet() -> FleetSpec:
@@ -57,6 +64,62 @@ def _bench_fleet() -> FleetSpec:
         distributions=distributions,
         thermal=ThermalSpec(),
     )
+
+
+def _replay_vs_stepping(fleet: FleetSpec, vehicles) -> tuple[float, float, int]:
+    """Best-of wall times of every cohort's thermal replay: batch vs stepping.
+
+    A cohort is a distinct (cycle, speed scale, ambient) of the population;
+    its replay runs a fresh model over the cohort's walk.  The stepping loop
+    is the per-unit ``advance`` loop the replay replaced (km/h speeds over
+    3.6, one temperature stored per unit); both must agree bit for bit on
+    every temperature and on the final state.  Returns ``(replay_s,
+    stepping_s, cohorts)``.
+    """
+    node = fleet.base.build_node()
+    cohorts = {}
+    for vehicle in vehicles:
+        spec = vehicle.scenario
+        key = (repr(spec.drive_cycle), vehicle.speed_scale, spec.temperature_c)
+        if key not in cohorts:
+            cycle = spec.build_drive_cycle().scaled(vehicle.speed_scale)
+            plan = build_cycle_plan(cycle, node, idle_step_s=1.0, record_interval_s=1.0)
+            cohorts[key] = (plan, fleet.thermal.build(spec.temperature_c))
+
+    def stepping() -> list:
+        runs = []
+        for plan, model in cohorts.values():
+            model.reset()
+            temps = np.empty(len(plan))
+            for i, (duration, speed) in enumerate(zip(plan.durations.tolist(), plan.speeds)):
+                temps[i] = model.advance(duration, speed / 3.6)
+            runs.append((temps, model._current_celsius, model._current_time_s))
+        return runs
+
+    def replay() -> list:
+        runs = []
+        for plan, model in cohorts.values():
+            model.reset()
+            temps = model.advance_many(plan.durations, plan.speeds / 3.6)
+            runs.append((temps, model._current_celsius, model._current_time_s))
+        return runs
+
+    best = {stepping: float("inf"), replay: float("inf")}
+    for _ in range(REPLAY_REPEATS):  # interleaved, so drift hits both alike
+        for variant in best:
+            start = time.perf_counter()
+            runs = variant()
+            best[variant] = min(best[variant], time.perf_counter() - start)
+            if variant is stepping:
+                expected = runs
+            else:
+                for (temps, celsius, time_s), (want, want_celsius, want_time_s) in zip(
+                    runs, expected
+                ):
+                    assert temps.tobytes() == want.tobytes()
+                    assert float.hex(celsius) == float.hex(want_celsius)
+                    assert float.hex(time_s) == float.hex(want_time_s)
+    return best[replay], best[stepping], len(cohorts)
 
 
 def test_thermal_fast_path_beats_naive_loop():
@@ -94,6 +157,8 @@ def test_thermal_fast_path_beats_naive_loop():
     fleet_s = time.perf_counter() - start
 
     speedup_vs_naive = naive_s / fleet_s
+    replay_s, stepping_s, replayed_cohorts = _replay_vs_stepping(fleet, vehicles)
+    replay_speedup = stepping_s / replay_s
 
     metadata = result.metadata
     assert metadata["fast_path_vehicles"] == VEHICLES
@@ -109,6 +174,9 @@ def test_thermal_fast_path_beats_naive_loop():
                 "naive_s": naive_s,
                 "fleet_s": fleet_s,
                 "speedup_vs_naive_x": speedup_vs_naive,
+                "replay_s": replay_s,
+                "stepping_s": stepping_s,
+                "replay_vs_stepping_x": replay_speedup,
             }
         ],
         title="Thermal fleet: cohort fast path vs per-vehicle thermal emulate",
@@ -120,14 +188,17 @@ def test_thermal_fast_path_beats_naive_loop():
         wall_times_s={
             "naive_loop": naive_s,
             "fleet_runner": fleet_s,
+            "thermal_replay": replay_s,
+            "thermal_stepping": stepping_s,
         },
-        speedups={"fast_vs_naive": speedup_vs_naive},
+        speedups={"fast_vs_naive": speedup_vs_naive, "replay_vs_stepping": replay_speedup},
         extra={
             "vehicles": VEHICLES,
             "cohorts": metadata["cohorts"],
             "groups": metadata["groups"],
             "shared_energy_bins": metadata["shared_energy_bins"],
             "ambient_quantum_c": metadata["ambient_quantum_c"],
+            "replayed_cohorts": replayed_cohorts,
             "required_speedup": REQUIRED_SPEEDUP,
         },
         workers=1,

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 #: Automotive-grade ambient operating range (AEC-Q100 grade 1) in Celsius.
@@ -99,7 +101,8 @@ class TyreThermalModel(TemperatureProfile):
     relaxes towards the steady state with time constant ``time_constant_s``.
 
     The model is driven by calling :meth:`advance` with ``(dt, speed)``
-    samples; :meth:`temperature_at` then reports the temperature reached at
+    samples, or :meth:`advance_many` with arrays of them (bitwise the same
+    steps); :meth:`temperature_at` then reports the temperature reached at
     the end of the last advanced step, which is how the emulator uses it.
 
     Attributes:
@@ -150,6 +153,34 @@ class TyreThermalModel(TemperatureProfile):
         self._current_celsius += alpha * (target - self._current_celsius)
         self._current_time_s += dt_s
         return self._current_celsius
+
+    def advance_many(self, dt_s: np.ndarray, speeds_ms: np.ndarray) -> np.ndarray:
+        """:meth:`advance` over paired ``(dt, speed)`` steps; the temperature after each.
+
+        Bitwise the stepping loop: the relaxation factor is computed once
+        per distinct step and the steady state once per distinct speed, each
+        through the same scalar expression, and only the recurrence
+        ``c += alpha * (target - c)`` runs per step.  The time is summed one
+        step at a time (``np.add.accumulate`` adds in sequence).  A negative
+        step raises :meth:`advance`'s error before the model moves.
+        """
+        dt_s = np.asarray(dt_s, dtype=float)
+        if np.any(dt_s < 0.0):
+            raise ConfigurationError("time step must be non-negative")
+        steps, step_index = np.unique(dt_s, return_inverse=True)
+        speeds, speed_index = np.unique(np.asarray(speeds_ms, dtype=float), return_inverse=True)
+        tau = self.time_constant_s
+        alphas = np.array([1.0 - math.exp(-dt / tau) for dt in steps.tolist()], dtype=float)
+        targets = np.array(list(map(self.steady_state, speeds.tolist())), dtype=float)
+        celsius = self._current_celsius
+        temps = []
+        for alpha, target in zip(alphas[step_index].tolist(), targets[speed_index].tolist()):
+            celsius += alpha * (target - celsius)
+            temps.append(celsius)
+        self._current_celsius = celsius
+        times = np.add.accumulate(np.concatenate(([self._current_time_s], dt_s)))
+        self._current_time_s = float(times[-1])
+        return np.array(temps, dtype=float)
 
     def reset(self) -> None:
         """Return the model to the ambient temperature at time zero."""

@@ -127,33 +127,6 @@ def build_cycle_plan(cycle, node, idle_step_s: float, record_interval_s: float) 
     return CyclePlan(*walk, round_indices, groups, round_groups, sample_times, sample_units)
 
 
-def energy_keys(
-    slots: list, round_slot: np.ndarray, round_temp_bins: np.ndarray
-) -> tuple[list, list, np.ndarray]:
-    """The unique revolution-energy cache keys of a run's wheel rounds.
-
-    ``slots`` are the run's resolved ``(speed key, pattern, evaluation
-    speed, unit)`` entries and ``round_slot`` each round's index into them;
-    ``round_temp_bins`` are the rounds' quantized temperatures.  Returns
-    ``(keys, key_slots, inverse)``: the distinct ``(speed key, temperature
-    bin, *pattern)`` cache keys in first-appearance order, each key's slot,
-    and each round's index into ``keys``.
-    """
-    if not round_slot.size:
-        return [], [], np.empty(0, dtype=np.intp)
-    temp_bins = round_temp_bins.astype(np.int64)
-    low = int(temp_bins.min())
-    width = int(temp_bins.max()) - low + 1
-    unique, _first, inverse = first_appearance_unique(round_slot * width + (temp_bins - low))
-    keys, key_slots = [], []
-    for code in unique.tolist():
-        slot, offset = divmod(code, width)
-        speed_key, pattern = slots[slot][:2]
-        keys.append((speed_key, offset + low, *pattern))
-        key_slots.append(slot)
-    return keys, key_slots, inverse
-
-
 def round_harvest(scavenger, plan: CyclePlan) -> np.ndarray:
     """Per-unit harvested energy: every wheel round from ONE ``energy_sweep_j`` call."""
     harvest = np.zeros(len(plan))

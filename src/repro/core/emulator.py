@@ -22,7 +22,13 @@ from repro.blocks.node import SensorNode
 from repro.conditions.batch import BatchConditions
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C, OperatingPoint
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.cycle_plan import CyclePlan, build_cycle_plan, energy_keys, round_harvest, unit_load
+from repro.core.cycle_plan import (
+    CyclePlan,
+    build_cycle_plan,
+    first_appearance_unique,
+    round_harvest,
+    unit_load,
+)
 from repro.core.evaluator import EnergyEvaluator
 from repro.core.quantize import (
     speed_bin,
@@ -349,13 +355,15 @@ class RoundResolution:
     :meth:`NodeEmulator._scan_ledger` scans: the run's ``plan``, its
     per-unit ``temps``, ``end`` (the first unit outside the modelled
     temperature range, where the scalar path raises, or ``len(plan)``), the
-    distinct ``(energy, per-phase list)`` ``values`` of its rounds (``None``
-    where the schedule cannot be built), a tuple, with each unit's
-    ``value_index`` into them (``-1`` on idle units, unresolved rounds and
-    every unit from ``end`` on), the per-unit ``sleep_power`` and ``load``
-    at the storage element, and whether the scan over it can raise
-    (``checked``: ``end < len(plan)`` or any unresolved round).  An
-    isothermal run's ``temps`` and ``sleep_power`` are one float each,
+    distinct revolution-energy cache ``keys`` of the resolving call and
+    their energies, ``values`` (``None`` where the schedule cannot be
+    built), two tuples, with each unit's ``value_index`` into them (``-1``
+    on idle units, unresolved rounds and every unit from ``end`` on), the
+    per-unit ``sleep_power`` and ``load`` at the storage element, and
+    whether the scan over it can raise (``checked``: ``end < len(plan)`` or
+    any unresolved round).  No phase list is kept: a trace builds its
+    rounds' phases from their keys (:meth:`NodeEmulator._record_trace`).
+    An isothermal run's ``temps`` and ``sleep_power`` are one float each,
     which stands for every unit.  :meth:`NodeEmulator.emulate` memoizes
     isothermal resolutions with their plan and shares them across runs.
     """
@@ -363,6 +371,7 @@ class RoundResolution:
     plan: CyclePlan
     temps: np.ndarray | float
     end: int
+    keys: tuple
     values: tuple
     value_index: np.ndarray
     sleep_power: np.ndarray | float
@@ -417,7 +426,7 @@ class NodeEmulator:
         # Both caches are keyed on quantized conditions and stay valid for the
         # lifetime of the emulator: the evaluator and the database are fixed
         # per instance, so the caches persist across emulate() runs.
-        self._energy_cache: dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]] = {}
+        self._energy_cache: dict[tuple, float] = {}
         self._standstill_cache: dict[int, float] = {}
         #: (speed bin, phase pattern) keys whose schedule was validated at
         #: the bin's *upper edge* and center: every speed that rounds into
@@ -444,7 +453,7 @@ class NodeEmulator:
         self._cache_evaluator = self.evaluator
         self._cache_database = self.evaluator.database
         self._cache_database_version = self.evaluator.database._version
-        self._cache_base_point = self.base_point
+        self._cache_conditions = (self.base_point.supply, self.base_point.process)
 
     def _ensure_caches_fresh(self) -> None:
         """Drop cached energies if an input they bake in has changed.
@@ -453,17 +462,20 @@ class NodeEmulator:
         values also depend on the node, the evaluator and its database
         coefficients, and the supply/process conditions of ``base_point`` —
         all publicly reachable between runs, so all are checked here.  The
-        plan memo goes too, and with it the isothermal round resolutions
-        memoized in it: these are the only inputs a resolution bakes in
-        besides its plan and temperature.
+        base point's speed and temperature are not: every evaluation
+        overrides both, and the keys carry the temperature bin.  The plan
+        memo goes too, and with it the isothermal round resolutions memoized
+        in it (keyed on the run temperature): these are the only inputs a
+        resolution bakes in besides its plan and temperature.
         """
         version = self.evaluator.database._version
+        conditions = (self.base_point.supply, self.base_point.process)
         if (
             self.node is not self._cache_node
             or self.evaluator is not self._cache_evaluator
             or self.evaluator.database is not self._cache_database
             or version != self._cache_database_version
-            or self.base_point != self._cache_base_point
+            or conditions != self._cache_conditions
         ):
             self._energy_cache.clear()
             self._standstill_cache.clear()
@@ -474,7 +486,7 @@ class NodeEmulator:
             self._cache_evaluator = self.evaluator
             self._cache_database = self.evaluator.database
             self._cache_database_version = version
-            self._cache_base_point = self.base_point
+            self._cache_conditions = conditions
 
     # -- internal helpers -------------------------------------------------------------
 
@@ -541,25 +553,34 @@ class NodeEmulator:
         for key, ok in zip(keys, builds.tolist()):
             (trusted if ok else exact).add(key)
 
-    def _speed_key_for(self, pattern_key: tuple, speed_kmh: float) -> tuple[object, float, bool]:
+    def _speed_key_for(self, pattern_key: tuple, speed_kmh: float) -> object:
         """The cache speed key of a round in classified (bin, *pattern) group ``pattern_key``.
 
-        Returns ``(speed_key, evaluation_speed, use_bin)``.  A trusted key
-        shares its bin entry, evaluated at the bin center.  Every other
-        round — bin 0, which has no positive representative speed, and the
-        keys whose bin edge or center cannot be built — is keyed on its
-        exact speed, so the cached value stays a pure function of the key
-        either way.  Exact keys are tagged so they can never collide with an
-        int bin key (Python dicts treat 999 and 999.0 as the same key).
+        A trusted key shares its bin entry, evaluated at the bin center.
+        Every other round — bin 0, which has no positive representative
+        speed, and the keys whose bin edge or center cannot be built — is
+        keyed on its exact speed, so the cached value stays a pure function
+        of the key either way.  Exact keys are tagged so they can never
+        collide with an int bin key (Python dicts treat 999 and 999.0 as the
+        same key).
         """
-        bin_index = pattern_key[0]
         if pattern_key in self._trusted_speed_keys:
-            return bin_index, speed_bin_center_kmh(bin_index), True
-        return ("exact", speed_kmh), speed_kmh, False
+            return pattern_key[0]
+        return ("exact", speed_kmh)
 
-    def _store_energy(
-        self, key: tuple, value: tuple[float, tuple[tuple[str, float, float], ...]]
-    ) -> None:
+    @staticmethod
+    def _evaluation_point(key: tuple) -> tuple[float, float, tuple]:
+        """The ``(speed, temperature, pattern)`` a revolution-energy cache key is evaluated at.
+
+        The bin center or the exact speed, the temperature bin's center and
+        the phase pattern: every value a key caches, swept or per-miss, and
+        every trace phase list, is the kernel at this point.
+        """
+        speed_key = key[0]
+        speed = speed_key[1] if isinstance(speed_key, tuple) else speed_bin_center_kmh(speed_key)
+        return speed, temperature_bin_center_c(key[1]), key[2:]
+
+    def _store_energy(self, key: tuple, value: float) -> None:
         """Insert one revolution-energy cache entry, honouring the size cap."""
         if len(self._energy_cache) >= _MAX_ENERGY_CACHE_ENTRIES:
             # Exact-keyed entries from continuously varying boundary speeds
@@ -568,10 +589,8 @@ class NodeEmulator:
             self._energy_cache.clear()
         self._energy_cache[key] = value
 
-    def _revolution_energy(
-        self, unit: WheelRound, temperature_c: float
-    ) -> tuple[float, tuple[tuple[str, float, float], ...]]:
-        """Energy of one revolution plus its per-phase (label, duration, power) list.
+    def _revolution_energy(self, unit: WheelRound, temperature_c: float) -> float:
+        """Energy of one revolution.
 
         Cached on quantized speed/temperature and on the conditional-phase
         pattern of the revolution index, because those five values fully
@@ -581,8 +600,7 @@ class NodeEmulator:
         temp_bin = self._temperature_bin(temperature_c)
         pattern_key = (speed_bin(unit.speed_kmh), *pattern)
         self._classify_speed_keys([pattern_key])
-        speed_key, speed, _use_bin = self._speed_key_for(pattern_key, unit.speed_kmh)
-        key = (speed_key, temp_bin, *pattern)
+        key = (self._speed_key_for(pattern_key, unit.speed_kmh), temp_bin, *pattern)
         cached = self._energy_cache.get(key)
         if cached is not None:
             return cached
@@ -592,70 +610,63 @@ class NodeEmulator:
         # depend on which conditions inside the bin an earlier run saw first,
         # even though the cache persists across emulate() runs.  A speed
         # whose schedule cannot be built raises here.
-        table = self.node.schedule_table([speed], [pattern])
-        value = self._evaluate_table(
-            table, np.array([temperature_bin_center_c(temp_bin)]), [key]
-        )[key]
+        points = [self._evaluation_point(key)]
+        value = float(self._evaluate_table(self._table_of(points), points)[0][0])
         self._store_energy(key, value)
         return value
 
-    def _evaluate_table(
-        self, table: ScheduleTable, temperatures_c: np.ndarray, keys: list
-    ) -> dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]]:
-        """``key -> (energy, per-phase list)`` of the points of ``table``.
+    def _evaluate_table(self, table: ScheduleTable, points: list, include_phases: bool = False):
+        """The kernel's ``(energies, phase lists)`` at ``(speed, temperature, pattern)`` points.
 
-        One :meth:`EnergyEvaluator._schedule_energy_batch` call at the
-        table's speeds and ``temperatures_c`` under the base point's supply
-        and process conditions; raises the first infeasible point's error.
+        One :meth:`EnergyEvaluator._schedule_energy_batch` call over
+        ``table`` (the points' schedule table) at the points' temperatures
+        under the base point's supply and process conditions; raises the
+        first infeasible point's error.  The kernel is elementwise, so a
+        point's values do not depend on the other points of the call.
         """
         batch = BatchConditions.from_arrays(
-            table.speeds_kmh, temperatures_c, base_point=self.base_point
+            table.speeds_kmh, np.array([point[1] for point in points]), base_point=self.base_point
         )
-        energies, phase_lists = self.evaluator._schedule_energy_batch(
-            batch, table, include_phases=True
-        )
-        return {
-            key: (energy, phase_lists[position])
-            for position, (key, energy) in enumerate(zip(keys, energies.tolist()))
-        }
+        return self.evaluator._schedule_energy_batch(batch, table, include_phases=include_phases)
 
     def evaluate_energy_bins(
         self, pending: Mapping[tuple, tuple[float, float, tuple[bool, bool, bool]]]
-    ) -> dict[tuple, tuple[float, tuple[tuple[str, float, float], ...]]]:
+    ) -> dict[tuple, float]:
         """Evaluate quantized bins in ONE vectorized batch call.
 
         ``pending`` maps cache keys to ``(evaluation speed, evaluation
         temperature degC, phase pattern)``; the return value maps each key
-        to the ``(energy, per-phase list)`` entry the per-miss path would
-        have cached.  The timing of every bin comes from one
-        :meth:`SensorNode.schedule_table` call, which also decides
-        feasibility: keys whose schedule cannot be built (an unsustainable
-        exact speed) are left out of the result, and :meth:`_scan_ledger`
-        raises such a round's error when the node reaches it while active.
-        The batch kernel accumulates in the scalar operation order, so the
-        values are bitwise identical to per-miss evaluations — which is what
-        lets :meth:`_resolve_rounds` evaluate the *union* of bins over every
-        run it resolves, one emulation or a whole fleet population, in one
-        call.
+        to the energy the per-miss path would have cached.  The sweep is
+        energy-only: no phase list is built (a trace builds its own).  The
+        timing of every bin comes from one :meth:`SensorNode.schedule_table`
+        call, which also decides feasibility: keys whose schedule cannot be
+        built (an unsustainable exact speed) are left out of the result, and
+        :meth:`_scan_ledger` raises such a round's error when the node
+        reaches it while active.  The batch kernel accumulates in the scalar
+        operation order, so the values are bitwise identical to per-miss
+        evaluations — which is what lets :meth:`_resolve_rounds` evaluate the
+        *union* of bins over every run it resolves, one emulation or a whole
+        fleet population, in one call.
         """
         if not pending:
             return {}
         keys = list(pending)
-        values = list(pending.values())
-        table = self._table_of(values)
+        points = list(pending.values())
+        table = self._table_of(points)
         if not table.feasible.all():
             # Rare (a key at the node's feasibility limit): leave out the
             # keys whose schedule cannot be built and sweep the others.
             keep = table.feasible.tolist()
             keys = [key for key, ok in zip(keys, keep) if ok]
-            values = [value for value, ok in zip(values, keep) if ok]
-            table = self._table_of(values)
-        return self._evaluate_table(table, np.array([value[1] for value in values]), keys)
+            points = [point for point, ok in zip(points, keep) if ok]
+            table = self._table_of(points)
+        energies, _phases = self._evaluate_table(table, points)
+        return dict(zip(keys, energies.tolist()))
 
-    def _table_of(self, values: list) -> ScheduleTable:
-        """The schedule table of ``(speed, temperature, pattern)`` pending values."""
+    def _table_of(self, points: list) -> ScheduleTable:
+        """The schedule table of ``(speed, temperature, pattern)`` points."""
         return self.node.schedule_table(
-            [value[0] for value in values], [value[2] for value in values]
+            [point[0] for point in points], [point[2] for point in points]
         )
 
     def _record_trace_revolution(
@@ -727,49 +738,44 @@ class NodeEmulator:
     def plan_temperatures(self, plan: CyclePlan, thermal_model: TyreThermalModel) -> np.ndarray:
         """Per-unit temperatures of one thermal run over ``plan``.
 
-        The model is advanced unit by unit from its current state — the
-        trajectory a per-revolution loop produces — and left at its
-        end-of-cycle state.
+        One :meth:`TyreThermalModel.advance_many` replay over the plan's
+        durations and speeds (in m/s, ``speed / 3.6`` as a per-unit loop
+        converts them), from the model's current state: bitwise the
+        trajectory a per-revolution ``advance`` loop produces, and the model
+        is left at its end-of-cycle state.
         """
-        temps = np.empty(len(plan))
-        advance = thermal_model.advance
-        for i, (duration, speed) in enumerate(zip(plan.durations.tolist(), plan.speeds)):
-            temps[i] = advance(duration, speed / 3.6)
-        return temps
+        return thermal_model.advance_many(plan.durations, plan.speeds / 3.6)
 
     def speed_slots(self, plan: CyclePlan) -> tuple[list, np.ndarray]:
         """Resolve the cache speed key of every wheel round of ``plan``.
 
-        The (speed bin, pattern) groups the plan precomputed are classified
-        by one :meth:`_classify_speed_keys` call (none on a warm run), then
-        :meth:`_speed_key_for` runs once per group.  Groups sharing their
-        bin entry become one slot; groups keyed on the exact speed
-        (straddling bins, infeasible centers) get one slot per distinct
-        exact speed.  Returns ``(slots, round_slot)``: the ``(speed key,
-        pattern, evaluation speed, unit)`` entries and each round's index
-        into them.  A key's class depends only on the key and the sets only
-        grow, so a plan's slots never change once its groups are classified;
-        :meth:`emulate` memoizes them inside its isothermal resolutions, and
-        thermal runs and the fleet resolve them per run.
+        The plan's (speed bin, pattern) groups must be classified
+        (:meth:`_classify_speed_keys`; :meth:`_resolve_rounds` classifies
+        the groups of all its plans in one call).  Trusted groups share
+        their bin entry: each becomes one slot.  Groups keyed on the exact
+        speed (straddling bins, infeasible centers) get one slot per
+        distinct exact speed.  Returns ``(slots, round_slot)``: the ``(speed
+        key, pattern)`` slots and each round's index into them.  A key's
+        class depends only on the key and the sets only grow, so a plan's
+        slots never change once its groups are classified; :meth:`emulate`
+        memoizes them inside its isothermal resolutions, and thermal runs
+        and the fleet resolve them per run.
         """
-        groups = plan.groups
-        self._classify_speed_keys([key for key, _speed, _unit in groups])
+        groups, trusted = plan.groups, self._trusted_speed_keys
         slots: list[tuple] = []
-        group_slot = np.empty(len(groups), dtype=np.intp)
-        for group, (key, speed, unit) in enumerate(groups):
-            speed_key, eval_speed, use_bin = self._speed_key_for(key, speed)
-            group_slot[group] = len(slots) if use_bin else -1
-            if use_bin:
-                slots.append((speed_key, key[1:], eval_speed, unit))
+        group_slot = np.full(len(groups), -1, dtype=np.intp)
+        for group, (key, _speed, _unit) in enumerate(groups):
+            if key in trusted:
+                group_slot[group] = len(slots)
+                slots.append((key[0], key[1:]))
         round_slot = group_slot[plan.round_groups]
         exact_slots: dict[tuple, int] = {}
         for position in np.flatnonzero(round_slot < 0).tolist():
-            unit = int(plan.round_indices[position])
-            speed = float(plan.speeds[unit])
+            speed = float(plan.speeds[plan.round_indices[position]])
             pattern = groups[plan.round_groups[position]][0][1:]
             slot = exact_slots.setdefault((speed, pattern), len(slots))
             if slot == len(slots):
-                slots.append((("exact", speed), pattern, speed, unit))
+                slots.append((("exact", speed), pattern))
             round_slot[position] = slot
         return slots, round_slot
 
@@ -777,39 +783,45 @@ class NodeEmulator:
         """Resolve the demand side of ``(plan, temperature, thermal model)`` runs.
 
         One :class:`RoundResolution` per request: a thermal model is advanced
-        from its current state over the plan, and without one the run is
-        isothermal at ``temperature``.  :meth:`speed_slots` runs once per
-        distinct plan; an isothermal request keys every slot on its one
-        temperature bin, a thermal one keys its rounds through
-        :func:`~repro.core.cycle_plan.energy_keys`.  The distinct keys of all
-        requests missing from ``bins`` are evaluated by ONE
-        :meth:`evaluate_energy_bins` call, and each swept entry is handed to
-        ``store``.  Bin keys always build (bin centers that cannot were
-        re-keyed when classified), so a key left out of the sweep is an
-        exact speed whose schedule cannot be built: its rounds stay
-        unresolved and draw 0, and :meth:`_scan_ledger` raises if the node
-        reaches one while active.
+        from its current state over the plan (:meth:`plan_temperatures`),
+        and without one the run is isothermal at ``temperature``.  The groups
+        of every distinct plan are classified in one
+        :meth:`_classify_speed_keys` call and :meth:`speed_slots` runs once
+        per plan; slots equal across plans are one slot.  Each (slot,
+        temperature bin) entry — a thermal request's rounds up to ``end``,
+        an isothermal one's slots at its one bin — is numbered as an int64
+        code, all requests in one
+        :func:`~repro.core.cycle_plan.first_appearance_unique`, and a cache
+        key tuple is built per distinct code only.  The keys missing from ``bins`` are
+        evaluated by ONE :meth:`evaluate_energy_bins` call, and each swept
+        energy is handed to ``store``.  Bin keys always build (bin centers
+        that cannot were re-keyed when classified), so a key left out of the
+        sweep is an exact speed whose schedule cannot be built: its rounds
+        stay unresolved and draw 0, and :meth:`_scan_ledger` raises if the
+        node reaches one while active.
         """
         low, high = TEMPERATURE_RANGE_C
-        slots_of: dict[int, tuple] = {}
-        numbers: dict = {}  # every distinct key of the requests -> its position
-        values: list = []  # per position: the cached entry, or None
-        pending: dict = {}  # the keys to sweep -> their evaluation points
-        staged = []
+        plans = {id(plan): plan for plan, _temperature, _model in requests}
+        self._classify_speed_keys([key for plan in plans.values() for key, _s, _u in plan.groups])
+        slot_numbers: dict[tuple, int] = {}  # distinct slot -> its number in this call
+        plan_slots = {}
+        for plan_id, plan in plans.items():
+            slots, round_slot = self.speed_slots(plan)
+            numbers = [slot_numbers.setdefault(slot, len(slot_numbers)) for slot in slots]
+            plan_slots[plan_id] = (np.array(numbers, dtype=np.int64), round_slot)
+        # A request's (slot, temperature bin) entries: a thermal run has one
+        # per round up to ``end``; an isothermal run, the one-bin case, has
+        # one per slot of its plan, which its rounds index by their slot.
+        staged, slot_codes, bin_codes = [], [], []
         for plan, temperature, thermal_model in requests:
-            if id(plan) not in slots_of:
-                slots_of[id(plan)] = self.speed_slots(plan)
-            slots, round_slot = slots_of[id(plan)]
+            numbers, round_slot = plan_slots[id(plan)]
             if thermal_model is None:
                 temps = float(temperature)
                 end = len(plan) if low <= temps <= high else 0
                 sleep = self._standstill_power(temps) if end else 0.0
-                # Every round keys on the one temperature bin (none does when
-                # ``end`` is 0), so the keys are the slots'.
-                temp_bin = temperature_bin(temps) if end else 0
-                keys = [(slot[0], temp_bin, *slot[1]) for slot in slots] if end else []
-                key_slots = range(len(keys))
-                inverse = round_slot if end else round_slot[:0]
+                entry_slot = numbers if end else numbers[:0]
+                entry_bin = np.full(len(entry_slot), temperature_bin(temps) if end else 0)
+                round_entry = round_slot if end else round_slot[:0]
             else:
                 temps = self.plan_temperatures(plan, thermal_model)
                 in_range = (temps >= low) & (temps <= high)
@@ -821,55 +833,55 @@ class NodeEmulator:
                     [self._standstill_power(temperature_bin_center_c(int(b))) for b in temp_bins]
                 )[unit_bin]
                 rounds = plan.round_indices[: np.searchsorted(plan.round_indices, end)]
-                keys, key_slots, inverse = energy_keys(
-                    slots, round_slot[: len(rounds)], temperature_bins(temps[rounds])
-                )
-            # Number the keys in first-appearance order; each round indexes
-            # its key's number through ``inverse``.
-            first = len(numbers)
-            key_numbers = np.array([numbers.setdefault(k, len(numbers)) for k in keys], np.intp)
-            # A key new to this call is looked up now, before ``store`` can
-            # clear a capped cache; a miss is swept at its slot's evaluation
-            # speed and pattern and its temperature bin's center.
-            for position in np.flatnonzero(key_numbers >= first).tolist():
-                key = keys[position]
-                values.append(bins.get(key))
-                if values[-1] is None:
-                    _speed_key, pattern, speed = slots[key_slots[position]][:3]
-                    pending[key] = (speed, temperature_bin_center_c(key[1]), pattern)
-            staged.append((plan, temps, end, sleep, key_numbers, inverse))
+                entry_slot = numbers[round_slot[: len(rounds)]]
+                entry_bin = temperature_bins(temps[rounds])
+                round_entry = None
+            slot_codes.append(entry_slot)
+            bin_codes.append(entry_bin.astype(np.int64))
+            staged.append((plan, temps, end, sleep, len(entry_slot), round_entry))
 
-        if pending:  # a warm run sweeps nothing
-            for key, value in self.evaluate_energy_bins(pending).items():
-                values[numbers[key]] = value
-                store(key, value)
-        energies = np.array([value[0] if value else 0.0 for value in values])
+        # Number every entry's (slot, temperature bin) pair across requests.
+        entry_slot, entry_bin = np.concatenate(slot_codes), np.concatenate(bin_codes)
+        first_bin = int(entry_bin.min()) if entry_bin.size else 0
+        width = int(entry_bin.max()) - first_bin + 1 if entry_bin.size else 1
+        codes, _first, inverse = first_appearance_unique(entry_slot * width + entry_bin - first_bin)
+        slots = list(slot_numbers)
+        keys = []
+        for slot, offset in zip(*(part.tolist() for part in np.divmod(codes, width))):
+            speed_key, pattern = slots[slot]
+            keys.append((speed_key, offset + first_bin, *pattern))
+        # Looked up before ``store`` can clear a capped cache; a miss is
+        # swept at its key's evaluation point.
+        values = [bins.get(key) for key in keys]
+        missing = [position for position, value in enumerate(values) if value is None]
+        if missing:  # a warm run sweeps nothing
+            swept = self.evaluate_energy_bins(
+                {keys[i]: self._evaluation_point(keys[i]) for i in missing}
+            )
+            for position in missing:
+                value = values[position] = swept.get(keys[position])
+                if value is not None:
+                    store(keys[position], value)
         resolved = np.array([value is not None for value in values], dtype=bool)
+        # Unresolved rounds (index -1) read the trailing 0.0: the first one
+        # the node reaches while active raises in the scan, so that load is
+        # never drawn.
+        energies = np.array([0.0 if value is None else value for value in values] + [0.0])
+        keys, values = tuple(keys), tuple(values)
         resolutions = []
-        # A value index counts in its request's own keys, so the isothermal
-        # requests of one plan (sharing ``inverse``, the plan's round slots)
-        # share one value index when every key resolved.
-        shared: dict[int, np.ndarray] = {}
-        for plan, temps, end, sleep, key_numbers, inverse in staged:
-            rounds = plan.round_indices
-            key_resolved = resolved[key_numbers]
-            checked = end < len(plan) or not key_resolved.all()
-            value_index = None if checked else shared.get(id(inverse))
-            if value_index is None:
-                value_index = np.full(len(plan), -1, dtype=np.intp)
-                value_index[rounds[: len(inverse)]] = np.where(key_resolved[inverse], inverse, -1)
-                value_index.setflags(write=False)
-                if not checked:
-                    shared[id(inverse)] = value_index
-            # Unresolved rounds (index -1) read the trailing 0.0: the first
-            # one the node reaches while active raises in the scan, so that
-            # load is never drawn.
-            round_energies = np.append(energies[key_numbers], 0.0)[value_index[rounds]]
-            load = unit_load(self.node.pmu, plan, round_energies, sleep)
+        for plan, temps, end, sleep, count, round_entry in staged:
+            key_index, inverse = inverse[:count], inverse[count:]
+            if round_entry is not None:
+                key_index = key_index[round_entry]
+            key_index = np.where(resolved[key_index], key_index, -1)
+            checked = end < len(plan) or bool((key_index < 0).any())
+            value_index = np.full(len(plan), -1, dtype=np.intp)
+            value_index[plan.round_indices[: len(key_index)]] = key_index
+            value_index.setflags(write=False)
+            load = unit_load(self.node.pmu, plan, energies[value_index[plan.round_indices]], sleep)
             load.setflags(write=False)
-            request_values = tuple(map(values.__getitem__, key_numbers.tolist()))
             resolutions.append(
-                RoundResolution(plan, temps, end, request_values, value_index, sleep, load, checked)
+                RoundResolution(plan, temps, end, keys, values, value_index, sleep, load, checked)
             )
         return resolutions
 
@@ -1037,21 +1049,30 @@ class NodeEmulator:
         """Reconstruct the instant-power trace from the integration arrays.
 
         Entry for entry what the per-revolution loop recorded: successful
-        rounds play their cached phase list, rounds the node slept through
+        rounds play their key's phase list, rounds the node slept through
         are "inactive", brown-out rounds record nothing, and idle units
         record the standstill floor (or "inactive" once the node is down).
+        Sweeps keep energies only, so the phase lists of the distinct keys
+        the window's successful rounds play are built here, in ONE
+        ``_schedule_energy_batch(include_phases=True)`` call at each key's
+        evaluation point (:meth:`_evaluation_point`): the kernel is
+        elementwise, so they are bitwise the lists the sweep would have made.
         """
         window_start, window_end = trace_window
-        plan, values, value_index = resolution.plan, resolution.values, resolution.value_index
+        plan, value_index = resolution.plan, resolution.value_index
         sleep_power = np.broadcast_to(resolution.sleep_power, plan.durations.shape)
-        in_window = (plan.starts < window_end) & (plan.ends > window_start)
-        for i in np.flatnonzero(in_window).tolist():
+        in_window = np.flatnonzero((plan.starts < window_end) & (plan.ends > window_start))
+        played = np.unique(value_index[in_window][traj.withdrew[in_window]])
+        played = played[played >= 0].tolist()  # idle units withdraw too
+        points = [self._evaluation_point(resolution.keys[k]) for k in played]
+        phases_of = dict(zip(played, self._evaluate_table(self._table_of(points), points, True)[1]))
+        for i in in_window.tolist():
             start_s = float(plan.starts[i])
             duration = float(plan.durations[i])
             if plan.is_round[i]:
                 withdrew = bool(traj.withdrew[i])
                 if withdrew or not traj.attempted[i]:
-                    phases = values[value_index[i]][1] if withdrew else ()
+                    phases = phases_of[value_index[i]] if withdrew else ()
                     self._record_trace_revolution(
                         trace, start_s, duration, phases, withdrew, float(sleep_power[i])
                     )

@@ -15,14 +15,16 @@ emulator's own question once per cohort instead:
   fleets (``FleetSpec.thermal``) add the quantized ambient as a third
   cohort axis: the in-tyre
   :class:`~repro.conditions.temperature.TyreThermalModel` is replayed once
-  per (cycle, speed-scale, ambient-bin) cohort over its walk — ambients are
-  snapped to the shared :func:`~repro.core.quantize.ambient_bin` centers at
-  materialization — so the shared path survives thermally realistic
-  populations.
+  per (cycle, speed-scale, ambient-bin) cohort over its walk by one
+  :meth:`~repro.conditions.temperature.TyreThermalModel.advance_many` call —
+  ambients are snapped to the shared :func:`~repro.core.quantize.ambient_bin`
+  centers at materialization — so the shared path survives thermally
+  realistic populations.
 * **One resolution** — each isothermal (cohort, temperature bin) and each
   thermal cohort is one request to the emulator's own
   :meth:`~repro.core.emulator.NodeEmulator._resolve_rounds`, the step
-  ``emulate()`` takes, and all of them are resolved in ONE call: its single
+  ``emulate()`` takes, and all of them are resolved in ONE call: its keys
+  are numbered as integers over all requests, and its single energy-only
   :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` sweep
   covers the union of the population's (speed, temperature, phase-pattern)
   bins, and the batch kernel is bitwise-identical to the per-miss path, so

@@ -196,18 +196,44 @@ class TestPrefillMechanics:
     def test_base_point_change_invalidates_the_scan_memo(
         self, node, database, scavenger, monkeypatch
     ):
+        """Only a supply or process change clears the caches and the plan memo.
+
+        Every evaluation overrides the base point's speed and temperature,
+        and the keys carry the temperature bin, so a temperature change
+        walks nothing and still gives the reference's bytes.
+        """
         from repro.conditions.operating_point import OperatingPoint
+        from repro.conditions.process import ProcessCorner, ProcessVariation
+        from repro.conditions.supply import CORE_RAIL, SupplyCondition
 
         builds = _count_calls(monkeypatch, "materialize_cycle")
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         cycle = _hour_cycle()
         emulator.emulate(cycle)
-        emulator.base_point = OperatingPoint(temperature_c=40.0)
-        moved = emulator.emulate(cycle)  # _ensure_caches_fresh clears the memo
-        assert len(builds) == 2
-        warmer = OperatingPoint(temperature_c=40.0)
-        fresh = NodeEmulator(node, database, scavenger, supercapacitor(), base_point=warmer)
-        assert moved == naive_emulate(fresh, cycle)
+        for temperature in (40.0, 25.0, 40.0):
+            emulator.base_point = OperatingPoint(temperature_c=temperature)
+            moved = emulator.emulate(cycle)
+            point = OperatingPoint(temperature_c=temperature)
+            fresh = NodeEmulator(node, database, scavenger, supercapacitor(), base_point=point)
+            _assert_byte_identical(moved, naive_emulate(fresh, cycle))
+        assert len(builds) == 1, "a temperature change re-walked the cycle"
+        low_supply = SupplyCondition(rail=CORE_RAIL, corner="min")
+        fast = ProcessVariation(corner=ProcessCorner.FAST)
+        # First the supply alone changes, then the process alone.
+        for changed in (
+            OperatingPoint(40.0, supply=low_supply),
+            OperatingPoint(40.0, supply=low_supply, process=fast),
+        ):
+            assert emulator._energy_cache and emulator._plans and emulator._trusted_speed_keys
+            emulator.base_point = changed
+            emulator._ensure_caches_fresh()
+            assert not emulator._energy_cache and not emulator._standstill_cache
+            assert not emulator._plans and not emulator._trusted_speed_keys
+            builds.clear()
+            moved = emulator.emulate(cycle)
+            assert len(builds) == 1
+            fresh = NodeEmulator(node, database, scavenger, supercapacitor(), base_point=changed)
+            _assert_byte_identical(moved, naive_emulate(fresh, cycle))
 
     def test_prefill_resets_the_thermal_model(self, node, database, scavenger):
         """Planning leaves the thermal model alone; a run ends where the reference ends."""
@@ -256,7 +282,7 @@ class TestPrefillMechanics:
         assert str(planned.value) == str(reference.value)
 
     def test_prefill_entries_match_miss_entries(self, node, database, scavenger):
-        """Swept values must be bitwise what the miss path computes."""
+        """Swept energies must be bitwise what the miss path computes."""
         cycle = _hour_cycle()
         planned = _thermal_emulator(node, database, scavenger)
         planned.emulate(cycle)
@@ -265,7 +291,9 @@ class TestPrefillMechanics:
         shared = set(planned._energy_cache) & set(scalar._energy_cache)
         assert shared, "no common cache keys between the sweep and miss paths"
         for key in shared:
-            assert planned._energy_cache[key] == scalar._energy_cache[key], key
+            swept, missed = planned._energy_cache[key], scalar._energy_cache[key]
+            assert type(swept) is type(missed) is float, key
+            assert swept.hex() == missed.hex(), key
 
     def test_infeasible_bin_center_matches_reference(
         self, pocket_node, database, scavenger, monkeypatch
@@ -310,6 +338,79 @@ class TestPrefillMechanics:
             naive_emulate(_thermal_emulator(node, database, scavenger, **hot), cycle)
         assert str(planned.value) == str(reference.value)
 
+
+_IDLE_LABELS = ("sleep", "standstill", "inactive")
+
+
+def _assert_same_trace(ours, theirs) -> None:
+    """Entry for entry, bitwise: start, duration and power bytes, then labels."""
+    for column in ("_starts", "_durations", "_powers"):
+        mine, reference = (np.array(getattr(t, column), dtype=float) for t in (ours, theirs))
+        assert mine.tobytes() == reference.tobytes(), column
+    assert ours._labels == theirs._labels
+
+
+class TestTracePhasesOnDemand:
+    """Sweeps cache energies only; a trace builds its rounds' phase lists.
+
+    The phases of the distinct keys a window plays come from one kernel
+    call at the keys' evaluation points, so the trace must equal the
+    reference's entry for entry, whatever the caches hold.
+    """
+
+    @staticmethod
+    def _traced(emulator, reference, cycle, window) -> EmulationResult:
+        ours = emulator.emulate(cycle, trace_window=window)
+        theirs = naive_emulate(reference, cycle, trace_window=window)
+        phases = [label for label in ours.trace._labels if label not in _IDLE_LABELS]
+        assert phases, "the window plays no round's phases"
+        _assert_same_trace(ours.trace, theirs.trace)
+        _assert_byte_identical(ours, theirs)
+        assert all(type(energy) is float for energy in emulator._energy_cache.values())
+        return ours
+
+    @pytest.mark.parametrize("thermal", [False, True])
+    def test_cold(self, node, database, scavenger, thermal):
+        def build() -> NodeEmulator:
+            if thermal:
+                return _thermal_emulator(node, database, scavenger)
+            return NodeEmulator(node, database, scavenger, supercapacitor(initial_fraction=0.3))
+
+        self._traced(build(), build(), urban_cycle(repetitions=1), (10.0, 40.0))
+
+    def test_warm_resolution_memo_hit(self, node, database, scavenger, monkeypatch):
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        emulator.emulate(cycle)
+        resolves = _count_calls(monkeypatch, "_resolve_rounds")
+        reference = NodeEmulator(node, database, scavenger, supercapacitor())
+        self._traced(emulator, reference, cycle, (10.0, 40.0))
+        assert resolves == [], "the traced warm run resolved again"
+
+    @pytest.mark.parametrize(
+        "fixture, speed",
+        [
+            ("limited_node", 128.7),  # the bin edge cannot be built
+            ("pocket_node", 102.4),  # the bin center cannot be built
+        ],
+    )
+    def test_exact_speed_keys(self, request, database, scavenger, fixture, speed):
+        node = request.getfixturevalue(fixture)
+        cycle = constant_cruise(speed, duration_s=10.0)  # no NVM-writing round yet
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        reference = NodeEmulator(node, database, scavenger, supercapacitor())
+        self._traced(emulator, reference, cycle, (2.0, 8.0))
+        assert any(key[0] == ("exact", speed) for key in emulator._energy_cache)
+
+    def test_after_energy_cache_overflow(self, node, database, scavenger, monkeypatch):
+        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
+        cycle = _hour_cycle()
+        emulator = _thermal_emulator(node, database, scavenger)
+        emulator.emulate(cycle)
+        assert len(emulator._energy_cache) <= 8
+        reference = _thermal_emulator(node, database, scavenger)
+        self._traced(emulator, reference, cycle, (100.0, 160.0))
+        assert len(emulator._energy_cache) <= 8
 
 _RAMP = st.builds(
     DriveCyclePhase,

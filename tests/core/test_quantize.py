@@ -121,11 +121,12 @@ class TestEmulatorBinSharing:
         ]
         for unit in rounds:
             cold._revolution_energy(unit, temperature)
-        # Every entry the per-miss path produced must equal the swept one
+        # Every energy the per-miss path produced must equal the swept one
         # bit for bit, and the sweep must cover exactly those keys.
         assert set(cold._energy_cache) == set(entries)
         for key, value in entries.items():
-            assert cold._energy_cache[key] == value
+            assert type(value) is type(cold._energy_cache[key]) is float, key
+            assert cold._energy_cache[key].hex() == value.hex(), key
         assert result.revolutions == len(rounds)
 
     def test_evaluate_empty_pending(self, emulators):

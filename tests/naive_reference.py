@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.quantize import speed_bin, speed_bin_center_kmh, temperature_bin_center_c
 from repro.core.trace import PowerTrace
 from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
 from repro.vehicle.drive_cycle import DriveCycle
@@ -31,7 +32,9 @@ def naive_emulate(
     model, evaluates each active round's energy on a cache miss
     (``_revolution_energy``), and steps the emulator's own storage element
     through deposit / withdraw / leak with the restart hysteresis.  The
-    totals use the same numpy reductions as ``emulate()``.
+    totals use the same numpy reductions as ``emulate()``.  A traced round
+    plays the phase list of the width-1 kernel (``schedule_energy_compiled``
+    on the scalar schedule) at its cache key's evaluation point.
     """
     storage = emulator.storage
     storage.reset()
@@ -73,7 +76,7 @@ def naive_emulate(
         if active:
             attempted = True
             if moving:
-                energy, phases = emulator._revolution_energy(unit, temperature)
+                energy = emulator._revolution_energy(unit, temperature)
                 load = pmu.referred_to_storage(energy)
             else:
                 load = pmu.referred_to_storage(sleep_power * duration)
@@ -90,6 +93,8 @@ def naive_emulate(
         withdrew.append(success)
         if trace is not None and unit.start_s < trace_window[1] and unit.end_s > trace_window[0]:
             if moving and (success or not attempted):
+                if success:
+                    phases = _key_phases(emulator, unit, temperature)
                 emulator._record_trace_revolution(
                     trace, unit.start_s, unit.period_s, phases, success, sleep_power
                 )
@@ -119,3 +124,20 @@ def naive_emulate(
     if trace is not None:
         result.trace = trace.windowed(*trace_window) if not trace.is_empty else trace
     return result
+
+
+def _key_phases(emulator: NodeEmulator, unit: WheelRound, temperature: float) -> tuple:
+    """The phase list of ``unit``'s cache key, at the key's evaluation point.
+
+    The bin center of a trusted (speed bin, pattern) key, else the exact
+    speed; the temperature bin's center; the round's pattern.
+    """
+    pattern = emulator.node.phase_pattern(unit.index)
+    pattern_key = (speed_bin(unit.speed_kmh), *pattern)
+    trusted = pattern_key in emulator._trusted_speed_keys
+    speed = speed_bin_center_kmh(pattern_key[0]) if trusted else unit.speed_kmh
+    point = emulator._operating_point(
+        speed, temperature_bin_center_c(emulator._temperature_bin(temperature))
+    )
+    schedule = emulator.node.schedule_for_pattern(speed, *pattern)
+    return emulator.evaluator.schedule_energy_compiled(schedule, point)[1]
