@@ -329,10 +329,10 @@ class FleetRunner:
         max_chunks: stop after computing this many NEW chunks this run
             (replayed chunks are free); the result is marked partial.
         retries: per-vehicle retry budget for transient worker failures
-            (exceptions and process-worker death).  With ``retries > 0`` the
-            run degrades gracefully — failed vehicles are reported on the
-            result metadata instead of aborting the whole fleet.
-        retry_backoff_s: pause before each retry.
+            (exceptions and process-worker death), the engine's retry policy:
+            with ``retries > 0`` the run degrades gracefully — failed
+            vehicles are reported on the result metadata instead of
+            aborting the whole fleet; with 0 the first failure raises.
         progress: optional engine observer (per-vehicle and per-chunk
             events, see :meth:`~repro.scenario.engine.ChunkedEngine.run_chunks`);
             the serving layer uses it for live job progress.
@@ -357,17 +357,20 @@ class FleetRunner:
         checkpoint: str | None = None,
         max_chunks: int | None = None,
         retries: int = 0,
-        retry_backoff_s: float = 0.05,
         progress=None,
         should_stop=None,
         evaluator_cache=None,
     ) -> None:
         if not isinstance(fleet, FleetSpec):
             raise ConfigError(f"a fleet runner needs a FleetSpec, got {type(fleet).__name__}")
-        if record_interval_s <= 0.0:
-            raise ConfigError("record interval must be positive")
-        if idle_step_s <= 0.0:
-            raise ConfigError("idle step must be positive")
+        for label, value in (("record interval", record_interval_s), ("idle step", idle_step_s)):
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+                or value <= 0.0
+            ):
+                raise ConfigError(f"{label} must be a positive finite number, got {value!r}")
         if evaluator_cache is not None and not callable(
             getattr(evaluator_cache, "get", None)
         ):
@@ -392,15 +395,7 @@ class FleetRunner:
             # without fork the chunks run on threads (rows are identical).
             backend = "thread"
         # Validates workers/backend/retries eagerly (same rules as studies).
-        # Failed vehicles are collected (not raised) whenever a retry budget
-        # is given: a caller asking for degradation wants the partial fleet.
-        self._engine = ChunkedEngine(
-            workers=workers,
-            backend=backend,
-            retries=retries,
-            retry_backoff_s=retry_backoff_s,
-            failure_mode="collect" if retries > 0 else "raise",
-        )
+        self._engine = ChunkedEngine(workers=workers, backend=backend, retries=retries)
         self.evaluator_builds = 0
         self.evaluator_cache_hits = 0
 

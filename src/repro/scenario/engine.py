@@ -1,37 +1,41 @@
-"""Chunked work-item execution engine shared by studies and fleet runs.
+"""Chunked work-item execution engine shared by studies, fleets and served jobs.
 
-Every "run many independent work items" loop in the toolkit used to live
-inside :meth:`repro.scenario.study.Study.run`: scheduling, worker pools,
-per-item timing and row collection were welded to the study grid.  This
-module extracts that machinery into a reusable engine with a streaming
+Every batch of independent work items the toolkit runs (study grid points,
+fleet vehicles, the jobs a server executes) goes through one streaming
 contract::
 
-    work-item iterator  →  chunked thread/process execution  →  row sink
+    work-item iterator  →  sliding window over an executor  →  row sink
 
-* **Work items** come from any iterable; the engine consumes it lazily in
-  chunks, so neither the item list nor the result set ever needs to be
-  materialized wholesale (a million-vehicle fleet streams through a bounded
-  window of in-flight work).
-* **Execution** runs sequentially (``workers=1`` or fewer than two items),
-  on a thread pool, or on a process pool.  The process backend ships each
-  item through a caller-provided *payload* function (something picklable —
-  scenario JSON documents, vehicle parameter tuples) to a module-level
-  *worker* function, using the fork context so user registry registrations
-  reach the workers.
-* **Results** are pushed to a ``sink(index, result)`` callback in input
-  order as the bounded in-flight window advances — never held back until
-  the whole run finishes, and never barriered between chunks (as one item
-  finishes, the next is submitted).  Rows are identical (order, values,
-  key order) to a sequential run whichever backend executes them.
-* **Failure degradation** is bounded and structured: per-item exceptions
-  are retried up to ``retries`` times with a backoff, and a dead worker
-  process (``BrokenProcessPool``) rebuilds the pool and resubmits the
-  in-flight window within the same budget.  Exhausted budgets either raise
-  (``failure_mode="raise"``, the default — the original exception type for
-  item errors, an :class:`~repro.errors.EngineError` naming the in-flight
-  item indices for worker death) or surface as :class:`EngineFailure`
-  records on the report (``failure_mode="collect"``) while the run carries
-  on.
+* **Work items** come from any iterable and are consumed lazily: at most
+  ``WINDOW_PER_WORKER * workers`` items are in flight, so neither the item
+  list nor the result set is ever materialized wholesale (a million-vehicle
+  fleet streams through a bounded window).
+* **One loop.**  :meth:`ChunkedEngine.run` submits items until the window
+  is full, then settles the oldest before submitting the next.  Retry
+  counting, timing, failure records, the sink call and the progress event
+  live in that one settle step; the backend only picks the executor behind
+  the window.  A sequential run (``workers=1``, or fewer than two items on
+  any backend) is a window of one item run inline at submit time, the
+  thread backend is a ``ThreadPoolExecutor``, and the process backend a
+  ``ProcessPoolExecutor`` that receives a caller-provided picklable
+  *payload* per item (scenario JSON documents, vehicle parameter tuples)
+  for a module-level *worker* function.  Its pools use the fork context so
+  user registry registrations reach the workers.
+* **Results** reach ``sink(index, result)`` in input order as the window
+  advances — never held back until the run finishes, never barriered (as
+  one item settles, the next is submitted).  Rows are identical (order,
+  values, key order) to a sequential run whichever backend executes them.
+* **Retry policy.**  Each item gets ``retries`` extra attempts, each after a
+  :data:`RETRY_BACKOFF_S` pause.  With no retry budget the first failure
+  raises: the kernel's own exception, or an
+  :class:`~repro.errors.EngineError` naming the in-flight items when a
+  worker process died.  With a budget, an item that exhausts it becomes an
+  :class:`EngineFailure` on the report (its sink call is skipped) and the
+  run carries on, since a caller who grants retries wants the partial
+  result.  A dead worker process (``BrokenProcessPool``) poisons every
+  in-flight future without naming the item that killed it, so a death
+  charges one attempt to every in-flight item; the pool is then rebuilt
+  and the window resubmitted in order.
 
 Per-item wall times and the executed backend land in the returned
 :class:`EngineReport`, which is how ``StudyResult.metadata`` keeps its
@@ -69,16 +73,19 @@ from repro.errors import ConfigError, EngineError
 #: Backends the engine understands.
 ENGINE_BACKENDS = ("thread", "process")
 
-#: Default number of in-flight items per worker slot.  The sliding window
-#: keeps ``chunk_size * workers`` items submitted at any moment: large
+#: In-flight items per worker slot.  The sliding window keeps
+#: ``WINDOW_PER_WORKER * workers`` items submitted at any moment: large
 #: enough that no worker starves while the window head finishes, small
 #: enough that results stream to the sink promptly and lazily-produced work
 #: items are not all materialized up front.
-DEFAULT_CHUNK_SIZE = 8
+WINDOW_PER_WORKER = 8
 
-#: Failure modes: ``"raise"`` propagates the first exhausted failure,
-#: ``"collect"`` records it on the report and keeps running.
-FAILURE_MODES = ("raise", "collect")
+#: Pause before each retry of an item and before rebuilding a dead process
+#: pool: long enough for a transient resource glitch to clear.
+RETRY_BACKOFF_S = 0.05
+
+#: End-of-input marker of the submission loop.
+_END = object()
 
 
 def process_pool_context():
@@ -151,10 +158,12 @@ class EngineReport:
         item_wall_times_s: per-item wall times, in input order.  For the
             process backend the time is measured inside the worker and
             covers the payload rebuild plus the kernel, mirroring what the
-            in-process path measures.  A failed item's entry covers its
-            final attempt; a replayed item's entry is the journaled time of
-            the original execution.
-        failures: items given up on (``failure_mode="collect"`` only).
+            in-process path measures.  A failed item's entry spans all its
+            attempts (0.0 when worker deaths exhausted it); a replayed
+            item's entry is the journaled time of the original execution.
+        failures: items given up on.  Only a run with a retry budget
+            (``retries > 0``) records any: without one, the first failure
+            raises instead.
         retries: total extra attempts spent across all items.
         pool_rebuilds: process pools rebuilt after a worker death.
         chunks: chunks completed by :meth:`ChunkedEngine.run_chunks`
@@ -181,83 +190,82 @@ class EngineReport:
 
 @dataclass(frozen=True)
 class _FailedItem:
-    """In-band marker a retry wrapper returns when collecting failures."""
+    """In-band marker of an item whose retry budget is exhausted."""
 
     kind: str
     error: str
 
 
-def _run_attempts(call, retries: int, backoff_s: float, collect: bool):
-    """Run ``call`` with a bounded retry budget.
+_WORKER_DEATH = _FailedItem("worker-death", "process worker died while running this item")
 
-    Returns ``(value, elapsed_s, attempts)`` where ``value`` is the result
-    or — when ``collect`` and the budget is exhausted — a :class:`_FailedItem`.
-    In raise mode the final attempt's exception propagates unchanged (so a
-    retry-less engine behaves exactly like the pre-retry engine).  The
-    elapsed time spans all attempts, mirroring what the caller would have
-    waited.
+
+def _run_attempts(function, argument, retries: int):
+    """Run ``function(argument)`` with a bounded retry budget.
+
+    Returns ``(value, elapsed_s, attempts)``.  When every attempt fails,
+    ``value`` is a :class:`_FailedItem` if there was a budget to exhaust;
+    with ``retries == 0`` the exception propagates unchanged.  The elapsed
+    time spans all attempts, mirroring what the caller waited.  Module-level
+    so process workers run it too, timing the item inside the worker.
     """
     started = time.perf_counter()
     attempts = 0
     while True:
         attempts += 1
         try:
-            value = call()
+            value = function(argument)
         except Exception as error:
             if attempts <= retries:
-                if backoff_s > 0.0:
-                    time.sleep(backoff_s)
+                time.sleep(RETRY_BACKOFF_S)
                 continue
-            if collect:
-                failure = _FailedItem(
-                    kind="exception", error=f"{type(error).__name__}: {error}"
-                )
-                return failure, time.perf_counter() - started, attempts
-            raise
+            if not retries:
+                raise
+            failure = _FailedItem("exception", f"{type(error).__name__}: {error}")
+            return failure, time.perf_counter() - started, attempts
         return value, time.perf_counter() - started, attempts
 
 
-def _timed_process_task(task):
-    """Module-level worker wrapper: run one payload, retry and time in-worker."""
-    worker, payload, retries, backoff_s, collect = task
-    return _run_attempts(lambda: worker(payload), retries, backoff_s, collect)
+class _Settled:
+    """A future stand-in that already holds its result."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def result(self):
+        return self.value
 
 
-def _notify_item(progress, items_done: int, failure_count: int) -> None:
-    """Emit one per-item progress event (no-op without an observer)."""
-    if progress is not None:
-        progress({"event": "item", "items_done": items_done, "failures": failure_count})
+class _InlineExecutor:
+    """The sequential executor: each task runs in this thread at submit time."""
+
+    def submit(self, function, *args) -> _Settled:
+        return _Settled(function(*args))
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
 
 
 class ChunkedEngine:
-    """Chunked, order-preserving executor for independent work items.
+    """Windowed, order-preserving executor for independent work items.
 
     Args:
         workers: pool width.  ``None`` or 1 executes sequentially.
         backend: ``"thread"`` (default) or ``"process"`` (see the module
             docstring); ignored — sequential — when fewer than two items or
             workers arrive.
-        chunk_size: in-flight items per worker slot
-            (:data:`DEFAULT_CHUNK_SIZE`); the sliding submission window is
-            ``chunk_size * workers`` items.
         retries: extra attempts per item (and per-item worker deaths
-            survived) before the engine gives up on it.
-        retry_backoff_s: pause before each retry (and before rebuilding a
-            dead process pool).
-        failure_mode: what an exhausted retry budget does — ``"raise"``
-            (default) propagates, ``"collect"`` records an
-            :class:`EngineFailure` on the report and skips the item's sink
-            call.
+            survived).  0 (the default) makes the first failure raise; a
+            positive budget makes an exhausted item an
+            :class:`EngineFailure` on the report while the run carries on.
     """
 
     def __init__(
         self,
         workers: int | None = None,
         backend: str = "thread",
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
         retries: int = 0,
-        retry_backoff_s: float = 0.05,
-        failure_mode: str = "raise",
     ) -> None:
         if workers is None:
             workers = 1
@@ -268,28 +276,11 @@ class ChunkedEngine:
                 f"unknown execution backend {backend!r}; "
                 f"available: {list(ENGINE_BACKENDS)}"
             )
-        if not isinstance(chunk_size, int) or isinstance(chunk_size, bool) or chunk_size < 1:
-            raise ConfigError(f"chunk_size must be a positive integer, got {chunk_size!r}")
         if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
             raise ConfigError(f"retries must be a non-negative integer, got {retries!r}")
-        if (
-            not isinstance(retry_backoff_s, (int, float))
-            or isinstance(retry_backoff_s, bool)
-            or retry_backoff_s < 0.0
-        ):
-            raise ConfigError(
-                f"retry_backoff_s must be a non-negative number, got {retry_backoff_s!r}"
-            )
-        if failure_mode not in FAILURE_MODES:
-            raise ConfigError(
-                f"unknown failure_mode {failure_mode!r}; available: {list(FAILURE_MODES)}"
-            )
         self.workers = workers
         self.backend = backend
-        self.chunk_size = chunk_size
         self.retries = retries
-        self.retry_backoff_s = float(retry_backoff_s)
-        self.failure_mode = failure_mode
 
     # -- single-pass execution ----------------------------------------------
 
@@ -305,13 +296,13 @@ class ChunkedEngine:
         """Execute ``kernel`` over ``items`` and stream results to ``sink``.
 
         Args:
-            items: the work items; consumed lazily, chunk by chunk.
+            items: the work items; consumed lazily as the window advances.
             kernel: in-process item evaluator (sequential and thread
                 backends, and the sequential degradation of the process
                 backend — a single-item "grid" never pays pool start-up).
             sink: called as ``sink(index, result)`` in input order as
-                results complete; failed items (``failure_mode="collect"``)
-                are skipped, their indices recorded on the report.
+                results complete; failed items (with a retry budget) are
+                skipped, their indices recorded on the report.
             process_worker: module-level (picklable) function executing one
                 *payload* in a worker process; required for the process
                 backend.
@@ -335,165 +326,49 @@ class ChunkedEngine:
         # Peek ahead far enough to know whether a pool is worth starting:
         # zero or one items degrade to the sequential path on any backend.
         head = list(itertools.islice(iterator, 2))
-        parallel = self.workers > 1 and len(head) > 1
         iterator = itertools.chain(head, iterator)
+        if self.workers > 1 and len(head) > 1:
+            backend, workers, window = self.backend, self.workers, WINDOW_PER_WORKER * self.workers
+        else:
+            # A window of one: each item settles before the next one runs.
+            backend, workers, window = "sequential", 1, 1
+        function = kernel
+        if backend == "process":
+            function, iterator = process_worker, map(process_payload, iterator)
 
         started = time.perf_counter()
         timings: list[float] = []
         failures: list[EngineFailure] = []
         counters = {"retries": 0, "pool_rebuilds": 0}
-        collect = self.failure_mode == "collect"
-        window = self.chunk_size * self.workers
-        if parallel and self.backend == "process":
-            backend_used = "process"
-            tasks = (
-                (process_worker, process_payload(item), self.retries, self.retry_backoff_s, collect)
-                for item in iterator
-            )
-            items_run = self._drain_process(
-                tasks, window, sink, timings, failures, counters, progress
-            )
-        elif parallel:
-            backend_used = "thread"
-
-            def timed(item):
-                return _run_attempts(
-                    lambda: kernel(item), self.retries, self.retry_backoff_s, collect
-                )
-
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                items_run = self._drain_window(
-                    pool, timed, iterator, window, sink, timings, failures, counters, progress
-                )
-        else:
-            backend_used = "sequential"
-            items_run = 0
-            for item in iterator:
-                value, elapsed, attempts = _run_attempts(
-                    lambda: kernel(item), self.retries, self.retry_backoff_s, collect
-                )
-                counters["retries"] += attempts - 1
-                timings.append(elapsed)
-                if isinstance(value, _FailedItem):
-                    failures.append(
-                        EngineFailure(
-                            index=items_run,
-                            attempts=attempts,
-                            kind=value.kind,
-                            error=value.error,
-                        )
-                    )
-                else:
-                    sink(items_run, value)
-                items_run += 1
-                _notify_item(progress, items_run, len(failures))
-        return EngineReport(
-            backend=backend_used,
-            workers=self.workers if parallel else 1,
-            items=items_run,
-            wall_time_s=time.perf_counter() - started,
-            item_wall_times_s=tuple(timings),
-            failures=tuple(failures),
-            retries=counters["retries"],
-            pool_rebuilds=counters["pool_rebuilds"],
-        )
-
-    def _drain_window(
-        self, pool, task, items, window, sink, timings, failures, counters, progress=None
-    ) -> int:
-        """Sliding-window submission: bounded in-flight, ordered release.
-
-        At most ``window`` futures are submitted at any moment; as the
-        *oldest* completes, its result goes to the sink (preserving input
-        order) and the next item is submitted — no barrier, so a slow item
-        never idles the other workers beyond the window bound.
-        """
-        pending: deque = deque()
-        index = 0
-        for item in items:
-            if len(pending) >= window:
-                index = self._settle(
-                    pending.popleft(), index, sink, timings, failures, counters, progress
-                )
-            pending.append(pool.submit(task, item))
-        while pending:
-            index = self._settle(
-                pending.popleft(), index, sink, timings, failures, counters, progress
-            )
-        return index
-
-    @staticmethod
-    def _settle(future, index, sink, timings, failures, counters, progress=None) -> int:
-        """Release one completed future to the sink (or the failure list)."""
-        value, elapsed, attempts = future.result()
-        counters["retries"] += attempts - 1
-        timings.append(elapsed)
-        if isinstance(value, _FailedItem):
-            failures.append(
-                EngineFailure(index=index, attempts=attempts, kind=value.kind, error=value.error)
-            )
-        else:
-            sink(index, value)
-        _notify_item(progress, index + 1, len(failures))
-        return index + 1
-
-    def _drain_process(
-        self, tasks, window, sink, timings, failures, counters, progress=None
-    ) -> int:
-        """The process-backend drain: the sliding window plus death recovery.
-
-        A dead worker process poisons every in-flight future
-        (``BrokenProcessPool``), with no indication of which item killed it —
-        so a death charges one attempt to *every* pending item, the pool is
-        rebuilt and the window resubmitted in order.  Items whose budget is
-        exhausted either abort the run with an :class:`EngineError` naming
-        the in-flight indices (``failure_mode="raise"``) or become
-        ``"worker-death"`` failures on the report (``"collect"``).
-        """
-        context = process_pool_context()
-        pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=context)
-        # Entries: [item index, task tuple, deaths, future]; future is None
-        # once the entry's budget is exhausted in collect mode.
+        # Entries: [index, argument, worker deaths, future]; the future is
+        # None once worker deaths exhausted the entry's budget.
         pending: deque[list] = deque()
-        iterator = iter(tasks)
         exhausted = False
         submitted = 0
-        index = 0
+        pool = self._executor(backend, workers)
         try:
             while True:
                 while not exhausted and len(pending) < window:
-                    try:
-                        task = next(iterator)
-                    except StopIteration:
+                    argument = next(iterator, _END)
+                    if argument is _END:
                         exhausted = True
                         break
-                    pending.append([submitted, task, 0, pool.submit(_timed_process_task, task)])
+                    future = pool.submit(_run_attempts, function, argument, self.retries)
+                    pending.append([submitted, argument, 0, future])
                     submitted += 1
                 if not pending:
                     break
                 entry = pending[0]
                 if entry[3] is None:
-                    # Budget exhausted by worker deaths (collect mode).
-                    pending.popleft()
-                    timings.append(0.0)
-                    failures.append(
-                        EngineFailure(
-                            index=entry[0],
-                            attempts=entry[2],
-                            kind="worker-death",
-                            error="process worker died while running this item",
-                        )
-                    )
-                    index += 1
-                    _notify_item(progress, index, len(failures))
-                    continue
-                try:
-                    value, elapsed, attempts = entry[3].result()
-                except BrokenProcessPool:
-                    pool = self._recover_dead_pool(pool, pending, counters)
-                    continue
+                    value, elapsed, attempts = _WORKER_DEATH, 0.0, entry[2]
+                else:
+                    try:
+                        value, elapsed, attempts = entry[3].result()
+                    except BrokenProcessPool:
+                        pool = self._recover_dead_pool(pool, pending, function, counters)
+                        continue
+                    counters["retries"] += attempts - 1
                 pending.popleft()
-                counters["retries"] += attempts - 1
                 timings.append(elapsed)
                 if isinstance(value, _FailedItem):
                     failures.append(
@@ -503,39 +378,63 @@ class ChunkedEngine:
                     )
                 else:
                     sink(entry[0], value)
-                index += 1
-                _notify_item(progress, index, len(failures))
+                if progress is not None:
+                    progress(
+                        {"event": "item", "items_done": len(timings), "failures": len(failures)}
+                    )
         finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        return index
+            # Threads still running a kernel finish before run() returns;
+            # a process pool (possibly broken) is abandoned without waiting.
+            pool.shutdown(wait=backend != "process", cancel_futures=True)
+        return EngineReport(
+            backend=backend,
+            workers=workers,
+            items=len(timings),
+            wall_time_s=time.perf_counter() - started,
+            item_wall_times_s=tuple(timings),
+            failures=tuple(failures),
+            retries=counters["retries"],
+            pool_rebuilds=counters["pool_rebuilds"],
+        )
 
-    def _recover_dead_pool(self, pool, pending, counters) -> ProcessPoolExecutor:
-        """Replace a broken pool, charging one death to every in-flight item."""
-        in_flight = sorted(entry[0] for entry in pending if entry[3] is not None)
-        for entry in pending:
-            if entry[3] is not None:
-                entry[2] += 1
-        over_budget = [entry for entry in pending if entry[3] is not None and entry[2] > self.retries]
-        if over_budget and self.failure_mode == "raise":
+    @staticmethod
+    def _executor(backend: str, workers: int):
+        """The executor behind the window of one run."""
+        if backend == "process":
+            return ProcessPoolExecutor(max_workers=workers, mp_context=process_pool_context())
+        if backend == "thread":
+            return ThreadPoolExecutor(max_workers=workers)
+        return _InlineExecutor()
+
+    def _recover_dead_pool(self, pool, pending, worker, counters) -> ProcessPoolExecutor:
+        """Replace a broken pool, charging one death to every in-flight item.
+
+        Without a retry budget the death aborts the run with an
+        :class:`EngineError` naming the in-flight indices.  With one, items
+        still within it are resubmitted in order to the new pool; the rest
+        settle as ``"worker-death"`` failures when they reach the head.
+        """
+        in_flight = [entry for entry in pending if entry[3] is not None]
+        for entry in in_flight:
+            entry[2] += 1
+        if not self.retries:
             raise EngineError(
-                f"process worker died while running item(s) {in_flight} "
+                f"process worker died while running item(s) "
+                f"{[entry[0] for entry in in_flight]} "
                 f"(retry budget {self.retries} exhausted); "
                 "rerun with retries > 0 to rebuild the pool, or resume from a "
                 "checkpoint to keep completed chunks"
             )
         pool.shutdown(wait=False, cancel_futures=True)
-        if self.retry_backoff_s > 0.0:
-            time.sleep(self.retry_backoff_s)
+        time.sleep(RETRY_BACKOFF_S)
         counters["pool_rebuilds"] += 1
         counters["retries"] += len(in_flight)
-        pool = ProcessPoolExecutor(max_workers=self.workers, mp_context=process_pool_context())
-        for entry in pending:
-            if entry[3] is None:
-                continue
+        pool = self._executor("process", self.workers)
+        for entry in in_flight:
             if entry[2] > self.retries:
-                entry[3] = None  # collect mode: surfaced when it reaches the head
+                entry[3] = None
             else:
-                entry[3] = pool.submit(_timed_process_task, entry[1])
+                entry[3] = pool.submit(_run_attempts, worker, entry[1], self.retries)
         return pool
 
     # -- checkpointed chunk execution ---------------------------------------

@@ -300,15 +300,8 @@ class Study:
         """
         if kind not in STUDY_KINDS:
             raise ConfigError(f"unknown analysis kind {kind!r}; available: {list(STUDY_KINDS)}")
-        if workers is None:
-            workers = 1
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
-        if backend not in ("thread", "process"):
-            raise ConfigError(
-                f"unknown study backend {backend!r}; available: ['thread', 'process']"
-            )
-        runner = getattr(self, f"_run_{kind}")
+        # The engine validates workers/backend before any grid point runs.
+        engine = ChunkedEngine(workers=workers, backend=backend)
         builds_before = self.evaluator_builds
         hits_before = self.evaluator_cache_hits
         grid = self.scenarios()
@@ -318,7 +311,8 @@ class Study:
             row: dict[str, object] = {"scenario": spec.name}
             for axis in self.axes:
                 row[axis] = _axis_display(overrides[axis])
-            row.update(runner(spec))
+            node, database, evaluator = self._evaluator_for(spec)
+            row.update(_row_kernel(kind)(spec, node, database, evaluator, self.montecarlo))
             return row
 
         def payload(item: tuple[dict[str, object], ScenarioSpec]):
@@ -335,7 +329,6 @@ class Study:
         # streamed rows (grid points sharing an evaluator warm each other's
         # caches — the lock-protected cache needs no other coordination).
         rows: list[dict[str, object]] = []
-        engine = ChunkedEngine(workers=workers, backend=backend)
         report = engine.run(
             grid,
             kernel,
@@ -356,38 +349,12 @@ class Study:
             # Timing bookkeeping: total wall time of this run plus each grid
             # point's own wall time (sequential row order), so perf
             # regressions are observable from the StudyResult alone.
-            "workers": workers,
+            "workers": engine.workers,
             "backend": backend,
             "wall_time_s": report.wall_time_s,
             "row_wall_times_s": report.item_wall_times_s,
         }
         return StudyResult(kind=kind, axes=tuple(self.axes), rows=tuple(rows), metadata=metadata)
-
-    # -- per-kind row builders (thin wrappers over the module-level kernels) --
-
-    def _run_balance(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _balance_row(spec, node, database, evaluator)
-
-    def _run_report(self, spec: ScenarioSpec) -> dict[str, object]:
-        _node, _database, evaluator = self._evaluator_for(spec)
-        return _report_row(spec, evaluator)
-
-    def _run_optimize(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _optimize_row(spec, node, database, evaluator)
-
-    def _run_emulate(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _emulate_row(spec, node, database, evaluator)
-
-    def _run_montecarlo(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, _database, evaluator = self._evaluator_for(spec)
-        return _montecarlo_row(spec, node, evaluator, self.montecarlo)
-
-    def _run_explore(self, spec: ScenarioSpec) -> dict[str, object]:
-        node, database, evaluator = self._evaluator_for(spec)
-        return _explore_row(spec, node, database, evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +362,13 @@ class Study:
 #
 # Module-level (picklable, self-contained) so the process-pool backend can
 # execute them in worker processes against a spec rebuilt from its JSON
-# document; the in-process runners above call the same functions with the
-# study's shared evaluator.
+# document; the in-process kernel of Study.run calls the same functions
+# with the study's shared evaluator.  Every kernel takes
+# ``(spec, node, database, evaluator, montecarlo)``.
 # ---------------------------------------------------------------------------
 
 
-def _balance_row(spec, node, database, evaluator) -> dict[str, object]:
+def _balance_row(spec, node, database, evaluator, _montecarlo) -> dict[str, object]:
     analysis = EnergyBalanceAnalysis(
         node, database, spec.build_scavenger(), evaluator=evaluator
     )
@@ -424,7 +392,7 @@ def _balance_row(spec, node, database, evaluator) -> dict[str, object]:
     }
 
 
-def _report_row(spec, evaluator) -> dict[str, object]:
+def _report_row(spec, _node, _database, evaluator, _montecarlo) -> dict[str, object]:
     point = spec.operating_point()
     dynamic, static, period = evaluator.average_components_sweep([point])
     standstill = evaluator.standstill_power_sweep([point.at_speed(0.0)])
@@ -438,7 +406,7 @@ def _report_row(spec, evaluator) -> dict[str, object]:
     }
 
 
-def _optimize_row(spec, node, database, evaluator) -> dict[str, object]:
+def _optimize_row(spec, node, database, evaluator, _montecarlo) -> dict[str, object]:
     point = spec.operating_point()
     assignments = select_techniques(evaluator.duty_cycles(point), database=database)
     outcome = apply_assignments(
@@ -452,7 +420,7 @@ def _optimize_row(spec, node, database, evaluator) -> dict[str, object]:
     }
 
 
-def _emulate_row(spec, node, database, evaluator) -> dict[str, object]:
+def _emulate_row(spec, node, database, evaluator, _montecarlo) -> dict[str, object]:
     cycle = spec.build_drive_cycle()
     if cycle is None:
         raise ConfigError("the 'emulate' kind needs the scenario to name a drive_cycle")
@@ -473,7 +441,9 @@ def _emulate_row(spec, node, database, evaluator) -> dict[str, object]:
     return {"cycle_name": cycle.name, **result.summary()}
 
 
-def _montecarlo_row(spec, node, evaluator, config: MonteCarloConfig) -> dict[str, object]:
+def _montecarlo_row(
+    spec, node, _database, evaluator, config: MonteCarloConfig
+) -> dict[str, object]:
     # The stream is a pure function of (config, scenario document):
     # identical draws whether the grid runs sequentially, on a thread pool
     # or in worker processes.
@@ -486,7 +456,7 @@ def _montecarlo_row(spec, node, evaluator, config: MonteCarloConfig) -> dict[str
     return row
 
 
-def _explore_row(spec, node, database, evaluator) -> dict[str, object]:
+def _explore_row(spec, node, database, evaluator, _montecarlo) -> dict[str, object]:
     analysis = EnergyBalanceAnalysis(
         node, database, spec.build_scavenger(), evaluator=evaluator
     )
@@ -507,6 +477,15 @@ def _explore_row(spec, node, database, evaluator) -> dict[str, object]:
         "generated_uj_per_rev_60kmh": analysis.generated_energy_j(60.0) * 1e6,
         "activates": break_even is not None,
     }
+
+
+def _row_kernel(kind: str):
+    """The row kernel of one analysis kind.
+
+    Looked up by module attribute at call time, so a wrapper installed on
+    ``_<kind>_row`` (a profiler, a test probe) sees every call.
+    """
+    return globals()[f"_{kind}_row"]
 
 
 #: Per-worker-process evaluator memo of the process backend, keyed like
@@ -546,20 +525,7 @@ def _process_grid_point(
     row: dict[str, object] = {"scenario": spec.name}
     for axis, value in axis_cells:
         row[axis] = value
-    if kind == "balance":
-        row.update(_balance_row(spec, node, database, evaluator))
-    elif kind == "report":
-        row.update(_report_row(spec, evaluator))
-    elif kind == "optimize":
-        row.update(_optimize_row(spec, node, database, evaluator))
-    elif kind == "emulate":
-        row.update(_emulate_row(spec, node, database, evaluator))
-    elif kind == "montecarlo":
-        row.update(_montecarlo_row(spec, node, evaluator, montecarlo))
-    elif kind == "explore":
-        row.update(_explore_row(spec, node, database, evaluator))
-    else:  # pragma: no cover - validated before dispatch
-        raise ConfigError(f"unknown analysis kind {kind!r}")
+    row.update(_row_kernel(kind)(spec, node, database, evaluator, montecarlo))
     return row
 
 

@@ -48,6 +48,7 @@ from repro.fleet.aggregate import DEFAULT_SURVIVAL_BUCKETS
 from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetSpec
 from repro.reporting.export import json_ready
+from repro.scenario.engine import ChunkedEngine
 from repro.scenario.montecarlo import MonteCarloConfig
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.study import STUDY_KINDS, Study
@@ -169,7 +170,9 @@ def _parse_workers_backend(
 ) -> tuple[int | None, str]:
     workers = document.get("workers", default_workers)
     backend = document.get("backend", default_backend)
-    if backend == "process" and (workers is None or workers <= 1):
+    # The engine is the one validator of the execution fields.
+    engine = ChunkedEngine(workers=workers, backend=backend)
+    if backend == "process" and engine.workers == 1:
         raise ConfigError(
             "backend 'process' needs workers greater than 1 "
             "(a single worker runs sequentially in this process)"
@@ -338,6 +341,8 @@ class _FleetRequest:
         self.idle_step_s = document.get("idle_step_s", 1.0)
         self.survival_buckets = document.get("survival_buckets", DEFAULT_SURVIVAL_BUCKETS)
         self.keep_vehicle_rows = bool(document.get("keep_vehicle_rows", False))
+        # Validates the runner parameters (and retries) at submit time.
+        self.build_runner()
         # Mirrors FleetRunner.checkpoint_key(): the full fleet document plus
         # every runner parameter the kernels read.  keep_vehicle_rows shapes
         # the *document* (rows present or null), so it keys too; retries/

@@ -5,9 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.blocks import baseline_node, legacy_tpms_node, optimized_node
+from repro.scenario import engine
 from repro.conditions.operating_point import OperatingPoint
 from repro.power import reference_power_database
 from repro.scavenger import PiezoelectricScavenger, supercapacitor
+
+
+@pytest.fixture(autouse=True)
+def _no_retry_backoff(monkeypatch):
+    """Engine retries in tests need no pause (forked pool workers inherit it)."""
+    monkeypatch.setattr(engine, "RETRY_BACKOFF_S", 0.0)
 
 
 @pytest.fixture

@@ -146,7 +146,7 @@ class TestFailuresInsideBatchedChunks:
             return real(vehicle_index, *args, **kwargs)
 
         monkeypatch.setattr(fleet_runner, "_cohort_vehicle_outcome", flaky)
-        result = FleetRunner(_constant_fleet(8), retries=1, retry_backoff_s=0.0).run()
+        result = FleetRunner(_constant_fleet(8), retries=1).run()
         assert [failure["index"] for failure in result.metadata["failures"]] == [2]
         expected = [row for row in reference.vehicle_rows if row["vehicle"] != 2]
         assert result.vehicle_rows == expected

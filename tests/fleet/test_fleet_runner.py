@@ -57,6 +57,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match="record interval"):
             FleetRunner(_fleet(), record_interval_s=0.0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("record_interval_s", "x"),
+            ("record_interval_s", float("nan")),
+            ("idle_step_s", float("inf")),
+            ("idle_step_s", True),
+        ],
+    )
+    def test_non_numeric_or_non_finite_steps_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match="positive finite number"):
+            FleetRunner(_fleet(), **{field: bad})
+
     def test_invalid_buckets_rejected(self):
         with pytest.raises(ConfigError, match="buckets"):
             FleetRunner(_fleet(), survival_buckets=0)
@@ -468,7 +481,7 @@ class TestErrorContract:
             assert str(raised.value) == str(first)
             if len(errors) == fleet.vehicles:
                 return  # nothing left to aggregate when every vehicle fails
-            result = FleetRunner(fleet, retries=1, retry_backoff_s=0.0, **options).run()
+            result = FleetRunner(fleet, retries=1, **options).run()
             assert [(f["index"], f["error"]) for f in result.metadata["failures"]] == [
                 (i, f"{type(error).__name__}: {error}") for i, error in errors
             ]

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenario.engine import ChunkedEngine, EngineReport
+from repro.scenario.engine import WINDOW_PER_WORKER, ChunkedEngine, EngineReport
 
 
 def _square_worker(payload):
@@ -25,11 +25,6 @@ class TestValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="backend"):
             ChunkedEngine(backend="quantum")
-
-    @pytest.mark.parametrize("bad", [0, -3, 2.0, False])
-    def test_invalid_chunk_size_rejected(self, bad):
-        with pytest.raises(ConfigError, match="chunk_size"):
-            ChunkedEngine(chunk_size=bad)
 
     def test_process_backend_requires_worker_and_payload(self):
         engine = ChunkedEngine(workers=2, backend="process")
@@ -91,8 +86,10 @@ class TestThreadBackend:
         assert all("MainThread" != name for name in seen)
 
     def test_chunking_streams_between_chunks(self):
-        # chunk span = chunk_size * workers = 4: the sink must have received
-        # the whole first chunk before the last item is computed.
+        # The window spans WINDOW_PER_WORKER * workers items: the sink must
+        # have received the first result before an item past the first
+        # window is computed.
+        window = WINDOW_PER_WORKER * 2
         order = []
 
         def kernel(item):
@@ -102,11 +99,11 @@ class TestThreadBackend:
         def sink(index, result):
             order.append(("sink", result))
 
-        ChunkedEngine(workers=2, chunk_size=2).run(range(8), kernel, sink)
+        ChunkedEngine(workers=2).run(range(2 * window), kernel, sink)
         first_sink = order.index(("sink", 0))
-        assert ("run", 7) not in order[:first_sink]
+        assert ("run", window) not in order[:first_sink]
         assert [entry for entry in order if entry[0] == "sink"] == [
-            ("sink", i) for i in range(8)
+            ("sink", i) for i in range(2 * window)
         ]
 
     def test_items_may_be_a_lazy_iterator(self):
@@ -114,7 +111,7 @@ class TestThreadBackend:
             yield from range(25)
 
         received = []
-        report = ChunkedEngine(workers=4, chunk_size=2).run(
+        report = ChunkedEngine(workers=4).run(
             generate(), lambda x: x + 1, lambda i, r: received.append(r)
         )
         assert received == list(range(1, 26))
@@ -179,27 +176,16 @@ class TestRetries:
         with pytest.raises(ConfigError, match="retries"):
             ChunkedEngine(retries=bad)
 
-    def test_invalid_failure_mode_rejected(self):
-        with pytest.raises(ConfigError, match="failure_mode"):
-            ChunkedEngine(failure_mode="shrug")
-
     @pytest.mark.parametrize("workers", [1, 3])
     def test_transient_failures_retried_to_success(self, workers):
         kernel = _Flaky(fail_times=2)
         received = []
-        report = ChunkedEngine(workers=workers, retries=2, retry_backoff_s=0.0).run(
+        report = ChunkedEngine(workers=workers, retries=2).run(
             range(5), kernel, lambda i, r: received.append((i, r))
         )
         assert received == [(i, i * 2) for i in range(5)]
         assert report.failures == ()
         assert report.retries == 10  # 2 extra attempts x 5 items
-
-    def test_raise_mode_propagates_the_original_exception_type(self):
-        kernel = _Flaky(fail_times=5)
-        with pytest.raises(ValueError, match="transient failure"):
-            ChunkedEngine(retries=1, retry_backoff_s=0.0).run(
-                range(3), kernel, lambda i, r: None
-            )
 
     def test_no_retries_behaves_like_the_pre_retry_engine(self):
         def kernel(item):
@@ -216,9 +202,9 @@ class TestRetries:
             return item
 
         received = []
-        report = ChunkedEngine(
-            workers=workers, retries=1, retry_backoff_s=0.0, failure_mode="collect"
-        ).run(range(5), kernel, lambda i, r: received.append((i, r)))
+        report = ChunkedEngine(workers=workers, retries=1).run(
+            range(5), kernel, lambda i, r: received.append((i, r))
+        )
         assert received == [(0, 0), (1, 1), (3, 3), (4, 4)]
         assert len(report.failures) == 1
         failure = report.failures[0]
@@ -284,7 +270,7 @@ class TestRunChunks:
             return item
 
         received = []
-        report = ChunkedEngine(failure_mode="collect").run_chunks(
+        report = ChunkedEngine(retries=1).run_chunks(
             [["a", "b"], ["bad", "c"]], kernel, lambda i, r: received.append((i, r))
         )
         assert received == [(0, "a"), (1, "b"), (3, "c")]
@@ -306,7 +292,7 @@ class TestRunChunks:
 
         received = []
         store = CheckpointStore(tmp_path / "ckpt", {"kind": "finish-test"})
-        engine = ChunkedEngine(failure_mode="collect")
+        engine = ChunkedEngine(retries=1)
         engine.run_chunks(
             [["a", "bad"], ["c"]],
             kernel,

@@ -38,7 +38,7 @@ class TestRunProgress:
             return value
 
         events = []
-        engine = ChunkedEngine(failure_mode="collect")
+        engine = ChunkedEngine(retries=1)
         report = engine.run([0, 1, 2], kernel, lambda i, r: None, progress=events.append)
         assert [event["failures"] for event in events] == [0, 1, 1]
         assert len(report.failures) == 1

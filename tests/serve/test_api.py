@@ -20,6 +20,7 @@ from repro.serve import (
     encode_document,
     study_result_document,
 )
+from repro.serve.api import ServeApp
 
 STUDY_DOC = {
     "scenario": {"name": "api-study", "architecture": "baseline"},
@@ -161,7 +162,49 @@ class TestEndpoints:
         assert [job["id"] for job in jobs] == [first["id"]]
 
 
+#: Execution fields a request can get wrong: (path, extra fields).
+MALFORMED_EXECUTION_FIELDS = [
+    ("/studies", {"workers": "2", "backend": "process"}),
+    ("/studies", {"workers": 0}),
+    ("/studies", {"workers": "2"}),
+    ("/studies", {"backend": "gpu"}),
+    ("/fleet", {"workers": 0}),
+    ("/fleet", {"backend": "gpu"}),
+    ("/fleet", {"retries": -1}),
+    ("/fleet", {"retries": "1"}),
+    ("/fleet", {"record_interval_s": "x"}),
+    ("/fleet", {"record_interval_s": float("inf")}),
+    ("/fleet", {"idle_step_s": 0}),
+]
+
+
 class TestErrorMapping:
+    @pytest.mark.parametrize(
+        "path, fields",
+        MALFORMED_EXECUTION_FIELDS,
+        ids=[f"{path[1:]}-{fields}" for path, fields in MALFORMED_EXECUTION_FIELDS],
+    )
+    def test_malformed_execution_field_is_a_400_and_no_job(self, path, fields):
+        manager = JobManager(evaluator_capacity=4)
+        try:
+            document = {**(STUDY_DOC if path == "/studies" else FLEET_DOC), **fields}
+            status, payload, _ = ServeApp(manager).handle(
+                "POST", path, json.dumps(document).encode()
+            )
+            assert status == 400
+            message = json.loads(payload)["error"]
+            assert message and "\n" not in message
+            assert manager.jobs() == []
+        finally:
+            manager.shutdown()
+
+    def test_malformed_execution_field_is_a_400_on_the_live_server(self, server):
+        body = json.dumps({**STUDY_DOC, "workers": "2", "backend": "process"}).encode()
+        status, payload = _raw(server, "POST", "/studies", body)
+        assert status == 400
+        assert "workers must be a positive integer" in json.loads(payload)["error"]
+        assert json.loads(_raw(server, "GET", "/jobs")[1]) == {"jobs": []}
+
     def test_malformed_json_body_is_a_400(self, server):
         status, payload = _raw(server, "POST", "/studies", b"{not json")
         assert status == 400
