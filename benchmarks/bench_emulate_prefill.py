@@ -44,6 +44,7 @@ import numpy as np
 
 from benchmarks.conftest import emit_result, emit_timing
 from repro.blocks import baseline_node
+from repro.blocks.node import PATTERN_WEIGHTS
 from repro.blocks.mcu import McuConfig
 from repro.blocks.memory import MemoryConfig
 from repro.conditions.temperature import TyreThermalModel
@@ -91,10 +92,10 @@ def _make_emulator(node, database, scavenger) -> NodeEmulator:
 def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     """One batch call fills the bins >= 5x faster than per-bin scalar misses.
 
-    Both variants receive the identical bin set: the one a cold
-    ``emulate()`` hands its single ``evaluate_energy_bins`` sweep after
-    planning the cycle (the plan is shared bookkeeping the integration pays
-    either way).  What is timed is exactly what the sweep replaced — one
+    Both variants receive the identical bin set: the evaluation points of
+    the one round resolution a cold ``emulate()`` builds, which its single
+    ``evaluate_energy_bins`` sweep evaluates (the plan is shared bookkeeping
+    the integration pays either way).  What is timed is exactly what the sweep replaced — one
     ``schedule_for_pattern`` build and one scalar
     ``schedule_energy_compiled`` evaluation per bin — against one
     ``schedule_table`` call plus the single vectorized
@@ -102,16 +103,23 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     """
     from repro.conditions.batch import BatchConditions
 
-    pending = {}
+    resolved = []
     planner = _make_emulator(node, database, scavenger)
-    sweep = planner.evaluate_energy_bins
+    resolve = planner._resolve_rounds
 
-    def capture(bins):
-        pending.update(bins)
-        return sweep(bins)
+    def capture(requests, persist=False):
+        resolved.extend(resolve(requests, persist))
+        return resolved[-1:]
 
-    planner.evaluate_energy_bins = capture
+    planner._resolve_rounds = capture
     planner.emulate(_varied_cycle())
+    (resolution,) = resolved
+    flags = (resolution.patterns[:, None] & PATTERN_WEIGHTS) != 0
+    columns = (resolution.speeds.tolist(), resolution.temperatures.tolist(), flags.tolist())
+    pending = {
+        i: (speed, temperature, tuple(pattern))
+        for i, (speed, temperature, pattern) in enumerate(zip(*columns))
+    }
     keys = list(pending)
     emulator = _make_emulator(node, database, scavenger)
     emulator.evaluator.compiled  # build the table outside the timed regions
@@ -213,7 +221,7 @@ def _counting(emulator: NodeEmulator, name: str) -> list:
     """Count the calls of ``emulator.<name>`` (an instance-level wrapper)."""
     calls = []
     method = getattr(emulator, name)
-    setattr(emulator, name, lambda *args: calls.append(1) or method(*args))
+    setattr(emulator, name, lambda *args, **kwargs: calls.append(1) or method(*args, **kwargs))
     return calls
 
 

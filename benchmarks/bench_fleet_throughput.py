@@ -30,16 +30,14 @@ from repro.fleet import FleetSpec, FleetRunner
 from repro.scavenger.storage import scaled_storage
 from repro.scenario import ScenarioSpec
 
-#: Local acceptance bar.  Measured on a 2-CPU x86 box: 4.9-7.5x (median
-#: 6.4x over ten runs) once the fleet resolves its cohorts through the
-#: emulator's own round resolution, against 6.0-8.3x (median 6.7x) for the
-#: cohort-table runner alternating with it; the naive emulate() loop shares
-#: that resolution and got faster with it, while a 200-vehicle fleet spends
-#: most of its time in the discovery pass (walks, the resolution and its
-#: bin sweep).  The ~12x once read here predates the cycle-walk and
-#: schedule speedups the naive loop shares.  Shared CI runners are noisy,
-#: so workflows may lower the enforced floor via the environment while the
-#: measured number is still reported.
+#: Local acceptance bar.  Measured on a 2-CPU x86 box: 7.4-11.1x (median
+#: 8.6x, 15 of 18 runs at or above the bar) with the columnar round
+#: resolution, against 5.5-8.4x (median 7.2x) for the per-key resolution
+#: alternating with it.  The naive emulate() loop shares the resolution and
+#: the cycle walk, while a 200-vehicle fleet spends most of its time in the
+#: discovery pass (walks, the resolution and its bin sweep).  Shared CI
+#: runners are noisy, so workflows may lower the enforced floor via the
+#: environment while the measured number is still reported.
 REQUIRED_SPEEDUP = float(os.environ.get("FLEET_THROUGHPUT_FLOOR", "8.0"))
 
 VEHICLES = 200

@@ -33,8 +33,8 @@ REQUIRED_SPEEDUP = float(os.environ.get("SERVE_CACHE_FLOOR", "5.0"))
 
 #: A Monte-Carlo study big enough that the cold run does real work (the
 #: warm path's cost is independent of the workload, so the measured
-#: speedup scales with this; 256 samples x 3 grid points keeps the cold
-#: side around a second).
+#: speedup scales with this; 256 samples x 3 grid points take 0.04-0.05 s
+#: cold on a 2-CPU x86 box, 14-16x the warm request).
 STUDY_DOC = {
     "scenario": {"name": "serve-bench", "architecture": "baseline"},
     "axes": {"temperature": [-10.0, 25.0, 60.0]},

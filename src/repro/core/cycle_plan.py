@@ -13,7 +13,9 @@ two step sizes:
   into them — so the emulator classifies a few hundred keys, not every
   round;
 * the state-log sampling walk: the record times and the unit each one falls
-  in.
+  in;
+* the totals every run over the walk shares: its revolution count and
+  moving time.
 
 What depends on the emulator's state — the thermal trajectory, the speed-key
 classification sets, the energy cache — is resolved per run on top of the
@@ -41,13 +43,15 @@ class CyclePlan:
             arrays of the walk (``indices`` is ``-1`` and ``speeds`` is 0 on
             idle units).
         round_indices: positions of the wheel rounds among the units.
-        groups: per unique (speed bin, pattern) key of the rounds, in
-            first-appearance order, ``(key, speed, unit)``: the ``(bin,
-            transmits, refreshes_slow, writes_nvm)`` key, and the speed and
-            unit index of its first round, as Python values.
+        groups: the unique ``(bin, transmits, refreshes_slow, writes_nvm)``
+            keys of the rounds, in first-appearance order, as Python values.
+        group_codes: per group, its key as ``bin * 8 + pattern code`` (the
+            code is the pattern's flags times ``PATTERN_WEIGHTS``).
         round_groups: per wheel round, its index into ``groups``.
         sample_times: the state-log record times.
         sample_units: per record time, the unit it falls in.
+        revolutions, moving_time_s: the wheel-round count and the summed
+            round durations.
     """
 
     is_round: np.ndarray
@@ -58,9 +62,12 @@ class CyclePlan:
     indices: np.ndarray
     round_indices: np.ndarray
     groups: tuple
+    group_codes: np.ndarray
     round_groups: np.ndarray
     sample_times: np.ndarray
     sample_units: np.ndarray
+    revolutions: int
+    moving_time_s: float
 
     def __len__(self) -> int:
         return len(self.is_round)
@@ -109,22 +116,20 @@ def build_cycle_plan(cycle, node, idle_step_s: float, record_interval_s: float) 
     round_indices = np.flatnonzero(walk.is_round)
     patterns = node.phase_patterns(walk.indices[round_indices])
     bins = speed_bins(walk.speeds[round_indices])
-    _unique, first, round_groups = first_appearance_unique(bins * 8 + patterns @ PATTERN_WEIGHTS)
-    units = round_indices[first]
+    codes = bins * 8 + patterns @ PATTERN_WEIGHTS
+    group_codes, first, round_groups = first_appearance_unique(codes)
     groups = tuple(
-        ((bin_index, *pattern), speed, unit)
-        for bin_index, pattern, speed, unit in zip(
-            bins[first].tolist(),
-            patterns[first].tolist(),
-            walk.speeds[units].tolist(),
-            units.tolist(),
-        )
+        (bin_index, *pattern)
+        for bin_index, pattern in zip(bins[first].tolist(), patterns[first].tolist())
     )
     sample_times, sample_units = sample_walk(walk.ends, record_interval_s)
-    arrays = (*walk, round_indices, round_groups, sample_times, sample_units)
+    arrays = (*walk, round_indices, group_codes, round_groups, sample_times, sample_units)
     for array in arrays:
         array.setflags(write=False)
-    return CyclePlan(*walk, round_indices, groups, round_groups, sample_times, sample_units)
+    totals = int(walk.is_round.sum()), float(walk.durations[walk.is_round].sum())
+    return CyclePlan(
+        *walk, round_indices, groups, group_codes, round_groups, sample_times, sample_units, *totals
+    )
 
 
 def round_harvest(scavenger, plan: CyclePlan) -> np.ndarray:
@@ -136,17 +141,16 @@ def round_harvest(scavenger, plan: CyclePlan) -> np.ndarray:
     return harvest
 
 
-def unit_load(pmu, plan: CyclePlan, round_energies: np.ndarray, sleep_power_w) -> np.ndarray:
-    """Per-unit load energy at the storage element.
+def unit_loads(pmu, plan: CyclePlan, round_loads, value_index, sleep_power_w) -> np.ndarray:
+    """Per-unit load energies at the storage element of R runs over ``plan``, ``(R, units)``.
 
-    Wheel rounds draw their revolution energy, idle units the sleep power
-    over their duration, both referred through the PMU.  ``sleep_power_w``
-    is a per-unit array or one value for every unit.
+    Each unit reads ``round_loads`` (revolution energies referred through
+    the PMU, and a trailing 0.0 that index ``-1`` reads) at its
+    ``value_index``; idle units then draw the sleep power (``(R, units)`` or
+    ``(R, 1)``) over their duration, referred through the PMU.
     """
-    load = np.zeros(len(plan))
-    load[plan.round_indices] = pmu.referred_to_storage(round_energies)
+    load = round_loads[value_index]
     idle = ~plan.is_round
-    if np.ndim(sleep_power_w):
-        sleep_power_w = sleep_power_w[idle]
-    load[idle] = pmu.referred_to_storage(sleep_power_w * plan.durations[idle])
+    sleep_j = np.broadcast_to(sleep_power_w, load.shape)[:, idle] * plan.durations[idle]
+    load[:, idle] = pmu.referred_to_storage(sleep_j)
     return load

@@ -14,20 +14,18 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from repro.blocks.node import SensorNode
+from repro.blocks.node import PATTERN_WEIGHTS, SensorNode
 from repro.conditions.batch import BatchConditions
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C, OperatingPoint
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.cycle_plan import (
     CyclePlan,
     build_cycle_plan,
-    first_appearance_unique,
     round_harvest,
-    unit_load,
+    unit_loads,
 )
 from repro.core.evaluator import EnergyEvaluator
 from repro.core.quantize import (
@@ -58,6 +56,11 @@ _MAX_ENERGY_CACHE_ENTRIES = 65536
 #: loop re-emulates a handful of cycles; the bound keeps a long-lived
 #: emulator fed ever-new cycles from holding every walk it ever made.
 _MAX_PLANS = 4
+
+#: Row ``c``: the ``(transmits, refreshes_slow, writes_nvm)`` flags of phase
+#: pattern code ``c`` (a pattern's code is its flags times ``PATTERN_WEIGHTS``).
+_PATTERN_FLAGS = (np.arange(8)[:, None] & PATTERN_WEIGHTS) != 0
+_PATTERNS = tuple(tuple(flags) for flags in _PATTERN_FLAGS.tolist())
 
 
 @dataclass(frozen=True)
@@ -284,8 +287,8 @@ class EmulationResult:
         pairwise summation order — hence the last bit — follows the layout.
         """
         is_round, durations = plan.is_round, plan.durations
-        self.revolutions = int(is_round.sum())
-        self.moving_time_s = float(durations[is_round].sum())
+        self.revolutions = plan.revolutions
+        self.moving_time_s = plan.moving_time_s
         self.harvested_j = float(banked.sum())
         self.discarded_j = float(np.maximum(0.0, harvest - banked).sum())
         self.consumed_j = float(drawn.sum())
@@ -352,27 +355,25 @@ class RoundResolution:
     """One run's demand side over a cycle plan (read-only arrays).
 
     What :meth:`NodeEmulator._resolve_rounds` returns per request and
-    :meth:`NodeEmulator._scan_ledger` scans: the run's ``plan``, its
-    per-unit ``temps``, ``end`` (the first unit outside the modelled
-    temperature range, where the scalar path raises, or ``len(plan)``), the
-    distinct revolution-energy cache ``keys`` of the resolving call and
-    their energies, ``values`` (``None`` where the schedule cannot be
-    built), two tuples, with each unit's ``value_index`` into them (``-1``
-    on idle units, unresolved rounds and every unit from ``end`` on), the
+    :meth:`NodeEmulator._scan_ledger` scans: the run's ``plan``, per-unit
+    ``temps``, ``end`` (the first unit outside the modelled temperature
+    range, or ``len(plan)``), the resolving call's evaluation points as
+    columns (``speeds``: bin center or exact speed, ``temperatures``: bin
+    center, ``patterns``: pattern code) with their ``energies`` (NaN where
+    the schedule cannot be built), each unit's ``value_index`` into them
+    (``-1`` on idle units, unresolved rounds and from ``end`` on), the
     per-unit ``sleep_power`` and ``load`` at the storage element, and
-    whether the scan over it can raise (``checked``: ``end < len(plan)`` or
-    any unresolved round).  No phase list is kept: a trace builds its
-    rounds' phases from their keys (:meth:`NodeEmulator._record_trace`).
-    An isothermal run's ``temps`` and ``sleep_power`` are one float each,
-    which stands for every unit.  :meth:`NodeEmulator.emulate` memoizes
-    isothermal resolutions with their plan and shares them across runs.
+    whether the scan can raise (``checked``).  An isothermal run's ``temps``
+    and ``sleep_power`` are one float each, standing for every unit.
     """
 
     plan: CyclePlan
     temps: np.ndarray | float
     end: int
-    keys: tuple
-    values: tuple
+    speeds: np.ndarray
+    temperatures: np.ndarray
+    patterns: np.ndarray
+    energies: np.ndarray
     value_index: np.ndarray
     sleep_power: np.ndarray | float
     load: np.ndarray
@@ -540,7 +541,8 @@ class NodeEmulator:
         a warm run makes no table call.
         """
         trusted, exact = self._trusted_speed_keys, self._exact_speed_keys
-        keys = [key for key in keys if key[0] > 0 and key not in trusted and key not in exact]
+        new = (key for key in dict.fromkeys(keys) if key not in trusted and key not in exact)
+        keys = [key for key in new if key[0] > 0]
         if not keys:
             return
         patterns = [key[1:] for key in keys]
@@ -553,41 +555,22 @@ class NodeEmulator:
         for key, ok in zip(keys, builds.tolist()):
             (trusted if ok else exact).add(key)
 
-    def _speed_key_for(self, pattern_key: tuple, speed_kmh: float) -> object:
-        """The cache speed key of a round in classified (bin, *pattern) group ``pattern_key``.
+    def _store_energies(self, keys: list, values: list) -> None:
+        """Insert revolution-energy cache entries, honouring the size cap.
 
-        A trusted key shares its bin entry, evaluated at the bin center.
-        Every other round — bin 0, which has no positive representative
-        speed, and the keys whose bin edge or center cannot be built — is
-        keyed on its exact speed, so the cached value stays a pure function
-        of the key either way.  Exact keys are tagged so they can never
-        collide with an int bin key (Python dicts treat 999 and 999.0 as the
-        same key).
+        The cache ends as inserting them one at a time would leave it, each
+        insert into a full cache clearing it first.
         """
-        if pattern_key in self._trusted_speed_keys:
-            return pattern_key[0]
-        return ("exact", speed_kmh)
-
-    @staticmethod
-    def _evaluation_point(key: tuple) -> tuple[float, float, tuple]:
-        """The ``(speed, temperature, pattern)`` a revolution-energy cache key is evaluated at.
-
-        The bin center or the exact speed, the temperature bin's center and
-        the phase pattern: every value a key caches, swept or per-miss, and
-        every trace phase list, is the kernel at this point.
-        """
-        speed_key = key[0]
-        speed = speed_key[1] if isinstance(speed_key, tuple) else speed_bin_center_kmh(speed_key)
-        return speed, temperature_bin_center_c(key[1]), key[2:]
-
-    def _store_energy(self, key: tuple, value: float) -> None:
-        """Insert one revolution-energy cache entry, honouring the size cap."""
-        if len(self._energy_cache) >= _MAX_ENERGY_CACHE_ENTRIES:
+        cache = self._energy_cache
+        overflow = len(cache) + len(keys) - _MAX_ENERGY_CACHE_ENTRIES
+        if overflow > 0:
             # Exact-keyed entries from continuously varying boundary speeds
             # are the only unbounded population; dropping the whole cache is
             # cheap to rebuild and keeps memory flat over the emulator's life.
-            self._energy_cache.clear()
-        self._energy_cache[key] = value
+            cache.clear()
+            kept = len(keys) - (overflow - 1) % _MAX_ENERGY_CACHE_ENTRIES - 1
+            keys, values = keys[kept:], values[kept:]
+        cache.update(zip(keys, values))
 
     def _revolution_energy(self, unit: WheelRound, temperature_c: float) -> float:
         """Energy of one revolution.
@@ -600,7 +583,14 @@ class NodeEmulator:
         temp_bin = self._temperature_bin(temperature_c)
         pattern_key = (speed_bin(unit.speed_kmh), *pattern)
         self._classify_speed_keys([pattern_key])
-        key = (self._speed_key_for(pattern_key, unit.speed_kmh), temp_bin, *pattern)
+        # A trusted key shares its bin entry, evaluated at the bin center.
+        # Every other round (bin 0, which has no positive representative
+        # speed, and the keys whose bin edge or center cannot be built) is
+        # keyed on its exact speed, tagged so it never collides with an int
+        # bin key (Python dicts treat 999 and 999.0 as the same key).
+        trusted = pattern_key in self._trusted_speed_keys
+        speed_key = pattern_key[0] if trusted else ("exact", unit.speed_kmh)
+        key = (speed_key, temp_bin, *pattern)
         cached = self._energy_cache.get(key)
         if cached is not None:
             return cached
@@ -610,64 +600,40 @@ class NodeEmulator:
         # depend on which conditions inside the bin an earlier run saw first,
         # even though the cache persists across emulate() runs.  A speed
         # whose schedule cannot be built raises here.
-        points = [self._evaluation_point(key)]
-        value = float(self._evaluate_table(self._table_of(points), points)[0][0])
-        self._store_energy(key, value)
+        speed = speed_bin_center_kmh(speed_key) if trusted else unit.speed_kmh
+        table = self.node.schedule_table([speed], [pattern])
+        value = float(self._evaluate_table(table, [temperature_bin_center_c(temp_bin)])[0][0])
+        self._store_energies([key], [value])
         return value
 
-    def _evaluate_table(self, table: ScheduleTable, points: list, include_phases: bool = False):
-        """The kernel's ``(energies, phase lists)`` at ``(speed, temperature, pattern)`` points.
+    def _evaluate_table(self, table: ScheduleTable, temperatures, include_phases: bool = False):
+        """The kernel's ``(energies, phase lists)`` at ``table``'s points and ``temperatures``.
 
         One :meth:`EnergyEvaluator._schedule_energy_batch` call over
-        ``table`` (the points' schedule table) at the points' temperatures
-        under the base point's supply and process conditions; raises the
-        first infeasible point's error.  The kernel is elementwise, so a
-        point's values do not depend on the other points of the call.
+        ``table`` (the points' speeds and patterns) at the points'
+        temperatures under the base point's supply and process conditions;
+        raises the first infeasible point's error.  The kernel is
+        elementwise, so a point's values do not depend on the other points
+        of the call.
         """
         batch = BatchConditions.from_arrays(
-            table.speeds_kmh, np.array([point[1] for point in points]), base_point=self.base_point
+            table.speeds_kmh, np.asarray(temperatures, dtype=float), base_point=self.base_point
         )
         return self.evaluator._schedule_energy_batch(batch, table, include_phases=include_phases)
 
-    def evaluate_energy_bins(
-        self, pending: Mapping[tuple, tuple[float, float, tuple[bool, bool, bool]]]
-    ) -> dict[tuple, float]:
-        """Evaluate quantized bins in ONE vectorized batch call.
+    def evaluate_energy_bins(self, table: ScheduleTable, temperatures: np.ndarray) -> np.ndarray:
+        """Evaluate quantized bins in ONE vectorized batch call: one energy per point.
 
-        ``pending`` maps cache keys to ``(evaluation speed, evaluation
-        temperature degC, phase pattern)``; the return value maps each key
-        to the energy the per-miss path would have cached.  The sweep is
-        energy-only: no phase list is built (a trace builds its own).  The
-        timing of every bin comes from one :meth:`SensorNode.schedule_table`
-        call, which also decides feasibility: keys whose schedule cannot be
-        built (an unsustainable exact speed) are left out of the result, and
-        :meth:`_scan_ledger` raises such a round's error when the node
-        reaches it while active.  The batch kernel accumulates in the scalar
-        operation order, so the values are bitwise identical to per-miss
-        evaluations — which is what lets :meth:`_resolve_rounds` evaluate the
-        *union* of bins over every run it resolves, one emulation or a whole
-        fleet population, in one call.
+        ``table`` is the schedule table of the bins' evaluation speeds and
+        patterns, every point buildable, and ``temperatures`` their
+        evaluation temperatures.  The sweep is energy-only: no phase list
+        is built (a trace builds its own).  The batch kernel accumulates in
+        the scalar operation order, so the values are bitwise identical to
+        per-miss evaluations — which is what lets :meth:`_resolve_rounds`
+        evaluate the *union* of bins over every run it resolves, one
+        emulation or a whole fleet population, in one call.
         """
-        if not pending:
-            return {}
-        keys = list(pending)
-        points = list(pending.values())
-        table = self._table_of(points)
-        if not table.feasible.all():
-            # Rare (a key at the node's feasibility limit): leave out the
-            # keys whose schedule cannot be built and sweep the others.
-            keep = table.feasible.tolist()
-            keys = [key for key, ok in zip(keys, keep) if ok]
-            points = [point for point, ok in zip(points, keep) if ok]
-            table = self._table_of(points)
-        energies, _phases = self._evaluate_table(table, points)
-        return dict(zip(keys, energies.tolist()))
-
-    def _table_of(self, points: list) -> ScheduleTable:
-        """The schedule table of ``(speed, temperature, pattern)`` points."""
-        return self.node.schedule_table(
-            [point[0] for point in points], [point[2] for point in points]
-        )
+        return self._evaluate_table(table, temperatures)[0]
 
     def _record_trace_revolution(
         self,
@@ -735,95 +701,89 @@ class NodeEmulator:
         self._plans[key] = entry
         return entry
 
-    def plan_temperatures(self, plan: CyclePlan, thermal_model: TyreThermalModel) -> np.ndarray:
-        """Per-unit temperatures of one thermal run over ``plan``.
+    def speed_slots(self, plan: CyclePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cache speed slots of ``plan``'s wheel rounds, as columns.
 
-        One :meth:`TyreThermalModel.advance_many` replay over the plan's
-        durations and speeds (in m/s, ``speed / 3.6`` as a per-unit loop
-        converts them), from the model's current state: bitwise the
-        trajectory a per-revolution ``advance`` loop produces, and the model
-        is left at its end-of-cycle state.
+        The plan's groups must be classified (:meth:`_classify_speed_keys`).
+        A trusted group is one slot at its bin center; every round of any
+        other group is a slot of its own at its exact speed, and
+        :meth:`_resolve_rounds` numbers equal slots as one.  Returns each
+        slot's evaluation speed and key code (its group's ``bin * 8 +
+        pattern`` when trusted, ``-1 - pattern`` when exact), and each
+        round's index into them.
         """
-        return thermal_model.advance_many(plan.durations, plan.speeds / 3.6)
-
-    def speed_slots(self, plan: CyclePlan) -> tuple[list, np.ndarray]:
-        """Resolve the cache speed key of every wheel round of ``plan``.
-
-        The plan's (speed bin, pattern) groups must be classified
-        (:meth:`_classify_speed_keys`; :meth:`_resolve_rounds` classifies
-        the groups of all its plans in one call).  Trusted groups share
-        their bin entry: each becomes one slot.  Groups keyed on the exact
-        speed (straddling bins, infeasible centers) get one slot per
-        distinct exact speed.  Returns ``(slots, round_slot)``: the ``(speed
-        key, pattern)`` slots and each round's index into them.  A key's
-        class depends only on the key and the sets only grow, so a plan's
-        slots never change once its groups are classified; :meth:`emulate`
-        memoizes them inside its isothermal resolutions, and thermal runs
-        and the fleet resolve them per run.
-        """
-        groups, trusted = plan.groups, self._trusted_speed_keys
-        slots: list[tuple] = []
-        group_slot = np.full(len(groups), -1, dtype=np.intp)
-        for group, (key, _speed, _unit) in enumerate(groups):
-            if key in trusted:
-                group_slot[group] = len(slots)
-                slots.append((key[0], key[1:]))
+        trusted = self._trusted_speed_keys
+        groups = np.flatnonzero([key in trusted for key in plan.groups])
+        group_slot = np.full(len(plan.groups), -1, dtype=np.intp)
+        group_slot[groups] = np.arange(len(groups))
         round_slot = group_slot[plan.round_groups]
-        exact_slots: dict[tuple, int] = {}
-        for position in np.flatnonzero(round_slot < 0).tolist():
-            speed = float(plan.speeds[plan.round_indices[position]])
-            pattern = groups[plan.round_groups[position]][0][1:]
-            slot = exact_slots.setdefault((speed, pattern), len(slots))
-            if slot == len(slots):
-                slots.append((("exact", speed), pattern))
-            round_slot[position] = slot
-        return slots, round_slot
+        exact = np.flatnonzero(round_slot < 0)
+        round_slot[exact] = len(groups) + np.arange(len(exact))
+        codes = plan.group_codes
+        speeds = (speed_bin_center_kmh(codes[groups] >> 3), plan.speeds[plan.round_indices[exact]])
+        exact_codes = -1 - (codes[plan.round_groups[exact]] & 7)
+        return np.concatenate(speeds), np.concatenate((codes[groups], exact_codes)), round_slot
 
-    def _resolve_rounds(self, requests: list[tuple], bins: dict, store) -> list[RoundResolution]:
+    def _resolve_rounds(self, requests: list, persist: bool = False) -> list[RoundResolution]:
         """Resolve the demand side of ``(plan, temperature, thermal model)`` runs.
 
-        One :class:`RoundResolution` per request: a thermal model is advanced
-        from its current state over the plan (:meth:`plan_temperatures`),
-        and without one the run is isothermal at ``temperature``.  The groups
-        of every distinct plan are classified in one
-        :meth:`_classify_speed_keys` call and :meth:`speed_slots` runs once
-        per plan; slots equal across plans are one slot.  Each (slot,
-        temperature bin) entry — a thermal request's rounds up to ``end``,
-        an isothermal one's slots at its one bin — is numbered as an int64
-        code, all requests in one
-        :func:`~repro.core.cycle_plan.first_appearance_unique`, and a cache
-        key tuple is built per distinct code only.  The keys missing from ``bins`` are
-        evaluated by ONE :meth:`evaluate_energy_bins` call, and each swept
-        energy is handed to ``store``.  Bin keys always build (bin centers
-        that cannot were re-keyed when classified), so a key left out of the
-        sweep is an exact speed whose schedule cannot be built: its rounds
-        stay unresolved and draw 0, and :meth:`_scan_ledger` raises if the
-        node reaches one while active.
+        One :class:`RoundResolution` per request; without a thermal model
+        the run is isothermal at ``temperature``.  The groups of all plans
+        are classified in one call and slots equal across plans are one
+        slot.  Each (slot, temperature bin) entry (an isothermal run's slots
+        at its bin, a thermal run's rounds up to ``end``) is numbered as an
+        int64 code in one ``np.unique``; the codes index the slot columns,
+        so the distinct evaluation points are built as arrays and swept by
+        ONE schedule table and ONE :meth:`evaluate_energy_bins` call.  A
+        point whose schedule cannot be built (an exact speed; bin centers
+        that cannot were re-keyed when classified) is dropped by mask: its
+        rounds draw 0 and :meth:`_scan_ledger` raises if the node reaches
+        one while active.  With ``persist``, key tuples of the distinct codes
+        are looked up in and stored into the capped energy cache; without
+        it (the fleet), no tuple is built.  Energies are referred through
+        the PMU once per code; each plan's loads are one gather
+        (:func:`~repro.core.cycle_plan.unit_loads`).
         """
+        if not requests:
+            return []
         low, high = TEMPERATURE_RANGE_C
-        plans = {id(plan): plan for plan, _temperature, _model in requests}
-        self._classify_speed_keys([key for plan in plans.values() for key, _s, _u in plan.groups])
-        slot_numbers: dict[tuple, int] = {}  # distinct slot -> its number in this call
-        plan_slots = {}
-        for plan_id, plan in plans.items():
-            slots, round_slot = self.speed_slots(plan)
-            numbers = [slot_numbers.setdefault(slot, len(slot_numbers)) for slot in slots]
-            plan_slots[plan_id] = (np.array(numbers, dtype=np.int64), round_slot)
-        # A request's (slot, temperature bin) entries: a thermal run has one
-        # per round up to ``end``; an isothermal run, the one-bin case, has
-        # one per slot of its plan, which its rounds index by their slot.
-        staged, slot_codes, bin_codes = [], [], []
-        for plan, temperature, thermal_model in requests:
-            numbers, round_slot = plan_slots[id(plan)]
-            if thermal_model is None:
-                temps = float(temperature)
-                end = len(plan) if low <= temps <= high else 0
-                sleep = self._standstill_power(temps) if end else 0.0
-                entry_slot = numbers if end else numbers[:0]
-                entry_bin = np.full(len(entry_slot), temperature_bin(temps) if end else 0)
-                round_entry = round_slot if end else round_slot[:0]
-            else:
-                temps = self.plan_temperatures(plan, thermal_model)
+        members: dict[int, list[int]] = {}
+        for row, (plan, _temperature, _model) in enumerate(requests):
+            members.setdefault(id(plan), []).append(row)
+        plans = [requests[rows[0]][0] for rows in members.values()]
+        self._classify_speed_keys([key for plan in plans for key in plan.groups])
+        columns = [self.speed_slots(plan) for plan in plans]
+        # Number slots across plans: a trusted slot is its key code, an
+        # exact one its (speed, pattern) pair.
+        speeds = np.concatenate([column[0] for column in columns])
+        codes = np.concatenate([column[1] for column in columns])
+        identity, exact = codes.copy(), codes < 0
+        identity[exact] -= 8 * np.unique(speeds[exact], return_inverse=True)[1]
+        _unique, first, numbers = np.unique(identity, return_index=True, return_inverse=True)
+        slot_speeds, slot_codes = speeds[first], codes[first]
+
+        # The entries: an in-range isothermal run has one per slot of its
+        # plan, which its rounds index by slot (one block per plan); a
+        # thermal run, one per round up to ``end``.
+        runs: list = [None] * len(requests)  # (temps, end, sleep[, first entry, entries])
+        slot_parts, bin_parts, blocks, count = [], [], [], 0
+        for plan, rows, (plan_speeds, _codes, round_slot) in zip(plans, members.values(), columns):
+            plan_numbers, numbers = numbers[: len(plan_speeds)], numbers[len(plan_speeds) :]
+            isothermal, others = [], []
+            for row in rows:
+                _plan, temperature, thermal_model = requests[row]
+                if thermal_model is None:
+                    temps = float(temperature)
+                    if low <= temps <= high:
+                        isothermal.append(row)
+                        runs[row] = (temps, len(plan), self._standstill_power(temps))
+                    else:
+                        others.append(row)
+                        runs[row] = (temps, 0, 0.0, count, 0)
+                    continue
+                # Bitwise a per-revolution ``advance`` loop (speeds in m/s,
+                # as ``speed / 3.6``), leaving the model at the cycle's end.
+                temps = thermal_model.advance_many(plan.durations, plan.speeds / 3.6)
                 in_range = (temps >= low) & (temps <= high)
                 end = len(plan) if in_range.all() else int(np.argmin(in_range))
                 # Resting power through the standstill memo, per temperature bin.
@@ -833,56 +793,97 @@ class NodeEmulator:
                     [self._standstill_power(temperature_bin_center_c(int(b))) for b in temp_bins]
                 )[unit_bin]
                 rounds = plan.round_indices[: np.searchsorted(plan.round_indices, end)]
-                entry_slot = numbers[round_slot[: len(rounds)]]
-                entry_bin = temperature_bins(temps[rounds])
-                round_entry = None
-            slot_codes.append(entry_slot)
-            bin_codes.append(entry_bin.astype(np.int64))
-            staged.append((plan, temps, end, sleep, len(entry_slot), round_entry))
+                slot_parts.append(plan_numbers[round_slot[: len(rounds)]])
+                bin_parts.append(temperature_bins(temps[rounds]).astype(np.int64))
+                others.append(row)
+                runs[row] = (temps, end, sleep, count, len(rounds))
+                count += len(rounds)
+            slot_parts.append(np.tile(plan_numbers, len(isothermal)))
+            temp_bins = [temperature_bin(runs[row][0]) for row in isothermal]
+            bin_parts.append(np.repeat(np.array(temp_bins, dtype=np.int64), len(plan_numbers)))
+            blocks.append((plan, round_slot, len(plan_numbers), isothermal, count, others))
+            count += len(isothermal) * len(plan_numbers)
 
-        # Number every entry's (slot, temperature bin) pair across requests.
-        entry_slot, entry_bin = np.concatenate(slot_codes), np.concatenate(bin_codes)
+        # Number every entry's (slot, temperature bin) pair; the codes index
+        # the slot columns, so the evaluation points are built as arrays.
+        entry_slot, entry_bin = np.concatenate(slot_parts), np.concatenate(bin_parts)
         first_bin = int(entry_bin.min()) if entry_bin.size else 0
         width = int(entry_bin.max()) - first_bin + 1 if entry_bin.size else 1
-        codes, _first, inverse = first_appearance_unique(entry_slot * width + entry_bin - first_bin)
-        slots = list(slot_numbers)
-        keys = []
-        for slot, offset in zip(*(part.tolist() for part in np.divmod(codes, width))):
-            speed_key, pattern = slots[slot]
-            keys.append((speed_key, offset + first_bin, *pattern))
-        # Looked up before ``store`` can clear a capped cache; a miss is
-        # swept at its key's evaluation point.
-        values = [bins.get(key) for key in keys]
-        missing = [position for position, value in enumerate(values) if value is None]
-        if missing:  # a warm run sweeps nothing
-            swept = self.evaluate_energy_bins(
-                {keys[i]: self._evaluation_point(keys[i]) for i in missing}
-            )
-            for position in missing:
-                value = values[position] = swept.get(keys[position])
-                if value is not None:
-                    store(keys[position], value)
-        resolved = np.array([value is not None for value in values], dtype=bool)
-        # Unresolved rounds (index -1) read the trailing 0.0: the first one
-        # the node reaches while active raises in the scan, so that load is
-        # never drawn.
-        energies = np.array([0.0 if value is None else value for value in values] + [0.0])
-        keys, values = tuple(keys), tuple(values)
-        resolutions = []
-        for plan, temps, end, sleep, count, round_entry in staged:
-            key_index, inverse = inverse[:count], inverse[count:]
-            if round_entry is not None:
-                key_index = key_index[round_entry]
-            key_index = np.where(resolved[key_index], key_index, -1)
-            checked = end < len(plan) or bool((key_index < 0).any())
-            value_index = np.full(len(plan), -1, dtype=np.intp)
-            value_index[plan.round_indices[: len(key_index)]] = key_index
-            value_index.setflags(write=False)
-            load = unit_load(self.node.pmu, plan, energies[value_index[plan.round_indices]], sleep)
-            load.setflags(write=False)
-            resolutions.append(
-                RoundResolution(plan, temps, end, keys, values, value_index, sleep, load, checked)
-            )
+        codes, inverse = np.unique(entry_slot * width + entry_bin - first_bin, return_inverse=True)
+        code_slot, code_bin = np.divmod(codes, width)
+        code_bin += first_bin
+        key_codes, speeds = slot_codes[code_slot], slot_speeds[code_slot]
+        temperatures = temperature_bin_center_c(code_bin)
+        patterns = np.where(key_codes < 0, -1 - key_codes, key_codes & 7)
+        energies = np.full(len(codes), np.nan)
+        missing = np.arange(len(codes))
+        if persist:
+            # A key tuple per distinct code, looked up before storing can
+            # clear the capped cache; a miss is swept at its evaluation point.
+            keys = [
+                (("exact", speed) if code < 0 else code >> 3, temp_bin, *_PATTERNS[pattern])
+                for code, speed, temp_bin, pattern in zip(
+                    key_codes.tolist(), speeds.tolist(), code_bin.tolist(), patterns.tolist()
+                )
+            ]
+            cached = list(map(self._energy_cache.get, keys))
+            hits = [i for i, value in enumerate(cached) if value is not None]
+            energies[hits] = [cached[i] for i in hits]
+            missing = np.flatnonzero(np.isnan(energies))
+        if missing.size:  # a warm run sweeps nothing
+            table = self.node.schedule_table(speeds[missing], _PATTERN_FLAGS[patterns[missing]])
+            if not table.feasible.all():
+                # Rare (an exact speed past the node's feasibility limit):
+                # drop the points whose schedule cannot be built.
+                missing = missing[table.feasible]
+                table = self.node.schedule_table(speeds[missing], _PATTERN_FLAGS[patterns[missing]])
+            energies[missing] = self.evaluate_energy_bins(table, temperatures[missing])
+            if persist:
+                swept = missing.tolist()
+                self._store_energies([keys[i] for i in swept], energies[missing].tolist())
+        points = (speeds, temperatures, patterns, energies)
+        for column in points:
+            column.setflags(write=False)
+
+        # Each entry's value index (-1 where unresolved), each code's load
+        # referred through the PMU once (a trailing 0.0 that -1 reads), then
+        # per plan one gather over its isothermal runs and one over the rest.
+        entry_value = np.where(np.isnan(energies), -1, np.arange(len(codes)))[inverse]
+        round_loads = np.append(self.node.pmu.referred_to_storage(energies), 0.0)
+        resolutions: list = [None] * len(requests)
+        for plan, round_slot, slots, isothermal, base, others in blocks:
+            groups = []
+            if isothermal:
+                # Each run's value per slot, and -1 in a last column that
+                # idle units read: one gather gives every unit's value.
+                slot_values = np.full((len(isothermal), slots + 1), -1, dtype=np.intp)
+                values = entry_value[base : base + len(isothermal) * slots]
+                slot_values[:, :slots] = values.reshape(len(isothermal), slots)
+                unit_slot = np.full(len(plan), slots)
+                unit_slot[plan.round_indices] = round_slot
+                unresolved = (slot_values[:, :slots] < 0).any(axis=1)
+                sleep = np.array([runs[row][2] for row in isothermal])[:, None]
+                groups.append((isothermal, slot_values[:, unit_slot], sleep, unresolved))
+            if others:
+                value_index = np.full((len(others), len(plan)), -1, dtype=np.intp)
+                for k, row in enumerate(others):
+                    _temps, _end, _sleep, first, count = runs[row]
+                    value_index[k, plan.round_indices[:count]] = entry_value[first : first + count]
+                unresolved = (value_index[:, plan.round_indices] < 0).any(axis=1)
+                sleep = np.stack([np.broadcast_to(runs[row][2], len(plan)) for row in others])
+                groups.append((others, value_index, sleep, unresolved))
+            for rows, value_index, sleep, unresolved in groups:
+                load = unit_loads(self.node.pmu, plan, round_loads, value_index, sleep)
+                value_index.setflags(write=False)
+                for k, row in enumerate(rows):
+                    temps, end, power = runs[row][:3]
+                    checked = end < len(plan) or bool(unresolved[k])
+                    # An owned load: a matrix row (8-byte aligned) scans ~5% slower.
+                    own = load[k].copy()
+                    own.setflags(write=False)
+                    resolutions[row] = RoundResolution(
+                        plan, temps, end, *points, value_index[k], power, own, checked
+                    )
         return resolutions
 
     def _scan_ledger(
@@ -1000,9 +1001,7 @@ class NodeEmulator:
         resolution = resolutions.get(memo_key)
         if resolution is None:
             (resolution,) = self._resolve_rounds(
-                [(plan, temperature, self.thermal_model)],
-                self._energy_cache,
-                self._store_energy,
+                [(plan, temperature, self.thermal_model)], persist=True
             )
             if memo_key is not None:
                 resolutions[memo_key] = resolution
@@ -1054,8 +1053,8 @@ class NodeEmulator:
         record the standstill floor (or "inactive" once the node is down).
         Sweeps keep energies only, so the phase lists of the distinct keys
         the window's successful rounds play are built here, in ONE
-        ``_schedule_energy_batch(include_phases=True)`` call at each key's
-        evaluation point (:meth:`_evaluation_point`): the kernel is
+        ``_schedule_energy_batch(include_phases=True)`` call at the keys'
+        evaluation points (the resolution's columns): the kernel is
         elementwise, so they are bitwise the lists the sweep would have made.
         """
         window_start, window_end = trace_window
@@ -1063,9 +1062,12 @@ class NodeEmulator:
         sleep_power = np.broadcast_to(resolution.sleep_power, plan.durations.shape)
         in_window = np.flatnonzero((plan.starts < window_end) & (plan.ends > window_start))
         played = np.unique(value_index[in_window][traj.withdrew[in_window]])
-        played = played[played >= 0].tolist()  # idle units withdraw too
-        points = [self._evaluation_point(resolution.keys[k]) for k in played]
-        phases_of = dict(zip(played, self._evaluate_table(self._table_of(points), points, True)[1]))
+        played = played[played >= 0]  # idle units withdraw too
+        table = self.node.schedule_table(
+            resolution.speeds[played], _PATTERN_FLAGS[resolution.patterns[played]]
+        )
+        phases = self._evaluate_table(table, resolution.temperatures[played], True)[1]
+        phases_of = dict(zip(played.tolist(), phases))
         for i in in_window.tolist():
             start_s = float(plan.starts[i])
             duration = float(plan.durations[i])

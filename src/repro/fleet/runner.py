@@ -5,54 +5,43 @@ at fleet scale: every vehicle would rebuild the evaluator, re-walk its drive
 cycle and re-evaluate the same revolution energies.  The runner asks the
 emulator's own question once per cohort instead:
 
-* **One evaluator** — every vehicle shares the base scenario's
-  architecture, workload and power database (no fleet axis touches them),
-  so the run builds one :class:`~repro.core.evaluator.EnergyEvaluator` and
-  therefore one compiled power table, exactly like a study grid point.
-* **Cohorts** — vehicles with the same (drive cycle, quantized speed
-  scale) share one walk: the run's probe emulator walks each distinct
-  pairing once into a :class:`~repro.core.cycle_plan.CyclePlan`.  Thermal
-  fleets (``FleetSpec.thermal``) add the quantized ambient as a third
-  cohort axis: the in-tyre
-  :class:`~repro.conditions.temperature.TyreThermalModel` is replayed once
-  per (cycle, speed-scale, ambient-bin) cohort over its walk by one
-  :meth:`~repro.conditions.temperature.TyreThermalModel.advance_many` call —
-  ambients are snapped to the shared :func:`~repro.core.quantize.ambient_bin`
-  centers at materialization — so the shared path survives thermally
-  realistic populations.
-* **One resolution** — each isothermal (cohort, temperature bin) and each
+* **One evaluator** — no fleet axis touches the architecture, workload or
+  power database, so a run builds one
+  :class:`~repro.core.evaluator.EnergyEvaluator` and one compiled table.
+* **Walks and cohorts** — vehicles with the same (drive cycle, quantized
+  speed scale) share one walk, a
+  :class:`~repro.core.cycle_plan.CyclePlan` the run's probe emulator builds
+  once.  Thermal fleets (``FleetSpec.thermal``) add the ambient, snapped to
+  the shared :func:`~repro.core.quantize.ambient_bin` centers at
+  materialization, as a third cohort axis, so one
+  :meth:`~repro.conditions.temperature.TyreThermalModel.advance_many`
+  replay per cohort is every member vehicle's own trajectory.
+* **One resolution** — each isothermal (walk, temperature bin) and each
   thermal cohort is one request to the emulator's own
-  :meth:`~repro.core.emulator.NodeEmulator._resolve_rounds`, the step
-  ``emulate()`` takes, and all of them are resolved in ONE call: its keys
-  are numbered as integers over all requests, and its single energy-only
-  :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` sweep
-  covers the union of the population's (speed, temperature, phase-pattern)
-  bins, and the batch kernel is bitwise-identical to the per-miss path, so
-  shared bins cannot change results.
+  :meth:`~repro.core.emulator.NodeEmulator._resolve_rounds`, all in ONE
+  call.  Its keys stay numbers: (slot, temperature bin) codes index the
+  walks' slot columns, the union of the population's evaluation points is
+  one :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` sweep,
+  and each walk's loads are one gather.  No key tuple is built, and the
+  batch kernel is bitwise the per-miss path, so sharing changes no result.
 
 No vehicle carries a :class:`~repro.scenario.spec.ScenarioSpec`: the
-population arrives as column chunks (:class:`~repro.fleet.spec.FleetChunk`),
-and the run's components, scavenger and storage element are built once.
-A vehicle's load is its (cohort, temperature bin)'s, or its thermal
-cohort's; its harvest is its size factor times its walk's unit-size sweep,
-exactly as ``build_scavenger`` + ``scaled()`` scale it.
+population arrives as column chunks (:class:`~repro.fleet.spec.FleetChunk`).
+A vehicle is its walk's unit-size harvest times its size factor (exactly as
+``build_scavenger`` + ``scaled()`` scale it), its request's load and its
+ledger.  Once a chunk has settled, each vehicle's ledger is scanned by the
+emulator's :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, the scan
+``emulate()`` uses; what every vehicle on a walk shares (revolution count,
+moving time, survival bucketing) is computed once per walk.  Process
+workers scan in the worker.  Per-vehicle figures are bit-identical to a
+naive ``emulate()`` of the same vehicle scenario, so the aggregates are
+independent of chunking, worker counts and backends.
 
-Each vehicle then reduces to its harvest scale and load lookup inside the
-engine's retried kernel (:func:`_cohort_vehicle_outcome`).  Once a chunk has
-settled, each of its vehicles' ledgers is scanned by the emulator's
-:meth:`~repro.core.emulator.NodeEmulator._scan_ledger` — the run-length
-scan ``emulate()`` uses — before the chunk is journaled or streamed;
-process-backend workers scan in the worker and return finished outcomes.
-Per-vehicle figures are bit-identical to a naive ``emulate()`` of the same
-vehicle scenario (the throughput benchmark asserts it), so the aggregates
-are independent of chunking, worker counts and backends.
-
-Every vehicle takes this one path, and errors keep ``emulate()``'s timing.
-A cohort whose scan can raise — a round whose exact-speed schedule cannot be
-built, or a thermal trajectory that leaves the modelled temperature range —
-scans inside the retried kernel, where ``_scan_ledger`` raises exactly what
-a naive ``emulate()`` raises, at the same simulated instant, so each of its
-vehicles is retried or collected on its own.
+Errors keep ``emulate()``'s timing: a cohort whose scan can raise (a round
+whose exact-speed schedule cannot be built, or a thermal trajectory leaving
+the modelled range) scans inside the engine's retried kernel, where
+``_scan_ledger`` raises what a naive ``emulate()`` raises, at the same
+instant, so each of its vehicles is retried or collected on its own.
 """
 
 from __future__ import annotations
@@ -95,34 +84,40 @@ class _Walk:
     every vehicle on it.  ``resolutions`` maps a vehicle's load key — its
     temperature bin, or its ambient (a bin center) on thermal fleets — to
     the probe's :class:`~repro.core.emulator.RoundResolution` of that run;
-    both are read-only after discovery.  The first vehicle to need it fills
-    ``harvest``: the walk's per-unit harvest at unit size and whether any
-    entry is negative.
+    both are read-only after discovery.  ``survival`` is the walk's survival
+    bucketing (:func:`_survival_buckets`).  The first vehicle to need it
+    fills ``harvest``: the walk's per-unit harvest at unit size and whether
+    any entry is negative.
     """
 
     plan: CyclePlan
     cycle_name: str
     duration_s: float
+    survival: tuple | None
     resolutions: dict = field(default_factory=dict)
     harvest: tuple | None = None
 
 
-def _survival_from_samples(
-    times: np.ndarray, active: np.ndarray, duration_s: float, buckets: int
-) -> tuple:
-    """Per-bucket active fraction of one vehicle's sampled state log.
+def _survival_buckets(plan: CyclePlan, duration_s: float, buckets: int) -> tuple | None:
+    """Each record time's survival bucket, the buckets with records and their counts (>= 1).
 
-    ``times`` and ``active`` are the plan's sampling walk read off the
-    vehicle's trajectory — the values ``emulate()`` records in its log.
+    Every vehicle on a walk shares them; ``None`` without records or duration.
     """
+    times = plan.sample_times
     if times.size == 0 or duration_s <= 0.0:
-        return tuple([float("nan")] * buckets)
+        return None
     index = np.minimum((times / duration_s * buckets).astype(np.intp), buckets - 1)
     counts = np.bincount(index, minlength=buckets)
+    return index, counts > 0, np.maximum(counts, 1)
+
+
+def _survival_from_samples(walk: _Walk, active: np.ndarray, buckets: int) -> tuple:
+    """Per-bucket active fraction of one vehicle's state log (``active`` at the record times)."""
+    if walk.survival is None:
+        return tuple([float("nan")] * buckets)
+    index, sampled, divisor = walk.survival
     active_counts = np.bincount(index, weights=active.astype(float), minlength=buckets)
-    with np.errstate(invalid="ignore"):
-        fractions = np.where(counts > 0, active_counts / np.maximum(counts, 1), np.nan)
-    return tuple(fractions.tolist())
+    return tuple(np.where(sampled, active_counts / divisor, np.nan).tolist())
 
 
 @dataclass(slots=True)
@@ -247,9 +242,7 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
     row["active_at_end"] = bool(sample_active[-1]) if sample_active.size else False
     return {
         "row": row,
-        "survival": _survival_from_samples(
-            plan.sample_times, sample_active, walk.duration_s, run.buckets
-        ),
+        "survival": _survival_from_samples(walk, sample_active, run.buckets),
     }
 
 
@@ -429,10 +422,10 @@ class FleetRunner:
         by the distinct (cycle, scale, temperature) combinations, not by the
         population size).  ``walks`` (walk key -> number) is filled in
         vehicle order.  The probe then resolves every request in ONE
-        ``_resolve_rounds`` call into a run-local bin dict — never its own
-        capped cache, which a large population would overflow — so the one
-        cross-vehicle sweep covers the union of bins.  Returns the shared
-        :class:`_Run`, the cohort count and the swept-bin count.
+        ``_resolve_rounds`` call — never through its own capped cache, which
+        a large population would overflow, so no key tuple is built — and
+        the one cross-vehicle sweep covers the union of bins.  Returns the
+        shared :class:`_Run`, the cohort count and the swept-bin count.
         """
         fleet = self.fleet
         base = fleet.base
@@ -473,7 +466,8 @@ class FleetRunner:
                         drive_cycles[key[0]] = base.with_axes(drive_cycle=ref).build_drive_cycle()
                     cycle = drive_cycles[key[0]].scaled(key[1])
                     plan = probe.materialize_cycle(cycle, self.idle_step_s, self.record_interval_s)
-                    run.walks.append(_Walk(plan, cycle.name, cycle.duration_s))
+                    survival = _survival_buckets(plan, cycle.duration_s, run.buckets)
+                    run.walks.append(_Walk(plan, cycle.name, cycle.duration_s, survival))
                 walk = run.walks[number]
                 if load_key in walk.resolutions:
                     continue
@@ -487,13 +481,13 @@ class FleetRunner:
                     # trajectory equals each vehicle's own.
                     requests.append((walk.plan, load_key, thermal.build(load_key)))
 
-        bins: dict = {}
-        resolutions = probe._resolve_rounds(requests, bins, bins.__setitem__)
+        resolutions = probe._resolve_rounds(requests)
         for walk in run.walks:
             for load_key, position in walk.resolutions.items():
                 walk.resolutions[load_key] = resolutions[position]
         cohorts = len(requests) if thermal is not None else len(run.walks)
-        return run, cohorts, len(bins)
+        swept = int(np.count_nonzero(~np.isnan(resolutions[0].energies))) if resolutions else 0
+        return run, cohorts, swept
 
     # -- execution ----------------------------------------------------------
 

@@ -77,13 +77,3 @@ class FileLock:
                 os.close(self._fd)
                 self._fd = None
         self._thread_lock.release()
-
-    def locked_by_this_thread(self) -> bool:
-        """Whether the calling thread currently holds the lock (for asserts)."""
-        acquired = self._thread_lock.acquire(blocking=False)
-        if not acquired:
-            return False
-        try:
-            return self._depth > 0
-        finally:
-            self._thread_lock.release()

@@ -236,7 +236,7 @@ class _StudyRequest:
             raise ConfigError("study request needs a 'scenario' document")
         self.spec = ScenarioSpec.from_dict(_require_mapping(document["scenario"], "scenario"))
         axes = _require_mapping(document.get("axes", {}), "axes")
-        self.axes = {name: list(values) for name, values in axes.items()}
+        self.axes = {name: _axis_values(name, values) for name, values in axes.items()}
         self.analysis = document.get("analysis", "balance")
         if self.analysis not in STUDY_KINDS:
             raise ConfigError(
@@ -274,6 +274,13 @@ class _StudyRequest:
             montecarlo=self.montecarlo,
             evaluator_cache=evaluator_cache,
         )
+
+
+def _axis_values(name: str, values: object) -> list:
+    """One axis of a study request: a JSON list of values, never split or iterated blindly."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"axis {name!r} must be a list of values, got {type(values).__name__}")
+    return list(values)
 
 
 def _axis_key_value(value: object) -> object:

@@ -165,21 +165,41 @@ class TestCacheReuse:
             node.schedule_for(speed, 0)
         assert str(raised.value) == str(reference.value)
 
-    def test_bin_sweep_leaves_out_unbuildable_keys(
-        self, limited_node, database, scavenger
-    ):
-        """One sweep decides feasibility: unbuildable keys are left out."""
+    def test_bin_sweep_leaves_out_unbuildable_keys(self, limited_node, database, scavenger):
+        """One sweep decides feasibility: a round that cannot be built stays unresolved.
+
+        At 128.74 km/h the limited node's transmitting rounds no longer fit,
+        its other rounds do, and its bin (upper edge 128.75) is keyed on the
+        exact speed; at 128.7 every round fits.
+        """
+        from repro.errors import ScheduleError
+        from repro.timing.wheel_round import WheelRound
+
         node = limited_node
-        pattern = node.phase_pattern(0)
-        fits = (("exact", 128.7), 25, *pattern)
-        fails = (("exact", 128.74), 25, *pattern)
-        pending = {fails: (128.74, 25.0, pattern), fits: (128.7, 25.0, pattern)}
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
-        swept = emulator.evaluate_energy_bins(pending)
-        assert list(swept) == [fits]
+        cruises = [constant_cruise(speed, duration_s=5.0) for speed in (128.7, 128.74)]
+        plans = [emulator.materialize_cycle(cycle) for cycle in cruises]
+        fits, fails = emulator._resolve_rounds([(plan, 25.0, None) for plan in plans])
+        assert not fits.checked and fails.checked
         alone = NodeEmulator(node, database, scavenger, supercapacitor())
-        assert swept[fits] == alone.evaluate_energy_bins({fits: pending[fits]})[fits]
-        assert emulator.evaluate_energy_bins({fails: pending[fails]}) == {}
+        outcomes = []
+        for plan, resolution in zip(plans, (fits, fails)):
+            for i in plan.round_indices.tolist():
+                unit = WheelRound(
+                    index=int(plan.indices[i]),
+                    start_s=float(plan.starts[i]),
+                    period_s=float(plan.durations[i]),
+                    speed_kmh=float(plan.speeds[i]),
+                )
+                k = resolution.value_index[i]
+                outcomes.append(k >= 0)
+                if k < 0:
+                    with pytest.raises(ScheduleError):
+                        alone._revolution_energy(unit, 25.0)
+                else:
+                    value = alone._revolution_energy(unit, 25.0)
+                    assert resolution.energies[k].hex() == value.hex()
+        assert any(outcomes) and not all(outcomes)
 
     def test_bin_sharing_speeds_do_not_leak_history(self, node, database, scavenger):
         """Two speeds in the same 0.5 km/h bin must not cross-contaminate runs.

@@ -144,9 +144,9 @@ class TestPrefillMechanics:
         swept = []
         sweep = NodeEmulator.evaluate_energy_bins
 
-        def counting(self, pending):
-            swept.append(len(pending))
-            return sweep(self, pending)
+        def counting(self, table, temperatures):
+            swept.append(len(temperatures))
+            return sweep(self, table, temperatures)
 
         monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", counting)
         emulator = _thermal_emulator(node, database, scavenger)
@@ -252,12 +252,12 @@ class TestPrefillMechanics:
     ):
         """Rounds whose schedule cannot be built are left out of the sweep."""
         node = limited_node
-        swept = []
+        tables = []
         sweep = NodeEmulator.evaluate_energy_bins
 
-        def recording(self, pending):
-            swept.extend(pending)
-            return sweep(self, pending)
+        def recording(self, table, temperatures):
+            tables.append(table)
+            return sweep(self, table, temperatures)
 
         monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", recording)
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
@@ -271,7 +271,10 @@ class TestPrefillMechanics:
         # while active, exactly as the per-revolution reference does.
         with pytest.raises(ScheduleError) as planned:
             emulator.emulate(cycle)
-        assert swept
+        # The one sweep's points all build, and its keys are the cache's.
+        assert len(tables) == 1 and tables[0].feasible.all()
+        swept = list(emulator._energy_cache)
+        assert len(swept) == len(tables[0])
         assert all(
             _fits(node, speed_bin_upper_edge_kmh(key[0]), key[2:])
             for key in swept
@@ -582,8 +585,8 @@ class TestResolutionMemo:
         emulator.emulate(urban_cycle(repetitions=1))
         (cold, *_), (resolution, *_) = scans
         assert resolution is cold
-        assert isinstance(resolution.values, tuple)
-        for array in (resolution.load, resolution.value_index):
+        columns = (resolution.speeds, resolution.temperatures, resolution.patterns)
+        for array in (resolution.load, resolution.value_index, resolution.energies, *columns):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = array[0]

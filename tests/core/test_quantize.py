@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,18 +92,13 @@ class TestEmulatorBinSharing:
         """The entries evaluate_energy_bins sweeps == what the per-miss path caches."""
         donor, _receiver = emulators
         cycle = urban_cycle(repetitions=1)
-        # The bin set of the donor's cold run: what its one sweep evaluates.
-        pending = {}
+        # The entries of the donor's cold run: what its one sweep evaluated.
+        sweeps = []
         sweep = donor.evaluate_energy_bins
-
-        def capture(bins):
-            pending.update(bins)
-            return sweep(bins)
-
-        donor.evaluate_energy_bins = capture
+        donor.evaluate_energy_bins = lambda *args: sweeps.append(sweep(*args)) or sweeps[-1]
         result = donor.emulate(cycle)
-        assert pending
-        entries = sweep(pending)
+        entries = dict(donor._energy_cache)
+        assert len(sweeps) == 1 and len(sweeps[0]) == len(entries) > 0
 
         # Per-miss reference: every wheel round through _revolution_energy,
         # one cache miss at a time, on an emulator that never swept.
@@ -131,4 +127,6 @@ class TestEmulatorBinSharing:
 
     def test_evaluate_empty_pending(self, emulators):
         donor, _receiver = emulators
-        assert donor.evaluate_energy_bins({}) == {}
+        table = donor.node.schedule_table([], np.empty((0, 3), dtype=bool))
+        assert len(donor.evaluate_energy_bins(table, [])) == 0
+        assert donor._resolve_rounds([]) == []

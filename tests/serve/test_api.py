@@ -198,6 +198,23 @@ class TestErrorMapping:
         finally:
             manager.shutdown()
 
+    @pytest.mark.parametrize(
+        "values", [5, "baseline", {"a": 1}, None], ids=["int", "string", "mapping", "null"]
+    )
+    def test_axis_value_that_is_not_a_list_is_a_400_and_no_job(self, values):
+        manager = JobManager(evaluator_capacity=4)
+        try:
+            document = {**STUDY_DOC, "axes": {"temperature": values}}
+            status, payload, _ = ServeApp(manager).handle(
+                "POST", "/studies", json.dumps(document).encode()
+            )
+            assert status == 400
+            expected = f"axis 'temperature' must be a list of values, got {type(values).__name__}"
+            assert json.loads(payload)["error"] == expected
+            assert manager.jobs() == []
+        finally:
+            manager.shutdown()
+
     def test_malformed_execution_field_is_a_400_on_the_live_server(self, server):
         body = json.dumps({**STUDY_DOC, "workers": "2", "backend": "process"}).encode()
         status, payload = _raw(server, "POST", "/studies", body)
