@@ -40,7 +40,13 @@ from repro.core.trace import PowerTrace
 from repro.errors import ConfigurationError, EmulationError
 from repro.power.database import PowerDatabase
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import StorageElement, StorageTrajectory, trajectory
+from repro.scavenger.storage import (
+    LedgerDemand,
+    StorageElement,
+    StorageTrajectory,
+    ledger_demand,
+    trajectory,
+)
 from repro.timing.schedule import ScheduleTable
 from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import DriveCycle
@@ -215,7 +221,7 @@ class EmulationResult:
         self.node_name = node_name
         self.cycle_name = cycle_name
         self.duration_s = duration_s
-        self.log = SampleLog.from_samples(samples) if samples else SampleLog()
+        self._log = SampleLog.from_samples(samples) if samples else None
         self.harvested_j = harvested_j
         self.consumed_j = consumed_j
         self.discarded_j = discarded_j
@@ -225,6 +231,17 @@ class EmulationResult:
         self.moving_time_s = moving_time_s
         self.active_time_s = active_time_s
         self.trace = trace
+
+    @property
+    def log(self) -> SampleLog:
+        """The recorded state log; an empty one is allocated on first use."""
+        if self._log is None:
+            self._log = SampleLog()
+        return self._log
+
+    @log.setter
+    def log(self, value: SampleLog) -> None:
+        self._log = value
 
     @property
     def samples(self) -> tuple[EmulationSample, ...]:
@@ -244,7 +261,7 @@ class EmulationResult:
     @property
     def sample_count(self) -> int:
         """Number of recorded samples (cheap, unlike ``len(self.samples)``)."""
-        return len(self.log)
+        return len(self._log) if self._log is not None else 0
 
     _SCALAR_FIELDS = (
         "node_name",
@@ -262,7 +279,7 @@ class EmulationResult:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._SCALAR_FIELDS)
-        return f"EmulationResult({fields}, samples={len(self.log)}, trace={self.trace!r})"
+        return f"EmulationResult({fields}, samples={self.sample_count}, trace={self.trace!r})"
 
     def __eq__(self, other: object) -> bool:
         # Field-based equality, preserved from the former dataclass: scalar
@@ -886,14 +903,35 @@ class NodeEmulator:
                     )
         return resolutions
 
+    @staticmethod
+    def _ledger_demand(
+        resolution: RoundResolution, storage: StorageElement, leak=None
+    ) -> LedgerDemand:
+        """The demand :meth:`_scan_ledger` scans: the load and leak over ``[0, end)``.
+
+        ``leak`` is a :func:`~repro.scavenger.storage.ledger_leak` of the
+        plan's durations that the caller shares, or ``None``.  The demand
+        holds for any element with ``storage``'s efficiencies and
+        self-discharge, such as its
+        :func:`~repro.scavenger.storage.scaled_storage` copies.
+        """
+        end = resolution.end
+        leak_s = resolution.plan.durations[:end] if leak is None else leak
+        return ledger_demand(storage, resolution.load[:end], leak_s)
+
     def _scan_ledger(
-        self, resolution: RoundResolution, storage: StorageElement, harvest: np.ndarray
+        self,
+        resolution: RoundResolution,
+        storage: StorageElement,
+        harvest: np.ndarray,
+        demand: LedgerDemand,
     ) -> StorageTrajectory:
         """Integrate the ledger over units ``[0, end)``; raise the scalar path's error.
 
         ONE :func:`repro.scavenger.storage.trajectory` call over the
-        per-unit ``harvest`` and the resolution's load, from ``storage``'s
-        own (construction-validated) initial charge; ``storage`` is not
+        per-unit ``harvest`` and the resolution's ``demand``
+        (:meth:`_ledger_demand`), from ``storage``'s own
+        (construction-validated) initial charge; ``storage`` is not
         mutated.  When the scan can raise (``resolution.checked``), the
         first unresolved round the node reaches while active raises through
         :meth:`_revolution_energy`: every earlier one was passed browned
@@ -905,13 +943,7 @@ class NodeEmulator:
         plan, end = resolution.plan, resolution.end
         # initial_charge_j=None replays the element's own (already
         # validated) initial charge without the per-call range check.
-        traj = trajectory(
-            storage,
-            harvest[:end],
-            resolution.load[:end],
-            plan.durations[:end],
-            initially_active=not storage.is_depleted,
-        )
+        traj = trajectory(storage, harvest[:end], demand, initially_active=not storage.is_depleted)
         if not resolution.checked:
             return traj
         temps = np.broadcast_to(resolution.temps, plan.durations.shape)
@@ -1006,7 +1038,9 @@ class NodeEmulator:
             if memo_key is not None:
                 resolutions[memo_key] = resolution
         harvest = round_harvest(self.scavenger, plan)
-        traj = self._scan_ledger(resolution, self.storage, harvest)
+        traj = self._scan_ledger(
+            resolution, self.storage, harvest, self._ledger_demand(resolution, self.storage)
+        )
         # The mutating element is the scalar reference, not the integrator:
         # leave it holding the trajectory's final charge, exactly as the old
         # per-revolution deposit/withdraw/leak calls did.

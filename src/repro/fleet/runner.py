@@ -31,11 +31,26 @@ A vehicle is its walk's unit-size harvest times its size factor (exactly as
 ``build_scavenger`` + ``scaled()`` scale it), its request's load and its
 ledger.  Once a chunk has settled, each vehicle's ledger is scanned by the
 emulator's :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, the scan
-``emulate()`` uses; what every vehicle on a walk shares (revolution count,
-moving time, survival bucketing) is computed once per walk.  Process
-workers scan in the worker.  Per-vehicle figures are bit-identical to a
-naive ``emulate()`` of the same vehicle scenario, so the aggregates are
-independent of chunking, worker counts and backends.
+``emulate()`` uses, once per vehicle.  What does not depend on the vehicle
+is built at discovery, next to the resolutions:
+
+* **per walk** — the ledger's leak side
+  (:func:`~repro.scavenger.storage.ledger_leak`), the survival bucketing,
+  and the figures of a ledger that drew on every unit: active revolutions
+  and time, the survival curve and ``active_at_end``;
+* **per cohort** — the hoisted ledger demand
+  (:func:`~repro.scavenger.storage.ledger_demand`: the load at the storage
+  element divided by the discharge efficiency, and its check), valid for
+  every vehicle because a scaled storage element differs in capacity and
+  thresholds only, and the load's sum.
+
+A ledger the scan certifies free (active throughout, nothing clipped, no
+failed withdrawal) is finished from those constants; its own work is the
+scan and its harvest totals (banked and discarded sums).  Any other ledger
+takes its totals and survival from its trajectory.  Process workers
+inherit the constants by fork and scan in the worker.  Per-vehicle figures
+are bit-identical to a naive ``emulate()`` of the same vehicle scenario, so
+the aggregates are independent of chunking, worker counts and backends.
 
 Errors keep ``emulate()``'s timing: a cohort whose scan can raise (a round
 whose exact-speed schedule cannot be built, or a thermal trajectory leaving
@@ -69,7 +84,7 @@ from repro.fleet.aggregate import (
 )
 from repro.fleet.spec import FleetChunk, FleetSpec
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import StorageElement, scaled_storage
+from repro.scavenger.storage import LedgerDemand, StorageElement, ledger_leak, scaled_storage
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine, process_pool_context
 
@@ -81,21 +96,40 @@ class _Walk:
     """One (drive cycle, speed scale) pairing of a run.
 
     ``plan`` is the probe emulator's walk of the scaled cycle, shared by
-    every vehicle on it.  ``resolutions`` maps a vehicle's load key — its
+    every vehicle on it.  ``cohorts`` maps a vehicle's load key — its
     temperature bin, or its ambient (a bin center) on thermal fleets — to
-    the probe's :class:`~repro.core.emulator.RoundResolution` of that run;
-    both are read-only after discovery.  ``survival`` is the walk's survival
-    bucketing (:func:`_survival_buckets`).  The first vehicle to need it
-    fills ``harvest``: the walk's per-unit harvest at unit size and whether
-    any entry is negative.
+    its :class:`_Cohort`.  ``survival`` is the walk's survival bucketing
+    (:func:`_survival_buckets`).  Discovery fills ``free``, the figures
+    every free ledger on the walk shares (:func:`_free_figures`); all of
+    these are read-only afterwards.  The first vehicle to need it fills
+    ``harvest``: the walk's per-unit harvest at unit size and whether any
+    entry is negative.
     """
 
     plan: CyclePlan
     cycle_name: str
     duration_s: float
     survival: tuple | None
-    resolutions: dict = field(default_factory=dict)
+    cohorts: dict = field(default_factory=dict)
+    free: tuple | None = None
     harvest: tuple | None = None
+
+
+@dataclass(slots=True, frozen=True)
+class _Cohort:
+    """One load key on a walk: what its vehicles share besides the walk.
+
+    ``resolution`` is the probe's
+    :class:`~repro.core.emulator.RoundResolution` of the cohort's run,
+    ``demand`` its hoisted ledger demand (valid for every vehicle, whose
+    scaled storage elements differ from the base one in capacity and
+    thresholds only) and ``consumed_j`` the load's sum: what a free ledger
+    draws.
+    """
+
+    resolution: RoundResolution
+    demand: LedgerDemand
+    consumed_j: float
 
 
 def _survival_buckets(plan: CyclePlan, duration_s: float, buckets: int) -> tuple | None:
@@ -118,6 +152,32 @@ def _survival_from_samples(walk: _Walk, active: np.ndarray, buckets: int) -> tup
     index, sampled, divisor = walk.survival
     active_counts = np.bincount(index, weights=active.astype(float), minlength=buckets)
     return tuple(np.where(sampled, active_counts / divisor, np.nan).tolist())
+
+
+def _row_tail(walk: _Walk, active: np.ndarray, buckets: int) -> tuple:
+    """A vehicle's survival and ``active_at_end`` from its per-unit ``active`` flags."""
+    sample_active = active[walk.plan.sample_units]
+    at_end = bool(sample_active[-1]) if sample_active.size else False
+    return _survival_from_samples(walk, sample_active, buckets), at_end
+
+
+def _free_figures(walk: _Walk, buckets: int) -> tuple:
+    """What every free ledger on ``walk`` shares: totals, survival, ``active_at_end``.
+
+    A free ledger drew on every unit, so these are
+    :meth:`~repro.core.emulator.EmulationResult.record_totals`' figures
+    and :func:`_row_tail` with every flag set, evaluated once per walk.
+    """
+    plan = walk.plan
+    drew = np.ones(len(plan), dtype=bool)
+    totals = {
+        "revolutions": plan.revolutions,
+        "moving_time_s": plan.moving_time_s,
+        "active_revolutions": int((plan.is_round & drew).sum()),
+        "active_time_s": float(plan.durations[drew].sum()),
+        "brownout_events": 0,
+    }
+    return totals, *_row_tail(walk, drew, buckets)
 
 
 @dataclass(slots=True)
@@ -172,15 +232,14 @@ def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> np.ndarray:
 class _PendingScan:
     """One vehicle between its inputs phase and its ledger scan.
 
-    Holds the vehicle's record, its walk, its cohort's resolution, its
-    storage element (parameters only) and harvest — what
-    :func:`_finish_vehicle` scans.
+    Holds the vehicle's record, its walk, its cohort, its storage element
+    (parameters only) and harvest — what :func:`_finish_vehicle` scans.
     """
 
     vehicle: tuple
     run: _Run
     walk: _Walk
-    resolution: RoundResolution
+    cohort: _Cohort
     storage: StorageElement
     harvest: np.ndarray
 
@@ -201,7 +260,7 @@ def _cohort_vehicle_outcome(vehicle_index: int, vehicle: tuple, run: _Run) -> _P
     walk = run.walks[walk]
     harvest = _vehicle_harvest(run, walk, size)
     storage = scaled_storage(run.storage, storage_scale)
-    return _PendingScan(vehicle, run, walk, walk.resolutions[load_key], storage, harvest)
+    return _PendingScan(vehicle, run, walk, walk.cohorts[load_key], storage, harvest)
 
 
 def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
@@ -209,22 +268,34 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
 
     The row's key order is the one every stored and exported fleet has.
     The scan is ``emulate()``'s own
-    :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, which raises
-    the naive run's error, if it has one.
+    :meth:`~repro.core.emulator.NodeEmulator._scan_ledger` over the
+    cohort's hoisted demand, which raises the naive run's error, if it has
+    one.  A ledger the scan certifies free takes every figure but its
+    harvest totals from the walk and the cohort.
     """
     walk = pending.walk
-    plan = walk.plan
     run = pending.run
-    traj = run.probe._scan_ledger(pending.resolution, pending.storage, pending.harvest)
-    result = EmulationResult(
-        node_name=run.probe.node.name,
-        cycle_name=walk.cycle_name,
-        duration_s=walk.duration_s,
-    )
-    result.record_totals(
-        plan, pending.harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
-    )
-    sample_active = traj.active[plan.sample_units]
+    cohort = pending.cohort
+    harvest = pending.harvest
+    traj = run.probe._scan_ledger(cohort.resolution, pending.storage, harvest, cohort.demand)
+    if traj.free:
+        totals, survival, active_at_end = walk.free
+        banked = traj.banked_j
+        result = EmulationResult(
+            run.probe.node.name,
+            walk.cycle_name,
+            walk.duration_s,
+            harvested_j=float(banked.sum()),
+            consumed_j=cohort.consumed_j,
+            discarded_j=float(np.maximum(0.0, harvest - banked).sum()),
+            **totals,
+        )
+    else:
+        result = EmulationResult(run.probe.node.name, walk.cycle_name, walk.duration_s)
+        result.record_totals(
+            walk.plan, harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
+        )
+        survival, active_at_end = _row_tail(walk, traj.active, run.buckets)
     index, speed_scale, temperature, size, storage_scale = pending.vehicle[:5]
     summary = result.summary()
     hours = result.duration_s / 3600.0
@@ -239,11 +310,8 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
     }
     row.update(summary)
     row["brownout_per_hour"] = summary["brownout_events"] / hours if hours > 0.0 else float("nan")
-    row["active_at_end"] = bool(sample_active[-1]) if sample_active.size else False
-    return {
-        "row": row,
-        "survival": _survival_from_samples(walk, sample_active, run.buckets),
-    }
+    row["active_at_end"] = active_at_end
+    return {"row": row, "survival": survival}
 
 
 def _finish_chunk(results: list) -> list:
@@ -469,9 +537,9 @@ class FleetRunner:
                     survival = _survival_buckets(plan, cycle.duration_s, run.buckets)
                     run.walks.append(_Walk(plan, cycle.name, cycle.duration_s, survival))
                 walk = run.walks[number]
-                if load_key in walk.resolutions:
+                if load_key in walk.cohorts:
                     continue
-                walk.resolutions[load_key] = len(requests)
+                walk.cohorts[load_key] = len(requests)
                 if thermal is None:
                     requests.append((walk.plan, temperature_bin_center_c(load_key), None))
                 else:
@@ -483,8 +551,13 @@ class FleetRunner:
 
         resolutions = probe._resolve_rounds(requests)
         for walk in run.walks:
-            for load_key, position in walk.resolutions.items():
-                walk.resolutions[load_key] = resolutions[position]
+            # The ledger constants: the leak per walk, the demand per cohort.
+            leak = ledger_leak(storage, walk.plan.durations)
+            walk.free = _free_figures(walk, run.buckets)
+            for load_key, position in walk.cohorts.items():
+                resolution = resolutions[position]
+                demand = probe._ledger_demand(resolution, storage, leak)
+                walk.cohorts[load_key] = _Cohort(resolution, demand, float(demand.load.sum()))
         cohorts = len(requests) if thermal is not None else len(run.walks)
         swept = int(np.count_nonzero(~np.isnan(resolutions[0].energies))) if resolutions else 0
         return run, cohorts, swept
@@ -544,7 +617,7 @@ class FleetRunner:
             # A cohort whose scan can raise scans here, inside the retried
             # kernel, so each vehicle's error is retried or collected on its
             # own; the others scan once the chunk has settled (_finish_chunk).
-            return _finish_vehicle(pending) if pending.resolution.checked else pending
+            return _finish_vehicle(pending) if pending.cohort.resolution.checked else pending
 
         if self._engine.backend == "process":
             # Fork-inherited sharing: stash the shared state where the worker

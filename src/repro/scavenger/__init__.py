@@ -15,8 +15,10 @@ from repro.scavenger.electrostatic import ElectrostaticScavenger
 from repro.scavenger.piezoelectric import PiezoelectricScavenger
 from repro.scavenger.profiles import TabulatedScavenger
 from repro.scavenger.storage import (
+    LedgerDemand,
     StorageElement,
     StorageTrajectory,
+    ledger_demand,
     supercapacitor,
     thin_film_battery,
     trajectory,
@@ -29,8 +31,10 @@ __all__ = [
     "ElectrostaticScavenger",
     "TabulatedScavenger",
     "PowerConditioning",
+    "LedgerDemand",
     "StorageElement",
     "StorageTrajectory",
+    "ledger_demand",
     "supercapacitor",
     "thin_film_battery",
     "trajectory",

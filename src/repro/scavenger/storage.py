@@ -13,7 +13,11 @@ The ledger replay over a whole drive cycle is :func:`trajectory`.  It runs
 and steps the rare events through :func:`reference_scan`, the per-step
 recurrence; both are bitwise identical to stepping a
 :class:`StorageElement`.  ``emulate()`` and every fleet vehicle, on any
-execution backend, go through this one scan.
+execution backend, go through this one scan.  The load and leak side of a
+ledger (:class:`LedgerDemand`) is computed once by :func:`ledger_demand`
+and may be shared by many scans, such as a fleet cohort's vehicles; a scan
+that commits every step through the free branch says so (``free``), so
+its caller can take the ledger's totals from constants.
 """
 
 from __future__ import annotations
@@ -272,6 +276,12 @@ class StorageTrajectory:
         brownout_events: number of failed withdrawals.
         final_charge_j: stored energy after the last step (``charge_j[-1]``,
             or the initial charge for an empty window).
+        free: True when the node was active from the start and no step had
+            an event (a clipped deposit, a failed withdrawal, a leak that
+            took the whole charge): every step banked its stored energy and
+            drew its load.  ``banked_j`` and ``drawn_j`` are then the scan's
+            stored-energy and load arrays and the three flag arrays are one
+            shared read-only all-true array.
     """
 
     charge_j: np.ndarray
@@ -282,6 +292,7 @@ class StorageTrajectory:
     withdrew: np.ndarray
     brownout_events: int
     final_charge_j: float
+    free: bool
 
     def __len__(self) -> int:
         return len(self.charge_j)
@@ -361,6 +372,21 @@ def _first_failure(ok) -> int:
     return len(ok) if ok[index] else index
 
 
+def _free_prefix(charge_out, stored, load, steps: int) -> tuple:
+    """A scan's six outputs, the first ``steps`` committed through the free branch.
+
+    Those steps were active, banked their stored energy and drew their load.
+    """
+    count = len(stored)
+    banked_out, drawn_out = np.empty(count), np.zeros(count)
+    banked_out[:steps] = stored[:steps]
+    drawn_out[:steps] = load[:steps]
+    active_out, attempted, withdrew = (np.zeros(count, dtype=bool) for _ in range(3))
+    for flags in (active_out, attempted, withdrew):
+        flags[:steps] = True
+    return charge_out, active_out, banked_out, drawn_out, attempted, withdrew
+
+
 def run_length_scan(
     stored,
     required,
@@ -394,9 +420,16 @@ def run_length_scan(
     :func:`reference_scan` on a one-step slice; after two short windows in
     a row the next :data:`_DENSE_STEPS` steps go to :func:`reference_scan`
     whole, so event-dense ledgers cost about what the plain loop costs.
+
     The outputs are bitwise those of :func:`reference_scan`
     (property-tested) for a positive capacity, as every
-    :class:`StorageElement` has, with the same signature and return tuple.
+    :class:`StorageElement` has, with the same signature; a ninth value,
+    ``free``, certifies a ledger that was active from the start and
+    committed every step through the free branch.  Such a scan fills only
+    the charge: its banked and drawn outputs are the (contiguous) ``stored``
+    and ``load`` inputs, and its three flag outputs one read-only all-true
+    array.  A ledger that leaves the free branch fills the other outputs
+    from there on, after writing what the free prefix committed.
     """
     # Contiguous copies first: numpy 2.4.6's AVX-512 loops misread a
     # strided input written into a strided output -- np.negative(col,
@@ -408,9 +441,10 @@ def run_length_scan(
         for values in (stored, required, load, leak_amounts)
     )
     count = len(stored)
-    charge_out, banked_out, drawn_out = np.empty(count), np.empty(count), np.zeros(count)
-    active_out, attempted, withdrew = (np.zeros(count, dtype=bool) for _ in range(3))
-    outputs = (charge_out, active_out, banked_out, drawn_out, attempted, withdrew)
+    charge_out = np.empty(count)
+    # The other five outputs exist only once the ledger leaves the free branch.
+    free = bool(active)
+    outputs = None if free else _free_prefix(charge_out, stored, load, 0)
     brownouts = 0
     window = _WINDOW
     short_before = False
@@ -421,6 +455,10 @@ def run_length_scan(
         stop = min(i + window, count)
         s = stored[i:stop]
         leak = leak_amounts[i:stop]
+        pinned = active and capacity - charge < s[0]
+        if free and pinned:
+            outputs = _free_prefix(charge_out, stored, load, i)
+            free = False
         if not active:
             # Browned out: accumulate [c, s0, -l0, s1, ...] below the restart level.
             x = np.empty(2 * len(s) + 1)
@@ -434,8 +472,8 @@ def run_length_scan(
             ok &= leak < x[1::2]
             run = _first_failure(ok)
             after = x[2::2]
-            banked_out[i : i + run] = s[:run]
-        elif capacity - charge < s[0]:
+            banked = s
+        elif pinned:
             # Pinned: every deposit clipped onto the capacity exactly.
             r = required[i:stop]
             drained = capacity - r
@@ -449,7 +487,7 @@ def run_length_scan(
             ok &= r <= capacity
             ok &= leak < drained
             run = _first_failure(ok)
-            banked_out[i : i + run] = headroom[:run]
+            banked = headroom
         else:
             # Free: accumulate [c, s0, -r0, -l0, s1, ...], nothing clipped.
             r = required[i:stop]
@@ -464,16 +502,19 @@ def run_length_scan(
             ok &= leak < x[2::3]
             run = _first_failure(ok)
             after = x[3::3]
-            banked_out[i : i + run] = s[:run]
+            banked = s
         if run:
             end = i + run
             charge_out[i:end] = after[:run]
             charge = after[run - 1]
-            if active:
-                active_out[i:end] = True
-                attempted[i:end] = True
-                withdrew[i:end] = True
-                drawn_out[i:end] = load[i:end]
+            if outputs is not None:
+                _charge_out, active_out, banked_out, drawn_out, attempted, withdrew = outputs
+                banked_out[i:end] = banked[:run]
+                if active:
+                    active_out[i:end] = True
+                    attempted[i:end] = True
+                    withdrew[i:end] = True
+                    drawn_out[i:end] = load[i:end]
             i = end
         if run == len(s):
             window = min(2 * window, 4 * _WINDOW)
@@ -490,6 +531,9 @@ def run_length_scan(
             span = 0
         short_before = short
         if span:
+            if free:
+                outputs = _free_prefix(charge_out, stored, load, i)
+                free = False
             end = min(i + span, count)
             *stepped, events, charge = reference_scan(
                 *(values[i:end] for values in (stored, required, load, leak_amounts)),
@@ -501,16 +545,109 @@ def run_length_scan(
             for output, values in zip(outputs, stepped):
                 output[i:end] = values
             brownouts += events
-            active = bool(active_out[end - 1])
+            active = bool(stepped[1][-1])
             i = end
-    return (*outputs, brownouts, charge)
+    if free:
+        flags = np.ones(count, dtype=bool)
+        flags.setflags(write=False)
+        return charge_out, flags, stored, load, flags, flags, 0, charge, True
+    return (*outputs, brownouts, charge, False)
+
+
+@dataclass(frozen=True, eq=False)
+class LedgerLeak:
+    """The self-discharge side of a ledger over fixed step durations.
+
+    It depends only on the durations and the element's self-discharge
+    power, so every ledger over one drive-cycle walk shares it.  ``amounts``
+    is ``self_discharge_w * durations`` (read-only); ``valid_steps`` counts
+    the steps before the first negative duration, which a scan that
+    reaches it rejects.
+    """
+
+    self_discharge_w: float
+    amounts: np.ndarray
+    valid_steps: int
+
+    def __len__(self) -> int:
+        return len(self.amounts)
+
+
+@dataclass(frozen=True, eq=False)
+class LedgerDemand:
+    """The harvest-independent side of a ledger: its load and its leak.
+
+    Everything :func:`trajectory` derives from the load and the step
+    durations, hoisted with the exact expressions the mutating methods
+    apply: ``required`` is ``load / discharge_efficiency``.  It is shared by
+    every ledger with the same load, durations and element efficiencies,
+    such as a fleet cohort's vehicles, whose scaled storage elements differ
+    in capacity and thresholds only.  ``negative_load`` records the check
+    that :func:`trajectory` raises on, so a hoisted demand raises at the
+    scan, as an unhoisted one would.  Arrays are read-only.
+    """
+
+    discharge_efficiency: float
+    load: np.ndarray
+    required: np.ndarray
+    negative_load: bool
+    leak: LedgerLeak
+
+    def __len__(self) -> int:
+        return len(self.load)
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def ledger_leak(storage: StorageElement, durations_s) -> LedgerLeak:
+    """The leak side of ``storage``'s ledgers over per-step ``durations_s``."""
+    durations = np.asarray(durations_s, dtype=float)
+    negative = durations < 0.0
+    return LedgerLeak(
+        storage.self_discharge_w,
+        _read_only(storage.self_discharge_w * durations),
+        int(np.argmax(negative)) if negative.any() else len(durations),
+    )
+
+
+def ledger_demand(storage: StorageElement, load_j, leak_s) -> LedgerDemand:
+    """The demand side of ``storage``'s ledgers over the per-step ``load_j``.
+
+    ``leak_s`` is the per-step self-discharge duration in seconds, ``(N,)``
+    or a scalar broadcast over the steps, or a :class:`LedgerLeak` of at
+    least ``N`` steps (its first ``N`` are used), which lets ledgers that
+    share their durations share their leak side.
+    """
+    load = np.ascontiguousarray(load_j, dtype=float)
+    count = len(load)
+    if isinstance(leak_s, LedgerLeak):
+        if leak_s.self_discharge_w != storage.self_discharge_w:
+            raise EmulationError("the leak was computed for another self-discharge power")
+        if len(leak_s) < count:
+            raise EmulationError("the leak covers fewer steps than the load")
+        leak = leak_s
+        if len(leak) > count:
+            leak = LedgerLeak(
+                leak.self_discharge_w, leak.amounts[:count], min(leak.valid_steps, count)
+            )
+    else:
+        leak = ledger_leak(storage, np.broadcast_to(np.asarray(leak_s, dtype=float), (count,)))
+    return LedgerDemand(
+        storage.discharge_efficiency,
+        _read_only(load.view()),
+        _read_only(load / storage.discharge_efficiency),
+        bool((load < 0.0).any()),
+        leak,
+    )
 
 
 def trajectory(
     storage: StorageElement,
     harvest_j,
-    load_j,
-    leak_s,
+    demand: LedgerDemand,
     initial_charge_j: float | None = None,
     initially_active: bool | None = None,
 ) -> StorageTrajectory:
@@ -525,19 +662,22 @@ def trajectory(
     nothing.  ``storage`` provides the parameters only — its state is
     neither read (beyond defaults) nor mutated.
 
-    The per-step efficiencies are hoisted with the exact expressions the
-    mutating methods apply, and the ledger is replayed by
-    :func:`run_length_scan`, whose outputs are those of the step primitives
-    applied in order, so the trajectory is bitwise identical to the scalar
-    replay (property-tested).
+    The load and leak come hoisted in ``demand`` (:func:`ledger_demand`),
+    which many ledgers may share; the harvest's charge efficiency is applied
+    here.  Both use the exact expressions the mutating methods apply, and
+    the ledger is replayed by :func:`run_length_scan`, whose outputs are
+    those of the step primitives applied in order, so the trajectory is
+    bitwise identical to the scalar replay (property-tested).  A ledger
+    the scan certifies free comes back with ``free`` set; its ``drawn_j``
+    is then ``demand.load`` itself.
 
     Args:
-        storage: parameter source (capacity, efficiencies, thresholds).
+        storage: parameter source (capacity, efficiencies, thresholds); its
+            discharge efficiency and self-discharge power must be those
+            ``demand`` was built with.
         harvest_j: per-step harvested energy at the storage input, ``(N,)``.
-        load_j: per-step load energy the node *wants* delivered, ``(N,)``;
-            only drawn while the node is active.
-        leak_s: per-step self-discharge duration in seconds, ``(N,)`` or a
-            scalar broadcast over the window.
+        demand: the per-step load the node *wants* delivered (only drawn
+            while the node is active) and the self-discharge, ``N`` steps.
         initial_charge_j: starting charge; defaults to the element's
             ``initial_charge_j``.  Only an *explicitly passed* value is
             range-checked here — the default is already validated by
@@ -551,16 +691,18 @@ def trajectory(
         A :class:`StorageTrajectory` with per-step charge/activity/flows.
     """
     harvest = np.asarray(harvest_j, dtype=float)
-    load = np.asarray(load_j, dtype=float)
-    count = len(harvest)
-    leak = np.broadcast_to(np.asarray(leak_s, dtype=float), (count,))
-    if len(load) != count:
+    if len(demand) != len(harvest):
         raise EmulationError("harvest and load arrays must have the same length")
+    if (
+        demand.discharge_efficiency != storage.discharge_efficiency
+        or demand.leak.self_discharge_w != storage.self_discharge_w
+    ):
+        raise EmulationError("the ledger demand was hoisted for another storage element")
     if (harvest < 0.0).any():
         raise EmulationError("cannot deposit negative energy")
-    if (load < 0.0).any():
+    if demand.negative_load:
         raise EmulationError("cannot withdraw negative energy")
-    if (leak < 0.0).any():
+    if demand.leak.valid_steps < len(harvest):
         raise EmulationError("duration must be non-negative")
 
     if initial_charge_j is None:
@@ -578,14 +720,6 @@ def trajectory(
         if initially_active is None
         else bool(initially_active)
     )
-    capacity = storage.capacity_j
-    restart = storage.restart_level_j
-    # Hoist the per-step conversions out of the scan: these are the exact
-    # expressions the scalar methods apply per call, evaluated elementwise.
-    stored = harvest * storage.charge_efficiency
-    required = load / storage.discharge_efficiency
-    leak_amounts = storage.self_discharge_w * leak
-
     (
         charge_out,
         active_out,
@@ -595,8 +729,16 @@ def trajectory(
         withdrew,
         brownouts,
         final_charge,
+        free,
     ) = run_length_scan(
-        stored, required, load, leak_amounts, charge, active, capacity, restart
+        harvest * storage.charge_efficiency,
+        demand.required,
+        demand.load,
+        demand.leak.amounts,
+        charge,
+        active,
+        storage.capacity_j,
+        storage.restart_level_j,
     )
     return StorageTrajectory(
         charge_j=charge_out,
@@ -607,4 +749,5 @@ def trajectory(
         withdrew=withdrew,
         brownout_events=int(brownouts),
         final_charge_j=float(final_charge),
+        free=free,
     )

@@ -312,6 +312,20 @@ class TestSampleLog:
         result.samples = []
         assert result.sample_count == 0
 
+    def test_a_result_without_samples_allocates_no_log(self):
+        # The fleet builds one result per vehicle and never records into it.
+        result = EmulationResult(node_name="n", cycle_name="c", duration_s=1.0)
+        other = EmulationResult(node_name="n", cycle_name="c", duration_s=1.0)
+        assert result.sample_count == 0
+        assert "samples=0" in repr(result)
+        assert result._log is None
+        assert result == other
+        assert result.samples == ()
+        assert result.sample_arrays()["time_s"].shape == (0,)
+        other.log.append(0.0, 50.0, 25.0, 0.5, True)
+        assert result != other
+        assert "samples=1" in repr(other)
+
     def test_constructor_accepts_sample_list(self):
         sample = EmulationSample(
             time_s=0.0,

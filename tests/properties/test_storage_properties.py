@@ -23,6 +23,7 @@ from repro.scavenger.storage import (
     StorageElement,
     deposit_step,
     leak_step,
+    ledger_demand,
     reference_scan,
     run_length_scan,
     trajectory,
@@ -30,6 +31,11 @@ from repro.scavenger.storage import (
 )
 
 energies = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
+
+
+def hoisted_trajectory(storage, harvest_j, load_j, leak_s, **options):
+    """``trajectory`` over the demand hoisted from ``load_j`` and ``leak_s``."""
+    return trajectory(storage, harvest_j, ledger_demand(storage, load_j, leak_s), **options)
 durations = st.floats(min_value=0.0, max_value=3600.0, allow_nan=False)
 
 
@@ -123,7 +129,7 @@ class TestTrajectoryEqualsScalarReplay:
         count = min(len(harvest), len(load))
         harvest, load = harvest[:count], load[:count]
         storage = make_storage(initial_fraction=initial)
-        traj = trajectory(storage, harvest, load, leak_s)
+        traj = hoisted_trajectory(storage, harvest, load, leak_s)
 
         # Scalar replay: the emulator's step semantics spelled out with the
         # reference StorageElement methods.
@@ -157,7 +163,7 @@ class TestTrajectoryEqualsScalarReplay:
     @given(harvest=harvest_arrays)
     def test_trajectory_charge_stays_within_bounds(self, harvest):
         storage = make_storage()
-        traj = trajectory(storage, harvest, np.zeros(len(harvest)), 1.0)
+        traj = hoisted_trajectory(storage, harvest, np.zeros(len(harvest)), 1.0)
         assert np.all(traj.charge_j >= 0.0)
         assert np.all(traj.charge_j <= storage.capacity_j)
 
@@ -167,7 +173,7 @@ class TestTrajectoryEqualsScalarReplay:
         from repro.errors import EmulationError
 
         with pytest.raises(EmulationError):
-            trajectory(make_storage(), [1e-6, 1e-6], [1e-6], 1.0)
+            hoisted_trajectory(make_storage(), [1e-6, 1e-6], [1e-6], 1.0)
 
     def test_negative_inputs_rejected(self):
         import pytest
@@ -176,11 +182,11 @@ class TestTrajectoryEqualsScalarReplay:
 
         storage = make_storage()
         with pytest.raises(EmulationError):
-            trajectory(storage, [-1e-9], [0.0], 1.0)
+            hoisted_trajectory(storage, [-1e-9], [0.0], 1.0)
         with pytest.raises(EmulationError):
-            trajectory(storage, [0.0], [-1e-9], 1.0)
+            hoisted_trajectory(storage, [0.0], [-1e-9], 1.0)
         with pytest.raises(EmulationError):
-            trajectory(storage, [0.0], [0.0], -1.0)
+            hoisted_trajectory(storage, [0.0], [0.0], -1.0)
 
     def test_out_of_range_initial_charge_rejected(self):
         import pytest
@@ -189,16 +195,16 @@ class TestTrajectoryEqualsScalarReplay:
 
         storage = make_storage()
         with pytest.raises(EmulationError):
-            trajectory(storage, [1e-6], [0.0], 1.0, initial_charge_j=-0.1)
+            hoisted_trajectory(storage, [1e-6], [0.0], 1.0, initial_charge_j=-0.1)
         with pytest.raises(EmulationError):
-            trajectory(
+            hoisted_trajectory(
                 storage, [1e-6], [0.0], 1.0, initial_charge_j=storage.capacity_j * 2.0
             )
 
     def test_element_state_is_untouched(self):
         storage = make_storage()
         before = storage.charge_j
-        trajectory(storage, [1e-4] * 5, [2e-4] * 5, 1.0)
+        hoisted_trajectory(storage, [1e-4] * 5, [2e-4] * 5, 1.0)
         assert storage.charge_j == before
 
 
@@ -353,7 +359,33 @@ def _element_replay(storage, harvest, load, durations, initially_active):
     return (*outputs, brownouts, element.charge_j)
 
 
-def assert_scans_agree(storage, harvest, load, durations, initially_active):
+def _takes_no_event(stored, required, leak, charge, active, capacity) -> bool:
+    """True when the recurrence from an active start clips nothing and never fails.
+
+    An event is a deposit past the headroom, a withdrawal past the charge or
+    a leak that takes the whole charge (``leak >= charge``); with none, the
+    node stays active, so it never restarts.
+    """
+    if not active:
+        return False
+    for s, r, leak_j in zip(stored.tolist(), required.tolist(), leak.tolist()):
+        if s > capacity - charge:
+            return False
+        charge += s
+        if r > charge:
+            return False
+        charge -= r
+        if leak_j >= charge:
+            return False
+        charge -= leak_j
+    return True
+
+
+def assert_scans_agree(storage, harvest, load, durations, initially_active) -> bool:
+    """Every scan's outputs are ``reference_scan``'s; the free flag is "no event".
+
+    Returns whether the ledger is free.
+    """
     hoisted = (
         harvest * storage.charge_efficiency,
         load / storage.discharge_efficiency,
@@ -367,7 +399,10 @@ def assert_scans_agree(storage, harvest, load, durations, initially_active):
         storage.restart_level_j,
     )
     expected = reference_scan(*hoisted)
-    traj = trajectory(storage, harvest, load, durations, initially_active=initially_active)
+    stored, required, _load, leak, charge, active, capacity, _restart = hoisted
+    free = _takes_no_event(stored, required, leak, charge, active, capacity)
+    demand = ledger_demand(storage, load, durations)
+    traj = trajectory(storage, harvest, demand, initially_active=initially_active)
     kernel = (
         traj.charge_j,
         traj.active,
@@ -378,12 +413,19 @@ def assert_scans_agree(storage, harvest, load, durations, initially_active):
         traj.brownout_events,
         traj.final_charge_j,
     )
-    replay = _element_replay(storage, harvest, load, durations, initially_active)
-    for outputs in (run_length_scan(*hoisted), kernel, replay):
+    scanned = run_length_scan(*hoisted)
+    stepped = _element_replay(storage, harvest, load, durations, initially_active)
+    for outputs in (scanned, kernel, stepped):
         for got, want in zip(outputs[:6], expected[:6]):
             assert _bits(got) == _bits(want)
         assert outputs[6] == expected[6]
         assert _bits(np.float64(outputs[7])) == _bits(np.float64(expected[7]))
+    assert scanned[8] is free
+    assert traj.free is free
+    if free:
+        assert traj.drawn_j is demand.load
+        assert not traj.withdrew.flags.writeable
+    return free
 
 
 class TestRunLengthScanEqualsReference:
@@ -429,7 +471,7 @@ class TestRunLengthScanEqualsReference:
         after_first = 0.2 + headroom
         durations = np.array([0.0, after_first, 0.0, 0.0, 0.01, 0.0])
         assert_scans_agree(storage, harvest, load, durations, None)
-        traj = trajectory(storage, harvest, load, durations)
+        traj = hoisted_trajectory(storage, harvest, load, durations)
         assert traj.banked_j[0] == headroom
         assert traj.charge_j[1] == 0.0
         assert traj.brownout_events == 1
@@ -449,7 +491,7 @@ class TestRunLengthScanEqualsReference:
         )
         zeros = np.zeros(3)
         assert_scans_agree(storage, -zeros, zeros, zeros, True)
-        assert not np.signbit(trajectory(storage, -zeros, zeros, zeros).charge_j).any()
+        assert not np.signbit(hoisted_trajectory(storage, -zeros, zeros, zeros).charge_j).any()
 
     def test_clip_that_misses_the_capacity_by_an_ulp(self):
         # From this charge, pre + (cap - pre) rounds one ulp below the
@@ -468,7 +510,7 @@ class TestRunLengthScanEqualsReference:
         harvest = np.full(4, 2.0)
         small = np.full(4, 1e-3)
         assert_scans_agree(storage, harvest, small, small, True)
-        traj = trajectory(storage, harvest, small, small)
+        traj = hoisted_trajectory(storage, harvest, small, small)
         assert traj.charge_j[0] == ((charge + (capacity - charge)) - 1e-3) - 1e-3
 
 
@@ -499,9 +541,227 @@ class TestStridedColumnInputs:
         storage = make_storage()
         rng = np.random.default_rng(3)
         table = rng.uniform(0.0, 1e-4, (300, 8))
-        traj = trajectory(storage, table[:, 1], table[:, 2], table[:, 3] * 10.0)
-        copy = trajectory(
+        traj = hoisted_trajectory(storage, table[:, 1], table[:, 2], table[:, 3] * 10.0)
+        copy = hoisted_trajectory(
             storage, np.array(table[:, 1]), np.array(table[:, 2]), np.array(table[:, 3]) * 10.0
         )
         assert _bits(traj.charge_j) == _bits(copy.charge_j)
         assert _bits(traj.drawn_j) == _bits(copy.drawn_j)
+
+
+# ---------------------------------------------------------------------------
+# The free certificate: a scan flags a ledger free exactly when the
+# reference recurrence takes no event, with the demand hoisted.
+# ---------------------------------------------------------------------------
+
+#: What a boundary plant pins on one step: the deposit against the headroom,
+#: the withdrawal against the charge after the deposit, the leak against
+#: the charge after the withdrawal, or a deposit far past the capacity.
+COMPARISONS = ("deposit", "withdraw", "leak", "clip")
+
+
+def _nudged(value: float, side: int) -> float:
+    """``value`` itself (a tie), or one ulp below or above it."""
+    if side == 0:
+        return value
+    return float(np.nextafter(value, np.inf if side > 0 else -np.inf))
+
+
+@st.composite
+def boundary_ledgers(draw, max_length=300):
+    """Mostly free ledgers with steps planted on either side of each free check.
+
+    Unit efficiencies and a unit self-discharge power make the planted
+    amounts the hoisted ones exactly, so a tie is a tie in the scan.  The
+    capacity/charge pair that makes ``pre + (cap - pre)`` miss the capacity
+    by an ulp is one of the drawn starting points.
+    """
+    unit = draw(st.booleans())
+    capacity, fraction = draw(
+        st.sampled_from([(1.5403466578537677, 0.4186433186567379 / 1.5403466578537677)])
+        | st.tuples(st.sampled_from([0.05, 0.25, 1.0]) | st.floats(0.01, 3.0), st.floats(0.0, 1.0))
+    )
+    restart = capacity * draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 1.0))
+    storage = StorageElement(
+        capacity_j=capacity,
+        initial_charge_j=capacity * fraction,
+        charge_efficiency=1.0 if unit else 0.95,
+        discharge_efficiency=1.0 if unit else 0.9,
+        self_discharge_w=1.0 if unit else 0.8e-6,
+        minimum_operating_j=restart * draw(st.sampled_from([0.0, 0.5, 1.0])),
+        restart_level_j=restart,
+    )
+    count = draw(st.integers(0, max_length))
+    plants = {
+        at: (comparison, side)
+        for at, comparison, side in draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, max(count - 1, 0)),
+                    st.sampled_from(COMPARISONS),
+                    st.sampled_from([-1, 0, 1]),
+                ),
+                max_size=3,
+            )
+        )
+    }
+    initially_active = draw(st.none() | st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cap, charge_eff = storage.capacity_j, storage.charge_efficiency
+    discharge_eff, leak_w = storage.discharge_efficiency, storage.self_discharge_w
+    charge = storage.initial_charge_j
+    active = charge >= storage.minimum_operating_j if initially_active is None else initially_active
+    harvest, load, durations = [], [], []
+    for i in range(count):
+        if not active and charge >= restart:
+            active = True
+        headroom = cap - charge
+        stored = headroom * 0.01 * rng.random()
+        comparison, side = plants.get(i, (None, 0))
+        if comparison == "deposit":
+            stored = _nudged(headroom, side)
+        elif comparison == "clip":
+            stored = 2.0 * headroom + 1e-3 * cap
+        stored = max(stored, 0.0)
+        deposited = charge + min(stored, headroom)
+        required = deposited * 0.01 * rng.random()
+        if comparison == "withdraw":
+            required = _nudged(deposited, side)
+        withdrawn = deposited - required if required <= deposited else 0.0
+        leak = withdrawn * 0.01 * rng.random()
+        if comparison == "leak":
+            leak = max(_nudged(withdrawn, side), 0.0)
+        harvest.append(stored / charge_eff)
+        load.append(required * discharge_eff)
+        durations.append(leak / leak_w)
+        # Advance on the hoisted amounts the scan will see.
+        charge, _banked = deposit_step(charge, harvest[-1] * charge_eff, cap)
+        if active:
+            charge, active = withdraw_step(charge, load[-1] / discharge_eff)
+        charge, _loss = leak_step(charge, leak_w * durations[-1])
+    return storage, np.array(harvest), np.array(load), np.array(durations), initially_active
+
+
+class TestFreeCertificate:
+    @given(ledger=boundary_ledgers())
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_flag_is_exactly_no_event(self, ledger):
+        assert_scans_agree(*ledger)
+
+    @given(ledger=boundary_ledgers(max_length=40))
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_flag_is_exactly_no_event_with_small_windows(self, ledger):
+        # A free ledger spans many windows; an event after a free prefix
+        # hands over to the other outputs mid-ledger.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(storage_module, "_WINDOW", 2)
+            patch.setattr(storage_module, "_SHORT_RUN", 2)
+            patch.setattr(storage_module, "_DENSE_STEPS", 3)
+            assert_scans_agree(*ledger)
+
+    @pytest.mark.parametrize("comparison", COMPARISONS)
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_each_planted_boundary(self, comparison, side):
+        # One plant on the last step of a free unit-efficiency ledger: the
+        # ulp below a deposit's headroom or a leak's charge keeps it free, a
+        # tie only where the comparison accepts it (a deposit of exactly the
+        # headroom).  A withdrawal one ulp short of the charge is still an
+        # event: the step's leak then takes the whole charge.
+        storage = StorageElement(
+            capacity_j=1.5403466578537677,
+            initial_charge_j=0.4186433186567379,
+            charge_efficiency=1.0,
+            discharge_efficiency=1.0,
+            self_discharge_w=1.0,
+            minimum_operating_j=0.0,
+            restart_level_j=0.1,
+        )
+        steps = np.full(9, 1e-4)
+        charge = storage.initial_charge_j
+        for _ in range(8):
+            charge = ((charge + 1e-4) - 1e-4) - 1e-4
+        harvest, load, durations = steps.copy(), steps.copy(), steps.copy()
+        headroom = storage.capacity_j - charge
+        if comparison == "deposit":
+            harvest[8] = _nudged(headroom, side)
+        elif comparison == "clip":
+            harvest[8] = _nudged(2.0 * headroom, side)
+        elif comparison == "withdraw":
+            load[8] = _nudged(charge + 1e-4, side)
+        else:
+            durations[8] = _nudged((charge + 1e-4) - 1e-4, side)
+        free = assert_scans_agree(storage, harvest, load, durations, True)
+        assert free is ((comparison, side) in {("deposit", -1), ("deposit", 0), ("leak", -1)})
+
+    def test_inactive_start_is_never_free(self):
+        storage = make_storage(initial_fraction=0.5)
+        small = np.full(5, 1e-6)
+        assert not hoisted_trajectory(storage, small, small, small, initially_active=False).free
+        assert hoisted_trajectory(storage, small, small, small, initially_active=True).free
+        assert hoisted_trajectory(storage, [], [], [], initially_active=True).free
+
+
+class TestHoistedDemand:
+    def test_demand_is_shared_by_scaled_elements(self):
+        from repro.scavenger.storage import scaled_storage
+
+        base = make_storage()
+        rng = np.random.default_rng(5)
+        harvest, load = rng.uniform(0.0, 4e-3, (2, 400))
+        durations = rng.uniform(0.0, 5.0, 400)
+        demand = ledger_demand(base, load, durations)
+        for factor in (0.05, 0.5, 1.0, 1.7):
+            storage = scaled_storage(base, factor)
+            shared = trajectory(storage, harvest, demand)
+            own = hoisted_trajectory(storage, harvest, load, durations)
+            for name in ("charge_j", "active", "banked_j", "drawn_j", "attempted", "withdrew"):
+                assert _bits(getattr(shared, name)) == _bits(getattr(own, name))
+            assert shared.brownout_events == own.brownout_events
+            assert shared.free is own.free
+
+    def test_demand_of_another_element_is_rejected(self):
+        from repro.errors import EmulationError
+
+        storage = make_storage()
+        demand = ledger_demand(storage, [1e-6], 1.0)
+        for other in (
+            StorageElement(capacity_j=0.5, initial_charge_j=0.25, discharge_efficiency=0.8),
+            StorageElement(capacity_j=0.5, initial_charge_j=0.25, self_discharge_w=2e-5),
+        ):
+            with pytest.raises(EmulationError, match="another storage element"):
+                trajectory(other, [1e-6], demand)
+
+    def test_a_longer_leak_is_cut_to_the_load(self):
+        from repro.errors import EmulationError
+        from repro.scavenger.storage import ledger_leak
+
+        storage = make_storage()
+        leak = ledger_leak(storage, [1.0, 2.0, -1.0])
+        demand = ledger_demand(storage, [0.0, 0.0], leak)
+        assert len(demand.leak) == 2
+        # The negative duration lies past the load, so this scan accepts it.
+        trajectory(storage, [0.0, 0.0], demand)
+        with pytest.raises(EmulationError, match="duration must be non-negative"):
+            trajectory(storage, [0.0] * 3, ledger_demand(storage, [0.0] * 3, leak))
+        with pytest.raises(EmulationError, match="fewer steps"):
+            ledger_demand(storage, [0.0] * 4, leak)
+
+    def test_checks_raise_at_the_scan_in_order(self):
+        from repro.errors import EmulationError
+
+        storage = make_storage()
+        demand = ledger_demand(storage, [-1e-9], -1.0)
+        with pytest.raises(EmulationError, match="deposit negative"):
+            trajectory(storage, [-1e-9], demand)
+        with pytest.raises(EmulationError, match="withdraw negative"):
+            trajectory(storage, [0.0], demand)
+        with pytest.raises(EmulationError, match="non-negative"):
+            trajectory(storage, [0.0], ledger_demand(storage, [0.0], -1.0))
+
+    def test_caller_arrays_stay_writeable(self):
+        storage = make_storage()
+        load = np.full(3, 1e-6)
+        durations = np.ones(3)
+        demand = ledger_demand(storage, load, durations)
+        assert load.flags.writeable and durations.flags.writeable
+        assert not demand.load.flags.writeable and not demand.required.flags.writeable
