@@ -4,8 +4,8 @@ Crash-safety must be close to free or nobody turns it on.  This benchmark
 runs the 200-vehicle default fleet three ways:
 
 * **plain** — no checkpoint directory;
-* **journaled** — every chunk written through the atomic write-then-rename
-  journal (fsync'd chunk files + manifest rewrites);
+* **journaled** — every chunk written as one self-certifying file (tmp
+  file, fsync, hard link into place, directory fsync);
 * **replayed** — a second run over the finished journal (zero kernels, pure
   deserialization), the resume-side payoff.
 
@@ -28,9 +28,11 @@ from repro.fleet import FleetRunner, FleetSpec
 from repro.scenario import ScenarioSpec
 
 #: Maximum acceptable journaling overhead, as a fraction of the plain run.
-#: Local headroom is large (measured ~1-3%); shared CI runners are noisy, so
-#: workflows may relax the enforced ceiling via the environment while the
-#: measured number is still reported.
+#: On a 2-core Xeon the 200-vehicle run is only 40-70 ms, and the median of
+#: nine local runs measured ~29% (about 0.5 ms JSON encoding and 0.7 ms of
+#: write and fsyncs per chunk), so the default ceiling fails locally; shared
+#: CI runners are noisier still, so workflows may relax the enforced ceiling
+#: via the environment while the measured number is still reported.
 OVERHEAD_CEILING = float(os.environ.get("CHECKPOINT_OVERHEAD_MAX", "0.10"))
 
 VEHICLES = 200

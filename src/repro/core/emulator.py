@@ -69,17 +69,6 @@ _PATTERN_FLAGS = (np.arange(8)[:, None] & PATTERN_WEIGHTS) != 0
 _PATTERNS = tuple(tuple(flags) for flags in _PATTERN_FLAGS.tolist())
 
 
-@dataclass(frozen=True)
-class EmulationSample:
-    """One recorded sample of the emulation state."""
-
-    time_s: float
-    speed_kmh: float
-    temperature_c: float
-    state_of_charge: float
-    node_active: bool
-
-
 class SampleLog:
     """Columnar, preallocated record buffer for the emulation state log.
 
@@ -151,19 +140,6 @@ class SampleLog:
             view.setflags(write=False)
         return columns
 
-    def to_samples(self) -> list[EmulationSample]:
-        """Materialize the log as row objects (compatibility view)."""
-        return [
-            EmulationSample(
-                time_s=float(self._time[i]),
-                speed_kmh=float(self._speed[i]),
-                temperature_c=float(self._temperature[i]),
-                state_of_charge=float(self._soc[i]),
-                node_active=bool(self._active[i]),
-            )
-            for i in range(self._size)
-        ]
-
     @classmethod
     def from_columns(cls, time_s, speed_kmh, temperature_c, state_of_charge, node_active):
         """Build a log owning copies of five equal-length columns."""
@@ -177,29 +153,12 @@ class SampleLog:
             log._size = len(time_s)
         return log
 
-    @classmethod
-    def from_samples(cls, samples) -> "SampleLog":
-        """Build a log from an iterable of :class:`EmulationSample` rows."""
-        samples = list(samples)
-        log = cls(capacity=max(1, len(samples)))
-        for sample in samples:
-            log.append(
-                sample.time_s,
-                sample.speed_kmh,
-                sample.temperature_c,
-                sample.state_of_charge,
-                sample.node_active,
-            )
-        return log
-
 
 class EmulationResult:
     """Outcome of one long-window emulation.
 
     Samples are stored column-wise in :attr:`log` (a :class:`SampleLog`);
-    :meth:`sample_arrays` returns views into it.  The ``samples`` property
-    materializes row objects for compatibility and should stay off hot
-    paths.
+    :meth:`sample_arrays` returns views into it.
     """
 
     def __init__(
@@ -207,7 +166,6 @@ class EmulationResult:
         node_name: str,
         cycle_name: str,
         duration_s: float,
-        samples: list[EmulationSample] | None = None,
         harvested_j: float = 0.0,
         consumed_j: float = 0.0,
         discarded_j: float = 0.0,
@@ -221,7 +179,7 @@ class EmulationResult:
         self.node_name = node_name
         self.cycle_name = cycle_name
         self.duration_s = duration_s
-        self._log = SampleLog.from_samples(samples) if samples else None
+        self._log: SampleLog | None = None
         self.harvested_j = harvested_j
         self.consumed_j = consumed_j
         self.discarded_j = discarded_j
@@ -244,23 +202,8 @@ class EmulationResult:
         self._log = value
 
     @property
-    def samples(self) -> tuple[EmulationSample, ...]:
-        """Row-object view of the recorded samples (materialized on access).
-
-        Returned as a tuple so that accidental in-place mutation (the old
-        list attribute allowed ``result.samples.append(...)``) fails loudly
-        instead of silently editing a throwaway copy; record through
-        ``result.log.append`` or assign a full list to ``result.samples``.
-        """
-        return tuple(self.log.to_samples())
-
-    @samples.setter
-    def samples(self, values) -> None:
-        self.log = SampleLog.from_samples(values)
-
-    @property
     def sample_count(self) -> int:
-        """Number of recorded samples (cheap, unlike ``len(self.samples)``)."""
+        """Number of recorded samples."""
         return len(self._log) if self._log is not None else 0
 
     _SCALAR_FIELDS = (

@@ -17,7 +17,7 @@ is that single source:
 * :func:`canonical_digest` — the SHA-256 hex digest of that text.
 
 The byte-level output is pinned by ``tests/test_digest.py``: the digests
-recorded in existing checkpoint manifests and run packages must never
+recorded in existing checkpoint chunk headers and run packages must never
 change under a refactor.
 """
 

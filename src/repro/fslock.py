@@ -1,13 +1,13 @@
-"""Cross-process advisory file locking shared by the on-disk subsystems.
+"""Cross-process advisory file locking for the serving layer's result store.
 
-Both the serving layer's persistent :class:`~repro.serve.store.ResultStore`
-and the checkpoint journal (:mod:`repro.scenario.checkpoint`) are
-directories that several *processes* — serve replicas, CLI runs, CI smoke
-jobs — mutate concurrently.  Their individual files are already safe via
-the write-then-rename discipline; what needs a lock is the *read-modify-
-write* of shared metadata (the store index, the checkpoint manifest), so
-two writers cannot interleave a load and a save and silently drop each
-other's entries.
+The persistent :class:`~repro.serve.store.ResultStore` is a directory that
+several *processes* — serve replicas, CLI runs, CI smoke jobs — mutate
+concurrently.  Its entry files are already safe via the write-then-rename
+discipline; what needs a lock is the *read-modify-write* of its shared
+``index.json``, so two writers cannot interleave a load and a save and
+silently drop each other's entries.  (The checkpoint journal,
+:mod:`repro.scenario.checkpoint`, needs no lock: its chunk files certify
+themselves and land by first-writer-wins hard links.)
 
 :class:`FileLock` combines an in-process re-entrant lock (threads of one
 replica serialize cheaply, and nesting is safe) with an ``fcntl.flock``

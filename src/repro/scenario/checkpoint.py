@@ -4,42 +4,41 @@ A :class:`CheckpointStore` turns a directory into a resumable journal of
 completed work chunks.  The layout is deliberately boring::
 
     checkpoint-dir/
-        manifest.json        # run key digest + per-chunk digests (atomic)
-        chunk-00000.json     # chunk 0: results, wall times, failures
+        chunk-00000.json     # header line, then chunk 0's results, wall times, failures
         chunk-00001.json
         ...
 
-Two invariants make it crash-safe:
+Every chunk file certifies itself, so the directory listing *is* the
+journal.  Its first line is a JSON header ``{"checkpoint", "key_sha256",
+"chunk", "items", "sha256"}``: the layout version, the SHA-256 of the run
+key (spec document + seed + execution parameters), the chunk index, its
+item count and the SHA-256 of the body bytes that follow.  Opening a store
+reads every header, so a directory can never silently resume a *different*
+run; loading a chunk re-hashes its body, so truncation or tampering is
+caught with a one-line actionable error instead of feeding corrupt rows
+into an aggregate.
 
-* **Write-then-rename, chunk before manifest.**  Every file is written to a
-  temporary sibling, flushed, fsync'd and atomically renamed into place
-  (followed by a best-effort directory fsync), and a chunk's journal file
-  lands *before* the manifest entry that blesses it.  A crash at any instant
-  therefore leaves either a fully valid journal or an orphaned chunk file
-  the manifest does not know about (which is simply recomputed) — never a
-  half-written manifest.
-* **Everything is digest-checked.**  The manifest is keyed by a SHA-256 of
-  the run key (spec document + seed + execution parameters), so a directory
-  can never silently resume a *different* run; each chunk entry records the
-  SHA-256 of its journal file, so truncation or tampering is caught at load
-  with a one-line actionable error instead of feeding corrupt rows into an
-  aggregate.
+Crash argument: a chunk is written to a temporary sibling whose name is
+unique to its writer, fsync'd, then hard-linked to its final name
+(``os.link`` never replaces an existing name), and the directory is
+fsync'd, so a final name only ever points at a complete file.  A writer
+dying before the link leaves a stray ``*.tmp`` file that nothing reads
+(the chunk is recomputed); dying after it leaves a chunk that a resume
+adopts.  The next store opened on the directory removes stray tmp files
+once their chunk is journaled.
+
+Foreign-replica handoff: serve replicas sharing a checkpoint root, or a
+CLI resume racing a still-draining server, may hold stores on one
+directory for one run.  The link is atomic and first-writer-wins, so no
+lock is needed: a writer that finds the name taken adopts the journaled
+chunk once its header names the same run (the results are byte-identical
+by construction), and :meth:`has_chunk` consults the listing, so live
+stores skip each other's finished chunks.
 
 Results are journaled as strict-key JSON with ``allow_nan=True``: Python's
 ``repr``-based float serialization round-trips every finite float exactly
 and NaN survives as a literal, which is what makes a resumed run's rows
 byte-identical to an uninterrupted run's.
-
-Foreign-replica handoff: several *processes* — serve replicas sharing a
-checkpoint root, a CLI resume racing a still-draining server — may hold
-stores on the same directory for the same run key.  Chunk files are
-already safe (atomic, digest-named per index), but the manifest is a
-read-modify-write, so every manifest load/save happens under a
-cross-process advisory lock (:class:`~repro.fslock.FileLock` on
-``manifest.lock``) and :meth:`record_chunk` merges the on-disk chunk
-table before writing: a chunk journaled by another replica is adopted,
-never clobbered.  A replica resuming a dead replica's job simply opens
-the directory with the same key and sees everything the manifest blessed.
 """
 
 from __future__ import annotations
@@ -52,12 +51,12 @@ from typing import Mapping
 
 from repro.digest import canonical_digest
 from repro.errors import CheckpointError
-from repro.fslock import FileLock
 
-#: Manifest schema version; bumped on incompatible layout changes.
-CHECKPOINT_VERSION = 1
+#: Chunk-header layout version; bumped on incompatible layout changes.
+CHECKPOINT_VERSION = 2
 
-_MANIFEST = "manifest.json"
+#: Header fields and their types, besides ``checkpoint`` (the version).
+_HEADER_FIELDS = (("key_sha256", str), ("chunk", int), ("items", int), ("sha256", str))
 
 
 def _key_digest(key: Mapping[str, object]) -> str:
@@ -68,16 +67,14 @@ def _key_digest(key: Mapping[str, object]) -> str:
         raise CheckpointError(f"checkpoint key is not canonical JSON: {exc}") from exc
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via tmp-file, fsync and atomic rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    try:  # directory entry durability; best-effort on exotic filesystems
-        dir_fd = os.open(path.parent, os.O_RDONLY)
+def _chunk_name(chunk_index: int) -> str:
+    return f"chunk-{chunk_index:05d}.json"
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make a new directory entry durable; best-effort on exotic filesystems."""
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
         try:
             os.fsync(dir_fd)
         finally:
@@ -91,15 +88,15 @@ class CheckpointStore:
 
     Args:
         directory: the checkpoint directory; created (with parents) when
-            absent.  A directory already holding a manifest must belong to
-            the *same* run key, or opening raises.
+            absent.  Chunk files already in it must belong to the *same*
+            run key, or opening raises.
         key: the run-identifying document — for a fleet run the fleet
             document plus seed and the execution parameters that shape
             results.  Anything that changes the rows must be in the key.
 
     Raises:
         CheckpointError: the directory holds a different run's journal, or
-            a manifest that cannot be parsed.
+            a chunk file (or leftover manifest) of another layout.
     """
 
     def __init__(self, directory: str | Path, key: Mapping[str, object]) -> None:
@@ -107,80 +104,67 @@ class CheckpointStore:
         self.key = dict(key)
         self.key_sha256 = _key_digest(self.key)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._manifest_path = self.directory / _MANIFEST
-        self._lock = FileLock(self.directory / "manifest.lock")
-        with self._lock:
-            if self._manifest_path.exists():
-                self._chunks = self._load_manifest_chunks()
-            else:
-                self._chunks = {}
-                self._write_manifest()
+        manifest = self.directory / "manifest.json"
+        if manifest.exists():
+            raise self._layout_error(manifest)
+        self._chunks: set[int] = set()
+        self._scan()
+        self._leftovers: dict[str, list[Path]] = {}  # killed writers' tmp files, by chunk file
+        for tmp in self.directory.glob("chunk-*.json.*.tmp"):
+            self._leftovers.setdefault(tmp.name.rsplit(".", 2)[0], []).append(tmp)
+        for chunk_index in self._chunks:
+            self._drop_leftovers(_chunk_name(chunk_index))
 
-    # -- manifest handling ---------------------------------------------------
+    def _scan(self) -> None:
+        """Add every chunk file in the directory, header-checked, to the journal."""
+        for path in self.directory.glob("chunk-*.json"):
+            with open(path, "rb") as handle:
+                self._chunks.add(self._parse_header(path, handle.readline())["chunk"])
 
-    def _load_manifest_chunks(self) -> dict[int, dict[str, object]]:
+    def _drop_leftovers(self, name: str) -> None:
+        """Remove the stray tmp files, seen at open, of a now journaled chunk."""
+        for tmp in self._leftovers.pop(name, ()):
+            tmp.unlink(missing_ok=True)
+
+    @staticmethod
+    def _layout_error(path: Path) -> CheckpointError:
+        return CheckpointError(
+            f"checkpoint file {path} has an unsupported layout (expected version "
+            f"{CHECKPOINT_VERSION}); delete the checkpoint directory to start over"
+        )
+
+    def _parse_header(self, path: Path, line: bytes) -> dict[str, object]:
+        """Validate a chunk file's header line against this store's run."""
         try:
-            document = json.loads(self._manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"checkpoint manifest {self._manifest_path} is not valid JSON ({exc}); "
-                "delete the checkpoint directory to start over"
-            ) from exc
-        if not isinstance(document, dict) or document.get("checkpoint") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint manifest {self._manifest_path} has an unsupported layout "
-                f"(expected version {CHECKPOINT_VERSION}); delete the checkpoint "
-                "directory to start over"
-            )
-        found = document.get("key_sha256")
-        if found != self.key_sha256:
+            header = json.loads(line)
+        except ValueError:
+            header = None
+        if not (
+            isinstance(header, dict)
+            and header.get("checkpoint") == CHECKPOINT_VERSION
+            and all(isinstance(header.get(name), kind) for name, kind in _HEADER_FIELDS)
+            and path.name == _chunk_name(header["chunk"])
+        ):
+            raise self._layout_error(path)
+        if header["key_sha256"] != self.key_sha256:
             raise CheckpointError(
                 f"checkpoint directory {self.directory} belongs to a different run "
-                f"(key digest {str(found)[:12]}… != {self.key_sha256[:12]}…); "
+                f"(key digest {header['key_sha256'][:12]}… != {self.key_sha256[:12]}…); "
                 "use a fresh directory, or rerun with the original spec/seed/parameters"
             )
-        chunks_doc = document.get("chunks")
-        if not isinstance(chunks_doc, dict):
-            raise CheckpointError(
-                f"checkpoint manifest {self._manifest_path} has no chunk table; "
-                "delete the checkpoint directory to start over"
-            )
-        chunks: dict[int, dict[str, object]] = {}
-        for label, entry in chunks_doc.items():
-            try:
-                chunks[int(label)] = {
-                    "file": str(entry["file"]),
-                    "sha256": str(entry["sha256"]),
-                    "items": int(entry["items"]),
-                }
-            except (TypeError, KeyError, ValueError) as exc:
-                raise CheckpointError(
-                    f"checkpoint manifest {self._manifest_path} chunk entry {label!r} "
-                    f"is malformed ({exc}); delete the checkpoint directory to start over"
-                ) from exc
-        return chunks
-
-    def _write_manifest(self) -> None:
-        document = {
-            "checkpoint": CHECKPOINT_VERSION,
-            "key_sha256": self.key_sha256,
-            "key": self.key,
-            "chunks": {
-                str(index): entry for index, entry in sorted(self._chunks.items())
-            },
-        }
-        _atomic_write(self._manifest_path, json.dumps(document, indent=2) + "\n")
+        return header
 
     # -- chunk journal -------------------------------------------------------
 
     @property
     def completed_chunks(self) -> tuple[int, ...]:
-        """Journaled chunk indices, ascending."""
+        """Journaled chunk indices, ascending, re-listed from the directory."""
+        self._scan()
         return tuple(sorted(self._chunks))
 
     def has_chunk(self, chunk_index: int) -> bool:
-        """Whether ``chunk_index`` is journaled (and blessed by the manifest)."""
-        return chunk_index in self._chunks
+        """Whether ``chunk_index`` is journaled, by this store or any other."""
+        return chunk_index in self._chunks or (self.directory / _chunk_name(chunk_index)).exists()
 
     def record_chunk(
         self,
@@ -189,17 +173,18 @@ class CheckpointStore:
         wall_times_s: list[float],
         failures: list[dict[str, object]] | None = None,
     ) -> Path:
-        """Journal one completed chunk: chunk file first, then the manifest.
+        """Journal one completed chunk: tmp file, fsync, link, directory fsync.
 
         ``results`` must be JSON-serializable (NaN allowed); slots of failed
         items carry ``None`` with the failure recorded in ``failures`` (its
         ``index`` local to the chunk).
 
-        Concurrent-writer safe: the manifest update happens under the
-        directory's advisory lock and merges the on-disk chunk table first,
-        so two replicas journaling the same run never drop each other's
-        completed chunks (a chunk both computed resolves to whichever
-        journaled first — the results are byte-identical by construction).
+        When another store journaled this chunk first, its file is adopted.
+
+        Raises:
+            CheckpointError: the results are not JSON-serializable, the
+                chunk file cannot be linked into place, or the file another
+                store journaled under its name belongs to a different run.
         """
         payload = {
             "chunk": chunk_index,
@@ -208,30 +193,44 @@ class CheckpointStore:
             "wall_times_s": list(wall_times_s),
             "failures": list(failures or []),
         }
-        name = f"chunk-{chunk_index:05d}.json"
-        path = self.directory / name
         try:
-            text = json.dumps(payload, allow_nan=True)
+            body = json.dumps(payload, allow_nan=True).encode("utf-8") + b"\n"
         except (TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"chunk {chunk_index} results are not JSON-serializable: {exc}"
             ) from exc
-        with self._lock:
-            if self._manifest_path.exists():
-                for index, entry in self._load_manifest_chunks().items():
-                    self._chunks.setdefault(index, entry)
-            if chunk_index in self._chunks:
-                # A foreign replica already journaled (and blessed) this
-                # chunk; its digest-checked file wins — ours is redundant.
-                return self.directory / str(self._chunks[chunk_index]["file"])
-            _atomic_write(path, text + "\n")
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            self._chunks[chunk_index] = {
-                "file": name,
-                "sha256": digest,
-                "items": len(results),
-            }
-            self._write_manifest()
+        header = {
+            "checkpoint": CHECKPOINT_VERSION,
+            "key_sha256": self.key_sha256,
+            "chunk": chunk_index,
+            "items": len(results),
+            "sha256": hashlib.sha256(body).hexdigest(),
+        }
+        path = self.directory / _chunk_name(chunk_index)
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+        try:
+            with open(tmp, "xb") as handle:
+                handle.write(json.dumps(header).encode("utf-8") + b"\n" + body)
+                handle.flush()
+                os.fsync(handle.fileno())
+            try:
+                os.link(tmp, path)
+            except OSError as exc:
+                # Another store journaled this chunk first (and may have swept
+                # this tmp file since): adopt its file if it is this run's.
+                if not isinstance(exc, (FileExistsError, FileNotFoundError)) or not path.exists():
+                    raise CheckpointError(
+                        f"cannot journal chunk {chunk_index} as {path} ({exc}); "
+                        "the checkpoint directory must support hard links"
+                    ) from exc
+                with open(path, "rb") as handle:
+                    self._parse_header(path, handle.readline())
+            else:
+                _fsync_directory(self.directory)
+        finally:
+            tmp.unlink(missing_ok=True)
+        self._chunks.add(chunk_index)
+        self._drop_leftovers(path.name)
         return path
 
     def load_chunk(
@@ -244,13 +243,12 @@ class CheckpointStore:
                 or fails its digest, or its item count contradicts the
                 caller's expectation (the spec changed under the journal).
         """
-        entry = self._chunks.get(chunk_index)
-        if entry is None:
+        if not self.has_chunk(chunk_index):
             raise CheckpointError(
                 f"chunk {chunk_index} is not journaled in {self.directory}; "
                 "it must be recomputed"
             )
-        path = self.directory / str(entry["file"])
+        path = self.directory / _chunk_name(chunk_index)
         try:
             blob = path.read_bytes()
         except OSError as exc:
@@ -258,20 +256,21 @@ class CheckpointStore:
                 f"checkpoint chunk file {path} is missing ({exc}); "
                 "delete the checkpoint directory and rerun"
             ) from exc
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != entry["sha256"]:
+        line, _, body = blob.partition(b"\n")
+        header = self._parse_header(path, line)
+        if hashlib.sha256(body).hexdigest() != header["sha256"]:
             raise CheckpointError(
                 f"checkpoint chunk file {path} is corrupt (digest mismatch); "
                 "delete the checkpoint directory and rerun"
             )
-        document = json.loads(blob.decode("utf-8"))
+        document = json.loads(body.decode("utf-8"))
         results = document["results"]
-        if len(results) != entry["items"] or (
+        if len(results) != header["items"] or (
             expected_items is not None and len(results) != expected_items
         ):
             raise CheckpointError(
                 f"checkpoint chunk {chunk_index} holds {len(results)} item(s) where "
-                f"{expected_items if expected_items is not None else entry['items']} "
+                f"{expected_items if expected_items is not None else header['items']} "
                 "were expected; the run parameters changed — use a fresh checkpoint "
                 "directory"
             )

@@ -348,18 +348,12 @@ class _FleetRequest:
         self.idle_step_s = document.get("idle_step_s", 1.0)
         self.survival_buckets = document.get("survival_buckets", DEFAULT_SURVIVAL_BUCKETS)
         self.keep_vehicle_rows = bool(document.get("keep_vehicle_rows", False))
-        # Validates the runner parameters (and retries) at submit time.
-        self.build_runner()
-        # Mirrors FleetRunner.checkpoint_key(): the full fleet document plus
-        # every runner parameter the kernels read.  keep_vehicle_rows shapes
-        # the *document* (rows present or null), so it keys too; retries/
-        # workers/backend shape only the execution plan and do not.
+        # Building the runner validates its parameters (and retries) at
+        # submit time.  keep_vehicle_rows shapes the *document* (rows present
+        # or null), so it keys too; retries/workers/backend shape only the
+        # execution plan and do not.
         self.key = {
-            "kind": "fleet",
-            "fleet": self.fleet.to_dict(),
-            "record_interval_s": self.record_interval_s,
-            "idle_step_s": self.idle_step_s,
-            "survival_buckets": self.survival_buckets,
+            **self.build_runner().checkpoint_key(),
             "keep_vehicle_rows": self.keep_vehicle_rows,
         }
 

@@ -18,8 +18,8 @@ Multi-replica sharing
 ---------------------
 
 With a directory the store persists each entry as ``<digest>.json`` via
-the checkpoint subsystem's write-then-rename + fsync discipline (a torn
-write can never surface as a corrupt entry), and N server processes may
+a write-then-rename + fsync discipline (a torn write can never surface as
+a corrupt entry), and N server processes may
 share one directory: every metadata read-modify-write — the ``index.json``
 recency/size table, eviction, the first-write-wins check — happens under a
 cross-process advisory lock (:class:`~repro.fslock.FileLock` on ``.lock``),

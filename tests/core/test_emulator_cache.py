@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.conditions.temperature import TyreThermalModel
-from repro.core.emulator import EmulationResult, EmulationSample, NodeEmulator, SampleLog
+from repro.core.emulator import EmulationResult, NodeEmulator, SampleLog
 from repro.scavenger.storage import supercapacitor
 from repro.vehicle.drive_cycle import constant_cruise, urban_cycle
 
@@ -289,27 +289,27 @@ class TestSampleLog:
         arrays = log.arrays()
         assert arrays["speed_kmh"].base is not None
 
-    def test_roundtrip_through_samples(self):
-        samples = [
-            EmulationSample(
-                time_s=float(i),
-                speed_kmh=30.0 + i,
-                temperature_c=25.0,
-                state_of_charge=0.1 * i,
-                node_active=bool(i % 2),
-            )
-            for i in range(5)
-        ]
-        log = SampleLog.from_samples(samples)
-        assert log.to_samples() == samples
+    def test_from_columns_matches_appends(self):
+        appended = SampleLog()
+        for i in range(5):
+            appended.append(float(i), 30.0 + i, 25.0, 0.1 * i, bool(i % 2))
+        columns = SampleLog.from_columns(
+            [float(i) for i in range(5)],
+            [30.0 + i for i in range(5)],
+            [25.0] * 5,
+            [0.1 * i for i in range(5)],
+            [bool(i % 2) for i in range(5)],
+        )
+        assert len(columns) == 5
+        ours, theirs = columns.arrays(), appended.arrays()
+        assert all(np.array_equal(ours[key], theirs[key]) for key in ours)
 
-    def test_result_samples_property_roundtrip(self):
+    def test_result_log_replacement(self):
         result = EmulationResult(node_name="n", cycle_name="c", duration_s=3.0)
         result.log.append(0.0, 50.0, 25.0, 0.5, True)
         assert result.sample_count == 1
-        rows = result.samples
-        assert rows[0].speed_kmh == 50.0
-        result.samples = []
+        assert result.sample_arrays()["speed_kmh"][0] == 50.0
+        result.log = SampleLog.from_columns([], [], [], [], [])
         assert result.sample_count == 0
 
     def test_a_result_without_samples_allocates_no_log(self):
@@ -320,27 +320,8 @@ class TestSampleLog:
         assert "samples=0" in repr(result)
         assert result._log is None
         assert result == other
-        assert result.samples == ()
         assert result.sample_arrays()["time_s"].shape == (0,)
         other.log.append(0.0, 50.0, 25.0, 0.5, True)
         assert result != other
         assert "samples=1" in repr(other)
 
-    def test_constructor_accepts_sample_list(self):
-        sample = EmulationSample(
-            time_s=0.0,
-            speed_kmh=50.0,
-            temperature_c=25.0,
-            state_of_charge=0.5,
-            node_active=True,
-        )
-        result = EmulationResult(
-            node_name="n", cycle_name="c", duration_s=1.0, samples=[sample]
-        )
-        assert result.samples == (sample,)
-
-    def test_in_place_mutation_fails_loudly(self):
-        """The compat view is a tuple: appending to it must not silently no-op."""
-        result = EmulationResult(node_name="n", cycle_name="c", duration_s=1.0)
-        with pytest.raises(AttributeError):
-            result.samples.append("nope")

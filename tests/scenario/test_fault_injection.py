@@ -213,12 +213,13 @@ class TestDamagedCheckpoints:
         with pytest.raises(CheckpointError, match="corrupt \\(digest mismatch\\).*rerun"):
             FleetRunner(_plain_fleet(), checkpoint=str(ckpt)).run()
 
-    def test_corrupted_manifest_is_one_line_actionable(self, tmp_path):
+    def test_corrupted_chunk_header_is_one_line_actionable(self, tmp_path):
         ckpt = tmp_path / "ckpt"
         FleetRunner(_plain_fleet(), checkpoint=str(ckpt), max_chunks=1).run()
-        manifest = ckpt / "manifest.json"
-        manifest.write_text(manifest.read_text(encoding="utf-8")[:-30], encoding="utf-8")
-        with pytest.raises(CheckpointError, match="not valid JSON.*delete the checkpoint"):
+        chunk_file = ckpt / "chunk-00000.json"
+        header, _, body = chunk_file.read_bytes().partition(b"\n")
+        chunk_file.write_bytes(header[:-30] + b"\n" + body)
+        with pytest.raises(CheckpointError, match="unsupported layout.*delete the checkpoint"):
             FleetRunner(_plain_fleet(), checkpoint=str(ckpt)).run()
 
     def test_checkpoint_of_a_different_fleet_is_refused(self, tmp_path):
@@ -228,14 +229,18 @@ class TestDamagedCheckpoints:
         with pytest.raises(CheckpointError, match="belongs to a different run"):
             FleetRunner(other, checkpoint=str(ckpt)).run()
 
-    def test_manifest_never_blesses_a_chunk_before_its_file_exists(self, tmp_path):
-        """Crash-ordering invariant: every manifest entry's file is on disk
+    def test_every_listed_chunk_file_passes_its_digest(self, tmp_path):
+        """Crash-ordering invariant: a chunk file is complete the moment its
 
-        and passes its digest the moment the manifest names it."""
+        final name appears, so every listed file loads digest-checked."""
         ckpt = tmp_path / "ckpt"
-        FleetRunner(_plain_fleet(), checkpoint=str(ckpt)).run()
-        manifest = json.loads((ckpt / "manifest.json").read_text(encoding="utf-8"))
-        assert manifest["chunks"]  # the run journaled something
-        store = CheckpointStore(ckpt, json.loads(json.dumps(manifest["key"])))
-        for label in manifest["chunks"]:
-            store.load_chunk(int(label))  # digest-checked load must succeed
+        runner = FleetRunner(_plain_fleet(), checkpoint=str(ckpt))
+        runner.run()
+        listed = sorted(ckpt.glob("chunk-*.json"))
+        assert listed  # the run journaled something
+        store = CheckpointStore(ckpt, json.loads(json.dumps(runner.checkpoint_key())))
+        assert [path.name for path in listed] == [
+            f"chunk-{index:05d}.json" for index in store.completed_chunks
+        ]
+        for index in store.completed_chunks:
+            store.load_chunk(index)  # digest-checked load must succeed

@@ -139,7 +139,7 @@ def test_replica_kill_mid_job_fails_over_resumes_and_matches_bytes(replicas, tmp
         document = client.job(job["id"], wait=5.0, version=document["version"])
 
     alpha.kill_hard()
-    journals = list((tmp_path / "ckpt").glob("*/manifest.json"))
+    journals = list((tmp_path / "ckpt").glob("*/chunk-*.json"))
     assert journals, "no checkpoint journal survived the kill"
 
     # The resubmitted request rides failover to B, resumes from the shared

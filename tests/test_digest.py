@@ -1,6 +1,6 @@
 """The single-sourced canonical digest (``repro.digest``).
 
-Checkpoint manifests, run-package ``run_id``s and the serving layer's
+Checkpoint chunk headers, run-package ``run_id``s and the serving layer's
 result-store keys all hash documents through this module, so its byte-level
 output is pinned here: a refactor that changes any digest silently orphans
 every existing checkpoint directory and run package.
@@ -85,8 +85,9 @@ class TestPinnedDigests:
     def test_checkpoint_store_uses_the_shared_digest(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", _PINNED_KEY)
         assert store.key_sha256 == _PINNED_DIGEST
-        manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert manifest["key_sha256"] == _PINNED_DIGEST
+        chunk = store.record_chunk(0, results=[1], wall_times_s=[0.0])
+        header = json.loads(chunk.read_bytes().partition(b"\n")[0])
+        assert header["key_sha256"] == _PINNED_DIGEST
 
     def test_checkpoint_rejects_undigestable_key(self, tmp_path):
         with pytest.raises(CheckpointError, match="not canonical JSON"):
