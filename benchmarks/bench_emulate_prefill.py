@@ -1,18 +1,18 @@
-"""The emulator's one-sweep cache fill vs scalar misses, and emulate() timings.
+"""The emulator's one-sweep bin evaluation vs scalar misses, and emulate() timings.
 
 The emulator's integration loop used to discover its quantized
 (speed, temperature, phase-pattern) bins one cache miss at a time, paying one
 schedule build and one scalar ``schedule_energy_compiled`` call per bin.
-``emulate()`` now builds one cycle plan and fills every missing bin with ONE
-``schedule_table`` call and ONE vectorized ``_schedule_energy_batch`` call
-before the state-of-charge integration.
+``emulate()`` now builds one cycle plan and evaluates every bin of the run
+with ONE ``schedule_table`` call and ONE vectorized ``_schedule_energy_batch``
+call before the state-of-charge integration.
 
 This benchmark measures exactly that replacement on a thermally varying,
 wide-speed-range cycle (hundreds of unique bins) and *asserts*:
 
 * >= 5x speedup of the one-batch-call fill versus the sequential scalar
   fill of the same bins (the old miss path);
-* bitwise-identical cache contents from both fills (the emulator's
+* bitwise-identical energies from both fills (the emulator's
   byte-identical-log contract rests on this);
 * identical ``EmulationResult`` output of a cold, a warm and a fresh
   ``emulate()`` run.
@@ -107,8 +107,8 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
     planner = _make_emulator(node, database, scavenger)
     resolve = planner._resolve_rounds
 
-    def capture(requests, persist=False):
-        resolved.extend(resolve(requests, persist))
+    def capture(requests):
+        resolved.extend(resolve(requests))
         return resolved[-1:]
 
     planner._resolve_rounds = capture
@@ -170,7 +170,7 @@ def test_prefill_beats_sequential_scalar_fill(node, database, scavenger):
                 "speedup_x": speedup,
             }
         ],
-        title="Revolution-energy cache fill: one batch call vs scalar misses",
+        title="Revolution-energy bin fill: one batch call vs scalar misses",
     )
     design_times, plan_builds, resolutions, warm_speedups = _design_loop_emulate_times(
         node, database, scavenger

@@ -269,8 +269,8 @@ class SensorNode:
 
         Returns the ``(transmits, refreshes_slow, writes_nvm)`` triple that,
         together with the speed, fully determines the revolution's schedule.
-        The emulator's revolution-energy cache and the batch sweep APIs key
-        on this pattern instead of the raw revolution index.
+        The emulator's round resolution and the batch sweep APIs group
+        revolutions on this pattern instead of the raw revolution index.
         """
         return (
             self.radio.transmits(revolution_index),

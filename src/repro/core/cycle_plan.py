@@ -18,8 +18,8 @@ two step sizes:
   moving time.
 
 What depends on the emulator's state — the thermal trajectory, the speed-key
-classification sets, the energy cache — is resolved per run on top of the
-plan, which is why an emulator can memoize plans across runs.
+classification sets, the standstill powers — is resolved per run on top of
+the plan, which is why an emulator can memoize plans across runs.
 """
 
 from __future__ import annotations

@@ -51,12 +51,6 @@ from repro.timing.schedule import ScheduleTable
 from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import DriveCycle
 
-#: Upper bound on revolution-energy cache entries.  Ordinary cycles produce a
-#: few dozen (binned) entries; only exact-keyed boundary/sub-quantum rounds
-#: with continuously varying speeds can accumulate, and the cap keeps the
-#: run-persistent cache from growing without bound over an emulator's life.
-_MAX_ENERGY_CACHE_ENTRIES = 65536
-
 #: Upper bound on the cycle plans one emulator memoizes (least recently
 #: used first out), each with its isothermal round resolutions.  A design
 #: loop re-emulates a handful of cycles; the bound keeps a long-lived
@@ -66,60 +60,20 @@ _MAX_PLANS = 4
 #: Row ``c``: the ``(transmits, refreshes_slow, writes_nvm)`` flags of phase
 #: pattern code ``c`` (a pattern's code is its flags times ``PATTERN_WEIGHTS``).
 _PATTERN_FLAGS = (np.arange(8)[:, None] & PATTERN_WEIGHTS) != 0
-_PATTERNS = tuple(tuple(flags) for flags in _PATTERN_FLAGS.tolist())
 
 
 class SampleLog:
-    """Columnar, preallocated record buffer for the emulation state log.
+    """Columnar record of the emulation state log.
 
-    Hour-long emulations record tens of thousands of samples; appending one
-    frozen dataclass per sample and re-listing all of them for every
-    ``sample_arrays()`` call dominated the logging cost.  The log keeps one
-    preallocated numpy column per field (grown by doubling) so appends are
-    amortized O(1) scalar stores and :meth:`arrays` returns views, not
-    copies.
+    Hour-long emulations record tens of thousands of samples, so the log
+    holds one numpy column per field, built once from the run's arrays
+    (:meth:`from_columns`), and :meth:`arrays` returns views, not copies.
     """
 
-    __slots__ = ("_time", "_speed", "_temperature", "_soc", "_active", "_size")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        capacity = max(1, int(capacity))
-        self._time = np.empty(capacity)
-        self._speed = np.empty(capacity)
-        self._temperature = np.empty(capacity)
-        self._soc = np.empty(capacity)
-        self._active = np.zeros(capacity, dtype=bool)
-        self._size = 0
+    __slots__ = ("_time", "_speed", "_temperature", "_soc", "_active")
 
     def __len__(self) -> int:
-        return self._size
-
-    def _grow(self) -> None:
-        capacity = 2 * len(self._time)
-        for name in ("_time", "_speed", "_temperature", "_soc", "_active"):
-            column = getattr(self, name)
-            grown = np.empty(capacity, dtype=column.dtype)
-            grown[: self._size] = column[: self._size]
-            setattr(self, name, grown)
-
-    def append(
-        self,
-        time_s: float,
-        speed_kmh: float,
-        temperature_c: float,
-        state_of_charge: float,
-        node_active: bool,
-    ) -> None:
-        """Record one sample."""
-        if self._size == len(self._time):
-            self._grow()
-        index = self._size
-        self._time[index] = time_s
-        self._speed[index] = speed_kmh
-        self._temperature[index] = temperature_c
-        self._soc[index] = state_of_charge
-        self._active[index] = node_active
-        self._size = index + 1
+        return len(self._time)
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The recorded columns as parallel array *views* (no copies).
@@ -128,13 +82,12 @@ class SampleLog:
         (safe under the old copy semantics) fails loudly instead of silently
         corrupting the log; copy before transforming.
         """
-        size = self._size
         columns = {
-            "time_s": self._time[:size],
-            "speed_kmh": self._speed[:size],
-            "temperature_c": self._temperature[:size],
-            "state_of_charge": self._soc[:size],
-            "node_active": self._active[:size],
+            "time_s": self._time[:],
+            "speed_kmh": self._speed[:],
+            "temperature_c": self._temperature[:],
+            "state_of_charge": self._soc[:],
+            "node_active": self._active[:],
         }
         for view in columns.values():
             view.setflags(write=False)
@@ -143,14 +96,12 @@ class SampleLog:
     @classmethod
     def from_columns(cls, time_s, speed_kmh, temperature_c, state_of_charge, node_active):
         """Build a log owning copies of five equal-length columns."""
-        log = cls(capacity=len(time_s))
-        if len(time_s):
-            log._time = np.array(time_s, dtype=float)
-            log._speed = np.array(speed_kmh, dtype=float)
-            log._temperature = np.array(temperature_c, dtype=float)
-            log._soc = np.array(state_of_charge, dtype=float)
-            log._active = np.array(node_active, dtype=bool)
-            log._size = len(time_s)
+        log = cls()
+        log._time = np.array(time_s, dtype=float)
+        log._speed = np.array(speed_kmh, dtype=float)
+        log._temperature = np.array(temperature_c, dtype=float)
+        log._soc = np.array(state_of_charge, dtype=float)
+        log._active = np.array(node_active, dtype=bool)
         return log
 
 
@@ -192,9 +143,9 @@ class EmulationResult:
 
     @property
     def log(self) -> SampleLog:
-        """The recorded state log; an empty one is allocated on first use."""
+        """The recorded state log; an empty one is built on first use."""
         if self._log is None:
-            self._log = SampleLog()
+            self._log = SampleLog.from_columns([], [], [], [], [])
         return self._log
 
     @log.setter
@@ -384,10 +335,7 @@ class NodeEmulator:
         self.storage = storage
         self.base_point = base_point or OperatingPoint()
         self.thermal_model = thermal_model
-        # Both caches are keyed on quantized conditions and stay valid for the
-        # lifetime of the emulator: the evaluator and the database are fixed
-        # per instance, so the caches persist across emulate() runs.
-        self._energy_cache: dict[tuple, float] = {}
+        #: Resting power per temperature bin, evaluated at the bin center.
         self._standstill_cache: dict[int, float] = {}
         #: (speed bin, phase pattern) keys whose schedule was validated at
         #: the bin's *upper edge* and center: every speed that rounds into
@@ -417,17 +365,15 @@ class NodeEmulator:
         self._cache_conditions = (self.base_point.supply, self.base_point.process)
 
     def _ensure_caches_fresh(self) -> None:
-        """Drop cached energies if an input they bake in has changed.
+        """Drop the memos if an input they bake in has changed.
 
-        Cache keys quantize speed/temperature/phase pattern, but the cached
-        values also depend on the node, the evaluator and its database
-        coefficients, and the supply/process conditions of ``base_point`` —
-        all publicly reachable between runs, so all are checked here.  The
-        base point's speed and temperature are not: every evaluation
-        overrides both, and the keys carry the temperature bin.  The plan
-        memo goes too, and with it the isothermal round resolutions memoized
-        in it (keyed on the run temperature): these are the only inputs a
-        resolution bakes in besides its plan and temperature.
+        The standstill powers, the speed-key classes, the plans and their
+        isothermal round resolutions depend on the node, the evaluator and
+        its database coefficients, and the supply/process conditions of
+        ``base_point`` — all publicly reachable between runs, so all are
+        checked here.  The base point's speed and temperature are not: every
+        evaluation overrides both, the standstill memo is keyed on the
+        temperature bin and the resolutions on the run temperature.
         """
         version = self.evaluator.database._version
         conditions = (self.base_point.supply, self.base_point.process)
@@ -438,7 +384,6 @@ class NodeEmulator:
             or version != self._cache_database_version
             or conditions != self._cache_conditions
         ):
-            self._energy_cache.clear()
             self._standstill_cache.clear()
             self._trusted_speed_keys.clear()
             self._exact_speed_keys.clear()
@@ -515,56 +460,27 @@ class NodeEmulator:
         for key, ok in zip(keys, builds.tolist()):
             (trusted if ok else exact).add(key)
 
-    def _store_energies(self, keys: list, values: list) -> None:
-        """Insert revolution-energy cache entries, honouring the size cap.
-
-        The cache ends as inserting them one at a time would leave it, each
-        insert into a full cache clearing it first.
-        """
-        cache = self._energy_cache
-        overflow = len(cache) + len(keys) - _MAX_ENERGY_CACHE_ENTRIES
-        if overflow > 0:
-            # Exact-keyed entries from continuously varying boundary speeds
-            # are the only unbounded population; dropping the whole cache is
-            # cheap to rebuild and keeps memory flat over the emulator's life.
-            cache.clear()
-            kept = len(keys) - (overflow - 1) % _MAX_ENERGY_CACHE_ENTRIES - 1
-            keys, values = keys[kept:], values[kept:]
-        cache.update(zip(keys, values))
-
     def _revolution_energy(self, unit: WheelRound, temperature_c: float) -> float:
-        """Energy of one revolution.
+        """Energy of one revolution, evaluated at its round's evaluation point.
 
-        Cached on quantized speed/temperature and on the conditional-phase
-        pattern of the revolution index, because those five values fully
-        determine the schedule energy.
+        The point :meth:`_resolve_rounds` sweeps the round at: the bin
+        center of a trusted (speed bin, phase pattern) key, otherwise the
+        exact speed (bin 0, which has no positive representative speed, and
+        the keys whose bin edge or center cannot be built); the temperature
+        bin's center; the round's phase pattern.  A speed whose schedule
+        cannot be built raises here, as does a temperature outside the
+        modelled range.
         """
         pattern = self.node.phase_pattern(unit.index)
         temp_bin = self._temperature_bin(temperature_c)
         pattern_key = (speed_bin(unit.speed_kmh), *pattern)
         self._classify_speed_keys([pattern_key])
-        # A trusted key shares its bin entry, evaluated at the bin center.
-        # Every other round (bin 0, which has no positive representative
-        # speed, and the keys whose bin edge or center cannot be built) is
-        # keyed on its exact speed, tagged so it never collides with an int
-        # bin key (Python dicts treat 999 and 999.0 as the same key).
-        trusted = pattern_key in self._trusted_speed_keys
-        speed_key = pattern_key[0] if trusted else ("exact", unit.speed_kmh)
-        key = (speed_key, temp_bin, *pattern)
-        cached = self._energy_cache.get(key)
-        if cached is not None:
-            return cached
-
-        # Cache miss: evaluate at the bin-representative speed/temperature so
-        # the cached value is a pure function of the key — results cannot
-        # depend on which conditions inside the bin an earlier run saw first,
-        # even though the cache persists across emulate() runs.  A speed
-        # whose schedule cannot be built raises here.
-        speed = speed_bin_center_kmh(speed_key) if trusted else unit.speed_kmh
+        if pattern_key in self._trusted_speed_keys:
+            speed = speed_bin_center_kmh(pattern_key[0])
+        else:
+            speed = unit.speed_kmh
         table = self.node.schedule_table([speed], [pattern])
-        value = float(self._evaluate_table(table, [temperature_bin_center_c(temp_bin)])[0][0])
-        self._store_energies([key], [value])
-        return value
+        return float(self._evaluate_table(table, [temperature_bin_center_c(temp_bin)])[0][0])
 
     def _evaluate_table(self, table: ScheduleTable, temperatures, include_phases: bool = False):
         """The kernel's ``(energies, phase lists)`` at ``table``'s points and ``temperatures``.
@@ -589,7 +505,7 @@ class NodeEmulator:
         evaluation temperatures.  The sweep is energy-only: no phase list
         is built (a trace builds its own).  The batch kernel accumulates in
         the scalar operation order, so the values are bitwise identical to
-        per-miss evaluations — which is what lets :meth:`_resolve_rounds`
+        per-round scalar evaluations — which is what lets :meth:`_resolve_rounds`
         evaluate the *union* of bins over every run it resolves, one
         emulation or a whole fleet population, in one call.
         """
@@ -662,7 +578,7 @@ class NodeEmulator:
         return entry
 
     def speed_slots(self, plan: CyclePlan) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The cache speed slots of ``plan``'s wheel rounds, as columns.
+        """The speed slots of ``plan``'s wheel rounds, as columns.
 
         The plan's groups must be classified (:meth:`_classify_speed_keys`).
         A trusted group is one slot at its bin center; every round of any
@@ -684,7 +600,7 @@ class NodeEmulator:
         exact_codes = -1 - (codes[plan.round_groups[exact]] & 7)
         return np.concatenate(speeds), np.concatenate((codes[groups], exact_codes)), round_slot
 
-    def _resolve_rounds(self, requests: list, persist: bool = False) -> list[RoundResolution]:
+    def _resolve_rounds(self, requests: list) -> list[RoundResolution]:
         """Resolve the demand side of ``(plan, temperature, thermal model)`` runs.
 
         One :class:`RoundResolution` per request; without a thermal model
@@ -698,10 +614,8 @@ class NodeEmulator:
         point whose schedule cannot be built (an exact speed; bin centers
         that cannot were re-keyed when classified) is dropped by mask: its
         rounds draw 0 and :meth:`_scan_ledger` raises if the node reaches
-        one while active.  With ``persist``, key tuples of the distinct codes
-        are looked up in and stored into the capped energy cache; without
-        it (the fleet), no tuple is built.  Energies are referred through
-        the PMU once per code; each plan's loads are one gather
+        one while active.  Energies are referred through the PMU once per
+        code; each plan's loads are one gather
         (:func:`~repro.core.cycle_plan.unit_loads`).
         """
         if not requests:
@@ -776,31 +690,15 @@ class NodeEmulator:
         temperatures = temperature_bin_center_c(code_bin)
         patterns = np.where(key_codes < 0, -1 - key_codes, key_codes & 7)
         energies = np.full(len(codes), np.nan)
-        missing = np.arange(len(codes))
-        if persist:
-            # A key tuple per distinct code, looked up before storing can
-            # clear the capped cache; a miss is swept at its evaluation point.
-            keys = [
-                (("exact", speed) if code < 0 else code >> 3, temp_bin, *_PATTERNS[pattern])
-                for code, speed, temp_bin, pattern in zip(
-                    key_codes.tolist(), speeds.tolist(), code_bin.tolist(), patterns.tolist()
-                )
-            ]
-            cached = list(map(self._energy_cache.get, keys))
-            hits = [i for i, value in enumerate(cached) if value is not None]
-            energies[hits] = [cached[i] for i in hits]
-            missing = np.flatnonzero(np.isnan(energies))
-        if missing.size:  # a warm run sweeps nothing
-            table = self.node.schedule_table(speeds[missing], _PATTERN_FLAGS[patterns[missing]])
+        if len(codes):
+            swept = np.arange(len(codes))
+            table = self.node.schedule_table(speeds, _PATTERN_FLAGS[patterns])
             if not table.feasible.all():
                 # Rare (an exact speed past the node's feasibility limit):
                 # drop the points whose schedule cannot be built.
-                missing = missing[table.feasible]
-                table = self.node.schedule_table(speeds[missing], _PATTERN_FLAGS[patterns[missing]])
-            energies[missing] = self.evaluate_energy_bins(table, temperatures[missing])
-            if persist:
-                swept = missing.tolist()
-                self._store_energies([keys[i] for i in swept], energies[missing].tolist())
+                swept = swept[table.feasible]
+                table = self.node.schedule_table(speeds[swept], _PATTERN_FLAGS[patterns[swept]])
+            energies[swept] = self.evaluate_energy_bins(table, temperatures[swept])
         points = (speeds, temperatures, patterns, energies)
         for column in points:
             column.setflags(write=False)
@@ -884,9 +782,7 @@ class NodeEmulator:
         the same errors at the same units.
         """
         plan, end = resolution.plan, resolution.end
-        # initial_charge_j=None replays the element's own (already
-        # validated) initial charge without the per-call range check.
-        traj = trajectory(storage, harvest[:end], demand, initially_active=not storage.is_depleted)
+        traj = trajectory(storage, harvest[:end], demand)
         if not resolution.checked:
             return traj
         temps = np.broadcast_to(resolution.temps, plan.durations.shape)
@@ -920,7 +816,7 @@ class NodeEmulator:
         memo (:meth:`_plan_for`; a cold run builds it once through
         :meth:`materialize_cycle`, a warm one walks nothing), the thermal
         trajectory is replayed over the plan's arrays and the revolution
-        energies of the missing quantized bins come from ONE
+        energies of the run's quantized bins come from ONE
         :meth:`evaluate_energy_bins` sweep (:meth:`_resolve_rounds`, the
         resolution the fleet runner uses too), the harvest of every wheel
         round from one ``energy_sweep_j`` call, and the state of charge is
@@ -957,27 +853,24 @@ class NodeEmulator:
         self.storage.reset()
         if self.thermal_model is not None:
             self.thermal_model.reset()
-        # The energy and standstill caches are intentionally NOT cleared on
-        # every run: cached values are pure functions of their quantized keys
-        # (both caches evaluate at bin-representative conditions), so entries
-        # stay valid across runs and repeated emulations start warm.  The one
-        # invalidating event — an in-place mutation of the database — is
-        # detected via its version counter.
+        # The memos are intentionally NOT cleared on every run: their values
+        # are pure functions of their keys, so they stay valid across runs.
+        # The invalidating events (a new node, evaluator or supply/process
+        # condition, or an in-place mutation of the database, seen through
+        # its version counter) are detected here.
         self._ensure_caches_fresh()
         plan, resolutions = self._plan_for(cycle, idle_step_s, record_interval_s)
         temperature = self.base_point.temperature_c
         # An isothermal resolution is a pure function of the plan, the run
         # temperature and the inputs _ensure_caches_fresh guards (a key's
-        # class depends only on the key; cached values only on theirs), so
-        # a warm run reuses the cold run's.  It is keyed on the temperature's
-        # bits: 0.0 == -0.0, but the log's temperature column keeps the sign.
-        # A thermal run (no key) resolves every time.
+        # class depends only on the key), so a warm run reuses the cold
+        # run's.  It is keyed on the temperature's bits: 0.0 == -0.0, but
+        # the log's temperature column keeps the sign.  A thermal run (no
+        # key) resolves every time.
         memo_key = struct.pack("<d", temperature) if self.thermal_model is None else None
         resolution = resolutions.get(memo_key)
         if resolution is None:
-            (resolution,) = self._resolve_rounds(
-                [(plan, temperature, self.thermal_model)], persist=True
-            )
+            (resolution,) = self._resolve_rounds([(plan, temperature, self.thermal_model)])
             if memo_key is not None:
                 resolutions[memo_key] = resolution
         harvest = round_harvest(self.scavenger, plan)

@@ -1,13 +1,13 @@
-"""Single source of the speed/temperature quantization used by energy caches.
+"""Single source of the speed/temperature quantization of revolution energies.
 
-The emulator's revolution-energy cache, its standstill memo and the fleet
-runner's cross-vehicle bin sharing all key cached energies on *quantized*
-operating conditions: speeds within :data:`SPEED_QUANTUM_KMH` and
-temperatures within :data:`TEMPERATURE_QUANTUM_C` share one entry, evaluated
-at the bin-representative (bin-center) condition.  The quanta — and the
+The emulator's round resolution, its standstill memo and the fleet runner's
+cross-vehicle bin sharing all evaluate energies at *quantized* operating
+conditions: speeds within :data:`SPEED_QUANTUM_KMH` and temperatures within
+:data:`TEMPERATURE_QUANTUM_C` share one evaluation point, the
+bin-representative (bin-center) condition.  The quanta — and the
 bin/round-trip arithmetic — live here, ONCE, so a consumer that shares bins
-across vehicles can never drift from the emulator that fills them: both
-sides derive their keys from the same functions.
+across vehicles can never drift from the emulator that evaluates them: both
+sides derive their bins from the same functions.
 
 The resulting energy error is well below the modelling uncertainty and makes
 hour-long cycles (and fleet-scale populations of them) emulate in well under
@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Speeds within half a quantum of a bin center share a cache entry.
+#: Speeds within half a quantum of a bin center share an evaluation point.
 SPEED_QUANTUM_KMH = 0.5
 
-#: Temperatures within half a degree of a whole-degree center share an entry.
+#: Temperatures within half a degree of a whole-degree center share a point.
 TEMPERATURE_QUANTUM_C = 1.0
 
 #: Ambient-temperature quantum of the fleet's thermal cohorts.  Vehicles
@@ -36,7 +36,7 @@ AMBIENT_QUANTUM_C = 2.0
 
 
 def speed_bin(speed_kmh: float) -> int:
-    """The quantized speed bin of ``speed_kmh`` (banker's rounding, like the cache)."""
+    """The quantized speed bin of ``speed_kmh`` (banker's rounding)."""
     return round(speed_kmh / SPEED_QUANTUM_KMH)
 
 

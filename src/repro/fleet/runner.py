@@ -22,8 +22,8 @@ emulator's own question once per cohort instead:
   call.  Its keys stay numbers: (slot, temperature bin) codes index the
   walks' slot columns, the union of the population's evaluation points is
   one :meth:`~repro.core.emulator.NodeEmulator.evaluate_energy_bins` sweep,
-  and each walk's loads are one gather.  No key tuple is built, and the
-  batch kernel is bitwise the per-miss path, so sharing changes no result.
+  and each walk's loads are one gather.  The batch kernel is bitwise the
+  scalar per-round path, so sharing changes no result.
 
 No vehicle carries a :class:`~repro.scenario.spec.ScenarioSpec`: the
 population arrives as column chunks (:class:`~repro.fleet.spec.FleetChunk`).
@@ -490,9 +490,8 @@ class FleetRunner:
         by the distinct (cycle, scale, temperature) combinations, not by the
         population size).  ``walks`` (walk key -> number) is filled in
         vehicle order.  The probe then resolves every request in ONE
-        ``_resolve_rounds`` call — never through its own capped cache, which
-        a large population would overflow, so no key tuple is built — and
-        the one cross-vehicle sweep covers the union of bins.  Returns the
+        ``_resolve_rounds`` call, and the one cross-vehicle sweep covers the
+        union of bins.  Returns the
         shared :class:`_Run`, the cohort count and the swept-bin count.
         """
         fleet = self.fleet

@@ -648,8 +648,6 @@ def trajectory(
     storage: StorageElement,
     harvest_j,
     demand: LedgerDemand,
-    initial_charge_j: float | None = None,
-    initially_active: bool | None = None,
 ) -> StorageTrajectory:
     """Pure, array-based replay of the storage ledger over N steps.
 
@@ -659,8 +657,10 @@ def trajectory(
     browned-out node restarts when the charge has recovered to
     ``restart_level_j``, an active node draws its load (a shortfall drains
     the element and counts one brown-out), and an inactive node draws
-    nothing.  ``storage`` provides the parameters only — its state is
-    neither read (beyond defaults) nor mutated.
+    nothing.  ``storage`` provides the parameters and the starting point
+    only — the replay starts from its (construction-validated)
+    ``initial_charge_j``, active unless that is below
+    ``minimum_operating_j`` — and its state is neither read nor mutated.
 
     The load and leak come hoisted in ``demand`` (:func:`ledger_demand`),
     which many ledgers may share; the harvest's charge efficiency is applied
@@ -678,14 +678,6 @@ def trajectory(
         harvest_j: per-step harvested energy at the storage input, ``(N,)``.
         demand: the per-step load the node *wants* delivered (only drawn
             while the node is active) and the self-discharge, ``N`` steps.
-        initial_charge_j: starting charge; defaults to the element's
-            ``initial_charge_j``.  Only an *explicitly passed* value is
-            range-checked here — the default is already validated by
-            :meth:`StorageElement.__post_init__`, so tight fleet loops that
-            replay the element's own initial charge skip the redundant
-            check by passing ``None``.
-        initially_active: starting activity; defaults to the brown-out test
-            on the starting charge (``charge >= minimum_operating_j``).
 
     Returns:
         A :class:`StorageTrajectory` with per-step charge/activity/flows.
@@ -705,21 +697,6 @@ def trajectory(
     if demand.leak.valid_steps < len(harvest):
         raise EmulationError("duration must be non-negative")
 
-    if initial_charge_j is None:
-        # Validated once at element construction; revalidating per call
-        # would charge every vehicle of a fleet loop for the same check.
-        charge = storage.initial_charge_j
-    else:
-        charge = float(initial_charge_j)
-        if not 0.0 <= charge <= storage.capacity_j:
-            raise EmulationError(
-                "the initial charge must lie within the storage capacity"
-            )
-    active = (
-        charge >= storage.minimum_operating_j
-        if initially_active is None
-        else bool(initially_active)
-    )
     (
         charge_out,
         active_out,
@@ -735,8 +712,8 @@ def trajectory(
         demand.required,
         demand.load,
         demand.leak.amounts,
-        charge,
-        active,
+        storage.initial_charge_j,
+        storage.initial_charge_j >= storage.minimum_operating_j,
         storage.capacity_j,
         storage.restart_level_j,
     )

@@ -1,10 +1,10 @@
-"""Regression tests: emulator cache reuse and the columnar sample log.
+"""Regression tests: emulator memo reuse and the columnar sample log.
 
-The emulator keeps its revolution-energy and standstill-power caches warm
-across ``emulate()`` runs (the evaluator and database are fixed per
-instance).  Reusing cached values must not change any ``EmulationResult``
-totals, and the columnar :class:`SampleLog` must behave exactly like the old
-list-of-dataclasses sample storage.
+The emulator keeps its standstill-power memo, its speed-key classes and its
+cycle plans warm across ``emulate()`` runs (the evaluator and database are
+fixed per instance).  Reusing them must not change any ``EmulationResult``
+totals, and the columnar :class:`SampleLog` must hold exactly the columns
+it was built from.
 """
 
 from __future__ import annotations
@@ -32,23 +32,22 @@ def result_totals(result: EmulationResult) -> dict[str, float]:
 
 
 class TestCacheReuse:
-    def test_warm_cache_reproduces_cold_cache_totals(self, node, database, scavenger):
+    def test_warm_run_reproduces_cold_run_totals(self, node, database, scavenger):
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         cycle = urban_cycle(repetitions=1)
         cold = emulator.emulate(cycle)
-        assert len(emulator._energy_cache) > 0
-        warm = emulator.emulate(cycle)  # same instance: every lookup cache-hits
+        warm = emulator.emulate(cycle)  # same instance: the memos are warm
         assert result_totals(warm) == pytest.approx(result_totals(cold))
         for key, column in cold.sample_arrays().items():
             assert np.array_equal(column, warm.sample_arrays()[key]), key
 
-    def test_cache_persists_across_runs(self, node, database, scavenger):
+    def test_speed_key_classes_persist_across_runs(self, node, database, scavenger):
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         emulator.emulate(constant_cruise(80.0, duration_s=30.0))
-        entries_after_first = len(emulator._energy_cache)
-        assert entries_after_first > 0
+        trusted = set(emulator._trusted_speed_keys)
+        assert trusted
         emulator.emulate(constant_cruise(80.0, duration_s=30.0))
-        assert len(emulator._energy_cache) == entries_after_first
+        assert emulator._trusted_speed_keys == trusted
 
     def test_warm_emulator_matches_fresh_emulator(self, node, database, scavenger):
         cycle = constant_cruise(70.0, duration_s=60.0)
@@ -110,7 +109,6 @@ class TestCacheReuse:
         )
         energy = emulator._revolution_energy(unit, 25.0)
         assert isinstance(energy, float) and energy > 0.0
-        assert any(key[0] == ("exact", speed) for key in emulator._energy_cache)
         # The boundary (bin, pattern) is classified once as exact-keyed so
         # later rounds in the same bin skip the doomed schedule build.
         assert any(key[0] == round(speed / 0.5) for key in emulator._exact_speed_keys)
@@ -272,45 +270,45 @@ class TestCacheReuse:
 
 
 class TestSampleLog:
-    def test_append_and_grow(self):
-        log = SampleLog(capacity=2)
-        for i in range(100):
-            log.append(float(i), 50.0, 25.0, 0.5, i % 2 == 0)
+    def test_from_columns_owns_typed_copies(self):
+        time_s = [float(i) for i in range(100)]
+        active = [i % 2 == 0 for i in range(100)]
+        log = SampleLog.from_columns(time_s, [50.0] * 100, [25.0] * 100, [0.5] * 100, active)
+        time_s[99] = -1.0  # the log owns its columns
         assert len(log) == 100
         arrays = log.arrays()
-        assert arrays["time_s"].shape == (100,)
+        assert arrays["time_s"].shape == (100,) and arrays["time_s"].dtype == float
         assert arrays["time_s"][99] == 99.0
+        assert arrays["node_active"].dtype == bool
         assert bool(arrays["node_active"][0]) is True
         assert bool(arrays["node_active"][1]) is False
 
     def test_arrays_are_views_not_copies(self):
-        log = SampleLog()
-        log.append(0.0, 10.0, 20.0, 0.9, True)
+        log = SampleLog.from_columns([0.0], [10.0], [20.0], [0.9], [True])
         arrays = log.arrays()
         assert arrays["speed_kmh"].base is not None
-
-    def test_from_columns_matches_appends(self):
-        appended = SampleLog()
-        for i in range(5):
-            appended.append(float(i), 30.0 + i, 25.0, 0.1 * i, bool(i % 2))
-        columns = SampleLog.from_columns(
-            [float(i) for i in range(5)],
-            [30.0 + i for i in range(5)],
-            [25.0] * 5,
-            [0.1 * i for i in range(5)],
-            [bool(i % 2) for i in range(5)],
-        )
-        assert len(columns) == 5
-        ours, theirs = columns.arrays(), appended.arrays()
-        assert all(np.array_equal(ours[key], theirs[key]) for key in ours)
+        with pytest.raises(ValueError):
+            arrays["speed_kmh"][0] = 0.0
+        assert log.arrays()["speed_kmh"][0] == 10.0
 
     def test_result_log_replacement(self):
         result = EmulationResult(node_name="n", cycle_name="c", duration_s=3.0)
-        result.log.append(0.0, 50.0, 25.0, 0.5, True)
+        result.log = SampleLog.from_columns([0.0], [50.0], [25.0], [0.5], [True])
         assert result.sample_count == 1
         assert result.sample_arrays()["speed_kmh"][0] == 50.0
         result.log = SampleLog.from_columns([], [], [], [], [])
         assert result.sample_count == 0
+
+    def test_lazy_empty_log_has_typed_columns(self):
+        """A result's empty log, built on first use, has a recorded log's dtypes."""
+        result = EmulationResult(node_name="n", cycle_name="c", duration_s=1.0)
+        empty = result.log
+        assert len(empty) == 0 and result.log is empty
+        recorded = SampleLog.from_columns([0.0], [50.0], [25.0], [0.5], [True]).arrays()
+        columns = empty.arrays()
+        assert list(columns) == list(recorded)
+        for key, column in columns.items():
+            assert column.shape == (0,) and column.dtype == recorded[key].dtype, key
 
     def test_a_result_without_samples_allocates_no_log(self):
         # The fleet builds one result per vehicle and never records into it.
@@ -321,7 +319,7 @@ class TestSampleLog:
         assert result._log is None
         assert result == other
         assert result.sample_arrays()["time_s"].shape == (0,)
-        other.log.append(0.0, 50.0, 25.0, 0.5, True)
+        other.log = SampleLog.from_columns([0.0], [50.0], [25.0], [0.5], [True])
         assert result != other
         assert "samples=1" in repr(other)
 

@@ -1,14 +1,14 @@
-"""Byte identity of the emulator's planned, one-sweep cache fill.
+"""Byte identity of the emulator's planned, one-sweep round resolution.
 
-``emulate()`` builds one cycle plan, fills every missing quantized
-(speed, temperature, phase-pattern) bin of the revolution-energy cache with
-ONE batch sweep before the state-of-charge integration, and integrates
-through one call of the pure ledger kernel, ``trajectory()``.  Rounds whose
+``emulate()`` builds one cycle plan, evaluates every quantized
+(speed, temperature, phase-pattern) point its rounds play with ONE batch
+sweep before the state-of-charge integration, and integrates through one
+call of the pure ledger kernel, ``trajectory()``.  Rounds whose
 schedule cannot be built draw nothing in that scan; the first one the node
 reaches while active raises, as does the first unit outside the modelled
 temperature range.  The contract is strict: the output must be *byte
 identical* to the naive per-revolution reference (``naive_reference.py``)
-— one ``WheelRound`` at a time from ``iter_wheel_rounds``, per-miss
+— one ``WheelRound`` at a time from ``iter_wheel_rounds``, per-round
 ``_revolution_energy`` evaluations and a mutating ``StorageElement`` with
 restart hysteresis — same totals, same ``SampleLog`` bytes, same trace, or
 the same error.  A warm isothermal run reuses the cold run's memoized round
@@ -27,9 +27,10 @@ import repro.core.emulator as emulator_module
 from repro.blocks.node import SensorNode
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import EmulationResult, NodeEmulator
-from repro.core.quantize import speed_bin_upper_edge_kmh
+from repro.core.quantize import speed_bin, speed_bin_upper_edge_kmh
 from repro.errors import ConfigurationError, ScheduleError
 from repro.scavenger.storage import supercapacitor
+from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import (
     DriveCycle,
     DriveCyclePhase,
@@ -82,6 +83,13 @@ def _count_calls(monkeypatch, name: str) -> list:
 
     monkeypatch.setattr(NodeEmulator, name, counting)
     return calls
+
+
+def _memoized_resolution(emulator: NodeEmulator):
+    """The one isothermal round resolution ``emulator``'s plan memo holds."""
+    ((_plan, resolutions),) = emulator._plans.values()
+    (resolution,) = resolutions.values()
+    return resolution
 
 
 def _fits(node, speed_kmh: float, pattern) -> bool:
@@ -139,35 +147,36 @@ class TestPrefillByteIdentity:
 
 
 class TestPrefillMechanics:
-    def test_prefill_fills_the_cache_before_the_loop(self, node, database, scavenger, monkeypatch):
-        """The one sweep's bins are all cached when the ledger scan starts."""
-        swept = []
+    def test_one_sweep_before_the_one_scan(self, node, database, scavenger, monkeypatch):
+        """Every point of the run is swept in one call before the ledger scan starts."""
+        events = []
         sweep = NodeEmulator.evaluate_energy_bins
 
-        def counting(self, table, temperatures):
-            swept.append(len(temperatures))
+        def sweeping(self, table, temperatures):
+            events.append(("sweep", len(temperatures)))
             return sweep(self, table, temperatures)
 
-        monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", counting)
-        emulator = _thermal_emulator(node, database, scavenger)
-        cached_at_scan = []
+        monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", sweeping)
         scan = emulator_module.trajectory
 
         def scanning(*args, **kwargs):
-            cached_at_scan.append(len(emulator._energy_cache))
+            events.append(("scan", None))
             return scan(*args, **kwargs)
 
         monkeypatch.setattr(emulator_module, "trajectory", scanning)
-        emulator.emulate(_hour_cycle())
-        assert len(swept) == 1 and swept[0] > 0
-        assert cached_at_scan == [swept[0]]
+        _thermal_emulator(node, database, scavenger).emulate(_hour_cycle())
+        (first, swept), second = events
+        assert first == "sweep" and swept > 0 and second == ("scan", None)
 
     def test_second_prefill_is_a_no_op(self, node, database, scavenger, monkeypatch):
-        """A warm run finds every bin cached and sweeps nothing."""
-        emulator = _thermal_emulator(node, database, scavenger)
+        """A warm isothermal run builds no schedule table and sweeps nothing.
+
+        A warm thermal run resolves again, and equals the cold run and a
+        fresh emulator bit for bit.
+        """
         cycle = _hour_cycle()
-        emulator.emulate(cycle)
-        entries = len(emulator._energy_cache)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor(initial_fraction=0.3))
+        cold = emulator.emulate(cycle)
         sweeps = _count_calls(monkeypatch, "evaluate_energy_bins")
         tables = []
         schedule_table = SensorNode.schedule_table
@@ -176,10 +185,17 @@ class TestPrefillMechanics:
             "schedule_table",
             lambda self, *args: tables.append(1) or schedule_table(self, *args),
         )
-        emulator.emulate(cycle)
+        _assert_byte_identical(emulator.emulate(cycle), cold)
         assert sweeps == []
         assert tables == [], "a warm run built schedule tables"
-        assert len(emulator._energy_cache) == entries
+
+        thermal = _thermal_emulator(node, database, scavenger)
+        cold = thermal.emulate(cycle)
+        sweeps.clear()
+        warm = thermal.emulate(cycle)
+        assert len(sweeps) == 1
+        _assert_byte_identical(warm, cold)
+        _assert_byte_identical(warm, _thermal_emulator(node, database, scavenger).emulate(cycle))
 
     def test_warm_cycle_skips_the_rescan(self, node, database, scavenger, monkeypatch):
         """A cold run builds the plan once; a warm run walks nothing."""
@@ -224,10 +240,11 @@ class TestPrefillMechanics:
             OperatingPoint(40.0, supply=low_supply),
             OperatingPoint(40.0, supply=low_supply, process=fast),
         ):
-            assert emulator._energy_cache and emulator._plans and emulator._trusted_speed_keys
+            assert emulator._standstill_cache and emulator._plans
+            assert emulator._trusted_speed_keys
             emulator.base_point = changed
             emulator._ensure_caches_fresh()
-            assert not emulator._energy_cache and not emulator._standstill_cache
+            assert not emulator._standstill_cache
             assert not emulator._plans and not emulator._trusted_speed_keys
             builds.clear()
             moved = emulator.emulate(cycle)
@@ -271,32 +288,44 @@ class TestPrefillMechanics:
         # while active, exactly as the per-revolution reference does.
         with pytest.raises(ScheduleError) as planned:
             emulator.emulate(cycle)
-        # The one sweep's points all build, and its keys are the cache's.
+        # The one sweep's points all build, and they are the resolution's.
         assert len(tables) == 1 and tables[0].feasible.all()
-        swept = list(emulator._energy_cache)
-        assert len(swept) == len(tables[0])
+        resolution = _memoized_resolution(emulator)
+        resolved = ~np.isnan(resolution.energies)
+        assert np.count_nonzero(resolved) == len(tables[0])
+        swept = zip(resolution.speeds[resolved].tolist(), resolution.patterns[resolved].tolist())
+        patterns = emulator_module._PATTERN_FLAGS.tolist()
+        keys = [(speed_bin(speed), *patterns[code]) for speed, code in swept]
         assert all(
-            _fits(node, speed_bin_upper_edge_kmh(key[0]), key[2:])
-            for key in swept
-            if isinstance(key[0], int)
+            _fits(node, speed_bin_upper_edge_kmh(key[0]), key[1:])
+            for key in keys
+            if key in emulator._trusted_speed_keys
         ), "a bin past the feasibility limit was swept"
         with pytest.raises(ScheduleError) as reference:
             naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
         assert str(planned.value) == str(reference.value)
 
-    def test_prefill_entries_match_miss_entries(self, node, database, scavenger):
-        """Swept energies must be bitwise what the miss path computes."""
-        cycle = _hour_cycle()
-        planned = _thermal_emulator(node, database, scavenger)
-        planned.emulate(cycle)
+    def test_prefill_entries_match_miss_entries(self, node, database, scavenger, monkeypatch):
+        """Each round's swept energy is bitwise what the scalar path computes."""
+        cycle = urban_cycle(repetitions=2)
+        scans = _count_calls(monkeypatch, "_scan_ledger")
+        _thermal_emulator(node, database, scavenger).emulate(cycle)
+        ((resolution, *_),) = scans
+        plan = resolution.plan
         scalar = _thermal_emulator(node, database, scavenger)
-        naive_emulate(scalar, cycle)
-        shared = set(planned._energy_cache) & set(scalar._energy_cache)
-        assert shared, "no common cache keys between the sweep and miss paths"
-        for key in shared:
-            swept, missed = planned._energy_cache[key], scalar._energy_cache[key]
-            assert type(swept) is type(missed) is float, key
-            assert swept.hex() == missed.hex(), key
+        rounds = plan.round_indices.tolist()
+        assert rounds and (resolution.value_index[rounds] >= 0).all()
+        for i in rounds:
+            unit = WheelRound(
+                index=int(plan.indices[i]),
+                start_s=float(plan.starts[i]),
+                period_s=float(plan.durations[i]),
+                speed_kmh=float(plan.speeds[i]),
+            )
+            energy = scalar._revolution_energy(unit, float(resolution.temps[i]))
+            swept = resolution.energies[resolution.value_index[i]]
+            assert type(energy) is float, i
+            assert swept.hex() == energy.hex(), i
 
     def test_infeasible_bin_center_matches_reference(
         self, pocket_node, database, scavenger, monkeypatch
@@ -324,7 +353,7 @@ class TestPrefillMechanics:
         cold = emulator.emulate(cycle)
         assert scans == [1]
         assert per_round == []
-        assert any(key[0] == ("exact", 102.4) for key in emulator._energy_cache)
+        assert 102.4 in _memoized_resolution(emulator).speeds.tolist()
         assert (205, *pattern) in emulator._exact_speed_keys
         warm = emulator.emulate(cycle)
         reference = naive_emulate(NodeEmulator(node, database, scavenger, supercapacitor()), cycle)
@@ -354,11 +383,11 @@ def _assert_same_trace(ours, theirs) -> None:
 
 
 class TestTracePhasesOnDemand:
-    """Sweeps cache energies only; a trace builds its rounds' phase lists.
+    """Sweeps keep energies only; a trace builds its rounds' phase lists.
 
     The phases of the distinct keys a window plays come from one kernel
     call at the keys' evaluation points, so the trace must equal the
-    reference's entry for entry, whatever the caches hold.
+    reference's entry for entry, whatever the memos hold.
     """
 
     @staticmethod
@@ -369,7 +398,6 @@ class TestTracePhasesOnDemand:
         assert phases, "the window plays no round's phases"
         _assert_same_trace(ours.trace, theirs.trace)
         _assert_byte_identical(ours, theirs)
-        assert all(type(energy) is float for energy in emulator._energy_cache.values())
         return ours
 
     @pytest.mark.parametrize("thermal", [False, True])
@@ -403,17 +431,17 @@ class TestTracePhasesOnDemand:
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())
         reference = NodeEmulator(node, database, scavenger, supercapacitor())
         self._traced(emulator, reference, cycle, (2.0, 8.0))
-        assert any(key[0] == ("exact", speed) for key in emulator._energy_cache)
+        assert speed in _memoized_resolution(emulator).speeds.tolist()
 
-    def test_after_energy_cache_overflow(self, node, database, scavenger, monkeypatch):
-        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
+    def test_after_a_warm_thermal_run(self, node, database, scavenger, monkeypatch):
         cycle = _hour_cycle()
         emulator = _thermal_emulator(node, database, scavenger)
         emulator.emulate(cycle)
-        assert len(emulator._energy_cache) <= 8
+        resolves = _count_calls(monkeypatch, "_resolve_rounds")
         reference = _thermal_emulator(node, database, scavenger)
         self._traced(emulator, reference, cycle, (100.0, 160.0))
-        assert len(emulator._energy_cache) <= 8
+        assert len(resolves) == 1
+
 
 _RAMP = st.builds(
     DriveCyclePhase,
@@ -514,34 +542,6 @@ class TestArrayCoreByteIdentity:
         assert scalars == []
 
 
-class TestEnergyCacheCap:
-    def test_cache_cap_eviction_clears_and_refills(self, node, database, scavenger, monkeypatch):
-        """Hitting the entry cap drops the cache, and emulation still works."""
-        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
-        emulator = _thermal_emulator(node, database, scavenger)
-        result = emulator.emulate(_hour_cycle())
-        assert result.revolutions > 0
-        assert len(emulator._energy_cache) <= 8
-        reference = naive_emulate(_thermal_emulator(node, database, scavenger), _hour_cycle())
-        _assert_byte_identical(result, reference)
-
-    def test_cap_applies_to_prefill_inserts(self, node, database, scavenger, monkeypatch):
-        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
-        emulator = _thermal_emulator(node, database, scavenger)
-        capped = emulator.emulate(_hour_cycle())
-        assert len(emulator._energy_cache) <= 8
-        # The sweep's gather does not depend on what the cap kept.
-        assert capped == emulator.emulate(_hour_cycle())
-
-    def test_capped_run_matches_uncapped_run(self, node, database, scavenger, monkeypatch):
-        """Eviction is a perf knob only: results must not change."""
-        cycle = _hour_cycle()
-        uncapped = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 4)
-        capped = _thermal_emulator(node, database, scavenger).emulate(cycle)
-        assert capped == uncapped
-
-
 def _assert_summary_bits(ours: EmulationResult, theirs: EmulationResult) -> None:
     assert list(ours.summary()) == list(theirs.summary())
     packed = [np.array(list(run.summary().values())).tobytes() for run in (ours, theirs)]
@@ -638,18 +638,6 @@ class TestResolutionMemo:
         fresh = NodeEmulator(optimized, database, scavenger, supercapacitor())
         assert _assert_warm_equals_fresh(emulator, cycle, fresh) != before
 
-    def test_energy_cache_overflow(self, node, database, scavenger, monkeypatch):
-        monkeypatch.setattr(emulator_module, "_MAX_ENERGY_CACHE_ENTRIES", 8)
-        cycle = urban_cycle(repetitions=1)
-        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
-        emulator.emulate(cycle)
-        cached = dict(emulator._energy_cache)
-        emulator.emulate(_hour_cycle())  # overflows, clearing the cache
-        assert len(emulator._energy_cache) <= 8
-        assert not cached.items() <= emulator._energy_cache.items()
-        fresh = NodeEmulator(node, database, scavenger, supercapacitor())
-        _assert_warm_equals_fresh(emulator, cycle, fresh)
-
     @pytest.mark.parametrize(
         "fixture, ramp, cruise",
         [
@@ -670,6 +658,14 @@ class TestResolutionMemo:
         exact = set(emulator._exact_speed_keys)
         emulator.emulate(constant_cruise(cruise, duration_s=10.0))
         assert emulator._exact_speed_keys > exact
+        fresh = NodeEmulator(node, database, scavenger, supercapacitor())
+        _assert_warm_equals_fresh(emulator, cycle, fresh)
+
+    def test_another_cycle_between_runs(self, node, database, scavenger):
+        cycle = urban_cycle(repetitions=1)
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        emulator.emulate(cycle)
+        emulator.emulate(_hour_cycle())
         fresh = NodeEmulator(node, database, scavenger, supercapacitor())
         _assert_warm_equals_fresh(emulator, cycle, fresh)
 
@@ -706,3 +702,52 @@ class TestResolutionMemo:
         emulator.storage = thin_film_battery()
         fresh = NodeEmulator(node, database, ElectromagneticScavenger(), thin_film_battery())
         assert _assert_warm_equals_fresh(emulator, cycle, fresh) != before
+
+
+class TestScalarRoundEnergy:
+    """``_revolution_energy`` evaluates one round afresh on every call.
+
+    It is the ledger scan's raise path and the test oracle's scalar value:
+    it keeps no energy between calls, so nothing an emulator ran before
+    changes a round's energy or a later run.
+    """
+
+    @staticmethod
+    def _round(node, speed_kmh: float) -> WheelRound:
+        return WheelRound(
+            index=0,
+            start_s=0.0,
+            period_s=node.wheel.revolution_period_s(speed_kmh),
+            speed_kmh=speed_kmh,
+        )
+
+    def test_every_call_evaluates_the_round(self, node, database, scavenger, monkeypatch):
+        emulator = NodeEmulator(node, database, scavenger, supercapacitor())
+        emulator.emulate(urban_cycle(repetitions=1))
+        tables = []
+        schedule_table = SensorNode.schedule_table
+        monkeypatch.setattr(
+            SensorNode,
+            "schedule_table",
+            lambda self, *args: tables.append(1) or schedule_table(self, *args),
+        )
+        unit = self._round(node, 50.0)
+        first = emulator._revolution_energy(unit, 25.0)
+        second = emulator._revolution_energy(unit, 25.0)
+        assert len(tables) == 2
+        assert first.hex() == second.hex()
+        fresh = NodeEmulator(node, database, scavenger, supercapacitor())
+        assert fresh._revolution_energy(unit, 25.0).hex() == first.hex()
+
+    def test_an_unbuildable_round_raises_on_every_call(self, limited_node, database, scavenger):
+        emulator = NodeEmulator(limited_node, database, scavenger, supercapacitor())
+        unit = self._round(limited_node, 131.0)
+        for _ in range(2):
+            with pytest.raises(ScheduleError):
+                emulator._revolution_energy(unit, 25.0)
+
+    def test_thermal_runs_do_not_depend_on_earlier_runs(self, node, database, scavenger):
+        emulator = _thermal_emulator(node, database, scavenger)
+        for cycle in (_hour_cycle(), urban_cycle(repetitions=1), _hour_cycle()):
+            fresh = _thermal_emulator(node, database, scavenger)
+            _assert_warm_equals_fresh(emulator, cycle, fresh)

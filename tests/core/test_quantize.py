@@ -89,19 +89,20 @@ class TestEmulatorBinSharing:
         return first, second
 
     def test_seeded_entries_match_per_miss_evaluation(self, emulators):
-        """The entries evaluate_energy_bins sweeps == what the per-miss path caches."""
+        """Each round's energy in the one sweep == its scalar ``_revolution_energy``."""
         donor, _receiver = emulators
         cycle = urban_cycle(repetitions=1)
-        # The entries of the donor's cold run: what its one sweep evaluated.
-        sweeps = []
-        sweep = donor.evaluate_energy_bins
+        # The donor's cold run: its one sweep, and the resolution it scans.
+        sweeps, scans = [], []
+        sweep, scan = donor.evaluate_energy_bins, donor._scan_ledger
         donor.evaluate_energy_bins = lambda *args: sweeps.append(sweep(*args)) or sweeps[-1]
+        donor._scan_ledger = lambda *args: scans.append(args[0]) or scan(*args)
         result = donor.emulate(cycle)
-        entries = dict(donor._energy_cache)
-        assert len(sweeps) == 1 and len(sweeps[0]) == len(entries) > 0
+        (resolution,) = scans
+        assert len(sweeps) == 1 and len(sweeps[0]) == len(resolution.energies) > 0
 
-        # Per-miss reference: every wheel round through _revolution_energy,
-        # one cache miss at a time, on an emulator that never swept.
+        # Scalar reference: every wheel round through _revolution_energy, one
+        # at a time, on an emulator that never swept.
         cold = NodeEmulator(
             donor.node,
             donor.evaluator.source_database,
@@ -115,15 +116,15 @@ class TestEmulatorBinSharing:
             for unit in iter_wheel_rounds(cycle, cold.node.wheel)
             if isinstance(unit, WheelRound)
         ]
-        for unit in rounds:
-            cold._revolution_energy(unit, temperature)
-        # Every energy the per-miss path produced must equal the swept one
-        # bit for bit, and the sweep must cover exactly those keys.
-        assert set(cold._energy_cache) == set(entries)
-        for key, value in entries.items():
-            assert type(value) is type(cold._energy_cache[key]) is float, key
-            assert cold._energy_cache[key].hex() == value.hex(), key
-        assert result.revolutions == len(rounds)
+        # Every energy the scalar path produces must equal the swept one bit
+        # for bit, and every swept point must be some round's.
+        values = resolution.value_index[resolution.plan.round_indices]
+        assert len(values) == len(rounds) == result.revolutions
+        for unit, k in zip(rounds, values.tolist()):
+            energy = cold._revolution_energy(unit, temperature)
+            assert type(energy) is float, unit.index
+            assert resolution.energies[k].hex() == energy.hex(), unit.index
+        assert set(values.tolist()) == set(range(len(resolution.energies)))
 
     def test_evaluate_empty_pending(self, emulators):
         donor, _receiver = emulators

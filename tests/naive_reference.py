@@ -2,17 +2,23 @@
 
 ``naive_emulate`` shares no resolution or ledger code with
 ``NodeEmulator.emulate()`` or the fleet runner: it walks
-``iter_wheel_rounds`` one unit at a time, evaluates each active round on a
-cache miss and steps a mutating ``StorageElement``.  A fault in the shared
+``iter_wheel_rounds`` one unit at a time, evaluates each active round
+through the scalar ``_revolution_energy`` and steps a mutating
+``StorageElement``.  A fault in the shared
 resolution or scan step therefore shows as a difference from it, in the
 emulator tests and in the fleet's row and error contracts alike.
+
+The reference memoizes each round's energy on the round's evaluation point
+(:func:`revolution_energy`) for one run.  ``_revolution_energy`` evaluates
+exactly that point, so its value is a pure function of it, and the memo
+changes no bit of the reference's output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.emulator import EmulationResult, NodeEmulator
+from repro.core.emulator import EmulationResult, NodeEmulator, SampleLog
 from repro.core.quantize import speed_bin, speed_bin_center_kmh, temperature_bin_center_c
 from repro.core.trace import PowerTrace
 from repro.timing.wheel_round import WheelRound, iter_wheel_rounds
@@ -29,12 +35,13 @@ def naive_emulate(
     """The per-revolution reference of ``emulator.emulate(cycle)``.
 
     Walks ``iter_wheel_rounds`` one unit at a time: advances the thermal
-    model, evaluates each active round's energy on a cache miss
-    (``_revolution_energy``), and steps the emulator's own storage element
-    through deposit / withdraw / leak with the restart hysteresis.  The
-    totals use the same numpy reductions as ``emulate()``.  A traced round
-    plays the phase list of the width-1 kernel (``schedule_energy_compiled``
-    on the scalar schedule) at its cache key's evaluation point.
+    model, evaluates each active round's energy (``_revolution_energy``,
+    memoized on the round's evaluation point), and steps the emulator's own
+    storage element through deposit / withdraw / leak with the restart
+    hysteresis.  The totals use the same numpy reductions as ``emulate()``.
+    A traced round plays the phase list of the width-1 kernel
+    (``schedule_energy_compiled`` on the scalar schedule) at its evaluation
+    point.
     """
     storage = emulator.storage
     storage.reset()
@@ -56,7 +63,9 @@ def naive_emulate(
         duration_s=cycle.duration_s,
     )
     trace = PowerTrace() if trace_window is not None else None
+    energies: dict[tuple, float] = {}
     is_round, durations, harvest, banked, drawn, withdrew = [], [], [], [], [], []
+    log = ([], [], [], [], [])
     brownouts = 0
     next_record_s = 0.0
     for unit in units:
@@ -76,7 +85,7 @@ def naive_emulate(
         if active:
             attempted = True
             if moving:
-                energy = emulator._revolution_energy(unit, temperature)
+                energy = revolution_energy(emulator, unit, temperature, energies)
                 load = pmu.referred_to_storage(energy)
             else:
                 load = pmu.referred_to_storage(sleep_power * duration)
@@ -106,7 +115,9 @@ def naive_emulate(
                     "standstill" if active else "inactive",
                 )
         while next_record_s <= unit.end_s:
-            result.log.append(next_record_s, speed, temperature, storage.state_of_charge, active)
+            sample = (next_record_s, speed, temperature, storage.state_of_charge, active)
+            for column, value in zip(log, sample):
+                column.append(value)
             next_record_s += record_interval_s
 
     is_round = np.array(is_round, dtype=bool)
@@ -121,23 +132,46 @@ def naive_emulate(
     result.active_revolutions = int((is_round & withdrew).sum())
     result.active_time_s = float(durations[withdrew].sum())
     result.brownout_events = brownouts
+    result.log = SampleLog.from_columns(*log)
     if trace is not None:
         result.trace = trace.windowed(*trace_window) if not trace.is_empty else trace
     return result
 
 
-def _key_phases(emulator: NodeEmulator, unit: WheelRound, temperature: float) -> tuple:
-    """The phase list of ``unit``'s cache key, at the key's evaluation point.
+def evaluation_point(emulator: NodeEmulator, unit: WheelRound, temperature: float) -> tuple:
+    """The ``(speed, temperature, pattern)`` point ``unit``'s energy is evaluated at.
 
     The bin center of a trusted (speed bin, pattern) key, else the exact
-    speed; the temperature bin's center; the round's pattern.
+    speed; the temperature bin's center; the round's pattern.  Classifies
+    the round's key first, as ``_revolution_energy`` does; raises for a
+    temperature outside the modelled range.
     """
     pattern = emulator.node.phase_pattern(unit.index)
     pattern_key = (speed_bin(unit.speed_kmh), *pattern)
+    emulator._classify_speed_keys([pattern_key])
     trusted = pattern_key in emulator._trusted_speed_keys
     speed = speed_bin_center_kmh(pattern_key[0]) if trusted else unit.speed_kmh
-    point = emulator._operating_point(
-        speed, temperature_bin_center_c(emulator._temperature_bin(temperature))
-    )
+    return speed, temperature_bin_center_c(emulator._temperature_bin(temperature)), pattern
+
+
+def revolution_energy(
+    emulator: NodeEmulator, unit: WheelRound, temperature: float, memo: dict
+) -> float:
+    """``emulator._revolution_energy(unit, temperature)``, memoized in ``memo``.
+
+    Keyed on the round's evaluation point, of which the value is a pure
+    function; ``memo`` must serve one emulator whose inputs do not change.
+    """
+    point = evaluation_point(emulator, unit, temperature)
+    energy = memo.get(point)
+    if energy is None:
+        energy = memo[point] = emulator._revolution_energy(unit, temperature)
+    return energy
+
+
+def _key_phases(emulator: NodeEmulator, unit: WheelRound, temperature: float) -> tuple:
+    """The phase list of ``unit`` at its evaluation point."""
+    speed, temperature, pattern = evaluation_point(emulator, unit, temperature)
+    point = emulator._operating_point(speed, temperature)
     schedule = emulator.node.schedule_for_pattern(speed, *pattern)
     return emulator.evaluator.schedule_energy_compiled(schedule, point)[1]

@@ -8,14 +8,14 @@ feasibility limit, which makes exact-speed keys and unbuildable rounds, and
 temperatures that leave the modelled range), every run must be what the
 scalar path gives it one round at a time:
 
-* a resolved round's energy is a fresh emulator's per-miss
+* a resolved round's energy is a fresh emulator's scalar
   ``_revolution_energy``, bit for bit;
-* the unresolved rounds before ``end`` are exactly those whose per-miss
+* the unresolved rounds before ``end`` are exactly those whose scalar
   call raises;
 * ``end``, ``checked`` and the per-unit ``load`` equal a scalar reference.
 
-A fleet run pins the columnar path by call counting: one sweep, no key
-tuple, at most one load gather per walk.
+A fleet run pins the columnar path by call counting: one sweep and at most
+one load gather per walk.
 """
 
 from __future__ import annotations
@@ -30,13 +30,15 @@ from repro.blocks import baseline_node
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import NodeEmulator
-from repro.errors import ConfigurationError, ScheduleError
+from repro.errors import ScheduleError
 from repro.fleet import FleetRunner, FleetSpec
 from repro.power import reference_power_database
 from repro.scavenger import PiezoelectricScavenger, supercapacitor
 from repro.scenario import ScenarioSpec
 from repro.timing.wheel_round import WheelRound
 from repro.vehicle.drive_cycle import DriveCycle, DriveCyclePhase
+
+from naive_reference import revolution_energy
 
 LOW, HIGH = TEMPERATURE_RANGE_C
 #: The limited node's transmitting rounds stop fitting just above 128.72
@@ -109,7 +111,7 @@ def _assert_matches_scalar(plan, temperature, model, resolution) -> None:
     if model is None:
         end = len(plan) if in_range.all() else 0
     assert resolution.end == end
-    scalar = _emulator()
+    scalar, energies = _emulator(), {}
     pmu = NODE.pmu
     unresolved = False
     for i in range(len(plan)):
@@ -130,7 +132,7 @@ def _assert_matches_scalar(plan, temperature, model, resolution) -> None:
             speed_kmh=float(plan.speeds[i]),
         )
         try:
-            energy = scalar._revolution_energy(unit, float(temps[i]))
+            energy = revolution_energy(scalar, unit, float(temps[i]), energies)
         except ScheduleError:
             unresolved = True
             assert k == -1 and load == 0.0
@@ -164,31 +166,37 @@ class TestColumnarResolution:
             assert resolution.plan is plan
             _assert_matches_scalar(plan, temperature, model, resolution)
 
-    @settings(derandomize=True, max_examples=20, deadline=None)
-    @given(cycle=CYCLES, temperature=TEMPERATURES)
-    def test_persisted_keys_hold_the_swept_energies(self, cycle, temperature):
-        """With ``persist``, each swept point is cached under its scalar key."""
+    @settings(
+        derandomize=True,
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(cycles=st.lists(CYCLES, min_size=1, max_size=3), requests=REQUESTS)
+    def test_a_batch_resolves_each_request_as_alone(self, cycles, requests):
+        """The fleet's batched call gives each run what ``emulate()``'s one-request call does."""
         emulator = _emulator()
-        plan = emulator.materialize_cycle(cycle)
-        (resolution,) = emulator._resolve_rounds([(plan, temperature, None)], persist=True)
-        assert len(emulator._energy_cache) == np.count_nonzero(~np.isnan(resolution.energies))
-        scalar = _emulator()
-        for i in plan.round_indices[plan.round_indices < resolution.end].tolist():
-            unit = WheelRound(
-                index=int(plan.indices[i]),
-                start_s=float(plan.starts[i]),
-                period_s=float(plan.durations[i]),
-                speed_kmh=float(plan.speeds[i]),
-            )
-            try:
-                scalar._revolution_energy(unit, float(temperature))
-            except (ScheduleError, ConfigurationError):
-                continue
-        assert emulator._energy_cache == scalar._energy_cache
+        plans = [emulator.materialize_cycle(cycle) for cycle in cycles]
+        batch = [
+            (plans[which % len(plans)], temperature, model)
+            for which, temperature, model in requests
+        ]
+        alone = [
+            _emulator()._resolve_rounds([(plan, temperature, _copy(model))])[0]
+            for plan, temperature, model in batch
+        ]
+        for ours, theirs in zip(emulator._resolve_rounds(batch), alone):
+            assert (ours.end, ours.checked) == (theirs.end, theirs.checked)
+            assert np.asarray(ours.temps).tobytes() == np.asarray(theirs.temps).tobytes()
+            assert ours.load.tobytes() == theirs.load.tobytes()
+            resolved = ours.value_index >= 0
+            assert np.array_equal(resolved, theirs.value_index >= 0)
+            swept = ours.energies[ours.value_index[resolved]]
+            assert swept.tobytes() == theirs.energies[theirs.value_index[resolved]].tobytes()
 
 
 @pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
-def test_fleet_run_is_one_sweep_without_key_tuples(thermal, monkeypatch):
+def test_fleet_run_is_one_sweep(thermal, monkeypatch):
     sweeps, gathers = [], []
     sweep = NodeEmulator.evaluate_energy_bins
     gather = emulator_module.unit_loads
@@ -201,13 +209,8 @@ def test_fleet_run_is_one_sweep_without_key_tuples(thermal, monkeypatch):
         gathers.append(plan)
         return gather(pmu, plan, *rest)
 
-    class NoKeyTuples:
-        def __getitem__(self, code):
-            raise AssertionError("the fleet built a key tuple")
-
     monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", counting_sweep)
     monkeypatch.setattr(emulator_module, "unit_loads", counting_gather)
-    monkeypatch.setattr(emulator_module, "_PATTERNS", NoKeyTuples())
     base = ScenarioSpec(name="pin", drive_cycle={"name": "urban", "params": {"repetitions": 1}})
     document = FleetSpec.from_base(base, vehicles=24, seed=5).to_dict()
     if thermal:

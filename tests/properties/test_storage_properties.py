@@ -33,9 +33,9 @@ from repro.scavenger.storage import (
 energies = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 
 
-def hoisted_trajectory(storage, harvest_j, load_j, leak_s, **options):
+def hoisted_trajectory(storage, harvest_j, load_j, leak_s):
     """``trajectory`` over the demand hoisted from ``load_j`` and ``leak_s``."""
-    return trajectory(storage, harvest_j, ledger_demand(storage, load_j, leak_s), **options)
+    return trajectory(storage, harvest_j, ledger_demand(storage, load_j, leak_s))
 durations = st.floats(min_value=0.0, max_value=3600.0, allow_nan=False)
 
 
@@ -188,24 +188,32 @@ class TestTrajectoryEqualsScalarReplay:
         with pytest.raises(EmulationError):
             hoisted_trajectory(storage, [0.0], [0.0], -1.0)
 
-    def test_out_of_range_initial_charge_rejected(self):
-        import pytest
-
-        from repro.errors import EmulationError
-
-        storage = make_storage()
-        with pytest.raises(EmulationError):
-            hoisted_trajectory(storage, [1e-6], [0.0], 1.0, initial_charge_j=-0.1)
-        with pytest.raises(EmulationError):
-            hoisted_trajectory(
-                storage, [1e-6], [0.0], 1.0, initial_charge_j=storage.capacity_j * 2.0
-            )
-
     def test_element_state_is_untouched(self):
         storage = make_storage()
         before = storage.charge_j
         hoisted_trajectory(storage, [1e-4] * 5, [2e-4] * 5, 1.0)
         assert storage.charge_j == before
+
+    def test_a_depleted_element_starts_inactive(self):
+        storage = make_storage(initial_fraction=0.02)  # below the operating minimum
+        small = np.full(5, 1e-6)
+        traj = hoisted_trajectory(storage, small, small, small)
+        assert not traj.active.any() and not traj.attempted.any()
+        assert not traj.free and traj.brownout_events == 0
+        expected = reference_scan(*hoisted_scan(storage, small, small, small, False))
+        for got, want in zip((traj.charge_j, traj.active, traj.banked_j), expected[:3]):
+            assert _bits(got) == _bits(want)
+
+    def test_starts_from_the_initial_charge_not_the_current_one(self):
+        storage = make_storage()
+        harvest, load = np.full(5, 1e-4), np.full(5, 2e-4)
+        before = hoisted_trajectory(storage, harvest, load, 1.0)
+        storage.withdraw(storage.capacity_j)  # a brown-out drains the element
+        assert storage.is_depleted
+        after = hoisted_trajectory(storage, harvest, load, 1.0)
+        assert after.active.all()
+        assert _bits(after.charge_j) == _bits(before.charge_j)
+        assert after.final_charge_j == before.final_charge_j
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +389,14 @@ def _takes_no_event(stored, required, leak, charge, active, capacity) -> bool:
     return True
 
 
-def assert_scans_agree(storage, harvest, load, durations, initially_active) -> bool:
-    """Every scan's outputs are ``reference_scan``'s; the free flag is "no event".
+def hoisted_scan(storage, harvest, load, durations, initially_active) -> tuple:
+    """The scan inputs of ``storage``'s ledger, from its initial charge.
 
-    Returns whether the ledger is free.
+    ``initially_active`` overrides the starting activity, which
+    :func:`trajectory` always takes from the brown-out test on the initial
+    charge (``None``).
     """
-    hoisted = (
+    return (
         harvest * storage.charge_efficiency,
         load / storage.discharge_efficiency,
         load,
@@ -398,33 +408,47 @@ def assert_scans_agree(storage, harvest, load, durations, initially_active) -> b
         storage.capacity_j,
         storage.restart_level_j,
     )
+
+
+def assert_scans_agree(storage, harvest, load, durations, initially_active) -> bool:
+    """Every scan's outputs are ``reference_scan``'s; the free flag is "no event".
+
+    The :func:`trajectory` kernel joins the comparison when the ledger
+    starts at the element's own activity (always when ``initially_active``
+    is ``None``).  Returns whether the ledger is free.
+    """
+    hoisted = hoisted_scan(storage, harvest, load, durations, initially_active)
     expected = reference_scan(*hoisted)
     stored, required, _load, leak, charge, active, capacity, _restart = hoisted
     free = _takes_no_event(stored, required, leak, charge, active, capacity)
-    demand = ledger_demand(storage, load, durations)
-    traj = trajectory(storage, harvest, demand, initially_active=initially_active)
-    kernel = (
-        traj.charge_j,
-        traj.active,
-        traj.banked_j,
-        traj.drawn_j,
-        traj.attempted,
-        traj.withdrew,
-        traj.brownout_events,
-        traj.final_charge_j,
-    )
     scanned = run_length_scan(*hoisted)
     stepped = _element_replay(storage, harvest, load, durations, initially_active)
-    for outputs in (scanned, kernel, stepped):
+    compared = [scanned, stepped]
+    if active == (charge >= storage.minimum_operating_j):
+        demand = ledger_demand(storage, load, durations)
+        traj = trajectory(storage, harvest, demand)
+        compared.append(
+            (
+                traj.charge_j,
+                traj.active,
+                traj.banked_j,
+                traj.drawn_j,
+                traj.attempted,
+                traj.withdrew,
+                traj.brownout_events,
+                traj.final_charge_j,
+            )
+        )
+        assert traj.free is free
+        if free:
+            assert traj.drawn_j is demand.load
+            assert not traj.withdrew.flags.writeable
+    for outputs in compared:
         for got, want in zip(outputs[:6], expected[:6]):
             assert _bits(got) == _bits(want)
         assert outputs[6] == expected[6]
         assert _bits(np.float64(outputs[7])) == _bits(np.float64(expected[7]))
     assert scanned[8] is free
-    assert traj.free is free
-    if free:
-        assert traj.drawn_j is demand.load
-        assert not traj.withdrew.flags.writeable
     return free
 
 
@@ -695,10 +719,11 @@ class TestFreeCertificate:
 
     def test_inactive_start_is_never_free(self):
         storage = make_storage(initial_fraction=0.5)
-        small = np.full(5, 1e-6)
-        assert not hoisted_trajectory(storage, small, small, small, initially_active=False).free
-        assert hoisted_trajectory(storage, small, small, small, initially_active=True).free
-        assert hoisted_trajectory(storage, [], [], [], initially_active=True).free
+        small, empty = np.full(5, 1e-6), np.zeros(0)
+        assert not run_length_scan(*hoisted_scan(storage, small, small, small, False))[8]
+        assert run_length_scan(*hoisted_scan(storage, small, small, small, True))[8]
+        assert run_length_scan(*hoisted_scan(storage, empty, empty, empty, True))[8]
+        assert hoisted_trajectory(storage, small, small, small).free
 
 
 class TestHoistedDemand:
