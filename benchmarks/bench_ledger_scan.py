@@ -9,7 +9,8 @@ output of every ledger (charge, activity, banked and drawn energy,
 attempted/withdrew flags, brown-out count, final charge) is bitwise equal:
 
 * **fleet** — the ledgers of 64 urban x2 fleet vehicles, captured from a
-  real fleet run;
+  real fleet run with the free-ledger certificate switched off (it
+  certifies all of them, so none would be scanned);
 * **design** — the ledgers of the 27 architecture x power database x cycle
   scenarios of one design-loop block, captured from cold ``emulate()`` runs;
 * **brownout** — 64 synthetic supercapacitor ledgers of 900 steps with
@@ -22,10 +23,19 @@ On the real sets the run-length scan must be at least ``LEDGER_SCAN_FLOOR``
 times faster (local default 10x; 20-50x measured on a 2-CPU x86 box); on
 the two event-dense sets it must keep at least 0.8x the speed of
 ``reference_scan``.
+
+A second case times :func:`~repro.scavenger.storage.certify_free`, which
+a fleet vehicle runs before any scan, against ``run_length_scan`` on the
+same ledgers.  Its inputs (the prefix sums ``U`` and ``D``) are a walk's
+and a cohort's constants in the fleet, so they are built outside the
+timing.  It must certify every fleet ledger, beat the scan on them by at
+least ``CERTIFICATE_FLOOR`` (local default 3x), and certify no ledger of
+any set that the scan does not flag free.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import time
@@ -33,11 +43,12 @@ from unittest import mock
 
 import numpy as np
 
+import repro.fleet.runner as fleet_runner
 import repro.scavenger.storage as storage_module
 from benchmarks.conftest import emit_result, emit_timing
 from repro.core.emulator import NodeEmulator
 from repro.fleet import FleetRunner, FleetSpec
-from repro.scavenger.storage import reference_scan, run_length_scan
+from repro.scavenger.storage import certify_free, reference_scan, run_length_scan
 from repro.scenario.spec import ScenarioSpec
 
 #: Local bar on the real-plan sets; shared CI runners are noisy, so
@@ -46,6 +57,9 @@ from repro.scenario.spec import ScenarioSpec
 REQUIRED_SPEEDUP = float(os.environ.get("LEDGER_SCAN_FLOOR", "10.0"))
 #: The event-dense sets must not be slower than this fraction of the loop.
 DENSE_FLOOR = 0.8
+#: Local bar of the certificate over the run-length scan on the fleet set
+#: (lowered on shared CI runners like ``LEDGER_SCAN_FLOOR``).
+CERTIFICATE_FLOOR = float(os.environ.get("CERTIFICATE_FLOOR", "3.0"))
 
 REPEATS = 5
 ARCHITECTURES = ("baseline", "optimized", "legacy-tpms")
@@ -68,14 +82,18 @@ def _captured(run) -> list[tuple]:
     return calls
 
 
+@functools.cache
 def _fleet_ledgers() -> list[tuple]:
     base = ScenarioSpec(
         name="ledger-urban", drive_cycle={"name": "urban", "params": {"repetitions": 2}}
     )
     fleet = FleetSpec.from_base(base, vehicles=64, seed=11)
-    return _captured(lambda: FleetRunner(fleet).run())
+    # With the certificate on, a certified vehicle is never scanned.
+    with mock.patch.object(fleet_runner, "certify_free", lambda *args: False):
+        return _captured(lambda: FleetRunner(fleet).run())
 
 
+@functools.cache
 def _design_ledgers() -> list[tuple]:
     specs = [
         ScenarioSpec.from_dict(
@@ -225,3 +243,70 @@ def test_run_length_scan_beats_reference_scan_bitwise():
         extra={"required_speedup": REQUIRED_SPEEDUP, "dense_floor": DENSE_FLOOR},
     )
     assert not failures, "run_length_scan below its floor on: " + "; ".join(failures)
+
+
+def _certificate_inputs(ledger) -> tuple:
+    """What :func:`certify_free` reads of a captured ledger.
+
+    The stored energies serve as the unit harvest at gain 1: ``(1.0 *
+    stored) * 1.0`` is ``stored``, so the certificate speaks of this very
+    ledger.
+    """
+    stored, required, _load, leak, charge, active, capacity, _restart = ledger
+    demand_prefix = np.zeros(len(stored) + 1)
+    np.cumsum(required + leak, out=demand_prefix[1:])
+    return np.cumsum(stored), 1.0, demand_prefix, charge, active, capacity
+
+
+def test_certificate_beats_run_length_scan_and_is_sound():
+    sets = {
+        "fleet": _fleet_ledgers(),
+        "design": _design_ledgers(),
+        "brownout": _brownout_ledgers(),
+        "every-step": _every_step_ledgers(),
+    }
+    rows = []
+    for name, ledgers in sets.items():
+        inputs = [_certificate_inputs(ledger) for ledger in ledgers]
+        best = {certify_free: float("inf"), run_length_scan: float("inf")}
+        outcomes = {}
+        for _ in range(REPEATS):
+            for check, arguments in ((certify_free, inputs), (run_length_scan, ledgers)):
+                start = time.perf_counter()
+                outcomes[check] = [check(*values) for values in arguments]
+                best[check] = min(best[check], time.perf_counter() - start)
+        certified = outcomes[certify_free]
+        free = [outputs[8] for outputs in outcomes[run_length_scan]]
+        unsound = [i for i, (ok, flag) in enumerate(zip(certified, free)) if ok and not flag]
+        assert not unsound, f"{name}: certified ledgers the scan finds not free: {unsound}"
+        rows.append(
+            {
+                "set": name,
+                "ledgers": len(ledgers),
+                "scan_free": sum(free),
+                "certified": sum(certified),
+                "run_length_ms": best[run_length_scan] * 1e3,
+                "certificate_ms": best[certify_free] * 1e3,
+                "speedup_x": best[run_length_scan] / best[certify_free],
+            }
+        )
+    fleet = rows[0]
+    assert fleet["certified"] == fleet["ledgers"], "every urban fleet ledger is free"
+
+    emit_result(
+        "ledger_certificate", rows, title="Storage ledger: certify_free vs run_length_scan"
+    )
+    emit_timing(
+        "ledger_certificate",
+        wall_times_s={
+            f"{row['set']}_{check}": row[f"{check}_ms"] / 1e3
+            for row in rows
+            for check in ("run_length", "certificate")
+        },
+        speedups={row["set"]: row["speedup_x"] for row in rows},
+        extra={"certificate_floor": CERTIFICATE_FLOOR},
+    )
+    assert fleet["speedup_x"] >= CERTIFICATE_FLOOR, (
+        f"certify_free only {fleet['speedup_x']:.2f}x the scan on the fleet ledgers "
+        f"(floor {CERTIFICATE_FLOOR:.2f}x)"
+    )

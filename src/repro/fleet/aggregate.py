@@ -70,7 +70,12 @@ class FleetAccumulator:
         self.vehicles = 0
 
     def add(self, outcome: dict[str, object]) -> None:
-        """Fold one vehicle outcome (see the runner's kernel) into the stats."""
+        """Fold one vehicle outcome (see the runner's kernel) into the stats.
+
+        The outcome's survival curve is a float array or a sequence of
+        floats (NaN for buckets without records); it is only read.  The
+        outcome's row is kept as it is, not copied.
+        """
         row = outcome["row"]
         survival = np.asarray(outcome["survival"], dtype=float)
         if survival.shape != (self.buckets,):
@@ -79,15 +84,15 @@ class FleetAccumulator:
                 f"expected ({self.buckets},)"
             )
         valid = np.isfinite(survival)
-        self._survival_sum[valid] += survival[valid]
-        self._survival_count[valid] += 1.0
+        np.add(self._survival_sum, survival, out=self._survival_sum, where=valid)
+        self._survival_count += valid
         self._brownout_rates.append(float(row["brownout_per_hour"]))
         self._net_mj.append(float(row["net_mj"]))
         self._coverage_pct.append(float(row["revolution_coverage_pct"]))
         self._moving_active_pct.append(float(row["moving_active_fraction_pct"]))
         self._active_at_end.append(bool(row["active_at_end"]))
         if self.keep_vehicle_rows:
-            self.vehicle_rows.append(dict(row))
+            self.vehicle_rows.append(row)
         self.vehicles += 1
 
     # -- aggregate views ----------------------------------------------------

@@ -28,27 +28,40 @@ emulator's own question once per cohort instead:
 No vehicle carries a :class:`~repro.scenario.spec.ScenarioSpec`: the
 population arrives as column chunks (:class:`~repro.fleet.spec.FleetChunk`).
 A vehicle is its walk's unit-size harvest times its size factor (exactly as
-``build_scavenger`` + ``scaled()`` scale it), its request's load and its
-ledger.  Once a chunk has settled, each vehicle's ledger is scanned by the
-emulator's :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, the scan
-``emulate()`` uses, once per vehicle.  What does not depend on the vehicle
-is built at discovery, next to the resolutions:
+``build_scavenger`` + ``scaled()`` scale it), its request's load, its
+storage levels (:func:`~repro.scavenger.storage.scaled_levels`) and its
+ledger.  What does not depend on the vehicle is built once, next to the
+resolutions:
 
 * **per walk** — the ledger's leak side
   (:func:`~repro.scavenger.storage.ledger_leak`), the survival bucketing,
   and the figures of a ledger that drew on every unit: active revolutions
-  and time, the survival curve and ``active_at_end``;
+  and time, the read-only survival curve and ``active_at_end``.  The first
+  vehicle on the walk adds its unit-size harvest sweep and that sweep's
+  prefix sum ``U`` (in its kernel, so that a failing sweep fails that
+  vehicle, which the engine retries, and not the run);
 * **per cohort** — the hoisted ledger demand
   (:func:`~repro.scavenger.storage.ledger_demand`: the load at the storage
   element divided by the discharge efficiency, and its check), valid for
   every vehicle because a scaled storage element differs in capacity and
-  thresholds only, and the load's sum.
+  thresholds only, the load's sum, and the prefix sum ``D`` of ``required
+  + leak`` when the cohort's vehicles may be certified.
 
-A ledger the scan certifies free (active throughout, nothing clipped, no
-failed withdrawal) is finished from those constants; its own work is the
-scan and its harvest totals (banked and discarded sums).  Any other ledger
-takes its totals and survival from its trajectory.  Process workers
-inherit the constants by fork and scan in the worker.  Per-vehicle figures
+Once a chunk has settled, each vehicle's ledger is first offered to
+:func:`~repro.scavenger.storage.certify_free`, a floating-point-sound
+bound that decides from ``U``, ``D``, the vehicle's gain and its storage
+levels, without scanning, that the scan would take no event.  Eligible are
+vehicles whose harvest is their size factor times the walk's non-negative
+unit-size sweep, in a cohort whose scan cannot raise, runs to the end of
+its plan and has a non-negative load over valid durations.  A certified
+ledger is finished from the constants: its own work is the certificate
+and its harvest totals (banked and discarded sums).  Any other ledger is
+scanned by the emulator's
+:meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, the scan
+``emulate()`` uses, over a storage element built for it; a scan that
+finds the ledger free finishes it the same way, and any other ledger takes
+its totals and survival from its trajectory.  Process workers inherit the
+constants by fork and certify or scan in the worker.  Per-vehicle figures
 are bit-identical to a naive ``emulate()`` of the same vehicle scenario, so
 the aggregates are independent of chunking, worker counts and backends.
 
@@ -84,7 +97,14 @@ from repro.fleet.aggregate import (
 )
 from repro.fleet.spec import FleetChunk, FleetSpec
 from repro.scavenger.base import EnergyScavenger
-from repro.scavenger.storage import LedgerDemand, StorageElement, ledger_leak, scaled_storage
+from repro.scavenger.storage import (
+    LedgerDemand,
+    StorageElement,
+    certify_free,
+    ledger_leak,
+    scaled_levels,
+    scaled_storage,
+)
 from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.engine import ChunkedEngine, process_pool_context
 
@@ -102,8 +122,12 @@ class _Walk:
     (:func:`_survival_buckets`).  Discovery fills ``free``, the figures
     every free ledger on the walk shares (:func:`_free_figures`); all of
     these are read-only afterwards.  The first vehicle to need it fills
-    ``harvest``: the walk's per-unit harvest at unit size and whether any
-    entry is negative.
+    ``harvest``: the walk's per-unit harvest at unit size, whether any
+    entry is negative, and its inclusive prefix sum (the certificate's
+    ``U``, :func:`~repro.scavenger.storage.certify_free`).  It is filled
+    in the vehicle's kernel, not at discovery, so that a failing sweep
+    fails that vehicle, which the engine retries or records, and not the
+    run.
     """
 
     plan: CyclePlan
@@ -124,12 +148,36 @@ class _Cohort:
     ``demand`` its hoisted ledger demand (valid for every vehicle, whose
     scaled storage elements differ from the base one in capacity and
     thresholds only) and ``consumed_j`` the load's sum: what a free ledger
-    draws.
+    draws.  ``demand_prefix`` is the exclusive prefix sum of ``required +
+    leak`` (the certificate's ``D``), or ``None`` when the cohort's
+    vehicles are never certified (:func:`_demand_prefix`).
     """
 
     resolution: RoundResolution
     demand: LedgerDemand
     consumed_j: float
+    demand_prefix: np.ndarray | None
+
+
+def _demand_prefix(resolution: RoundResolution, demand: LedgerDemand) -> np.ndarray | None:
+    """The certificate's ``D`` of a cohort, or ``None`` if it may not certify.
+
+    Only a cohort whose scan cannot raise and runs to the end of its plan,
+    with a non-negative load and valid durations throughout, certifies: any
+    other cohort's vehicles are scanned, which raises what they raise.
+    """
+    count = len(resolution.plan)
+    if (
+        resolution.checked
+        or resolution.end != count
+        or demand.negative_load
+        or demand.leak.valid_steps < count
+    ):
+        return None
+    prefix = np.zeros(count + 1)
+    np.cumsum(demand.required + demand.leak.amounts, out=prefix[1:])
+    prefix.setflags(write=False)
+    return prefix
 
 
 def _survival_buckets(plan: CyclePlan, duration_s: float, buckets: int) -> tuple | None:
@@ -145,13 +193,13 @@ def _survival_buckets(plan: CyclePlan, duration_s: float, buckets: int) -> tuple
     return index, counts > 0, np.maximum(counts, 1)
 
 
-def _survival_from_samples(walk: _Walk, active: np.ndarray, buckets: int) -> tuple:
+def _survival_from_samples(walk: _Walk, active: np.ndarray, buckets: int) -> np.ndarray:
     """Per-bucket active fraction of one vehicle's state log (``active`` at the record times)."""
     if walk.survival is None:
-        return tuple([float("nan")] * buckets)
+        return np.full(buckets, np.nan)
     index, sampled, divisor = walk.survival
     active_counts = np.bincount(index, weights=active.astype(float), minlength=buckets)
-    return tuple(np.where(sampled, active_counts / divisor, np.nan).tolist())
+    return np.where(sampled, active_counts / divisor, np.nan)
 
 
 def _row_tail(walk: _Walk, active: np.ndarray, buckets: int) -> tuple:
@@ -166,7 +214,8 @@ def _free_figures(walk: _Walk, buckets: int) -> tuple:
 
     A free ledger drew on every unit, so these are
     :meth:`~repro.core.emulator.EmulationResult.record_totals`' figures
-    and :func:`_row_tail` with every flag set, evaluated once per walk.
+    and :func:`_row_tail` with every flag set, evaluated once per walk; the
+    survival curve is read-only, as every free vehicle's outcome holds it.
     """
     plan = walk.plan
     drew = np.ones(len(plan), dtype=bool)
@@ -177,7 +226,9 @@ def _free_figures(walk: _Walk, buckets: int) -> tuple:
         "active_time_s": float(plan.durations[drew].sum()),
         "brownout_events": 0,
     }
-    return totals, *_row_tail(walk, drew, buckets)
+    survival, active_at_end = _row_tail(walk, drew, buckets)
+    survival.setflags(write=False)
+    return totals, survival, active_at_end
 
 
 @dataclass(slots=True)
@@ -202,7 +253,7 @@ class _Run:
     buckets: int
 
 
-def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> np.ndarray:
+def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> tuple[np.ndarray, float | None]:
     """One vehicle's per-unit harvest, as ``build_scavenger`` + ``round_harvest`` give it.
 
     ``build_scavenger`` scales the registry scavenger by ``size`` unless it
@@ -211,37 +262,49 @@ def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> np.ndarray:
     walk's unit-size harvest is bitwise the vehicle's own sweep.  A factor
     that is not positive and finite takes the per-vehicle path, which
     raises or computes exactly as the vehicle's own scavenger does.
+
+    Returns the harvest and the factor, when the harvest is that factor
+    times the walk's non-negative unit-size harvest (what
+    :func:`~repro.scavenger.storage.certify_free` can certify), else ``None``.
     """
     scavenger = run.scavenger
     factor = scavenger.size_factor * size if size != 1.0 else scavenger.size_factor
     if run.unit is None or not 0.0 < factor < math.inf:
-        return round_harvest(scavenger.scaled(size) if size != 1.0 else scavenger, walk.plan)
+        return round_harvest(scavenger.scaled(size) if size != 1.0 else scavenger, walk.plan), None
     if walk.harvest is None:
         plan = walk.plan
         unit_harvest = np.zeros(len(plan))
         unit_harvest[plan.round_indices] = run.unit.energy_sweep_j(plan.speeds[plan.round_indices])
-        walk.harvest = (unit_harvest, bool(np.any(unit_harvest < 0.0)))
-    unit_harvest, negative = walk.harvest
+        unit_harvest.setflags(write=False)
+        prefix = np.cumsum(unit_harvest)
+        prefix.setflags(write=False)
+        walk.harvest = (unit_harvest, bool(np.any(unit_harvest < 0.0)), prefix)
+    unit_harvest, negative, _prefix = walk.harvest
     harvest = factor * unit_harvest
-    if negative and np.any(harvest < 0.0):
-        raise EmulationError("cannot deposit negative energy")
-    return harvest
+    if negative:
+        if np.any(harvest < 0.0):
+            raise EmulationError("cannot deposit negative energy")
+        return harvest, None
+    return harvest, factor
 
 
 @dataclass(slots=True)
 class _PendingScan:
-    """One vehicle between its inputs phase and its ledger scan.
+    """One vehicle between its inputs phase and its ledger.
 
-    Holds the vehicle's record, its walk, its cohort, its storage element
-    (parameters only) and harvest — what :func:`_finish_vehicle` scans.
+    Holds the vehicle's record, its walk, its cohort, its storage levels
+    (:func:`~repro.scavenger.storage.scaled_levels`), its harvest and the
+    factor that harvest scales the walk's unit-size harvest by (or
+    ``None``): what :func:`_finish_vehicle` certifies or scans.
     """
 
     vehicle: tuple
     run: _Run
     walk: _Walk
     cohort: _Cohort
-    storage: StorageElement
+    levels: tuple
     harvest: np.ndarray
+    factor: float | None
 
 
 def _cohort_vehicle_outcome(vehicle_index: int, vehicle: tuple, run: _Run) -> _PendingScan:
@@ -252,35 +315,62 @@ def _cohort_vehicle_outcome(vehicle_index: int, vehicle: tuple, run: _Run) -> _P
     arguments, where fault-injection wrappers select a vehicle.  The harvest
     is ``emulate()``'s harvest sweep (see :func:`_vehicle_harvest`) and the
     load the probe's ``_resolve_rounds`` gave the vehicle's load key.  The
-    ledger scan and summary follow in :func:`_finish_vehicle`, so the
-    figures are bit-identical to a naive per-vehicle ``emulate()`` (with the
+    ledger and summary follow in :func:`_finish_vehicle`, so the figures
+    are bit-identical to a naive per-vehicle ``emulate()`` (with the
     fleet's thermal model, for thermal cohorts).
     """
     _index, _scale, _temperature, size, storage_scale, walk, load_key = vehicle
     walk = run.walks[walk]
-    harvest = _vehicle_harvest(run, walk, size)
-    storage = scaled_storage(run.storage, storage_scale)
-    return _PendingScan(vehicle, run, walk, walk.cohorts[load_key], storage, harvest)
+    harvest, factor = _vehicle_harvest(run, walk, size)
+    levels = scaled_levels(run.storage, storage_scale)
+    return _PendingScan(vehicle, run, walk, walk.cohorts[load_key], levels, harvest, factor)
+
+
+def _certified(pending: _PendingScan) -> bool:
+    """Whether :func:`~repro.scavenger.storage.certify_free` certifies the vehicle's ledger.
+
+    Eligible are vehicles whose harvest scales the walk's unit-size
+    harvest (:func:`_vehicle_harvest`) in a cohort with a certificate
+    ``D`` (:func:`_demand_prefix`); a certified ledger is one the scan
+    would find free.
+    """
+    demand_prefix = pending.cohort.demand_prefix
+    if pending.factor is None or demand_prefix is None:
+        return False
+    capacity, initial, minimum, _restart = pending.levels
+    return certify_free(
+        pending.walk.harvest[2],
+        pending.factor * pending.run.storage.charge_efficiency,
+        demand_prefix,
+        initial,
+        initial >= minimum,
+        capacity,
+    )
 
 
 def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
-    """Scan a pending vehicle's ledger; its summary, survival and row.
+    """Certify or scan a pending vehicle's ledger; its summary, survival and row.
 
     The row's key order is the one every stored and exported fleet has.
-    The scan is ``emulate()``'s own
+    A ledger the certificate declines is scanned by ``emulate()``'s own
     :meth:`~repro.core.emulator.NodeEmulator._scan_ledger` over the
     cohort's hoisted demand, which raises the naive run's error, if it has
-    one.  A ledger the scan certifies free takes every figure but its
-    harvest totals from the walk and the cohort.
+    one.  A certified ledger, or one the scan finds free, takes every
+    figure but its harvest totals from the walk and the cohort; its banked
+    energies are the stored ones, ``harvest * charge_efficiency``, which
+    the scan would return.
     """
     walk = pending.walk
     run = pending.run
     cohort = pending.cohort
     harvest = pending.harvest
-    traj = run.probe._scan_ledger(cohort.resolution, pending.storage, harvest, cohort.demand)
-    if traj.free:
+    traj = None
+    if not _certified(pending):
+        storage = scaled_storage(run.storage, pending.vehicle[4])
+        traj = run.probe._scan_ledger(cohort.resolution, storage, harvest, cohort.demand)
+    if traj is None or traj.free:
         totals, survival, active_at_end = walk.free
-        banked = traj.banked_j
+        banked = harvest * run.storage.charge_efficiency if traj is None else traj.banked_j
         result = EmulationResult(
             run.probe.node.name,
             walk.cycle_name,
@@ -315,7 +405,7 @@ def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
 
 
 def _finish_chunk(results: list) -> list:
-    """Scan a settled chunk's pending vehicles, in place and in order.
+    """Finish a settled chunk's pending vehicles, in place and in order.
 
     Failed items (``None``) and finished outcomes (cohorts whose scan can
     raise) pass through untouched.
@@ -342,10 +432,10 @@ _RUN_TOKENS = itertools.count()
 
 
 def _process_vehicle(payload) -> dict[str, object]:
-    """Worker entry of the process backend: one vehicle, scanned in the worker."""
+    """Worker entry of the process backend: one vehicle, finished in the worker."""
     run_token, vehicle = payload
-    # Workers return finished outcomes: the ledger is scanned here rather
-    # than shipped back to the parent with the vehicle's inputs.
+    # Workers return finished outcomes: the ledger is certified or scanned
+    # here rather than shipped back to the parent with the vehicle's inputs.
     return _finish_vehicle(_cohort_vehicle_outcome(vehicle[0], vehicle, _SHARED_RUNS[run_token]))
 
 
@@ -556,7 +646,11 @@ class FleetRunner:
             for load_key, position in walk.cohorts.items():
                 resolution = resolutions[position]
                 demand = probe._ledger_demand(resolution, storage, leak)
-                walk.cohorts[load_key] = _Cohort(resolution, demand, float(demand.load.sum()))
+                # Only a linear scavenger's vehicles are ever certified.
+                prefix = _demand_prefix(resolution, demand) if run.unit is not None else None
+                walk.cohorts[load_key] = _Cohort(
+                    resolution, demand, float(demand.load.sum()), prefix
+                )
         cohorts = len(requests) if thermal is not None else len(run.walks)
         swept = int(np.count_nonzero(~np.isnan(resolutions[0].energies))) if resolutions else 0
         return run, cohorts, swept
@@ -615,7 +709,7 @@ class FleetRunner:
             pending = _cohort_vehicle_outcome(vehicle[0], vehicle, run)
             # A cohort whose scan can raise scans here, inside the retried
             # kernel, so each vehicle's error is retried or collected on its
-            # own; the others scan once the chunk has settled (_finish_chunk).
+            # own; the others finish once the chunk has settled (_finish_chunk).
             return _finish_vehicle(pending) if pending.cohort.resolution.checked else pending
 
         if self._engine.backend == "process":

@@ -18,6 +18,9 @@ ledger (:class:`LedgerDemand`) is computed once by :func:`ledger_demand`
 and may be shared by many scans, such as a fleet cohort's vehicles; a scan
 that commits every step through the free branch says so (``free``), so
 its caller can take the ledger's totals from constants.
+:func:`certify_free` decides the same without a scan, from prefix sums of
+the harvest and the demand and a margin that covers the scan's rounding;
+the fleet tries it before scanning a vehicle.
 """
 
 from __future__ import annotations
@@ -190,24 +193,49 @@ class StorageElement:
         return loss
 
 
+def scaled_levels(
+    storage: StorageElement, capacity_factor: float
+) -> tuple[float, float, float, float]:
+    """``storage``'s capacity, initial charge, minimum and restart level, scaled.
+
+    The four levels :func:`scaled_storage` gives its copy, for callers that
+    need the levels without an element (a fleet vehicle whose ledger is
+    certified free is never scanned).  Raises what :func:`scaled_storage`
+    raises for a factor that is not positive, or that scales the capacity
+    down to zero.
+    """
+    if capacity_factor <= 0.0:
+        raise ConfigurationError("storage capacity factor must be positive")
+    levels = (
+        storage.capacity_j,
+        storage.initial_charge_j,
+        storage.minimum_operating_j,
+        storage.restart_level_j,
+    )
+    if capacity_factor == 1.0:
+        return levels
+    capacity, initial, minimum, restart = (level * capacity_factor for level in levels)
+    if capacity <= 0.0:
+        raise ConfigurationError("storage capacity must be positive")
+    return capacity, initial, minimum, restart
+
+
 def scaled_storage(storage: StorageElement, capacity_factor: float) -> StorageElement:
     """A copy of ``storage`` with its capacity scaled by ``capacity_factor``.
 
     Capacity, initial charge, brown-out threshold and restart level all
-    scale together, so every validity invariant (initial charge within
-    capacity, restart above minimum) is preserved by construction.  This is
-    the fleet runner's manufacturing-tolerance axis on storage capacity.
+    scale together (:func:`scaled_levels`), so every validity invariant
+    (initial charge within capacity, restart above minimum) is preserved by
+    construction.  This is the fleet runner's manufacturing-tolerance axis
+    on storage capacity.
     """
-    if capacity_factor <= 0.0:
-        raise ConfigurationError("storage capacity factor must be positive")
-    if capacity_factor == 1.0:
-        return replace(storage)
+    capacity, initial, minimum, restart = scaled_levels(storage, capacity_factor)
     return replace(
         storage,
-        capacity_j=storage.capacity_j * capacity_factor,
-        initial_charge_j=storage.initial_charge_j * capacity_factor,
-        minimum_operating_j=storage.minimum_operating_j * capacity_factor,
-        restart_level_j=storage.restart_level_j * capacity_factor,
+        capacity_j=capacity,
+        initial_charge_j=initial,
+        minimum_operating_j=minimum,
+        restart_level_j=restart,
     )
 
 
@@ -364,6 +392,8 @@ _WINDOW = 1024
 _SHORT_RUN = 16
 #: Steps an event-dense stretch hands to :func:`reference_scan` at once.
 _DENSE_STEPS = 256
+#: The float64 machine epsilon, twice the unit roundoff ``u``.
+_EPS = float(np.finfo(float).eps)
 
 
 def _first_failure(ok) -> int:
@@ -552,6 +582,76 @@ def run_length_scan(
         flags.setflags(write=False)
         return charge_out, flags, stored, load, flags, flags, 0, charge, True
     return (*outputs, brownouts, charge, False)
+
+
+def certify_free(
+    harvest_prefix,
+    gain: float,
+    demand_prefix,
+    charge: float,
+    active: bool,
+    capacity: float,
+) -> bool:
+    """Decide, without scanning, that :func:`run_length_scan` would return ``free``.
+
+    The ledger is the one :func:`trajectory` scans when the stored energy
+    is ``(factor * unit) * charge_efficiency`` per step, with ``gain =
+    factor * charge_efficiency``: ``harvest_prefix`` is the inclusive prefix
+    sum ``U`` of the per-step ``unit`` harvest (``n`` steps),
+    ``demand_prefix`` the exclusive prefix sum ``D`` of ``required + leak``
+    (``n + 1`` values, ``D[0] == 0``), ``charge`` the initial charge and
+    ``active`` whether the ledger starts active.  Every term must be
+    non-negative.  ``True`` means the scan takes no event: it starts
+    active, clips no deposit, fails no withdrawal and no leak takes the
+    whole charge.  ``False`` decides nothing; the caller scans.
+
+    **The bound.**  In exact arithmetic over the scan's own inputs the
+    charge before step ``k``'s deposit is ``P_k = c + S_k - D[k]`` (``S_k``
+    the stored energies before ``k``).  The scan forms it by recursive
+    summation of ``3k + 1`` non-negative-magnitude terms, so its float
+    charges before the deposit, after it and after the withdrawal are all
+    within ``gamma_{3n} * T`` of the exact ones (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., section 4.2; ``gamma_m = m
+    u / (1 - m u)``, ``T`` the sum of the terms' magnitudes).  The
+    certificate's ``fl(gain * U[k])`` is within ``gamma_{k+4}`` (relative)
+    of the stored energies' exact sum up to ``k`` (the two roundings of each
+    stored energy, the prefix's ``k`` and the gain's and product's), and
+    ``D`` within ``gamma_{k+1}`` of the exact demand sum.  The comparisons
+    below add a few roundings of magnitude at most ``u * M``, ``M = capacity
+    + c + gain * U[-1] + D[-1]``, which also bounds ``T`` up to ``1 +
+    gamma_{n+4}``.  All told the certificate's expressions are within
+    ``(4n + 8) u * M`` of the scan's, and ``delta = kappa * M`` with
+    ``kappa = (4n + 64) eps = (8n + 128) u`` covers that twice.
+    With that margin, every step ``k``:
+
+    * ``c + max_k(gain * U[k] - D[k]) + delta <= capacity`` puts the scan's
+      charge after each deposit at or below the capacity in exact
+      arithmetic, so its float headroom ``capacity - charge`` is at least
+      the stored energy: rounding is monotone and the stored energy is a
+      float.  No deposit clips;
+    * ``c - delta > max_k(D[k + 1] - gain * U[k])`` puts the scan's float
+      charge after each withdrawal strictly above that step's leak: no leak
+      takes the whole charge, and since the leak is non-negative that
+      charge is positive, so no withdrawal failed either.
+
+    Starting active, a ledger with no failed withdrawal never browns out, so
+    it never restarts.  NaN or infinite inputs fail a comparison and decide
+    nothing.  The cost is a handful of elementwise passes with no
+    loop-carried dependency, where the scan's accumulate is one chain.
+    """
+    if not active:
+        return False
+    count = len(harvest_prefix)
+    if count == 0:
+        return True
+    banked = harvest_prefix * gain
+    scale = capacity + charge + float(banked[-1]) + float(demand_prefix[-1])
+    delta = (4 * count + 64) * _EPS * scale
+    margin = banked - demand_prefix[:-1]
+    if not charge + float(np.maximum.reduce(margin)) + delta <= capacity:
+        return False
+    np.subtract(demand_prefix[1:], banked, out=margin)
+    return charge - delta > float(np.maximum.reduce(margin))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,9 @@ stores skip each other's finished chunks.
 Results are journaled as strict-key JSON with ``allow_nan=True``: Python's
 ``repr``-based float serialization round-trips every finite float exactly
 and NaN survives as a literal, which is what makes a resumed run's rows
-byte-identical to an uninterrupted run's.
+byte-identical to an uninterrupted run's.  A numpy array in the results is
+journaled as its ``tolist()``, the bytes a list of the same floats gives,
+and replays as that list.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ import json
 import os
 from pathlib import Path
 from typing import Mapping
+
+import numpy as np
 
 from repro.digest import canonical_digest
 from repro.errors import CheckpointError
@@ -65,6 +69,13 @@ def _key_digest(key: Mapping[str, object]) -> str:
         return canonical_digest(key)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint key is not canonical JSON: {exc}") from exc
+
+
+def _array_as_list(value: object) -> object:
+    """``json.dumps`` fallback: a numpy array as its list; anything else is refused."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _chunk_name(chunk_index: int) -> str:
@@ -175,7 +186,8 @@ class CheckpointStore:
     ) -> Path:
         """Journal one completed chunk: tmp file, fsync, link, directory fsync.
 
-        ``results`` must be JSON-serializable (NaN allowed); slots of failed
+        ``results`` must be JSON-serializable (NaN allowed, numpy arrays
+        journaled as lists); slots of failed
         items carry ``None`` with the failure recorded in ``failures`` (its
         ``index`` local to the chunk).
 
@@ -194,7 +206,8 @@ class CheckpointStore:
             "failures": list(failures or []),
         }
         try:
-            body = json.dumps(payload, allow_nan=True).encode("utf-8") + b"\n"
+            body = json.dumps(payload, allow_nan=True, default=_array_as_list).encode("utf-8")
+            body += b"\n"
         except (TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"chunk {chunk_index} results are not JSON-serializable: {exc}"

@@ -1,16 +1,24 @@
-"""Free and non-free ledgers side by side in one cohort and one chunk.
+"""Certified, scanned-free and event-taking ledgers side by side in one cohort and chunk.
 
-A vehicle whose ledger the scan certifies free (active throughout, nothing
-clipped) takes its totals, survival and ``active_at_end`` from constants of
-its walk and cohort; any other vehicle takes them from its trajectory.
-Storage-capacity and scavenger-size tolerances put both kinds of vehicle in
-the same cohort and chunk, on the sequential, thread and process backends,
-and every row and survival curve must equal the per-revolution reference
-(``naive_emulate``) by ``float.hex``.  Call counting pins the hoisting: one
-ledger demand per cohort per run, one ``trajectory`` call per vehicle.
+A vehicle whose ledger the certificate (``certify_free``) decides free is
+never scanned; one it declines is scanned once, and a scan that finds the
+ledger free finishes it like a certified one.  Free ledgers take their
+totals, survival and ``active_at_end`` from constants of their walk and
+cohort; any other vehicle takes them from its trajectory.  Storage-capacity
+and scavenger-size tolerances put certified and scanned vehicles in the
+same cohort and chunk; a fleet whose storage starts full sits one step away
+from a clipped deposit, which the certificate declines while the scan finds
+every ledger free; a conditioned scavenger is never eligible.  On the
+sequential, thread and process backends every row and survival curve must
+equal the per-revolution reference (``naive_emulate``) by ``float.hex``.
+Call counting pins the hoisting: one ledger demand per cohort per run, one
+``trajectory`` call per vehicle the certificate declines and none for a
+vehicle it certifies.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +29,10 @@ import repro.scavenger.storage as storage_module
 from repro.core.emulator import NodeEmulator
 from repro.fleet import FleetRunner, FleetSpec
 from repro.fleet.aggregate import FleetAccumulator
+from repro.scavenger.conditioning import ConditionedScavenger, conditioned
+from repro.scavenger.piezoelectric import PiezoelectricScavenger
 from repro.scavenger.storage import scaled_storage
+from repro.scenario.registry import SCAVENGERS
 from repro.scenario.spec import ScenarioSpec
 
 from naive_reference import naive_emulate
@@ -30,19 +41,47 @@ VEHICLES = 24
 CHUNK = 8
 BUCKETS = 10
 
-#: (scavenger size, drive-cycle repetitions): a small scavenger browns some
-#: vehicles out, a large one fills some storage elements to the capacity.
-FLEETS = {"brownout": (0.01, 2), "full": (8.0, 1)}
+#: (scavenger, scavenger size, storage, drive-cycle repetitions).  A small
+#: scavenger browns some vehicles out and a large one fills some storage
+#: elements to the capacity, so both fleets mix certified and scanned
+#: vehicles.  A storage element that starts full takes no event when its
+#: first unit harvests nothing, but the certificate's margin declines it.
+#: A conditioned scavenger's harvest is no multiple of a unit-size sweep.
+FLEETS = {
+    "brownout": ("piezoelectric", 0.01, "supercapacitor", 2),
+    "full": ("piezoelectric", 8.0, "supercapacitor", 1),
+    "near-boundary": (
+        "piezoelectric",
+        1.0,
+        {"name": "supercapacitor", "params": {"initial_fraction": 1.0}},
+        1,
+    ),
+    "conditioned": ("conditioned-piezoelectric", 1.0, "supercapacitor", 1),
+}
+
+
+def _conditioned_piezoelectric() -> ConditionedScavenger:
+    return conditioned(PiezoelectricScavenger())
+
+
+@pytest.fixture(scope="module", autouse=True)
+def conditioned_scavenger():
+    # Registered before any fleet runs, so forked process workers inherit it.
+    SCAVENGERS.register("conditioned-piezoelectric", _conditioned_piezoelectric)
+    try:
+        yield
+    finally:
+        SCAVENGERS.unregister("conditioned-piezoelectric")
 
 
 def _fleet(kind: str) -> FleetSpec:
-    size, repetitions = FLEETS[kind]
+    scavenger, size, storage, repetitions = FLEETS[kind]
     base = ScenarioSpec.from_dict(
         {
             "name": f"free-{kind}",
-            "scavenger": "piezoelectric",
+            "scavenger": scavenger,
             "scavenger_size": size,
-            "storage": "supercapacitor",
+            "storage": storage,
             "drive_cycle": {"name": "urban", "params": {"repetitions": repetitions}},
         }
     )
@@ -92,7 +131,7 @@ def _naive_outcomes(fleet: FleetSpec) -> list[tuple[dict, tuple]]:
 
 
 @pytest.fixture(scope="module")
-def naive():
+def naive(conditioned_scavenger):
     return {kind: _naive_outcomes(_fleet(kind)) for kind in FLEETS}
 
 
@@ -127,30 +166,47 @@ class TestFreeBoundary:
                 assert _hex(row[key]) == _hex(value), (kind, backend, row["vehicle"], key)
             assert [_hex(x) for x in survival] == [_hex(x) for x in expected], row["vehicle"]
 
-    @pytest.mark.parametrize("kind", sorted(FLEETS))
-    def test_a_chunk_holds_free_and_non_free_ledgers(self, kind, monkeypatch):
-        free = []
-        scan = NodeEmulator._scan_ledger
+    def _ledger_events(self, monkeypatch) -> list[tuple[str, bool]]:
+        """Each certificate (``("certify", decided)``) and scan (``("scan", free)``), in order."""
+        events = []
+        certify = fleet_runner.certify_free
+        scan = emulator_module.trajectory
 
-        def spy(self, *args):
-            traj = scan(self, *args)
-            free.append(traj.free)
+        def certifying(*args):
+            decided = certify(*args)
+            events.append(("certify", decided))
+            return decided
+
+        def scanning(*args):
+            traj = scan(*args)
+            events.append(("scan", traj.free))
             return traj
 
-        monkeypatch.setattr(NodeEmulator, "_scan_ledger", spy)
+        monkeypatch.setattr(fleet_runner, "certify_free", certifying)
+        monkeypatch.setattr(emulator_module, "trajectory", scanning)
+        return events
+
+    @pytest.mark.parametrize("kind", ["brownout", "full"])
+    def test_a_chunk_holds_certified_and_scanned_vehicles(self, kind, monkeypatch):
+        events = self._ledger_events(monkeypatch)
         FleetRunner(_fleet(kind)).run()
-        chunks = [set(free[start : start + CHUNK]) for start in range(0, VEHICLES, CHUNK)]
-        assert {True, False} in chunks, (kind, free)
+        # Every vehicle is offered to the certificate; a declined one scans next.
+        certified = [decided for event, decided in events if event == "certify"]
+        assert len(certified) == VEHICLES
+        chunks = [set(certified[start : start + CHUNK]) for start in range(0, VEHICLES, CHUNK)]
+        assert {True, False} in chunks, (kind, certified)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", sorted(FLEETS))
-    def test_one_demand_per_cohort_and_one_scan_per_vehicle(self, kind, workers, monkeypatch):
+    def test_one_demand_per_cohort_and_one_scan_per_uncertified_vehicle(
+        self, kind, workers, monkeypatch
+    ):
+        events = self._ledger_events(monkeypatch)
         calls = {}
         for module, name in (
             (fleet_runner, "ledger_leak"),
             (storage_module, "ledger_leak"),
             (emulator_module, "ledger_demand"),
-            (emulator_module, "trajectory"),
         ):
             key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
             calls[key] = 0
@@ -167,5 +223,22 @@ class TestFreeBoundary:
             "runner.ledger_leak": 1,  # one walk
             "storage.ledger_leak": 0,  # the runner hands the walk's leak in
             "emulator.ledger_demand": 1,  # one cohort
-            "emulator.trajectory": VEHICLES,
         }
+        # The finish runs vehicle by vehicle in the parent.  Per vehicle:
+        # "c" certified and never scanned, "ds" declined and scanned once,
+        # "s" not eligible and scanned once.
+        trail = "".join(
+            "s" if event == "scan" else "c" if value else "d" for event, value in events
+        )
+        vehicles = re.findall("c|ds|s", trail)
+        assert "".join(vehicles) == trail and len(vehicles) == VEHICLES, trail
+        scans_free = [value for event, value in events if event == "scan"]
+        if kind == "conditioned":
+            assert set(vehicles) == {"s"}
+        elif kind == "near-boundary":
+            assert set(vehicles) == {"ds"} and all(scans_free)
+        else:
+            assert set(vehicles) == {"c", "ds"}
+        for vehicle, row in zip(vehicles, result.vehicle_rows, strict=True):
+            if vehicle == "c":
+                assert row["brownout_events"] == 0 and row["active_at_end"], row["vehicle"]

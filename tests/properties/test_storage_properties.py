@@ -21,11 +21,14 @@ from hypothesis import strategies as st
 import repro.scavenger.storage as storage_module
 from repro.scavenger.storage import (
     StorageElement,
+    certify_free,
     deposit_step,
     leak_step,
     ledger_demand,
     reference_scan,
     run_length_scan,
+    scaled_levels,
+    scaled_storage,
     trajectory,
     withdraw_step,
 )
@@ -726,10 +729,210 @@ class TestFreeCertificate:
         assert hoisted_trajectory(storage, small, small, small).free
 
 
+# ---------------------------------------------------------------------------
+# The certificate that decides freeness before any scan: whatever it
+# certifies, the reference recurrence takes no event and the scan flags free.
+# ---------------------------------------------------------------------------
+
+
+def certificate_inputs(storage, unit, factor, load, durations) -> tuple:
+    """What a fleet vehicle's certificate reads: ``U``, the gain, ``D``, the start."""
+    demand = ledger_demand(storage, load, durations)
+    demand_prefix = np.zeros(len(unit) + 1)
+    np.cumsum(demand.required + demand.leak.amounts, out=demand_prefix[1:])
+    charge = storage.initial_charge_j
+    return (
+        np.cumsum(unit),
+        factor * storage.charge_efficiency,
+        demand_prefix,
+        charge,
+        charge >= storage.minimum_operating_j,
+        storage.capacity_j,
+    )
+
+
+def assert_certificate_sound(storage, unit, factor, load, durations) -> bool:
+    """Certified ledgers take no event, in the reference and in every scan.
+
+    The vehicle's harvest is ``factor * unit``, as the fleet scales a walk's
+    unit-size harvest.  Returns whether the ledger was certified.
+    """
+    certified = certify_free(*certificate_inputs(storage, unit, factor, load, durations))
+    if certified:
+        harvest = factor * unit
+        hoisted = hoisted_scan(storage, harvest, load, durations, None)
+        stored, required, _load, leak, charge, active, capacity, _restart = hoisted
+        assert _takes_no_event(stored, required, leak, charge, active, capacity)
+        expected = reference_scan(*hoisted)
+        assert expected[5].all() and expected[6] == 0
+        assert _bits(expected[2]) == _bits(stored)
+        assert run_length_scan(*hoisted)[8] is True
+        assert hoisted_trajectory(storage, harvest, load, durations).free
+    return certified
+
+
+factors = st.sampled_from([1.0]) | st.floats(0.05, 20.0)
+
+
+@st.composite
+def scaled_boundary_ledgers(draw, max_length=300):
+    """A :func:`boundary_ledgers` ledger, its harvest split into a factor and a unit harvest."""
+    storage, harvest, load, durations, _initially_active = draw(boundary_ledgers(max_length))
+    factor = draw(factors)
+    return storage, harvest / factor, factor, load, durations
+
+
+@st.composite
+def planted_triples(draw, max_length=300):
+    """Random ledgers whose gain, initial charge and capacity sit at, or an ulp off, a boundary.
+
+    From a zero start, the charge that the deposits and withdrawals leave
+    before each leak sets the lowest initial charge no leak takes whole,
+    and the highest charge after a deposit the least capacity nothing
+    clips at; each is drawn as itself, an ulp either side or a random
+    value, and the brown-out level as the initial charge itself, an ulp
+    above it (an inactive start) or zero.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, max_length))
+    unit = rng.uniform(0.0, 1e-4, count) * (rng.random(count) < draw(st.floats(0.0, 1.0)))
+    load = rng.uniform(0.0, 1e-4, count)
+    durations = rng.uniform(0.0, 2.0, count)
+    factor = draw(factors)
+    charge_eff, discharge_eff, leak_w = draw(
+        st.sampled_from([(1.0, 1.0, 1e-5), (0.95, 0.9, 0.8e-6), (0.97, 0.92, 3e-5)])
+    )
+    x = np.empty(3 * count + 1)
+    x[0] = 0.0
+    x[1::3] = (factor * unit) * charge_eff
+    x[2::3] = -(load / discharge_eff)
+    x[3::3] = -(leak_w * durations)
+    np.add.accumulate(x, out=x)
+    side = st.sampled_from([-1, 0, 1])
+    lowest = float(np.max(leak_w * durations - x[2::3]))
+    if draw(st.booleans()):
+        charge = max(_nudged(max(lowest, 0.0), draw(side)), 0.0)
+    else:
+        charge = max(lowest, 0.0) * draw(st.floats(0.0, 2.0)) + draw(st.floats(0.0, 1e-3))
+    highest = charge + float(np.max(x[1::3]))
+    if draw(st.booleans()):
+        capacity = _nudged(highest, draw(side))
+    else:
+        capacity = highest * draw(st.floats(0.5, 2.0))
+    capacity = max(capacity, charge, 1e-9)
+    minimum = draw(st.sampled_from([charge, _nudged(charge, 1), 0.0]))
+    minimum = min(minimum, capacity)
+    storage = StorageElement(
+        capacity_j=capacity,
+        initial_charge_j=charge,
+        charge_efficiency=charge_eff,
+        discharge_efficiency=discharge_eff,
+        self_discharge_w=leak_w,
+        minimum_operating_j=minimum,
+        restart_level_j=minimum,
+    )
+    return storage, unit, factor, load, durations
+
+
+class TestCertifyFree:
+    @given(ledger=scaled_boundary_ledgers())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_certified_boundary_ledgers_take_no_event(self, ledger):
+        assert_certificate_sound(*ledger)
+
+    @given(ledger=planted_triples())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_certified_planted_triples_take_no_event(self, ledger):
+        assert_certificate_sound(*ledger)
+
+    @pytest.mark.parametrize("comparison", COMPARISONS)
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_declines_a_ledger_at_a_boundary(self, comparison, side):
+        # test_each_planted_boundary's ledgers: an ulp from an event is
+        # within the certificate's margin, so it declines every plant
+        # (the scan finds three of them free) and certifies the ledger
+        # without one.
+        storage = StorageElement(
+            capacity_j=1.5403466578537677,
+            initial_charge_j=0.4186433186567379,
+            charge_efficiency=1.0,
+            discharge_efficiency=1.0,
+            self_discharge_w=1.0,
+            minimum_operating_j=0.0,
+            restart_level_j=0.1,
+        )
+        steps = np.full(9, 1e-4)
+        charge = storage.initial_charge_j
+        for _ in range(8):
+            charge = ((charge + 1e-4) - 1e-4) - 1e-4
+        harvest, load, durations = steps.copy(), steps.copy(), steps.copy()
+        assert certify_free(*certificate_inputs(storage, harvest, 1.0, load, durations))
+        headroom = storage.capacity_j - charge
+        if comparison == "deposit":
+            harvest[8] = _nudged(headroom, side)
+        elif comparison == "clip":
+            harvest[8] = _nudged(2.0 * headroom, side)
+        elif comparison == "withdraw":
+            load[8] = _nudged(charge + 1e-4, side)
+        else:
+            durations[8] = _nudged((charge + 1e-4) - 1e-4, side)
+        assert not assert_certificate_sound(storage, harvest, 1.0, load, durations)
+
+    def test_inactive_or_empty_ledgers(self):
+        storage = make_storage(initial_fraction=0.5)
+        small, empty = np.full(5, 1e-6), np.zeros(0)
+        inputs = certificate_inputs(storage, small, 1.0, small, small)
+        assert certify_free(*inputs)
+        assert not certify_free(*inputs[:4], False, inputs[5])
+        assert certify_free(*certificate_inputs(storage, empty, 1.0, empty, empty))
+        depleted = make_storage(initial_fraction=0.01)
+        assert not certify_free(*certificate_inputs(depleted, small, 1.0, small, small))
+
+    def test_non_finite_inputs_decide_nothing(self):
+        storage = make_storage()
+        small = np.full(5, 1e-6)
+        for position, value in ((0, np.inf), (0, np.nan), (1, np.inf), (1, np.nan)):
+            unit, load = small.copy(), small.copy()
+            (unit, load)[position][2] = value
+            assert not certify_free(*certificate_inputs(storage, unit, 1.0, load, small))
+        inputs = certificate_inputs(storage, small, 1.0, small, small)
+        assert not certify_free(*inputs[:5], np.inf)
+        assert not certify_free(inputs[0], np.nan, *inputs[2:])
+
+
+class TestScaledLevels:
+    @given(factor=st.sampled_from([1.0]) | st.floats(1e-3, 1e3))
+    def test_levels_are_the_scaled_elements(self, factor):
+        base = make_storage()
+        storage = scaled_storage(base, factor)
+        levels = (
+            storage.capacity_j,
+            storage.initial_charge_j,
+            storage.minimum_operating_j,
+            storage.restart_level_j,
+        )
+        assert [_bits(level) for level in scaled_levels(base, factor)] == [
+            _bits(level) for level in levels
+        ]
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (0.0, "factor must be positive"),
+            (-1.0, "factor must be positive"),
+            (5e-324, "capacity must be positive"),  # 0.5 J times it rounds to zero
+        ],
+    )
+    def test_both_refuse_what_no_element_holds(self, factor, message):
+        from repro.errors import ConfigurationError
+
+        for scale in (scaled_levels, scaled_storage):
+            with pytest.raises(ConfigurationError, match=message):
+                scale(make_storage(), factor)
+
+
 class TestHoistedDemand:
     def test_demand_is_shared_by_scaled_elements(self):
-        from repro.scavenger.storage import scaled_storage
-
         base = make_storage()
         rng = np.random.default_rng(5)
         harvest, load = rng.uniform(0.0, 4e-3, (2, 400))

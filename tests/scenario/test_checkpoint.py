@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from repro.errors import CheckpointError
@@ -182,6 +183,19 @@ class TestCheckpointStore:
         assert "\n" not in str(raised.value)
         assert list(tmp_path.iterdir()) == []
         assert not store.has_chunk(0)
+
+    def test_numpy_arrays_journal_as_their_lists(self, tmp_path):
+        curve = np.array([0.25, float("nan"), 1.0])
+        curve.setflags(write=False)
+        as_array = CheckpointStore(tmp_path / "array", KEY)
+        as_list = CheckpointStore(tmp_path / "list", KEY)
+        array_path = as_array.record_chunk(0, results=[{"survival": curve}], wall_times_s=[0.0])
+        list_path = as_list.record_chunk(
+            0, results=[{"survival": tuple(curve.tolist())}], wall_times_s=[0.0]
+        )
+        assert array_path.read_bytes() == list_path.read_bytes()
+        loaded = as_array.load_chunk(0)[0][0]["survival"]
+        assert loaded[0] == 0.25 and math.isnan(loaded[1]) and loaded[2] == 1.0
 
     def test_unserializable_results_raise_checkpoint_error(self, tmp_path):
         store = CheckpointStore(tmp_path, KEY)
