@@ -10,7 +10,7 @@ these arrays directly, so sweep workloads never allocate per-point
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -158,6 +158,27 @@ class BatchConditions:
                 1.0 if activity is None else activity, count, "activity factor"
             ),
         )
+
+    def distinct(self) -> tuple["BatchConditions", np.ndarray]:
+        """The distinct power conditions of the rows, and each row's index into them.
+
+        A power condition is (supply, temperature, process factors,
+        activity); speed is not one of them.  Two rows hold the same
+        condition when all five values have the same bit pattern, so
+        ``-0.0`` and ``0.0``, or two NaN payloads, stay apart where float
+        equality would merge them.  The conditions come out sorted by bit
+        pattern, each keeping the speed of one of its rows.
+        """
+        columns = (self.supply_v, self.temperature_c, self.dynamic_factor, self.leakage_factor)
+        keys = np.stack(columns + (self.activity,)).view(np.int64)
+        order = np.lexsort(keys)
+        ordered = keys[:, order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        index = np.empty(len(order), dtype=np.intp)
+        index[order] = np.cumsum(starts) - 1
+        rows = order[starts]
+        return BatchConditions(*(getattr(self, field.name)[rows] for field in fields(self))), index
 
     def point_at(self, index: int) -> OperatingPoint:
         """Reconstruct row ``index`` as a scalar :class:`OperatingPoint`.

@@ -480,36 +480,48 @@ class NodeEmulator:
         else:
             speed = unit.speed_kmh
         table = self.node.schedule_table([speed], [pattern])
-        return float(self._evaluate_table(table, [temperature_bin_center_c(temp_bin)])[0][0])
+        centre = [temperature_bin_center_c(temp_bin)]
+        return float(self._evaluate_table(table, centre, np.zeros(1, dtype=np.intp))[0][0])
 
-    def _evaluate_table(self, table: ScheduleTable, temperatures, include_phases: bool = False):
-        """The kernel's ``(energies, phase lists)`` at ``table``'s points and ``temperatures``.
+    def _evaluate_table(
+        self, table: ScheduleTable, temperatures, condition_of, include_phases=False
+    ):
+        """The kernel's ``(energies, phase lists)`` at ``table``'s points.
 
         One :meth:`EnergyEvaluator._schedule_energy_batch` call over
-        ``table`` (the points' speeds and patterns) at the points'
-        temperatures under the base point's supply and process conditions;
-        raises the first infeasible point's error.  The kernel is
+        ``table`` (the points' speeds and patterns).  Point ``i`` runs at
+        ``temperatures[condition_of[i]]`` under the base point's supply and
+        process conditions (``None``: one temperature per point, numbered
+        by bit pattern); each temperature's power is evaluated once.
+        Raises the first infeasible point's error.  The kernel is
         elementwise, so a point's values do not depend on the other points
         of the call.
         """
-        batch = BatchConditions.from_arrays(
-            table.speeds_kmh, np.asarray(temperatures, dtype=float), base_point=self.base_point
+        temperatures = np.asarray(temperatures, dtype=float)
+        conditions = BatchConditions.from_arrays(
+            np.zeros(len(temperatures)), temperatures, base_point=self.base_point
         )
-        return self.evaluator._schedule_energy_batch(batch, table, include_phases=include_phases)
+        return self.evaluator._schedule_energy_batch(
+            conditions, table, condition_of, include_phases
+        )
 
-    def evaluate_energy_bins(self, table: ScheduleTable, temperatures: np.ndarray) -> np.ndarray:
+    def evaluate_energy_bins(
+        self, table: ScheduleTable, temperatures: np.ndarray, condition_of: np.ndarray
+    ) -> np.ndarray:
         """Evaluate quantized bins in ONE vectorized batch call: one energy per point.
 
         ``table`` is the schedule table of the bins' evaluation speeds and
-        patterns, every point buildable, and ``temperatures`` their
-        evaluation temperatures.  The sweep is energy-only: no phase list
-        is built (a trace builds its own).  The batch kernel accumulates in
-        the scalar operation order, so the values are bitwise identical to
-        per-round scalar evaluations — which is what lets :meth:`_resolve_rounds`
-        evaluate the *union* of bins over every run it resolves, one
-        emulation or a whole fleet population, in one call.
+        patterns, every point buildable; ``temperatures`` are the
+        evaluation temperatures (the temperature-bin centres) and
+        ``condition_of`` each point's index into them.  Block power is
+        evaluated once per temperature, durations per point.  The sweep is energy-only: no
+        phase list is built (a trace builds its own).  The batch kernel
+        accumulates in the scalar operation order, so the values are bitwise
+        identical to per-round scalar evaluations — which is what lets
+        :meth:`_resolve_rounds` evaluate the *union* of bins over every run
+        it resolves, one emulation or a whole fleet population, in one call.
         """
-        return self._evaluate_table(table, temperatures)[0]
+        return self._evaluate_table(table, temperatures, condition_of)[0]
 
     def _record_trace_revolution(
         self,
@@ -610,7 +622,9 @@ class NodeEmulator:
         at its bin, a thermal run's rounds up to ``end``) is numbered as an
         int64 code in one ``np.unique``; the codes index the slot columns,
         so the distinct evaluation points are built as arrays and swept by
-        ONE schedule table and ONE :meth:`evaluate_energy_bins` call.  A
+        ONE schedule table and ONE :meth:`evaluate_energy_bins` call, which
+        takes each code's temperature bin as its condition's number, so
+        block power is evaluated once per bin, not per point.  A
         point whose schedule cannot be built (an exact speed; bin centers
         that cannot were re-keyed when classified) is dropped by mask: its
         rounds draw 0 and :meth:`_scan_ledger` raises if the node reaches
@@ -685,9 +699,10 @@ class NodeEmulator:
         width = int(entry_bin.max()) - first_bin + 1 if entry_bin.size else 1
         codes, inverse = np.unique(entry_slot * width + entry_bin - first_bin, return_inverse=True)
         code_slot, code_bin = np.divmod(codes, width)
-        code_bin += first_bin
         key_codes, speeds = slot_codes[code_slot], slot_speeds[code_slot]
-        temperatures = temperature_bin_center_c(code_bin)
+        # Each code's temperature bin numbers its condition among the centres.
+        centres = temperature_bin_center_c(first_bin + np.arange(width))
+        temperatures = centres[code_bin]
         patterns = np.where(key_codes < 0, -1 - key_codes, key_codes & 7)
         energies = np.full(len(codes), np.nan)
         if len(codes):
@@ -698,7 +713,7 @@ class NodeEmulator:
                 # drop the points whose schedule cannot be built.
                 swept = swept[table.feasible]
                 table = self.node.schedule_table(speeds[swept], _PATTERN_FLAGS[patterns[swept]])
-            energies[swept] = self.evaluate_energy_bins(table, temperatures[swept])
+            energies[swept] = self.evaluate_energy_bins(table, centres, code_bin[swept])
         points = (speeds, temperatures, patterns, energies)
         for column in points:
             column.setflags(write=False)
@@ -936,7 +951,7 @@ class NodeEmulator:
         table = self.node.schedule_table(
             resolution.speeds[played], _PATTERN_FLAGS[resolution.patterns[played]]
         )
-        phases = self._evaluate_table(table, resolution.temperatures[played], True)[1]
+        phases = self._evaluate_table(table, resolution.temperatures[played], None, True)[1]
         phases_of = dict(zip(played.tolist(), phases))
         for i in in_window.tolist():
             start_s = float(plan.starts[i])

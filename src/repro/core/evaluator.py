@@ -575,27 +575,34 @@ class EnergyEvaluator:
 
     def _schedule_energy_batch(
         self,
-        batch: BatchConditions,
+        conditions: BatchConditions,
         table: ScheduleTable,
+        condition_of: np.ndarray | None = None,
         include_phases: bool = False,
     ) -> tuple[np.ndarray, list[tuple[tuple[str, float, float], ...]] | None]:
-        """Shared kernel: energies of N (condition, schedule-table point) pairs.
+        """Shared kernel: energies of N schedule-table points under numbered conditions.
 
-        Every (block, mode) row of the compiled table is evaluated against
-        all N condition points in ONE vectorized ``breakdown_components``
-        call; the per-phase accumulation then runs once per
-        :class:`~repro.timing.schedule.PhaseStructure` group of ``table``
-        (durations differ per point, the structure does not) with
-        elementwise array arithmetic in exactly the operation order of the
-        scalar loop.  A batch of one point is therefore bit-identical to the
-        scalar path; the only structural difference — points whose implicit
-        resting remainder is empty still accumulate ``power * 0.0`` — adds
-        an exact IEEE ``+0.0`` and cannot change any bit either.
-        ``batch.activity`` scales the activity factor of every block a phase
-        overrides out of its resting mode (see :meth:`schedule_report`).
-        Raises the first infeasible point's schedule error.
+        Point ``i`` runs under ``conditions[condition_of[i]]``; conditions
+        no point names are evaluated and unused.  ``None`` numbers the rows
+        (one per point) by bit pattern (:meth:`BatchConditions.distinct`).
+        Block power depends on the condition (supply, temperature, process
+        factors, activity) and phase durations on the point, so every
+        (block, mode) row is evaluated at the C conditions in ONE
+        ``breakdown_components`` call and each distinct phase's block sum
+        (its modes and activities) is formed once, at every condition.  Per
+        :class:`~repro.timing.schedule.PhaseStructure` group of ``table``,
+        each point then accumulates ``total += power[condition] * duration``
+        in the scalar loop's operation order.  The arithmetic is elementwise,
+        so each point is bitwise its width-1 evaluation, and a batch of one
+        is bitwise the scalar path; a point whose resting remainder is empty
+        may still add ``power * 0.0``, an exact ``+0.0``.  The activity
+        scales the activity factor of every block a phase overrides out of
+        its resting mode (see :meth:`schedule_report`).  Raises the first
+        infeasible point's error.
         """
-        count = len(batch)
+        if condition_of is None:
+            conditions, condition_of = conditions.distinct()
+        count = len(condition_of)
         if len(table) != count:
             raise AnalysisError("one schedule-table point per batch point is required")
         table.require_feasible()
@@ -608,64 +615,53 @@ class EnergyEvaluator:
         compiled = self.compiled
         dyn_all, stat_all = compiled.breakdown_components(
             np.arange(len(compiled)),
-            batch.supply_v,
-            batch.temperature_c,
-            process_dynamic=batch.dynamic_factor,
-            process_leakage=batch.leakage_factor,
+            conditions.supply_v,
+            conditions.temperature_c,
+            process_dynamic=conditions.dynamic_factor,
+            process_leakage=conditions.leakage_factor,
         )
         exponents = compiled.activity_exponent
         resting = self.node.resting_modes()
+        scale = conditions.activity
+        plain = bool(np.all(scale == 1.0))
+        phase_power: dict[tuple, np.ndarray] = {}
 
         for structure, idx, durations in table.groups:
-            width = len(idx)
-            rest = table.rest_s[idx]
-            scale = batch.activity[idx]
-            # One gather per group; the per-(phase, block) rows are views.
-            dyn_group = dyn_all[:, idx] if width < count else dyn_all
-            stat_group = stat_all[:, idx] if width < count else stat_all
-            plain = bool(np.all(scale == 1.0))
-            total = np.zeros(width)
-            accumulated: list[tuple[str, np.ndarray, np.ndarray]] = []
-            for k, (name, modes, activities) in enumerate(
-                zip(structure.names, structure.block_modes, structure.activities)
-            ):
-                power = np.zeros(width)
-                for block, resting_mode in resting.items():
-                    row = compiled.row(block, modes.get(block, resting_mode))
-                    dynamic_w = dyn_group[row]
-                    activity = activities.get(block, 1.0)
-                    if block in modes:
-                        if not plain or activity != 1.0:
-                            dynamic_w = dynamic_w * (
-                                (activity * scale) ** exponents[row]
-                            )
-                    elif activity != 1.0:
-                        dynamic_w = dynamic_w * (activity ** exponents[row])
-                    power += dynamic_w + stat_group[row]
-                total += power * durations[k]
-                if include_phases:
-                    accumulated.append((name, durations[k], power))
+            local, rest = condition_of[idx], table.rest_s[idx]
+            phases = list(
+                zip(structure.names, structure.block_modes, structure.activities, durations)
+            )
             if np.any(rest > 0.0) or include_phases:
-                power = np.zeros(width)
-                for block, resting_mode in resting.items():
-                    row = compiled.row(block, resting_mode)
-                    power += dyn_group[row] + stat_group[row]
-                total += power * rest
-                if include_phases:
-                    accumulated.append((structure.resting_phase_name, rest, power))
+                # The resting remainder: every block in its resting mode.
+                phases.append((structure.resting_phase_name, {}, {}, rest))
+            total = np.zeros(len(idx))
+            accumulated: list[tuple[str, np.ndarray, np.ndarray]] = []
+            for name, modes, activities, duration in phases:
+                key = (tuple(modes.items()), tuple(activities.items()))
+                if key not in phase_power:
+                    power = phase_power[key] = np.zeros(len(conditions))
+                    for block, resting_mode in resting.items():
+                        row = compiled.row(block, modes.get(block, resting_mode))
+                        dynamic_w = dyn_all[row]
+                        activity = activities.get(block, 1.0)
+                        if block in modes:
+                            if not plain or activity != 1.0:
+                                dynamic_w = dynamic_w * ((activity * scale) ** exponents[row])
+                        elif activity != 1.0:
+                            dynamic_w = dynamic_w * (activity ** exponents[row])
+                        power += dynamic_w + stat_all[row]
+                power = phase_power[key][local]
+                total += power * duration
+                accumulated.append((name, duration, power))
             energies[idx] = total
             if phase_lists is not None:
                 # Per point, (name, duration, power) in phase order, with the
                 # power zeroed where the duration is not positive; the last
                 # column is the resting remainder, which the scalar path
                 # only yields when it is non-empty (``zip`` stops before it).
-                names = [name for name, _duration, _power in accumulated]
-                durations_all = np.array([duration for _n, duration, _p in accumulated])
-                powers_all = np.where(
-                    durations_all > 0.0,
-                    np.array([power for _n, _d, power in accumulated]),
-                    0.0,
-                )
+                names, durations_all, powers_all = zip(*accumulated)
+                durations_all = np.array(durations_all)
+                powers_all = np.where(durations_all > 0.0, np.array(powers_all), 0.0)
                 busy_names = names[:-1]
                 for index, duration_row, power_row, keep in zip(
                     idx.tolist(),
@@ -700,7 +696,7 @@ class EnergyEvaluator:
             activity=[activity_scale],
         )
         energies, phases = self._schedule_energy_batch(
-            batch, ScheduleTable.from_schedule(schedule), include_phases=True
+            batch, ScheduleTable.from_schedule(schedule), np.zeros(1, dtype=np.intp), True
         )
         assert phases is not None
         return float(energies[0]), phases[0]
@@ -742,8 +738,9 @@ class EnergyEvaluator:
         if pattern_arr.shape[0] != len(batch):
             raise AnalysisError("one phase pattern per batch point is required")
         table = self.node.schedule_table(batch.speed_kmh, pattern_arr)
+        # Each point is its own condition: Monte-Carlo draws repeat none.
         energies, phase_lists = self._schedule_energy_batch(
-            batch, table, include_phases=include_phases
+            batch, table, np.arange(len(batch)), include_phases
         )
         if include_phases:
             return energies, phase_lists

@@ -152,9 +152,9 @@ class TestPrefillMechanics:
         events = []
         sweep = NodeEmulator.evaluate_energy_bins
 
-        def sweeping(self, table, temperatures):
-            events.append(("sweep", len(temperatures)))
-            return sweep(self, table, temperatures)
+        def sweeping(self, table, *conditions):
+            events.append(("sweep", len(table)))
+            return sweep(self, table, *conditions)
 
         monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", sweeping)
         scan = emulator_module.trajectory
@@ -272,9 +272,9 @@ class TestPrefillMechanics:
         tables = []
         sweep = NodeEmulator.evaluate_energy_bins
 
-        def recording(self, table, temperatures):
+        def recording(self, table, *conditions):
             tables.append(table)
-            return sweep(self, table, temperatures)
+            return sweep(self, table, *conditions)
 
         monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", recording)
         emulator = NodeEmulator(node, database, scavenger, supercapacitor())

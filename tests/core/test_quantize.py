@@ -129,5 +129,5 @@ class TestEmulatorBinSharing:
     def test_evaluate_empty_pending(self, emulators):
         donor, _receiver = emulators
         table = donor.node.schedule_table([], np.empty((0, 3), dtype=bool))
-        assert len(donor.evaluate_energy_bins(table, [])) == 0
+        assert len(donor.evaluate_energy_bins(table, [], np.empty(0, dtype=np.intp))) == 0
         assert donor._resolve_rounds([]) == []

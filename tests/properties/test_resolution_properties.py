@@ -30,9 +30,11 @@ from repro.blocks import baseline_node
 from repro.conditions.operating_point import TEMPERATURE_RANGE_C
 from repro.conditions.temperature import TyreThermalModel
 from repro.core.emulator import NodeEmulator
+from repro.core.quantize import temperature_bins
 from repro.errors import ScheduleError
 from repro.fleet import FleetRunner, FleetSpec
 from repro.power import reference_power_database
+from repro.power.compiled import CompiledPowerTable
 from repro.scavenger import PiezoelectricScavenger, supercapacitor
 from repro.scenario import ScenarioSpec
 from repro.timing.wheel_round import WheelRound
@@ -201,9 +203,9 @@ def test_fleet_run_is_one_sweep(thermal, monkeypatch):
     sweep = NodeEmulator.evaluate_energy_bins
     gather = emulator_module.unit_loads
 
-    def counting_sweep(self, table, temperatures):
-        sweeps.append(len(temperatures))
-        return sweep(self, table, temperatures)
+    def counting_sweep(self, table, *conditions):
+        sweeps.append(len(table))
+        return sweep(self, table, *conditions)
 
     def counting_gather(pmu, plan, *rest):
         gathers.append(plan)
@@ -220,3 +222,37 @@ def test_fleet_run_is_one_sweep(thermal, monkeypatch):
     assert sweeps[0] == result.metadata["shared_energy_bins"] > 0
     walks = {id(plan) for plan in gathers}
     assert len(gathers) == len(walks) > 1
+
+
+@pytest.mark.parametrize("thermal", [False, True], ids=["isothermal", "thermal"])
+def test_fleet_sweep_evaluates_power_once_per_temperature_bin(thermal, monkeypatch):
+    """The fleet's one sweep evaluates block power per temperature bin, not per point.
+
+    Its one ``breakdown_components`` call has one column per bin centre
+    the points span, and far fewer columns than points.
+    """
+    sweeps, columns = [], []
+    sweep, breakdown = NodeEmulator.evaluate_energy_bins, CompiledPowerTable.breakdown_components
+
+    def recording_sweep(self, table, temperatures, condition_of):
+        columns.append([])
+        energies = sweep(self, table, temperatures, condition_of)
+        sweeps.append((len(table), np.asarray(temperatures)[condition_of]))
+        return energies
+
+    def counting_breakdown(self, rows, supply_v, *args, **kwargs):
+        if len(columns) > len(sweeps):  # inside the sweep
+            columns[-1].append(np.size(supply_v))
+        return breakdown(self, rows, supply_v, *args, **kwargs)
+
+    monkeypatch.setattr(NodeEmulator, "evaluate_energy_bins", recording_sweep)
+    monkeypatch.setattr(CompiledPowerTable, "breakdown_components", counting_breakdown)
+    base = ScenarioSpec(name="pin", drive_cycle={"name": "urban", "params": {"repetitions": 1}})
+    document = FleetSpec.from_base(base, vehicles=48, seed=5).to_dict()
+    if thermal:
+        document["thermal"] = {}
+    FleetRunner(FleetSpec.from_dict(document)).run()
+    ((points, temperatures),) = sweeps
+    bins = temperature_bins(temperatures)
+    assert columns == [[int(bins.max() - bins.min()) + 1]]
+    assert columns[0][0] * 10 < points

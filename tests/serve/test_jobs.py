@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import repro.fleet.runner as fleet_runner
 from repro.errors import ConfigError, EmulationError, ServeError
 from repro.fleet import FleetRunner, FleetSpec
+from repro.scenario.checkpoint import CheckpointStore
 from repro.scenario.spec import ScenarioSpec
 from repro.scenario.study import Study
 from repro.serve import (
@@ -308,7 +310,7 @@ class TestShutdown:
         manager.shutdown(drain=True)
         assert job.to_document()["state"] == "done"
 
-    def test_stop_checkpoints_inflight_fleet_and_resume_completes(self, tmp_path):
+    def test_stop_checkpoints_inflight_fleet_and_resume_completes(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "store"
         checkpoint_root = tmp_path / "ckpt"
         fleet_doc = {
@@ -321,11 +323,21 @@ class TestShutdown:
             "chunk_vehicles": 4,
         }
         manager = JobManager(store=ResultStore(store_dir), checkpoint_root=checkpoint_root)
+        # Hold the run at its first chunk boundary until the stop flag is
+        # up: a fleet this small would otherwise finish before the stop.
+        journaled = threading.Event()
+        record_chunk = CheckpointStore.record_chunk
+
+        def gated_record_chunk(store, chunk_index, *args, **kwargs):
+            recorded = record_chunk(store, chunk_index, *args, **kwargs)
+            if chunk_index == 0:
+                journaled.set()
+                assert manager._stop_event.wait(120), "the stop flag was never raised"
+            return recorded
+
+        monkeypatch.setattr(CheckpointStore, "record_chunk", gated_record_chunk)
         job = manager.submit_fleet(fleet_doc)
-        deadline = time.monotonic() + 120
-        while job.to_document()["progress"]["chunks_done"] < 1:
-            assert time.monotonic() < deadline, "no chunk completed in time"
-            time.sleep(0.01)
+        assert journaled.wait(120), "no chunk completed in time"
         manager.shutdown(drain=False)
         document = job.to_document()
         assert document["state"] == "done" and document["partial"]
