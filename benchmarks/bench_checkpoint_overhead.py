@@ -125,7 +125,7 @@ def test_checkpoint_overhead_is_bounded():
     )
     assert digest(journaled) == digest(plain)
     assert digest(replayed) == digest(plain)
-    assert replayed.metadata["engine_backend"] == "resumed"
+    assert replayed.metadata["resumed_chunks"] == replayed.metadata["chunks_total"]
 
     assert overhead <= OVERHEAD_CEILING, (
         f"checkpoint journaling costs {100.0 * overhead:.1f}% "

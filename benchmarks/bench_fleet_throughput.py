@@ -87,8 +87,8 @@ def test_fleet_beats_naive_per_vehicle_loop():
     naive_s = time.perf_counter() - start
 
     # Fleet path: shared evaluator group, cohort cycle tables, one
-    # cross-vehicle bin sweep, then per vehicle its ledger scan.  Sequential
-    # (workers=1) so the comparison is CPU-for-CPU, not parallelism.
+    # cross-vehicle bin sweep, then per vehicle its ledger scan.  Fleets run
+    # sequentially, so the comparison is CPU-for-CPU, not parallelism.
     fleet_times = []
     for _ in range(FLEET_RUNS):
         start = time.perf_counter()

@@ -13,7 +13,7 @@ in the time a handful used to take.
 
 The same simulation runs from the shell::
 
-    tpms-energy fleet --fleet examples/scenarios/fleet.json --workers 4
+    tpms-energy fleet --fleet examples/scenarios/fleet.json
     tpms-energy fleet --scenario examples/scenarios/quickstart.json --vehicles 500
 
 Run with::
@@ -34,7 +34,7 @@ def main() -> None:
     fleet = load_fleet(FLEET_DOCUMENT)
     print(f"fleet {fleet.name}: {fleet.describe()}\n")
 
-    result = FleetRunner(fleet, workers=4).run()
+    result = FleetRunner(fleet).run()
 
     print(result.as_table())
     print()

@@ -15,7 +15,7 @@ a shell (or a Makefile) without writing Python::
         --set temperature=-20,25,85 --kind emulate \\
         --workers 4 --backend process                      # process-pool study
     tpms-energy fleet --scenario exp.json \\
-        --vehicles 500 --seed 42 --workers 4               # population simulation
+        --vehicles 500 --seed 42                           # population simulation
     tpms-energy fleet --fleet winter.json --export agg.csv # explicit fleet doc
     tpms-energy fleet --scenario exp.json \\
         --checkpoint ckpt/ --retries 2 --package pkg/      # resumable, packaged
@@ -262,19 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, metavar="SEED", help="materialization seed override"
     )
     fleet.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the vehicles on N workers (aggregates are identical for any N)",
-    )
-    fleet.add_argument(
-        "--backend",
-        choices=("thread", "process"),
-        default=None,
-        help="worker pool backend for --workers (same semantics as 'run')",
-    )
-    fleet.add_argument(
         "--export",
         default=None,
         metavar="PATH.{csv,json}",
@@ -319,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="per-vehicle retry budget for transient worker failures; "
+        help="per-vehicle retry budget for transient failures; "
         "failed vehicles are reported instead of aborting the fleet",
     )
     fleet.add_argument(
@@ -375,20 +362,21 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="default engine pool width for requests that omit 'workers'",
+        help="default engine pool width for study requests that omit 'workers' "
+        "(fleets run sequentially)",
     )
     serve.add_argument(
         "--backend",
         choices=("thread", "process"),
         default="thread",
-        help="default engine backend for requests that omit 'backend'",
+        help="default engine backend for study requests that omit 'backend'",
     )
     serve.add_argument(
         "--job-workers",
         type=int,
         default=1,
         metavar="N",
-        help="jobs executed concurrently (each may fan out over engine workers)",
+        help="jobs executed concurrently (each study may fan out over engine workers)",
     )
     serve.add_argument(
         "--cache-size",
@@ -594,11 +582,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         _validate_export_path(path)
     if (args.fleet_path is None) == (args.scenario is None):
         raise ConfigError("give exactly one of --fleet or --scenario")
-    if args.backend == "process" and (args.workers is None or args.workers <= 1):
-        raise ConfigError(
-            "--backend process needs --workers greater than 1 "
-            "(a single worker runs sequentially in this process)"
-        )
     if args.kpi_floors and args.package is None:
         raise ConfigError("--kpi-floor requires --package")
     floors = _parse_kpi_floors(args.kpi_floors)
@@ -612,8 +595,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
     runner = FleetRunner(
         fleet,
-        workers=args.workers,
-        backend=args.backend or "thread",
         checkpoint=args.checkpoint,
         max_chunks=args.max_chunks,
         retries=args.retries,
@@ -628,8 +609,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(
         f"\n{metadata['vehicles']} vehicle(s) in {metadata['cohorts']} cohort(s) "
         f"across {metadata['groups']} evaluator group(s); "
-        f"{metadata['shared_energy_bins']} shared energy bin(s) swept once; "
-        f"{metadata['workers']} worker(s) ({metadata['backend']} backend)"
+        f"{metadata['shared_energy_bins']} shared energy bin(s) swept once"
     )
     print(f"wall time {metadata['wall_time_s']:.2f} s", file=sys.stderr)
     if metadata["resumed_chunks"]:
@@ -696,8 +676,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "chunks": metadata["chunks_total"],
                 "resumed_chunks": metadata["resumed_chunks"],
             },
-            workers=metadata["workers"],
-            backend=metadata["backend"],
         )
         print(f"\nwrote run package {manifest_path.parent} ({len(kpis)} KPI(s), "
               f"{len(floors)} floor(s))")

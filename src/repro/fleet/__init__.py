@@ -7,8 +7,8 @@ per-vehicle distributions — drive-style speed scales, correlated ambient
 temperature, drive-cycle mix, manufacturing tolerances), a
 :class:`FleetRunner` that streams N vehicles as column chunks, shares compiled
 tables and quantized energy bins across them (one cross-vehicle sweep before
-emulation) and fans the per-vehicle trajectories out through the chunked
-execution engine, and an aggregation layer (survival fraction vs time,
+emulation) and runs the per-vehicle ledgers chunk by chunk through the
+chunked execution engine, and an aggregation layer (survival fraction vs time,
 brown-out-rate percentiles, energy-margin distribution) exposed through
 ``StudyResult``-compatible rows.
 
@@ -19,7 +19,7 @@ Quickstart::
 
     base = ScenarioSpec(drive_cycle={"name": "urban", "params": {"repetitions": 2}})
     fleet = FleetSpec.from_base(base, vehicles=200, seed=7)
-    result = FleetRunner(fleet, workers=4).run()
+    result = FleetRunner(fleet).run()
     print(result.as_table())
 """
 

@@ -157,7 +157,8 @@ class FleetResult:
         vehicle_rows: per-vehicle rows, or ``None`` when the runner was
             asked not to keep them.
         metadata: run bookkeeping — population/seed, evaluator builds,
-            cohort/bin-sharing counters, engine timing, backend.
+            cohort/bin-sharing counters, engine timing, resume and retry
+            counters.
     """
 
     def __init__(

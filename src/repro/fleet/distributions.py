@@ -17,8 +17,7 @@ documents stay plain data and third parties can register their own kinds::
 Samplers are deterministic pure functions of ``(rng, count)``: every random
 number they consume comes from the generator they are handed, never from
 global state, which is what keeps fleet materialization a pure function of
-``(seed, fleet document)`` — independent of worker counts and execution
-order.
+``(seed, fleet document)`` — independent of execution order.
 
 The built-in kinds fold in (and extend) the ad-hoc samplers that
 :mod:`repro.scenario.montecarlo` used to hard-code: ``normal`` and

@@ -60,10 +60,11 @@ scanned by the emulator's
 :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, the scan
 ``emulate()`` uses, over a storage element built for it; a scan that
 finds the ledger free finishes it the same way, and any other ledger takes
-its totals and survival from its trajectory.  Process workers inherit the
-constants by fork and certify or scan in the worker.  Per-vehicle figures
-are bit-identical to a naive ``emulate()`` of the same vehicle scenario, so
-the aggregates are independent of chunking, worker counts and backends.
+its totals and survival from its trajectory.  Per-vehicle figures are
+bit-identical to a naive ``emulate()`` of the same vehicle scenario, so the
+rows and aggregates are a pure function of the fleet document (whose
+``chunk_vehicles`` seeds each chunk's random stream, so it is part of that
+document).  Every fleet runs on the engine's sequential path.
 
 Errors keep ``emulate()``'s timing: a cohort whose scan can raise (a round
 whose exact-speed schedule cannot be built, or a thermal trajectory leaving
@@ -74,7 +75,6 @@ instant, so each of its vehicles is retried or collected on its own.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -106,7 +106,7 @@ from repro.scavenger.storage import (
     scaled_storage,
 )
 from repro.scenario.checkpoint import CheckpointStore
-from repro.scenario.engine import ChunkedEngine, process_pool_context
+from repro.scenario.engine import ChunkedEngine
 
 __all__ = ["FleetRunner", "run_fleet"]
 
@@ -416,29 +416,6 @@ def _finish_chunk(results: list) -> list:
     return results
 
 
-# ---------------------------------------------------------------------------
-# Process-backend sharing
-#
-# Each process-backend run stashes its shared state in ``_SHARED_RUNS`` under
-# its own run token *before* the engine creates its process pools: the fork
-# context snapshots it into every worker for free (the same mechanism that
-# carries user registry registrations).  A run removes only its own entry,
-# so concurrent runs in one parent process never see each other's state.
-# Without fork the runner uses the thread engine.
-# ---------------------------------------------------------------------------
-
-_SHARED_RUNS: dict[int, _Run] = {}
-_RUN_TOKENS = itertools.count()
-
-
-def _process_vehicle(payload) -> dict[str, object]:
-    """Worker entry of the process backend: one vehicle, finished in the worker."""
-    run_token, vehicle = payload
-    # Workers return finished outcomes: the ledger is certified or scanned
-    # here rather than shipped back to the parent with the vehicle's inputs.
-    return _finish_vehicle(_cohort_vehicle_outcome(vehicle[0], vehicle, _SHARED_RUNS[run_token]))
-
-
 def _keyed_vehicles(chunk: FleetChunk, thermal: bool):
     """One column chunk's ``(walk key, load key, record)`` per vehicle.
 
@@ -462,11 +439,6 @@ class FleetRunner:
 
     Args:
         fleet: the population description.
-        workers: engine pool width (``None``/1 = sequential).
-        backend: ``"thread"`` (default) or ``"process"`` — the same
-            semantics as ``Study.run``; aggregate rows are identical across
-            all settings.  Where the platform cannot fork, a process run
-            executes on threads (``engine_backend`` says so).
         survival_buckets: normalized-time resolution of the survival curve.
         keep_vehicle_rows: keep per-vehicle rows on the result (``False``
             aggregates streaming-only).
@@ -479,11 +451,11 @@ class FleetRunner:
             computes only the rest — byte-identical to an uninterrupted run.
         max_chunks: stop after computing this many NEW chunks this run
             (replayed chunks are free); the result is marked partial.
-        retries: per-vehicle retry budget for transient worker failures
-            (exceptions and process-worker death), the engine's retry policy:
-            with ``retries > 0`` the run degrades gracefully — failed
-            vehicles are reported on the result metadata instead of
-            aborting the whole fleet; with 0 the first failure raises.
+        retries: per-vehicle retry budget for transient failures (the
+            engine's retry policy): with ``retries > 0`` the run degrades
+            gracefully — failed vehicles are reported on the result
+            metadata instead of aborting the whole fleet; with 0 the first
+            failure raises.
         progress: optional engine observer (per-vehicle and per-chunk
             events, see :meth:`~repro.scenario.engine.ChunkedEngine.run_chunks`);
             the serving layer uses it for live job progress.
@@ -499,8 +471,6 @@ class FleetRunner:
     def __init__(
         self,
         fleet: FleetSpec,
-        workers: int | None = None,
-        backend: str = "thread",
         survival_buckets: int = DEFAULT_SURVIVAL_BUCKETS,
         keep_vehicle_rows: bool = True,
         record_interval_s: float = 1.0,
@@ -530,8 +500,6 @@ class FleetRunner:
                 f"(e.g. repro.serve.EvaluatorLRU), got {type(evaluator_cache).__name__}"
             )
         self.fleet = fleet
-        self.workers = workers
-        self.backend = backend
         self.survival_buckets = FleetAccumulator.validate_buckets(survival_buckets)
         self.keep_vehicle_rows = keep_vehicle_rows
         self.record_interval_s = record_interval_s
@@ -541,12 +509,8 @@ class FleetRunner:
         self.progress = progress
         self.should_stop = should_stop
         self._evaluator_cache = evaluator_cache
-        if backend == "process" and process_pool_context() is None:
-            # Process workers inherit the shared walks by fork only:
-            # without fork the chunks run on threads (rows are identical).
-            backend = "thread"
-        # Validates workers/backend/retries eagerly (same rules as studies).
-        self._engine = ChunkedEngine(workers=workers, backend=backend, retries=retries)
+        # Validates retries eagerly (same rule as studies).
+        self._engine = ChunkedEngine(retries=retries)
         self.evaluator_builds = 0
         self.evaluator_cache_hits = 0
 
@@ -575,7 +539,7 @@ class FleetRunner:
         """The run's components, walks and resolved cohorts.
 
         One streaming discovery pass: column chunks arrive one at a time and
-        are *discarded* after inspection — the parent only retains one walk
+        are *discarded* after inspection — the run only retains one walk
         per distinct (cycle, scale) and one request per load key on it (bounded
         by the distinct (cycle, scale, temperature) combinations, not by the
         population size).  ``walks`` (walk key -> number) is filled in
@@ -674,12 +638,12 @@ class FleetRunner:
         }
 
     def run(self) -> FleetResult:
-        """Discover (streaming), share, fan out chunk by chunk, aggregate."""
+        """Discover (streaming), share, run chunk by chunk, aggregate."""
         fleet = self.fleet
         thermal = fleet.thermal
         walks: dict = {}
         # Discovery pass: stream the population once to find the walks,
-        # cohorts and energy bins; chunks are discarded, so the parent never
+        # cohorts and energy bins; chunks are discarded, so the run never
         # holds more than one chunk of columns.
         run, cohorts, shared_bins = self._build_shared_state(fleet.iter_chunks(), walks)
         store = (
@@ -693,12 +657,11 @@ class FleetRunner:
             keep_vehicle_rows=self.keep_vehicle_rows,
         )
         buckets = self.survival_buckets
-        run_token = next(_RUN_TOKENS)
 
         def vehicle_chunks():
             # Execution pass: each chunk's vehicles as plain records
             # ``(index, scale, temperature, size, storage scale, walk, load
-            # key)`` — the kernel's items and the process payload.
+            # key)``, the kernel's items.
             for chunk in fleet.iter_chunks():
                 yield [
                     record[:5] + (walks[key], load_key)
@@ -712,27 +675,16 @@ class FleetRunner:
             # own; the others finish once the chunk has settled (_finish_chunk).
             return _finish_vehicle(pending) if pending.cohort.resolution.checked else pending
 
-        if self._engine.backend == "process":
-            # Fork-inherited sharing: stash the shared state where the worker
-            # processes the engine creates below will find it.
-            _SHARED_RUNS[run_token] = run
-        try:
-            report = self._engine.run_chunks(
-                vehicle_chunks(),
-                kernel,
-                lambda _index, outcome: accumulator.add(outcome),
-                checkpoint=store,
-                max_new_chunks=self.max_chunks,
-                process_worker=_process_vehicle,
-                process_payload=lambda vehicle: (run_token, vehicle),
-                progress=self.progress,
-                should_stop=self.should_stop,
-                finish=_finish_chunk,
-            )
-        finally:
-            # The forked pools snapshotted the stash at creation; the parent
-            # must not keep this run's walks alive once the run is over.
-            _SHARED_RUNS.pop(run_token, None)
+        report = self._engine.run_chunks(
+            vehicle_chunks(),
+            kernel,
+            lambda _index, outcome: accumulator.add(outcome),
+            checkpoint=store,
+            max_new_chunks=self.max_chunks,
+            progress=self.progress,
+            should_stop=self.should_stop,
+            finish=_finish_chunk,
+        )
 
         partial = report.stopped_early or bool(report.failures)
         metadata = {
@@ -754,9 +706,6 @@ class FleetRunner:
             "evaluator_builds": self.evaluator_builds,
             "evaluator_cache_hits": self.evaluator_cache_hits,
             "survival_buckets": buckets,
-            "workers": self.workers or 1,
-            "backend": self.backend,
-            "engine_backend": report.backend,
             "wall_time_s": report.wall_time_s,
             "vehicle_wall_times_s": report.item_wall_times_s,
             "chunk_vehicles": fleet.chunk_vehicles,
@@ -781,11 +730,6 @@ class FleetRunner:
         )
 
 
-def run_fleet(
-    fleet: FleetSpec,
-    workers: int | None = None,
-    backend: str = "thread",
-    **options,
-) -> FleetResult:
+def run_fleet(fleet: FleetSpec, **options) -> FleetResult:
     """One-call convenience wrapper: build a :class:`FleetRunner` and run it."""
-    return FleetRunner(fleet, workers=workers, backend=backend, **options).run()
+    return FleetRunner(fleet, **options).run()

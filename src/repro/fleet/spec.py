@@ -8,8 +8,7 @@ size and storage capacity.  Like a scenario, a fleet spec is plain data — it
 round-trips through :meth:`FleetSpec.to_dict` / :meth:`FleetSpec.from_dict`
 exactly (``from_dict(to_dict()) == spec``, property-tested) — and
 materializing the population is a pure function of ``(seed, fleet
-document)``: the same document draws the same vehicles whichever worker
-count or backend executes them.
+document)``: the same document always draws the same vehicles.
 
 A minimal JSON document::
 
@@ -576,7 +575,7 @@ class FleetSpec:
         Seeded from the fleet seed plus a digest of the fleet document
         (mirroring the Monte-Carlo ``(seed, scenario document)`` stream
         derivation), so materialization is a pure function of the document —
-        independent of worker counts, backends and execution order.  Chunk
+        independent of execution order.  Chunk
         generators extend the same seed tuple with the chunk index; this
         fleet-level stream only feeds the population-wide shared draws.
         """

@@ -12,8 +12,8 @@ The ledger replay over a whole drive cycle is :func:`trajectory`.  It runs
 (free, pinned at the capacity, browned out) with one numpy accumulate each
 and steps the rare events through :func:`reference_scan`, the per-step
 recurrence; both are bitwise identical to stepping a
-:class:`StorageElement`.  ``emulate()`` and every fleet vehicle, on any
-execution backend, go through this one scan.  The load and leak side of a
+:class:`StorageElement`.  ``emulate()`` and every fleet vehicle go
+through this one scan.  The load and leak side of a
 ledger (:class:`LedgerDemand`) is computed once by :func:`ledger_demand`
 and may be shared by many scans, such as a fleet cohort's vehicles; a scan
 that commits every step through the free branch says so (``free``), so

@@ -18,9 +18,9 @@ contract::
   any backend) is a window of one item run inline at submit time, the
   thread backend is a ``ThreadPoolExecutor``, and the process backend a
   ``ProcessPoolExecutor`` that receives a caller-provided picklable
-  *payload* per item (scenario JSON documents, vehicle parameter tuples)
-  for a module-level *worker* function.  Its pools use the fork context so
-  user registry registrations reach the workers.
+  *payload* per item (a study's scenario JSON documents) for a
+  module-level *worker* function.  Its pools use the fork context so user
+  registry registrations reach the workers.  Fleets run sequentially.
 * **Results** reach ``sink(index, result)`` in input order as the window
   advances — never held back until the run finishes, never barriered (as
   one item settles, the next is submitted).  Rows are identical (order,
@@ -40,8 +40,8 @@ contract::
 Per-item wall times and the executed backend land in the returned
 :class:`EngineReport`, which is how ``StudyResult.metadata`` keeps its
 timing bookkeeping.  :meth:`ChunkedEngine.run_chunks` layers checkpointed,
-resumable execution over pre-chunked work (see
-:mod:`repro.scenario.checkpoint`).
+resumable execution over pre-chunked work run in this process (see
+:mod:`repro.scenario.checkpoint`); the fleet runner is its caller.
 
 **Observability and cancellation.**  Long-lived callers (the serving
 layer's job manager) watch a run through the ``progress`` callback: the
@@ -446,8 +446,6 @@ class ChunkedEngine:
         sink: Callable[[int, object], None],
         checkpoint=None,
         max_new_chunks: int | None = None,
-        process_worker: Callable[[object], object] | None = None,
-        process_payload: Callable[[object], object] | None = None,
         progress: Callable[[dict], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
         finish: Callable[[list], list] | None = None,
@@ -463,7 +461,8 @@ class ChunkedEngine:
         Args:
             chunks: iterable of work-item chunks (each an iterable, consumed
                 one chunk at a time; indices are global across chunks).
-            kernel/process_worker/process_payload: as in :meth:`run`.
+            kernel: the in-process item evaluator, as in :meth:`run`
+                (chunks take no process payload).
             sink: called as ``sink(global_index, result)`` in input order.
             checkpoint: a :class:`~repro.scenario.checkpoint.CheckpointStore`
                 (or ``None`` to run without journaling).
@@ -574,17 +573,12 @@ class ChunkedEngine:
                         }
                     )
 
-            try:
-                report = self.run(
-                    chunk_items,
-                    kernel,
-                    buffer_sink,
-                    process_worker=process_worker,
-                    process_payload=process_payload,
-                    progress=item_progress if progress is not None else None,
-                )
-            except EngineError as error:
-                raise EngineError(f"chunk {chunk_index}: {error}") from error
+            report = self.run(
+                chunk_items,
+                kernel,
+                buffer_sink,
+                progress=item_progress if progress is not None else None,
+            )
             if finish is not None:
                 buffer = finish(buffer)
             if checkpoint is not None:

@@ -18,13 +18,14 @@ Result identity discipline
 Each request normalizes to a *store key document* holding exactly the
 result-shaping parameters — the canonical spec document, the seed, and
 the runner parameters the kernels read (record interval, survival
-buckets, ...).  Execution-only parameters (``workers``, ``backend``,
-``retries``) are excluded: the engine's row-identity contract makes them
-invisible in the rows, so any execution plan shares one store entry.  The
-serialized result document likewise strips the non-deterministic
-bookkeeping (wall times, worker counts, resume/retry counters) before
-encoding, which is what makes a store-hit response *byte-identical* to a
-fresh sequential run — asserted end-to-end by the test suite.
+buckets, ...).  Execution-only parameters (a study's ``workers`` and
+``backend``, ``retries``) are excluded: the engine's row-identity contract
+makes them invisible in the rows, so any execution plan shares one store
+entry.  The serialized result document likewise strips the
+non-deterministic bookkeeping (wall times, worker counts, resume/retry
+counters) before encoding, which is what makes a store-hit response
+*byte-identical* to a fresh sequential run — asserted end-to-end by the
+test suite.
 
 Shutdown: ``shutdown(drain=True)`` finishes everything already accepted;
 ``shutdown(drain=False)`` cancels queued jobs and asks in-flight fleet
@@ -80,9 +81,6 @@ _STUDY_METADATA_DROP = frozenset(
 #: depends on how the run was split/resumed rather than what it computed.
 _FLEET_METADATA_DROP = frozenset(
     {
-        "workers",
-        "backend",
-        "engine_backend",
         "wall_time_s",
         "vehicle_wall_times_s",
         "evaluator_builds",
@@ -165,21 +163,6 @@ def _check_fields(document: Mapping[str, object], allowed: set[str], what: str) 
         )
 
 
-def _parse_workers_backend(
-    document: Mapping[str, object], default_workers, default_backend
-) -> tuple[int | None, str]:
-    workers = document.get("workers", default_workers)
-    backend = document.get("backend", default_backend)
-    # The engine is the one validator of the execution fields.
-    engine = ChunkedEngine(workers=workers, backend=backend)
-    if backend == "process" and engine.workers == 1:
-        raise ConfigError(
-            "backend 'process' needs workers greater than 1 "
-            "(a single worker runs sequentially in this process)"
-        )
-    return workers, backend
-
-
 _MONTECARLO_FIELDS = {
     "samples",
     "seed",
@@ -247,9 +230,15 @@ class _StudyRequest:
         self.montecarlo = (
             _parse_montecarlo(document["montecarlo"]) if "montecarlo" in document else None
         )
-        self.workers, self.backend = _parse_workers_backend(
-            document, default_workers, default_backend
-        )
+        self.workers = document.get("workers", default_workers)
+        self.backend = document.get("backend", default_backend)
+        # The engine is the one validator of the execution fields.
+        engine = ChunkedEngine(workers=self.workers, backend=self.backend)
+        if self.backend == "process" and engine.workers == 1:
+            raise ConfigError(
+                "backend 'process' needs workers greater than 1 "
+                "(a single worker runs sequentially in this process)"
+            )
         # Validates the axes (names, collisions, emptiness) at submit time.
         study = self.build_study()
         self.key = {
@@ -297,8 +286,6 @@ class _FleetRequest:
 
     __slots__ = (
         "fleet",
-        "workers",
-        "backend",
         "retries",
         "record_interval_s",
         "idle_step_s",
@@ -307,7 +294,7 @@ class _FleetRequest:
         "key",
     )
 
-    def __init__(self, document: object, default_workers, default_backend) -> None:
+    def __init__(self, document: object) -> None:
         document = _require_mapping(document, "fleet request")
         _check_fields(
             document,
@@ -317,8 +304,6 @@ class _FleetRequest:
                 "vehicles",
                 "seed",
                 "chunk_vehicles",
-                "workers",
-                "backend",
                 "retries",
                 "record_interval_s",
                 "idle_step_s",
@@ -340,9 +325,6 @@ class _FleetRequest:
             seed=document.get("seed"),
             chunk_vehicles=document.get("chunk_vehicles"),
         )
-        self.workers, self.backend = _parse_workers_backend(
-            document, default_workers, default_backend
-        )
         self.retries = document.get("retries", 0)
         self.record_interval_s = document.get("record_interval_s", 1.0)
         self.idle_step_s = document.get("idle_step_s", 1.0)
@@ -350,8 +332,8 @@ class _FleetRequest:
         self.keep_vehicle_rows = bool(document.get("keep_vehicle_rows", False))
         # Building the runner validates its parameters (and retries) at
         # submit time.  keep_vehicle_rows shapes the *document* (rows present
-        # or null), so it keys too; retries/workers/backend shape only the
-        # execution plan and do not.
+        # or null), so it keys too; retries shape only the execution plan and
+        # do not.
         self.key = {
             **self.build_runner().checkpoint_key(),
             "keep_vehicle_rows": self.keep_vehicle_rows,
@@ -362,8 +344,6 @@ class _FleetRequest:
     ) -> FleetRunner:
         return FleetRunner(
             self.fleet,
-            workers=self.workers,
-            backend=self.backend,
             survival_buckets=self.survival_buckets,
             keep_vehicle_rows=self.keep_vehicle_rows,
             record_interval_s=self.record_interval_s,
@@ -474,10 +454,11 @@ class JobManager:
         evaluator_capacity: capacity of the auto-created LRU.
         store: a :class:`~repro.serve.store.ResultStore` (in-memory one
             created when omitted).
-        workers: default engine pool width for requests that omit it.
-        backend: default engine backend for requests that omit it.
-        job_workers: how many jobs run concurrently (each job may itself
-            fan out over engine workers).
+        workers: default engine pool width for study requests that omit
+            it; fleets run sequentially and take no pool settings.
+        backend: default engine backend for study requests that omit it.
+        job_workers: how many jobs run concurrently (each study job may
+            itself fan out over engine workers).
         checkpoint_root: directory under which fleet jobs journal their
             chunks (per-job subdirectory named by the store digest); with
             it, a stopped or crashed job resumes on re-submission.
@@ -532,7 +513,7 @@ class JobManager:
 
     def submit_fleet(self, document: object) -> Job:
         """Validate and enqueue a fleet request (or answer from the store)."""
-        request = _FleetRequest(document, self.default_workers, self.default_backend)
+        request = _FleetRequest(document)
         return self._admit(
             "fleet",
             request,

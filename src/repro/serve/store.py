@@ -4,10 +4,10 @@ A result is stored under the sha256 of its *request*: the canonical JSON
 of the spec document plus the result-shaping runner parameters (seed,
 record interval, survival buckets, ...), hashed through
 :mod:`repro.digest` — the same canonical-digest discipline checkpoint
-manifests and run-package ids use.  Execution-only parameters (workers,
-backend) are deliberately *excluded* from the key: the engine's
-row-identity contract makes them non-result-shaping, so a request run on
-8 process workers hits the entry stored by a sequential run.
+manifests and run-package ids use.  Execution-only parameters (a study's
+workers and backend, retries) are deliberately *excluded* from the key:
+the engine's row-identity contract makes them non-result-shaping, so a
+study run on 8 process workers hits the entry stored by a sequential run.
 
 Values are opaque byte strings (the serialized result document).  Storing
 and returning bytes — never re-parsed, never re-serialized — is what lets

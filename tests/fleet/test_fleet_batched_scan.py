@@ -2,10 +2,10 @@
 
 Fast-path vehicles build their ledger inputs inside the engine's per-vehicle
 kernel; once a chunk's vehicles have settled, each ledger is scanned by the
-run-length scan behind ``trajectory()`` (process workers scan in the
-worker).  On whatever chunking, worker count or drive-cycle mix (cohorts
-of different lengths), and with a failed vehicle in the chunk, every row
-must equal a naive per-vehicle ``emulate()`` bit for bit.
+run-length scan behind ``trajectory()``.  On whatever chunking or
+drive-cycle mix (cohorts of different lengths), fresh or resumed from a
+checkpoint, and with a failed vehicle in the chunk, every row must equal a
+naive per-vehicle ``emulate()`` bit for bit.
 """
 
 from __future__ import annotations
@@ -117,18 +117,27 @@ def naive():
 
 
 class TestRowsEqualNaiveEmulate:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("start", ["fresh", "resumed"])
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("kind", sorted(FLEETS))
-    def test_rows_bit_identical(self, naive, kind, chunk, workers):
-        result = FleetRunner(FLEETS[kind](chunk), workers=workers).run()
+    def test_rows_bit_identical(self, naive, kind, chunk, start, tmp_path):
+        fleet = FLEETS[kind](chunk)
+        if start == "resumed":
+            # Stop after one chunk, then finish from the journal: replayed
+            # rows pass through the checkpoint's JSON and must come back exact.
+            checkpoint = str(tmp_path / "ckpt")
+            FleetRunner(fleet, checkpoint=checkpoint, max_chunks=1).run()
+            result = FleetRunner(fleet, checkpoint=checkpoint).run()
+            assert result.metadata["resumed_chunks"] == 1
+        else:
+            result = FleetRunner(fleet).run()
         metadata = result.metadata
         assert metadata["fast_path_vehicles"] == VEHICLES
         rows = result.vehicle_rows
         assert len(rows) == len(naive[(kind, chunk)])
         for row, summary in zip(rows, naive[(kind, chunk)]):
             for key, value in summary.items():
-                assert row[key] == value, (kind, chunk, workers, row["vehicle"], key)
+                assert row[key] == value, (kind, chunk, start, row["vehicle"], key)
 
     def test_the_constant_fleet_is_ragged(self):
         cycles = {vehicle.scenario.drive_cycle.name for vehicle in _constant_fleet(8).materialize()}

@@ -8,9 +8,9 @@ cohort; any other vehicle takes them from its trajectory.  Storage-capacity
 and scavenger-size tolerances put certified and scanned vehicles in the
 same cohort and chunk; a fleet whose storage starts full sits one step away
 from a clipped deposit, which the certificate declines while the scan finds
-every ledger free; a conditioned scavenger is never eligible.  On the
-sequential, thread and process backends every row and survival curve must
-equal the per-revolution reference (``naive_emulate``) by ``float.hex``.
+every ledger free; a conditioned scavenger is never eligible.  Every row
+and survival curve, fresh or resumed from a checkpoint, must equal the
+per-revolution reference (``naive_emulate``) by ``float.hex``.
 Call counting pins the hoisting: one ledger demand per cohort per run, one
 ``trajectory`` call per vehicle the certificate declines and none for a
 vehicle it certifies.
@@ -66,7 +66,7 @@ def _conditioned_piezoelectric() -> ConditionedScavenger:
 
 @pytest.fixture(scope="module", autouse=True)
 def conditioned_scavenger():
-    # Registered before any fleet runs, so forked process workers inherit it.
+    # Registered before any fleet runs.
     SCAVENGERS.register("conditioned-piezoelectric", _conditioned_piezoelectric)
     try:
         yield
@@ -135,8 +135,12 @@ def naive(conditioned_scavenger):
     return {kind: _naive_outcomes(_fleet(kind)) for kind in FLEETS}
 
 
-def _run(kind: str, workers: int, backend: str, monkeypatch) -> tuple[list, list, dict]:
-    """The run's vehicle rows, per-vehicle survival curves (sink order) and metadata."""
+def _run(kind: str, monkeypatch, checkpoint: str | None = None) -> tuple[list, list, dict]:
+    """The run's vehicle rows, per-vehicle survival curves (sink order) and metadata.
+
+    With a ``checkpoint``, the run stops after one chunk and is resumed;
+    the curves are those of the resumed run, replayed chunk included.
+    """
     survivals = []
     add = FleetAccumulator.add
 
@@ -145,25 +149,29 @@ def _run(kind: str, workers: int, backend: str, monkeypatch) -> tuple[list, list
         return add(self, outcome)
 
     monkeypatch.setattr(FleetAccumulator, "add", recording)
-    result = FleetRunner(
-        _fleet(kind), workers=workers, backend=backend, survival_buckets=BUCKETS
-    ).run()
+    if checkpoint is not None:
+        FleetRunner(
+            _fleet(kind), survival_buckets=BUCKETS, checkpoint=checkpoint, max_chunks=1
+        ).run()
+        survivals.clear()
+    result = FleetRunner(_fleet(kind), survival_buckets=BUCKETS, checkpoint=checkpoint).run()
     return result.vehicle_rows, survivals, result.metadata
 
 
 class TestFreeBoundary:
-    @pytest.mark.parametrize("workers, backend", [(1, "thread"), (2, "thread"), (2, "process")])
+    @pytest.mark.parametrize("start", ["fresh", "resumed"])
     @pytest.mark.parametrize("kind", sorted(FLEETS))
     def test_rows_and_survival_equal_the_reference(
-        self, naive, kind, workers, backend, monkeypatch
+        self, naive, kind, start, monkeypatch, tmp_path
     ):
-        rows, survivals, metadata = _run(kind, workers, backend, monkeypatch)
-        assert metadata["engine_backend"] == (backend if workers > 1 else "sequential")
+        checkpoint = str(tmp_path / "ckpt") if start == "resumed" else None
+        rows, survivals, metadata = _run(kind, monkeypatch, checkpoint)
+        assert metadata["resumed_chunks"] == (1 if checkpoint else 0)
         assert metadata["cohorts"] == 1
         assert len(rows) == VEHICLES
         for row, survival, (figures, expected) in zip(rows, survivals, naive[kind], strict=True):
             for key, value in figures.items():
-                assert _hex(row[key]) == _hex(value), (kind, backend, row["vehicle"], key)
+                assert _hex(row[key]) == _hex(value), (kind, start, row["vehicle"], key)
             assert [_hex(x) for x in survival] == [_hex(x) for x in expected], row["vehicle"]
 
     def _ledger_events(self, monkeypatch) -> list[tuple[str, bool]]:
@@ -196,10 +204,10 @@ class TestFreeBoundary:
         chunks = [set(certified[start : start + CHUNK]) for start in range(0, VEHICLES, CHUNK)]
         assert {True, False} in chunks, (kind, certified)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("runs", [1, 2])
     @pytest.mark.parametrize("kind", sorted(FLEETS))
     def test_one_demand_per_cohort_and_one_scan_per_uncertified_vehicle(
-        self, kind, workers, monkeypatch
+        self, kind, runs, monkeypatch
     ):
         events = self._ledger_events(monkeypatch)
         calls = {}
@@ -217,13 +225,20 @@ class TestFreeBoundary:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        result = FleetRunner(_fleet(kind), workers=workers).run()
+        # Nothing carries over from one run to the next: a second run in the
+        # same process demands, certifies and scans exactly as the first.
+        trails = []
+        for _ in range(runs):
+            events.clear()
+            result = FleetRunner(_fleet(kind)).run()
+            trails.append(list(events))
         assert result.metadata["cohorts"] == 1
         assert calls == {
-            "runner.ledger_leak": 1,  # one walk
+            "runner.ledger_leak": runs,  # one walk per run
             "storage.ledger_leak": 0,  # the runner hands the walk's leak in
-            "emulator.ledger_demand": 1,  # one cohort
+            "emulator.ledger_demand": runs,  # one cohort per run
         }
+        assert all(trail == trails[0] for trail in trails)
         # The finish runs vehicle by vehicle in the parent.  Per vehicle:
         # "c" certified and never scanned, "ds" declined and scanned once,
         # "s" not eligible and scanned once.

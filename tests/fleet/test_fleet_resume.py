@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.fleet import FleetRunner, FleetSpec
 from repro.fleet.spec import FleetVehicle
 from repro.scenario.spec import ScenarioSpec
@@ -58,16 +57,39 @@ class TestResume:
         ckpt = str(tmp_path / "ckpt")
         FleetRunner(_fleet(), checkpoint=ckpt).run()
         replayed = FleetRunner(_fleet(), checkpoint=ckpt).run()
-        assert replayed.metadata["engine_backend"] == "resumed"
-        assert replayed.metadata["resumed_chunks"] == 3
+        assert replayed.metadata["resumed_chunks"] == replayed.metadata["chunks_total"] == 3
         assert _digest(replayed) == _digest(fresh_result)
 
-    def test_resume_across_worker_settings_is_byte_identical(self, tmp_path, fresh_result):
-        # The journal carries results, not scheduling: finishing on a thread
-        # pool what a sequential run started changes nothing.
+    def test_resume_across_successive_stops_is_byte_identical(self, tmp_path):
+        # The journal carries results, not scheduling: a run stopped twice,
+        # after different chunk budgets, finishes to the uninterrupted bytes.
+        fleet = _fleet(chunk=2)
         ckpt = str(tmp_path / "ckpt")
-        FleetRunner(_fleet(), checkpoint=ckpt, max_chunks=1).run()
-        resumed = FleetRunner(_fleet(), workers=4, checkpoint=ckpt).run()
+        first = FleetRunner(fleet, checkpoint=ckpt, max_chunks=1).run()
+        second = FleetRunner(fleet, checkpoint=ckpt, max_chunks=3).run()
+        assert (first.metadata["chunks_completed"], second.metadata["chunks_completed"]) == (1, 4)
+        assert second.metadata["resumed_chunks"] == 1 and second.metadata["partial"]
+        resumed = FleetRunner(fleet, checkpoint=ckpt).run()
+        assert resumed.metadata["resumed_chunks"] == 4
+        assert not resumed.metadata["partial"]
+        assert _digest(resumed) == _digest(FleetRunner(fleet).run())
+
+    def test_should_stop_then_resume_is_byte_identical(self, tmp_path, fresh_result):
+        # A stop requested mid-run lands on a chunk boundary; the resumed
+        # run replays what was journaled and finishes to the fresh bytes.
+        ckpt = str(tmp_path / "ckpt")
+        chunks_seen = []
+
+        def progress(event):
+            if event["event"] == "chunk":
+                chunks_seen.append(event["chunk"])
+
+        stopped = FleetRunner(
+            _fleet(), checkpoint=ckpt, progress=progress, should_stop=lambda: bool(chunks_seen)
+        ).run()
+        assert stopped.metadata["partial"] and stopped.metadata["chunks_completed"] == 1
+        resumed = FleetRunner(_fleet(), checkpoint=ckpt).run()
+        assert resumed.metadata["resumed_chunks"] == 1
         assert _digest(resumed) == _digest(fresh_result)
 
     def test_checkpointed_first_run_is_byte_identical_to_plain(self, tmp_path, fresh_result):

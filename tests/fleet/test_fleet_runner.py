@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -12,11 +14,9 @@ from hypothesis import strategies as st
 from repro.core.emulator import NodeEmulator
 from repro.errors import ConfigError
 from repro.fleet import FleetResult, FleetRunner, FleetSpec, ThermalSpec, run_fleet
-from repro.fleet import runner as fleet_runner
 from repro.scavenger.storage import scaled_storage
 from repro.scenario.registry import ARCHITECTURES
 from repro.scenario.spec import ScenarioSpec
-from repro.serve.jobs import encode_document, fleet_result_document
 
 from naive_reference import naive_emulate
 
@@ -45,13 +45,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="FleetSpec"):
             FleetRunner({"vehicles": 3})
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ConfigError, match="workers"):
-            FleetRunner(_fleet(), workers=0)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            FleetRunner(_fleet(), backend="gpu")
+    @pytest.mark.parametrize("setting", [{"workers": 2}, {"backend": "process"}])
+    def test_takes_no_execution_settings(self, setting):
+        # Fleets run sequentially: neither front door accepts a pool setting.
+        with pytest.raises(TypeError, match=next(iter(setting))):
+            FleetRunner(_fleet(), **setting)
+        with pytest.raises(TypeError, match=next(iter(setting))):
+            run_fleet(_fleet(), **setting)
 
     def test_invalid_record_interval_rejected(self):
         with pytest.raises(ConfigError, match="record interval"):
@@ -184,48 +184,6 @@ class TestCorrectness:
 
 
 class TestDeterminism:
-    def test_thread_workers_identical_aggregates(self, sequential_result):
-        parallel = FleetRunner(_fleet(), workers=4).run()
-        assert parallel.summary == sequential_result.summary
-        assert parallel.survival == sequential_result.survival
-        assert parallel.vehicle_rows == sequential_result.vehicle_rows
-
-    def test_process_backend_identical_aggregates(self, sequential_result):
-        process = FleetRunner(_fleet(), workers=2, backend="process").run()
-        assert process.summary == sequential_result.summary
-        assert process.survival == sequential_result.survival
-        assert process.vehicle_rows == sequential_result.vehicle_rows
-
-    def test_process_fleet_inside_another_keeps_both_tables(self):
-        # A second process-backend fleet runs to completion between the
-        # first one's chunks (as two serve job workers can): neither may see
-        # the other's shared tables, and both match their sequential bytes.
-        inner_fleet = _fleet(vehicles=4, seed=8)
-        inner: list[FleetResult] = []
-
-        def run_inner(event):
-            if event["event"] == "chunk" and not inner:
-                inner.append(FleetRunner(inner_fleet, workers=2, backend="process").run())
-
-        outer_fleet = _fleet(chunk_vehicles=4)
-        outer = FleetRunner(outer_fleet, workers=2, backend="process", progress=run_inner).run()
-        assert outer.metadata["chunks_completed"] == 3
-        assert outer.metadata["engine_backend"] == "process"
-        for result, fleet in ((outer, outer_fleet), (inner[0], inner_fleet)):
-            sequential = FleetRunner(fleet).run()
-            assert encode_document(fleet_result_document(result)) == encode_document(
-                fleet_result_document(sequential)
-            )
-
-    def test_process_backend_without_fork_runs_on_threads(self, sequential_result, monkeypatch):
-        monkeypatch.setattr(fleet_runner, "process_pool_context", lambda: None)
-        result = FleetRunner(_fleet(), workers=2, backend="process").run()
-        assert result.metadata["backend"] == "process"
-        assert result.metadata["engine_backend"] == "thread"
-        assert encode_document(fleet_result_document(result)) == encode_document(
-            fleet_result_document(sequential_result)
-        )
-
     def test_same_seed_reproduces_the_run(self, sequential_result):
         again = FleetRunner(_fleet()).run()
         assert again.summary == sequential_result.summary
@@ -235,15 +193,34 @@ class TestDeterminism:
         other = FleetRunner(_fleet(seed=8)).run()
         assert other.summary != sequential_result.summary
 
-    def test_200_vehicle_fleet_is_worker_count_independent(self):
+    def test_200_vehicle_fleet_is_stop_point_independent(self, tmp_path):
         """The acceptance bar: seeded aggregates on a >=200-vehicle fleet are
-        identical whatever worker count executes them."""
-        fleet = _fleet(vehicles=200, seed=13)
-        sequential = FleetRunner(fleet, keep_vehicle_rows=False).run()
-        threaded = FleetRunner(fleet, workers=4, keep_vehicle_rows=False).run()
-        assert threaded.summary == sequential.summary
-        assert threaded.survival == sequential.survival
-        assert sequential.summary["vehicles"] == 200
+        identical whether the run goes through at once or is resumed."""
+        fleet = _fleet(vehicles=200, seed=13, chunk_vehicles=50)
+        whole = FleetRunner(fleet, keep_vehicle_rows=False).run()
+        ckpt = str(tmp_path / "ckpt")
+        FleetRunner(fleet, keep_vehicle_rows=False, checkpoint=ckpt, max_chunks=2).run()
+        resumed = FleetRunner(fleet, keep_vehicle_rows=False, checkpoint=ckpt).run()
+        assert resumed.metadata["resumed_chunks"] == 2
+        assert resumed.summary == whole.summary
+        assert resumed.survival == whole.survival
+        assert whole.summary["vehicles"] == 200
+
+    def test_aggregates_do_not_depend_on_keeping_rows(self, sequential_result):
+        lean = FleetRunner(_fleet(), keep_vehicle_rows=False).run()
+        assert lean.vehicle_rows is None
+        assert lean.summary == sequential_result.summary
+        assert lean.survival == sequential_result.survival
+
+    def test_chunking_is_part_of_the_fleet_document(self):
+        # chunk_vehicles seeds each chunk's stream: rows are a pure function
+        # of the fleet document, and the chunking is part of that document.
+        one = FleetRunner(_fleet(vehicles=60, chunk_vehicles=1)).run()
+        seven = FleetRunner(_fleet(vehicles=60, chunk_vehicles=7)).run()
+        assert one.metadata["fleet_document"] != seven.metadata["fleet_document"]
+        assert one.vehicle_rows != seven.vehicle_rows
+        again = FleetRunner(_fleet(vehicles=60, chunk_vehicles=7)).run()
+        assert again.vehicle_rows == seven.vehicle_rows
 
 
 class TestResultSurface:
@@ -272,16 +249,16 @@ class TestResultSurface:
         assert result.summary["vehicles"] == 4
 
     def test_run_fleet_convenience(self):
-        result = run_fleet(_fleet(vehicles=3), workers=2)
+        result = run_fleet(_fleet(vehicles=3), keep_vehicle_rows=False)
         assert isinstance(result, FleetResult)
         assert len(result) == 3
-        assert result.metadata["workers"] == 2
+        assert result.vehicle_rows is None
 
     def test_metadata_records_the_run(self, sequential_result):
         metadata = sequential_result.metadata
         assert metadata["kind"] == "fleet"
         assert metadata["vehicles"] == 10
-        assert metadata["backend"] == "thread"
+        assert not {"workers", "backend", "engine_backend"} & set(metadata)
         assert metadata["wall_time_s"] > 0.0
         assert len(metadata["vehicle_wall_times_s"]) == 10
         assert metadata["fleet_document"]["vehicles"] == 10
@@ -429,7 +406,7 @@ class TestErrorContract:
     """Fleets across a node's feasibility limit: rows or errors match naive."""
 
     @staticmethod
-    def _check(node, speed_kmh, rel_std, seed, hot=None, **options):
+    def _check(node, speed_kmh, rel_std, seed, hot=None, checkpoint=None):
         ARCHITECTURES.register("test-contract", lambda: node)
         try:
             base = ScenarioSpec(
@@ -468,7 +445,7 @@ class TestErrorContract:
             naive = _naive_outcomes(fleet)
             errors = [(i, o) for i, o in enumerate(naive) if isinstance(o, Exception)]
             if not errors:
-                result = FleetRunner(fleet, **options).run()
+                result = FleetRunner(fleet, checkpoint=checkpoint).run()
                 assert result.metadata["fast_path_vehicles"] == fleet.vehicles
                 for row, summary in zip(result.vehicle_rows, naive):
                     for key, value in summary.items():
@@ -476,12 +453,14 @@ class TestErrorContract:
                 return
             first = errors[0][1]
             with pytest.raises(Exception) as raised:
-                FleetRunner(fleet, **options).run()
+                FleetRunner(fleet, checkpoint=checkpoint).run()
             assert type(raised.value) is type(first)
             assert str(raised.value) == str(first)
             if len(errors) == fleet.vehicles:
                 return  # nothing left to aggregate when every vehicle fails
-            result = FleetRunner(fleet, retries=1, **options).run()
+            # With a checkpoint, this run replays the chunks the aborted one
+            # journaled before its first error.
+            result = FleetRunner(fleet, retries=1, checkpoint=checkpoint).run()
             assert [(f["index"], f["error"]) for f in result.metadata["failures"]] == [
                 (i, f"{type(error).__name__}: {error}") for i, error in errors
             ]
@@ -504,14 +483,16 @@ class TestErrorContract:
         self._check(nodes[cruise[0]], cruise[1], rel_std, seed)
 
     @settings(
-        max_examples=4,
+        max_examples=20,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(cruise=_CRUISES, rel_std=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
-    def test_process_backend(self, limited_node, pocket_node, cruise, rel_std, seed):
+    def test_checkpointed(self, limited_node, pocket_node, cruise, rel_std, seed):
         nodes = {"limited": limited_node, "pocket": pocket_node}
-        self._check(nodes[cruise[0]], cruise[1], rel_std, seed, workers=2, backend="process")
+        with tempfile.TemporaryDirectory() as scratch:
+            checkpoint = os.path.join(scratch, "ckpt")
+            self._check(nodes[cruise[0]], cruise[1], rel_std, seed, checkpoint=checkpoint)
 
     @settings(
         max_examples=20,

@@ -6,8 +6,7 @@ cycle materialization replays the tyre thermal model once per
 sweep spans (speed, temperature, phase-pattern) triples — yet every
 per-vehicle figure is bitwise identical to the per-revolution reference of
 ``emulate()`` with the same thermal model (``naive_emulate``, not
-``emulate()`` itself, whose resolution and ledger steps the fleet shares),
-across worker counts and backends.
+``emulate()`` itself, whose resolution and ledger steps the fleet shares).
 """
 
 from __future__ import annotations
@@ -179,13 +178,19 @@ class TestBitIdentity:
             for key, value in summary.items():
                 assert row[key] == value, f"fleet row diverged on {key!r}"
 
-    def test_threaded_rows_identical(self, thermal_fleet, sequential_result):
-        threaded = FleetRunner(thermal_fleet, workers=2, backend="thread").run()
-        assert threaded.vehicle_rows == sequential_result.vehicle_rows
+    def test_checkpointed_rows_identical(self, thermal_fleet, sequential_result, tmp_path):
+        checkpointed = FleetRunner(thermal_fleet, checkpoint=str(tmp_path / "ckpt")).run()
+        assert checkpointed.vehicle_rows == sequential_result.vehicle_rows
 
-    def test_process_rows_identical(self, thermal_fleet, sequential_result):
-        processed = FleetRunner(thermal_fleet, workers=2, backend="process").run()
-        assert processed.vehicle_rows == sequential_result.vehicle_rows
+    def test_replayed_rows_identical(self, thermal_fleet, naive_reference, tmp_path):
+        # Rows replayed from the journal still match the reference bit for bit.
+        ckpt = str(tmp_path / "ckpt")
+        FleetRunner(thermal_fleet, checkpoint=ckpt).run()
+        replayed = FleetRunner(thermal_fleet, checkpoint=ckpt).run()
+        assert replayed.metadata["resumed_chunks"] == replayed.metadata["chunks_total"]
+        for row, summary in zip(replayed.vehicle_rows, naive_reference, strict=True):
+            for key, value in summary.items():
+                assert row[key] == value, f"replayed row diverged on {key!r}"
 
 
 class TestObservability:

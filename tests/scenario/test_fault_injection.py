@@ -24,8 +24,7 @@ from repro.scenario.spec import ScenarioSpec
 # Flaky registry-injected scavenger
 # ---------------------------------------------------------------------------
 
-#: Module-level glitch state so every vehicle kernel (and forked worker at
-#: pool start) sees the same counters.
+#: Module-level glitch state so every vehicle kernel sees the same counters.
 _FLAKY = {"remaining": 0, "calls": 0}
 
 
@@ -144,48 +143,61 @@ class TestWorkerDeath:
                 process_payload=lambda item: (item, flag),
             )
 
-    def test_run_chunks_names_the_failing_chunk(self, tmp_path):
-        flag = str(tmp_path / "died.flag")
-        with pytest.raises(EngineError, match=r"chunk 1: process worker died"):
-            ChunkedEngine(workers=2, backend="process").run_chunks(
+
+# ---------------------------------------------------------------------------
+# Kernel failing mid-chunk under run_chunks
+# ---------------------------------------------------------------------------
+
+
+def _failing_kernel(flag_path: str):
+    """A kernel that raises on item 5 until its flag file exists."""
+
+    def kernel(value):
+        if value == 5 and not os.path.exists(flag_path):
+            raise RuntimeError("item 5 failed")
+        return value * 2
+
+    return kernel
+
+
+class TestChunkAbort:
+    def test_run_chunks_raises_the_kernel_error_unchanged(self, tmp_path):
+        # Without retries the kernel's own error ends the run, as it is.
+        with pytest.raises(RuntimeError) as raised:
+            ChunkedEngine().run_chunks(
                 [[0, 1, 2], [3, 4, 5, 6, 7], [8, 9]],
-                kernel=lambda x: x * 2,
+                kernel=_failing_kernel(str(tmp_path / "never.flag")),
                 sink=lambda i, r: None,
-                process_worker=_dying_worker,
-                process_payload=lambda item: (item, flag),
             )
+        assert str(raised.value) == "item 5 failed"
 
-    def test_kill_then_resume_is_identical_to_a_clean_run(self, tmp_path):
-        """A mid-chunk death with checkpointing resumes to the clean result."""
-        flag = str(tmp_path / "died.flag")
+    def test_abort_then_resume_is_identical_to_a_clean_run(self, tmp_path):
+        """A mid-chunk failure with checkpointing resumes to the clean result."""
+        flag = tmp_path / "fixed.flag"
         chunks = [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-        key = {"kind": "kill-test", "items": 10}
+        key = {"kind": "abort-test", "items": 10}
 
-        # Interrupted run: the worker dies on item 5; the death aborts the
-        # run (no retries), but chunk 0 is already journaled.
+        # Interrupted run: item 5 raises and aborts the run (no retries), but
+        # chunk 0 is already journaled.
         store = CheckpointStore(tmp_path / "ckpt", key)
-        partial = []
-        with pytest.raises(EngineError, match="chunk 1"):
-            ChunkedEngine(workers=2, backend="process").run_chunks(
+        with pytest.raises(RuntimeError, match="item 5 failed"):
+            ChunkedEngine().run_chunks(
                 chunks,
-                kernel=lambda x: x * 2,
-                sink=lambda i, r: partial.append((i, r)),
+                kernel=_failing_kernel(str(flag)),
+                sink=lambda i, r: None,
                 checkpoint=store,
-                process_worker=_dying_worker,
-                process_payload=lambda item: (item, flag),
             )
         assert store.completed_chunks == (0,)
 
         # Resume: chunk 0 replays, the rest computes (the flag file makes the
-        # worker survive now) — the combined stream equals a clean run.
+        # kernel succeed now) — the combined stream equals a clean run.
+        flag.write_text("fixed\n")
         resumed = []
-        report = ChunkedEngine(workers=2, backend="process").run_chunks(
+        report = ChunkedEngine().run_chunks(
             chunks,
-            kernel=lambda x: x * 2,
+            kernel=_failing_kernel(str(flag)),
             sink=lambda i, r: resumed.append((i, r)),
             checkpoint=CheckpointStore(tmp_path / "ckpt", key),
-            process_worker=_dying_worker,
-            process_payload=lambda item: (item, flag),
         )
         assert resumed == [(i, i * 2) for i in range(10)]
         assert report.resumed_chunks == 1

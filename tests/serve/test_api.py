@@ -169,6 +169,8 @@ MALFORMED_EXECUTION_FIELDS = [
     ("/studies", {"workers": "2"}),
     ("/studies", {"backend": "gpu"}),
     ("/fleet", {"workers": 0}),
+    ("/fleet", {"workers": 2}),
+    ("/fleet", {"backend": "process"}),
     ("/fleet", {"backend": "gpu"}),
     ("/fleet", {"retries": -1}),
     ("/fleet", {"retries": "1"}),

@@ -76,6 +76,12 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="needs workers greater than 1"):
             manager.submit_study({**STUDY_DOC, "backend": "process"})
 
+    @pytest.mark.parametrize("setting", [{"workers": 2}, {"backend": "thread"}])
+    def test_fleet_takes_no_pool_settings(self, manager, setting):
+        # Fleets run sequentially: a pool setting is an unknown field.
+        with pytest.raises(ConfigError, match="unknown fields"):
+            manager.submit_fleet({**FLEET_DOC, **setting})
+
     def test_fleet_needs_exactly_one_of_fleet_or_scenario(self, manager):
         with pytest.raises(ConfigError, match="exactly one"):
             manager.submit_fleet({"vehicles": 4})
@@ -98,7 +104,7 @@ class TestStoreKeys:
         process = manager.submit_study({**STUDY_DOC, "workers": 2, "backend": "process"})
         assert baseline.digest == threaded.digest == process.digest
         fleet_a = manager.submit_fleet(FLEET_DOC)
-        fleet_b = manager.submit_fleet({**FLEET_DOC, "workers": 3, "retries": 2})
+        fleet_b = manager.submit_fleet({**FLEET_DOC, "retries": 2})
         assert fleet_a.digest == fleet_b.digest
 
     def test_result_shaping_parameters_change_the_key(self, manager):
@@ -113,12 +119,12 @@ class TestStoreKeys:
 class TestByteIdentity:
     """The store contract: served bytes == a fresh sequential run's bytes."""
 
-    def test_fleet_bytes_equal_across_thread_and_process_backends(self):
-        # Thread runs scan each ledger once its chunk has settled, process
-        # workers scan in the worker: the stored bytes must not differ.
+    def test_fleet_bytes_equal_across_managers(self):
+        # Two servers, each with its own store, serve the same request with
+        # the same bytes; an execution-only field (retries) changes nothing.
         request = {**FLEET_DOC, "vehicles": 16, "chunk_vehicles": 8, "keep_vehicle_rows": True}
         served = []
-        for execution in ({"workers": 2}, {"workers": 2, "backend": "process"}):
+        for execution in ({}, {"retries": 2}):
             manager = JobManager()
             try:
                 job = manager.submit_fleet({**request, **execution})
@@ -140,7 +146,7 @@ class TestByteIdentity:
         assert served == fresh
 
     def test_fleet_result_matches_fresh_sequential_run(self, manager):
-        job = manager.submit_fleet({**FLEET_DOC, "workers": 2, "keep_vehicle_rows": True})
+        job = manager.submit_fleet({**FLEET_DOC, "keep_vehicle_rows": True})
         _wait(job)
         served = manager.result_bytes(job.id)
         fleet = FleetSpec.from_base(
@@ -150,6 +156,7 @@ class TestByteIdentity:
             fleet_result_document(FleetRunner(fleet, keep_vehicle_rows=True).run())
         )
         assert served == fresh
+        assert b"batched_scan_vehicles" not in served
 
     def test_store_hit_serves_the_same_bytes_without_rerunning(self, manager):
         first = manager.submit_study(STUDY_DOC)

@@ -532,15 +532,17 @@ class TestFleetCommand:
         assert main(["fleet", "--fleet", fleet_path, "--vehicles", "3"]) == 0
         assert "3 vehicle(s)" in capsys.readouterr().out
 
-    def test_workers_match_sequential_output(self, capsys, scenario_path):
+    def test_repeated_runs_print_the_same_table(self, capsys, scenario_path):
         args = ["fleet", "--scenario", scenario_path, "--vehicles", "6", "--seed", "4"]
         assert main(args) == 0
-        sequential = capsys.readouterr().out
-        assert main(args + ["--workers", "3"]) == 0
-        parallel = capsys.readouterr().out
-        # Identical aggregate tables; only the trailing timing line differs.
+        first = capsys.readouterr().out
+        assert main(args) == 0
+        second = capsys.readouterr().out
+        # Identical aggregate tables; only the trailing timing line differs,
+        # and it names no worker pool.
         table = lambda text: text.split("\n\n")[1]  # noqa: E731
-        assert table(parallel) == table(sequential)
+        assert table(second) == table(first)
+        assert "worker" not in first and "backend" not in first
 
     def test_exports_write_files(self, capsys, scenario_path, tmp_path):
         summary = tmp_path / "summary.json"
@@ -582,12 +584,13 @@ class TestFleetCommand:
             "exactly one of --fleet or --scenario",
         )
 
-    def test_process_backend_requires_workers(self, capsys, scenario_path):
-        self._assert_clean_failure(
-            capsys,
-            ["fleet", "--scenario", scenario_path, "--backend", "process"],
-            "--backend process needs --workers",
-        )
+    @pytest.mark.parametrize("setting", [["--workers", "2"], ["--backend", "process"]])
+    def test_pool_settings_are_usage_errors(self, capsys, scenario_path, setting):
+        # Fleets run sequentially: the fleet command has no pool options.
+        with pytest.raises(SystemExit) as exited:
+            main(["fleet", "--scenario", scenario_path, *setting])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(setting)}" in capsys.readouterr().err
 
     def test_missing_fleet_file(self, capsys, tmp_path):
         self._assert_clean_failure(

@@ -43,8 +43,8 @@ _PINNED_RUN_ID12 = "621c90612ddc"
 #: Real keys of the example documents: the checkpoint run key of
 #: ``fleet.json`` at 24 vehicles / seed 3 / chunk 6, and the result-store
 #: keys of that fleet request and of a ``montecarlo`` study request over
-#: ``quickstart.json``.  Execution policy (workers, backends) never enters
-#: them, so any change here orphans existing checkpoints and store entries.
+#: ``quickstart.json``.  Execution policy (a study's workers and backend,
+#: retries) never enters them, so any change here orphans existing checkpoints and store entries.
 _FLEET_POPULATION = {"vehicles": 24, "seed": 3, "chunk_vehicles": 6}
 _PINNED_FLEET_CHECKPOINT = "0beac44be1afac0c1df0f01f2fa525634d222680cbf0ee289efd5f60b24764be"
 _PINNED_FLEET_STORE_KEY = "e527efb2ab781046ddf66e025cc216f12280f51794c4115383945c09c0e3873e"
@@ -113,9 +113,7 @@ class TestPinnedRealKeys:
         assert canonical_digest(FleetRunner(spec).checkpoint_key()) == _PINNED_FLEET_CHECKPOINT
 
     def test_fleet_store_key(self):
-        request = _FleetRequest(
-            {"fleet": _example("fleet.json"), **_FLEET_POPULATION}, None, "thread"
-        )
+        request = _FleetRequest({"fleet": _example("fleet.json"), **_FLEET_POPULATION})
         assert ResultStore.key_digest(request.key) == _PINNED_FLEET_STORE_KEY
 
     def test_montecarlo_study_store_key(self):
