@@ -9,8 +9,9 @@ output of every ledger (charge, activity, banked and drawn energy,
 attempted/withdrew flags, brown-out count, final charge) is bitwise equal:
 
 * **fleet** — the ledgers of 64 urban x2 fleet vehicles, captured from a
-  real fleet run with the free-ledger certificate switched off (it
-  certifies all of them, so none would be scanned);
+  real fleet run with the free-ledger certificate switched off (a
+  ``certify_free`` that returns ``False`` declines every row of every
+  walk; the real one certifies all of them, so none would be scanned);
 * **design** — the ledgers of the 27 architecture x power database x cycle
   scenarios of one design-loop block, captured from cold ``emulate()`` runs;
 * **brownout** — 64 synthetic supercapacitor ledgers of 900 steps with
@@ -24,8 +25,9 @@ times faster (local default 10x; 20-50x measured on a 2-CPU x86 box); on
 the two event-dense sets it must keep at least 0.8x the speed of
 ``reference_scan``.
 
-A second case times :func:`~repro.scavenger.storage.certify_free`, which
-a fleet vehicle runs before any scan, against ``run_length_scan`` on the
+A second case times :func:`~repro.scavenger.storage.certify_free` in its
+one-ledger form (one gain, one ``D``; the fleet calls it once per walk
+and chunk, over every eligible vehicle) against ``run_length_scan`` on the
 same ledgers.  Its inputs (the prefix sums ``U`` and ``D``) are a walk's
 and a cohort's constants in the fleet, so they are built outside the
 timing.  It must certify every fleet ledger, beat the scan on them by at

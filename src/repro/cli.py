@@ -720,14 +720,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import EvaluatorLRU, JobManager, ResultStore, ServeServer, StoreBudget
 
     budget = StoreBudget.from_cli(args.store_budget_mb, args.store_budget_entries)
-    manager = JobManager(
-        evaluator_cache=EvaluatorLRU(capacity=args.cache_size),
-        store=ResultStore(args.store_dir, budget=budget),
-        workers=args.workers,
-        backend=args.backend,
-        job_workers=args.job_workers,
-        checkpoint_root=args.checkpoint_dir,
-    )
+    try:
+        manager = JobManager(
+            evaluator_cache=EvaluatorLRU(capacity=args.cache_size),
+            store=ResultStore(args.store_dir, budget=budget),
+            workers=args.workers,
+            backend=args.backend,
+            job_workers=args.job_workers,
+            checkpoint_root=args.checkpoint_dir,
+        )
+    except ConfigError as error:
+        # A flag combination no request could run under: a usage error.
+        print(f"error: serve: {error}", file=sys.stderr)
+        return 2
     server = ServeServer(manager, host=args.host, port=args.port)
     # The banner prints from the ready callback (after the bind) so --port 0
     # announces the real kernel-assigned port; harnesses parse this line.

@@ -35,8 +35,10 @@ resolutions:
 
 * **per walk** — the ledger's leak side
   (:func:`~repro.scavenger.storage.ledger_leak`), the survival bucketing,
-  and the figures of a ledger that drew on every unit: active revolutions
-  and time, the read-only survival curve and ``active_at_end``.  The first
+  what every free ledger's row shares (the figures of a ledger that drew
+  on every unit, as the row's constant tail, and the read-only survival
+  curve) and the certificate's envelope: the elementwise minimum and
+  maximum ``(D_lo, D_hi)`` of its certifiable cohorts' ``D``.  The first
   vehicle on the walk adds its unit-size harvest sweep and that sweep's
   prefix sum ``U`` (in its kernel, so that a failing sweep fails that
   vehicle, which the engine retries, and not the run);
@@ -44,19 +46,27 @@ resolutions:
   (:func:`~repro.scavenger.storage.ledger_demand`: the load at the storage
   element divided by the discharge efficiency, and its check), valid for
   every vehicle because a scaled storage element differs in capacity and
-  thresholds only, the load's sum, and the prefix sum ``D`` of ``required
-  + leak`` when the cohort's vehicles may be certified.
+  thresholds only, the load's sum, and whether its vehicles may be
+  certified; its ``D``, the prefix sum of ``required + leak``, is folded
+  into the walk's envelope.
 
-Once a chunk has settled, each vehicle's ledger is first offered to
-:func:`~repro.scavenger.storage.certify_free`, a floating-point-sound
-bound that decides from ``U``, ``D``, the vehicle's gain and its storage
-levels, without scanning, that the scan would take no event.  Eligible are
-vehicles whose harvest is their size factor times the walk's non-negative
-unit-size sweep, in a cohort whose scan cannot raise, runs to the end of
-its plan and has a non-negative load over valid durations.  A certified
-ledger is finished from the constants: its own work is the certificate
-and its harvest totals (banked and discarded sums).  Any other ledger is
-scanned by the emulator's
+A vehicle's kernel only gathers its inputs: the factor its harvest scales
+the walk's unit-size harvest by (the ``n``-array is formed only if the
+vehicle is scanned) and its storage levels.  Eligible for the certificate
+are vehicles whose harvest is their size factor times the walk's
+non-negative unit-size sweep, in a cohort whose scan cannot raise, runs to
+the end of its plan and has a non-negative load over valid durations.
+Once a chunk has settled, its eligible vehicles are finished per walk:
+ONE :func:`~repro.scavenger.storage.certify_free` call, a
+floating-point-sound bound, decides from ``U``, the walk's envelope, the
+vehicles' gains and their storage levels, without scanning, which ledgers
+the scan would find free (monotone rounding lets one evaluation of its two
+maxima, at the group's extreme gains, cover every vehicle; each vehicle
+then makes two comparisons).  A certified ledger is the walk's constant
+tail plus four columns: its banked and discarded sums are row sums of a
+``(V, n)`` matrix formed in a scratch buffer the run holds, and its
+consumed and net energies follow from its cohort's load.  Any other
+ledger is scanned by the emulator's
 :meth:`~repro.core.emulator.NodeEmulator._scan_ledger`, the scan
 ``emulate()`` uses, over a storage element built for it; a scan that
 finds the ledger free finishes it the same way, and any other ledger takes
@@ -119,15 +129,17 @@ class _Walk:
     every vehicle on it.  ``cohorts`` maps a vehicle's load key — its
     temperature bin, or its ambient (a bin center) on thermal fleets — to
     its :class:`_Cohort`.  ``survival`` is the walk's survival bucketing
-    (:func:`_survival_buckets`).  Discovery fills ``free``, the figures
-    every free ledger on the walk shares (:func:`_free_figures`); all of
-    these are read-only afterwards.  The first vehicle to need it fills
-    ``harvest``: the walk's per-unit harvest at unit size, whether any
-    entry is negative, and its inclusive prefix sum (the certificate's
-    ``U``, :func:`~repro.scavenger.storage.certify_free`).  It is filled
-    in the vehicle's kernel, not at discovery, so that a failing sweep
-    fails that vehicle, which the engine retries or records, and not the
-    run.
+    (:func:`_survival_buckets`).  Discovery fills ``free``, the row figures
+    and survival curve every free ledger on the walk shares
+    (:func:`_free_figures`), and ``envelope``, the ``(2, n + 1)`` stack of
+    the elementwise minimum and maximum of its certifiable cohorts' ``D``
+    (:func:`_demand_prefix`), or ``None`` when none is; all of these are
+    read-only afterwards.  The first vehicle to need it fills ``harvest``:
+    the walk's per-unit harvest at unit size, whether any entry is
+    negative, and its inclusive prefix sum (the certificate's ``U``,
+    :func:`~repro.scavenger.storage.certify_free`).  It is filled in the
+    vehicle's kernel, not at discovery, so that a failing sweep fails that
+    vehicle, which the engine retries or records, and not the run.
     """
 
     plan: CyclePlan
@@ -136,6 +148,7 @@ class _Walk:
     survival: tuple | None
     cohorts: dict = field(default_factory=dict)
     free: tuple | None = None
+    envelope: np.ndarray | None = None
     harvest: tuple | None = None
 
 
@@ -148,23 +161,23 @@ class _Cohort:
     ``demand`` its hoisted ledger demand (valid for every vehicle, whose
     scaled storage elements differ from the base one in capacity and
     thresholds only) and ``consumed_j`` the load's sum: what a free ledger
-    draws.  ``demand_prefix`` is the exclusive prefix sum of ``required +
-    leak`` (the certificate's ``D``), or ``None`` when the cohort's
-    vehicles are never certified (:func:`_demand_prefix`).
+    draws.  ``certifiable`` says whether its vehicles may be certified; its
+    ``D`` is then folded into its walk's ``envelope``.
     """
 
     resolution: RoundResolution
     demand: LedgerDemand
     consumed_j: float
-    demand_prefix: np.ndarray | None
+    certifiable: bool
 
 
 def _demand_prefix(resolution: RoundResolution, demand: LedgerDemand) -> np.ndarray | None:
     """The certificate's ``D`` of a cohort, or ``None`` if it may not certify.
 
-    Only a cohort whose scan cannot raise and runs to the end of its plan,
-    with a non-negative load and valid durations throughout, certifies: any
-    other cohort's vehicles are scanned, which raises what they raise.
+    ``D`` is the exclusive prefix sum of ``required + leak``.  Only a cohort
+    whose scan cannot raise and runs to the end of its plan, with a
+    non-negative load and valid durations throughout, certifies: any other
+    cohort's vehicles are scanned, which raises what they raise.
     """
     count = len(resolution.plan)
     if (
@@ -176,7 +189,6 @@ def _demand_prefix(resolution: RoundResolution, demand: LedgerDemand) -> np.ndar
         return None
     prefix = np.zeros(count + 1)
     np.cumsum(demand.required + demand.leak.amounts, out=prefix[1:])
-    prefix.setflags(write=False)
     return prefix
 
 
@@ -209,26 +221,40 @@ def _row_tail(walk: _Walk, active: np.ndarray, buckets: int) -> tuple:
     return _survival_from_samples(walk, sample_active, buckets), at_end
 
 
+def _figures(result: EmulationResult, active_at_end: bool) -> dict[str, object]:
+    """A row's figures after its head: ``summary()``, the brown-out rate, ``active_at_end``."""
+    figures = result.summary()
+    hours = result.duration_s / 3600.0
+    rate = figures["brownout_events"] / hours if hours > 0.0 else float("nan")
+    figures["brownout_per_hour"] = rate
+    figures["active_at_end"] = active_at_end
+    return figures
+
+
 def _free_figures(walk: _Walk, buckets: int) -> tuple:
-    """What every free ledger on ``walk`` shares: totals, survival, ``active_at_end``.
+    """What every free ledger on ``walk`` shares: its row's constant tail and survival.
 
     A free ledger drew on every unit, so these are
     :meth:`~repro.core.emulator.EmulationResult.record_totals`' figures
-    and :func:`_row_tail` with every flag set, evaluated once per walk; the
-    survival curve is read-only, as every free vehicle's outcome holds it.
+    and :func:`_row_tail` with every flag set, evaluated once per walk.
+    The tail is :func:`_figures` with the four energy columns zero
+    (:func:`_free_row` writes them); the survival curve is read-only, as
+    every free vehicle's outcome holds it.
     """
     plan = walk.plan
     drew = np.ones(len(plan), dtype=bool)
-    totals = {
-        "revolutions": plan.revolutions,
-        "moving_time_s": plan.moving_time_s,
-        "active_revolutions": int((plan.is_round & drew).sum()),
-        "active_time_s": float(plan.durations[drew].sum()),
-        "brownout_events": 0,
-    }
+    result = EmulationResult(
+        "",
+        walk.cycle_name,
+        walk.duration_s,
+        revolutions=plan.revolutions,
+        moving_time_s=plan.moving_time_s,
+        active_revolutions=int((plan.is_round & drew).sum()),
+        active_time_s=float(plan.durations[drew].sum()),
+    )
     survival, active_at_end = _row_tail(walk, drew, buckets)
     survival.setflags(write=False)
-    return totals, survival, active_at_end
+    return _figures(result, active_at_end), survival
 
 
 @dataclass(slots=True)
@@ -241,7 +267,9 @@ class _Run:
     it scales through the base class's ``scaled`` and ``energy_sweep_j`` —
     a vehicle's harvest is then its size factor times the walk's sweep of
     ``unit`` — and ``None`` otherwise.  ``storage`` is the base storage
-    element, scaled per vehicle.
+    element, scaled per vehicle.  ``scratch`` is the finish's reused buffer
+    for the harvest matrices of certified vehicles (:func:`_finish_walk`),
+    grown on demand and held by the run alone.
     """
 
     fleet: FleetSpec
@@ -251,9 +279,12 @@ class _Run:
     unit: EnergyScavenger | None
     storage: StorageElement
     buckets: int
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> tuple[np.ndarray, float | None]:
+def _vehicle_harvest(
+    run: _Run, walk: _Walk, size: float, certifiable: bool
+) -> tuple[np.ndarray | None, float | None]:
     """One vehicle's per-unit harvest, as ``build_scavenger`` + ``round_harvest`` give it.
 
     ``build_scavenger`` scales the registry scavenger by ``size`` unless it
@@ -263,9 +294,11 @@ def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> tuple[np.ndarray, f
     that is not positive and finite takes the per-vehicle path, which
     raises or computes exactly as the vehicle's own scavenger does.
 
-    Returns the harvest and the factor, when the harvest is that factor
-    times the walk's non-negative unit-size harvest (what
-    :func:`~repro.scavenger.storage.certify_free` can certify), else ``None``.
+    Returns ``(harvest, None)``, or ``(None, factor)`` when the harvest is
+    ``factor`` times the walk's non-negative unit-size harvest and the
+    vehicle's cohort is ``certifiable``: such a vehicle is finished with
+    its walk (:func:`_finish_walk`), which forms the harvest only if it
+    has to.
     """
     scavenger = run.scavenger
     factor = scavenger.size_factor * size if size != 1.0 else scavenger.size_factor
@@ -280,12 +313,12 @@ def _vehicle_harvest(run: _Run, walk: _Walk, size: float) -> tuple[np.ndarray, f
         prefix.setflags(write=False)
         walk.harvest = (unit_harvest, bool(np.any(unit_harvest < 0.0)), prefix)
     unit_harvest, negative, _prefix = walk.harvest
+    if certifiable and not negative:
+        return None, factor
     harvest = factor * unit_harvest
-    if negative:
-        if np.any(harvest < 0.0):
-            raise EmulationError("cannot deposit negative energy")
-        return harvest, None
-    return harvest, factor
+    if negative and np.any(harvest < 0.0):
+        raise EmulationError("cannot deposit negative energy")
+    return harvest, None
 
 
 @dataclass(slots=True)
@@ -293,9 +326,10 @@ class _PendingScan:
     """One vehicle between its inputs phase and its ledger.
 
     Holds the vehicle's record, its walk, its cohort, its storage levels
-    (:func:`~repro.scavenger.storage.scaled_levels`), its harvest and the
-    factor that harvest scales the walk's unit-size harvest by (or
-    ``None``): what :func:`_finish_vehicle` certifies or scans.
+    (:func:`~repro.scavenger.storage.scaled_levels`) and either its harvest
+    or the factor that scales the walk's unit-size harvest into it
+    (:func:`_vehicle_harvest`): what :func:`_finish_chunk` certifies or
+    scans.
     """
 
     vehicle: tuple
@@ -303,7 +337,7 @@ class _PendingScan:
     walk: _Walk
     cohort: _Cohort
     levels: tuple
-    harvest: np.ndarray
+    harvest: np.ndarray | None
     factor: float | None
 
 
@@ -315,104 +349,159 @@ def _cohort_vehicle_outcome(vehicle_index: int, vehicle: tuple, run: _Run) -> _P
     arguments, where fault-injection wrappers select a vehicle.  The harvest
     is ``emulate()``'s harvest sweep (see :func:`_vehicle_harvest`) and the
     load the probe's ``_resolve_rounds`` gave the vehicle's load key.  The
-    ledger and summary follow in :func:`_finish_vehicle`, so the figures
+    ledger and summary follow in :func:`_finish_chunk`, so the figures
     are bit-identical to a naive per-vehicle ``emulate()`` (with the
     fleet's thermal model, for thermal cohorts).
     """
     _index, _scale, _temperature, size, storage_scale, walk, load_key = vehicle
     walk = run.walks[walk]
-    harvest, factor = _vehicle_harvest(run, walk, size)
+    cohort = walk.cohorts[load_key]
+    harvest, factor = _vehicle_harvest(run, walk, size, cohort.certifiable)
     levels = scaled_levels(run.storage, storage_scale)
-    return _PendingScan(vehicle, run, walk, walk.cohorts[load_key], levels, harvest, factor)
+    return _PendingScan(vehicle, run, walk, cohort, levels, harvest, factor)
 
 
-def _certified(pending: _PendingScan) -> bool:
-    """Whether :func:`~repro.scavenger.storage.certify_free` certifies the vehicle's ledger.
-
-    Eligible are vehicles whose harvest scales the walk's unit-size
-    harvest (:func:`_vehicle_harvest`) in a cohort with a certificate
-    ``D`` (:func:`_demand_prefix`); a certified ledger is one the scan
-    would find free.
-    """
-    demand_prefix = pending.cohort.demand_prefix
-    if pending.factor is None or demand_prefix is None:
-        return False
-    capacity, initial, minimum, _restart = pending.levels
-    return certify_free(
-        pending.walk.harvest[2],
-        pending.factor * pending.run.storage.charge_efficiency,
-        demand_prefix,
-        initial,
-        initial >= minimum,
-        capacity,
-    )
-
-
-def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
-    """Certify or scan a pending vehicle's ledger; its summary, survival and row.
-
-    The row's key order is the one every stored and exported fleet has.
-    A ledger the certificate declines is scanned by ``emulate()``'s own
-    :meth:`~repro.core.emulator.NodeEmulator._scan_ledger` over the
-    cohort's hoisted demand, which raises the naive run's error, if it has
-    one.  A certified ledger, or one the scan finds free, takes every
-    figure but its harvest totals from the walk and the cohort; its banked
-    energies are the stored ones, ``harvest * charge_efficiency``, which
-    the scan would return.
-    """
-    walk = pending.walk
-    run = pending.run
-    cohort = pending.cohort
-    harvest = pending.harvest
-    traj = None
-    if not _certified(pending):
-        storage = scaled_storage(run.storage, pending.vehicle[4])
-        traj = run.probe._scan_ledger(cohort.resolution, storage, harvest, cohort.demand)
-    if traj is None or traj.free:
-        totals, survival, active_at_end = walk.free
-        banked = harvest * run.storage.charge_efficiency if traj is None else traj.banked_j
-        result = EmulationResult(
-            run.probe.node.name,
-            walk.cycle_name,
-            walk.duration_s,
-            harvested_j=float(banked.sum()),
-            consumed_j=cohort.consumed_j,
-            discarded_j=float(np.maximum(0.0, harvest - banked).sum()),
-            **totals,
-        )
-    else:
-        result = EmulationResult(run.probe.node.name, walk.cycle_name, walk.duration_s)
-        result.record_totals(
-            walk.plan, harvest, traj.banked_j, traj.drawn_j, traj.withdrew, traj.brownout_events
-        )
-        survival, active_at_end = _row_tail(walk, traj.active, run.buckets)
-    index, speed_scale, temperature, size, storage_scale = pending.vehicle[:5]
-    summary = result.summary()
-    hours = result.duration_s / 3600.0
-    row: dict[str, object] = {
+def _head(vehicle: tuple, run: _Run, walk: _Walk) -> dict[str, object]:
+    """A row's leading columns: the vehicle's record, its scenario name and cycle."""
+    index, speed_scale, temperature, size, storage_scale = vehicle[:5]
+    return {
         "vehicle": index,
         "scenario": run.fleet.vehicle_name(index),
-        "cycle": result.cycle_name,
+        "cycle": walk.cycle_name,
         "speed_scale": speed_scale,
         "temperature_c": temperature,
         "scavenger_size": size,
         "storage_scale": storage_scale,
     }
-    row.update(summary)
-    row["brownout_per_hour"] = summary["brownout_events"] / hours if hours > 0.0 else float("nan")
-    row["active_at_end"] = active_at_end
+
+
+def _free_row(pending: _PendingScan, harvested_j: float, discarded_j: float) -> dict:
+    """A free ledger's outcome: its head, its harvest totals and its walk's constant tail.
+
+    Every figure but the harvest totals is the walk's and the cohort's;
+    the values are those ``summary()`` computes from the same totals.
+    """
+    walk = pending.walk
+    consumed_j = pending.cohort.consumed_j
+    tail, survival = walk.free
+    row = _head(pending.vehicle, pending.run, walk)
+    row.update(tail)
+    row["harvested_mj"] = harvested_j * 1e3
+    row["consumed_mj"] = consumed_j * 1e3
+    row["net_mj"] = (harvested_j - consumed_j) * 1e3
+    row["discarded_mj"] = discarded_j * 1e3
     return {"row": row, "survival": survival}
+
+
+def _finish_vehicle(pending: _PendingScan) -> dict[str, object]:
+    """Scan a pending vehicle's ledger; its row and survival.
+
+    The row's key order is the one every stored and exported fleet has.
+    The ledger is scanned by ``emulate()``'s own
+    :meth:`~repro.core.emulator.NodeEmulator._scan_ledger` over the
+    cohort's hoisted demand, which raises the naive run's error, if it has
+    one.  A ledger the scan finds free is a :func:`_free_row` whose banked
+    energies are the scan's; any other takes its totals and survival from
+    its trajectory.
+    """
+    walk = pending.walk
+    run = pending.run
+    cohort = pending.cohort
+    harvest = pending.harvest
+    if harvest is None:
+        harvest = pending.factor * walk.harvest[0]
+    storage = scaled_storage(run.storage, pending.vehicle[4])
+    traj = run.probe._scan_ledger(cohort.resolution, storage, harvest, cohort.demand)
+    banked = traj.banked_j
+    if traj.free:
+        return _free_row(
+            pending, float(banked.sum()), float(np.maximum(0.0, harvest - banked).sum())
+        )
+    result = EmulationResult(run.probe.node.name, walk.cycle_name, walk.duration_s)
+    result.record_totals(
+        walk.plan, harvest, banked, traj.drawn_j, traj.withdrew, traj.brownout_events
+    )
+    survival, active_at_end = _row_tail(walk, traj.active, run.buckets)
+    row = _head(pending.vehicle, run, walk)
+    row.update(_figures(result, active_at_end))
+    return {"row": row, "survival": survival}
+
+
+#: Certified vehicles whose harvest matrices :func:`_finish_walk` forms at
+#: once: it bounds the run's scratch buffer to two such blocks.
+_BLOCK_ROWS = 64
+
+
+def _finish_walk(results: list, slots: list, group: list) -> None:
+    """Finish one walk's eligible vehicles of a settled chunk, into ``results``.
+
+    One :func:`~repro.scavenger.storage.certify_free` call decides every
+    vehicle, against the walk's ``envelope``.  A certified vehicle is a
+    :func:`_free_row`: its banked energies are ``(factor * unit) *
+    charge_efficiency``, what the scan would store, formed as rows of a
+    ``(V, n)`` matrix in the run's scratch buffer, and its harvest totals
+    are row sums, bitwise the per-vehicle 1-D sums on numpy (pinned by
+    ``tests/fleet/test_row_sums.py``).  A declined vehicle is scanned
+    (:func:`_finish_vehicle`).
+    """
+    first = group[0]
+    run, walk = first.run, first.walk
+    unit, _negative, prefix = walk.harvest
+    efficiency = run.storage.charge_efficiency
+    factors = np.array([pending.factor for pending in group])
+    levels = np.array([pending.levels for pending in group])
+    charges = levels[:, 1]
+    decided = certify_free(
+        prefix, factors * efficiency, walk.envelope, charges, charges >= levels[:, 2], levels[:, 0]
+    )
+    certified = []
+    # A single (scalar) decision speaks for every row.
+    for row, free in enumerate(np.broadcast_to(decided, len(group)).tolist()):
+        if free:
+            certified.append(row)
+        else:
+            results[slots[row]] = _finish_vehicle(group[row])
+    count = len(unit)
+    for start in range(0, len(certified), _BLOCK_ROWS):
+        rows = certified[start : start + _BLOCK_ROWS]
+        size = len(rows) * count
+        if run.scratch.size < 2 * size:
+            run.scratch = np.empty(2 * size)
+        harvest = run.scratch[:size].reshape(len(rows), count)
+        banked = run.scratch[size : 2 * size].reshape(len(rows), count)
+        np.multiply(factors[rows, None], unit, out=harvest)
+        np.multiply(harvest, efficiency, out=banked)
+        harvested = banked.sum(axis=1).tolist()
+        # ``maximum(0, harvest - banked)`` is the difference itself: an
+        # efficiency in (0, 1] rounds a non-negative harvest to at most
+        # itself, and NaN passes through both.
+        np.subtract(harvest, banked, out=harvest)
+        discarded = harvest.sum(axis=1).tolist()
+        for row, harvested_j, discarded_j in zip(rows, harvested, discarded):
+            results[slots[row]] = _free_row(group[row], harvested_j, discarded_j)
 
 
 def _finish_chunk(results: list) -> list:
     """Finish a settled chunk's pending vehicles, in place and in order.
 
-    Failed items (``None``) and finished outcomes (cohorts whose scan can
-    raise) pass through untouched.
+    Vehicles whose harvest is a factor times their walk's unit-size harvest
+    in a certifiable cohort are finished per walk (:func:`_finish_walk`);
+    any other pending vehicle is scanned on its own.  Failed items
+    (``None``) and finished outcomes (cohorts whose scan can raise) pass
+    through untouched.
     """
+    walks: dict[int, tuple[list, list]] = {}
     for slot, value in enumerate(results):
-        if isinstance(value, _PendingScan):
+        if not isinstance(value, _PendingScan):
+            continue
+        if value.harvest is not None:
             results[slot] = _finish_vehicle(value)
+            continue
+        slots, group = walks.setdefault(id(value.walk), ([], []))
+        slots.append(slot)
+        group.append(value)
+    for slots, group in walks.values():
+        _finish_walk(results, slots, group)
     return results
 
 
@@ -604,7 +693,8 @@ class FleetRunner:
 
         resolutions = probe._resolve_rounds(requests)
         for walk in run.walks:
-            # The ledger constants: the leak per walk, the demand per cohort.
+            # The ledger constants: the leak per walk, the demand per cohort,
+            # and the envelope of the certifiable cohorts' D per walk.
             leak = ledger_leak(storage, walk.plan.durations)
             walk.free = _free_figures(walk, run.buckets)
             for load_key, position in walk.cohorts.items():
@@ -612,9 +702,17 @@ class FleetRunner:
                 demand = probe._ledger_demand(resolution, storage, leak)
                 # Only a linear scavenger's vehicles are ever certified.
                 prefix = _demand_prefix(resolution, demand) if run.unit is not None else None
+                if prefix is not None:
+                    if walk.envelope is None:
+                        walk.envelope = np.stack([prefix, prefix])
+                    else:
+                        np.minimum(walk.envelope[0], prefix, out=walk.envelope[0])
+                        np.maximum(walk.envelope[1], prefix, out=walk.envelope[1])
                 walk.cohorts[load_key] = _Cohort(
-                    resolution, demand, float(demand.load.sum()), prefix
+                    resolution, demand, float(demand.load.sum()), prefix is not None
                 )
+            if walk.envelope is not None:
+                walk.envelope.setflags(write=False)
         cohorts = len(requests) if thermal is not None else len(run.walks)
         swept = int(np.count_nonzero(~np.isnan(resolutions[0].energies))) if resolutions else 0
         return run, cohorts, swept

@@ -19,8 +19,10 @@ and may be shared by many scans, such as a fleet cohort's vehicles; a scan
 that commits every step through the free branch says so (``free``), so
 its caller can take the ledger's totals from constants.
 :func:`certify_free` decides the same without a scan, from prefix sums of
-the harvest and the demand and a margin that covers the scan's rounding;
-the fleet tries it before scanning a vehicle.
+the harvest and the demand and a margin that covers the scan's rounding,
+for many ledgers at once: monotone rounding lets one envelope of their
+gains and demands stand for all of them.  The fleet makes one call per
+walk of a settled chunk before scanning any of its vehicles.
 """
 
 from __future__ import annotations
@@ -206,18 +208,22 @@ def scaled_levels(
     """
     if capacity_factor <= 0.0:
         raise ConfigurationError("storage capacity factor must be positive")
-    levels = (
-        storage.capacity_j,
-        storage.initial_charge_j,
-        storage.minimum_operating_j,
-        storage.restart_level_j,
-    )
     if capacity_factor == 1.0:
-        return levels
-    capacity, initial, minimum, restart = (level * capacity_factor for level in levels)
+        return (
+            storage.capacity_j,
+            storage.initial_charge_j,
+            storage.minimum_operating_j,
+            storage.restart_level_j,
+        )
+    capacity = storage.capacity_j * capacity_factor
     if capacity <= 0.0:
         raise ConfigurationError("storage capacity must be positive")
-    return capacity, initial, minimum, restart
+    return (
+        capacity,
+        storage.initial_charge_j * capacity_factor,
+        storage.minimum_operating_j * capacity_factor,
+        storage.restart_level_j * capacity_factor,
+    )
 
 
 def scaled_storage(storage: StorageElement, capacity_factor: float) -> StorageElement:
@@ -586,26 +592,31 @@ def run_length_scan(
 
 def certify_free(
     harvest_prefix,
-    gain: float,
+    gain,
     demand_prefix,
-    charge: float,
-    active: bool,
-    capacity: float,
-) -> bool:
-    """Decide, without scanning, that :func:`run_length_scan` would return ``free``.
+    charge,
+    active,
+    capacity,
+) -> np.ndarray:
+    """Decide, without scanning, which ledgers :func:`run_length_scan` would return ``free``.
 
-    The ledger is the one :func:`trajectory` scans when the stored energy
-    is ``(factor * unit) * charge_efficiency`` per step, with ``gain =
-    factor * charge_efficiency``: ``harvest_prefix`` is the inclusive prefix
-    sum ``U`` of the per-step ``unit`` harvest (``n`` steps),
-    ``demand_prefix`` the exclusive prefix sum ``D`` of ``required + leak``
-    (``n + 1`` values, ``D[0] == 0``), ``charge`` the initial charge and
-    ``active`` whether the ledger starts active.  Every term must be
-    non-negative.  ``True`` means the scan takes no event: it starts
-    active, clips no deposit, fails no withdrawal and no leak takes the
-    whole charge.  ``False`` decides nothing; the caller scans.
+    A ledger is the one :func:`trajectory` scans when the stored energy is
+    ``(factor * unit) * charge_efficiency`` per step, with ``gain = factor
+    * charge_efficiency``: ``harvest_prefix`` is the inclusive prefix sum
+    ``U`` of the per-step ``unit`` harvest (``n`` steps) and its demand
+    prefix ``D`` the exclusive prefix sum of ``required + leak`` (``n + 1``
+    values, ``D[0] == 0``).  ``gain``, the initial ``charge``, ``active``
+    (whether the ledger starts active) and ``capacity`` are each one value
+    (a float or bool) or a numpy array, broadcasting to one value per row.
+    All rows share ``U``; ``demand_prefix`` is their one ``D``, or the
+    ``(2, n + 1)`` stack ``(D_lo, D_hi)`` of the elementwise minimum and
+    maximum of the ``D`` rows the ledgers draw on (a fleet walk's
+    cohorts).  Every term must be non-negative.  Returns one bool per row: ``True`` means the
+    scan takes no event (it starts active, clips no deposit, fails no
+    withdrawal and no leak takes the whole charge); ``False`` decides
+    nothing, and the caller scans.
 
-    **The bound.**  In exact arithmetic over the scan's own inputs the
+    **One ledger.**  In exact arithmetic over the scan's own inputs the
     charge before step ``k``'s deposit is ``P_k = c + S_k - D[k]`` (``S_k``
     the stored energies before ``k``).  The scan forms it by recursive
     summation of ``3k + 1`` non-negative-magnitude terms, so its float
@@ -635,23 +646,44 @@ def certify_free(
       charge is positive, so no withdrawal failed either.
 
     Starting active, a ledger with no failed withdrawal never browns out, so
-    it never restarts.  NaN or infinite inputs fail a comparison and decide
-    nothing.  The cost is a handful of elementwise passes with no
-    loop-carried dependency, where the scan's accumulate is one chain.
+    it never restarts.
+
+    **Many ledgers, one envelope.**  IEEE rounding is monotone: ``fl(g *
+    U[k])`` does not decrease with ``g`` (``U[k] >= 0``), and ``fl(a - b)``
+    does not decrease with ``a`` nor increase with ``b``.  So ``rise =
+    max_k(fl(g_max * U[k]) - D_lo[k])`` is at least every row's first
+    maximum and ``fall = max_k(D_hi[k + 1] - fl(g_min * U[k]))`` at least
+    its second, over every ``D`` between ``D_lo`` and ``D_hi``; both are
+    evaluated once for all rows.  Each row then makes the two comparisons
+    above with its own charge, capacity and ``delta``, whose ``M`` takes
+    ``D_hi[-1]``, at least its own ``D[-1]``.  As ``fl(c + x)`` and ``fl(c -
+    x)`` are monotone too, a row the envelope certifies passes its own
+    one-ledger certificate.  With one gain and one ``D`` the envelope is
+    that certificate.
+
+    NaN or infinite inputs fail a comparison and decide nothing.  The cost
+    is a handful of elementwise passes over ``n`` per call, with no
+    loop-carried dependency, and O(1) per row.
     """
-    if not active:
-        return False
+    low, high = demand_prefix if demand_prefix.ndim == 2 else (demand_prefix, demand_prefix)
     count = len(harvest_prefix)
     if count == 0:
-        return True
-    banked = harvest_prefix * gain
-    scale = capacity + charge + float(banked[-1]) + float(demand_prefix[-1])
+        shape = np.broadcast_shapes(*map(np.shape, (gain, charge, active, capacity)))
+        return np.broadcast_to(active, shape).copy()
+    g_min = g_max = gain
+    if getattr(gain, "ndim", 0):
+        g_min = np.minimum.reduce(gain, axis=None, initial=np.inf)
+        g_max = np.maximum.reduce(gain, axis=None, initial=-np.inf)
+    banked = harvest_prefix * g_max
+    margin = banked - low[:-1]
+    rise = float(np.maximum.reduce(margin))
+    if g_min != g_max:
+        np.multiply(harvest_prefix, g_min, out=banked)
+    np.subtract(high[1:], banked, out=margin)
+    fall = float(np.maximum.reduce(margin))
+    scale = capacity + charge + float(harvest_prefix[-1]) * gain + float(high[-1])
     delta = (4 * count + 64) * _EPS * scale
-    margin = banked - demand_prefix[:-1]
-    if not charge + float(np.maximum.reduce(margin)) + delta <= capacity:
-        return False
-    np.subtract(demand_prefix[1:], banked, out=margin)
-    return charge - delta > float(np.maximum.reduce(margin))
+    return (charge + rise + delta <= capacity) & (charge - delta > fall) & active
 
 
 @dataclass(frozen=True, eq=False)

@@ -232,13 +232,7 @@ class _StudyRequest:
         )
         self.workers = document.get("workers", default_workers)
         self.backend = document.get("backend", default_backend)
-        # The engine is the one validator of the execution fields.
-        engine = ChunkedEngine(workers=self.workers, backend=self.backend)
-        if self.backend == "process" and engine.workers == 1:
-            raise ConfigError(
-                "backend 'process' needs workers greater than 1 "
-                "(a single worker runs sequentially in this process)"
-            )
+        _check_pool(self.workers, self.backend, "backend 'process' needs workers")
         # Validates the axes (names, collisions, emptiness) at submit time.
         study = self.build_study()
         self.key = {
@@ -262,6 +256,19 @@ class _StudyRequest:
             axes=self.axes,
             montecarlo=self.montecarlo,
             evaluator_cache=evaluator_cache,
+        )
+
+
+def _check_pool(workers, backend, refusal: str) -> None:
+    """Validate a study's ``(workers, backend)``; refuse a process pool of one worker.
+
+    The engine is the one validator of the execution fields; ``refusal``
+    names what the process backend needs, in the words of whoever set it.
+    """
+    engine = ChunkedEngine(workers=workers, backend=backend)
+    if backend == "process" and engine.workers == 1:
+        raise ConfigError(
+            f"{refusal} greater than 1 (a single worker runs sequentially in this process)"
         )
 
 
@@ -457,6 +464,9 @@ class JobManager:
         workers: default engine pool width for study requests that omit
             it; fleets run sequentially and take no pool settings.
         backend: default engine backend for study requests that omit it.
+            Both defaults are validated here: a ``"process"`` default needs
+            ``workers`` greater than 1, or every study omitting them would
+            be refused.
         job_workers: how many jobs run concurrently (each study job may
             itself fan out over engine workers).
         checkpoint_root: directory under which fleet jobs journal their
@@ -476,6 +486,10 @@ class JobManager:
     ) -> None:
         if not isinstance(job_workers, int) or isinstance(job_workers, bool) or job_workers < 1:
             raise ConfigError(f"job_workers must be a positive integer, got {job_workers!r}")
+        # Checked once here, as `run` checks its flags up front: defaults
+        # that every study omitting them would be refused over are the
+        # server's fault, not the request's.
+        _check_pool(workers, backend, "the default backend 'process' needs default workers")
         # `is not None`, not truthiness: both containers define __len__, so
         # a freshly created (empty) cache or store is falsy.
         self.evaluator_cache = (

@@ -175,14 +175,15 @@ class TestFreeBoundary:
             assert [_hex(x) for x in survival] == [_hex(x) for x in expected], row["vehicle"]
 
     def _ledger_events(self, monkeypatch) -> list[tuple[str, bool]]:
-        """Each certificate (``("certify", decided)``) and scan (``("scan", free)``), in order."""
+        """Each row's certificate decision (``("certify", decided)``) and scan
+        (``("scan", free)``), in order."""
         events = []
         certify = fleet_runner.certify_free
         scan = emulator_module.trajectory
 
         def certifying(*args):
             decided = certify(*args)
-            events.append(("certify", decided))
+            events.extend(("certify", bool(row)) for row in np.atleast_1d(decided))
             return decided
 
         def scanning(*args):
@@ -198,7 +199,8 @@ class TestFreeBoundary:
     def test_a_chunk_holds_certified_and_scanned_vehicles(self, kind, monkeypatch):
         events = self._ledger_events(monkeypatch)
         FleetRunner(_fleet(kind)).run()
-        # Every vehicle is offered to the certificate; a declined one scans next.
+        # Every vehicle is offered to the certificate once, with its walk's
+        # vehicles of the chunk; a declined one is scanned.
         certified = [decided for event, decided in events if event == "certify"]
         assert len(certified) == VEHICLES
         chunks = [set(certified[start : start + CHUNK]) for start in range(0, VEHICLES, CHUNK)]
@@ -239,14 +241,22 @@ class TestFreeBoundary:
             "emulator.ledger_demand": runs,  # one cohort per run
         }
         assert all(trail == trails[0] for trail in trails)
-        # The finish runs vehicle by vehicle in the parent.  Per vehicle:
-        # "c" certified and never scanned, "ds" declined and scanned once,
-        # "s" not eligible and scanned once.
+        # The finish certifies a chunk's vehicles on one walk at once, then
+        # scans the declined ones in row order.  Per vehicle: "c" certified
+        # and never scanned, "ds" declined and scanned once, "s" not
+        # eligible and scanned once.  Each chunk's trail is its decisions,
+        # then one scan per declined row: moving each scan behind its
+        # declined row gives the per-vehicle trail.
         trail = "".join(
             "s" if event == "scan" else "c" if value else "d" for event, value in events
         )
-        vehicles = re.findall("c|ds|s", trail)
-        assert "".join(vehicles) == trail and len(vehicles) == VEHICLES, trail
+        per_vehicle = ""
+        for decisions, scans in re.findall("([cd]*)(s*)", trail):
+            declined = decisions.count("d")
+            assert len(scans) == declined or not decisions, trail
+            per_vehicle += decisions.replace("d", "ds") if decisions else scans
+        vehicles = re.findall("c|ds|s", per_vehicle)
+        assert "".join(vehicles) == per_vehicle and len(vehicles) == VEHICLES, trail
         scans_free = [value for event, value in events if event == "scan"]
         if kind == "conditioned":
             assert set(vehicles) == {"s"}

@@ -9,6 +9,8 @@ brown-out — never a partial withdrawal that reports success), the
 trajectory kernel equals a step-by-step scalar replay including the restart
 hysteresis, and the run-length scan behind the kernel equals
 ``reference_scan`` and the stepped element on long, regime-rich ledgers.
+The free-ledger certificate, for one ledger and as one envelope over a
+fleet walk's ledgers, certifies only ledgers whose scan takes no event.
 """
 
 from __future__ import annotations
@@ -898,6 +900,191 @@ class TestCertifyFree:
         inputs = certificate_inputs(storage, small, 1.0, small, small)
         assert not certify_free(*inputs[:5], np.inf)
         assert not certify_free(inputs[0], np.nan, *inputs[2:])
+
+
+# ---------------------------------------------------------------------------
+# The walk envelope: one certificate call over a fleet walk's vehicles, whose
+# cohorts' ``D`` rows it bounds elementwise and whose gains it bounds by
+# their minimum and maximum.
+# ---------------------------------------------------------------------------
+
+
+def _planted_levels(draw, rng, unit_prefix, gain, low, high, shared_high):
+    """A charge and capacity at, an ulp either side of, or away from each comparison.
+
+    The comparisons are :func:`certify_free`'s for one gain between
+    ``low`` and ``high`` (``D_lo``, ``D_hi``): ``c + rise + delta <=
+    capacity`` and ``c - delta > fall``, with ``delta`` scaled by
+    ``shared_high`` (the ``D_hi[-1]`` the call will see).  ``delta`` grows
+    with the levels themselves, so each planted level is a fixed point of
+    a few iterations, then nudged.
+    """
+    count = len(unit_prefix)
+    rise = float(np.max(unit_prefix * gain - low[:-1]))
+    fall = float(np.max(high[1:] - unit_prefix * gain))
+    plants = st.sampled_from([(True, False), (False, True), (True, True)])
+    plant_charge, plant_capacity = draw(plants)
+    charge = max(fall, 0.0) * (1.0 + rng.uniform(0.0, 0.5)) + rng.uniform(0.0, 1e-3)
+    capacity = (charge + max(rise, 0.0)) * (1.0 + rng.uniform(0.0, 0.5)) + 1e-9
+    kappa = (4 * count + 64) * float(np.finfo(float).eps)
+    for _ in range(4):
+        delta = kappa * (capacity + charge + float(unit_prefix[-1] * gain) + shared_high)
+        if plant_charge:
+            charge = max(fall + delta, 0.0)
+        if plant_capacity:
+            capacity = charge + rise + delta
+    if plant_charge:
+        charge = max(_nudged(charge, draw(st.sampled_from([-1, 0, 1]))), 0.0)
+    if plant_capacity:
+        capacity = _nudged(capacity, draw(st.sampled_from([-1, 0, 1])))
+    return charge, max(capacity, charge, 1e-9)
+
+
+@st.composite
+def walk_groups(draw, shared=None, max_length=200):
+    """One walk's vehicles of a chunk: several cohorts, random gains, planted levels.
+
+    Every vehicle's harvest is its factor times the walk's ``unit``, as in
+    the fleet; its load is its cohort's.  Its charge and capacity sit at,
+    or an ulp off, a comparison of either its own one-vehicle certificate
+    or the group's envelope, or away from both.  With ``shared`` (drawn
+    when ``None``) the group has one factor and one cohort, where the
+    envelope is each vehicle's own certificate.
+
+    Returns ``(unit, durations, loads, envelope, vehicles)``, a vehicle
+    being ``(storage, factor, cohort)``.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shared is None:
+        shared = draw(st.booleans())
+    count = draw(st.integers(1, max_length))
+    unit = rng.uniform(0.0, 1e-4, count) * (rng.random(count) < draw(st.floats(0.0, 1.0)))
+    durations = rng.uniform(0.0, 2.0, count)
+    charge_eff, discharge_eff, leak_w = draw(
+        st.sampled_from([(1.0, 1.0, 1e-5), (0.95, 0.9, 0.8e-6), (0.97, 0.92, 3e-5)])
+    )
+
+    def element(capacity, charge, minimum=0.0):
+        return StorageElement(
+            capacity_j=capacity,
+            initial_charge_j=charge,
+            charge_efficiency=charge_eff,
+            discharge_efficiency=discharge_eff,
+            self_discharge_w=leak_w,
+            minimum_operating_j=minimum,
+            restart_level_j=minimum,
+        )
+
+    cohorts = 1 if shared else draw(st.integers(1, 4))
+    loads = [rng.uniform(0.0, 1e-4, count) * rng.uniform(0.25, 1.5) for _ in range(cohorts)]
+    base = element(1.0, 0.5)
+    prefixes = [certificate_inputs(base, unit, 1.0, load, durations)[2] for load in loads]
+    envelope = np.stack([np.minimum.reduce(prefixes), np.maximum.reduce(prefixes)])
+    unit_prefix = np.cumsum(unit)
+    size = draw(st.integers(1, 6))
+    if shared:
+        picks = [draw(factors)] * size
+    else:
+        picks = [draw(factors) for _ in range(size)]
+    gains = [factor * charge_eff for factor in picks]
+    vehicles = []
+    for factor, gain in zip(picks, gains):
+        cohort = int(rng.integers(cohorts))
+        if draw(st.booleans()):
+            # At the vehicle's own comparisons.
+            bounds = (gain, prefixes[cohort], prefixes[cohort], prefixes[cohort][-1])
+        else:
+            # At the envelope's, which takes the extreme gain on each side.
+            bounds = (max(gains), envelope[0], envelope[1], envelope[1][-1])
+            if draw(st.booleans()):
+                bounds = (min(gains), envelope[0], envelope[1], envelope[1][-1])
+        charge, capacity = _planted_levels(draw, rng, unit_prefix, *bounds)
+        minimum = draw(st.sampled_from([0.0, charge, _nudged(charge, 1)]))
+        vehicles.append((element(capacity, charge, min(minimum, capacity)), factor, cohort))
+    return unit, durations, loads, envelope, vehicles
+
+
+def envelope_decisions(unit, envelope, vehicles) -> list[bool]:
+    """One :func:`certify_free` call over the group, as the fleet makes it per walk."""
+    storages = [storage for storage, _factor, _cohort in vehicles]
+    charges = np.array([storage.initial_charge_j for storage in storages])
+    decided = certify_free(
+        np.cumsum(unit),
+        np.array([factor * storage.charge_efficiency for storage, factor, _ in vehicles]),
+        envelope,
+        charges,
+        charges >= np.array([storage.minimum_operating_j for storage in storages]),
+        np.array([storage.capacity_j for storage in storages]),
+    )
+    assert decided.shape == (len(vehicles),)
+    return decided.tolist()
+
+
+class TestCertifyEnvelope:
+    @given(group=walk_groups())
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_envelope_certified_vehicles_are_certified_alone_and_take_no_event(self, group):
+        unit, durations, loads, envelope, vehicles = group
+        decisions = envelope_decisions(unit, envelope, vehicles)
+        for (storage, factor, cohort), certified in zip(vehicles, decisions):
+            if certified:
+                # The one-vehicle certificate over the vehicle's own D, then
+                # reference_scan and every scan over its own ledger.
+                assert assert_certificate_sound(storage, unit, factor, loads[cohort], durations)
+
+    @given(group=walk_groups(shared=True))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_one_gain_and_one_cohort_make_each_vehicle_its_own_certificate(self, group):
+        unit, durations, loads, envelope, vehicles = group
+        alone = [
+            bool(certify_free(*certificate_inputs(storage, unit, factor, loads[0], durations)))
+            for storage, factor, _cohort in vehicles
+        ]
+        assert envelope_decisions(unit, envelope, vehicles) == alone
+
+    def test_one_row_call_is_the_one_vehicle_certificate(self):
+        storage = make_storage()
+        small = np.full(5, 1e-6)
+        inputs = certificate_inputs(storage, small, 1.0, small, small)
+        rows = certify_free(
+            inputs[0], np.array([inputs[1]]), inputs[2], np.array([inputs[3]]), True, inputs[5]
+        )
+        assert rows.tolist() == [bool(certify_free(*inputs))] == [True]
+        envelope = np.stack([inputs[2], inputs[2]])
+        assert certify_free(inputs[0], inputs[1], envelope, *inputs[3:]) == certify_free(*inputs)
+
+    def test_an_envelope_wider_than_a_row_declines_it(self):
+        # The same vehicle against a D_hi that its withdrawals could not
+        # meet: the envelope speaks for every cohort it bounds.
+        storage = make_storage()
+        small = np.full(5, 1e-6)
+        inputs = certificate_inputs(storage, small, 1.0, small, small)
+        envelope = np.stack([inputs[2], inputs[2] + storage.initial_charge_j])
+        assert certify_free(*inputs)
+        assert not certify_free(inputs[0], inputs[1], envelope, *inputs[3:])
+
+    def test_rows_decide_independently(self):
+        storage = make_storage()
+        small = np.full(5, 1e-6)
+        unit_prefix, gain, prefix, charge, _active, capacity = certificate_inputs(
+            storage, small, 1.0, small, small
+        )
+        decided = certify_free(
+            unit_prefix,
+            np.full(4, gain),
+            prefix,
+            np.array([charge, charge, 0.0, charge]),
+            np.array([True, False, True, True]),
+            np.array([capacity, capacity, capacity, charge]),
+        )
+        # Free; inactive; no charge to withdraw from; a full element clips.
+        assert decided.tolist() == [True, False, False, False]
+
+    def test_an_empty_walk_certifies_every_active_row(self):
+        empty = np.zeros(0)
+        gains, active = np.array([1.0, 2.0]), np.array([True, False])
+        decided = certify_free(empty, gains, np.zeros(1), 0.1, active, 0.2)
+        assert decided.tolist() == [True, False]
 
 
 class TestScaledLevels:

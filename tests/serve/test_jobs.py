@@ -76,6 +76,16 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="needs workers greater than 1"):
             manager.submit_study({**STUDY_DOC, "backend": "process"})
 
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_process_default_needs_default_workers(self, workers):
+        # Refused once, at construction, not per request that omits them.
+        with pytest.raises(ConfigError, match="default workers greater than 1"):
+            JobManager(workers=workers, backend="process")
+
+    def test_process_default_with_workers_is_accepted(self):
+        manager = JobManager(workers=2, backend="process")
+        manager.shutdown()
+
     @pytest.mark.parametrize("setting", [{"workers": 2}, {"backend": "thread"}])
     def test_fleet_takes_no_pool_settings(self, manager, setting):
         # Fleets run sequentially: a pool setting is an unknown field.

@@ -159,6 +159,18 @@ class TestServeCommand:
         assert args.store_dir is None and args.checkpoint_dir is None
 
 
+    @pytest.mark.parametrize("workers", [[], ["--workers", "1"]])
+    def test_process_backend_without_workers_is_a_usage_error(self, capsys, workers):
+        # Refused before the server binds, in one line, not per request.
+        code = main(["serve", "--port", "0", "--backend", "process", *workers])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: serve: ")
+        assert "default workers greater than 1" in captured.err
+
+
 class TestRunCommand:
     @pytest.fixture
     def scenario_path(self, tmp_path):

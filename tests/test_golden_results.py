@@ -8,8 +8,10 @@ resolver's last rewrite; any change to them is a change of results.
 
 ``golden/fleet_exports.sha256`` (``sha256sum`` format) holds the digests of
 the 24-vehicle, seed-3 export of ``examples/scenarios/fleet.json`` and of its
-thermal variant; CI's resume-smoke step checks its own fresh exports
-against the same file.
+thermal variant, and of a 256-vehicle, seed-11 urban x2 fleet with the
+default population around ``examples/scenarios/quickstart.json``, every one
+of whose ledgers the free-ledger certificate takes without a scan; CI's
+resume-smoke step checks its own fresh exports against the same file.
 """
 
 from __future__ import annotations
@@ -65,6 +67,34 @@ def test_fleet_exports_match_the_golden_digests(variant, tmp_path, capsys):
         argv += [option, str(path)]
     assert main(argv) == 0
     capsys.readouterr()
+    golden = _fleet_digests()
+    for path in exports.values():
+        assert _sha256(path) == golden[path.name], path.name
+
+
+def test_all_certified_urban_fleet_matches_the_golden_digests(tmp_path, capsys, monkeypatch):
+    import repro.core.emulator as emulator_module
+
+    scans = []
+    scan = emulator_module.trajectory
+
+    def counting(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(emulator_module, "trajectory", counting)
+    exports = {
+        "--export": tmp_path / "urban.json",
+        "--export-vehicles": tmp_path / "urban-vehicles.json",
+        "--export-survival": tmp_path / "urban-survival.json",
+    }
+    argv = ["fleet", "--scenario", str(SCENARIOS / "quickstart.json")]
+    argv += ["--vehicles", "256", "--seed", "11"]
+    for option, path in exports.items():
+        argv += [option, str(path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert scans == []
     golden = _fleet_digests()
     for path in exports.values():
         assert _sha256(path) == golden[path.name], path.name
